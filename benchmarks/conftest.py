@@ -29,31 +29,6 @@ from repro.workloads.scenarios import build_faster_store
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--kernel-scheduler", default=None,
-        choices=("calendar", "heap"),
-        help="Run every benchmark on this sim-kernel event-list "
-             "implementation (A/B flag; default: the kernel's own "
-             "default, currently 'calendar').  Results are identical "
-             "either way -- the scheduler-equivalence suite pins that -- "
-             "so this only affects wall-clock time.")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _kernel_scheduler(request):
-    """Install the --kernel-scheduler choice for the whole session."""
-    from repro.sim.kernel import set_default_scheduler
-
-    choice = request.config.getoption("--kernel-scheduler")
-    if choice is None:
-        yield None
-        return
-    previous = set_default_scheduler(choice)
-    yield choice
-    set_default_scheduler(previous)
-
 #: Shared measurement cache for all benchmark sweeps; safe to delete at
 #: any time (entries are keyed by content, so a stale hit is impossible).
 SWEEP_CACHE_DIR = RESULTS_DIR / ".cache"

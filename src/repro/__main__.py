@@ -207,20 +207,15 @@ def cmd_sweep(record_size: int, max_client_threads: int,
     return 0
 
 
-def cmd_kernelbench(rounds: int, batches: int, scheduler: str,
+def cmd_kernelbench(rounds: int, batches: int,
                     min_steps_per_sec: float | None) -> int:
     """Micro-benchmark ``Environment.step()`` on the measurement workload.
 
     Runs the same instrumented ``measure_config`` call the sweep hot
     path is made of and prints kernel steps per wall-clock second -- the
     number CI logs so step-loop regressions are visible.
-
-    ``--scheduler both`` A/B-compares the calendar queue against the
-    legacy binary heap (same workload, same seed; the results are
-    identical by the scheduler-equivalence suite, only wall-clock
-    differs).  ``--min-steps-per-sec`` turns the run into a CI gate:
-    exit 1 if the best rate of the (first-listed) scheduler falls below
-    the floor.
+    ``--min-steps-per-sec`` turns the run into a CI gate: exit 1 if the
+    best rate falls below the floor.
     """
     from time import perf_counter
 
@@ -229,32 +224,23 @@ def cmd_kernelbench(rounds: int, batches: int, scheduler: str,
     from repro.obs.metrics import MetricsRegistry
 
     config = RdmaConfig(4, 4, 16, 8)
-    schedulers = (["calendar", "heap"] if scheduler == "both"
-                  else [scheduler])
-    bests: dict[str, float] = {}
-    for sched in schedulers:
-        best = 0.0
-        for index in range(rounds):
-            registry = MetricsRegistry()
-            started = perf_counter()  # repro-lint: disable=D001 -- wall-clock benchmark harness, result never reaches sim state
-            measure_config(config, 16, read_fraction=0.5,
-                           batches_per_connection=batches,
-                           warmup_batches=max(1, batches // 4),
-                           seed=11, metrics=registry, scheduler=sched)
-            elapsed = perf_counter() - started  # repro-lint: disable=D001 -- wall-clock benchmark harness
-            steps = registry.gauge("kernel.steps").value
-            rate = steps / elapsed
-            best = max(best, rate)
-            print(f"round {index} [{sched}]: {steps:,.0f} steps in "
-                  f"{elapsed:.3f}s = {rate:,.0f} steps/sec")
-        bests[sched] = best
-        print(f"best [{sched}]: {best:,.0f} steps/sec")
-    if len(bests) > 1:
-        print(f"calendar/heap speedup: "
-              f"{bests['calendar'] / bests['heap']:.2f}x")
-    gated = bests[schedulers[0]]
-    if min_steps_per_sec is not None and gated < min_steps_per_sec:
-        print(f"FAIL: best {schedulers[0]} rate {gated:,.0f} steps/sec "
+    best = 0.0
+    for index in range(rounds):
+        registry = MetricsRegistry()
+        started = perf_counter()  # repro-lint: disable=D001 -- wall-clock benchmark harness, result never reaches sim state
+        measure_config(config, 16, read_fraction=0.5,
+                       batches_per_connection=batches,
+                       warmup_batches=max(1, batches // 4),
+                       seed=11, metrics=registry)
+        elapsed = perf_counter() - started  # repro-lint: disable=D001 -- wall-clock benchmark harness
+        steps = registry.gauge("kernel.steps").value
+        rate = steps / elapsed
+        best = max(best, rate)
+        print(f"round {index}: {steps:,.0f} steps in "
+              f"{elapsed:.3f}s = {rate:,.0f} steps/sec")
+    print(f"best: {best:,.0f} steps/sec")
+    if min_steps_per_sec is not None and best < min_steps_per_sec:
+        print(f"FAIL: best rate {best:,.0f} steps/sec "
               f"is below the floor of {min_steps_per_sec:,.0f}")
         return 1
     return 0
@@ -1056,11 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
     kernelbench.add_argument("--rounds", type=int, default=3)
     kernelbench.add_argument("--batches", type=int, default=120,
                              help="measured batches per connection")
-    kernelbench.add_argument("--scheduler", default="calendar",
-                             choices=["calendar", "heap", "both"],
-                             help="event-list implementation to time "
-                                  "('both' A/B-compares; default: "
-                                  "calendar)")
     kernelbench.add_argument("--min-steps-per-sec", type=float,
                              default=None,
                              help="CI regression floor: exit 1 if the "
@@ -1171,7 +1152,7 @@ def main(argv: list[str] | None = None) -> int:
                              args.cache_dir, args.as_json)
         if args.command == "kernelbench":
             return cmd_kernelbench(args.rounds, args.batches,
-                                   args.scheduler, args.min_steps_per_sec)
+                                   args.min_steps_per_sec)
         if args.command == "chaos":
             return cmd_chaos(args.scenario, args.seed, args.as_json,
                              args.out)

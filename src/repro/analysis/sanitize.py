@@ -321,13 +321,15 @@ def sanitize_schedulers(workload: Callable[[int], Any], seed: int = 0,
                         context_events: int = 5) -> DivergenceReport:
     """Run ``workload(seed)`` under both kernel schedulers and diff.
 
-    Run A uses the binary heap, run B the calendar queue.  The contract
-    (DESIGN.md §5h) is that the event-list implementation is never
-    observable in event ordering, so the two traces must be
+    Run A uses the reference single binary heap, run B the default
+    loop (same-instant FIFO deques plus one heap for later entries).
+    The contract (DESIGN.md §5h) is that the event-list implementation
+    is never observable in event ordering, so the two traces must be
     byte-identical -- same schedule, same RNG draw sequence.  A
-    divergence here is a calendar-queue ordering bug, not a workload
-    nondeterminism bug; the report's ``label`` is suffixed so the two
-    failure modes read differently in CI logs.
+    divergence here is an ordering bug in the default loop's deque
+    fast path, not a workload nondeterminism bug; the report's
+    ``label`` is suffixed so the two failure modes read differently in
+    CI logs.
     """
     run_heap = _record(workload, seed, scheduler="heap")
     run_calendar = _record(workload, seed, scheduler="calendar")

@@ -81,7 +81,6 @@ def measure_config(config: RdmaConfig, record_size: int, *,
                    extra_outstanding: int = 0,
                    seed: int = 0,
                    metrics: Optional[MetricsRegistry] = None,
-                   scheduler: Optional[str] = None,
                    dependent_reads: bool = False
                    ) -> MeasurementResult:
     """Measure one RDMA configuration on the simulated testbed.
@@ -101,10 +100,7 @@ def measure_config(config: RdmaConfig, record_size: int, *,
     the fig11/fig12 A/B toggle.
     """
     rngs = RngRegistry(seed=seed)
-    # `scheduler` picks the kernel's event-list implementation (see
-    # repro.sim.kernel); None inherits the process-wide default.  The
-    # choice affects wall-clock speed only, never the measured result.
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     if metrics is not None:
         # Install before the testbed is built so the queue pairs, fabric,
         # and data path instrument themselves (see repro.obs).

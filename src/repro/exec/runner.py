@@ -50,15 +50,9 @@ class SweepTask:
     #: ``use_verb_programs`` picks the transport.  Changes measured
     #: results, so it is part of the cache key.
     dependent_reads: bool = False
-    #: Kernel event-list implementation ("calendar"/"heap"); None
-    #: inherits the process-wide default.  Scheduler choice never
-    #: affects measured results (the equivalence suite pins this), so
-    #: it is deliberately *excluded* from the cache key: both
-    #: schedulers hit the same cached blob.
-    scheduler: Optional[str] = None
     #: Cosmetic display label for reports/progress output.  Never
-    #: affects the measurement, so -- like ``scheduler`` -- it is
-    #: excluded from the cache key: relabelled sweeps still hit.
+    #: affects the measurement, so it is excluded from the cache key:
+    #: relabelled sweeps still hit.
     label: str = ""
 
     def cache_key(self) -> str:
@@ -110,7 +104,6 @@ def _execute_task(task: SweepTask) -> Tuple[MeasurementResult, Dict]:
         extra_outstanding=task.extra_outstanding,
         seed=task.seed,
         metrics=registry,
-        scheduler=task.scheduler,
         dependent_reads=task.dependent_reads,
     )
     return result, registry.snapshot()

@@ -6,10 +6,15 @@ portion is a ring buffer over ``[head_address, tail_address)``; its
 youngest ``mutable_fraction`` supports in-place updates, the rest is
 read-only.  When an append needs room, the oldest in-memory page spills
 to the device and the head advances.
+
+A page ends at the end of the record that fills it, so a record never
+straddles a spill: it is wholly in memory or wholly on the device.
+Records that tile ``page_bytes`` give pages of exactly that size.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.faster.devices import IDevice
@@ -41,6 +46,10 @@ class HybridLog:
         self.begin_address = 0
         self.head_address = 0
         self.tail_address = 0
+        #: Start of the page the tail is filling, and the end addresses
+        #: of the full in-memory pages before it, oldest first.
+        self._open_page = 0
+        self._page_ends: deque[int] = deque()
         #: Lifetime statistics.
         self.bytes_spilled = 0
         self.records_appended = 0
@@ -89,8 +98,13 @@ class HybridLog:
     # ------------------------------------------------------------------
 
     def _evict_page(self) -> None:
-        """Spill the oldest page and advance the head."""
-        page_len = min(self.page_bytes, self.memory_used)
+        """Spill the oldest page (all of memory if none is full yet) and
+        advance the head."""
+        if self._page_ends:
+            end = self._page_ends.popleft()
+        else:
+            end = self._open_page = self.tail_address
+        page_len = end - self.head_address
         page = self._ring_read(self.head_address, page_len)
         if self.device is not None:
             self.device.spill(self.head_address, page)
@@ -111,7 +125,10 @@ class HybridLog:
             self._evict_page()
         addr = self.tail_address
         self._ring_write(addr, record)
-        self.tail_address += len(record)
+        end = self.tail_address = addr + len(record)
+        if end - self._open_page >= self.page_bytes:
+            self._page_ends.append(end)
+            self._open_page = end
         self.records_appended += 1
         return addr
 

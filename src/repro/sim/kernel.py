@@ -9,16 +9,13 @@ value (or the event's exception is thrown into it).
 Two interchangeable schedulers implement the event list (selected per
 Environment, or process-wide via :func:`set_default_scheduler`):
 
-* ``"calendar"`` (default) -- a calendar/bucket queue tuned for the
-  clustered timestamps the fabric model produces.  Work due *now* lives
-  in plain FIFO deques (O(1) append/pop), the imminent horizon is a
-  small binary heap, and everything beyond it is hashed into
-  fixed-width time buckets that are promoted one at a time.  Bucket
-  width auto-calibrates from the observed timeout delays, and an
-  overflow list catches entries beyond the bucket window.
-* ``"heap"`` -- the original single binary heap, kept as the A/B
-  reference implementation for ``python -m repro kernelbench
-  --scheduler`` and the cross-scheduler replay gate.
+* ``"calendar"`` (default) -- work due *now* lives in two plain FIFO
+  deques (O(1) append/pop, one per priority), and everything later
+  sits on one binary heap.  Most traffic is same-instant, so most
+  entries never touch the heap.
+* ``"heap"`` -- the original single binary heap, kept as the ordering
+  reference for the scheduler-equivalence suite and the
+  cross-scheduler replay gate (``repro sanitize --smoke``).
 
 Scheduler choice is **not observable** in event ordering: both dispatch
 in exactly the same ``(when, priority, insertion-order)`` total order,
@@ -33,7 +30,7 @@ layers (RDMA fabric, cache engine, cluster allocator) need.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 try:
@@ -60,10 +57,6 @@ _default_monitor: Optional[Any] = None
 #: Scheduler used by Environments that do not pass one explicitly.
 _default_scheduler: str = "calendar"
 
-#: Width of the far-bucket window: entries more than this many buckets
-#: past the window base land on the overflow list until re-bucketed.
-_CALENDAR_BUCKETS = 8192
-
 #: Per-class cap on the Event/Timeout/Process freelists.
 _FREELIST_MAX = 512
 
@@ -89,9 +82,8 @@ def set_default_scheduler(scheduler: Optional[str]) -> str:
 
     ``"calendar"`` (the default) or ``"heap"``; ``None`` restores
     ``"calendar"``.  Returns the previous default so callers can
-    restore it (the kernelbench A/B flag and the cross-scheduler
-    sanitize gate both wrap runs this way).  Existing Environments are
-    unaffected.
+    restore it (the cross-scheduler sanitize gate wraps runs this way).
+    Existing Environments are unaffected.
     """
     global _default_scheduler
     if scheduler is None:
@@ -185,8 +177,8 @@ class Event:
         self._value = value
         self._triggered = True
         # Inlined Environment scheduling: succeed() fires once per
-        # simulated operation, and the delay is always zero -- in
-        # calendar mode that is a plain deque append.
+        # simulated operation, and the delay is always zero -- on the
+        # default loop that is a plain deque append.
         env = self.env
         if env._use_heap:
             env._sequence += 1
@@ -302,23 +294,8 @@ def _arm_timeout(timeout: Timeout, env: "Environment", delay: float,
             env._immediate.append((_EVENT_DISPATCH, timeout))
         else:
             env._sequence += 1
-            entry = (when, PRIORITY_NORMAL, env._sequence,
-                     _EVENT_DISPATCH, timeout)
-            if when < env._horizon:
-                heappush(env._near, entry)
-            else:
-                env._far_insert(entry)
-            # Track the running mean delay; it sets (and, via the decay,
-            # tracks drift in) the calendar bucket width.
-            count = env._delay_count + 1
-            env._delay_count = count
-            env._delay_sum += delay
-            if env._width == 0.0:
-                if count >= 128:
-                    env._calibrate()
-            elif count >= 8192:
-                env._delay_sum *= 0.5
-                env._delay_count = 4096
+            heappush(env._near, (when, PRIORITY_NORMAL, env._sequence,
+                                 _EVENT_DISPATCH, timeout))
     monitor = env.monitor
     if monitor is not None:
         monitor.on_trigger(timeout)
@@ -648,27 +625,14 @@ class Environment:
         self._use_heap = scheduler == "heap"
         # -- heap scheduler state --
         self._heap: list[tuple] = []
-        # -- calendar scheduler state --
+        # -- default ("calendar") scheduler state --
         # Work due at the current instant: plain FIFO deques (appends
         # at `now` happen in sequence order, so FIFO *is* seq order).
         self._urgent: deque = deque()     # PRIORITY_URGENT at `now`
         self._immediate: deque = deque()  # PRIORITY_NORMAL at `now`
-        # The imminent window [now, horizon): a small binary heap.
+        # Everything scheduled for a later instant: one binary heap.
         self._near: list[tuple] = []
-        # Beyond the horizon: fixed-width buckets keyed by
-        # int(when / width); `_far_keys` is a min-heap over the live
-        # bucket keys (each key pushed exactly once, at bucket creation).
-        self._far: dict[int, list[tuple]] = {}
-        self._far_keys: list[int] = []
-        # Entries past the bucket window wait here until a re-bucket.
-        self._overflow: list[tuple] = []
-        self._width = 0.0          # 0.0 = not yet calibrated
-        self._inv_width = 0.0
-        self._horizon = float("inf")
-        self._limit_key = 0
-        self._delay_sum = 0.0
-        self._delay_count = 0
-        # -- interned-struct freelists (fed by the calendar run loop) --
+        # -- interned-struct freelists (fed by the default run loop) --
         self._event_free: list[Event] = []
         self._timeout_free: list[Timeout] = []
         self._process_free: list[Process] = []
@@ -714,14 +678,12 @@ class Environment:
     def _pending_count(self) -> int:
         if self._use_heap:
             return len(self._heap)
-        return (len(self._urgent) + len(self._immediate) + len(self._near)
-                + sum(map(len, self._far.values())) + len(self._overflow))
+        return len(self._urgent) + len(self._immediate) + len(self._near)
 
     def _has_pending(self) -> bool:
         if self._use_heap:
             return bool(self._heap)
-        return bool(self._urgent or self._immediate or self._near
-                    or self._far or self._overflow)
+        return bool(self._urgent or self._immediate or self._near)
 
     # -- factories ---------------------------------------------------------
 
@@ -778,21 +740,8 @@ class Environment:
             else:
                 seq = self._sequence + 1
                 self._sequence = seq
-                entry = (when, PRIORITY_NORMAL, seq, _EVENT_DISPATCH,
-                         timeout)
-                if when < self._horizon:
-                    heappush(self._near, entry)
-                else:
-                    self._far_insert(entry)
-                count = self._delay_count + 1
-                self._delay_count = count
-                self._delay_sum += delay
-                if self._width == 0.0:
-                    if count >= 128:
-                        self._calibrate()
-                elif count >= 8192:
-                    self._delay_sum *= 0.5
-                    self._delay_count = 4096
+                heappush(self._near, (when, PRIORITY_NORMAL, seq,
+                                      _EVENT_DISPATCH, timeout))
         monitor = self.monitor
         if monitor is not None:
             monitor.on_trigger(timeout)
@@ -842,15 +791,15 @@ class Environment:
     # bootstrap schedule plain bound/class methods instead of allocating
     # a closure per call.
     #
-    # In calendar mode, entries due at the current instant skip the
+    # On the default loop, entries due at the current instant skip the
     # sequence counter entirely and land on the FIFO deques: nothing
     # already queued for `now` can carry a larger timestamp, a lower
     # priority value lives on its own deque, and FIFO order *is*
     # insertion order -- so the (when, priority, sequence) total order
     # is preserved without a single comparison.  Only future entries
-    # pay for a sequence number and a near-heap push or far-bucket
-    # append.  The scheduler-equivalence suite pins this ordering
-    # against the reference heap.
+    # pay for a sequence number and a heap push.  The
+    # scheduler-equivalence suite pins this ordering against the
+    # reference heap.
 
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
         # Delay is validated by the callers that can produce a negative
@@ -868,11 +817,8 @@ class Environment:
                 self._urgent.append((_EVENT_DISPATCH, event))
             return
         self._sequence += 1
-        entry = (when, priority, self._sequence, _EVENT_DISPATCH, event)
-        if when < self._horizon:
-            heappush(self._near, entry)
-        else:
-            self._far_insert(entry)
+        heappush(self._near,
+                 (when, priority, self._sequence, _EVENT_DISPATCH, event))
 
     def _call_soon(self, fn: Callable[[Any], None], arg: Any,
                    priority: int = PRIORITY_NORMAL) -> None:
@@ -884,91 +830,6 @@ class Environment:
             self._immediate.append((fn, arg))
         else:
             self._urgent.append((fn, arg))
-
-    # -- calendar-queue internals ------------------------------------------
-
-    def _far_insert(self, entry: tuple) -> None:
-        key = int(entry[0] * self._inv_width)
-        if key >= self._limit_key:
-            self._overflow.append(entry)
-            return
-        bucket = self._far.get(key)
-        if bucket is None:
-            self._far[key] = [entry]
-            heappush(self._far_keys, key)
-        else:
-            bucket.append(entry)
-
-    def _calibrate(self) -> None:
-        """First-time bucket sizing from the observed mean delay.
-
-        Runs once, after enough timeout delays have been sampled.  The
-        far buckets are empty by construction here (the horizon was
-        infinite), so only the near heap needs care: the horizon is
-        placed past its maximum entry, keeping the invariant that near
-        entries sort strictly below everything bucketed.
-        """
-        width = self._delay_sum / self._delay_count
-        if width < 1e-12:
-            width = 1e-12
-        self._width = width
-        inv = 1.0 / width
-        self._inv_width = inv
-        top = self._now
-        near = self._near
-        if near:
-            top_near = max(entry[0] for entry in near)
-            if top_near > top:
-                top = top_near
-        base = int(top * inv) + 1
-        self._horizon = base * width
-        self._limit_key = base + _CALENDAR_BUCKETS
-
-    def _promote(self) -> bool:
-        """Refill the (empty) near heap from the calendar.
-
-        Pops the earliest far bucket into the near heap and advances the
-        horizon to that bucket's end; every remaining bucketed entry is
-        at or past the new horizon, so near stays the authoritative
-        front of the timeline.  When the buckets are exhausted too, the
-        overflow list is re-bucketed around its earliest entry (also
-        refreshing the width from the delay statistics, which is safe
-        exactly then: there are no bucketed entries left to remap).
-        Returns False when there is no timed work left at all.
-        """
-        while True:
-            keys = self._far_keys
-            if keys:
-                key = heappop(keys)
-                bucket = self._far.pop(key)
-                near = self._near
-                near.extend(bucket)
-                if len(near) > 1:
-                    heapify(near)
-                self._horizon = (key + 1.0) * self._width
-                return True
-            if not self._overflow:
-                return False
-            self._rebucket()
-
-    def _rebucket(self) -> None:
-        entries = self._overflow
-        self._overflow = []
-        if self._delay_count:
-            width = self._delay_sum / self._delay_count
-        else:  # pragma: no cover - overflow implies sampled delays
-            width = self._width
-        if width < 1e-12:
-            width = 1e-12
-        self._width = width
-        inv = 1.0 / width
-        self._inv_width = inv
-        base = int(min(entry[0] for entry in entries) * inv)
-        self._horizon = base * width
-        self._limit_key = base + _CALENDAR_BUCKETS
-        insert = self._far_insert
-        for entry in entries:
-            insert(entry)
 
     # -- execution ---------------------------------------------------------
 
@@ -985,11 +846,11 @@ class Environment:
             _when, _priority, _seq, fn, arg = heappop(self._near)
         elif self._immediate:
             fn, arg = self._immediate.popleft()
+        elif self._near:
+            when, _priority, _seq, fn, arg = heappop(self._near)
+            self._now = when
         else:
-            if not self._near and not self._promote():
-                raise SimulationError("step() on an empty event list")
-            self._now = self._near[0][0]
-            _when, _priority, _seq, fn, arg = heappop(self._near)
+            raise SimulationError("step() on an empty event list")
         self._steps += 1
         if fn is _EVENT_DISPATCH:
             self._events_processed += 1
@@ -1022,7 +883,7 @@ class Environment:
     def _run_calendar(self, until: Optional[float]) -> None:
         urgent = self._urgent
         immediate = self._immediate
-        near = self._near  # alias stays valid: _promote mutates in place
+        near = self._near
         dispatch = _EVENT_DISPATCH
         event_free = self._event_free
         timeout_free = self._timeout_free
@@ -1129,7 +990,7 @@ class Environment:
                     else:
                         fn(arg)
                 # Advance simulated time to the next scheduled entry.
-                if not near and not self._promote():
+                if not near:
                     if until is not None:
                         self._now = until
                     return

@@ -42,10 +42,8 @@ def test_key_covers_every_measurement_input(overrides):
 
 
 def test_cosmetic_fields_stay_out_of_the_key():
-    """Labels annotate progress output and the scheduler is unobservable
-    in results (§5h): neither may fragment the cache."""
+    """Labels annotate progress output: they may not fragment the cache."""
     assert task(label="dep-program-4096").cache_key() == task().cache_key()
-    assert task(scheduler="heap").cache_key() == task().cache_key()
 
 
 def test_key_rejects_unhashable_garbage():

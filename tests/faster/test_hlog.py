@@ -71,6 +71,29 @@ class TestSpill:
         assert not log.in_memory(first)
         assert log.read(first, 64) is None
 
+    def test_record_straddling_a_page_boundary_reads_back_intact(self):
+        # 24-byte records do not tile the default 64 KiB page: the record
+        # at 65520 crosses the first page boundary.  After the first
+        # spill, every record must read back whole, from memory or from
+        # the device, whichever the log says holds it.
+        env = Environment()
+        device = LocalMemoryDevice(env, 1 << 20)
+        log = HybridLog(env, 1 << 17, device)
+        records = [i.to_bytes(8, "little") * 3 for i in range(6000)]
+        addrs = [log.append(record) for record in records]
+        assert 65520 in addrs
+        assert log.head_address > 65520
+
+        def device_read(addr):
+            result = yield device.read(addr, 24)
+            return result.data
+
+        for addr, record in zip(addrs, records):
+            if log.in_memory(addr):
+                assert log.read(addr, 24) == record
+            else:
+                assert env.run_process(device_read(addr)) == record
+
     def test_no_device_drops_evicted_data(self):
         env = Environment()
         log = HybridLog(env, 128, None, page_bytes=64)

@@ -1,8 +1,9 @@
-"""Scheduler-equivalence suite: calendar queue vs the reference heap.
+"""Scheduler-equivalence suite: default loop vs the reference heap.
 
-The calendar queue (DESIGN.md §5h) is a pure wall-clock optimization:
-the ``(when, priority, sequence)`` dispatch order must be *identical*
-to the binary heap's, byte for byte, on any workload.  These tests pin
+The default loop's same-instant deques (DESIGN.md §5h) are a pure
+wall-clock optimization: the ``(when, priority, sequence)`` dispatch
+order must be *identical* to the binary heap's, byte for byte, on any
+workload.  These tests pin
 that property the strong way -- randomized workloads exercising every
 kernel primitive run once per scheduler under a full trace recorder,
 and the traces, application logs, clocks, and event-loop statistics
@@ -169,9 +170,9 @@ def test_run_until_boundary_identical(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_reentrant_run_identical(seed):
-    # run(until), spawn more work, run() again: the calendar queue's
-    # carried-over state (near heap, far buckets, deques) must resume
-    # exactly where the heap would.
+    # run(until), spawn more work, run() again: the default loop's
+    # carried-over state (the future-entry heap and the now-deques)
+    # must resume exactly where the reference heap would.
     def staged(scheduler):
         env = Environment(scheduler=scheduler)
         recorder = TraceRecorder()
@@ -190,9 +191,10 @@ def test_reentrant_run_identical(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_wide_delay_spread_identical(seed):
-    # Log-uniform delays over 12 decades force calibration, far-bucket
-    # inserts, overflow parking, and re-bucketing -- every structural
-    # path in the calendar queue -- while the heap just... heaps.
+    # Log-uniform delays over 12 decades keep hundreds of entries at
+    # wildly different timestamps on the default loop's heap at once,
+    # so its ordering is exercised at depth rather than one entry at a
+    # time, against the reference heap's identical order.
     def spread(scheduler):
         env = Environment(scheduler=scheduler)
         rng = np.random.default_rng(seed)
@@ -213,7 +215,7 @@ def test_wide_delay_spread_identical(seed):
 
 def test_equal_timestamps_keep_creation_order():
     # Thousands of entries at identical timestamps: the tie-break is
-    # the scheduling sequence number, which the calendar deques encode
+    # the scheduling sequence number, which the default loop's deques encode
     # as FIFO order.  Any instability shows up as a permutation here.
     def burst(scheduler):
         env = Environment(scheduler=scheduler)
@@ -234,7 +236,7 @@ def test_equal_timestamps_keep_creation_order():
 
 
 def test_freelist_reuse_preserves_event_payloads():
-    # The calendar run loop recycles processed Event/Timeout shells
+    # The default run loop recycles processed Event/Timeout shells
     # through freelists.  Reuse must be invisible: every wait gets the
     # value that was armed for it, never a stale slot from a previous
     # occupant.
