@@ -208,9 +208,7 @@ def test_vm_kill_mid_run_loses_no_acked_writes(report):
     env.run()
 
     def settle_and_verify():
-        while (router._membership_tail is not None
-               and not router._membership_tail.processed):
-            yield router._membership_tail
+        yield from router.settled()
         lost = []
         for addr, payload in sorted(acked.items()):
             result = yield router.read(addr, RECORD)

@@ -19,12 +19,12 @@ subsystem makes:
 * **Everything replays.**  Same seed, same abuse, same kill -> the
   same per-tenant stats and a bit-identical metrics snapshot.
 
-The experiment itself is ``repro.__main__._tenants_run`` -- the same
-deterministic run behind ``python -m repro tenants --smoke`` -- so CI's
-gate and this ablation can never drift apart.
+The experiment itself is :func:`repro.gates.tenants_run` -- the same
+deterministic run behind the ``tenants`` entry of ``python -m repro
+gate`` -- so CI's gate and this ablation can never drift apart.
 """
 
-from repro.__main__ import _tenants_run
+from repro.gates import tenants_run
 
 SEED = 11
 OPS = 2400
@@ -41,8 +41,8 @@ def _budget(baseline_p99: float) -> float:
 
 
 def test_abusive_tenant_does_not_move_premium_p99(report, bench_metrics):
-    baseline = _tenants_run(SEED, OPS, abusive=False, kill=False)
-    noisy = _tenants_run(SEED, OPS, abusive=True, kill=False)
+    baseline = tenants_run(SEED, OPS, abusive=False, kill=False)
+    noisy = tenants_run(SEED, OPS, abusive=True, kill=False)
     bench_metrics.merge_snapshot(noisy["metrics"])
     base_p99 = baseline["premium_read_p99_s"]
     noisy_p99 = noisy["premium_read_p99_s"]
@@ -64,7 +64,7 @@ def test_abusive_tenant_does_not_move_premium_p99(report, bench_metrics):
 
 
 def test_admission_absorbs_the_abuse_by_shedding_the_abuser():
-    noisy = _tenants_run(SEED, OPS, abusive=True, kill=False)
+    noisy = tenants_run(SEED, OPS, abusive=True, kill=False)
     scav = noisy["tenants"]["scav"]
     prem = noisy["tenants"]["prem"]
     # The open-loop flood runs at 10x the scavenger's token rate: the
@@ -77,7 +77,7 @@ def test_admission_absorbs_the_abuse_by_shedding_the_abuser():
 
 
 def test_region_kill_fails_open_and_recovers_losslessly(bench_metrics):
-    chaos = _tenants_run(SEED, OPS, abusive=True, kill=True)
+    chaos = tenants_run(SEED, OPS, abusive=True, kill=True)
     bench_metrics.merge_snapshot(chaos["metrics"])
     assert len(chaos["members_after"]) == 2, "victim must leave the ring"
     assert chaos["acked_writes_checked"] > 200
@@ -95,8 +95,8 @@ def test_region_kill_fails_open_and_recovers_losslessly(bench_metrics):
 
 
 def test_same_seed_runs_are_bit_identical():
-    first = _tenants_run(SEED, OPS, abusive=True, kill=True)
-    second = _tenants_run(SEED, OPS, abusive=True, kill=True)
+    first = tenants_run(SEED, OPS, abusive=True, kill=True)
+    second = tenants_run(SEED, OPS, abusive=True, kill=True)
     assert first["tenants"] == second["tenants"]
     assert first["premium_read_p99_s"] == second["premium_read_p99_s"]
     assert first["metrics"] == second["metrics"], (

@@ -11,8 +11,9 @@ fault logs, shard replays, and content-addressed sweep caching):
   detector built on vector clocks over the sim kernel's spawn / join /
   event / resource edges, and :mod:`repro.analysis.sanitize`, a
   replay-divergence sanitizer that runs a workload twice from one seed
-  and bisects the first diverging kernel event.  Run the sanitizer as
-  ``python -m repro sanitize``.
+  and bisects the first diverging kernel event.  ``python -m repro
+  gate`` (:mod:`repro.gates`) runs every registered scenario through it
+  on both kernel event loops.
 
 Both prongs report through :mod:`repro.analysis.report` (text or JSON)
 and share the exit-code contract: 0 clean, 1 findings, 2 internal error.
@@ -22,11 +23,7 @@ from repro.analysis.hb import RaceDetector, RaceFinding, Tracked
 from repro.analysis.linter import lint_paths, lint_source
 from repro.analysis.report import Finding, format_findings
 from repro.analysis.rules import RULES, Rule
-from repro.analysis.sanitize import (
-    DivergenceReport,
-    sanitize,
-    sanitize_schedulers,
-)
+from repro.analysis.sanitize import DivergenceReport, sanitize
 
 __all__ = [
     "DivergenceReport",
@@ -40,5 +37,4 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "sanitize",
-    "sanitize_schedulers",
 ]

@@ -2,8 +2,9 @@
 
 Both analysis prongs (linter, race detector, sanitizer) normalize their
 output into :class:`Finding` so one reporter serves ``python -m repro
-lint`` and ``python -m repro sanitize`` alike.  The JSON form is a
-stable schema (``repro.analysis/v1``) for CI annotation tooling.
+lint`` and the sanitizer's divergence reports alike.  The JSON form is
+a stable schema (``repro.analysis/v1``) for CI annotation tooling;
+``python -m repro gate`` writes its own ``repro.gate/v1`` report.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Replay-divergence sanitizer: run twice, diff the kernel schedule.
 
-The determinism contract behind the fault log, the shard replay gate,
-and the sweep result cache is "same seed, bit-identical run".  The
+The determinism contract behind the fault log, the gate registry, and
+the sweep result cache is "same seed, bit-identical run".  The
 sanitizer checks it end to end: it runs a workload twice from the same
 seed while recording every kernel scheduling action (process spawns,
 resumes, event triggers, interrupts) *and* every draw from every
@@ -14,10 +14,12 @@ The recorder observes workloads that build their own Environments
 internally via :func:`repro.sim.kernel.set_default_monitor`; RNG
 observation monkeypatches :meth:`RngRegistry.stream` for the duration
 of the run (wrappers are cached so stream identity is preserved).
+:mod:`repro.gates` runs every registered scenario through the same
+recorder, once per kernel event loop.
 
 Usage::
 
-    report = sanitize(lambda seed: run_scenario("spot-churn", seed=seed))
+    report = sanitize(lambda seed: churn_run(seed))
     assert report.deterministic, report.describe()
 """
 
@@ -33,8 +35,7 @@ from repro.analysis.report import Finding
 from repro.sim import kernel
 from repro.sim.rng import RngRegistry
 
-__all__ = ["DivergenceReport", "TraceRecorder", "WORKLOADS", "sanitize",
-           "sanitize_schedulers"]
+__all__ = ["DivergenceReport", "TraceRecorder", "sanitize"]
 
 
 class TraceRecorder(KernelMonitor):
@@ -202,6 +203,7 @@ class DivergenceReport:
                     f"{self.entry_a!r} vs {self.entry_b!r}",
             hint=self.attribution,
             detail={
+                "index": self.divergence_index,
                 "seed": self.seed,
                 "events": [self.events_a, self.events_b],
                 "entry_a": list(self.entry_a or ()),
@@ -212,8 +214,10 @@ class DivergenceReport:
 
 
 def _record(workload: Callable[[int], Any], seed: int,
-            scheduler: Optional[str] = None) -> TraceRecorder:
+            scheduler: Optional[str] = None) -> Tuple[TraceRecorder, Any]:
     """Run ``workload(seed)`` once under full instrumentation.
+
+    Returns the recorder and whatever the workload returned.
 
     Every install here is paired with a ``finally`` restore so a raising
     workload can never leak the recorder (or a scheduler override) into
@@ -226,13 +230,13 @@ def _record(workload: Callable[[int], Any], seed: int,
         previous = kernel.set_default_monitor(recorder)
         try:
             with _instrumented_rng(recorder):
-                workload(seed)
+                value = workload(seed)
         finally:
             kernel.set_default_monitor(previous)
     finally:
         if scheduler is not None:
             kernel.set_default_scheduler(previous_scheduler)
-    return recorder
+    return recorder, value
 
 
 def _prefix_digests(entries: List[tuple]) -> List[bytes]:
@@ -311,130 +315,6 @@ def sanitize(workload: Callable[[int], Any], seed: int = 0,
     (Environments, registries, caches) from the seed argument.  Returns
     a :class:`DivergenceReport`; ``report.deterministic`` is the gate.
     """
-    run_a = _record(workload, seed)
-    run_b = _record(workload, seed)
+    run_a, _ = _record(workload, seed)
+    run_b, _ = _record(workload, seed)
     return _compare(run_a, run_b, seed, label, context_events)
-
-
-def sanitize_schedulers(workload: Callable[[int], Any], seed: int = 0,
-                        label: str = "workload",
-                        context_events: int = 5) -> DivergenceReport:
-    """Run ``workload(seed)`` under both kernel schedulers and diff.
-
-    Run A uses the reference single binary heap, run B the default
-    loop (same-instant FIFO deques plus one heap for later entries).
-    The contract (DESIGN.md §5h) is that the event-list implementation
-    is never observable in event ordering, so the two traces must be
-    byte-identical -- same schedule, same RNG draw sequence.  A
-    divergence here is an ordering bug in the default loop's deque
-    fast path, not a workload nondeterminism bug; the report's
-    ``label`` is suffixed so the two failure modes read differently in
-    CI logs.
-    """
-    run_heap = _record(workload, seed, scheduler="heap")
-    run_calendar = _record(workload, seed, scheduler="calendar")
-    return _compare(run_heap, run_calendar, seed,
-                    f"{label}[heap-vs-calendar]", context_events)
-
-
-# ---------------------------------------------------------------------------
-# Named workloads for `python -m repro sanitize`
-# ---------------------------------------------------------------------------
-
-def _workload_measure(seed: int) -> None:
-    """One small instrumented measurement run (the sweep hot path)."""
-    from repro.core.config import RdmaConfig
-    from repro.core.measurement import measure_config
-    from repro.obs.metrics import MetricsRegistry
-
-    measure_config(RdmaConfig(1, 0, 1, 4), 64, seed=seed,
-                   batches_per_connection=20, warmup_batches=5,
-                   metrics=MetricsRegistry())
-
-
-def _workload_chaos(seed: int) -> None:
-    """The spot-churn fault-injection scenario (repro.faults)."""
-    from repro.faults import run_scenario
-
-    run_scenario("spot-churn", seed=seed)
-
-
-def _workload_tenants(seed: int) -> None:
-    """The noisy-neighbor multi-tenant scenario (repro.tenant).
-
-    Exercises the serving tier end to end under the replay sanitizer:
-    token-bucket admission with shedding, weighted slot scheduling, a
-    mid-run region kill with degradation fail-open, and the recovery
-    flush must all trace identically across runs.
-    """
-    from repro.faults import run_scenario
-
-    run_scenario("noisy-neighbor", seed=seed)
-
-
-def _workload_programs(seed: int) -> None:
-    """A dependent-read measurement with verb programs enabled.
-
-    Exercises the one-RTT GET path end to end: program-scoped kernel
-    events (one trigger -> resume edge per program, not per step) must
-    trace identically across runs and schedulers.
-    """
-    from repro.core.config import RdmaConfig
-    from repro.core.measurement import measure_config
-    from repro.obs.metrics import MetricsRegistry
-
-    config = RdmaConfig(2, 0, 1, 4, use_verb_programs=True)
-    measure_config(config, 256, seed=seed, read_fraction=1.0,
-                   dependent_reads=True, batches_per_connection=20,
-                   warmup_batches=5, metrics=MetricsRegistry())
-
-
-def _workload_cplane(seed: int) -> None:
-    """A pooled-lazy connection storm (repro.cplane).
-
-    Exercises the elastic control plane end to end: deferred QP
-    establishment through the batched connect worker, timed memory
-    registration, session multiplexing with completion demux, and the
-    idle harvest must all trace identically across runs.
-    """
-    from repro.cplane import run_connection_storm
-
-    run_connection_storm(seed, clients=400, strategy="pooled-lazy",
-                         reads_per_session=2)
-
-
-# Deliberately nondeterministic demo: module state leaks across runs the
-# way a forgotten global cache would, so the second run schedules
-# differently and draws once more from its RNG stream.
-_DEMO_LEAK = {"runs": 0}
-
-
-def _workload_nondet_demo(seed: int) -> None:
-    """A seeded workload broken by leaked module-global state (demo)."""
-    from repro.sim.kernel import Environment
-
-    _DEMO_LEAK["runs"] += 1
-    leak = _DEMO_LEAK["runs"]
-    env = Environment()
-    rng = RngRegistry(seed).stream("demo")
-
-    def worker():
-        for _ in range(3):
-            yield env.timeout(rng.random() * 1e-3)
-            if leak > 1:  # the leaked state perturbs later runs only
-                rng.random()
-                yield env.timeout(1e-6 * leak)
-
-    env.process(worker(), name="demo")
-    env.run()
-
-
-#: Name -> workload callable; each takes a seed and runs to completion.
-WORKLOADS: Dict[str, Callable[[int], Any]] = {
-    "measure": _workload_measure,
-    "measure-programs": _workload_programs,
-    "measure-tenants": _workload_tenants,
-    "measure-cplane": _workload_cplane,
-    "chaos-spot-churn": _workload_chaos,
-    "demo-nondet": _workload_nondet_demo,
-}

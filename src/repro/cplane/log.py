@@ -24,7 +24,7 @@ class CplaneLog(FaultLog):
 
     Event kinds in use: ``session.open``, ``session.close``,
     ``qp.create``, ``qp.establish``, ``qp.reclaim``, ``mr.register``,
-    ``warm.target``, ``harvest``, ``storm.rebalance``.  The replay
-    sanitizer and the connection-storm smoke gate compare whole logs
-    via :meth:`digest`.
+    ``warm.target``, ``harvest``, ``storm.rebalance``.  The storm
+    blob carries the log's :meth:`digest`, so the ``connstorm`` gate
+    entry compares whole logs across its two event-loop runs.
     """

@@ -5,18 +5,14 @@ fault specs composed into :class:`FaultSchedule`\\ s, applied by a
 :class:`FaultInjector` through the same interfaces organic faults use
 (allocator reclaim/fail, QP error states, fabric knobs), and recorded
 in an append-only :class:`FaultLog` whose digest makes same-seed runs
-bit-comparable.  ``repro.faults.scenarios`` packages named end-to-end
-chaos runs for the CLI and the availability benchmark.
+bit-comparable.  ``repro.faults.scenarios`` packages end-to-end chaos
+runs for the gate registry (:mod:`repro.gates`) and the availability
+benchmark.
 """
 
 from repro.faults.injector import FaultInjector
 from repro.faults.log import FaultEvent, FaultLog
-from repro.faults.scenarios import (
-    SCENARIOS,
-    ChaosReport,
-    churn_run,
-    run_scenario,
-)
+from repro.faults.scenarios import ChaosReport, churn_run
 from repro.faults.spec import (
     FaultSchedule,
     FaultSpec,
@@ -28,7 +24,6 @@ from repro.faults.spec import (
 )
 
 __all__ = [
-    "SCENARIOS",
     "ChaosReport",
     "FaultEvent",
     "FaultInjector",
@@ -41,5 +36,4 @@ __all__ = [
     "VmEviction",
     "VmKill",
     "churn_run",
-    "run_scenario",
 ]

@@ -1,30 +1,33 @@
-"""Named chaos scenarios: whole-system runs under injected faults.
+"""Chaos scenarios: whole-system runs under injected faults.
 
 Each scenario builds a fresh cluster from a seed, arms a
 :class:`~repro.faults.injector.FaultInjector` with a schedule, drives a
 probe workload through the cache while the faults land, and returns a
 :class:`ChaosReport` -- the fault log, a metrics snapshot, and a small
-summary.  Scenarios are pure functions of the seed: `python -m repro
-chaos <name>` and the determinism tests both go through
-:func:`run_scenario`.
+summary.  Scenarios are pure functions of the seed; the gate registry
+(:mod:`repro.gates`, ``python -m repro gate``) names them and checks
+their summaries.
 
 The scenarios cover the §6 robustness matrix:
 
-* ``spot-churn``   -- Poisson evictions + hard kills against a backed
-  cache with retries and auto-recovery (migrate / re-populate path);
-* ``spot-evict-programs`` -- notice-based evictions while dependent
+* :func:`churn_run` (``spot-churn``) -- Poisson evictions + hard kills
+  against a backed cache with retries and auto-recovery (migrate /
+  re-populate path);
+* :func:`spot_evict_programs` -- notice-based evictions while dependent
   GETs run as one-RTT verb programs: live migration vs the CAS-guarded
   chase (zero lost acked writes, clean abort/fallback accounting);
-* ``evict-primary`` -- hard-kill the primary of a 2-way
+* :func:`evict_primary` -- hard-kill the primary of a 2-way
   :class:`~repro.core.replication.ReplicatedCache` (failover path);
-* ``link-flap``    -- transient QP error storms the retry policy must
+* :func:`link_flap` -- transient QP error storms the retry policy must
   ride out;
-* ``slow-node``    -- a throttled server plus a fabric latency spike
+* :func:`slow_node` -- a throttled server plus a fabric latency spike
   (degradation, not failure);
-* ``conn-storm-rebalance`` -- a connection storm lands while a member
-  kill forces an emergency rebalance: pooled sessions against the
-  corpse must reclaim fast, the storm against survivors must complete,
-  and no acknowledged write may be lost.
+* :func:`shard_churn` -- hard-kill one member of a replicated shard
+  fleet (emergency rebalance);
+* :func:`conn_storm_rebalance` -- a connection storm lands while a
+  member kill forces an emergency rebalance: pooled sessions against
+  the corpse must reclaim fast, the storm against survivors must
+  complete, and no acknowledged write may be lost.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ from repro.faults.spec import (
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.scenarios import build_cluster
 
-__all__ = ["SCENARIOS", "ChaosReport", "churn_run", "run_scenario"]
+__all__ = ["ChaosReport", "churn_run", "conn_storm_rebalance",
+           "evict_primary", "link_flap", "shard_churn", "slow_node",
+           "spot_evict_programs"]
 
 REGION = 1 << 20
 CAPACITY = 4 * REGION
@@ -65,6 +70,19 @@ class ChaosReport:
     metrics: Dict[str, dict]
     summary: Dict[str, float]
     sim_now: float
+
+    def to_dict(self) -> dict:
+        """The whole report as one JSON-able ``repro.faults/v1`` blob."""
+        return {
+            "schema": "repro.faults/v1",
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "sim_seconds": self.sim_now,
+            "digest": self.log.digest(),
+            "events": [event.to_dict() for event in self.log],
+            "summary": self.summary,
+            "metrics": self.metrics,
+        }
 
 
 class _ProbeStats:
@@ -198,12 +216,7 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0,
                     "migration_failures": float(cache.migration_failures)})
 
 
-def _spot_churn(seed: int) -> ChaosReport:
-    """Poisson spot churn against one backed cache (§6.2 repopulate)."""
-    return churn_run(seed)
-
-
-def _spot_evict_programs(seed: int) -> ChaosReport:
+def spot_evict_programs(seed: int) -> ChaosReport:
     """Spot evictions under one-RTT verb programs (migration safety).
 
     Notice-based evictions only (no hard kills), so every region
@@ -310,7 +323,7 @@ def _spot_evict_programs(seed: int) -> ChaosReport:
          "two_hop_reads": metric("engine.two_hop_reads")})
 
 
-def _evict_primary(seed: int) -> ChaosReport:
+def evict_primary(seed: int) -> ChaosReport:
     """Kill the primary of a replicated cache; reads must fail over."""
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, provisioning_delay_s=2.0,
@@ -346,7 +359,7 @@ def _evict_primary(seed: int) -> ChaosReport:
          "failover_p50_s": failover.p50 if failover is not None else 0.0})
 
 
-def _link_flap(seed: int) -> ChaosReport:
+def link_flap(seed: int) -> ChaosReport:
     """Three transient link faults the retry policy rides out."""
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, metrics=registry)
@@ -377,7 +390,7 @@ def _link_flap(seed: int) -> ChaosReport:
         {"retries": retries.value if retries is not None else 0.0})
 
 
-def _slow_node(seed: int) -> ChaosReport:
+def slow_node(seed: int) -> ChaosReport:
     """A throttled server plus a fabric-wide latency spike."""
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, metrics=registry)
@@ -403,7 +416,7 @@ def _slow_node(seed: int) -> ChaosReport:
     return _finish("slow-node", seed, harness, injector, registry, stats)
 
 
-def _shard_churn(seed: int) -> ChaosReport:
+def shard_churn(seed: int) -> ChaosReport:
     """Hard-kill one member of a replicated shard fleet mid-traffic.
 
     A 4-shard :class:`~repro.shard.router.ShardRouter` (replication=2)
@@ -464,99 +477,7 @@ def _shard_churn(seed: int) -> ChaosReport:
                         else 0.0)})
 
 
-def _noisy_neighbor(seed: int) -> ChaosReport:
-    """An abusive tenant floods the serving tier; a region dies mid-run.
-
-    A 3-member replication=1 fleet serves two tenants through a
-    :class:`~repro.tenant.tier.TenantTier`: a quiet ``premium`` tenant
-    probed continuously, and a ``scavenger`` tenant offering 10x its
-    admitted rate in an open loop.  At t=1 s every VM of one member is
-    hard-killed.  The tier must (a) shed the abusive tenant's excess
-    deterministically instead of queueing it, (b) keep the premium
-    probes answered throughout -- failing open to the backing mirror
-    while regions are lost -- and (c) re-promote degraded tenants once
-    the ring settles.  The summary carries the probe availability, the
-    shed counts, and the degradation round-trips.
-    """
-    from repro.shard import ShardRouter
-    from repro.tenant import TenantSpec, TenantTier
-
-    registry = MetricsRegistry()
-    harness = build_cluster(seed=seed, metrics=registry)
-    env = harness.env
-    client = harness.redy_client("chaos-tenant-app")
-    capacity = 2 * REGION
-    members = {
-        f"s{i}": client.create(capacity, SLO, duration_s=3600.0,
-                               region_bytes=REGION)
-        for i in range(3)
-    }
-    router = ShardRouter(env, members, slot_bytes=1 << 14, replication=1)
-    tier = TenantTier(env, router)
-    namespace = 128 * 1024
-    quiet = tier.register(TenantSpec(
-        name="quiet", namespace_bytes=namespace, slo_class="premium",
-        rate_per_s=200_000.0, burst=64.0, probe_interval_s=5e-3))
-    abusive_rate = 20_000.0
-    tier.register(TenantSpec(
-        name="abusive", namespace_bytes=namespace, slo_class="scavenger",
-        rate_per_s=abusive_rate, burst=16.0, max_queue=32,
-        probe_interval_s=5e-3))
-    seed_bytes = _backing(namespace)
-    tier.load("quiet", 0, seed_bytes)
-    tier.load("abusive", 0, seed_bytes)
-
-    injector = FaultInjector(env, allocator=harness.allocator,
-                             fabric=harness.fabric)
-    injector.install_failure_hook()
-    victim = members["s1"]
-    kills = FaultSchedule([
-        VmKill(at=1.0, vm_index=i)
-        for i in range(len(victim.allocation.vms))
-    ])
-    injector.arm(kills, cache=victim)
-
-    def abusive_load():
-        # Open loop at 10x the admitted rate: results are not awaited,
-        # so shedding is the only thing keeping the queue bounded.
-        interval = 1.0 / (10.0 * abusive_rate)
-        rng = harness.rngs.stream("chaos-abusive")
-        while env.now < 3.0:
-            addr = int(rng.integers(0, namespace // 64)) * 64
-            tier.write("abusive", addr, b"\xab" * 64)
-            yield env.timeout(interval)
-
-    stats = _ProbeStats(SLO.max_latency)
-    probe_addrs = [slot * 4096 for slot in range(16)]
-    cursor = {"i": 0}
-
-    def probe_read():
-        addr = probe_addrs[cursor["i"] % len(probe_addrs)]
-        cursor["i"] += 1
-        return tier.read("quiet", addr, PROBE_BYTES)
-
-    env.process(abusive_load(), name="chaos-abusive-load")
-    env.process(_probe_loop(env, probe_read, stats,
-                            interval_s=2e-3, until=3.0),
-                name="chaos-probe")
-    env.run(until=4.0)
-    quiet_stats = tier.stats("quiet")
-    abusive_stats = tier.stats("abusive")
-    return _finish(
-        "noisy-neighbor", seed, harness, injector, registry, stats,
-        {"members_after": float(len(router.members)),
-         "abusive_admitted": float(abusive_stats["admitted"]),
-         "abusive_shed": float(abusive_stats["shed"]),
-         "quiet_shed": float(quiet_stats["shed"]),
-         "quiet_fail_open_reads": float(quiet_stats["fail_open_reads"]),
-         "degradations": float(quiet_stats["degradations"]
-                               + abusive_stats["degradations"]),
-         "repromotions": float(quiet_stats["repromotions"]
-                               + abusive_stats["repromotions"]),
-         "quiet_still_degraded": float(quiet.degraded)})
-
-
-def _conn_storm_rebalance(seed: int) -> ChaosReport:
+def conn_storm_rebalance(seed: int) -> ChaosReport:
     """A connection storm lands while a shard rebalance is in flight.
 
     A 4-member replication=2 :class:`~repro.shard.router.ShardRouter`
@@ -708,26 +629,3 @@ def _conn_storm_rebalance(seed: int) -> ChaosReport:
          "demux_misroutes": float(sum(s["demux_misroutes"]
                                       for s in pool_stats)),
          "cplane_log_events": float(len(plane.log))})
-
-
-SCENARIOS: Dict[str, Callable[[int], ChaosReport]] = {
-    "spot-churn": _spot_churn,
-    "spot-evict-programs": _spot_evict_programs,
-    "evict-primary": _evict_primary,
-    "link-flap": _link_flap,
-    "noisy-neighbor": _noisy_neighbor,
-    "shard-churn": _shard_churn,
-    "slow-node": _slow_node,
-    "conn-storm-rebalance": _conn_storm_rebalance,
-}
-
-
-def run_scenario(name: str, seed: int = 0) -> ChaosReport:
-    """Run one named scenario; deterministic in (name, seed)."""
-    try:
-        scenario = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown chaos scenario {name!r}; "
-            f"available: {', '.join(sorted(SCENARIOS))}") from None
-    return scenario(seed)

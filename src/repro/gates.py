@@ -1,0 +1,672 @@
+"""One scenario registry and one gate harness (``python -m repro gate``).
+
+Every robustness claim the reproduction checks end to end -- reads keep
+flowing through migration and eviction (§6), acknowledged writes
+survive kills and rebalances, verb programs return the bytes two-hop
+reads do, pooled connection storms leak nothing -- is one
+:class:`Scenario` in :data:`SCENARIOS`: a ``run(seed)`` that builds its
+own cluster and returns a JSON-able blob, and an ``invariants(blob)``
+that returns one line per violated check.
+
+:func:`check` is the harness.  It records the run with the replay
+sanitizer's :class:`~repro.analysis.sanitize.TraceRecorder` (every
+kernel scheduling action and every RNG draw) twice: once on the default
+event loop, once on the ``"heap"`` reference loop.  Both traces and
+both blobs must be identical.  On a mismatch it bisects the first
+diverging kernel event and runs the default loop a third time: if that
+run disagrees with the first, the scenario does not replay from its
+seed (a *replay* bug: leaked state, wall clock, unordered iteration);
+if it agrees, only the event-list implementation changed the run (an
+*ordering* bug in the kernel).  Then it applies the invariants to the
+default loop's blob.  :func:`gate` wraps any number of entries into one
+``repro.gate/v1`` report.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import operator
+import struct
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterable, List, Tuple
+
+from repro.analysis.sanitize import _compare, _record
+from repro.core import Slo
+from repro.core.config import RdmaConfig
+from repro.core.measurement import measure_config
+from repro.cplane import run_connection_storm
+from repro.cplane.pool import STRATEGIES
+from repro.faults import scenarios as chaos
+from repro.obs.metrics import MetricsRegistry
+from repro.shard import HotKeyPolicy, ShardRouter
+from repro.tenant import TenantSpec, TenantTier
+from repro.workloads.runner import run_router_workload
+from repro.workloads.scenarios import build_cluster
+from repro.workloads.ycsb import YcsbWorkload
+
+__all__ = ["SCENARIOS", "Scenario", "check", "gate", "tenants_run"]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A seeded run and the checks its blob must pass."""
+
+    run: Callable[[int], dict]
+    invariants: Callable[[dict], List[str]]
+
+    @property
+    def doc(self) -> str:
+        """First line of the run's docstring (the ``gate`` listing)."""
+        lines = (self.run.__doc__ or "").strip().splitlines()
+        return lines[0] if lines else ""
+
+
+def _failed(checks: Iterable[Tuple[bool, str]]) -> List[str]:
+    """The messages of the checks that do not hold."""
+    return [message for holds, message in checks if not holds]
+
+
+def _counter(registry: MetricsRegistry, name: str) -> int:
+    metric = registry.get(name)
+    return int(metric.value) if metric is not None else 0
+
+
+_SLO = Slo(max_latency=1e-3, min_throughput=1e5, record_size=512)
+
+
+# ----------------------------------------------------------------------
+# measure: the sweep hot path
+# ----------------------------------------------------------------------
+
+def _measure(seed: int) -> dict:
+    """The sweep hot path: two-sided batches, then verb-program GETs."""
+    def one(config: RdmaConfig, record_size: int, **options) -> dict:
+        registry = MetricsRegistry()
+        result = measure_config(config, record_size, seed=seed,
+                                batches_per_connection=20, warmup_batches=5,
+                                metrics=registry, **options)
+        return {**asdict(result),
+                "programs": _counter(registry, "engine.programs"),
+                "program_fallbacks": _counter(registry,
+                                              "engine.program_fallbacks"),
+                "metrics": registry.snapshot()}
+
+    return {
+        "two-sided": one(RdmaConfig(1, 0, 1, 4), 64),
+        "programs": one(RdmaConfig(2, 0, 1, 4, use_verb_programs=True), 256,
+                        read_fraction=1.0, dependent_reads=True),
+    }
+
+
+def _measure_invariants(blob: dict) -> List[str]:
+    failures = []
+    for name, run in sorted(blob.items()):
+        failures += _failed([
+            (run["ops_measured"] > 0, f"{name}: no ops measured"),
+            (0 < run["latency_p50"] <= run["latency_p99"],
+             f"{name}: latency p50 {run['latency_p50']:g} s vs p99 "
+             f"{run['latency_p99']:g} s"),
+        ])
+    programs = blob["programs"]
+    return failures + _failed([
+        (blob["two-sided"]["programs"] == 0,
+         "two-sided run issued verb programs"),
+        (programs["programs"] > 0, "programs run issued no verb programs"),
+        (programs["program_fallbacks"] == 0,
+         f"{programs['program_fallbacks']} program fallbacks on a quiet "
+         "cluster"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# verbs: dependent GETs, two-hop vs one-RTT verb programs
+# ----------------------------------------------------------------------
+
+def _verbs_run(seed: int, programs: bool) -> dict:
+    """One 48-chase pointer-chase pass on a fresh testbed."""
+    ops = 48
+    region = 1 << 20
+    capacity = 4 * region
+    record_bytes = 256
+    registry = MetricsRegistry()
+    harness = build_cluster(seed=seed, metrics=registry)
+    cache = harness.redy_client("verbs-gate").create(
+        capacity, Slo(max_latency=1e-3, min_throughput=1e5,
+                      record_size=record_bytes),
+        duration_s=3600.0, region_bytes=region,
+        use_verb_programs=programs)
+
+    digest = hashlib.sha256()
+    stats = {"ok": 0, "failed": 0, "latency_s": 0.0}
+    n_regions = capacity // region
+
+    def body():
+        for index in range(ops):
+            reg = index % n_regions
+            pointer_addr = reg * region + 64
+            # Region-local record offset; vary it so the chase actually
+            # has to dereference the pointer word, not a fixed address.
+            local = 4096 + (index % 7) * 512
+            payload = bytes((index + j) % 251 for j in range(record_bytes))
+            wrote = yield cache.write(reg * region + local, payload)
+            swung = yield cache.write(pointer_addr,
+                                      struct.pack("<Q", local))
+            read = yield cache.dependent_read(pointer_addr, record_bytes)
+            if wrote.ok and swung.ok and read.ok and read.data == payload:
+                stats["ok"] += 1
+                stats["latency_s"] += read.latency
+                digest.update(read.data)
+            else:
+                stats["failed"] += 1
+
+    harness.env.run_process(body(), name="verbs-workload")
+    return {
+        "ops": ops,
+        "ok": stats["ok"],
+        "failed": stats["failed"],
+        "digest": digest.hexdigest(),
+        "read_latency_mean_us": (stats["latency_s"] / stats["ok"] * 1e6
+                                 if stats["ok"] else 0.0),
+        "programs": _counter(registry, "engine.programs"),
+        "two_hop_reads": _counter(registry, "engine.two_hop_reads"),
+        "program_fallbacks": _counter(registry, "engine.program_fallbacks"),
+        "program_cas_aborts": _counter(registry,
+                                       "engine.program_cas_aborts"),
+    }
+
+
+def _verbs(seed: int) -> dict:
+    """Dependent GETs over two-hop reads vs one-RTT verb programs."""
+    return {"two_hop": _verbs_run(seed, programs=False),
+            "program": _verbs_run(seed, programs=True)}
+
+
+def _verbs_invariants(blob: dict) -> List[str]:
+    two_hop, program = blob["two_hop"], blob["program"]
+    return _failed([
+        (two_hop["failed"] == 0 and program["failed"] == 0,
+         f"failed ops: two-hop {two_hop['failed']}, "
+         f"program {program['failed']}"),
+        (two_hop["digest"] == program["digest"],
+         "transport digests diverge: program reads returned other bytes"),
+        (program["read_latency_mean_us"] < two_hop["read_latency_mean_us"],
+         f"no latency win: program {program['read_latency_mean_us']:.2f} "
+         f"us vs two-hop {two_hop['read_latency_mean_us']:.2f} us"),
+        (program["programs"] == program["ok"],
+         f"{program['ok']} chases but {program['programs']} programs"),
+        (program["program_fallbacks"] == program["program_cas_aborts"] == 0,
+         "program aborts or fallbacks on a quiet cluster"),
+        (two_hop["programs"] == 0, "two-hop run issued verb programs"),
+        (two_hop["two_hop_reads"] == two_hop["ok"],
+         f"{two_hop['ok']} chases but {two_hop['two_hop_reads']} two-hop "
+         "reads"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# shard: zipfian YCSB across a replicated fleet, then a member kill
+# ----------------------------------------------------------------------
+
+def _shard(seed: int) -> dict:
+    """Zipfian YCSB on a 4-shard replication=2 fleet, then a member kill."""
+    shards, ops, replication = 4, 3000, 2
+    region = 1 << 20
+    capacity = 2 * region
+    record_bytes = 64
+
+    registry = MetricsRegistry()
+    harness = build_cluster(seed=seed, metrics=registry)
+    client = harness.redy_client("shard-cli")
+    members = {
+        f"s{i:02d}": client.create(capacity, _SLO, duration_s=3600.0,
+                                   region_bytes=region)
+        for i in range(shards)
+    }
+    router = ShardRouter(
+        harness.env, members, slot_bytes=1 << 14, replication=replication,
+        hedge_after_s=200e-6, hotkeys=HotKeyPolicy())
+    router.load(0, bytes(range(256)) * (capacity // 256))
+
+    workload = YcsbWorkload(
+        "cli-zipfian", n_records=capacity // record_bytes,
+        value_bytes=record_bytes, read_proportion=0.95,
+        update_proportion=0.05, distribution="zipfian", theta=0.99)
+    keys, is_read = workload.sample_ops(ops, harness.rngs.stream("ycsb"))
+    result = run_router_workload(
+        harness.env, router, keys=keys, is_read=is_read,
+        record_bytes=record_bytes, concurrency=8 * shards)
+
+    victim = sorted(members)[1]
+    acked = {}
+
+    def kill_and_verify():
+        # Acknowledge a write per sampled slot, then hard-kill the
+        # victim and check every ack survives the rebalance.
+        for slot in range(0, router.n_slots, 4):
+            addr = slot * router.slot_bytes
+            data = bytes([slot % 251]) * record_bytes
+            res = yield router.write(addr, data)
+            if res.ok:
+                acked[addr] = data
+        for vm in list(members[victim].allocation.vms):
+            harness.allocator.fail(vm)
+        yield from router.settled()
+        lost = 0
+        for addr, data in acked.items():
+            res = yield router.read(addr, len(data))
+            if not (res.ok and res.data == data):
+                lost += 1
+        return lost
+
+    lost = harness.env.run_process(kill_and_verify())
+    return {
+        "schema": "repro.shard/v1",
+        "seed": seed,
+        "shards": shards,
+        "replication": replication,
+        "ops": ops,
+        "throughput_ops_s": result.throughput,
+        "latency_mean_s": result.latency_mean,
+        "latency_p99_s": result.latency_p99,
+        "reads": result.reads,
+        "writes": result.writes,
+        "failed": result.failed,
+        "hot_slots": {str(slot): list(extras)
+                      for slot, extras in sorted(router.hot_slots().items())},
+        "victim": victim,
+        "acked_writes_checked": len(acked),
+        "acked_writes_lost": lost,
+        "rebalance": router.reports[-1].to_dict(),
+        "members_after": router.members,
+        "metrics": registry.snapshot(),
+    }
+
+
+def _shard_invariants(blob: dict) -> List[str]:
+    return _failed([
+        (blob["failed"] == 0, f"{blob['failed']} workload ops failed"),
+        (blob["acked_writes_checked"] > 0, "no write was acknowledged"),
+        (blob["acked_writes_lost"] == 0,
+         f"{blob['acked_writes_lost']} acknowledged writes lost"),
+        (blob["rebalance"]["lost_slots"] == 0,
+         f"{blob['rebalance']['lost_slots']} slots lost in the rebalance"),
+        (blob["victim"] not in blob["members_after"]
+         and len(blob["members_after"]) == blob["shards"] - 1,
+         f"members after the kill: {blob['members_after']}"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# tenants: mixed-SLO tenants, an abusive scavenger, a member kill
+# ----------------------------------------------------------------------
+
+def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
+    """One multi-tenant run; a pure function of its arguments.
+
+    Three tenants (premium / standard / scavenger) share a 3-member
+    replication=1 fleet through a :class:`~repro.tenant.TenantTier`.
+    ``abusive`` adds an open-loop scavenger flood at 10x its admitted
+    rate; ``kill`` hard-kills one member mid-run and then verifies that
+    every acknowledged write is still readable after recovery.
+    """
+    region = 1 << 18
+    capacity = 2 * region
+    record = 64
+    namespace = 64 * 1024
+
+    registry = MetricsRegistry()
+    harness = build_cluster(seed=seed, metrics=registry)
+    env = harness.env
+    client = harness.redy_client("tenant-cli")
+    members = {
+        f"s{i:02d}": client.create(capacity, _SLO, duration_s=3600.0,
+                                   region_bytes=region)
+        for i in range(3)
+    }
+    router = ShardRouter(env, members, slot_bytes=1 << 12, replication=1)
+    tier = TenantTier(env, router)
+    tier.register(TenantSpec(name="prem", namespace_bytes=namespace,
+                             rate_per_s=400_000.0, burst=64.0,
+                             slo_class="premium", probe_interval_s=2e-3))
+    tier.register(TenantSpec(name="std", namespace_bytes=namespace,
+                             rate_per_s=200_000.0, burst=32.0,
+                             slo_class="standard", probe_interval_s=2e-3))
+    scav_rate = 20_000.0
+    tier.register(TenantSpec(name="scav", namespace_bytes=namespace,
+                             rate_per_s=scav_rate, burst=16.0,
+                             max_queue=32, slo_class="scavenger",
+                             probe_interval_s=2e-3))
+    seed_bytes = bytes(range(256)) * (namespace // 256)
+    for name in ("prem", "std", "scav"):
+        tier.load(name, 0, seed_bytes)
+
+    workers_per_tenant = 4
+    latencies: Dict[str, List[float]] = {"prem": [], "std": []}
+    failed_reads = {"prem": 0, "std": 0}
+    acked: Dict[str, Dict[int, bytes]] = {"prem": {}, "std": {}}
+    progress = {"done": 0, "killed": False, "live_workers": 0}
+    kill_after = ops  # half of the two tracked tenants' combined ops
+
+    def worker(tenant: str, index: int, rng, n_ops: int):
+        progress["live_workers"] += 1
+        records = namespace // record
+        for op in range(n_ops):
+            rec = int(rng.integers(0, records))
+            # Disjoint per-worker address sets: last-acked is unique.
+            rec = (rec - rec % workers_per_tenant + index) % records
+            addr = rec * record
+            if op % 4 == 0:
+                payload = bytes([(index * 37 + op) % 251]) * record
+                result = yield tier.write(tenant, addr, payload)
+                if result.ok:
+                    acked[tenant][addr] = payload
+            else:
+                result = yield tier.read(tenant, addr, record)
+                if result.ok:
+                    latencies[tenant].append(result.latency)
+                else:
+                    failed_reads[tenant] += 1
+            progress["done"] += 1
+            if (kill and not progress["killed"]
+                    and progress["done"] >= kill_after):
+                progress["killed"] = True
+                for vm in list(members["s01"].allocation.vms):
+                    harness.allocator.fail(vm)
+        progress["live_workers"] -= 1
+
+    def abusive_load():
+        # Open loop at 10x the scavenger's admitted rate: nothing
+        # awaits the results, so shedding is what bounds the queue.
+        interval = 1.0 / (10.0 * scav_rate)
+        rng = harness.rngs.stream("tenant-cli-abusive")
+        while progress["live_workers"] > 0:
+            addr = int(rng.integers(0, namespace // record)) * record
+            tier.write("scav", addr, b"\xab" * record)
+            yield env.timeout(interval)
+
+    per_worker = max(1, ops // workers_per_tenant)
+    for tenant in ("prem", "std"):
+        for index in range(workers_per_tenant):
+            env.process(
+                worker(tenant, index,
+                       harness.rngs.stream(f"tenant-cli:{tenant}:{index}"),
+                       per_worker),
+                name=f"tenant-cli:{tenant}:{index}")
+    if abusive:
+        env.process(abusive_load(), name="tenant-cli-abusive")
+    env.run()
+
+    def settle_and_verify():
+        yield from router.settled()
+        while any(tier.tenant(n).degraded for n in tier.tenants):
+            yield env.timeout(1e-3)
+        lost = 0
+        for tenant in ("prem", "std"):
+            for addr, payload in sorted(acked[tenant].items()):
+                result = yield tier.read(tenant, addr, record)
+                if not (result.ok and result.data == payload):
+                    lost += 1
+        return lost
+
+    lost = env.run_process(settle_and_verify())
+
+    def p99(values):
+        ordered = sorted(values)
+        return ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
+
+    blob = {
+        "schema": "repro.tenants/v1",
+        "seed": seed,
+        "ops": ops,
+        "abusive": abusive,
+        "kill": kill,
+        "premium_read_p99_s": p99(latencies["prem"]),
+        "standard_read_p99_s": p99(latencies["std"]),
+        "failed_reads": failed_reads,
+        "acked_writes_checked": sum(len(a) for a in acked.values()),
+        "acked_writes_lost": lost,
+        "members_after": router.members,
+        "tenants": {name: tier.stats(name) for name in tier.tenants},
+        "metrics": registry.snapshot(),
+    }
+    if kill and router.reports:
+        blob["rebalance"] = router.reports[-1].to_dict()
+    return blob
+
+
+def _tenants(seed: int) -> dict:
+    """Mixed-SLO tenants: quiet, beside a 10x abuser, then a member kill."""
+    return {"quiet": tenants_run(seed, 2400, abusive=False, kill=False),
+            "noisy": tenants_run(seed, 2400, abusive=True, kill=False),
+            "kill": tenants_run(seed, 2400, abusive=True, kill=True)}
+
+
+def _tenants_invariants(blob: dict) -> List[str]:
+    base = blob["quiet"]["premium_read_p99_s"]
+    noisy_p99 = blob["noisy"]["premium_read_p99_s"]
+    # Abuse may move the quiet premium p99 by 1.5x, with a 2 us floor
+    # for single-collision jitter on small samples.
+    budget = max(base * 1.5, base + 2e-6)
+    failures = _failed([
+        (noisy_p99 <= budget,
+         f"abuse moved premium read p99 {base * 1e6:.2f} -> "
+         f"{noisy_p99 * 1e6:.2f} us (budget {budget * 1e6:.2f} us)"),
+    ])
+    for run in ("noisy", "kill"):
+        stats = blob[run]["tenants"]
+        failures += _failed([
+            (stats["scav"]["shed"] > 1000,
+             f"{run}: abusive scavenger shed only {stats['scav']['shed']}"),
+            (stats["prem"]["shed"] == 0,
+             f"{run}: quiet premium tenant shed {stats['prem']['shed']}"),
+        ] + [(count == 0, f"{run}: {count} {tenant} reads failed")
+             for tenant, count in sorted(blob[run]["failed_reads"].items())])
+    kill = blob["kill"]
+    failures += _failed([
+        (kill["acked_writes_checked"] > 0, "kill: no write was acknowledged"),
+        (kill["acked_writes_lost"] == 0,
+         f"kill: {kill['acked_writes_lost']} acknowledged writes lost"),
+        (len(kill["members_after"]) == 2,
+         f"kill: members after the kill: {kill['members_after']}"),
+        (kill["tenants"]["prem"]["fail_open_reads"] > 0,
+         "kill: no premium read failed open during degradation"),
+    ])
+    for tenant in ("prem", "std"):
+        stats = kill["tenants"][tenant]
+        failures += _failed([
+            (stats["degradations"] == stats["repromotions"] >= 1,
+             f"kill: {tenant} degraded {stats['degradations']}x, "
+             f"re-promoted {stats['repromotions']}x"),
+            (not stats["degraded"], f"kill: {tenant} is still degraded"),
+        ])
+    return failures
+
+
+# ----------------------------------------------------------------------
+# connstorm: the pool strategies under a connection storm
+# ----------------------------------------------------------------------
+
+def _connstorm(seed: int) -> dict:
+    """1 200 sessions in 50 ms: per-client QPs vs pooled vs pooled-lazy."""
+    return {strategy: run_connection_storm(seed, clients=1200,
+                                           strategy=strategy)
+            for strategy in STRATEGIES}
+
+
+def _connstorm_invariants(blob: dict) -> List[str]:
+    failures = []
+    for strategy, run in sorted(blob.items()):
+        failures += _failed([
+            (run["completed"] == run["clients"] and not run["failures"],
+             f"{strategy}: {run['completed']}/{run['clients']} sessions, "
+             f"{run['failures']} failed reads"),
+            (run["leaked_qps"] == run["leaked_client_regions"] == 0,
+             f"{strategy}: leaked {run['leaked_qps']} QPs / "
+             f"{run['leaked_client_regions']} regions after harvest"),
+            (run["pool_totals"].get("demux_misroutes", 0) == 0,
+             f"{strategy}: completion demux misrouted"),
+        ])
+    naive, lazy = blob["per-client"], blob["pooled-lazy"]
+    return failures + _failed([
+        (lazy["ttfb_us"]["p99"] < naive["ttfb_us"]["p99"],
+         f"no p99 win: pooled-lazy {lazy['ttfb_us']['p99']:.1f} us vs "
+         f"per-client {naive['ttfb_us']['p99']:.1f} us"),
+        (lazy["mr_registrations"] < naive["mr_registrations"],
+         f"pooling did not amortize registrations "
+         f"({lazy['mr_registrations']} vs {naive['mr_registrations']})"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# chaos: the fault-injection scenarios of repro.faults
+# ----------------------------------------------------------------------
+
+def _chaos(scenario: Callable[[int], chaos.ChaosReport]
+           ) -> Callable[[int], dict]:
+    @functools.wraps(scenario)
+    def run(seed: int) -> dict:
+        return scenario(seed).to_dict()
+    return run
+
+
+_OPS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+def _chaos_invariants(*bounds: Tuple[str, str, object]
+                      ) -> Callable[[dict], List[str]]:
+    """Summary checks: ``(field, op, bound)``, a str bound naming a field.
+
+    Every scenario must inject at least one fault, and any scenario
+    that reports ``lost_acked_writes`` must report zero.
+    """
+    def invariants(blob: dict) -> List[str]:
+        summary = blob["summary"]
+        rules = [("faults_injected", ">=", 1), *bounds]
+        if "lost_acked_writes" in summary:
+            rules.append(("lost_acked_writes", "==", 0))
+        failures = []
+        for field, op, bound in rules:
+            target = summary[bound] if isinstance(bound, str) else bound
+            if not _OPS[op](summary[field], target):
+                failures.append(f"{field} = {summary[field]:g}, expected "
+                                f"{op} {bound}")
+        return failures
+    return invariants
+
+
+#: Every gated scenario, in ``gate --all`` order.
+SCENARIOS: Dict[str, Scenario] = {
+    "measure": Scenario(_measure, _measure_invariants),
+    "verbs": Scenario(_verbs, _verbs_invariants),
+    "shard": Scenario(_shard, _shard_invariants),
+    "tenants": Scenario(_tenants, _tenants_invariants),
+    "connstorm": Scenario(_connstorm, _connstorm_invariants),
+    "spot-churn": Scenario(
+        _chaos(chaos.churn_run),
+        _chaos_invariants(("migrations", ">=", 1))),
+    "spot-evict-programs": Scenario(
+        _chaos(chaos.spot_evict_programs), _chaos_invariants()),
+    "evict-primary": Scenario(
+        _chaos(chaos.evict_primary),
+        _chaos_invariants(("failed_probes", "==", 0),
+                          ("failovers", ">=", 1))),
+    "link-flap": Scenario(
+        _chaos(chaos.link_flap),
+        _chaos_invariants(("failed_probes", "==", 0), ("retries", ">", 0))),
+    "slow-node": Scenario(
+        _chaos(chaos.slow_node),
+        _chaos_invariants(("failed_probes", "==", 0))),
+    "shard-churn": Scenario(
+        _chaos(chaos.shard_churn),
+        _chaos_invariants(("failed_probes", "==", 0),
+                          ("members_after", "==", 3),
+                          ("lost_slots", "==", 0))),
+    "conn-storm-rebalance": Scenario(
+        _chaos(chaos.conn_storm_rebalance),
+        _chaos_invariants(("storm_completed", "==", "storm_sessions"),
+                          ("demux_misroutes", "==", 0))),
+}
+
+
+# ----------------------------------------------------------------------
+# The harness
+# ----------------------------------------------------------------------
+
+def _canonical(blob: dict) -> str:
+    return json.dumps(blob, sort_keys=True)
+
+
+def _divergence(kind: str, report) -> Tuple[dict, List[str]]:
+    """The report's divergence record and its failure lines."""
+    if report.deterministic:
+        return ({"kind": kind, "runs": report.label},
+                [f"{kind} bug: {report.label} traces agree but the blobs "
+                 "differ"])
+    finding = report.to_findings()[0].to_dict()
+    return ({"kind": kind, "runs": report.label, **finding["detail"],
+             "attribution": finding["hint"]},
+            [f"{kind} bug: {report.label} {finding['message']}",
+             f"attribution: {finding['hint']}"])
+
+
+def check(name: str, seed: int = 0) -> dict:
+    """Gate one registered scenario; returns its report entry.
+
+    The entry is ``ok`` only if the default and heap loops traced and
+    returned identically and no invariant failed.
+    """
+    scenario = SCENARIOS[name]
+    default, blob = _record(scenario.run, seed)
+    heap, heap_blob = _record(scenario.run, seed, scheduler="heap")
+    report = _compare(default, heap, seed, f"{name}[default-vs-heap]", 5)
+    divergence, failures = None, []
+    if not report.deterministic or _canonical(heap_blob) != _canonical(blob):
+        # A third default-loop run tells a replay bug from an ordering bug.
+        again, again_blob = _record(scenario.run, seed)
+        rerun = _compare(default, again, seed,
+                         f"{name}[default-vs-default]", 5)
+        if rerun.deterministic and _canonical(again_blob) == _canonical(blob):
+            divergence, failures = _divergence("ordering", report)
+        else:
+            divergence, failures = _divergence("replay", rerun)
+    failures += scenario.invariants(blob)
+    return {
+        "name": name,
+        "ok": not failures,
+        "events": report.events_a,
+        "digest": report.digest_a,
+        "divergence": divergence,
+        "failures": failures,
+        "blob": blob,
+    }
+
+
+def gate(names: Iterable[str], seed: int = 0) -> dict:
+    """Gate several entries into one ``repro.gate/v1`` report."""
+    entries = [check(name, seed) for name in names]
+    return {
+        "schema": "repro.gate/v1",
+        "seed": seed,
+        "ok": all(entry["ok"] for entry in entries),
+        "passed": sum(entry["ok"] for entry in entries),
+        "entries": entries,
+    }
+
+
+def format_report(report: dict) -> str:
+    """The text view: one line per entry, then its failure lines."""
+    lines = []
+    for entry in report["entries"]:
+        if entry["divergence"] is None:
+            replay = (f"{entry['events']:>9,} kernel events, default == heap "
+                      f"(digest {entry['digest'][:16]})")
+        else:
+            replay = f"{entry['divergence']['kind']} divergence"
+        lines.append(f"{'PASS' if entry['ok'] else 'FAIL'} "
+                     f"{entry['name']:<21} {replay}")
+        lines.extend(f"  - {line}" for line in entry["failures"])
+    lines.append(f"gate: {report['passed']}/{len(report['entries'])} "
+                 f"passed at seed {report['seed']}")
+    return "\n".join(lines)

@@ -653,6 +653,19 @@ class ShardRouter:
             lambda: self._depart_op(member, emergency),
             f"shard-depart:{name}")
 
+    def settled(self):
+        """Wait until every queued membership change has reported.
+
+        Use as ``yield from router.settled()`` inside a sim process.
+        Returns at once on an idle router; otherwise it resumes after
+        the tail of the chain -- including changes queued while it
+        waits (a kill landing mid-rebalance) -- has processed its
+        :class:`RebalanceReport`.
+        """
+        while (self._membership_tail is not None
+               and not self._membership_tail.processed):
+            yield self._membership_tail
+
     def _serialized(self, op: Callable, name: str) -> Event:
         """Chain a membership operation behind any in-flight one."""
         done = self.env.event()

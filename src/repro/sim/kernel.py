@@ -14,12 +14,12 @@ Environment, or process-wide via :func:`set_default_scheduler`):
   sits on one binary heap.  Most traffic is same-instant, so most
   entries never touch the heap.
 * ``"heap"`` -- the original single binary heap, kept as the ordering
-  reference for the scheduler-equivalence suite and the
-  cross-scheduler replay gate (``repro sanitize --smoke``).
+  reference for the scheduler-equivalence suite and the gate harness
+  (``repro gate``, which runs every registered scenario on both loops).
 
 Scheduler choice is **not observable** in event ordering: both dispatch
 in exactly the same ``(when, priority, insertion-order)`` total order,
-which the scheduler-equivalence suite and ``repro sanitize`` verify
+which the scheduler-equivalence suite and ``repro gate`` verify
 trace-for-trace.
 
 The feature set is intentionally small -- timeouts, one-shot events,
@@ -82,7 +82,7 @@ def set_default_scheduler(scheduler: Optional[str]) -> str:
 
     ``"calendar"`` (the default) or ``"heap"``; ``None`` restores
     ``"calendar"``.  Returns the previous default so callers can
-    restore it (the cross-scheduler sanitize gate wraps runs this way).
+    restore it (the gate harness wraps its heap runs this way).
     Existing Environments are unaffected.
     """
     global _default_scheduler

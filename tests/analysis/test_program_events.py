@@ -4,8 +4,8 @@ The whole remote-side chain folds into a single service timeout, so
 the happens-before detector and the replay sanitizer see one
 trigger->resume edge per program -- not one per hop.  Pinned here:
 
-* the shipped ``measure-programs`` sanitizer workload replays
-  bit-identically (the CI smoke set runs it too);
+* the ``measure`` gate entry, whose second half is a verb-program
+  measurement, replays bit-identically (``repro gate`` runs it too);
 * a program chase traces strictly fewer kernel events than the
   equivalent two-hop chase;
 * growing the chain (adding the CAS verify step) adds *zero* kernel
@@ -16,7 +16,7 @@ import struct
 
 from repro.analysis import sanitize
 from repro.analysis.hb import KernelMonitor
-from repro.analysis.sanitize import WORKLOADS
+from repro.gates import SCENARIOS
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, MemoryRegion, Placement, QueuePair
 from repro.net.programs import VerbProgram
@@ -24,8 +24,7 @@ from repro.sim.kernel import Environment
 
 
 def test_measure_programs_workload_is_deterministic():
-    report = sanitize(WORKLOADS["measure-programs"], seed=0,
-                      label="measure-programs")
+    report = sanitize(SCENARIOS["measure"].run, seed=0, label="measure")
     assert report.deterministic
     assert report.events_a == report.events_b > 500
 

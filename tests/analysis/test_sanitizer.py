@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.analysis import sanitize, sanitize_schedulers
-from repro.analysis.sanitize import WORKLOADS, _DEMO_LEAK, _record
+from repro import gates
+from repro.analysis import sanitize
+from repro.analysis.sanitize import _record
 from repro.sim import kernel
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+
+from tests.analysis.nondet_demo import LEAK, demo_nondet
 
 
 def _deterministic_workload(seed):
@@ -98,15 +101,16 @@ def test_rng_divergence_is_attributed_to_the_stream():
     assert findings[0].detail["rng_divergence"] == {"jitter": [2, 3]}
 
 
-def test_shipped_demo_workload_diverges():
-    _DEMO_LEAK["runs"] = 0
-    report = sanitize(WORKLOADS["demo-nondet"], seed=0, label="demo")
+def test_demo_workload_diverges():
+    LEAK["runs"] = 0
+    report = sanitize(demo_nondet, seed=0, label="demo")
     assert not report.deterministic
     assert report.rng_divergence  # the leak draws extra values in run two
 
 
 def test_shipped_measure_workload_is_deterministic():
-    report = sanitize(WORKLOADS["measure"], seed=0, label="measure")
+    report = sanitize(gates.SCENARIOS["measure"].run, seed=0,
+                      label="measure")
     assert report.deterministic
     assert report.events_a > 500  # the whole measurement path is traced
 
@@ -148,19 +152,20 @@ def test_scheduler_restored_when_workload_raises():
         kernel.set_default_scheduler(before)
 
 
-def test_cross_scheduler_gate_on_clean_workload():
-    report = sanitize_schedulers(_deterministic_workload, seed=3,
-                                 label="det")
-    assert report.deterministic
-    assert report.label == "det[heap-vs-calendar]"
-    assert report.events_a == report.events_b > 0
+def test_cross_scheduler_gate_on_clean_workload(monkeypatch):
+    monkeypatch.setitem(gates.SCENARIOS, "det", gates.Scenario(
+        _deterministic_workload, lambda blob: []))
+    entry = gates.check("det", seed=3)
+    assert entry["ok"] and entry["failures"] == []
+    assert entry["divergence"] is None
+    assert entry["events"] > 0 and len(entry["digest"]) == 64
 
 
 def test_cross_scheduler_gate_on_measurement_path():
-    report = sanitize_schedulers(WORKLOADS["measure"], seed=0,
-                                 label="measure")
-    assert report.deterministic
-    assert report.events_a > 500
+    entry = gates.check("measure", seed=0)
+    assert entry["ok"], entry["failures"]
+    assert entry["divergence"] is None  # default == heap, trace and blob
+    assert entry["events"] > 500
 
 
 def test_report_describe_mentions_both_runs():

@@ -1,11 +1,14 @@
 """Chaos: a connection storm landing mid-rebalance loses nothing."""
 
-from repro.faults import run_scenario
+from repro.gates import SCENARIOS
+
+SCENARIO = SCENARIOS["conn-storm-rebalance"]
 
 
 def test_storm_mid_rebalance_loses_no_acked_writes():
-    report = run_scenario("conn-storm-rebalance", seed=0)
-    summary = report.summary
+    blob = SCENARIO.run(0)
+    summary = blob["summary"]
+    assert SCENARIO.invariants(blob) == []
     # The headline invariant: every write the replicated router acked
     # read back intact through the kill + rebalance + session storm.
     assert summary["lost_acked_writes"] == 0.0
@@ -27,8 +30,4 @@ def test_storm_mid_rebalance_loses_no_acked_writes():
 
 
 def test_same_seed_chaos_replay_is_bit_identical():
-    first = run_scenario("conn-storm-rebalance", seed=1)
-    second = run_scenario("conn-storm-rebalance", seed=1)
-    assert first.log.digest() == second.log.digest()
-    assert first.summary == second.summary
-    assert first.sim_now == second.sim_now
+    assert SCENARIO.run(1) == SCENARIO.run(1)

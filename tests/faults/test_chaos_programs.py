@@ -3,17 +3,19 @@
 The `spot-evict-programs` scenario runs a write -> pointer-swing ->
 dependent-read probe stream (transport: one-RTT verb programs) while
 notice-based spot evictions migrate regions underneath it.  The
-invariants pinned here are the ISSUE acceptance bar: zero lost
-acknowledged writes, migrations actually exercised, and coherent
-program/fallback accounting.
+invariants pinned here: zero lost acknowledged writes, migrations
+actually exercised, and coherent program/fallback accounting.
 """
 
-from repro.faults import run_scenario
+from repro.gates import SCENARIOS
+
+SCENARIO = SCENARIOS["spot-evict-programs"]
 
 
 def test_spot_evictions_lose_no_acked_writes():
-    report = run_scenario("spot-evict-programs", seed=0)
-    summary = report.summary
+    blob = SCENARIO.run(0)
+    summary = blob["summary"]
+    assert SCENARIO.invariants(blob) == []
 
     # The scenario is only meaningful if faults actually landed and the
     # workload actually chased pointers through programs.
@@ -32,9 +34,8 @@ def test_spot_evictions_lose_no_acked_writes():
     assert summary["program_cas_aborts"] <= summary["program_fallbacks"]
 
     # Fault log recorded the evictions the probes survived.
-    assert "vm-eviction" in report.log.kinds()
+    assert "vm-eviction" in {event["kind"] for event in blob["events"]}
 
 
 def test_scenario_is_seed_sensitive():
-    assert (run_scenario("spot-evict-programs", seed=0).log.digest()
-            != run_scenario("spot-evict-programs", seed=3).log.digest())
+    assert SCENARIO.run(0)["digest"] != SCENARIO.run(3)["digest"]

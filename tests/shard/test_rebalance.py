@@ -126,9 +126,7 @@ class TestFaultWiring:
             for vm in list(members["s2"].allocation.vms):
                 if vm.alive:
                     harness.allocator.fail(vm)
-            while (router._membership_tail is not None
-                   and not router._membership_tail.processed):
-                yield router._membership_tail
+            yield from router.settled()
             return True
 
         assert run(harness, driver())
@@ -150,9 +148,7 @@ class TestFaultWiring:
         def driver():
             victim = members["s3"].allocation.vms[0]
             harness.allocator.reclaim(victim, notice_s=1.0)
-            while (router._membership_tail is not None
-                   and not router._membership_tail.processed):
-                yield router._membership_tail
+            yield from router.settled()
             return True
 
         assert run(harness, driver())
@@ -160,6 +156,33 @@ class TestFaultWiring:
         assert run(harness, _verify(router, acked)()) == []
         snap = metrics.snapshot()
         assert snap['router.departures{reason="vm-eviction"}']["value"] == 1
+
+
+class TestSettled:
+    def test_idle_router_settles_at_once(self):
+        _harness, _client, _members, router = make_fleet(n_shards=3)
+        assert list(router.settled()) == []
+
+    def test_resumes_only_after_the_emergency_departure_reports(self):
+        harness, _client, members, router = make_fleet(n_shards=4,
+                                                       replication=2)
+        run(harness, _fill(router)())
+        env = harness.env
+
+        def driver():
+            for vm in list(members["s2"].allocation.vms):
+                harness.allocator.fail(vm)
+            killed_at, reports_before = env.now, len(router.reports)
+            # The kill queued the departure but nothing has streamed yet.
+            assert "s2" in router.members
+            yield from router.settled()
+            return killed_at, reports_before
+
+        killed_at, reports_before = run(harness, driver())
+        assert harness.env.now > killed_at  # the survivors streamed first
+        assert len(router.reports) == reports_before + 1
+        assert "s2" not in router.members
+        assert list(router.settled()) == []
 
 
 class TestDeterminism:

@@ -262,9 +262,7 @@ class TestDegradation:
         env.run()
 
         def settle():
-            while (router._membership_tail is not None
-                   and not router._membership_tail.processed):
-                yield router._membership_tail
+            yield from router.settled()
             while tenant.degraded:
                 yield env.timeout(1e-3)
             lost = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import cmd_examples, cmd_list, main
+from repro.gates import SCENARIOS, Scenario, tenants_run
 
 
 def test_list_enumerates_experiments(capsys):
@@ -82,29 +83,29 @@ def test_sweep_table_output_without_cache(capsys):
 
 
 def test_chaos_lists_scenarios(capsys):
-    assert main(["chaos"]) == 0
+    # Without a name, `gate` lists the registry: chaos scenarios included.
+    assert main(["gate"]) == 0
     out = capsys.readouterr().out
     assert "spot-churn" in out
     assert "evict-primary" in out
 
 
 def test_chaos_unknown_scenario_is_an_error(capsys):
-    assert main(["chaos", "nope"]) == 1
-    assert "unknown chaos scenario" in capsys.readouterr().out
+    assert main(["gate", "nope"]) == 2
+    assert "unknown gate entry 'nope'" in capsys.readouterr().out
 
 
-def test_chaos_runs_scenario_and_dumps_fault_log(tmp_path, capsys):
+def test_chaos_runs_scenario_and_dumps_fault_log(capsys):
     import json
 
-    out_path = tmp_path / "chaos.json"
-    assert main(["chaos", "slow-node", "--seed", "5",
-                 "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "fault log:" in out
-    assert "slow-node" in out
-    assert "fault-log digest:" in out
-
-    blob = json.loads(out_path.read_text())
+    assert main(["gate", "slow-node", "--seed", "5", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == "repro.gate/v1"
+    assert report["ok"] and report["seed"] == 5
+    [entry] = report["entries"]
+    assert entry["name"] == "slow-node"
+    assert entry["divergence"] is None and entry["failures"] == []
+    blob = entry["blob"]
     assert blob["schema"] == "repro.faults/v1"
     assert blob["seed"] == 5
     assert blob["summary"]["probes"] > 0
@@ -112,11 +113,9 @@ def test_chaos_runs_scenario_and_dumps_fault_log(tmp_path, capsys):
     assert {"slow-node", "slow-node-cleared",
             "latency-spike", "latency-spike-cleared"} <= kinds
 
-    # Same seed => bit-identical fault trace (the digest proves it).
-    assert main(["chaos", "slow-node", "--seed", "5", "--json"]) == 0
-    again = json.loads(capsys.readouterr().out)
-    assert again["digest"] == blob["digest"]
-    assert again["events"] == blob["events"]
+    # Same seed => the same report, fault-log digest and all.
+    assert main(["gate", "slow-node", "--seed", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_kernelbench_prints_steps_per_second(capsys):
@@ -137,31 +136,45 @@ def test_kernelbench_floor_gates(capsys):
 
 
 def test_shard_smoke_passes_and_reports(capsys):
-    assert main(["shard", "--smoke", "--ops", "1500"]) == 0
+    assert main(["gate", "shard"]) == 0
     out = capsys.readouterr().out
-    assert "shard smoke OK" in out
-    assert "0 lost acks" in out
-    assert "replay bit-identical" in out
+    assert "PASS shard" in out
+    assert "default == heap" in out
+    assert "gate: 1/1 passed at seed 0" in out
 
 
-def test_shard_json_blob_is_deterministic(tmp_path, capsys):
+def test_shard_json_blob_is_deterministic():
     import json
 
-    out_path = tmp_path / "shard.json"
-    assert main(["shard", "--shards", "3", "--ops", "1200", "--seed", "4",
-                 "--out", str(out_path), "--json"]) == 0
-    blob = json.loads(capsys.readouterr().out)
-    assert blob == json.loads(out_path.read_text())
+    run = SCENARIOS["shard"].run
+    blob = run(4)
+    assert json.loads(json.dumps(blob)) == blob  # JSON-able as is
     assert blob["schema"] == "repro.shard/v1"
     assert blob["failed"] == 0
     assert blob["throughput_ops_s"] > 0
     assert any(name.startswith("shard.reads{")
                for name in blob["metrics"])
+    assert run(4) == blob
 
-    assert main(["shard", "--shards", "3", "--ops", "1200", "--seed", "4",
-                 "--json"]) == 0
-    again = json.loads(capsys.readouterr().out)
-    assert again == blob
+
+def test_gate_reports_lost_acked_writes_when_writes_drop_payloads(
+        monkeypatch, capsys):
+    import json
+
+    from repro.core.client import RedyCache
+
+    write = RedyCache.write
+
+    def dropping_write(self, addr, data, *args, **kwargs):
+        # Acknowledge the write but store zeros: a payload-dropping bug.
+        return write(self, addr, bytes(len(data)), *args, **kwargs)
+
+    monkeypatch.setattr(RedyCache, "write", dropping_write)
+    assert main(["gate", "shard", "--json"]) == 1
+    [entry] = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["divergence"] is None  # deterministic, just wrong
+    assert any("acknowledged writes lost" in line
+               for line in entry["failures"]), entry["failures"]
 
 
 BAD_SOURCE = "import time\n\n\ndef probe():\n    return time.time()\n"
@@ -200,79 +213,80 @@ def test_lint_cli_unknown_rule_is_internal_error(capsys):
 
 
 def test_sanitize_cli_lists_workloads(capsys):
-    assert main(["sanitize", "list"]) == 0
+    assert main(["gate"]) == 0
     out = capsys.readouterr().out
-    assert "measure" in out
-    assert "demo-nondet" in out
+    for name, scenario in SCENARIOS.items():
+        assert f"{name}  {scenario.doc}" in out
 
 
 def test_sanitize_cli_unknown_workload_is_an_error(capsys):
-    assert main(["sanitize", "no-such-workload"]) == 2
-    assert "unknown sanitize workload" in capsys.readouterr().out
+    assert main(["gate", "measure", "--all"]) == 2
+    assert "not both" in capsys.readouterr().out
 
 
-def test_sanitize_cli_demo_nondet_diverges(capsys):
+def test_sanitize_cli_demo_nondet_diverges(monkeypatch, capsys):
     import json
 
-    from repro.analysis.sanitize import _DEMO_LEAK
+    from tests.analysis.nondet_demo import DEMO, LEAK
 
-    _DEMO_LEAK["runs"] = 0
-    assert main(["sanitize", "demo-nondet", "--format", "json"]) == 1
-    blob = json.loads(capsys.readouterr().out)
-    assert blob["findings"][0]["rule"] == "DIVERGENCE"
+    monkeypatch.setitem(SCENARIOS, "demo-nondet", DEMO)
+    LEAK["runs"] = 0
+    assert main(["gate", "demo-nondet", "--json"]) == 1
+    [entry] = json.loads(capsys.readouterr().out)["entries"]
+    divergence = entry["divergence"]
+    # Runs 2 and 3 leak: the third (default-loop) run disagrees with the
+    # first, so this is a replay bug, not a kernel ordering bug.
+    assert divergence["kind"] == "replay"
+    assert divergence["runs"] == "demo-nondet[default-vs-default]"
+    assert LEAK["runs"] == 3  # default, heap, and the third default run
+    assert divergence["index"] == 7
+    assert divergence["rng_divergence"] == {"demo": [3, 6]}
+    assert "demo" in divergence["attribution"]
 
-    _DEMO_LEAK["runs"] = 0
-    assert main(["sanitize", "demo-nondet"]) == 1
-    assert "DIVERGED" in capsys.readouterr().out
+    LEAK["runs"] = 0
+    assert main(["gate", "demo-nondet"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL demo-nondet" in out
+    assert "replay bug" in out
 
 
 def test_verbs_smoke_passes_and_reports(capsys):
-    assert main(["verbs", "--smoke", "--ops", "24"]) == 0
+    assert main(["gate", "verbs"]) == 0
     out = capsys.readouterr().out
-    assert "verbs smoke OK" in out
-    assert "digests equal" in out
-    assert "replay bit-identical" in out
+    assert "PASS verbs" in out
+    assert "default == heap" in out
 
 
-def test_verbs_json_blob_carries_both_transports(capsys):
-    import json
-
-    assert main(["verbs", "--ops", "12", "--json"]) == 0
-    blob = json.loads(capsys.readouterr().out)
+def test_verbs_json_blob_carries_both_transports():
+    blob = SCENARIOS["verbs"].run(0)
     assert blob["two_hop"]["digest"] == blob["program"]["digest"]
-    assert blob["program"]["programs"] == 12
-    assert blob["two_hop"]["two_hop_reads"] == 12
+    assert blob["program"]["programs"] == blob["program"]["ops"] == 48
+    assert blob["two_hop"]["two_hop_reads"] == 48
     assert (blob["program"]["read_latency_mean_us"]
             < blob["two_hop"]["read_latency_mean_us"])
 
 
-def test_tenants_smoke_passes_and_reports(capsys):
-    assert main(["tenants", "--smoke", "--ops", "1200"]) == 0
+def test_tenants_smoke_passes_and_reports(monkeypatch, capsys):
+    # The tier under abuse and a member kill, at a sixth of the `tenants`
+    # entry's size (whose full run `gate --all` covers), must trace and
+    # report identically on both event loops.
+    monkeypatch.setitem(SCENARIOS, "tenants-small", Scenario(
+        lambda seed: tenants_run(seed, 400, abusive=True, kill=True),
+        lambda blob: [] if blob["acked_writes_lost"] == 0 else ["lost"]))
+    assert main(["gate", "tenants-small"]) == 0
     out = capsys.readouterr().out
-    assert "tenants smoke OK" in out
-    assert "0 lost acks" in out
-    assert "replay bit-identical" in out
+    assert "PASS tenants-small" in out
+    assert "default == heap" in out
 
 
-def test_tenants_json_blob_carries_per_tenant_stats(capsys, tmp_path):
+def test_tenants_json_blob_carries_per_tenant_stats():
     import json
 
-    out_path = tmp_path / "tenants.json"
-    assert main(["tenants", "--ops", "400", "--json",
-                 "--out", str(out_path)]) == 0
-    blob = json.loads(capsys.readouterr().out)
+    blob = tenants_run(0, 400, abusive=True, kill=False)
+    assert json.loads(json.dumps(blob)) == blob
     assert blob["schema"] == "repro.tenants/v1"
     assert sorted(blob["tenants"]) == ["prem", "scav", "std"]
     assert blob["tenants"]["scav"]["shed"] > 0
     assert blob["tenants"]["prem"]["shed"] == 0
+    assert blob["failed_reads"] == {"prem": 0, "std": 0}
     assert blob["premium_read_p99_s"] > 0
-    # The blob on disk is the same report.
-    assert json.loads(out_path.read_text()) == blob
-
-
-def test_tenants_text_view_lists_tenants(capsys):
-    assert main(["tenants", "--ops", "400"]) == 0
-    out = capsys.readouterr().out
-    assert "premium read p99" in out
-    for name in ("prem", "scav", "std"):
-        assert name in out

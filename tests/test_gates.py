@@ -1,0 +1,201 @@
+"""The scenario registry and the gate harness (``repro.gates``).
+
+Two halves: every registered entry's invariants hold at seed 0 and
+each one fails when a single field of its blob is violated, and the
+harness tells an ordering bug and an invariant failure apart (the
+replay-bug case is ``tests/test_cli.py``'s leaky demo).
+"""
+
+import copy
+import functools
+import json
+
+import pytest
+
+from repro import gates
+from repro.gates import SCENARIOS, Scenario
+from repro.sim.kernel import Environment
+
+
+@functools.lru_cache(maxsize=None)
+def _blob(name):
+    """Seed-0 blob of one entry, run once per test session."""
+    return SCENARIOS[name].run(0)
+
+
+#: Per entry, fields to break one at a time: (dotted path, bad value).
+#: Every path must make the entry's invariants report a failure.
+MUTATIONS = {
+    "measure": [("two-sided.ops_measured", 0),
+                ("programs.latency_p50", 1.0),
+                ("two-sided.programs", 3),
+                ("programs.programs", 0),
+                ("programs.program_fallbacks", 1)],
+    "verbs": [("program.failed", 1),
+              ("program.digest", "0" * 64),
+              ("program.read_latency_mean_us", 1e9),
+              ("program.programs", 0),
+              ("program.program_cas_aborts", 1),
+              ("two_hop.programs", 1),
+              ("two_hop.two_hop_reads", 0)],
+    "shard": [("failed", 1),
+              ("acked_writes_checked", 0),
+              ("acked_writes_lost", 1),
+              ("rebalance.lost_slots", 1),
+              ("members_after", ["s00", "s01", "s02", "s03"])],
+    "tenants": [("noisy.premium_read_p99_s", 1.0),
+                ("noisy.tenants.scav.shed", 1000),
+                ("kill.tenants.scav.shed", 10),
+                ("noisy.tenants.prem.shed", 1),
+                ("kill.failed_reads.std", 1),
+                ("kill.acked_writes_checked", 0),
+                ("kill.acked_writes_lost", 1),
+                ("kill.members_after", ["s00", "s01", "s02"]),
+                ("kill.tenants.prem.fail_open_reads", 0),
+                ("kill.tenants.std.repromotions", 0),
+                ("kill.tenants.prem.degraded", True)],
+    "connstorm": [("pooled.completed", 1199),
+                  ("pooled.failures", 1),
+                  ("per-client.leaked_qps", 1),
+                  ("pooled-lazy.pool_totals.demux_misroutes", 1),
+                  ("pooled-lazy.ttfb_us.p99", 1e9),
+                  ("pooled-lazy.mr_registrations", 10 ** 9)],
+    "spot-churn": [("summary.faults_injected", 0),
+                   ("summary.migrations", 0)],
+    "spot-evict-programs": [("summary.faults_injected", 0),
+                            ("summary.lost_acked_writes", 1)],
+    "evict-primary": [("summary.failed_probes", 1),
+                      ("summary.failovers", 0)],
+    "link-flap": [("summary.failed_probes", 1),
+                  ("summary.retries", 0)],
+    "slow-node": [("summary.failed_probes", 1),
+                  ("summary.faults_injected", 0)],
+    "shard-churn": [("summary.failed_probes", 2),
+                    ("summary.members_after", 4),
+                    ("summary.lost_slots", 1)],
+    "conn-storm-rebalance": [("summary.storm_completed", 399),
+                             ("summary.demux_misroutes", 1),
+                             ("summary.lost_acked_writes", 1)],
+}
+
+
+def test_every_entry_has_mutations():
+    assert list(MUTATIONS) == list(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_entry_passes_its_invariants(name):
+    blob = _blob(name)
+    assert json.loads(json.dumps(blob)) == blob  # JSON-able as is
+    assert SCENARIOS[name].invariants(blob) == []
+
+
+@pytest.mark.parametrize("name,path,value", [
+    (name, path, value)
+    for name, mutations in MUTATIONS.items()
+    for path, value in mutations])
+def test_one_violated_field_fails_the_invariants(name, path, value):
+    blob = copy.deepcopy(_blob(name))
+    *parents, leaf = path.split(".")
+    target = functools.reduce(lambda node, key: node[key], parents, blob)
+    assert leaf in target
+    target[leaf] = value
+    assert SCENARIOS[name].invariants(blob) != []
+
+
+def test_tenants_isolates_abuse_and_recovers_from_the_kill():
+    kill = _blob("tenants")["kill"]
+    stats = kill["tenants"]
+    # The abusive tenant is shed in bulk; the quiet tenants never are.
+    assert stats["scav"]["shed"] > 1000
+    assert stats["prem"]["shed"] == stats["std"]["shed"] == 0
+    # The mid-run kill degrades tenants but reads stay answered:
+    # fail-open turns a region loss into latency, not unavailability.
+    assert kill["failed_reads"] == {"prem": 0, "std": 0}
+    for name in ("prem", "std"):
+        assert stats[name]["fail_open_reads"] > 0
+        assert stats[name]["degradations"] == stats[name]["repromotions"]
+        assert stats[name]["degradations"] >= 1
+        assert stats[name]["degraded"] is False
+    assert kill["acked_writes_lost"] == 0
+
+
+# ----------------------------------------------------------------------
+# The harness
+# ----------------------------------------------------------------------
+
+def _clean(seed):
+    env = Environment()
+
+    def worker():
+        yield env.timeout(1.0 + seed)
+
+    env.process(worker(), name="w")
+    env.run()
+    return {"now": env.now}
+
+
+def _scheduler_dependent(seed):
+    """An event list that leaks into the run: an ordering bug."""
+    env = Environment()
+
+    def worker():
+        yield env.timeout(1.0)
+        if env.scheduler == "heap":
+            yield env.timeout(1.0)
+
+    env.process(worker(), name="w")
+    env.run()
+    return {"now": env.now}
+
+
+def _blob_names_the_loop(seed):
+    """Identical schedules, but the blob depends on the event list."""
+    env = Environment()
+    env.run()
+    return {"loop": env.scheduler}
+
+
+def _register(monkeypatch, name, run, invariants=lambda blob: []):
+    monkeypatch.setitem(SCENARIOS, name, Scenario(run, invariants))
+
+
+def test_loop_dependent_trace_is_an_ordering_bug(monkeypatch):
+    _register(monkeypatch, "ordering", _scheduler_dependent)
+    entry = gates.check("ordering")
+    assert not entry["ok"]
+    divergence = entry["divergence"]
+    assert divergence["kind"] == "ordering"
+    assert divergence["runs"] == "ordering[default-vs-heap]"
+    assert divergence["rng_divergence"] == {}
+    assert entry["failures"][0].startswith("ordering bug:")
+
+
+def test_loop_dependent_blob_is_an_ordering_bug(monkeypatch):
+    _register(monkeypatch, "blob", _blob_names_the_loop)
+    entry = gates.check("blob")
+    assert entry["divergence"] == {"kind": "ordering",
+                                   "runs": "blob[default-vs-heap]"}
+    assert "the blobs differ" in entry["failures"][0]
+
+
+def test_invariant_failures_fail_a_replaying_entry(monkeypatch):
+    _register(monkeypatch, "wrong", _clean,
+              lambda blob: [f"now = {blob['now']}, expected 0"])
+    entry = gates.check("wrong")
+    assert entry["divergence"] is None
+    assert entry["failures"] == ["now = 1.0, expected 0"]
+    assert not entry["ok"]
+
+
+def test_report_counts_entries_and_renders(monkeypatch):
+    _register(monkeypatch, "clean", _clean)
+    _register(monkeypatch, "wrong", _clean, lambda blob: ["broken"])
+    report = gates.gate(["clean", "wrong"], seed=0)
+    assert report["schema"] == "repro.gate/v1"
+    assert (report["ok"], report["passed"]) == (False, 1)
+    assert json.loads(json.dumps(report)) == report
+    text = gates.format_report(report)
+    assert "PASS clean" in text and "FAIL wrong" in text
+    assert "  - broken" in text
+    assert text.endswith("gate: 1/2 passed at seed 0")
