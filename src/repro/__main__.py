@@ -10,8 +10,6 @@ Convenience launcher for a repository checkout:
 * ``python -m repro metrics fig07`` -- show a saved ``BENCH_fig07.json``;
 * ``python -m repro sweep`` -- measure a configuration grid through the
   parallel sweep executor and its on-disk result cache (``repro.exec``);
-* ``python -m repro kernelbench`` -- micro-benchmark the simulation
-  kernel (``Environment.step()`` throughput on the measurement workload);
 * ``python -m repro lint`` -- run the determinism AST linter
   (``repro.analysis``) over source paths; exit 0 clean, 1 findings,
   2 internal error;
@@ -198,45 +196,6 @@ def cmd_sweep(record_size: int, max_client_threads: int,
     return 0
 
 
-def cmd_kernelbench(rounds: int, batches: int,
-                    min_steps_per_sec: float | None) -> int:
-    """Micro-benchmark ``Environment.step()`` on the measurement workload.
-
-    Runs the same instrumented ``measure_config`` call the sweep hot
-    path is made of and prints kernel steps per wall-clock second -- the
-    number CI logs so step-loop regressions are visible.
-    ``--min-steps-per-sec`` turns the run into a CI gate: exit 1 if the
-    best rate falls below the floor.
-    """
-    from time import perf_counter
-
-    from repro.core.config import RdmaConfig
-    from repro.core.measurement import measure_config
-    from repro.obs.metrics import MetricsRegistry
-
-    config = RdmaConfig(4, 4, 16, 8)
-    best = 0.0
-    for index in range(rounds):
-        registry = MetricsRegistry()
-        started = perf_counter()  # repro-lint: disable=D001 -- wall-clock benchmark harness, result never reaches sim state
-        measure_config(config, 16, read_fraction=0.5,
-                       batches_per_connection=batches,
-                       warmup_batches=max(1, batches // 4),
-                       seed=11, metrics=registry)
-        elapsed = perf_counter() - started  # repro-lint: disable=D001 -- wall-clock benchmark harness
-        steps = registry.gauge("kernel.steps").value
-        rate = steps / elapsed
-        best = max(best, rate)
-        print(f"round {index}: {steps:,.0f} steps in "
-              f"{elapsed:.3f}s = {rate:,.0f} steps/sec")
-    print(f"best: {best:,.0f} steps/sec")
-    if min_steps_per_sec is not None and best < min_steps_per_sec:
-        print(f"FAIL: best rate {best:,.0f} steps/sec "
-              f"is below the floor of {min_steps_per_sec:,.0f}")
-        return 1
-    return 0
-
-
 def cmd_lint(paths: list[str], fmt: str, rules: str | None) -> int:
     """Run the determinism AST linter (``repro.analysis``) over paths.
 
@@ -329,16 +288,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="result cache directory (default: "
                             "benchmarks/_results/.cache; '' disables)")
     sweep.add_argument("--json", action="store_true", dest="as_json")
-    kernelbench = sub.add_parser(
-        "kernelbench",
-        help="micro-benchmark kernel steps/sec on the measurement workload")
-    kernelbench.add_argument("--rounds", type=int, default=3)
-    kernelbench.add_argument("--batches", type=int, default=120,
-                             help="measured batches per connection")
-    kernelbench.add_argument("--min-steps-per-sec", type=float,
-                             default=None,
-                             help="CI regression floor: exit 1 if the "
-                                  "best rate falls below this")
     lint = sub.add_parser(
         "lint",
         help="run the determinism AST linter (repro.analysis)")
@@ -376,9 +325,6 @@ def main(argv: list[str] | None = None) -> int:
                              args.max_queue_depth, args.workers,
                              args.batches, args.warmup, args.seed,
                              args.cache_dir, args.as_json)
-        if args.command == "kernelbench":
-            return cmd_kernelbench(args.rounds, args.batches,
-                                   args.min_steps_per_sec)
         if args.command == "lint":
             return cmd_lint(args.paths, args.fmt, args.rules)
         if args.command == "gate":

@@ -36,7 +36,7 @@ from repro.analysis.rules import RULES
 
 __all__ = ["analyze_protocols"]
 
-_POST_ATTRS = {"post", "post_many", "post_program"}
+_POST_ATTRS = {"post", "post_program"}
 _ESTABLISH_ATTRS = {"establish", "reconnect", "connect"}
 _MUTATORS = {"append", "extend", "insert", "pop", "clear", "remove"}
 

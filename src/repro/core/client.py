@@ -278,14 +278,13 @@ class RedyCache:
         """Asynchronous read; the returned event fires with a
         :class:`CacheIoResult` whose ``data`` holds ``size`` bytes.
         ``tenant`` tags the op for per-tenant engine accounting."""
-        return self._start_io(True, addr, size, None, callback,
-                              tenant=tenant)
+        return self._start_io("r", addr, size, None, callback, tenant=tenant)
 
     def write(self, addr: int, data: bytes,
               callback: Optional[Callable[[CacheIoResult], None]] = None,
               *, tenant: Optional[str] = None) -> Event:
         """Asynchronous write of ``data`` at ``addr``."""
-        return self._start_io(False, addr, len(data), data, callback,
+        return self._start_io("w", addr, len(data), data, callback,
                               tenant=tenant)
 
     def cas(self, addr: int, compare: Optional[bytes], swap: bytes,
@@ -299,17 +298,12 @@ class RedyCache:
         mismatch completes with ``ok=False`` and ``error="cas mismatch"``
         so optimistic callers (server-side eviction marking, lock words)
         can re-read and retry.  ``compare=None`` swaps unconditionally.
+        The retry policy never re-runs a CAS: a mismatch is data, not a
+        transient failure.
         """
         if len(swap) != 8 or (compare is not None and len(compare) != 8):
             raise ValueError("cas operates on one 8-byte word")
-        if self.deleted:
-            raise CacheDeletedError("cache was deleted")
-        done = self.env.event()
-        if callback is not None:
-            done._add_callback(lambda event: callback(event.value))
-        self.env.process(self._cas_io(addr, compare, swap, done),
-                         name=f"redy-io-c@{addr}")
-        return done
+        return self._start_io("c", addr, 8, swap, callback, compare=compare)
 
     def dependent_read(self, pointer_addr: int, size: int,
                        callback: Optional[Callable[[CacheIoResult], None]]
@@ -326,37 +320,36 @@ class RedyCache:
         READs.  Either way the pointer and record must live in the same
         region: the pointer's target is a region-local offset.
         """
-        return self._start_io(True, pointer_addr, size, None, callback,
-                              dependent=True)
+        return self._start_io("d", pointer_addr, size, None, callback)
 
-    def _start_io(self, is_read: bool, addr: int, size: int,
-                  data: Optional[bytes],
-                  callback: Optional[Callable],
-                  dependent: bool = False,
-                  tenant: Optional[str] = None) -> Event:
+    def _start_io(self, kind: str, addr: int, size: int,
+                  data: Optional[bytes], callback: Optional[Callable], *,
+                  tenant: Optional[str] = None,
+                  compare: Optional[bytes] = None) -> Event:
+        """Start one I/O of ``kind``: ``"r"`` read, ``"w"`` write,
+        ``"d"`` dependent read, ``"c"`` CAS."""
         if self.deleted:
             raise CacheDeletedError("cache was deleted")
         done = self.env.event()
         if callback is not None:
             done._add_callback(lambda event: callback(event.value))
         policy = self.retry_policy
-        kind = "d" if dependent else ("r" if is_read else "w")
-        if policy.max_attempts == 1 and policy.attempt_timeout_s is None:
+        if kind == "c" or (policy.max_attempts == 1
+                           and policy.attempt_timeout_s is None):
             # Fail-fast default: no wrapper process on the hot path.
             self.env.process(
-                self._io(is_read, addr, size, data, done,
-                         dependent=dependent, tenant=tenant),
+                self._io(kind, addr, size, data, done, tenant=tenant,
+                         compare=compare),
                 name=f"redy-io-{kind}@{addr}")
         else:
             self.env.process(
-                self._io_with_retry(is_read, addr, size, data, done,
-                                    dependent=dependent, tenant=tenant),
+                self._io_with_retry(kind, addr, size, data, done,
+                                    tenant=tenant),
                 name=f"redy-io-retry-{kind}@{addr}")
         return done
 
-    def _io_with_retry(self, is_read: bool, addr: int, size: int,
+    def _io_with_retry(self, kind: str, addr: int, size: int,
                        data: Optional[bytes], done: Event,
-                       dependent: bool = False,
                        tenant: Optional[str] = None):
         """Drive :meth:`_io` attempts under the cache's retry policy.
 
@@ -378,10 +371,8 @@ class RedyCache:
                 result = CacheIoResult(ok=False, error="cache was deleted")
                 break
             inner = self.env.event()
-            kind = "d" if dependent else ("r" if is_read else "w")
             self.env.process(  # repro-lint: disable=L006 -- completion is observed through `inner`, yielded right below
-                self._io(is_read, addr, size, data, inner,
-                         dependent=dependent, tenant=tenant),
+                self._io(kind, addr, size, data, inner, tenant=tenant),
                 name=f"redy-io-{kind}@{addr}#{attempt}")
             if policy.attempt_timeout_s is None:
                 result = yield inner
@@ -403,12 +394,13 @@ class RedyCache:
         result.latency = self.env.now - start
         done.succeed(result)
 
-    def _io(self, is_read: bool, addr: int, size: int,
-            data: Optional[bytes], done: Event, dependent: bool = False,
-            tenant: Optional[str] = None):
-        if dependent:
-            yield from self._dependent_io(addr, size, done)
+    def _io(self, kind: str, addr: int, size: int,
+            data: Optional[bytes], done: Event,
+            tenant: Optional[str] = None, compare: Optional[bytes] = None):
+        if kind in ("d", "c"):
+            yield from self._word_io(kind, addr, size, data, compare, done)
             return
+        is_read = kind == "r"
         start = self.env.now
         try:
             fragments = self.table.translate(addr, size)
@@ -454,53 +446,20 @@ class RedyCache:
         done.succeed(CacheIoResult(ok=True, data=payload,
                                    latency=self.env.now - start))
 
-    def _dependent_io(self, pointer_addr: int, size: int, done: Event):
-        """One pointer-chasing GET: translate the 8-byte pointer word,
-        then hand the chase to the data path as a single dependent op.
+    def _word_io(self, kind: str, addr: int, size: int,
+                 swap: Optional[bytes], compare: Optional[bytes],
+                 done: Event):
+        """One single-word op handed to the data path as one engine op.
 
-        The engine picks the transport (one-RTT verb program when the
-        configuration and endpoint allow it, two sequential READs
-        otherwise) and the record offset resolves remotely -- the client
-        never sees the intermediate pointer value.
+        A dependent read (``"d"``) chases the 8-byte pointer word at
+        ``addr`` to ``size`` record bytes; the engine picks the
+        transport and the record offset resolves remotely, so the
+        client never sees the pointer value.  A CAS (``"c"``) swaps the
+        word at ``addr`` and passes the observed original through even
+        on a mismatch.  Either way the word must sit in one region.
         """
         start = self.env.now
-        try:
-            fragments = self.table.translate(pointer_addr, 8)
-        except AddressError as exc:
-            done.succeed(CacheIoResult(ok=False, error=str(exc)))
-            return
-        if len(fragments) != 1:
-            done.succeed(CacheIoResult(
-                ok=False,
-                error="dependent read: pointer word spans regions"))
-            return
-        fragment = fragments[0]
-        gate = self.table.read_gate(fragment.region_index)
-        if gate is not None:
-            yield gate  # §6.2: paused until the region migrates
-        # Re-resolve the mapping: it may have flipped while we waited.
-        mapping = self.table.region(fragment.region_index)
-        op = EngineOp(
-            is_read=True, size=size, token=mapping.token, offset=0,
-            lookup_offset=fragment.offset, verify=True,
-            completion=self.env.event())
-        yield self.env.timeout(self.path.submission_overhead())
-        yield self.path.submit(op)
-        result = yield op.completion
-        if not result.ok:
-            done.succeed(CacheIoResult(
-                ok=False, error=result.error,
-                latency=self.env.now - start))
-            return
-        done.succeed(CacheIoResult(ok=True, data=result.data,
-                                   latency=self.env.now - start))
-
-    def _cas_io(self, addr: int, compare: Optional[bytes], swap: bytes,
-                done: Event):
-        """One standalone compare-and-swap: translate the 8-byte word,
-        post a single CAS op, and pass the observed original through --
-        even on a mismatch, which callers treat as data, not failure."""
-        start = self.env.now
+        cas = kind == "c"
         try:
             fragments = self.table.translate(addr, 8)
         except AddressError as exc:
@@ -508,18 +467,27 @@ class RedyCache:
             return
         if len(fragments) != 1:
             done.succeed(CacheIoResult(
-                ok=False, error="cas: word spans regions"))
+                ok=False,
+                error="cas: word spans regions" if cas
+                else "dependent read: pointer word spans regions"))
             return
         fragment = fragments[0]
-        gate = self.table.write_gate(fragment.region_index)
+        gate = (self.table.write_gate(fragment.region_index) if cas
+                else self.table.read_gate(fragment.region_index))
         if gate is not None:
             yield gate  # §6.2: paused until the region migrates
         # Re-resolve the mapping: it may have flipped while we waited.
-        mapping = self.table.region(fragment.region_index)
-        op = EngineOp(
-            is_read=False, size=8, token=mapping.token,
-            offset=fragment.offset, data=swap, cas=True, compare=compare,
-            completion=self.env.event())
+        token = self.table.region(fragment.region_index).token
+        if cas:
+            op = EngineOp(
+                is_read=False, size=8, token=token, offset=fragment.offset,
+                data=swap, cas=True, compare=compare,
+                completion=self.env.event())
+        else:
+            op = EngineOp(
+                is_read=True, size=size, token=token, offset=0,
+                lookup_offset=fragment.offset, verify=True,
+                completion=self.env.event())
         yield self.env.timeout(self.path.submission_overhead())
         yield self.path.submit(op)
         result = yield op.completion

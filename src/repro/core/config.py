@@ -89,13 +89,6 @@ class RdmaConfig:
     #: two-hop path is the measured baseline, and endpoints without
     #: chained-WQE support fall back to it anyway.
     use_verb_programs: bool = False
-    #: Model control-plane costs (QP create/connect handshakes, memory
-    #: registration, NIC QP-context cache pressure -- see
-    #: ``repro.cplane``).  Off by default: the paper's benchmarks assume
-    #: long-lived clients whose setup cost is amortized away, and the
-    #: calibrated data-path timings must not shift.  When on, the engine
-    #: creates its per-thread QPs *deferred* (lazy connect on first use).
-    model_control_plane: bool = False
 
     def __post_init__(self) -> None:
         if self.client_threads < 1:
@@ -136,7 +129,6 @@ class RdmaConfig:
                       one_sided_fast_path: bool | None = None,
                       numa_affinity: bool | None = None,
                       use_verb_programs: bool | None = None,
-                      model_control_plane: bool | None = None,
                       ) -> "RdmaConfig":
         """Copy with some optimization switches flipped."""
         updates = {}
@@ -148,8 +140,6 @@ class RdmaConfig:
             updates["numa_affinity"] = numa_affinity
         if use_verb_programs is not None:
             updates["use_verb_programs"] = use_verb_programs
-        if model_control_plane is not None:
-            updates["model_control_plane"] = model_control_plane
         return replace(self, **updates)
 
     def describe(self) -> str:

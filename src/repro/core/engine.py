@@ -191,8 +191,7 @@ class CacheDataPath:
         # With control-plane modeling on, per-thread QPs are created
         # deferred: the connect handshake is charged lazily on first
         # use instead of being free (see repro.cplane).
-        deferred = (config.model_control_plane
-                    or self.endpoint.fabric.model_control_plane)
+        deferred = self.endpoint.fabric.model_control_plane
         for thread, ring, ring_token in zip(
                 self.threads, response_rings, reply.request_ring_tokens):
             qp = QueuePair(self.env, self.endpoint, server.endpoint,
@@ -282,31 +281,22 @@ class CacheDataPath:
             self._round_robin += 1
         thread = self.threads[thread_index % len(self.threads)]
         connection = self._route(thread, op)
-        if op.is_dependent:
-            # Dependent GETs never enter the message-ring batching
-            # protocol: they are posted on their own doorbell (as a verb
-            # program, or as the classic two-hop READ sequence), so they
-            # cannot be folded into a two-sided batch that would lose
-            # the pointer-chase semantics.
+        if op.is_dependent or op.cas:
+            # Dependent GETs and CAS never enter the message-ring
+            # batching protocol: each is posted on its own doorbell (a
+            # verb program or two-hop READs keep the pointer-chase
+            # semantics; a CAS is atomic because one NIC verb runs it).
             if op.token is None:
-                raise EngineError("dependent reads need a region token")
+                raise EngineError(
+                    "dependent reads and CAS need a region token")
             if op.weight != 1:
-                raise EngineError("dependent reads are weight-1 ops")
+                raise EngineError(
+                    "dependent reads and CAS are weight-1 ops")
+            kind = "cas" if op.cas else "dependent-read"
             self.env.process(
-                self._dependent_read(thread, connection, op),
+                self._bypass(thread, connection, op),
                 name=f"redy-client:{self.endpoint.name}:"
-                     f"t{thread.index}:dependent-read")
-            return self.env.timeout(0)
-        if op.cas:
-            # Standalone CAS: like dependent reads, atomics never enter
-            # the message-ring batching protocol -- the NIC executes the
-            # compare-and-swap as a single verb on its own doorbell.
-            if op.token is None:
-                raise EngineError("CAS ops need a region token")
-            self.env.process(
-                self._cas_op(thread, connection, op),
-                name=f"redy-client:{self.endpoint.name}:"
-                     f"t{thread.index}:cas")
+                     f"t{thread.index}:{kind}")
             return self.env.timeout(0)
         return connection.batch_ring.put(op)
 
@@ -417,40 +407,42 @@ class CacheDataPath:
                               connection: _Connection, op: EngineOp,
                               completion_event: Event):
         completion = yield completion_event
-        yield thread.cpu.acquire()
-        try:
-            cpu = self.profile.cpu
-            work = self.profile.nic.completion_poll + cpu.callback
-            yield self.env.timeout(work * self._noise())
-        finally:
-            thread.cpu.release()
-        if not self.config.numa_affinity:
-            yield self.env.timeout(cpu.numa_penalty_mean * math.exp(
-                self.rng.normal(0.0, self._jitter_sigma)
-                - self._jitter_sigma**2 / 2))
-        connection.credits.try_put(object())
-        self._finish(op, OpResult(
-            ok=completion.ok, data=completion.data, error=completion.error,
-            latency=self.env.now - op.enqueued_at))
+        yield from self._reap(thread, connection, op, completion)
 
-    def _dependent_read(self, thread: _ClientThread, connection: _Connection,
-                        op: EngineOp):
-        """One pointer-chasing GET: index word first, then the record.
+    def _bypass(self, thread: _ClientThread, connection: _Connection,
+                op: EngineOp):
+        """One op outside the batching protocol: a dependent GET or a
+        standalone CAS.  Both pay the same issue and reap costs; only
+        the transport differs.
 
-        With ``use_verb_programs`` on (and a supporting remote NIC) the
-        whole chain is one posted program -- one round trip.  Otherwise,
-        or when a program completes in error (CAS guard abort, region
-        revoked mid-chain, downlevel endpoint), the classic two-hop READ
-        sequence runs as the fallback; an op only fails if the fallback
-        fails too, so no acked read is lost to the optimization.
+        A CAS mismatch is not a transport failure -- it completes with
+        ``ok=False``, ``error="cas mismatch"`` and the observed original
+        word in ``data``, which is what optimistic callers re-read and
+        retry against.
         """
+        yield from self._issue(thread, connection)
+        if op.cas:
+            if self._cas_ops_counter is not None:
+                self._cas_ops_counter.inc()
+            completion = yield connection.qp.post(WorkRequest(
+                RdmaOp.CAS, op.token, op.offset, op.size, data=op.data,
+                compare=op.compare))
+            if (completion.cas_aborted
+                    and self._cas_mismatch_counter is not None):
+                self._cas_mismatch_counter.inc()
+        else:
+            completion = yield from self._chase(thread, connection, op)
+        yield from self._reap(thread, connection, op, completion)
+
+    def _issue(self, thread: _ClientThread, connection: _Connection):
+        """Take a queue-depth credit, then charge the client CPU for
+        building and posting one work request."""
         env = self.env
         cpu, nic = self.profile.cpu, self.profile.nic
         credit_wait_started = env.now
         yield connection.credits.get()
         if self._credit_wait is not None:
             self._credit_wait.observe(env.now - credit_wait_started)
-
         yield thread.cpu.acquire()
         try:
             work = cpu.batch_prepare + nic.doorbell + cpu.client_per_op
@@ -458,41 +450,16 @@ class CacheDataPath:
         finally:
             thread.cpu.release()
 
-        supports = connection.server.endpoint.supports_programs
-        use_programs = self.config.use_verb_programs and supports
-        completion: Optional[Completion] = None
-        if self.config.use_verb_programs and not supports:
-            # Graceful degradation: remote NIC cannot run chains.
-            if self._fallback_counter is not None:
-                self._fallback_counter.inc()
-        if use_programs:
-            program = VerbProgram.dependent_read(
-                pointer_offset=op.lookup_offset,
-                pointer_bytes=op.lookup_size,
-                fallback_offset=op.offset,
-                read_bytes=op.size,
-                verify=op.verify,
-                label="get:bucket->record")
-            if self._programs_counter is not None:
-                self._programs_counter.inc()
-            completion = yield connection.qp.post_program(program, op.token)
-            if completion.cas_aborted and self._cas_abort_counter is not None:
-                self._cas_abort_counter.inc()
-            if not completion.ok:
-                # Abort fallback: re-run the access as the classic
-                # two-hop sequence (it re-samples the pointer, so a
-                # guard abort resolves to the post-move location).
-                if self._fallback_counter is not None:
-                    self._fallback_counter.inc()
-                completion = None
-        if completion is None:
-            if self._two_hop_counter is not None:
-                self._two_hop_counter.inc()
-            completion = yield from self._two_hop_read(thread, connection, op)
-
+    def _reap(self, thread: _ClientThread, connection: _Connection,
+              op: EngineOp, completion: Completion):
+        """Reap one verb completion: poll + callback on the client CPU,
+        the cross-NUMA hop when threads are not affinitized, then return
+        the credit and settle the op."""
+        env = self.env
+        cpu = self.profile.cpu
         yield thread.cpu.acquire()
         try:
-            work = nic.completion_poll + cpu.callback
+            work = self.profile.nic.completion_poll + cpu.callback
             yield env.timeout(work * self._noise())
         finally:
             thread.cpu.release()
@@ -505,48 +472,46 @@ class CacheDataPath:
             ok=completion.ok, data=completion.data, error=completion.error,
             latency=env.now - op.enqueued_at))
 
-    def _cas_op(self, thread: _ClientThread, connection: _Connection,
-                op: EngineOp):
-        """One standalone compare-and-swap (server-side eviction marking).
+    def _chase(self, thread: _ClientThread, connection: _Connection,
+               op: EngineOp):
+        """The dependent GET's transport: index word first, then the
+        record; returns the completion that answers the op.
 
-        The QP executes the verb remotely and atomically; a mismatch is
-        not a transport failure -- it completes with ``ok=False``,
-        ``error="cas mismatch"`` and the observed original word in
-        ``data``, which is exactly what optimistic callers need to
-        re-read and retry.
+        With ``use_verb_programs`` on (and a supporting remote NIC) the
+        whole chain is one posted program -- one round trip.  Otherwise,
+        or when a program completes in error (CAS guard abort, region
+        revoked mid-chain, downlevel endpoint), the classic two-hop READ
+        sequence runs as the fallback; an op only fails if the fallback
+        fails too, so no acked read is lost to the optimization.
         """
-        env = self.env
-        cpu, nic = self.profile.cpu, self.profile.nic
-        credit_wait_started = env.now
-        yield connection.credits.get()
-        if self._credit_wait is not None:
-            self._credit_wait.observe(env.now - credit_wait_started)
-
-        yield thread.cpu.acquire()
-        try:
-            work = cpu.batch_prepare + nic.doorbell + cpu.client_per_op
-            yield env.timeout(work * self._noise())
-        finally:
-            thread.cpu.release()
-
-        if self._cas_ops_counter is not None:
-            self._cas_ops_counter.inc()
-        completion = yield connection.qp.post(WorkRequest(
-            RdmaOp.CAS, op.token, op.offset, op.size, data=op.data,
-            compare=op.compare))
-        if completion.cas_aborted and self._cas_mismatch_counter is not None:
-            self._cas_mismatch_counter.inc()
-
-        yield thread.cpu.acquire()
-        try:
-            work = nic.completion_poll + cpu.callback
-            yield env.timeout(work * self._noise())
-        finally:
-            thread.cpu.release()
-        connection.credits.try_put(object())
-        self._finish(op, OpResult(
-            ok=completion.ok, data=completion.data, error=completion.error,
-            latency=env.now - op.enqueued_at))
+        supports = connection.server.endpoint.supports_programs
+        if self.config.use_verb_programs:
+            if supports:
+                program = VerbProgram.dependent_read(
+                    pointer_offset=op.lookup_offset,
+                    pointer_bytes=op.lookup_size,
+                    fallback_offset=op.offset,
+                    read_bytes=op.size,
+                    verify=op.verify,
+                    label="get:bucket->record")
+                if self._programs_counter is not None:
+                    self._programs_counter.inc()
+                completion = yield connection.qp.post_program(
+                    program, op.token)
+                if (completion.cas_aborted
+                        and self._cas_abort_counter is not None):
+                    self._cas_abort_counter.inc()
+                if completion.ok:
+                    return completion
+            # Graceful degradation (the remote NIC cannot run chains) or
+            # abort fallback: re-run the access as the classic two-hop
+            # sequence (it re-samples the pointer, so a guard abort
+            # resolves to the post-move location).
+            if self._fallback_counter is not None:
+                self._fallback_counter.inc()
+        if self._two_hop_counter is not None:
+            self._two_hop_counter.inc()
+        return (yield from self._two_hop_read(thread, connection, op))
 
     def _two_hop_read(self, thread: _ClientThread, connection: _Connection,
                       op: EngineOp):

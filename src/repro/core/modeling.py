@@ -15,9 +15,10 @@ f(16,2,2,2)"); skipped points are filled with plateau estimates.
 
 Two measurers are provided:
 
-* :func:`make_engine_measurer` runs the full simulated testbed
-  (:func:`repro.core.measurement.measure_config`) per grid point --
-  the faithful but slower path;
+* :func:`make_testbed_measurer` runs the full simulated testbed
+  (:func:`repro.core.measurement.measure_config`) per grid point
+  through a :class:`~repro.exec.runner.SweepRunner` -- the faithful but
+  slower path;
 * :func:`make_analytic_measurer` evaluates the analytic
   :class:`~repro.core.latency.DataPathModel` with multiplicative
   measurement noise -- the fast path for large campaigns.
@@ -33,7 +34,6 @@ import numpy as np
 
 from repro.core.config import PerfPoint, RdmaConfig
 from repro.core.latency import DataPathModel
-from repro.core.measurement import measure_config
 from repro.core.space import ConfigSpace
 from repro.hardware.profiles import AZURE_HPC, TestbedProfile
 
@@ -42,7 +42,6 @@ __all__ = [
     "OfflineModeler",
     "PerfModel",
     "make_analytic_measurer",
-    "make_engine_measurer",
     "make_testbed_measurer",
 ]
 
@@ -410,35 +409,16 @@ def make_analytic_measurer(profile: TestbedProfile = AZURE_HPC, *,
     return measurer
 
 
-def make_engine_measurer(profile: TestbedProfile = AZURE_HPC, *,
-                         record_size: int, switch_hops: int = 1,
-                         seed: int = 0,
-                         batches_per_connection: int = 60,
-                         warmup_batches: int = 15,
-                         dependent_reads: bool = False) -> Measurer:
-    """Measurer that runs the full simulated testbed per grid point."""
-
-    def measurer(config: RdmaConfig) -> PerfPoint:
-        result = measure_config(
-            config, record_size, profile=profile, switch_hops=switch_hops,
-            batches_per_connection=batches_per_connection,
-            warmup_batches=warmup_batches, seed=seed,
-            dependent_reads=dependent_reads)
-        return result.perf
-
-    return measurer
-
-
 class TestbedMeasurer:
     """An engine measurer that batches grid points through a sweep runner.
 
-    Calling it measures one configuration like
-    :func:`make_engine_measurer`'s closure does; :meth:`prefetch` hands a
-    whole batch of configurations to a
+    Calling it measures one configuration with
+    :func:`~repro.core.measurement.measure_config`; :meth:`prefetch`
+    hands a whole batch of configurations to a
     :class:`~repro.exec.runner.SweepRunner` first, so a parallel pool
     (and the on-disk result cache) serves the subsequent calls.  Every
-    grid point uses the *same* seed -- like the serial engine measurer
-    -- so prefetched, cached, and on-demand results are bit-identical.
+    grid point uses the *same* seed, so prefetched, cached, and
+    on-demand results are bit-identical.
     """
 
     def __init__(self, runner, profile: TestbedProfile = AZURE_HPC, *,

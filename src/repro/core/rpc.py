@@ -25,8 +25,6 @@ from repro.sim.kernel import Environment, Event
 
 __all__ = ["RpcClient", "RpcError", "RpcServer"]
 
-_CALL_IDS = itertools.count(1)
-
 #: Default serialized size of a control message.
 DEFAULT_MESSAGE_BYTES = 256
 
@@ -77,13 +75,18 @@ class RpcClient:
         self.endpoint = endpoint
         #: Lifetime statistics.
         self.calls_sent = 0
+        #: Call ids name the round-trip processes.  Scoped to the client,
+        #: not the module, so same-seed runs in one interpreter name
+        #: their processes identically (a module counter keeps ticking
+        #: across runs, which the replay sanitizer flags as divergence).
+        self._call_ids = itertools.count(1)
 
     def call(self, server: RpcServer, method: str, payload: Any = None, *,
              request_bytes: int = DEFAULT_MESSAGE_BYTES,
              response_bytes: int = DEFAULT_MESSAGE_BYTES) -> Event:
         """Invoke ``method`` on ``server``; the returned event fires with
         the handler's return value, or fails with :class:`RpcError`."""
-        call = _Call(call_id=next(_CALL_IDS), method=method,
+        call = _Call(call_id=next(self._call_ids), method=method,
                      payload=payload, request_bytes=request_bytes,
                      response_bytes=response_bytes)
         done = self.env.event()

@@ -72,11 +72,6 @@ class NicSpec:
     #: per step, which is what makes one-RTT dependent reads profitable.
     program_step_latency: float = 0.10 * US
 
-    #: Fraction of ``per_message_processing`` a work request pays when it
-    #: rides behind another WR's doorbell (one MMIO write + one WQE-ring
-    #: DMA fetch cover the whole batch; per-WR transport state remains).
-    doorbell_batch_discount: float = 0.4
-
     #: Max messages/second one QP can sustain (millions).  This is what the
     #: raw nd_read_bw/nd_write_bw baseline hits for small records, and what
     #: Redy's batching side-steps (Figure 12: 10x over raw at 16 B).

@@ -9,15 +9,18 @@ earlier step's returned data, guarded by compare-and-swap steps that
 abort the chain when the memory it depends on changed underneath it.
 
 A :class:`VerbProgram` is the descriptor for one such offloaded
-sequence.  It travels to the remote NIC in **one** request message (the
-descriptor plus any inline WRITE payloads), executes step by step at the
-remote NIC (each step charged :attr:`~repro.hardware.nic.NicSpec.
-program_step_latency` plus its DMA cost), and returns **one** response
-carrying the READ payloads -- so a dependent chain costs one round trip
-plus remote service time instead of one round trip per hop.  The
-execution engine lives in :meth:`repro.net.qp.QueuePair._execute`; this
-module owns the descriptor, its validation, and its wire-cost
-accounting.
+sequence.  Redy posts one shape, the dependent read built by
+:meth:`VerbProgram.dependent_read`, so steps are what that shape needs:
+READs (at a static offset, or at the offset an earlier READ returned)
+and the CAS guard that re-checks a word an earlier step read.  The
+program travels to the remote NIC in **one** request message,
+executes step by step at the remote NIC (each step charged
+:attr:`~repro.hardware.nic.NicSpec.program_step_latency` plus its DMA
+cost), and returns **one** response carrying the READ payloads -- so a
+dependent chain costs one round trip plus remote service time instead
+of one round trip per hop.  The execution engine lives in
+:meth:`repro.net.qp.QueuePair._execute_program`; this module owns the
+descriptor, its validation, and its wire-cost accounting.
 
 Failure semantics: a step that faults (revoked token, out-of-bounds
 deref) or a CAS guard that observes a changed value aborts the chain at
@@ -81,7 +84,8 @@ class StepOp(enum.Enum):
     """One chained verb inside a program."""
 
     READ = "read"
-    WRITE = "write"
+    #: Self-verifying guard: compare a word against an earlier step's
+    #: bytes; never swaps.
     CAS = "cas"
 
 
@@ -97,26 +101,21 @@ class ProgramStep:
     size-only (unbacked) measurement regions, keeping the timing path
     identical whether or not the region stores real bytes.
 
-    CAS steps compare the current word at the (resolved) offset against
-    ``compare`` -- or against the bytes an earlier step returned, when
-    ``compare_from`` is set (the self-verifying guard: "abort unless
-    this word still holds what step k saw").  On match, ``data`` (if
-    given) is swapped in; a guard passes ``data=None`` and leaves memory
-    untouched.  On mismatch the program aborts with ``cas_aborted``.
+    A CAS step is a guard: it compares the current word at the
+    (resolved) offset against the bytes step ``compare_from`` returned
+    ("abort unless this word still holds what step k saw") and aborts
+    the program with ``cas_aborted`` on a mismatch.
     """
 
     op: StepOp
     offset: int = 0
     length: int = 0
-    data: Optional[bytes] = None
     #: Index of an earlier READ step whose returned bytes supply this
     #: step's remote offset (None = static offset).
     offset_from: Optional[int] = None
-    #: CAS only: index of an earlier step whose returned bytes are the
-    #: expected value (None = use ``compare``).
+    #: CAS only: index of the earlier step whose returned bytes are the
+    #: expected value.
     compare_from: Optional[int] = None
-    #: CAS only: static expected value (ignored when ``compare_from``).
-    compare: Optional[bytes] = None
 
     def validate(self, index: int) -> None:
         if self.offset < 0:
@@ -128,52 +127,34 @@ class ProgramStep:
             raise ProgramError(
                 f"step {index}: offset_from must name an earlier step, "
                 f"got {self.offset_from}")
-        if self.op is StepOp.WRITE:
-            if self.data is not None and len(self.data) != self.length:
-                raise ProgramError(
-                    f"step {index}: WRITE data length {len(self.data)} "
-                    f"!= length {self.length}")
-        elif self.op is StepOp.CAS:
+        if self.op is StepOp.CAS:
             if self.length != CAS_WORD_BYTES:
                 raise ProgramError(
                     f"step {index}: CAS operates on {CAS_WORD_BYTES}-byte "
                     f"words, got length {self.length}")
-            if self.compare_from is not None and not (
+            if self.compare_from is None or not (
                     0 <= self.compare_from < index):
                 raise ProgramError(
                     f"step {index}: compare_from must name an earlier "
                     f"step, got {self.compare_from}")
-            if self.data is not None and len(self.data) != CAS_WORD_BYTES:
-                raise ProgramError(
-                    f"step {index}: CAS swap value must be "
-                    f"{CAS_WORD_BYTES} bytes")
-            if self.compare is not None and len(self.compare) != CAS_WORD_BYTES:
-                raise ProgramError(
-                    f"step {index}: CAS compare value must be "
-                    f"{CAS_WORD_BYTES} bytes")
-        else:  # READ
-            if self.data is not None:
-                raise ProgramError(f"step {index}: READ steps carry no data")
+        elif self.compare_from is not None:
+            raise ProgramError(f"step {index}: READ steps compare nothing")
 
     @property
     def request_wire_bytes(self) -> int:
         """Bytes this step adds to the program descriptor on the wire."""
-        inline = 0
-        if self.op is StepOp.WRITE and self.length:
-            inline = self.length
-        elif self.op is StepOp.CAS:
-            # Compare + swap operands ride in the descriptor.
-            inline = 2 * CAS_WORD_BYTES
-        return STEP_DESCRIPTOR_BYTES + inline
+        if self.op is StepOp.CAS:
+            # A guard is framed as a CAS WQE: its compare and swap
+            # operand slots ride in the descriptor.
+            return STEP_DESCRIPTOR_BYTES + 2 * CAS_WORD_BYTES
+        return STEP_DESCRIPTOR_BYTES
 
     @property
     def response_wire_bytes(self) -> int:
         """Bytes this step adds to the single response message."""
-        if self.op is StepOp.READ:
-            return self.length
         if self.op is StepOp.CAS:
             return CAS_WORD_BYTES  # the observed original value
-        return 0
+        return self.length
 
 
 @dataclass(frozen=True)
@@ -217,7 +198,7 @@ class VerbProgram:
     @property
     def request_wire_bytes(self) -> int:
         """One descriptor message: header + per-step descriptors +
-        inline WRITE/CAS operands."""
+        inline guard operands."""
         return PROGRAM_HEADER_BYTES + sum(
             step.request_wire_bytes for step in self.steps)
 
@@ -235,17 +216,10 @@ class VerbProgram:
             for step in self.steps[:steps_completed])
 
     @property
-    def write_payload_bytes(self) -> int:
-        """Client-side payload bytes the NIC must gather before sending
-        (drives the inline-vs-DMA-fetch charge at post time)."""
-        return sum(step.length for step in self.steps
-                   if step.op is StepOp.WRITE)
-
-    @property
     def shape_key(self) -> Tuple:
         """Structural identity of this program: everything the remote
         NIC needs to pre-compile the chain, *excluding* per-request
-        operands (offsets, payloads, compare words).
+        operands (offsets).
 
         Two dependent GETs for different keys share a shape; the first
         posts the full descriptor, later ones a compact reference (see
@@ -254,22 +228,19 @@ class VerbProgram:
         """
         return tuple(
             (step.op.value, step.length, step.offset_from,
-             step.compare_from, step.data is not None,
-             step.compare is not None)
+             step.compare_from)
             for step in self.steps)
 
     @property
     def cached_request_wire_bytes(self) -> int:
         """Request size when the responder already holds this shape:
         header + shape reference + per-step operands (a u64 offset per
-        step plus inline WRITE/CAS payloads) instead of the full
+        step plus each guard's compare/swap slots) instead of the full
         per-step descriptors."""
         operand_bytes = 0
         for step in self.steps:
             operand_bytes += CAS_WORD_BYTES  # offset / fallback offset
-            if step.op is StepOp.WRITE and step.length:
-                operand_bytes += step.length
-            elif step.op is StepOp.CAS:
+            if step.op is StepOp.CAS:
                 operand_bytes += 2 * CAS_WORD_BYTES
         return PROGRAM_HEADER_BYTES + SHAPE_REFERENCE_BYTES + operand_bytes
 

@@ -11,12 +11,13 @@ how RDMA surfaces transport errors through the completion queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional
 
 from repro.net.fabric import Endpoint
 from repro.net.memory import AccessToken, RdmaAccessError
 from repro.net.programs import (
     CAS_WORD_BYTES,
+    ProgramStep,
     StepOp,
     StepResult,
     VerbProgram,
@@ -316,38 +317,17 @@ class QueuePair:
             self._backlog_depth.set(len(self._backlog))
 
     def post_program(self, program: VerbProgram, token: AccessToken,
-                     context: object = None,
-                     payload_object: object = None) -> Event:
-        """Post a chained verb program as one work request.
+                     context: object = None) -> Event:
+        """Post a dependent-read chain as one work request.
 
         The whole chain travels in one descriptor message, executes at
         the remote NIC, and answers with one completion -- partial if a
-        step faulted or a CAS guard aborted the chain (see
-        :mod:`repro.net.programs`).  ``payload_object`` is delivered to
-        the target region's mailbox if the program lands any WRITE step
-        (batch correlation for ring-style submissions).
+        step faulted or the CAS guard aborted the chain (see
+        :mod:`repro.net.programs`).
         """
-        wr = WorkRequest(
+        return self.post(WorkRequest(
             RdmaOp.PROGRAM, token, 0, program.request_wire_bytes,
-            context=context, payload_object=payload_object, program=program)
-        return self.post(wr)
-
-    def post_many(self, wrs: Sequence[WorkRequest]) -> List[Event]:
-        """Doorbell-batched submission of several work requests.
-
-        One MMIO doorbell and one WQE-ring fetch cover the batch: the
-        first request pays the full per-message processing charge, every
-        follower the discounted one (``NicSpec.doorbell_batch_discount``).
-        Completions stay per-request, in post order, each carrying its
-        own ``context`` -- batch correlation survives the shared
-        doorbell.
-        """
-        events: List[Event] = []
-        for index, wr in enumerate(wrs):
-            if index:
-                wr.doorbell_batched = True
-            events.append(self.post(wr))
-        return events
+            context=context, program=program))
 
     def _context_penalty(self, endpoint: Endpoint) -> float:
         """Touch ``endpoint``'s NIC QP-context cache for this QP.
@@ -393,6 +373,7 @@ class QueuePair:
         fabric = local.fabric
         nic = fabric.profile.nic
         env = self.env
+        op = wr.op
 
         if not local.alive:
             # A dead requester posts nothing: its NIC is gone.
@@ -400,30 +381,27 @@ class QueuePair:
                          self._error_completion(wr, "local endpoint down"))
             return
 
-        # NIC work-request processing on the requester.  Followers of a
-        # doorbell batch amortize the MMIO + WQE-ring fetch.
+        # NIC work-request processing on the requester.
         per_message = nic.per_message_processing
-        if wr.doorbell_batched:
-            per_message *= nic.doorbell_batch_discount
         penalty = self._context_penalty(local)
         if penalty:
             per_message += penalty
         yield env.timeout(per_message)
 
-        if wr.op is RdmaOp.PROGRAM:
+        if op is RdmaOp.PROGRAM:
             yield from self._execute_program(wr, completion_event)
             return
-        if wr.op is RdmaOp.CAS:
-            yield from self._execute_cas(wr, completion_event)
-            return
 
-        if wr.op is RdmaOp.WRITE:
+        if op is RdmaOp.WRITE:
             # Payload acquisition: inline rides in the WQE; otherwise the
             # NIC fetches it from host memory over PCIe.  This asymmetry
             # is why small writes beat small reads in Figure 11.
             if not nic.can_inline(wr.payload_bytes):
                 yield env.timeout(nic.dma_fetch(wr.payload_bytes))
             request_bytes = wr.payload_bytes
+        elif op is RdmaOp.CAS:
+            # Both operands (compare + swap words) ride inline.
+            request_bytes = 2 * CAS_WORD_BYTES
         else:
             request_bytes = CONTROL_MESSAGE_BYTES
 
@@ -448,13 +426,27 @@ class QueuePair:
             return
 
         data: Optional[bytes] = None
+        matched = True
         try:
-            if wr.op is RdmaOp.WRITE:
+            if op is RdmaOp.WRITE:
                 yield env.timeout(nic.rx_dma)
                 region.write(wr.token, wr.remote_offset, wr.data,
                              length=wr.payload_bytes)
                 region.deliver(wr.payload_object)
                 response_bytes = CONTROL_MESSAGE_BYTES
+            elif op is RdmaOp.CAS:
+                # The responder executes the atomic like one chained
+                # step: fetch the word, compare, swap on a match.  The
+                # response carries the observed original either way.
+                yield env.timeout(nic.program_step_latency
+                                  + nic.dma_fetch(CAS_WORD_BYTES))
+                data = region.read(wr.token, wr.remote_offset,
+                                   CAS_WORD_BYTES)
+                matched = (data is None or wr.compare is None
+                           or data == wr.compare)
+                if matched and wr.data is not None:
+                    region.write(wr.token, wr.remote_offset, wr.data)
+                response_bytes = CAS_WORD_BYTES
             else:
                 # Responder NIC pulls the payload from host memory.
                 yield env.timeout(nic.dma_fetch(wr.payload_bytes))
@@ -467,34 +459,36 @@ class QueuePair:
 
         yield from fabric.transmit(remote, local, response_bytes)
 
-        if wr.op is RdmaOp.READ:
-            # Deliver the payload into the requester's memory.
+        if op is not RdmaOp.WRITE:
+            # Deliver the READ payload / CAS original into requester memory.
             yield env.timeout(nic.rx_dma)
 
+        if not matched and self._program_cas_aborts is not None:
+            self._program_cas_aborts.inc()
         self._finish(
             wr, completion_event,
-            Completion(wr_id=wr.wr_id, op=wr.op, ok=True, data=data,
-                       context=wr.context))
+            Completion(wr_id=wr.wr_id, op=op, ok=matched, data=data,
+                       error=None if matched else "cas mismatch",
+                       context=wr.context, cas_aborted=not matched))
 
     def _execute_program(self, wr: WorkRequest, completion_event: Event):
-        """Execute a chained verb program: one wire round trip plus
+        """Execute a dependent-read chain: one wire round trip plus
         per-step remote-NIC service time.
 
-        The descriptor (plus inline WRITE operands) crosses the fabric
-        once; the remote NIC walks the chain charging
-        ``program_step_latency`` per step plus each step's DMA cost, all
-        folded into a *single* service timeout (one trigger->resume edge
-        per program -- the happens-before detector and the replay
-        sanitizer see program execution as one atomic remote event, not
-        a per-step flurry); one response returns the produced payloads.
+        The descriptor crosses the fabric once; the remote NIC walks the
+        chain charging ``program_step_latency`` per step plus each step's
+        DMA cost, all folded into a *single* service timeout (one
+        trigger->resume edge per program -- the happens-before detector
+        and the replay sanitizer see program execution as one atomic
+        remote event, not a per-step flurry); one response returns the
+        READ payloads.
 
-        Memory sampling: non-guard steps read/write at descriptor
-        arrival; CAS guards (``compare_from``) re-sample *after* the
-        service window, so a write that lands while the chain executes
-        is visible to them -- that is the self-verifying read that makes
-        dependent GETs safe against concurrent migration.  A fault or
-        guard mismatch aborts the chain and surfaces a partial
-        completion.
+        Memory sampling: READ steps read at descriptor arrival; CAS
+        guards re-sample *after* the service window, so a write that
+        lands while the chain executes is visible to them -- that is the
+        self-verifying read that makes dependent GETs safe against
+        concurrent migration.  A fault or guard mismatch aborts the
+        chain and surfaces a partial completion.
         """
         local = self.local
         remote = self.remote
@@ -505,12 +499,6 @@ class QueuePair:
         assert program is not None
         if self._programs_posted is not None:
             self._programs_posted.inc()
-
-        # Gather WRITE operands: small ones ride inline in the
-        # descriptor, larger ones are DMA-fetched before it leaves.
-        write_bytes = program.write_payload_bytes
-        if write_bytes and not nic.can_inline(write_bytes):
-            yield env.timeout(nic.dma_fetch(write_bytes))
 
         # Descriptor amortization: when the responder already has this
         # program *shape* installed (any earlier connection posted it),
@@ -542,60 +530,36 @@ class QueuePair:
         steps = program.steps
         produced: List[Optional[bytes]] = [None] * len(steps)
         results: Dict[int, StepResult] = {}
-        guards: List[tuple[int, object, int]] = []
+        guards: List[tuple[int, ProgramStep, int]] = []
         service = self._context_penalty(remote)
         error: Optional[str] = None
-        cas_aborted = False
-        wrote = False
 
         for index, step in enumerate(steps):
             service += nic.program_step_latency
             offset = resolve_offset(step, tuple(produced))
-            if step.op is StepOp.CAS and step.compare_from is not None:
-                # Self-verifying guard: evaluated after the service
-                # window, against then-current memory.
+            if step.op is StepOp.CAS:
+                # Guard: evaluated after the service window, against
+                # then-current memory.
                 service += nic.dma_fetch(step.length)
                 guards.append((index, step, offset))
                 continue
+            if step.length:
+                service += nic.dma_fetch(step.length)
             try:
-                if step.op is StepOp.READ:
-                    if step.length:
-                        service += nic.dma_fetch(step.length)
-                    data = region.read(wr.token, offset, step.length)
-                    produced[index] = data
-                    results[index] = StepResult(index, step.op, True,
-                                                offset, data)
-                elif step.op is StepOp.WRITE:
-                    service += nic.rx_dma
-                    region.write(wr.token, offset, step.data,
-                                 length=step.length)
-                    wrote = True
-                    results[index] = StepResult(index, step.op, True, offset)
-                else:  # CAS against a static expected value
-                    service += nic.dma_fetch(step.length)
-                    current = region.read(wr.token, offset, step.length)
-                    matched = (current is None or step.compare is None
-                               or current == step.compare)
-                    produced[index] = current
-                    results[index] = StepResult(
-                        index, step.op, matched, offset, current,
-                        None if matched else "cas mismatch")
-                    if matched and step.data is not None:
-                        region.write(wr.token, offset, step.data)
-                    if not matched:
-                        cas_aborted = True
-                        error = f"program aborted by CAS at step {index}"
-                        break
+                data = region.read(wr.token, offset, step.length)
             except RdmaAccessError as exc:
                 error = str(exc)
                 results[index] = StepResult(index, step.op, False, offset,
                                             None, error)
                 break
+            produced[index] = data
+            results[index] = StepResult(index, step.op, True, offset, data)
 
         # The whole remote-side chain is one service interval.
         yield env.timeout(service)
 
-        if error is None and not cas_aborted:
+        cas_aborted = False
+        if error is None:
             try:
                 # The region may have been revoked while the chain ran
                 # (migration finalized, VM reclaimed mid-program): the
@@ -610,8 +574,6 @@ class QueuePair:
                         index, StepOp.CAS, matched, offset, current,
                         None if matched else
                         "cas guard: word changed mid-program")
-                    if matched and step.data is not None:
-                        region.write(wr.token, offset, step.data)
                     if not matched:
                         cas_aborted = True
                         error = (f"program aborted by CAS guard at "
@@ -626,74 +588,21 @@ class QueuePair:
             self._program_steps.inc(len(step_results))
             if cas_aborted:
                 self._program_cas_aborts.inc()
-        ok = error is None and not cas_aborted
+        ok = error is None
 
         response_bytes = (program.response_wire_bytes if ok
                           else program.response_bytes_through(executed))
         yield from fabric.transmit(remote, local, response_bytes)
 
-        data: Optional[bytes] = None
-        delivered_read = False
-        for result in step_results:
-            if result.op is StepOp.READ and result.ok:
-                data = result.data
-                delivered_read = True
-        if delivered_read:
+        reads = [r for r in step_results if r.op is StepOp.READ and r.ok]
+        if reads:
             yield env.timeout(nic.rx_dma)
-        if ok and wrote:
-            region.deliver(wr.payload_object)
 
         self._finish(wr, completion_event, Completion(
             wr_id=wr.wr_id, op=RdmaOp.PROGRAM, ok=ok,
-            data=data if ok else None, error=error, context=wr.context,
-            steps_completed=executed, step_results=step_results,
-            cas_aborted=cas_aborted))
-
-    def _execute_cas(self, wr: WorkRequest, completion_event: Event):
-        """Standalone single-word compare-and-swap (e.g. remote-side
-        eviction marking).  ``wr.data`` is the swap value, ``wr.compare``
-        the expected word; the completion's ``data`` is the observed
-        original, with ``cas_aborted`` set on mismatch."""
-        local = self.local
-        remote = self.remote
-        fabric = local.fabric
-        nic = fabric.profile.nic
-        env = self.env
-
-        # Both operands ride inline in the work request.
-        yield from fabric.transmit(local, remote, 2 * CAS_WORD_BYTES)
-        if not remote.alive:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "remote endpoint down"))
-            return
-        region = remote.find_region(wr.token.region_id)
-        if region is None:
-            self._finish(
-                wr, completion_event,
-                self._error_completion(
-                    wr, f"no region {wr.token.region_id} at {remote.name}"))
-            return
-        try:
-            yield env.timeout(nic.program_step_latency
-                              + nic.dma_fetch(CAS_WORD_BYTES)
-                              + self._context_penalty(remote))
-            current = region.read(wr.token, wr.remote_offset, CAS_WORD_BYTES)
-            matched = (current is None or wr.compare is None
-                       or current == wr.compare)
-            if matched and wr.data is not None:
-                region.write(wr.token, wr.remote_offset, wr.data)
-        except RdmaAccessError as exc:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, str(exc)))
-            return
-        yield from fabric.transmit(remote, local, CAS_WORD_BYTES)
-        yield env.timeout(nic.rx_dma)
-        if self._program_cas_aborts is not None and not matched:
-            self._program_cas_aborts.inc()
-        self._finish(wr, completion_event, Completion(
-            wr_id=wr.wr_id, op=RdmaOp.CAS, ok=matched, data=current,
-            error=None if matched else "cas mismatch", context=wr.context,
-            cas_aborted=not matched))
+            data=reads[-1].data if ok else None, error=error,
+            context=wr.context, steps_completed=executed,
+            step_results=step_results, cas_aborted=cas_aborted))
 
     def _error_completion(self, wr: WorkRequest, error: str) -> Completion:
         return Completion(wr_id=wr.wr_id, op=wr.op, ok=False, error=error,

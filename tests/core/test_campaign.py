@@ -55,3 +55,26 @@ class TestCampaign:
         assert result.duration_hours < 24
         implied_1000 = 1000 * (result.duration_s / result.measured) / 3600
         assert implied_1000 == pytest.approx(15.0, rel=0.15)
+
+
+def test_same_seed_campaigns_replay_identically_in_one_interpreter():
+    """RPC call ids name the round-trip processes (``rpc:{method}#{id}``).
+    They are numbered per client, so a second same-seed campaign in the
+    same interpreter names -- and schedules -- its processes exactly
+    like the first."""
+    from repro.analysis.sanitize import _compare, _record
+
+    space = ConfigSpace(max_client_threads=2, record_size=64,
+                        max_queue_depth=4)
+
+    def campaign(seed):
+        measurer = make_analytic_measurer(record_size=64, noise=0.03,
+                                          seed=seed)
+        return run_modeling_campaign(space, measurer).rpc_calls
+
+    first, calls = _record(campaign, 0)
+    again, calls_again = _record(campaign, 0)
+    report = _compare(first, again, 0, "campaign", context_events=2)
+    assert report.deterministic, (report.divergence_index, report.entry_a,
+                                  report.entry_b)
+    assert calls == calls_again > 0

@@ -37,6 +37,36 @@ def run_op(env, path, op):
     return env.run_process(proc(env))
 
 
+class TestSingleOpReap:
+    """One-sided verbs, dependent reads and CAS share one reap: all pay
+    the cross-NUMA hop when client threads are not affinitized."""
+
+    @pytest.mark.parametrize("cas", [False, True], ids=["read", "cas"])
+    def test_unaffinitized_threads_pay_the_numa_hop(self, cas):
+        def latency(numa_affinity):
+            config = RdmaConfig(1, 0, 1, 4, numa_affinity=numa_affinity)
+            env, _, path, tokens = make_stack(config, seed=3)
+            if cas:
+                op = EngineOp(is_read=False, size=8, token=tokens[0],
+                              data=bytes(8), cas=True,
+                              completion=env.event())
+            else:
+                op = EngineOp(is_read=True, size=8, token=tokens[0],
+                              completion=env.event())
+
+            def proc(env):
+                # Submitted directly: submission_overhead() would draw
+                # NUMA jitter from the same RNG stream before the op.
+                yield path.submit(op)
+                return (yield op.completion)
+
+            result = env.run_process(proc(env))
+            assert result.ok
+            return result.latency
+
+        assert latency(False) > latency(True)
+
+
 class TestFunctionalDataPath:
     def test_one_sided_write_then_read_round_trip(self):
         env, _, path, tokens = make_stack(RdmaConfig(1, 0, 1, 4))

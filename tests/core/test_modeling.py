@@ -4,12 +4,14 @@ import pytest
 
 from repro.core import RdmaConfig
 from repro.core.latency import DataPathModel
+from repro.core.measurement import measure_config
 from repro.core.modeling import (
     OfflineModeler,
     make_analytic_measurer,
-    make_engine_measurer,
+    make_testbed_measurer,
 )
 from repro.core.space import ConfigSpace
+from repro.exec.runner import SweepRunner
 from repro.hardware import AZURE_HPC
 
 
@@ -128,28 +130,30 @@ class TestEngineMeasurer:
         """The simulated-testbed measurer and the analytic model must tell
         the same story (they share the same cost constants)."""
         config = RdmaConfig(2, 1, 4, 4)
-        engine = make_engine_measurer(record_size=64, seed=2,
-                                      batches_per_connection=80)(config)
+        engine = make_testbed_measurer(
+            record_size=64, seed=2, batches_per_connection=80,
+            runner=SweepRunner(max_workers=1))(config)
         analytic = DataPathModel(AZURE_HPC, 1).evaluate(config, 64)
         assert engine.latency == pytest.approx(analytic.latency, rel=0.45)
         assert engine.throughput == pytest.approx(analytic.throughput,
                                                   rel=0.45)
 
 
-def test_testbed_measurer_matches_engine_measurer_bit_for_bit():
-    """The batch-mode (sweep-executor) measurer and the serial engine
-    measurer walk the same grid to identical PerfPoints, with the
-    prefetch hook measuring every grid point exactly once."""
-    from repro.core.modeling import make_engine_measurer, make_testbed_measurer
-
+def test_testbed_measurer_matches_measure_config_bit_for_bit():
+    """The batch-mode (sweep-executor) measurer and direct
+    ``measure_config`` calls walk the same grid to identical PerfPoints
+    and identical early-termination decisions."""
     space = ConfigSpace(max_client_threads=2, record_size=1024,
                         max_queue_depth=4)
-    serial = OfflineModeler(space, make_engine_measurer(
-        record_size=1024, seed=7, batches_per_connection=6,
-        warmup_batches=2))
+
+    def direct(config):
+        return measure_config(config, 1024, batches_per_connection=6,
+                              warmup_batches=2, seed=7).perf
+
+    serial = OfflineModeler(space, direct)
     batched = OfflineModeler(space, make_testbed_measurer(
         record_size=1024, seed=7, batches_per_connection=6,
-        warmup_batches=2))
+        warmup_batches=2, runner=SweepRunner(max_workers=1)))
     serial_model, serial_stats = serial.build()
     batched_model, batched_stats = batched.build()
     assert serial_stats == batched_stats

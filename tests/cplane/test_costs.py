@@ -213,14 +213,3 @@ class TestContextCacheServiceTime:
         assert qp.qp_id not in server.qp_context_cache
         assert qp not in client.qps and qp not in server.qps
 
-
-class TestConfigKnob:
-    def test_rdma_config_carries_the_model_flag(self):
-        from repro.core.config import RdmaConfig
-
-        config = RdmaConfig(1, 0, 1, 4)
-        assert config.model_control_plane is False
-        flipped = config.with_ablation(model_control_plane=True)
-        assert flipped.model_control_plane is True
-        # The base config is immutable-by-convention: unchanged.
-        assert config.model_control_plane is False

@@ -2,9 +2,8 @@
 
 Covers the descriptor (validation + wire-cost accounting), the QP-side
 execution engine (`QueuePair.post_program`), the self-verifying CAS
-guard, partial completions on mid-chain faults, doorbell-batched
-submission, and context/payload propagation through multi-step
-submissions.
+guard, partial completions on mid-chain faults, and per-request context
+propagation.
 """
 
 import struct
@@ -73,30 +72,43 @@ class TestProgramValidation:
 
     def test_cas_operand_shapes_enforced(self):
         with pytest.raises(ProgramError):
-            ProgramStep(op=StepOp.CAS, length=4).validate(0)
+            ProgramStep(op=StepOp.CAS, length=4, compare_from=0).validate(1)
+        # A CAS step is a guard: it must compare against an earlier step.
         with pytest.raises(ProgramError):
-            ProgramStep(op=StepOp.CAS, length=8,
-                        compare=b"xx").validate(0)
+            ProgramStep(op=StepOp.CAS, length=8).validate(1)
         with pytest.raises(ProgramError):
-            ProgramStep(op=StepOp.WRITE, length=4, data=b"hello").validate(0)
+            ProgramStep(op=StepOp.CAS, length=8, compare_from=1).validate(1)
+        with pytest.raises(ProgramError):
+            ProgramStep(op=StepOp.READ, length=8, compare_from=0).validate(1)
 
     def test_wire_byte_accounting(self):
         program = VerbProgram(steps=(
             ProgramStep(op=StepOp.READ, offset=0, length=8),
-            ProgramStep(op=StepOp.WRITE, offset=64, length=16,
-                        data=b"x" * 16),
+            ProgramStep(op=StepOp.READ, offset=64, length=16,
+                        offset_from=0),
             ProgramStep(op=StepOp.CAS, offset=0, length=8, compare_from=0),
         ))
         assert program.request_wire_bytes == (
             PROGRAM_HEADER_BYTES
-            + STEP_DESCRIPTOR_BYTES           # READ
-            + STEP_DESCRIPTOR_BYTES + 16      # WRITE + inline payload
+            + 2 * STEP_DESCRIPTOR_BYTES       # two READs
             + STEP_DESCRIPTOR_BYTES + 2 * CAS_WORD_BYTES)
         assert program.response_wire_bytes == (
-            PROGRAM_STATUS_BYTES + 8 + CAS_WORD_BYTES)
+            PROGRAM_STATUS_BYTES + 8 + 16 + CAS_WORD_BYTES)
         # A chain that aborted after the first step returns only its data.
         assert program.response_bytes_through(1) == PROGRAM_STATUS_BYTES + 8
-        assert program.write_payload_bytes == 16
+
+    @pytest.mark.parametrize("verify,sizes", [
+        (False, (64, 40, 48)),
+        (True, (104, 64, 56)),
+    ])
+    def test_dependent_read_wire_bytes_are_pinned(self, verify, sizes):
+        """The GET-path chain's wire sizes (request, cached-shape request,
+        response) feed every dependent-read timing; they must not move
+        when the step vocabulary changes."""
+        program = chase(read_bytes=32, verify=verify)
+        assert (program.request_wire_bytes,
+                program.cached_request_wire_bytes,
+                program.response_wire_bytes) == sizes
 
     def test_resolve_offset_derefs_little_endian_word(self):
         step = ProgramStep(op=StepOp.READ, offset=5, length=8,
@@ -282,60 +294,19 @@ class TestMultiStepSubmission:
         # The *last* successful READ's payload is the completion data.
         assert completion.data == payload
 
-    def test_context_and_payload_propagate_per_request(self):
-        """Doorbell-batched multi-step submissions keep per-request
-        correlation: each completion carries its own context, and a
-        WRITE-step program delivers its payload object to the mailbox."""
+    def test_context_propagates_per_request(self):
+        """Concurrent programs on one QP keep per-request correlation:
+        each completion carries its own ``context``, in post order."""
         env, _, _, _, region, qp = make_pair()
+        region.local_write(4096, b"a" * 32)
         region.local_write(64, struct.pack("<Q", 4096))
-        delivered = []
-        region.attach_mailbox(delivered.append)
-        writer = VerbProgram(steps=(
-            ProgramStep(op=StepOp.WRITE, offset=128, length=8,
-                        data=b"w" * 8),))
 
         def proc(env):
-            wrs = [
-                WorkRequest(RdmaOp.PROGRAM, region.token, 0,
-                            chase().request_wire_bytes, context="chase",
-                            program=chase()),
-                WorkRequest(RdmaOp.PROGRAM, region.token, 0,
-                            writer.request_wire_bytes, context="write",
-                            payload_object={"batch": 7}, program=writer),
-            ]
-            events = qp.post_many(wrs)
+            events = [qp.post_program(chase(), region.token, context=tag)
+                      for tag in ("first", "second")]
             yield env.all_of(events)
             return [event.value for event in events]
 
         completions = env.run_process(proc(env))
-        assert [c.context for c in completions] == ["chase", "write"]
-        assert all(c.ok for c in completions)
-        assert delivered == [{"batch": 7}]
-        assert region.local_read(128, 8) == b"w" * 8
-
-    def test_doorbell_batching_discounts_followers(self):
-        # Depth 1 serializes the four requests, so each follower's
-        # discounted WQE processing shows up in the total wall clock.
-        def run(batched):
-            env, _, _, _, region, qp = make_pair(depth=1)
-            region.local_write(64, struct.pack("<Q", 4096))
-
-            def proc(env):
-                wrs = [WorkRequest(RdmaOp.PROGRAM, region.token, 0,
-                                   chase().request_wire_bytes,
-                                   program=chase())
-                       for _ in range(4)]
-                if batched:
-                    events = qp.post_many(wrs)
-                else:
-                    events = [qp.post(wr) for wr in wrs]
-                yield env.all_of(events)
-                return env.now
-
-            return env.run_process(proc(env))
-
-        nic = AZURE_HPC.nic
-        saved = run(False) - run(True)
-        expected = 3 * nic.per_message_processing * (
-            1.0 - nic.doorbell_batch_discount)
-        assert saved == pytest.approx(expected)
+        assert [c.context for c in completions] == ["first", "second"]
+        assert all(c.ok and c.data == b"a" * 32 for c in completions)

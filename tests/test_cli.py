@@ -118,23 +118,6 @@ def test_chaos_runs_scenario_and_dumps_fault_log(capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
-def test_kernelbench_prints_steps_per_second(capsys):
-    assert main(["kernelbench", "--rounds", "1", "--batches", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "steps/sec" in out
-    assert "best:" in out
-
-
-def test_kernelbench_floor_gates(capsys):
-    # An absurdly high floor must fail the gate (exit 1)...
-    assert main(["kernelbench", "--rounds", "1", "--batches", "20",
-                 "--min-steps-per-sec", "1e15"]) == 1
-    assert "below the floor" in capsys.readouterr().out
-    # ...and a trivially low one must pass.
-    assert main(["kernelbench", "--rounds", "1", "--batches", "20",
-                 "--min-steps-per-sec", "1"]) == 0
-
-
 def test_shard_smoke_passes_and_reports(capsys):
     assert main(["gate", "shard"]) == 0
     out = capsys.readouterr().out
