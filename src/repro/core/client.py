@@ -426,7 +426,11 @@ class RedyCache:
             yield self.env.timeout(self.path.submission_overhead())
             yield self.path.submit(op)
             ops.append((fragment, op))
-        results = yield self.env.all_of([op.completion for _f, op in ops])
+        if len(ops) == 1:
+            results = [(yield ops[0][1].completion)]
+        else:
+            results = yield self.env.all_of(
+                [op.completion for _f, op in ops])
 
         failures = [r for r in results if not r.ok]
         if failures:

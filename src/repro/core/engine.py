@@ -38,7 +38,7 @@ from repro.net.programs import VerbProgram
 from repro.net.qp import QueuePair
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment, Event, Ready
 from repro.sim.resources import Resource, Store
 
 #: Batch-weight histogram buckets: powers of two up to the largest batch
@@ -272,6 +272,8 @@ class CacheDataPath:
         """Queue one op; returns an event that fires when the op is in the
         batch ring (backpressure point).  The op's own ``completion``
         event fires with its :class:`OpResult` when the I/O finishes.
+        A dependent read or CAS skips the ring, so its hand-off is a
+        :class:`Ready` the caller continues past at once.
         """
         if op.completion is None:
             op.completion = self.env.event()
@@ -297,7 +299,7 @@ class CacheDataPath:
                 self._bypass(thread, connection, op),
                 name=f"redy-client:{self.endpoint.name}:"
                      f"t{thread.index}:{kind}")
-            return self.env.timeout(0)
+            return Ready(self.env)
         return connection.batch_ring.put(op)
 
     def _route(self, thread: _ClientThread, op: EngineOp) -> _Connection:

@@ -673,7 +673,7 @@ class ShardRouter:
 
         def runner():
             if prev is not None:
-                yield prev  # already-processed events resume next step
+                yield prev  # processed: resumes next step (not a Ready)
             report = yield from op()
             done.succeed(report)
 

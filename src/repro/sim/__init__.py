@@ -21,6 +21,7 @@ from repro.sim.kernel import (
     Event,
     Interrupt,
     Process,
+    Ready,
     SimulationError,
     Timeout,
     set_default_scheduler,
@@ -36,6 +37,7 @@ __all__ = [
     "MS",
     "NS",
     "Process",
+    "Ready",
     "Resource",
     "RngRegistry",
     "S",

@@ -23,8 +23,9 @@ which the scheduler-equivalence suite and ``repro gate`` verify
 trace-for-trace.
 
 The feature set is intentionally small -- timeouts, one-shot events,
-processes, and interrupts -- because that is exactly what the higher
-layers (RDMA fabric, cache engine, cluster allocator) need.
+ready (already-satisfied) events, processes, and interrupts -- because
+that is exactly what the higher layers (RDMA fabric, cache engine,
+cluster allocator) need.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
+    "Ready",
     "SimulationError",
     "Timeout",
     "set_default_monitor",
@@ -125,7 +127,8 @@ class Event:
     An event moves through three states: *pending* (created), *triggered*
     (scheduled on the event list with a value or an exception), and
     *processed* (callbacks ran).  Waiting on an already-processed event
-    resumes the waiter immediately on the next kernel step.
+    resumes the waiter on the next kernel step -- except a :class:`Ready`
+    event, which a yielding process consumes in the same step.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered",
@@ -301,6 +304,46 @@ def _arm_timeout(timeout: Timeout, env: "Environment", delay: float,
         monitor.on_trigger(timeout)
 
 
+class Ready(Event):
+    """A wait that was already satisfied when it was made.
+
+    Born processed and carrying its value, with no event-list entry.  A
+    process that yields one gets the value sent straight back in the
+    same kernel step, so a free slot, a stocked queue or an accepted put
+    costs no dispatch.  Skipping the queue cannot reorder grants: the
+    producer hands out a Ready only when nobody waits ahead of the
+    caller.
+
+    Any other consumer (:meth:`_add_callback`: combinators,
+    ``run_process``) sees an ordinary triggered event: the first one
+    turns it into a plain :class:`Event` with its dispatch entry at that
+    point and ``on_abandon`` intact, so a combinator that walks away
+    before the entry fires still hands the slot or item back.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", value: Any = None,
+                 on_abandon: Optional[Callable[["Event"], None]] = None):
+        self.env = env
+        self.callbacks = None
+        self._value = value
+        self._ok = True
+        self._triggered = True
+        self._processed = True
+        self.on_abandon = on_abandon
+        self._hb = None
+        monitor = env.monitor
+        if monitor is not None:
+            monitor.on_trigger(self)
+
+    def _add_callback(self, callback: Callable[["Event"], None]) -> None:
+        self.__class__ = Event
+        self._processed = False
+        self.callbacks = [callback]
+        self.env._enqueue(self, delay=0.0, priority=PRIORITY_NORMAL)
+
+
 class Process(Event):
     """A generator-driven simulation process.
 
@@ -330,8 +373,8 @@ class Process(Event):
         monitor = env.monitor
         if monitor is not None:
             monitor.on_spawn(self)
-        # Bootstrap: resume the generator on the next kernel step.
-        env._call_soon(Process._bootstrap, self)
+        # Bootstrap: start the generator on the next kernel step.
+        env._call_soon(Process._step, self)
 
     @property
     def is_alive(self) -> bool:
@@ -381,10 +424,6 @@ class Process(Event):
         self.env._interrupts_thrown += 1
         self._step(throw=Interrupt(cause))
 
-    def _bootstrap(self) -> None:
-        if not self._triggered:
-            self._step(send=None)
-
     def _resume(self, event: Event) -> None:
         if self._waiting_on is not event:
             # Stale delivery: waiting on an already-processed event is
@@ -402,10 +441,21 @@ class Process(Event):
         # process), so the extra frame is worth eliding.  Semantics are
         # identical -- the kernel tests cover both entry points.
         if event._ok:
+            send = self._send
             try:
-                target = self._send(event._value)
+                target = send(event._value)
+                while target.__class__ is Ready:
+                    if monitor is not None:
+                        monitor.on_resume(self, target)
+                    target = send(target._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                # Unobserved exit (see _exit_unobserved): this frame's
+                # `self`, the pre-bound `_resume_handler` slot and
+                # getrefcount's argument are the only references.
+                if not self.callbacks and _refcount(self) == 3:
+                    self._exit_unobserved(stop.value)
+                else:
+                    self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001
                 self._handle_failure(exc)
@@ -450,17 +500,51 @@ class Process(Event):
             else:
                 raise exc
 
+    def _exit_unobserved(self, value: Any) -> None:
+        """Finish without an event-list entry, straight to the freelist.
+
+        Only for a clean exit with no joiner and no outside reference
+        (the caller's ``sys.getrefcount`` proof, as for interning): then
+        nothing can ever register on, or read, this process event, so
+        dispatching it would run no callback and change nothing.
+        """
+        self._ok = True
+        self._value = value
+        self._triggered = True
+        self._processed = True
+        env = self.env
+        monitor = env.monitor
+        if monitor is not None:
+            monitor.on_trigger(self)
+        if len(env._process_free) < _FREELIST_MAX:
+            env._process_free.append(self)
+
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
+        if self._triggered:
+            # Bootstrap of a process an interrupt already finished.
+            return
         monitor = self.env.monitor
         if monitor is not None:
             monitor.on_step(self)
+        send_fn = self._send
         try:
             if throw is not None:
                 target = self._throw(throw)
             else:
-                target = self._send(send)
+                target = send_fn(send)
+            while target.__class__ is Ready:
+                if monitor is not None:
+                    monitor.on_resume(self, target)
+                target = send_fn(target._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            # Unobserved exit: as in _resume, plus the caller's reference
+            # (the run loop's entry on bootstrap, _resume's `self` on a
+            # thrown failure).  An interrupt's throw holds one more, so
+            # it never matches and keeps its event-list entry.
+            if not self.callbacks and _refcount(self) == 4:
+                self._exit_unobserved(stop.value)
+            else:
+                self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to joiners
             self._handle_failure(exc)
@@ -768,7 +852,7 @@ class Environment:
             monitor = self.monitor
             if monitor is not None:
                 monitor.on_spawn(proc)
-            self._call_soon(Process._bootstrap, proc)
+            self._call_soon(Process._step, proc)
             return proc
         return Process(self, generator, name=name)
 

@@ -7,6 +7,11 @@ Two primitives cover the reproduction's needs:
   request queues in the FASTER substrate.
 * :class:`Resource` -- counted slots with FIFO admission; used for NIC DMA
   engines and SSD internal parallelism.
+
+A request that can be met at call time (a free slot, a stocked store, a
+put with room) returns a :class:`~repro.sim.kernel.Ready` event: the
+process that yields it continues in the same kernel step instead of
+waiting for a dispatch on the event list.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.kernel import Environment, Event, SimulationError
+from repro.sim.kernel import Environment, Event, Ready, SimulationError
 
 __all__ = ["Resource", "Store"]
 
@@ -45,20 +50,24 @@ class Store:
         return self.capacity is not None and len(self._items) >= self.capacity
 
     def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` is accepted."""
-        event = self.env.event()
+        """Return an event that fires once ``item`` is accepted.
+
+        A put accepted at call time returns a :class:`Ready`, which the
+        yielding process continues past in the same kernel step; the item
+        is in the store (or with a consumer) by then, so the Ready has
+        nothing to hand back if its waiter walks away.
+        """
         if self._getters:
             # Hand the item straight to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         elif not self.is_full:
             self._items.append(item)
-            event.succeed()
         else:
+            event = self.env.event()
             event.on_abandon = self._cancel_put
             self._putters.append((event, item))
-        return event
+            return event
+        return Ready(self.env)
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the store is full."""
@@ -73,18 +82,21 @@ class Store:
     def get(self) -> Event:
         """Return an event that fires with the next item.
 
-        A consumer that abandons the wait (it was interrupted) is pulled
-        back out of the queue -- and if an item was already handed to it
-        in the same instant, the item is returned to the store -- so no
-        item is ever lost to an orphaned waiter.
+        With an item in stock this is a :class:`Ready` carrying it, which
+        the yielding process continues past in the same kernel step.  A
+        consumer that abandons the wait (it was interrupted, or its
+        combinator was decided elsewhere) is pulled back out of the
+        queue -- and if an item was already handed to it, the item is
+        returned to the store -- so no item is ever lost to an orphaned
+        waiter.
         """
-        event = self.env.event()
         if self._items:
-            event.succeed(self._items.popleft())
+            ready = Ready(self.env, self._items.popleft(), self._cancel_get)
             self._admit_putter()
-        else:
-            event.on_abandon = self._cancel_get
-            self._getters.append(event)
+            return ready
+        event = self.env.event()
+        event.on_abandon = self._cancel_get
+        self._getters.append(event)
         return event
 
     def _cancel_get(self, event: Event) -> None:
@@ -159,18 +171,22 @@ class Resource:
     def acquire(self) -> Event:
         """Return an event that fires once a slot is held.
 
-        A waiter that abandons the wait (it was interrupted) is removed
-        from the queue -- and if a slot was already handed to it in the
-        same instant, the slot is released again -- so ``in_use`` credits
-        can never leak to processes that will never run.
+        A free slot is granted at once as a :class:`Ready`, which the
+        yielding process continues past in the same kernel step; a free
+        slot implies an empty waiter queue (``release`` hands a slot
+        straight to the next waiter), so this never jumps the queue.  A
+        waiter that abandons the wait (it was interrupted, or its
+        combinator was decided elsewhere) is removed from the queue --
+        and if a slot was already handed to it, the slot is released
+        again -- so ``in_use`` credits can never leak to processes that
+        will never run.
         """
-        event = self.env.event()
         if self._in_use < self.slots:
             self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            return Ready(self.env, None, self._cancel_acquire)
+        event = self.env.event()
         event.on_abandon = self._cancel_acquire
+        self._waiters.append(event)
         return event
 
     def _cancel_acquire(self, event: Event) -> None:

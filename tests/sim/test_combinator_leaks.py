@@ -12,7 +12,7 @@ child and fire its ``on_abandon`` hook so the producer reclaims.
 import pytest
 
 from repro.analysis.hb import KernelMonitor
-from repro.sim import Environment, Store, Timeout, US
+from repro.sim import Environment, Resource, Store, Timeout, US
 
 
 def _callback_count(event):
@@ -163,3 +163,115 @@ def test_timeout_class_entry_point_notifies_monitor_too():
 
     env.run_process(sleeper())
     assert ("Timeout", 0.0) in monitor.triggered
+
+
+# -- satisfied waits (Ready) dropped by a combinator --------------------
+#
+# A free slot, a stocked store and a put with room answer with a Ready,
+# which has no event-list entry until a combinator consumes it.  When a
+# same-instant sibling decides the combinator first, or its waiter is
+# interrupted, the Ready's producer must get the slot or item back
+# exactly as for a queued wait.
+
+
+def _decided_sibling(env):
+    # Triggered before the combinator exists, so its entry runs first.
+    sibling = env.event()
+    sibling.succeed("sibling")
+    return sibling
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_anyof_dropping_a_satisfied_acquire_returns_the_slot(scheduler):
+    env = Environment(scheduler=scheduler)
+    resource = Resource(env, slots=1)
+    granted = []
+
+    def racer():
+        index, _value = yield env.any_of(
+            [_decided_sibling(env), resource.acquire()])
+        assert index == 0
+
+    def later():
+        yield env.timeout(1 * US)
+        yield resource.acquire()
+        granted.append(env.now)
+        resource.release()
+
+    env.process(racer())
+    env.process(later())
+    env.run()
+    assert granted == [1 * US]
+    assert resource.in_use == 0
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_anyof_dropping_a_satisfied_get_restocks_the_item(scheduler):
+    env = Environment(scheduler=scheduler)
+    store = Store(env)
+    store.try_put("item")
+    got = []
+
+    def racer():
+        index, _value = yield env.any_of(
+            [_decided_sibling(env), store.get()])
+        assert index == 0
+
+    def later():
+        yield env.timeout(1 * US)
+        got.append((yield store.get()))
+
+    env.process(racer())
+    env.process(later())
+    env.run()
+    assert got == ["item"]
+    assert len(store) == 0
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_anyof_dropping_a_satisfied_put_keeps_the_item_once(scheduler):
+    # A put accepted at call time has already stored its item; dropping
+    # its wait detaches the combinator and leaves exactly that one item.
+    env = Environment(scheduler=scheduler)
+    store = Store(env, capacity=1)
+    put = []
+
+    def racer():
+        accepted = store.put("item")
+        put.append(accepted)
+        index, _value = yield env.any_of([_decided_sibling(env), accepted])
+        assert index == 0
+
+    env.process(racer())
+    env.run()
+    assert _callback_count(put[0]) == 0
+    assert list(store._items) == ["item"]
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+@pytest.mark.parametrize("wait", ["acquire", "get"])
+def test_interrupted_combinator_waiter_returns_a_satisfied_wait(scheduler,
+                                                               wait):
+    env = Environment(scheduler=scheduler)
+    resource = Resource(env, slots=1)
+    store = Store(env)
+    store.try_put("item")
+
+    def waiter():
+        satisfied = resource.acquire() if wait == "acquire" else store.get()
+        try:
+            yield env.any_of([satisfied, env.event()])
+        except Exception:
+            pass
+
+    proc = env.process(waiter(), name="waiter")
+
+    def interrupter():
+        # Same instant, before the satisfied child's entry runs.
+        proc.interrupt("walk away")
+        yield env.timeout(0)
+
+    env.process(interrupter(), name="interrupter")
+    env.run()
+    assert resource.in_use == 0
+    assert list(store._items) == ["item"]
