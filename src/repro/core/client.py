@@ -171,7 +171,16 @@ class RedyClient:
 
 
 class RedyCache:
-    """One provisioned cache: a contiguous byte-addressable device."""
+    """One provisioned cache: a contiguous byte-addressable device.
+
+    Every I/O is a generator body that returns its
+    :class:`CacheIoResult`.  :meth:`read`, :meth:`write`, :meth:`cas`
+    and :meth:`dependent_read` run it as a process and return that
+    process, which fires with the result.  A layer that already runs in
+    a process delegates instead -- ``yield from cache.read_io(...)`` or
+    ``cache.write_io(...)`` -- and the I/O costs it no process, no
+    bootstrap step and no completion hand-off.
+    """
 
     def __init__(self, client: RedyClient, allocation: CacheAllocation,
                  slo: Slo, region_bytes: int, *, backed: bool,
@@ -322,41 +331,59 @@ class RedyCache:
         """
         return self._start_io("d", pointer_addr, size, None, callback)
 
+    def read_io(self, addr: int, size: int, *,
+                tenant: Optional[str] = None):
+        """The generator body of :meth:`read`, for a caller that already
+        runs in a process: ``result = yield from cache.read_io(...)``
+        runs the read in the caller's process and returns its
+        :class:`CacheIoResult`, with no process or event of its own."""
+        return self._body("r", addr, size, None, tenant=tenant)
+
+    def write_io(self, addr: int, data: bytes, *,
+                 tenant: Optional[str] = None):
+        """The generator body of :meth:`write` (see :meth:`read_io`)."""
+        return self._body("w", addr, len(data), data, tenant=tenant)
+
     def _start_io(self, kind: str, addr: int, size: int,
                   data: Optional[bytes], callback: Optional[Callable], *,
                   tenant: Optional[str] = None,
                   compare: Optional[bytes] = None) -> Event:
         """Start one I/O of ``kind``: ``"r"`` read, ``"w"`` write,
-        ``"d"`` dependent read, ``"c"`` CAS."""
+        ``"d"`` dependent read, ``"c"`` CAS.  The process running its
+        body is the completion event."""
+        proc = self.env.process(
+            self._body(kind, addr, size, data, tenant=tenant,
+                       compare=compare),
+            name=f"redy-io-{kind}@{addr}")
+        if callback is not None:
+            proc._add_callback(lambda event: callback(event.value))
+        return proc
+
+    def _body(self, kind: str, addr: int, size: int,
+              data: Optional[bytes], *, tenant: Optional[str] = None,
+              compare: Optional[bytes] = None):
+        """The generator that runs one I/O under the retry policy and
+        returns its :class:`CacheIoResult`."""
         if self.deleted:
             raise CacheDeletedError("cache was deleted")
-        done = self.env.event()
-        if callback is not None:
-            done._add_callback(lambda event: callback(event.value))
         policy = self.retry_policy
         if kind == "c" or (policy.max_attempts == 1
                            and policy.attempt_timeout_s is None):
-            # Fail-fast default: no wrapper process on the hot path.
-            self.env.process(
-                self._io(kind, addr, size, data, done, tenant=tenant,
-                         compare=compare),
-                name=f"redy-io-{kind}@{addr}")
-        else:
-            self.env.process(
-                self._io_with_retry(kind, addr, size, data, done,
-                                    tenant=tenant),
-                name=f"redy-io-retry-{kind}@{addr}")
-        return done
+            # Fail-fast default: no retry wrapper on the hot path.
+            return self._io(kind, addr, size, data, tenant=tenant,
+                            compare=compare)
+        return self._io_with_retry(kind, addr, size, data, tenant=tenant)
 
     def _io_with_retry(self, kind: str, addr: int, size: int,
-                       data: Optional[bytes], done: Event,
-                       tenant: Optional[str] = None):
+                       data: Optional[bytes], tenant: Optional[str] = None):
         """Drive :meth:`_io` attempts under the cache's retry policy.
 
-        Capped exponential backoff between attempts; an optional
-        per-attempt deadline turns a hung attempt into a failed one (the
-        abandoned attempt's I/O keeps draining in the background, which
-        is harmless -- results land on an event nobody waits on).
+        Capped exponential backoff between attempts.  An attempt with no
+        deadline runs in this process; an optional per-attempt deadline
+        runs it as its own process raced against a timeout, and turns a
+        hung attempt into a failed one (the abandoned attempt's I/O keeps
+        draining in the background, which is harmless -- its result
+        lands on a process nobody waits on).
         """
         policy = self.retry_policy
         start = self.env.now
@@ -370,15 +397,15 @@ class RedyCache:
             if self.deleted:
                 result = CacheIoResult(ok=False, error="cache was deleted")
                 break
-            inner = self.env.event()
-            self.env.process(  # repro-lint: disable=L006 -- completion is observed through `inner`, yielded right below
-                self._io(kind, addr, size, data, inner, tenant=tenant),
-                name=f"redy-io-{kind}@{addr}#{attempt}")
             if policy.attempt_timeout_s is None:
-                result = yield inner
+                result = yield from self._io(kind, addr, size, data,
+                                             tenant=tenant)
             else:
-                index, value = yield self.env.any_of(
-                    [inner, self.env.timeout(policy.attempt_timeout_s)])
+                index, value = yield self.env.any_of([
+                    self.env.process(
+                        self._io(kind, addr, size, data, tenant=tenant),
+                        name=f"redy-io-{kind}@{addr}#{attempt}"),
+                    self.env.timeout(policy.attempt_timeout_s)])
                 if index == 1:
                     if self._timeouts_counter is not None:
                         self._timeouts_counter.inc()
@@ -392,21 +419,20 @@ class RedyCache:
                 break
         result.retries = attempt
         result.latency = self.env.now - start
-        done.succeed(result)
+        return result
 
     def _io(self, kind: str, addr: int, size: int,
-            data: Optional[bytes], done: Event,
-            tenant: Optional[str] = None, compare: Optional[bytes] = None):
+            data: Optional[bytes], tenant: Optional[str] = None,
+            compare: Optional[bytes] = None):
         if kind in ("d", "c"):
-            yield from self._word_io(kind, addr, size, data, compare, done)
-            return
+            return (yield from self._word_io(kind, addr, size, data,
+                                             compare))
         is_read = kind == "r"
         start = self.env.now
         try:
             fragments = self.table.translate(addr, size)
         except AddressError as exc:
-            done.succeed(CacheIoResult(ok=False, error=str(exc)))
-            return
+            return CacheIoResult(ok=False, error=str(exc))
         ops: list[tuple] = []
         for fragment in fragments:
             gate = (self.table.read_gate(fragment.region_index) if is_read
@@ -434,10 +460,8 @@ class RedyCache:
 
         failures = [r for r in results if not r.ok]
         if failures:
-            done.succeed(CacheIoResult(
-                ok=False, error=failures[0].error,
-                latency=self.env.now - start))
-            return
+            return CacheIoResult(ok=False, error=failures[0].error,
+                                 latency=self.env.now - start)
         payload = None
         if is_read:
             buffer = bytearray(size)
@@ -447,12 +471,11 @@ class RedyCache:
                            fragment.buffer_offset + fragment.length] = \
                         result.data
             payload = bytes(buffer)
-        done.succeed(CacheIoResult(ok=True, data=payload,
-                                   latency=self.env.now - start))
+        return CacheIoResult(ok=True, data=payload,
+                             latency=self.env.now - start)
 
     def _word_io(self, kind: str, addr: int, size: int,
-                 swap: Optional[bytes], compare: Optional[bytes],
-                 done: Event):
+                 swap: Optional[bytes], compare: Optional[bytes]):
         """One single-word op handed to the data path as one engine op.
 
         A dependent read (``"d"``) chases the 8-byte pointer word at
@@ -467,14 +490,12 @@ class RedyCache:
         try:
             fragments = self.table.translate(addr, 8)
         except AddressError as exc:
-            done.succeed(CacheIoResult(ok=False, error=str(exc)))
-            return
+            return CacheIoResult(ok=False, error=str(exc))
         if len(fragments) != 1:
-            done.succeed(CacheIoResult(
+            return CacheIoResult(
                 ok=False,
                 error="cas: word spans regions" if cas
-                else "dependent read: pointer word spans regions"))
-            return
+                else "dependent read: pointer word spans regions")
         fragment = fragments[0]
         gate = (self.table.write_gate(fragment.region_index) if cas
                 else self.table.read_gate(fragment.region_index))
@@ -495,9 +516,9 @@ class RedyCache:
         yield self.env.timeout(self.path.submission_overhead())
         yield self.path.submit(op)
         result = yield op.completion
-        done.succeed(CacheIoResult(
-            ok=result.ok, data=result.data, error=result.error,
-            latency=self.env.now - start))
+        return CacheIoResult(ok=result.ok, data=result.data,
+                             error=result.error,
+                             latency=self.env.now - start)
 
     def populate(self, file: bytes) -> None:
         """Synchronously load a prefix of ``file`` (Create's file param).

@@ -19,7 +19,7 @@ hardware thread.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -384,32 +384,38 @@ class CacheDataPath:
                 wr = WorkRequest(
                     RdmaOp.WRITE, connection.request_ring_token, 0,
                     batch.wire_bytes, payload_object=batch)
-                ack = connection.qp.post(wr)
-                # Both watchers are deliberately detached: they exist to
-                # observe the batch (ack bookkeeping, response timeout)
-                # and settle its per-op events themselves.
-                env.process(  # repro-lint: disable=L006 -- detached watchdog; settles batch op events itself
-                    self._watch_request_ack(connection, batch, ack),
-                    name="redy-client:request-ack")
-                env.process(  # repro-lint: disable=L006 -- detached watchdog; settles batch op events itself
-                    self._watch_response_timeout(connection, batch),
-                    name="redy-client:response-timeout")
+                self._watch_batch(connection, batch, connection.qp.post(wr))
+
+    def _on_completion(self, event: Event,
+                       callback: Callable[[Event], None]) -> None:
+        """Run ``callback(event)`` exactly where a process spawned now
+        to wait on ``event`` would have resumed.
+
+        A pending event runs it from its own dispatch.  A post to a QP
+        in the error state completes inside ``post()``, so its dispatch
+        comes before such a waiter's bootstrap, and the waiter, finding
+        the event processed, resumed on a fresh entry behind everything
+        queued by then; one ``_call_soon`` hop from the dispatch lands
+        on that same entry.
+        """
+        if event.triggered:
+            call_soon = self.env._call_soon
+            event._add_callback(lambda ev: call_soon(callback, ev))
+        else:
+            event._add_callback(callback)
 
     def _post_one_sided(self, thread: _ClientThread, connection: _Connection,
                         op: EngineOp) -> None:
+        """Post one op as a single verb; its completion starts the reap
+        (see :meth:`_on_completion`)."""
         verb = RdmaOp.READ if op.is_read else RdmaOp.WRITE
         wr = WorkRequest(verb, op.token, op.offset, op.size, data=op.data)
-        completion_event = connection.qp.post(wr)
-        self.env.process(
-            self._one_sided_completion(thread, connection, op,
-                                       completion_event),
-            name="redy-client:one-sided-completion")
-
-    def _one_sided_completion(self, thread: _ClientThread,
-                              connection: _Connection, op: EngineOp,
-                              completion_event: Event):
-        completion = yield completion_event
-        yield from self._reap(thread, connection, op, completion)
+        start = self.env.start
+        self._on_completion(
+            connection.qp.post(wr),
+            lambda event: start(
+                self._reap(thread, connection, op, event._value),
+                name="redy-client:one-sided-completion"))
 
     def _bypass(self, thread: _ClientThread, connection: _Connection,
                 op: EngineOp):
@@ -543,23 +549,26 @@ class CacheDataPath:
             RdmaOp.READ, op.token, target, op.size))
         return second
 
-    def _watch_request_ack(self, connection: _Connection, batch: RequestBatch,
-                           ack_event: Event):
-        """Surface transport errors on the request write (server died)."""
-        completion = yield ack_event
-        if not completion.ok:
-            self._abort_batch(connection, batch, completion.error)
+    def _watch_batch(self, connection: _Connection, batch: RequestBatch,
+                     ack: Event) -> None:
+        """Arm a posted batch's two failure paths, as callbacks that
+        settle its op events themselves: a failed request write (server
+        died) and a response that never arrives (§6.2 failures)."""
+        def acked(event: Event) -> None:
+            completion = event._value
+            if not completion.ok:
+                self._abort_batch(connection, batch, completion.error)
 
-    def _watch_response_timeout(self, connection: _Connection,
-                                batch: RequestBatch):
-        """Fail a batch whose response never arrives (§6.2 failures)."""
-        yield self.env.timeout(self.op_timeout)
-        timed_out = self._abort_batch(
-            connection, batch,
-            f"no response from {connection.server.endpoint.name} within "
-            f"{self.op_timeout}s")
-        if timed_out and self._timeout_counter is not None:
-            self._timeout_counter.inc()
+        def expired(_event: Event) -> None:
+            timed_out = self._abort_batch(
+                connection, batch,
+                f"no response from {connection.server.endpoint.name} "
+                f"within {self.op_timeout}s")
+            if timed_out and self._timeout_counter is not None:
+                self._timeout_counter.inc()
+
+        self._on_completion(ack, acked)
+        self.env.timeout(self.op_timeout)._add_callback(expired)
 
     def _abort_batch(self, connection: _Connection, batch: RequestBatch,
                      error: str) -> bool:

@@ -68,19 +68,39 @@ class DeviceReadResult:
 
 
 class IDevice(abc.ABC):
-    """A byte-addressable sequential storage address space."""
+    """A byte-addressable sequential storage address space.
+
+    A device implements each access as a generator body that returns
+    its :class:`DeviceReadResult`: :meth:`read_io` and :meth:`write_io`.
+    A caller already running in a process delegates to a body with
+    ``yield from`` and pays for no process or event of the device's
+    own (the store and the tiered device do this).  :meth:`read` and
+    :meth:`write` run the body as a process, which is the event that
+    fires with the result.
+    """
 
     name: str = "device"
     #: FASTER-thread CPU per asynchronous read on this device.
     client_cpu_per_read: float = 0.0
+    env: Environment
 
     @abc.abstractmethod
+    def read_io(self, addr: int, size: int):
+        """Generator body of one read; returns a DeviceReadResult."""
+
+    @abc.abstractmethod
+    def write_io(self, addr: int, data: bytes):
+        """Generator body of one write; returns a DeviceReadResult."""
+
     def read(self, addr: int, size: int) -> Event:
         """Asynchronous read; fires with a :class:`DeviceReadResult`."""
+        return self.env.process(self.read_io(addr, size),
+                                name=f"{self.name}-r@{addr}")
 
-    @abc.abstractmethod
     def write(self, addr: int, data: bytes) -> Event:
         """Asynchronous write; fires with a :class:`DeviceReadResult`."""
+        return self.env.process(self.write_io(addr, data),
+                                name=f"{self.name}-w@{addr}")
 
     @abc.abstractmethod
     def spill(self, addr: int, data: bytes) -> None:
@@ -136,26 +156,57 @@ class LocalMemoryDevice(_BufferedDevice):
         super().__init__(env, capacity)
         self._latency = 0.1 * US
 
-    def read(self, addr: int, size: int) -> Event:
-        event = self.env.event()
+    def read_io(self, addr: int, size: int):
         data = self._fetch(addr, size)
-        self.env.process(self._complete(event, data), name="mem-read")
-        return event
+        yield from self._complete()
+        return DeviceReadResult(ok=True, data=data)
 
-    def write(self, addr: int, data: bytes) -> Event:
-        event = self.env.event()
+    def write_io(self, addr: int, data: bytes):
         self._store(addr, data)
-        self.env.process(self._complete(event, None), name="mem-write")
-        return event
+        yield from self._complete()
+        return DeviceReadResult(ok=True)
 
-    def _complete(self, event: Event, data: Optional[bytes]):
+    def _complete(self):
         yield self.env.timeout(self._latency)
         if self._service_time is not None:
             self._service_time.observe(self._latency)
-        event.succeed(DeviceReadResult(ok=True, data=data))
 
 
-class SsdDevice(_BufferedDevice):
+class _SlottedDevice(_BufferedDevice):
+    """A buffered device whose accesses queue for one of ``slots``
+    service slots, then take a sampled service latency."""
+
+    def __init__(self, env: Environment, capacity: int, slots: int):
+        super().__init__(env, capacity)
+        self._slots = Resource(env, slots=slots)
+
+    def _latency(self, size: int, is_write: bool) -> float:
+        raise NotImplementedError
+
+    def read_io(self, addr: int, size: int):
+        return self._service(addr, size, None)
+
+    def write_io(self, addr: int, data: bytes):
+        return self._service(addr, len(data), data)
+
+    def _service(self, addr: int, size: int, data: Optional[bytes]):
+        started = self.env.now
+        yield self._slots.acquire()
+        try:
+            yield self.env.timeout(self._latency(size, data is not None))
+        finally:
+            self._slots.release()
+        if self._service_time is not None:
+            # Queueing for a slot counts: that is the latency the log's
+            # read path actually sees.
+            self._service_time.observe(self.env.now - started)
+        if data is not None:
+            self._store(addr, data)
+            return DeviceReadResult(ok=True)
+        return DeviceReadResult(ok=True, data=self._fetch(addr, size))
+
+
+class SsdDevice(_SlottedDevice):
     """Server-attached SSD with log-normal latency and GC stalls."""
 
     name = "ssd"
@@ -164,46 +215,15 @@ class SsdDevice(_BufferedDevice):
 
     def __init__(self, env: Environment, capacity: int,
                  rng: np.random.Generator, spec: SsdSpec = SsdSpec()):
-        super().__init__(env, capacity)
+        super().__init__(env, capacity, spec.internal_parallelism)
         self.spec = spec
         self.rng = rng
-        self._slots = Resource(env, slots=spec.internal_parallelism)
 
-    def read(self, addr: int, size: int) -> Event:
-        return self._io(addr, size, None)
-
-    def write(self, addr: int, data: bytes) -> Event:
-        return self._io(addr, len(data), data)
-
-    def _io(self, addr: int, size: int, data: Optional[bytes]) -> Event:
-        event = self.env.event()
-        self.env.process(self._service(event, addr, size, data),
-                         name=f"ssd-{'w' if data else 'r'}@{addr}")
-        return event
-
-    def _service(self, event: Event, addr: int, size: int,
-                 data: Optional[bytes]):
-        started = self.env.now
-        yield self._slots.acquire()
-        try:
-            latency = self.spec.sample_latency(size, data is not None,
-                                               self.rng)
-            yield self.env.timeout(latency)
-        finally:
-            self._slots.release()
-        if self._service_time is not None:
-            # Queueing for an internal slot counts: that is the latency
-            # the log's read path actually sees.
-            self._service_time.observe(self.env.now - started)
-        if data is not None:
-            self._store(addr, data)
-            event.succeed(DeviceReadResult(ok=True))
-        else:
-            event.succeed(DeviceReadResult(ok=True,
-                                           data=self._fetch(addr, size)))
+    def _latency(self, size: int, is_write: bool) -> float:
+        return self.spec.sample_latency(size, is_write, self.rng)
 
 
-class SmbDirectDevice(_BufferedDevice):
+class SmbDirectDevice(_SlottedDevice):
     """The SMB Direct baseline: an RDMA-enabled file-server protocol.
 
     Faster than SSD (its data sits in the file server's memory and moves
@@ -225,44 +245,14 @@ class SmbDirectDevice(_BufferedDevice):
 
     def __init__(self, env: Environment, capacity: int,
                  rng: np.random.Generator, network_rtt: float = 2.9 * US):
-        super().__init__(env, capacity)
+        super().__init__(env, capacity, self.server_slots)
         self.rng = rng
         self.network_rtt = network_rtt
-        self._slots = Resource(env, slots=self.server_slots)
 
-    def _service_latency(self, size: int) -> float:
+    def _latency(self, size: int, is_write: bool) -> float:
         transfer = size * 8 / (self.bandwidth_gbps * 1e9)
         jitter = float(np.exp(self.rng.normal(0.0, 0.15)))
         return (self.network_rtt + self.service_time * jitter + transfer)
-
-    def read(self, addr: int, size: int) -> Event:
-        return self._io(addr, size, None)
-
-    def write(self, addr: int, data: bytes) -> Event:
-        return self._io(addr, len(data), data)
-
-    def _io(self, addr: int, size: int, data: Optional[bytes]) -> Event:
-        event = self.env.event()
-        self.env.process(self._service(event, addr, size, data),
-                         name=f"smb-{'w' if data else 'r'}@{addr}")
-        return event
-
-    def _service(self, event: Event, addr: int, size: int,
-                 data: Optional[bytes]):
-        started = self.env.now
-        yield self._slots.acquire()
-        try:
-            yield self.env.timeout(self._service_latency(size))
-        finally:
-            self._slots.release()
-        if self._service_time is not None:
-            self._service_time.observe(self.env.now - started)
-        if data is not None:
-            self._store(addr, data)
-            event.succeed(DeviceReadResult(ok=True))
-        else:
-            event.succeed(DeviceReadResult(ok=True,
-                                           data=self._fetch(addr, size)))
 
 
 class RedyDevice(IDevice):
@@ -271,7 +261,8 @@ class RedyDevice(IDevice):
     The cache holds the most recent ``cache.capacity`` bytes of the log
     as a ring: log address ``a`` lives at cache address
     ``a % capacity``.  Older addresses fall out of the window and must
-    be served by the next tier.
+    be served by the next tier, and so must every address up to the end
+    of a write piece that failed: its ring slot never got the bytes.
     """
 
     name = "redy"
@@ -283,6 +274,9 @@ class RedyDevice(IDevice):
         self.env = cache.env
         self.cache = cache
         self._watermark = 0
+        #: Log addresses below this never read from the ring: a write
+        #: piece that failed left its slot holding older bytes.
+        self._floor = 0
         self._service_time = _service_histogram(self.env, self.name)
 
     @property
@@ -291,7 +285,7 @@ class RedyDevice(IDevice):
 
     @property
     def window_start(self) -> int:
-        return max(0, self._watermark - self.capacity)
+        return max(self._watermark - self.capacity, self._floor)
 
     def covers(self, addr: int) -> bool:
         return self.window_start <= addr < self._watermark
@@ -304,54 +298,50 @@ class RedyDevice(IDevice):
         if first < size:
             yield 0, first, size - first
 
-    def read(self, addr: int, size: int) -> Event:
-        event = self.env.event()
-        self.env.process(self._read(event, addr, size),
-                         name=f"redy-dev-r@{addr}")
-        return event
-
-    def _read(self, event: Event, addr: int, size: int):
+    def read_io(self, addr: int, size: int):
         started = self.env.now
         pieces = list(self._ring_pieces(addr, size))
-        results = yield self.env.all_of([
-            self.cache.read(cache_addr, length)
-            for cache_addr, _buffer_offset, length in pieces])
+        if len(pieces) == 1:
+            results = [(yield from self.cache.read_io(pieces[0][0], size))]
+        else:
+            # A read across the ring's wrap: both halves in parallel.
+            results = yield self.env.all_of([
+                self.cache.read(cache_addr, length)
+                for cache_addr, _buffer_offset, length in pieces])
         if addr < self.window_start:
             # The address aged out of the ring while the read was in
             # flight: its slot now holds newer log bytes.  Callers fall
             # back to the next tier (the log's full copy).
-            event.succeed(DeviceReadResult(
+            return DeviceReadResult(
                 ok=False, error=f"address {addr} fell out of the cache "
-                                f"window during the read"))
-            return
-        if not all(r.ok for r in results):
-            failed = next(r for r in results if not r.ok)
-            event.succeed(DeviceReadResult(ok=False, error=failed.error))
-            return
+                                f"window during the read")
+        failed = next((r for r in results if not r.ok), None)
+        if failed is not None:
+            return DeviceReadResult(ok=False, error=failed.error)
         buffer = bytearray(size)
         for (_cache_addr, buffer_offset, length), result in zip(pieces,
                                                                 results):
             buffer[buffer_offset:buffer_offset + length] = result.data
         if self._service_time is not None:
             self._service_time.observe(self.env.now - started)
-        event.succeed(DeviceReadResult(ok=True, data=bytes(buffer)))
+        return DeviceReadResult(ok=True, data=bytes(buffer))
 
-    def write(self, addr: int, data: bytes) -> Event:
-        event = self.env.event()
-        self.env.process(self._write(event, addr, data),
-                         name=f"redy-dev-w@{addr}")
-        return event
-
-    def _write(self, event: Event, addr: int, data: bytes):
+    def write_io(self, addr: int, data: bytes):
         pieces = list(self._ring_pieces(addr, len(data)))
         results = yield self.env.all_of([
             self.cache.write(cache_addr,
                              data[buffer_offset:buffer_offset + length])
             for cache_addr, buffer_offset, length in pieces])
         self._watermark = max(self._watermark, addr + len(data))
-        ok = all(r.ok for r in results)
-        error = None if ok else next(r for r in results if not r.ok).error
-        event.succeed(DeviceReadResult(ok=ok, error=error))
+        failed = None
+        for (_cache_addr, buffer_offset, length), result in zip(pieces,
+                                                                results):
+            if not result.ok:
+                failed = failed or result
+                self._floor = max(self._floor, addr + buffer_offset + length)
+        if failed is not None:
+            return DeviceReadResult(ok=False, error=failed.error)
+        return DeviceReadResult(ok=True)
 
     def spill(self, addr: int, data: bytes) -> None:
         for cache_addr, buffer_offset, length in self._ring_pieces(
@@ -392,38 +382,28 @@ class TieredDevice(IDevice):
     def covers(self, addr: int) -> bool:
         return self.resolve(addr) is not None
 
-    def read(self, addr: int, size: int) -> Event:
-        event = self.env.event()
-        self.env.process(self._read(event, addr, size),
-                         name=f"tiered-r@{addr}")
-        return event
-
-    def _read(self, event: Event, addr: int, size: int):
+    def read_io(self, addr: int, size: int):
         """Serve from the lowest covering tier, falling back to higher
         tiers when a cache tier's copy aged out mid-read."""
         last_error = f"address {addr} on no tier"
         for tier in self.tiers:
             if not tier.covers(addr):
                 continue
-            result = yield tier.read(addr, size)
+            result = yield from tier.read_io(addr, size)
             if result.ok:
                 result.tier = tier
-                event.succeed(result)
-                return
+                return result
             last_error = result.error
-        event.succeed(DeviceReadResult(ok=False, error=last_error))
+        return DeviceReadResult(ok=False, error=last_error)
 
-    def write(self, addr: int, data: bytes) -> Event:
+    def write_io(self, addr: int, data: bytes):
         """Apply to all tiers; complete at the commit point."""
         events = [tier.write(addr, data) for tier in self.tiers]
-        done = self.env.event()
-        self.env.process(self._commit(events, done), name="tiered-commit")
-        return done
-
-    def _commit(self, events: List[Event], done: Event):
         results = yield self.env.all_of(events[:self.commit_point + 1])
-        ok = all(r.ok for r in results)
-        done.succeed(DeviceReadResult(ok=ok))
+        failed = next((r for r in results if not r.ok), None)
+        if failed is not None:
+            return DeviceReadResult(ok=False, error=failed.error)
+        return DeviceReadResult(ok=True)
 
     def spill(self, addr: int, data: bytes) -> None:
         for tier in self.tiers:

@@ -167,7 +167,7 @@ class FasterKv:
             self.reads_missing += 1
             return ReadOutcome(found=False,
                                error="record evicted and no device")
-        result = yield self.device.read(address, self.record_size)
+        result = yield from self.device.read_io(address, self.record_size)
         yield cpu.acquire()
         try:
             serving = (result.tier if result.tier is not None
@@ -222,7 +222,7 @@ class FasterKv:
         if self.durable_writes and self.device is not None:
             # Commit semantics: wait for the device (the tiered device
             # acks at its commit point) while the thread serves others.
-            result = yield self.device.write(written_at, record)
+            result = yield from self.device.write_io(written_at, record)
             if not result.ok:
                 return False
         return True
@@ -276,7 +276,8 @@ class FasterKv:
         while address < until_address:
             if self.device is None:
                 break
-            result = yield self.device.read(address, self.record_size)
+            result = yield from self.device.read_io(address,
+                                                    self.record_size)
             yield cpu.acquire()
             try:
                 yield self.env.timeout(

@@ -20,6 +20,12 @@ if it agrees, only the event-list implementation changed the run (an
 *ordering* bug in the kernel).  Then it applies the invariants to the
 default loop's blob.  :func:`gate` wraps any number of entries into one
 ``repro.gate/v1`` report.
+
+Kernel work is a reviewed number too.  ``gate_events.json``, next to
+this module, holds every entry's seed-0 ``events`` (the trace length).
+At seed 0 an entry whose count grew fails with the old and new counts;
+one whose count dropped fails until the file records the new count, so
+a saving lands together with its record.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 import operator
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.analysis.sanitize import _compare, _record
@@ -594,8 +601,26 @@ SCENARIOS: Dict[str, Scenario] = {
 # The harness
 # ----------------------------------------------------------------------
 
+#: Every entry's reviewed seed-0 kernel events (see the module doc).
+EVENTS_FILE = Path(__file__).with_name("gate_events.json")
+
+
 def _canonical(blob: dict) -> str:
     return json.dumps(blob, sort_keys=True)
+
+
+def _events_failures(name: str, seed: int, events: int) -> List[str]:
+    """Seed 0 only: the entry's events must equal its recorded count."""
+    if seed != 0:
+        return []
+    pinned = json.loads(EVENTS_FILE.read_text()).get(name)
+    if pinned is None or events == pinned:
+        return []
+    if events > pinned:
+        return [f"kernel events grew {pinned} -> {events} at seed 0 "
+                f"({EVENTS_FILE.name})"]
+    return [f"kernel events dropped {pinned} -> {events} at seed 0: "
+            f"record the new count in {EVENTS_FILE.name}"]
 
 
 def _divergence(kind: str, report) -> Tuple[dict, List[str]]:
@@ -615,7 +640,8 @@ def check(name: str, seed: int = 0) -> dict:
     """Gate one registered scenario; returns its report entry.
 
     The entry is ``ok`` only if the default and heap loops traced and
-    returned identically and no invariant failed.
+    returned identically, no invariant failed, and (at seed 0) its
+    kernel events equal the recorded count.
     """
     scenario = SCENARIOS[name]
     default, blob = _record(scenario.run, seed)
@@ -632,6 +658,7 @@ def check(name: str, seed: int = 0) -> dict:
         else:
             divergence, failures = _divergence("replay", rerun)
     failures += scenario.invariants(blob)
+    failures += _events_failures(name, seed, report.events_a)
     return {
         "name": name,
         "ok": not failures,

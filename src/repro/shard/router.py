@@ -221,24 +221,36 @@ class ShardRouter:
     def read(self, addr: int, size: int,
              callback: Optional[Callable[[CacheIoResult], None]] = None,
              *, tenant: Optional[str] = None, priority: int = 0) -> Event:
-        done = self.env.event()
-        if callback is not None:
-            done._add_callback(lambda event: callback(event.value))
-        self.env.process(self._io(True, addr, size, None, done,
-                                  tenant=tenant, priority=priority),
-                         name=f"router-read:{addr}")
-        return done
+        """Asynchronous read; the returned process fires with a
+        :class:`CacheIoResult`."""
+        return self._start(
+            self.read_io(addr, size, tenant=tenant, priority=priority),
+            callback, f"router-read:{addr}")
 
     def write(self, addr: int, data: bytes,
               callback: Optional[Callable[[CacheIoResult], None]] = None,
               *, tenant: Optional[str] = None, priority: int = 0) -> Event:
-        done = self.env.event()
+        """Asynchronous write of ``data`` at ``addr``."""
+        return self._start(
+            self.write_io(addr, data, tenant=tenant, priority=priority),
+            callback, f"router-write:{addr}")
+
+    def read_io(self, addr: int, size: int, *,
+                tenant: Optional[str] = None, priority: int = 0):
+        """The generator body of :meth:`read`, for a caller that already
+        runs in a process (``yield from``); returns the result."""
+        return self._io(True, addr, size, None, tenant, priority)
+
+    def write_io(self, addr: int, data: bytes, *,
+                 tenant: Optional[str] = None, priority: int = 0):
+        """The generator body of :meth:`write` (see :meth:`read_io`)."""
+        return self._io(False, addr, len(data), data, tenant, priority)
+
+    def _start(self, body, callback: Optional[Callable], name: str) -> Event:
+        proc = self.env.process(body, name=name)
         if callback is not None:
-            done._add_callback(lambda event: callback(event.value))
-        self.env.process(self._io(False, addr, len(data), data, done,
-                                  tenant=tenant, priority=priority),
-                         name=f"router-write:{addr}")
-        return done
+            proc._add_callback(lambda event: callback(event.value))
+        return proc
 
     def load(self, addr: int, data: bytes) -> None:
         """Zero-time bulk load onto every owner (and hot replica)."""
@@ -361,42 +373,38 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     def _io(self, is_read: bool, addr: int, size: int,
-            data: Optional[bytes], done: Event,
-            tenant: Optional[str] = None, priority: int = 0):
+            data: Optional[bytes], tenant: Optional[str] = None,
+            priority: int = 0):
         started = self.env.now
         try:
             fragments = self._fragments(addr, size)
         except AddressError as exc:
-            done.succeed(CacheIoResult(ok=False, error=str(exc)))
-            return
-        if False:
-            yield  # pragma: no cover -- makes this a generator
+            return CacheIoResult(ok=False, error=str(exc))
         if tenant is not None:
             family = self._c_tenant_reads if is_read else self._c_tenant_writes
             if family is not None:
                 family.labels(tenant=tenant).inc()
-        parts: List[Event] = []
-        for slot, frag_addr, length, offset in fragments:
-            part = self.env.event()
-            parts.append(part)
-            if is_read:
-                self.env.process(  # repro-lint: disable=L006 -- fragment completion is joined via `part` in all_of below
-                    self._read_fragment(slot, frag_addr, length, part,
-                                        tenant, priority),
-                    name=f"router-read-frag:{slot}")
-            else:
-                payload = data[offset:offset + length]
-                self.env.process(  # repro-lint: disable=L006 -- fragment completion is joined via `part` in all_of below
-                    self._write_fragment(slot, frag_addr, payload, part,
-                                         tenant, priority),
-                    name=f"router-write-frag:{slot}")
-        results = yield self.env.all_of(parts)
+        bodies = [
+            self._read_fragment(slot, frag_addr, length, tenant, priority)
+            if is_read else
+            self._write_fragment(slot, frag_addr,
+                                 data[offset:offset + length],
+                                 tenant, priority)
+            for slot, frag_addr, length, offset in fragments]
+        if len(bodies) == 1:
+            results = [(yield from bodies[0])]
+        else:
+            # One process per fragment, so the fragments run in parallel.
+            kind = "read" if is_read else "write"
+            results = yield self.env.all_of([
+                self.env.process(body,
+                                 name=f"router-{kind}-frag:{fragment[0]}")
+                for body, fragment in zip(bodies, fragments)])
         latency = self.env.now - started
         failed = [r for r in results if not r.ok]
         if failed:
-            done.succeed(CacheIoResult(ok=False, error=failed[0].error,
-                                       latency=latency))
-            return
+            return CacheIoResult(ok=False, error=failed[0].error,
+                                 latency=latency)
         if is_read:
             if self._c_reads:
                 self._c_reads.inc()
@@ -404,18 +412,15 @@ class ShardRouter:
                 self._h_read_lat.observe(latency)
             payload = (results[0].data if len(results) == 1
                        else b"".join(r.data for r in results))
-            done.succeed(CacheIoResult(ok=True, data=payload,
-                                       latency=latency))
-        else:
-            if self._c_writes:
-                self._c_writes.inc()
-            if self._h_write_lat:
-                self._h_write_lat.observe(latency)
-            done.succeed(CacheIoResult(ok=True, latency=latency))
+            return CacheIoResult(ok=True, data=payload, latency=latency)
+        if self._c_writes:
+            self._c_writes.inc()
+        if self._h_write_lat:
+            self._h_write_lat.observe(latency)
+        return CacheIoResult(ok=True, latency=latency)
 
     def _read_fragment(self, slot: int, addr: int, length: int,
-                       done: Event, tenant: Optional[str] = None,
-                       priority: int = 0):
+                       tenant: Optional[str] = None, priority: int = 0):
         self._record_access(slot)
         pool = self._read_pool(slot)
         result = CacheIoResult(ok=False, error="no live shard for range")
@@ -433,7 +438,7 @@ class ShardRouter:
                                                    tenant, priority)
             if result.ok:
                 break
-        done.succeed(result)
+        return result
 
     def _attempt_read(self, member: ShardMember, addr: int, length: int,
                       alternates: List[str], tenant: Optional[str] = None,
@@ -496,8 +501,7 @@ class ShardRouter:
             yield gate
 
     def _write_fragment(self, slot: int, addr: int, payload: bytes,
-                        done: Event, tenant: Optional[str] = None,
-                        priority: int = 0):
+                        tenant: Optional[str] = None, priority: int = 0):
         yield from self._write_barrier(slot)
         issued: List[Event] = []
         # Sorted acquire order: concurrent multi-target writes never
@@ -510,17 +514,12 @@ class ShardRouter:
                                            tenant, priority)
             issued.append(event)
         if not issued:
-            done.succeed(CacheIoResult(ok=False,
-                                       error="no live shard for range"))
-            return
+            return CacheIoResult(ok=False, error="no live shard for range")
         results = yield self.env.all_of(issued)
         oks = [r for r in results if r.ok]
         if len(oks) < len(results) and self._c_partial:
             self._c_partial.inc(len(results) - len(oks))
-        if oks:
-            done.succeed(CacheIoResult(ok=True))
-        else:
-            done.succeed(results[0])
+        return CacheIoResult(ok=True) if oks else results[0]
 
     # ------------------------------------------------------------------
     # Hot keys

@@ -358,9 +358,9 @@ class Process(Event):
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
                  name: str = ""):
+        # Built only by Environment._spawn, which announces the process
+        # to the monitor and leaves the first step to its caller.
         super().__init__(env)
-        if not hasattr(generator, "send"):
-            raise TypeError("Process requires a generator")
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
@@ -370,11 +370,6 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self._resume_handler = self._resume
-        monitor = env.monitor
-        if monitor is not None:
-            monitor.on_spawn(self)
-        # Bootstrap: start the generator on the next kernel step.
-        env._call_soon(Process._step, self)
 
     @property
     def is_alive(self) -> bool:
@@ -539,8 +534,9 @@ class Process(Event):
         except StopIteration as stop:
             # Unobserved exit: as in _resume, plus the caller's reference
             # (the run loop's entry on bootstrap, _resume's `self` on a
-            # thrown failure).  An interrupt's throw holds one more, so
-            # it never matches and keeps its event-list entry.
+            # thrown failure).  An interrupt's throw and
+            # Environment.start hold one more, so they never match and
+            # keep their event-list entry.
             if not self.callbacks and _refcount(self) == 4:
                 self._exit_unobserved(stop.value)
             else:
@@ -833,8 +829,39 @@ class Environment:
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str = "") -> Process:
+        """Spawn ``generator`` as a process; it first runs on the next
+        kernel step (its bootstrap entry)."""
+        proc = self._spawn(generator, name)
+        self._call_soon(Process._step, proc)
+        return proc
+
+    def start(self, generator: Generator[Event, Any, Any],
+              name: str = "") -> Process:
+        """:meth:`process` without the bootstrap entry: the first step
+        runs now, inside the caller.
+
+        Only for an event callback that runs exactly where a process
+        waiting on that event would have been resumed -- then starting
+        the work there instead of in a waiter spawned earlier moves
+        nothing in the schedule and saves the waiter's bootstrap step.
+        A process that finishes inside this first step keeps its exit
+        entry (the caller may join what this returns).
+        """
+        proc = self._spawn(generator, name)
+        # A second local reference: a finish in this step then fails
+        # _step's refcount proof and keeps its exit entry.
+        held = proc
+        held._step()
+        return proc
+
+    def _spawn(self, generator: Generator[Event, Any, Any],
+               name: str) -> Process:
+        """A fresh (or recycled) process for ``generator``, announced to
+        the monitor but not yet scheduled."""
+        if not hasattr(generator, "send"):
+            raise TypeError("Process requires a generator")
         free = self._process_free
-        if free and hasattr(generator, "send"):
+        if free:
             proc = free.pop()
             proc.callbacks = None
             proc._value = None
@@ -849,12 +876,12 @@ class Environment:
             proc._send = generator.send
             proc._throw = generator.throw
             # proc._resume_handler is still this object's bound _resume.
-            monitor = self.monitor
-            if monitor is not None:
-                monitor.on_spawn(proc)
-            self._call_soon(Process._step, proc)
-            return proc
-        return Process(self, generator, name=name)
+        else:
+            proc = Process(self, generator, name=name)
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_spawn(proc)
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -371,13 +371,13 @@ class TenantTier:
         try:
             gaddr = tenant.base + addr
             if is_read:
-                result = yield self.router.read(gaddr, size,
-                                                tenant=tenant.spec.name,
-                                                priority=tenant.weight)
+                result = yield from self.router.read_io(
+                    gaddr, size, tenant=tenant.spec.name,
+                    priority=tenant.weight)
             else:
-                result = yield self.router.write(gaddr, data,
-                                                 tenant=tenant.spec.name,
-                                                 priority=tenant.weight)
+                result = yield from self.router.write_io(
+                    gaddr, data, tenant=tenant.spec.name,
+                    priority=tenant.weight)
         finally:
             self._release_slot(tenant)
         if result.ok:

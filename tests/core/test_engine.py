@@ -1,5 +1,7 @@
 """Integration tests: the executable data path (engine + cache server)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import RdmaConfig
@@ -65,6 +67,52 @@ class TestSingleOpReap:
             return result.latency
 
         assert latency(False) > latency(True)
+
+
+class TestCompletionCallbacks:
+    """The engine reaps one-sided verbs and watches posted batches with
+    completion callbacks, not waiter processes.  A callback must run
+    exactly where a waiter spawned at post time would have resumed --
+    also when the post completed at once (a QP in the error state)."""
+
+    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+    @pytest.mark.parametrize("at_post", [False, True],
+                             ids=["pending", "completed-at-post"])
+    def test_callback_runs_where_a_spawned_waiter_resumed(self, scheduler,
+                                                          at_post):
+        def order(use_callback):
+            env = Environment(scheduler=scheduler)
+            log = []
+
+            def bystander(tag):
+                log.append(tag)
+                yield env.timeout(0)
+                log.append(tag + "+")
+
+            def waiter(event):
+                log.append((yield event))
+
+            def poster():
+                event = env.event()
+                if at_post:
+                    event.succeed("done")
+                if use_callback:
+                    CacheDataPath._on_completion(
+                        SimpleNamespace(env=env), event,
+                        lambda ev: log.append(ev.value))
+                else:
+                    env.process(waiter(event))
+                env.process(bystander("a"))
+                yield env.timeout(0)
+                if not at_post:
+                    event.succeed("done")
+                    env.process(bystander("b"))
+
+            env.process(poster())
+            env.run()
+            return log
+
+        assert order(use_callback=True) == order(use_callback=False)
 
 
 class TestFunctionalDataPath:

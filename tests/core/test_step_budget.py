@@ -1,5 +1,5 @@
-"""Kernel step budgets: the exact number of event-list entries two small
-runs dispatch.
+"""Kernel step budgets: the exact number of event-list entries small runs
+dispatch.
 
 Host time on a shared machine is too noisy to gate, but the kernel's
 work is deterministic: a change that adds (or saves) dispatches moves
@@ -11,13 +11,21 @@ from repro.core import Slo
 from repro.core.config import RdmaConfig
 from repro.core.measurement import measure_config
 from repro.obs import MetricsRegistry
-from repro.workloads.scenarios import build_cluster
+from repro.shard import ShardRouter
+from repro.sim import Resource
+from repro.tenant import TenantSpec, TenantTier
+from repro.workloads.scenarios import build_cluster, build_faster_store
 
 #: Kernel steps of one uncontended 64 B write then read of the same
 #: address on an idle testbed (one-sided configuration).
-READ_WRITE_STEPS = 34
+READ_WRITE_STEPS = 32
 #: Kernel steps of a small two-sided closed-loop measurement.
-MEASURE_STEPS = 4041
+MEASURE_STEPS = 3779
+#: Kernel steps of one FasterKv read that misses local memory and is
+#: served by the Redy tier of the tiered device.
+FASTER_REDY_READ_STEPS = 18
+#: Kernel steps of one TenantTier read through a one-member router.
+TENANT_READ_STEPS = 19
 
 
 def _check(name, pinned, steps):
@@ -25,26 +33,34 @@ def _check(name, pinned, steps):
         f"{name}: kernel steps moved from {pinned} (pinned) to {steps}")
 
 
-def test_uncontended_read_and_write_step_budget():
-    harness = build_cluster(seed=0)
-    env = harness.env
-    cache = harness.redy_client("budget").create(
-        1 << 20, Slo(max_latency=20e-6, min_throughput=2e6, record_size=64),
-        region_bytes=1 << 20)
+def _steps_of(env, body):
+    """Kernel steps ``body`` dispatches, run alone on an idle ``env``."""
     env.run()
     before = env.event_loop_stats()["steps"]
     results = []
 
     def driver():
-        results.append((yield cache.write(4096, b"x" * 64)))
-        results.append((yield cache.read(4096, 64)))
+        results.append((yield from body()))
 
     env.process(driver())
     env.run()
-    assert [result.ok for result in results] == [True, True]
-    assert results[1].data == b"x" * 64
-    _check("one read + one write", READ_WRITE_STEPS,
-           env.event_loop_stats()["steps"] - before)
+    return results[0], env.event_loop_stats()["steps"] - before
+
+
+def test_uncontended_read_and_write_step_budget():
+    harness = build_cluster(seed=0)
+    cache = harness.redy_client("budget").create(
+        1 << 20, Slo(max_latency=20e-6, min_throughput=2e6, record_size=64),
+        region_bytes=1 << 20)
+
+    def body():
+        wrote = yield cache.write(4096, b"x" * 64)
+        read = yield cache.read(4096, 64)
+        return wrote, read
+
+    (wrote, read), steps = _steps_of(harness.env, body)
+    assert wrote.ok and read.ok and read.data == b"x" * 64
+    _check("one read + one write", READ_WRITE_STEPS, steps)
 
 
 def test_measure_config_step_budget():
@@ -53,3 +69,36 @@ def test_measure_config_step_budget():
                    warmup_batches=5, seed=0, metrics=registry)
     _check("measure_config", MEASURE_STEPS,
            int(registry.get("kernel.steps").value))
+
+
+def test_faster_read_served_by_redy_step_budget():
+    records = 4096
+    scenario = build_faster_store("redy", n_records=records, value_bytes=16,
+                                  seed=0)
+    store, env = scenario.store, scenario.harness.env
+    key = next(k for k in range(records)
+               if not store.hlog.in_memory(store.index.lookup(k)))
+    cpu = Resource(env, slots=1)
+
+    outcome, steps = _steps_of(env, lambda: store.read(key, cpu))
+    assert outcome.found and outcome.served_by == "redy"
+    _check("one FasterKv read served by Redy", FASTER_REDY_READ_STEPS, steps)
+
+
+def test_tenant_read_step_budget():
+    harness = build_cluster(seed=0)
+    member = harness.redy_client("budget").create(
+        1 << 19, Slo(max_latency=1e-3, min_throughput=1e5, record_size=512),
+        duration_s=3600.0, region_bytes=1 << 18)
+    router = ShardRouter(harness.env, {"s00": member}, slot_bytes=1 << 12)
+    tier = TenantTier(harness.env, router)
+    tier.register(TenantSpec(name="t", namespace_bytes=1 << 14,
+                             rate_per_s=100_000.0, burst=32.0))
+    tier.load("t", 0, b"y" * 64)
+
+    def body():
+        return (yield tier.read("t", 0, 64))
+
+    result, steps = _steps_of(harness.env, body)
+    assert result.ok and result.data == b"y" * 64
+    _check("one TenantTier read", TENANT_READ_STEPS, steps)

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core import Slo
 from repro.faster.devices import (
     LocalMemoryDevice,
+    RedyDevice,
     SmbDirectDevice,
     SsdDevice,
     TieredDevice,
 )
 from repro.sim import Environment, US
+from repro.workloads.scenarios import build_cluster
 
 
 def run(env, event):
@@ -148,3 +151,42 @@ class TestTieredDevice:
         fast = LocalMemoryDevice(env, 64)
         with pytest.raises(ValueError):
             TieredDevice(env, [fast], commit_point=2)
+
+
+class TestRedyTier:
+    def make_tiered(self):
+        harness = build_cluster(seed=0)
+        env = harness.env
+        cache = harness.redy_client("devices").create(
+            1 << 20, Slo(max_latency=20e-6, min_throughput=2e6,
+                         record_size=64),
+            region_bytes=1 << 20)
+        redy = RedyDevice(cache)
+        ssd = SsdDevice(env, 1 << 20, np.random.default_rng(7))
+        return env, cache, redy, ssd, TieredDevice(env, [redy, ssd])
+
+    def test_read_is_served_by_the_ring(self):
+        env, _cache, redy, _ssd, tiered = self.make_tiered()
+        assert run(env, tiered.write(32, b"A" * 32)).ok
+        result = run(env, tiered.read(32, 32))
+        assert result.ok and result.data == b"A" * 32
+        assert result.tier is redy
+
+    def test_failed_ring_write_falls_through_to_the_next_tier(self):
+        env, cache, redy, ssd, tiered = self.make_tiered()
+        qps = [connection.qp for thread in cache.path.threads
+               for connection in thread.connections.values()]
+        for qp in qps:
+            qp.inject_error("link down")
+        wrote = run(env, tiered.write(32, b"B" * 32))
+        # The commit tier's failure is reported with its error.
+        assert not wrote.ok and wrote.error == "link down"
+        for qp in qps:
+            qp.reconnect()
+        env.run()  # the SSD copy lands
+        assert ssd.covers(32) and not redy.covers(32)
+        # The ring slot never got the bytes: the read must not be
+        # served from it (it used to return 32 zero bytes, ok=True).
+        result = run(env, tiered.read(32, 32))
+        assert result.ok and result.data == b"B" * 32
+        assert result.tier is ssd

@@ -3,7 +3,8 @@
 Two halves: every registered entry's invariants hold at seed 0 and
 each one fails when a single field of its blob is violated, and the
 harness tells an ordering bug and an invariant failure apart (the
-replay-bug case is ``tests/test_cli.py``'s leaky demo).
+replay-bug case is ``tests/test_cli.py``'s leaky demo) and holds each
+entry's seed-0 kernel events to the recorded count.
 """
 
 import copy
@@ -186,6 +187,32 @@ def test_invariant_failures_fail_a_replaying_entry(monkeypatch):
     assert entry["divergence"] is None
     assert entry["failures"] == ["now = 1.0, expected 0"]
     assert not entry["ok"]
+
+
+def test_recorded_events_cover_every_entry():
+    recorded = json.loads(gates.EVENTS_FILE.read_text())
+    assert list(recorded) == list(SCENARIOS)
+    assert all(isinstance(count, int) and count > 0
+               for count in recorded.values())
+
+
+@pytest.mark.parametrize("delta,change", [(-1, "grew"), (1, "dropped")])
+def test_seed_0_event_count_change_fails_with_old_and_new(
+        monkeypatch, tmp_path, delta, change):
+    _register(monkeypatch, "clean", _clean)
+    events = gates.check("clean")["events"]
+    recorded = tmp_path / "gate_events.json"
+    recorded.write_text(json.dumps({"clean": events + delta}))
+    monkeypatch.setattr(gates, "EVENTS_FILE", recorded)
+    entry = gates.check("clean")
+    assert not entry["ok"]
+    assert len(entry["failures"]) == 1
+    assert entry["failures"][0].startswith(
+        f"kernel events {change} {events + delta} -> {events} at seed 0")
+    # Only seed 0 is recorded; an exact count passes.
+    assert gates.check("clean", seed=1)["ok"]
+    recorded.write_text(json.dumps({"clean": events}))
+    assert gates.check("clean")["ok"]
 
 
 def test_report_counts_entries_and_renders(monkeypatch):
