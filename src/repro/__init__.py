@@ -8,7 +8,7 @@ simulated testbed:
 
 * :mod:`repro.sim` -- the discrete-event kernel;
 * :mod:`repro.hardware` -- calibrated NIC/CPU/SSD/fabric cost profiles;
-* :mod:`repro.net` -- the RDMA model (verbs, queue pairs, rings);
+* :mod:`repro.net` -- the RDMA model (verbs, queue pairs, verb programs);
 * :mod:`repro.cluster` -- VM allocation, spot markets, reclamation,
   synthetic cluster traces, stranded-memory analysis;
 * :mod:`repro.core` -- Redy itself: the data path, the configuration

@@ -7,19 +7,16 @@ fault logs, shard replays, and content-addressed sweep caching):
   repo-specific rules (wall-clock use, unseeded randomness, unordered
   iteration, blocking I/O in sim processes, mutable spec defaults,
   unsorted digest JSON).  Run it as ``python -m repro lint``.
-* **Dynamic** -- :mod:`repro.analysis.hb`, a happens-before race
-  detector built on vector clocks over the sim kernel's spawn / join /
-  event / resource edges, and :mod:`repro.analysis.sanitize`, a
-  replay-divergence sanitizer that runs a workload twice from one seed
-  and bisects the first diverging kernel event.  ``python -m repro
-  gate`` (:mod:`repro.gates`) runs every registered scenario through it
-  on both kernel event loops.
+* **Dynamic** -- :mod:`repro.analysis.sanitize`, a replay-divergence
+  sanitizer that runs a workload twice from one seed and bisects the
+  first diverging kernel event.  ``python -m repro gate``
+  (:mod:`repro.gates`) runs every registered scenario through it on
+  both kernel event loops.
 
 Both prongs report through :mod:`repro.analysis.report` (text or JSON)
 and share the exit-code contract: 0 clean, 1 findings, 2 internal error.
 """
 
-from repro.analysis.hb import RaceDetector, RaceFinding, Tracked
 from repro.analysis.linter import lint_paths, lint_source
 from repro.analysis.report import Finding, format_findings
 from repro.analysis.rules import RULES, Rule
@@ -29,10 +26,7 @@ __all__ = [
     "DivergenceReport",
     "Finding",
     "RULES",
-    "RaceDetector",
-    "RaceFinding",
     "Rule",
-    "Tracked",
     "format_findings",
     "lint_paths",
     "lint_source",

@@ -1,8 +1,8 @@
 """Findings and the shared text/JSON reporters.
 
-Both analysis prongs (linter, race detector, sanitizer) normalize their
-output into :class:`Finding` so one reporter serves ``python -m repro
-lint`` and the sanitizer's divergence reports alike.  The JSON form is
+Both analysis prongs (linter, sanitizer) normalize their output into
+:class:`Finding` so one reporter serves ``python -m repro lint`` and
+the sanitizer's divergence reports alike.  The JSON form is
 a stable schema (``repro.analysis/v1``) for CI annotation tooling;
 ``python -m repro gate`` writes its own ``repro.gate/v1`` report.
 """

@@ -30,12 +30,35 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.hb import KernelMonitor
 from repro.analysis.report import Finding
 from repro.sim import kernel
 from repro.sim.rng import RngRegistry
 
-__all__ = ["DivergenceReport", "TraceRecorder", "sanitize"]
+__all__ = ["DivergenceReport", "KernelMonitor", "TraceRecorder", "sanitize"]
+
+
+class KernelMonitor:
+    """Hook protocol the kernel drives when ``Environment.monitor`` is set.
+
+    The base class is a no-op so subclasses implement only the edges
+    they care about; :class:`TraceRecorder` is the one in this package.
+    """
+
+    def on_spawn(self, process: Any) -> None:
+        """A Process was created (the creator is the current context)."""
+
+    def on_resume(self, process: Any, event: Any) -> None:
+        """``process`` is about to resume with ``event``'s outcome."""
+
+    def on_step(self, process: Any) -> None:
+        """``process`` is about to run without an event delivery
+        (bootstrap, interrupt throw, or failure propagation)."""
+
+    def on_trigger(self, event: Any) -> None:
+        """The current context triggered ``event`` (succeed or fail)."""
+
+    def on_interrupt(self, process: Any) -> None:
+        """The current context called ``process.interrupt()``."""
 
 
 class TraceRecorder(KernelMonitor):

@@ -68,13 +68,3 @@ class SpotLifetimePredictor:
         already gone: the preemptive-migration trigger."""
         return self.lifetime_quantile(vm_type_name, risk)
 
-    def expected_remaining(self, vm_type_name: str,
-                           age_s: float) -> Optional[float]:
-        """Mean residual lifetime at ``age_s``, from the empirical tail."""
-        if not self.has_model(vm_type_name):
-            return None
-        samples = np.asarray(self._reclaim_lifetimes[vm_type_name])
-        tail = samples[samples > age_s]
-        if tail.size == 0:
-            return 0.0
-        return float(tail.mean() - age_s)

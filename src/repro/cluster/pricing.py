@@ -14,7 +14,7 @@ type become available" API extension §6.1 proposes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class SpotMarket:
         self.ceiling_fraction = ceiling_fraction
         self._prices: Dict[str, float] = {
             t.name: t.spot_price_per_hour for t in menu}
-        self._subscribers: List[Callable[[], None]] = []
         env.process(self._tick(), name="spot-market")
 
     def spot_price(self, vm_type: VmType) -> float:
@@ -55,10 +54,6 @@ class SpotMarket:
 
     def price(self, vm_type: VmType, spot: bool) -> float:
         return self.spot_price(vm_type) if spot else vm_type.price_per_hour
-
-    def subscribe(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after every market tick."""
-        self._subscribers.append(callback)
 
     def cheapest_covering(self, cores: int, memory_gb: float) -> List[VmType]:
         """Menu entries covering (cores, memory), by current spot price."""
@@ -74,5 +69,3 @@ class SpotMarket:
                 floor = vm_type.price_per_hour * self.floor_fraction
                 ceiling = vm_type.price_per_hour * self.ceiling_fraction
                 self._prices[vm_type.name] = min(max(price, floor), ceiling)
-            for callback in list(self._subscribers):
-                callback()

@@ -28,6 +28,7 @@ from repro.core.regions import AddressError, RegionTable
 from repro.core.server import CacheServer
 from repro.hardware.profiles import TestbedProfile
 from repro.net.fabric import Fabric, Placement
+from repro.net.programs import POINTER_BYTES
 from repro.obs.metrics import registry_of
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
@@ -174,10 +175,10 @@ class RedyCache:
     """One provisioned cache: a contiguous byte-addressable device.
 
     Every I/O is a generator body that returns its
-    :class:`CacheIoResult`.  :meth:`read`, :meth:`write`, :meth:`cas`
-    and :meth:`dependent_read` run it as a process and return that
-    process, which fires with the result.  A layer that already runs in
-    a process delegates instead -- ``yield from cache.read_io(...)`` or
+    :class:`CacheIoResult`.  :meth:`read`, :meth:`write` and
+    :meth:`dependent_read` run it as a process and return that process,
+    which fires with the result.  A layer that already runs in a process
+    delegates instead -- ``yield from cache.read_io(...)`` or
     ``cache.write_io(...)`` -- and the I/O costs it no process, no
     bootstrap step and no completion hand-off.
     """
@@ -296,24 +297,6 @@ class RedyCache:
         return self._start_io("w", addr, len(data), data, callback,
                               tenant=tenant)
 
-    def cas(self, addr: int, compare: Optional[bytes], swap: bytes,
-            callback: Optional[Callable[[CacheIoResult], None]] = None
-            ) -> Event:
-        """Asynchronous single-word compare-and-swap at ``addr``.
-
-        The remote NIC atomically compares the 8-byte word at ``addr``
-        against ``compare`` and, on a match, stores ``swap``.  The result
-        carries the *observed original word* in ``data`` either way; a
-        mismatch completes with ``ok=False`` and ``error="cas mismatch"``
-        so optimistic callers (server-side eviction marking, lock words)
-        can re-read and retry.  ``compare=None`` swaps unconditionally.
-        The retry policy never re-runs a CAS: a mismatch is data, not a
-        transient failure.
-        """
-        if len(swap) != 8 or (compare is not None and len(compare) != 8):
-            raise ValueError("cas operates on one 8-byte word")
-        return self._start_io("c", addr, 8, swap, callback, compare=compare)
-
     def dependent_read(self, pointer_addr: int, size: int,
                        callback: Optional[Callable[[CacheIoResult], None]]
                        = None) -> Event:
@@ -346,32 +329,27 @@ class RedyCache:
 
     def _start_io(self, kind: str, addr: int, size: int,
                   data: Optional[bytes], callback: Optional[Callable], *,
-                  tenant: Optional[str] = None,
-                  compare: Optional[bytes] = None) -> Event:
+                  tenant: Optional[str] = None) -> Event:
         """Start one I/O of ``kind``: ``"r"`` read, ``"w"`` write,
-        ``"d"`` dependent read, ``"c"`` CAS.  The process running its
-        body is the completion event."""
+        ``"d"`` dependent read.  The process running its body is the
+        completion event."""
         proc = self.env.process(
-            self._body(kind, addr, size, data, tenant=tenant,
-                       compare=compare),
+            self._body(kind, addr, size, data, tenant=tenant),
             name=f"redy-io-{kind}@{addr}")
         if callback is not None:
             proc._add_callback(lambda event: callback(event.value))
         return proc
 
     def _body(self, kind: str, addr: int, size: int,
-              data: Optional[bytes], *, tenant: Optional[str] = None,
-              compare: Optional[bytes] = None):
+              data: Optional[bytes], *, tenant: Optional[str] = None):
         """The generator that runs one I/O under the retry policy and
         returns its :class:`CacheIoResult`."""
         if self.deleted:
             raise CacheDeletedError("cache was deleted")
         policy = self.retry_policy
-        if kind == "c" or (policy.max_attempts == 1
-                           and policy.attempt_timeout_s is None):
+        if policy.max_attempts == 1 and policy.attempt_timeout_s is None:
             # Fail-fast default: no retry wrapper on the hot path.
-            return self._io(kind, addr, size, data, tenant=tenant,
-                            compare=compare)
+            return self._io(kind, addr, size, data, tenant=tenant)
         return self._io_with_retry(kind, addr, size, data, tenant=tenant)
 
     def _io_with_retry(self, kind: str, addr: int, size: int,
@@ -422,11 +400,9 @@ class RedyCache:
         return result
 
     def _io(self, kind: str, addr: int, size: int,
-            data: Optional[bytes], tenant: Optional[str] = None,
-            compare: Optional[bytes] = None):
-        if kind in ("d", "c"):
-            return (yield from self._word_io(kind, addr, size, data,
-                                             compare))
+            data: Optional[bytes], tenant: Optional[str] = None):
+        if kind == "d":
+            return (yield from self._dependent_io(addr, size))
         is_read = kind == "r"
         start = self.env.now
         try:
@@ -474,45 +450,32 @@ class RedyCache:
         return CacheIoResult(ok=True, data=payload,
                              latency=self.env.now - start)
 
-    def _word_io(self, kind: str, addr: int, size: int,
-                 swap: Optional[bytes], compare: Optional[bytes]):
-        """One single-word op handed to the data path as one engine op.
+    def _dependent_io(self, addr: int, size: int):
+        """A dependent read handed to the data path as one engine op.
 
-        A dependent read (``"d"``) chases the 8-byte pointer word at
-        ``addr`` to ``size`` record bytes; the engine picks the
-        transport and the record offset resolves remotely, so the
-        client never sees the pointer value.  A CAS (``"c"``) swaps the
-        word at ``addr`` and passes the observed original through even
-        on a mismatch.  Either way the word must sit in one region.
+        It chases the pointer word at ``addr`` to ``size`` record bytes;
+        the engine picks the transport and the record offset resolves
+        remotely, so the client never sees the pointer value.  The word
+        must sit in one region.
         """
         start = self.env.now
-        cas = kind == "c"
         try:
-            fragments = self.table.translate(addr, 8)
+            fragments = self.table.translate(addr, POINTER_BYTES)
         except AddressError as exc:
             return CacheIoResult(ok=False, error=str(exc))
         if len(fragments) != 1:
             return CacheIoResult(
-                ok=False,
-                error="cas: word spans regions" if cas
-                else "dependent read: pointer word spans regions")
+                ok=False, error="dependent read: pointer word spans regions")
         fragment = fragments[0]
-        gate = (self.table.write_gate(fragment.region_index) if cas
-                else self.table.read_gate(fragment.region_index))
+        gate = self.table.read_gate(fragment.region_index)
         if gate is not None:
             yield gate  # §6.2: paused until the region migrates
         # Re-resolve the mapping: it may have flipped while we waited.
         token = self.table.region(fragment.region_index).token
-        if cas:
-            op = EngineOp(
-                is_read=False, size=8, token=token, offset=fragment.offset,
-                data=swap, cas=True, compare=compare,
-                completion=self.env.event())
-        else:
-            op = EngineOp(
-                is_read=True, size=size, token=token, offset=0,
-                lookup_offset=fragment.offset, verify=True,
-                completion=self.env.event())
+        op = EngineOp(
+            is_read=True, size=size, token=token, offset=0,
+            lookup_offset=fragment.offset, verify=True,
+            completion=self.env.event())
         yield self.env.timeout(self.path.submission_overhead())
         yield self.path.submit(op)
         result = yield op.completion

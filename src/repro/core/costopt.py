@@ -54,11 +54,6 @@ class CostOptimizer:
 
     # ------------------------------------------------------------------
 
-    def current_hourly_cost(self) -> float:
-        """What the cache's VMs cost right now at market prices."""
-        return sum(self.market.price(vm.vm_type, vm.spot)
-                   for vm in self.cache.allocation.vms)
-
     def _vm_requirements(self, vm) -> tuple[int, float]:
         """(cores, memory_gb) one replacement VM must provide."""
         allocation = self.cache.allocation

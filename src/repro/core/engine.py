@@ -34,7 +34,7 @@ from repro.core.server import CacheServer, RING_SLOT_BYTES
 from repro.hardware.profiles import TestbedProfile
 from repro.net.fabric import Endpoint
 from repro.net.memory import MemoryRegion
-from repro.net.programs import VerbProgram
+from repro.net.programs import POINTER_BYTES, VerbProgram
 from repro.net.qp import QueuePair
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
@@ -136,9 +136,6 @@ class CacheDataPath:
                 "engine.program_fallbacks")
             self._cas_abort_counter = metrics.counter(
                 "engine.program_cas_aborts")
-            self._cas_ops_counter = metrics.counter("engine.cas_ops")
-            self._cas_mismatch_counter = metrics.counter(
-                "engine.cas_mismatches")
             self._tenant_ops_family = metrics.counter("engine.tenant_ops")
         else:
             self._op_latency = None
@@ -151,8 +148,6 @@ class CacheDataPath:
             self._two_hop_counter = None
             self._fallback_counter = None
             self._cas_abort_counter = None
-            self._cas_ops_counter = None
-            self._cas_mismatch_counter = None
             self._tenant_ops_family = None
         for thread in self.threads:
             env.process(self._completion_loop(thread),
@@ -212,31 +207,6 @@ class CacheDataPath:
                      f"issue->{server.endpoint.name}")
         return reply.region_tokens
 
-    def detach_server(self, server_name: str) -> None:
-        """Drop all connections to one server (it failed or was reclaimed).
-
-        Releases the client-side control-plane state too -- response
-        rings are deregistered and the per-thread QPs reclaimed -- and
-        tells a still-alive server to drop its half (request rings,
-        response QPs).  Before this fix, every attach/detach cycle
-        leaked one region and two QP registrations per client thread
-        on each side.
-        """
-        server: Optional[CacheServer] = None
-        for thread in self.threads:
-            connection = thread.connections.pop(server_name, None)
-            if connection is not None:
-                connection.closed = True
-                server = connection.server
-                stale = [rid for rid, conn in thread.routes.items()
-                         if conn is connection]
-                for rid in stale:
-                    del thread.routes[rid]
-                self.endpoint.deregister(connection.response_ring.region_id)
-                connection.qp.reclaim()
-        if server is not None and server.alive:
-            server.disconnect_client(self.endpoint)
-
     def add_route(self, region_id: int, server_name: str) -> None:
         """Point a region at an (already attached) server on every thread."""
         for thread in self.threads:
@@ -272,7 +242,7 @@ class CacheDataPath:
         """Queue one op; returns an event that fires when the op is in the
         batch ring (backpressure point).  The op's own ``completion``
         event fires with its :class:`OpResult` when the I/O finishes.
-        A dependent read or CAS skips the ring, so its hand-off is a
+        A dependent read skips the ring, so its hand-off is a
         :class:`Ready` the caller continues past at once.
         """
         if op.completion is None:
@@ -283,22 +253,18 @@ class CacheDataPath:
             self._round_robin += 1
         thread = self.threads[thread_index % len(self.threads)]
         connection = self._route(thread, op)
-        if op.is_dependent or op.cas:
-            # Dependent GETs and CAS never enter the message-ring
-            # batching protocol: each is posted on its own doorbell (a
-            # verb program or two-hop READs keep the pointer-chase
-            # semantics; a CAS is atomic because one NIC verb runs it).
+        if op.is_dependent:
+            # Dependent GETs never enter the message-ring batching
+            # protocol: each is posted on its own doorbell (a verb
+            # program or two-hop READs keep the pointer-chase semantics).
             if op.token is None:
-                raise EngineError(
-                    "dependent reads and CAS need a region token")
+                raise EngineError("dependent reads need a region token")
             if op.weight != 1:
-                raise EngineError(
-                    "dependent reads and CAS are weight-1 ops")
-            kind = "cas" if op.cas else "dependent-read"
+                raise EngineError("dependent reads are weight-1 ops")
             self.env.process(
                 self._bypass(thread, connection, op),
                 name=f"redy-client:{self.endpoint.name}:"
-                     f"t{thread.index}:{kind}")
+                     f"t{thread.index}:dependent-read")
             return Ready(self.env)
         return connection.batch_ring.put(op)
 
@@ -419,27 +385,10 @@ class CacheDataPath:
 
     def _bypass(self, thread: _ClientThread, connection: _Connection,
                 op: EngineOp):
-        """One op outside the batching protocol: a dependent GET or a
-        standalone CAS.  Both pay the same issue and reap costs; only
-        the transport differs.
-
-        A CAS mismatch is not a transport failure -- it completes with
-        ``ok=False``, ``error="cas mismatch"`` and the observed original
-        word in ``data``, which is what optimistic callers re-read and
-        retry against.
-        """
+        """A dependent GET outside the batching protocol: issue, chase
+        (see :meth:`_chase`), reap."""
         yield from self._issue(thread, connection)
-        if op.cas:
-            if self._cas_ops_counter is not None:
-                self._cas_ops_counter.inc()
-            completion = yield connection.qp.post(WorkRequest(
-                RdmaOp.CAS, op.token, op.offset, op.size, data=op.data,
-                compare=op.compare))
-            if (completion.cas_aborted
-                    and self._cas_mismatch_counter is not None):
-                self._cas_mismatch_counter.inc()
-        else:
-            completion = yield from self._chase(thread, connection, op)
+        completion = yield from self._chase(thread, connection, op)
         yield from self._reap(thread, connection, op, completion)
 
     def _issue(self, thread: _ClientThread, connection: _Connection):
@@ -497,7 +446,6 @@ class CacheDataPath:
             if supports:
                 program = VerbProgram.dependent_read(
                     pointer_offset=op.lookup_offset,
-                    pointer_bytes=op.lookup_size,
                     fallback_offset=op.offset,
                     read_bytes=op.size,
                     verify=op.verify,
@@ -528,7 +476,7 @@ class CacheDataPath:
         client-CPU turnaround between them."""
         cpu, nic = self.profile.cpu, self.profile.nic
         first = yield connection.qp.post(WorkRequest(
-            RdmaOp.READ, op.token, op.lookup_offset, op.lookup_size))
+            RdmaOp.READ, op.token, op.lookup_offset, POINTER_BYTES))
         if not first.ok:
             return first
         # Turnaround: poll the completion, parse the pointer, build and
@@ -540,7 +488,7 @@ class CacheDataPath:
         finally:
             thread.cpu.release()
         if first.data is not None and len(first.data) >= 1:
-            target = int.from_bytes(first.data[:8], "little")
+            target = int.from_bytes(first.data[:POINTER_BYTES], "little")
         else:
             # Size-only region: no bytes came back; chase the static
             # fallback offset (same wire timing either way).

@@ -23,32 +23,16 @@ propagation-bound), plus the time spent filling a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.config import PerfPoint, RdmaConfig
 from repro.hardware.profiles import TestbedProfile
 
-__all__ = ["DataPathModel", "LatencyBreakdown", "OP_HEADER_BYTES",
-           "RESP_HEADER_BYTES"]
+__all__ = ["DataPathModel", "OP_HEADER_BYTES", "RESP_HEADER_BYTES"]
 
 #: Per-request framing inside a request batch (opcode, address, length).
 OP_HEADER_BYTES = 16
 
 #: Per-request framing inside a response batch (status, length).
 RESP_HEADER_BYTES = 8
-
-
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """Latency decomposition for the Figure 7 bars."""
-
-    #: Median time on the network (propagation + serialization), the
-    #: light-blue bar.
-    network: float
-    #: Median end-to-end latency, the dark-blue bar.
-    median: float
-    #: 99th-percentile end-to-end latency, the whisker.
-    p99: float
 
 
 class DataPathModel:
@@ -166,7 +150,6 @@ class DataPathModel:
 
     def dependent_read_round_trip(self, config: RdmaConfig,
                                   record_size: int, *,
-                                  pointer_bytes: int = 8,
                                   verify: bool = False) -> float:
         """Latency of one pointer-chasing GET (index word -> record).
 
@@ -176,7 +159,7 @@ class DataPathModel:
         otherwise it is two sequential one-sided READs with the second
         issued straight out of the first's completion handler.
         """
-        from repro.net.programs import VerbProgram
+        from repro.net.programs import POINTER_BYTES, VerbProgram
 
         nic, cpu = self.profile.nic, self.profile.cpu
         numa = self._numa_latency(config)
@@ -187,10 +170,9 @@ class DataPathModel:
 
         if config.use_verb_programs:
             program = VerbProgram.dependent_read(
-                pointer_offset=0, read_bytes=record_size,
-                pointer_bytes=pointer_bytes, verify=verify)
+                pointer_offset=0, read_bytes=record_size, verify=verify)
             service = len(program) * nic.program_step_latency
-            service += nic.dma_fetch(pointer_bytes)
+            service += nic.dma_fetch(POINTER_BYTES)
             service += nic.dma_fetch(record_size)
             if verify:
                 service += nic.dma_fetch(8)
@@ -205,7 +187,7 @@ class DataPathModel:
         # Client-side turnaround between the hops: reap the pointer
         # completion, run the callback, ring the second doorbell.
         turnaround = nic.completion_poll + cpu.callback + nic.doorbell
-        return (issue + hop(pointer_bytes) + turnaround
+        return (issue + hop(POINTER_BYTES) + turnaround
                 + hop(record_size) + complete)
 
     # ------------------------------------------------------------------
@@ -282,18 +264,3 @@ class DataPathModel:
         write = self.evaluate_op(config, record_size, is_read=False)
         return PerfPoint(latency=max(read.latency, write.latency),
                          throughput=min(read.throughput, write.throughput))
-
-    def breakdown(self, config: RdmaConfig, record_size: int,
-                  is_read: bool) -> LatencyBreakdown:
-        """Median/p99/network decomposition for the Figure 7 bars."""
-        cpu = self.profile.cpu
-        perf = self.evaluate_op(config, record_size, is_read)
-        network = self.network_round_trip(config, record_size, is_read)
-        # Tail: baseline jitter plus the fat contention/NUMA tails the
-        # static optimizations remove.
-        p99 = perf.latency * 1.3
-        if not config.lock_free:
-            p99 += cpu.lock_contention_p99
-        if not config.numa_affinity:
-            p99 += cpu.numa_penalty_p99
-        return LatencyBreakdown(network=network, median=perf.latency, p99=p99)

@@ -378,27 +378,6 @@ class CacheManager:
                 self._on_reclaim(allocation, vm, notice))
         return vm, server
 
-    def reallocate(self, allocation: CacheAllocation, *,
-                   add_regions: int = 0,
-                   drop_vm: Optional[Vm] = None,
-                   vm_type: Optional[VmType] = None
-                   ) -> Optional[tuple[Vm, CacheServer]]:
-        """§3.2 *Reallocate*: revise an existing cache allocation.
-
-        ``add_regions`` provisions a new VM (of ``vm_type``, defaulting
-        to the allocation's current type) sized for that many regions and
-        returns it; ``drop_vm`` releases a VM whose regions the client
-        has already vacated.  Both may be combined (grow-then-shrink
-        moves).
-        """
-        grown = None
-        if add_regions > 0:
-            grown = self.allocate_replacement(allocation, add_regions,
-                                              vm_type=vm_type)
-        if drop_vm is not None:
-            self.release_vm(allocation, drop_vm)
-        return grown
-
     def release_vm(self, allocation: CacheAllocation, vm: Vm) -> None:
         """Drop one VM from an allocation (post-migration cleanup)."""
         index = allocation.vms.index(vm)

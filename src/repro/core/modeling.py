@@ -99,10 +99,6 @@ class PerfModel:
         self._bracket_cache: Dict[tuple, list] = {}
         self._predict_cache: Dict[_Key, PerfPoint] = {}
 
-    @property
-    def point_count(self) -> int:
-        return len(self._points)
-
     def known(self, config: RdmaConfig) -> Optional[PerfPoint]:
         return self._points.get(_key(config))
 

@@ -52,17 +52,9 @@ class EngineOp:
     #: ``offset`` as the fallback on size-only regions).  ``None`` = a
     #: plain direct read/write.
     lookup_offset: Optional[int] = None
-    #: Width of the pointer word a dependent read chases.
-    lookup_size: int = 8
     #: Dependent read: append a self-verifying CAS guard that re-checks
     #: the pointer at the end of the chain (migration safety).
     verify: bool = False
-    #: Standalone single-word compare-and-swap: ``data`` is the swap
-    #: value, ``compare`` the expected current word.  CAS ops bypass the
-    #: batching protocol (like dependent reads) -- atomicity is a
-    #: property of the NIC executing one verb, not of a message batch.
-    cas: bool = False
-    compare: Optional[bytes] = None
     #: Serving-tier identity: which registered tenant issued this op.
     #: ``None`` (the default) is the classic anonymous single-user path;
     #: the engine only adds per-tenant accounting when it is set.
@@ -79,21 +71,8 @@ class EngineOp:
         if self.lookup_offset is not None:
             if not self.is_read:
                 raise ValueError("dependent lookups are read-only")
-            if self.lookup_offset < 0 or self.lookup_size < 1:
-                raise ValueError(
-                    "dependent lookup needs lookup_offset >= 0 and "
-                    "lookup_size >= 1")
-        if self.cas:
-            if self.is_read or self.lookup_offset is not None:
-                raise ValueError("CAS ops are standalone writes")
-            if self.data is None or len(self.data) != 8:
-                raise ValueError("CAS swap value must be exactly 8 bytes")
-            if self.compare is not None and len(self.compare) != 8:
-                raise ValueError("CAS compare word must be exactly 8 bytes")
-            if self.weight != 1:
-                raise ValueError("CAS ops are weight-1 ops")
-        elif self.compare is not None:
-            raise ValueError("compare is only meaningful on CAS ops")
+            if self.lookup_offset < 0:
+                raise ValueError("dependent lookup needs lookup_offset >= 0")
 
     @property
     def is_dependent(self) -> bool:

@@ -122,32 +122,6 @@ class CacheServer:
             region_tokens=[region.token for region in regions],
             request_ring_tokens=ring_tokens)
 
-    def disconnect_client(self, client_endpoint: Endpoint) -> int:
-        """Tear down every connection from ``client_endpoint``.
-
-        Releases the server-side control-plane state the historical
-        detach path leaked on abrupt client death: the request-ring
-        regions stay registered forever and the response QPs stay on
-        both endpoints' registries.  Returns the number of connections
-        torn down.
-        """
-        stale = [connection_id for connection_id, connection
-                 in self._connections.items()
-                 if connection.response_qp.remote is client_endpoint]
-        for connection_id in stale:
-            connection = self._connections.pop(connection_id)
-            if self.alive:
-                self.endpoint.deregister(connection.request_ring.region_id)
-            connection.response_qp.reclaim()
-        # Sweep the client's own QPs off our registry too: on abrupt
-        # client death the client never runs detach, and its engine QPs
-        # would otherwise pin server-side NIC state forever.
-        for qp in [qp for qp in self.endpoint.qps
-                   if qp.local is client_endpoint
-                   or qp.remote is client_endpoint]:
-            qp.reclaim()
-        return len(stale)
-
     def shutdown(self) -> None:
         """Stop serving (graceful teardown after migration completes)."""
         self.alive = False

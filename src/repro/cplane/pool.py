@@ -496,14 +496,6 @@ class QpPool:
         wr = WorkRequest(RdmaOp.READ, token, offset, nbytes, context=context)
         return self.submit(session, wr)
 
-    def session_write(self, session: ClientSession, token: AccessToken,
-                      offset: int, data: bytes,
-                      context: object = None) -> Event:
-        """Convenience: submit one tagged WRITE for ``session``."""
-        wr = WorkRequest(RdmaOp.WRITE, token, offset, len(data), data=data,
-                         context=context)
-        return self.submit(session, wr)
-
     def _demux(self, tag: int, completion) -> None:
         """Route one completion back to its session by tag.
 

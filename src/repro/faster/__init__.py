@@ -16,10 +16,7 @@ written -- with CPU/IO costs charged in simulated time so the Figure
 * :mod:`repro.faster.hlog` -- the hybrid log;
 * :mod:`repro.faster.devices` -- IDevice + Local/SSD/SMB-Direct/Redy/
   Tiered devices;
-* :mod:`repro.faster.store` -- the FasterKv facade;
-* :mod:`repro.faster.remote` -- the remote-index variant: bucket table
-  and log both in the cache, GETs chased in one round trip via verb
-  programs.
+* :mod:`repro.faster.store` -- the FasterKv facade.
 """
 
 from repro.faster.address import NULL_ADDRESS, record_bytes
@@ -32,10 +29,8 @@ from repro.faster.devices import (
     SsdDevice,
     TieredDevice,
 )
-from repro.faster.hashtable import OpenAddressingIndex
 from repro.faster.hlog import HybridLog
 from repro.faster.index import HashIndex
-from repro.faster.remote import RemoteFasterStore, RemoteReadOutcome
 from repro.faster.store import FasterCosts, FasterKv
 
 __all__ = [
@@ -47,10 +42,7 @@ __all__ = [
     "IDevice",
     "LocalMemoryDevice",
     "NULL_ADDRESS",
-    "OpenAddressingIndex",
     "RedyDevice",
-    "RemoteFasterStore",
-    "RemoteReadOutcome",
     "SmbDirectDevice",
     "SsdDevice",
     "TieredDevice",

@@ -71,8 +71,7 @@ class FasterKv:
                  costs: FasterCosts = FasterCosts(),
                  copy_reads_to_tail: bool = True,
                  mutable_fraction: float = 0.9,
-                 durable_writes: bool = False,
-                 index=None):
+                 durable_writes: bool = False):
         self.env = env
         self.device = device
         self.value_bytes = value_bytes
@@ -89,10 +88,7 @@ class FasterKv:
         #: uniform -- "FASTER uses local memory to cache frequently-
         #: accessed records".
         self.copy_reads_to_tail = copy_reads_to_tail
-        #: Any HashIndex-compatible map; the default is the light
-        #: dict-backed index, :class:`~repro.faster.hashtable.
-        #: OpenAddressingIndex` is the faithful open-addressed one.
-        self.index = index if index is not None else HashIndex()
+        self.index = HashIndex()
         self.hlog = HybridLog(env, memory_bytes, device,
                               mutable_fraction=mutable_fraction)
         self.record_size = record_bytes(value_bytes)

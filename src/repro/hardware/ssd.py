@@ -65,10 +65,3 @@ class SsdSpec:
         if rng.random() < self.gc_probability:
             latency += float(rng.exponential(self.gc_stall_mean))
         return latency
-
-    def mean_latency(self, size_bytes: int, is_write: bool) -> float:
-        """Expected service time (used by analytic capacity planning)."""
-        median = self.write_latency_median if is_write else self.read_latency_median
-        lognormal_mean = median * float(np.exp(self.latency_sigma**2 / 2))
-        return (lognormal_mean + self.transfer_time(size_bytes)
-                + self.gc_probability * self.gc_stall_mean)

@@ -13,14 +13,11 @@ interacts with:
 * :mod:`repro.net.verbs` -- one-sided READ / WRITE work requests
   (two-sided send/receive is layered on one-sided writes by the cache
   engine, exactly as the paper does in Section 4.1).
-* :mod:`repro.net.rings` -- the batch ring and message ring structures of
-  Figure 6.
 """
 
 from repro.net.fabric import Endpoint, Fabric, Placement
 from repro.net.memory import AccessToken, MemoryRegion, RdmaAccessError
 from repro.net.qp import QueuePair, QueuePairError
-from repro.net.rings import RingBuffer, RingFull
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 
 __all__ = [
@@ -34,7 +31,5 @@ __all__ = [
     "QueuePairError",
     "RdmaAccessError",
     "RdmaOp",
-    "RingBuffer",
-    "RingFull",
     "WorkRequest",
 ]

@@ -59,9 +59,6 @@ class Endpoint:
         #: Serializes outbound bytes at line rate.  Shared by every QP on
         #: this endpoint, so bulk transfers and foreground traffic contend.
         self.tx_link = Resource(fabric.env, slots=1)
-        #: Seconds this endpoint's tx link spent serializing (drives the
-        #: fabric's link-utilization metric).
-        self.tx_busy_seconds = 0.0
         self.regions: Dict[int, MemoryRegion] = {}
         self.alive = True
         #: Every queue pair touching this endpoint (either side), so a
@@ -238,12 +235,6 @@ class Fabric:
         for endpoint in self._endpoints.values():
             endpoint.enable_control_plane_model()
 
-    def link_utilization(self, endpoint_name: str) -> float:
-        """Fraction of simulated time ``endpoint_name``'s tx link spent
-        serializing, from per-endpoint busy-seconds accounting."""
-        endpoint = self._endpoints[endpoint_name]
-        return endpoint.tx_busy_seconds / self.env.now if self.env.now else 0.0
-
     def _rack_uplink(self, placement: Placement) -> Optional[Resource]:
         if self.profile.fabric.rack_uplink_gbps is None:
             return None
@@ -288,7 +279,6 @@ class Fabric:
                 self._wire_time_cache[wire_payload_bytes] = wire_time
             wire_time = wire_time * src.throttle
             yield env.timeout(wire_time)
-            src.tx_busy_seconds += wire_time
             tx_busy = self._tx_busy
             if tx_busy is not None:
                 tx_busy.inc(wire_time)

@@ -69,6 +69,10 @@ PROGRAM_STATUS_BYTES = 8
 #: CAS operands are a single machine word.
 CAS_WORD_BYTES = 8
 
+#: Width of the pointer word every dependent read chases: one machine
+#: word, so the CAS guard can re-check it.
+POINTER_BYTES = CAS_WORD_BYTES
+
 #: Wire bytes of a compact reference to an already-installed program
 #: shape (shape id + generation), replacing the per-step descriptors
 #: when the responder has the shape cached.
@@ -246,7 +250,6 @@ class VerbProgram:
 
     @classmethod
     def dependent_read(cls, *, pointer_offset: int, read_bytes: int,
-                       pointer_bytes: int = CAS_WORD_BYTES,
                        fallback_offset: int = 0,
                        verify: bool = False,
                        label: str = "") -> "VerbProgram":
@@ -263,7 +266,7 @@ class VerbProgram:
         """
         steps = [
             ProgramStep(op=StepOp.READ, offset=pointer_offset,
-                        length=pointer_bytes),
+                        length=POINTER_BYTES),
             ProgramStep(op=StepOp.READ, offset=fallback_offset,
                         length=read_bytes, offset_from=0),
         ]

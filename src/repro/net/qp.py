@@ -16,7 +16,6 @@ from typing import Deque, Dict, List, Optional
 from repro.net.fabric import Endpoint
 from repro.net.memory import AccessToken, RdmaAccessError
 from repro.net.programs import (
-    CAS_WORD_BYTES,
     ProgramStep,
     StepOp,
     StepResult,
@@ -399,9 +398,6 @@ class QueuePair:
             if not nic.can_inline(wr.payload_bytes):
                 yield env.timeout(nic.dma_fetch(wr.payload_bytes))
             request_bytes = wr.payload_bytes
-        elif op is RdmaOp.CAS:
-            # Both operands (compare + swap words) ride inline.
-            request_bytes = 2 * CAS_WORD_BYTES
         else:
             request_bytes = CONTROL_MESSAGE_BYTES
 
@@ -426,7 +422,6 @@ class QueuePair:
             return
 
         data: Optional[bytes] = None
-        matched = True
         try:
             if op is RdmaOp.WRITE:
                 yield env.timeout(nic.rx_dma)
@@ -434,19 +429,6 @@ class QueuePair:
                              length=wr.payload_bytes)
                 region.deliver(wr.payload_object)
                 response_bytes = CONTROL_MESSAGE_BYTES
-            elif op is RdmaOp.CAS:
-                # The responder executes the atomic like one chained
-                # step: fetch the word, compare, swap on a match.  The
-                # response carries the observed original either way.
-                yield env.timeout(nic.program_step_latency
-                                  + nic.dma_fetch(CAS_WORD_BYTES))
-                data = region.read(wr.token, wr.remote_offset,
-                                   CAS_WORD_BYTES)
-                matched = (data is None or wr.compare is None
-                           or data == wr.compare)
-                if matched and wr.data is not None:
-                    region.write(wr.token, wr.remote_offset, wr.data)
-                response_bytes = CAS_WORD_BYTES
             else:
                 # Responder NIC pulls the payload from host memory.
                 yield env.timeout(nic.dma_fetch(wr.payload_bytes))
@@ -460,16 +442,13 @@ class QueuePair:
         yield from fabric.transmit(remote, local, response_bytes)
 
         if op is not RdmaOp.WRITE:
-            # Deliver the READ payload / CAS original into requester memory.
+            # Deliver the READ payload into requester memory.
             yield env.timeout(nic.rx_dma)
 
-        if not matched and self._program_cas_aborts is not None:
-            self._program_cas_aborts.inc()
         self._finish(
             wr, completion_event,
-            Completion(wr_id=wr.wr_id, op=op, ok=matched, data=data,
-                       error=None if matched else "cas mismatch",
-                       context=wr.context, cas_aborted=not matched))
+            Completion(wr_id=wr.wr_id, op=op, ok=True, data=data,
+                       context=wr.context))
 
     def _execute_program(self, wr: WorkRequest, completion_event: Event):
         """Execute a dependent-read chain: one wire round trip plus
@@ -478,9 +457,9 @@ class QueuePair:
         The descriptor crosses the fabric once; the remote NIC walks the
         chain charging ``program_step_latency`` per step plus each step's
         DMA cost, all folded into a *single* service timeout (one
-        trigger->resume edge per program -- the happens-before detector
-        and the replay sanitizer see program execution as one atomic
-        remote event, not a per-step flurry); one response returns the
+        trigger->resume edge per program -- a kernel monitor such as the
+        replay sanitizer sees program execution as one atomic remote
+        event, not a per-step flurry); one response returns the
         READ payloads.
 
         Memory sampling: READ steps read at descriptor arrival; CAS

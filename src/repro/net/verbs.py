@@ -5,10 +5,9 @@ two-sided request/response protocol with one-sided *writes* into message
 rings (paper §4.1: "Redy implements two-sided communications ... using
 one-sided RDMA writes, since they are faster").
 
-``CAS`` is the one atomic: a single-word compare-and-swap.  ``PROGRAM``
-work requests carry a :class:`~repro.net.programs.VerbProgram` -- a
-dependent-read chain executed at the remote NIC in one round trip (see
-:mod:`repro.net.programs`).
+``PROGRAM`` work requests carry a :class:`~repro.net.programs.
+VerbProgram` -- a dependent-read chain executed at the remote NIC in
+one round trip (see :mod:`repro.net.programs`).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ class RdmaOp(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-    #: Single-word compare-and-swap: ``data`` swaps in when the word
-    #: equals ``compare``.
-    CAS = "cas"
     #: A chained verb program executed remotely (repro.net.programs).
     PROGRAM = "program"
 
@@ -69,9 +65,6 @@ class WorkRequest:
     wr_id: int = 0
     #: The chained program this request carries (PROGRAM ops only).
     program: Optional["VerbProgram"] = None
-    #: CAS only: expected word; ``data`` is the swap value.  ``None``
-    #: matches anything (size-only regions; unconditional exchange).
-    compare: Optional[bytes] = None
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
@@ -93,9 +86,7 @@ class WorkRequest:
 class Completion:
     """Completion-queue entry for one work request.
 
-    For CAS work requests, ``data`` is the observed original word; a
-    mismatch completes with ``ok=False`` and ``cas_aborted=True``.  For
-    PROGRAM work requests, ``data`` holds the payload of the last
+    For PROGRAM work requests, ``data`` holds the payload of the last
     completed READ step (the record a dependent GET chased), while
     ``step_results`` carries every step's remote-side outcome.  A chain
     that aborted mid-program surfaces as a *partial* completion:
@@ -118,6 +109,6 @@ class Completion:
     steps_completed: int = 0
     #: PROGRAM only: per-step remote outcomes, in chain order.
     step_results: Tuple["StepResult", ...] = field(default_factory=tuple)
-    #: CAS: the word mismatched; PROGRAM: a CAS guard observed a
-    #: changed word and aborted the chain.
+    #: PROGRAM only: a CAS guard observed a changed word and aborted
+    #: the chain.
     cas_aborted: bool = False

@@ -208,9 +208,6 @@ class ShardRouter:
         """The effective owner ranges (ring + live overrides)."""
         return self.ring.ranges(self.replication)
 
-    def slot_of(self, addr: int) -> int:
-        return addr // self.slot_bytes
-
     def owners_of_slot(self, slot: int) -> List[str]:
         return self._route_owners(self._slot_points[slot])
 

@@ -69,7 +69,7 @@ def set_default_monitor(monitor: Optional[Any]) -> Optional[Any]:
     The replay sanitizer (:mod:`repro.analysis.sanitize`) uses this to
     observe workloads that build their own Environments internally.
     Returns the previous default so callers can restore it.  A monitor
-    implements the :class:`repro.analysis.hb.KernelMonitor` protocol;
+    implements the :class:`repro.analysis.sanitize.KernelMonitor` protocol;
     every hook call is guarded by a ``None`` check, so unmonitored runs
     pay one attribute load per hook site.
     """
@@ -132,7 +132,7 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered",
-                 "_processed", "on_abandon", "_hb")
+                 "_processed", "on_abandon")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -151,9 +151,6 @@ class Event:
         #: the orphaned waiter out of their queues so items and slots are
         #: not handed to a process that will never consume them.
         self.on_abandon: Optional[Callable[["Event"], None]] = None
-        #: Happens-before stamp (the triggering process's vector clock),
-        #: written by an attached kernel monitor; ``None`` when unmonitored.
-        self._hb: Any = None
 
     @property
     def triggered(self) -> bool:
@@ -270,9 +267,7 @@ def _arm_timeout(timeout: Timeout, env: "Environment", delay: float,
     instead of calling ``Event.__init__`` and overwriting half of what
     it set.  Timeouts *are* triggers (they are born with their value),
     so an attached monitor receives ``on_trigger`` here exactly as it
-    does from ``succeed()``/``fail()`` -- this is what gives the
-    RaceDetector its trigger->resume happens-before edge on every
-    timeout-driven resume.
+    does from ``succeed()``/``fail()``.
     """
     if delay < 0:
         raise SimulationError(f"negative timeout delay: {delay}")
@@ -282,7 +277,6 @@ def _arm_timeout(timeout: Timeout, env: "Environment", delay: float,
     timeout._triggered = True
     timeout._processed = False
     timeout.on_abandon = None
-    timeout._hb = None
     timeout.delay = delay
     if env._use_heap:
         env._sequence += 1
@@ -332,7 +326,6 @@ class Ready(Event):
         self._triggered = True
         self._processed = True
         self.on_abandon = on_abandon
-        self._hb = None
         monitor = env.monitor
         if monitor is not None:
             monitor.on_trigger(self)
@@ -727,7 +720,8 @@ class Environment:
         #: Metrics registry attach point (see :mod:`repro.obs`); ``None``
         #: means instrumented components skip all bookkeeping.
         self.metrics: Any = None
-        #: Kernel monitor (see :mod:`repro.analysis.hb`): receives
+        #: Kernel monitor (see
+        #: :class:`repro.analysis.sanitize.KernelMonitor`): receives
         #: spawn/resume/trigger/interrupt hooks when set.  Inherits the
         #: process-wide default so the replay sanitizer can observe
         #: workloads that construct their own Environments.
@@ -781,7 +775,6 @@ class Environment:
             event._triggered = False
             event._processed = False
             event.on_abandon = None
-            event._hb = None
             return event
         return Event(self)
 
@@ -806,7 +799,6 @@ class Environment:
         timeout._triggered = True
         timeout._processed = False
         timeout.on_abandon = None
-        timeout._hb = None
         timeout.delay = delay
         if self._use_heap:
             self._sequence += 1
@@ -869,7 +861,6 @@ class Environment:
             proc._triggered = False
             proc._processed = False
             proc.on_abandon = None
-            proc._hb = None
             proc._generator = generator
             proc._waiting_on = None
             proc.name = name or getattr(generator, "__name__", "process")

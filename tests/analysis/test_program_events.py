@@ -15,7 +15,7 @@ trigger->resume edge per program -- not one per hop.  Pinned here:
 import struct
 
 from repro.analysis import sanitize
-from repro.analysis.hb import KernelMonitor
+from repro.analysis.sanitize import KernelMonitor
 from repro.gates import SCENARIOS
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, MemoryRegion, Placement, QueuePair

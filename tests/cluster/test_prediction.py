@@ -39,15 +39,6 @@ class TestPredictor:
             predictor.observe("f4", lifetime, reclaimed=True)
         assert predictor.safe_age("f4", risk=0.5) == pytest.approx(300.0)
 
-    def test_expected_remaining_decreases_with_age(self):
-        predictor = SpotLifetimePredictor(min_samples=3)
-        for lifetime in (100.0, 500.0, 1000.0, 2000.0):
-            predictor.observe("d4", lifetime, reclaimed=True)
-        young = predictor.expected_remaining("d4", 50.0)
-        old = predictor.expected_remaining("d4", 1500.0)
-        assert young > old
-        assert predictor.expected_remaining("d4", 5000.0) == 0.0
-
     def test_types_are_independent(self):
         predictor = SpotLifetimePredictor(min_samples=1)
         predictor.observe("a", 10.0, reclaimed=True)

@@ -51,13 +51,6 @@ class TestSpotMarket:
         prices = [market.spot_price(t) for t in candidates]
         assert prices == sorted(prices)
 
-    def test_subscribers_fire_every_tick(self):
-        env, market = make_market(update_interval_s=100.0)
-        ticks = []
-        market.subscribe(lambda: ticks.append(env.now))
-        env.run(until=450.0)
-        assert len(ticks) == 4
-
     def test_deterministic_per_seed(self):
         env_a, market_a = make_market(seed=3)
         env_b, market_b = make_market(seed=3)

@@ -71,13 +71,6 @@ class TestCostOptimizer:
         harness.env.run(until=300.0)
         assert optimizer.migrations == 0
 
-    def test_current_hourly_cost_uses_market(self):
-        harness, market, cache = make_stack()
-        optimizer = CostOptimizer(cache, market)
-        vm_type = cache.allocation.vms[0].vm_type
-        force_price(market, vm_type.name, 0.042)
-        assert optimizer.current_hourly_cost() == pytest.approx(0.042)
-
     def test_validation(self):
         harness, market, cache = make_stack()
         with pytest.raises(ValueError):

@@ -15,10 +15,11 @@ from repro.sim.rng import RngRegistry
 
 
 def make_stack(config, *, backed=True, region_size=1 << 20, n_regions=1,
-               seed=0):
+               seed=0, model_control_plane=False):
     rngs = RngRegistry(seed)
     env = Environment()
-    fabric = Fabric(env, AZURE_HPC)
+    fabric = Fabric(env, AZURE_HPC,
+                    model_control_plane=model_control_plane)
     client_ep = fabric.add_endpoint("client", Placement())
     server_ep = fabric.add_endpoint("server", Placement())
     server = CacheServer(env, AZURE_HPC, server_ep, rngs.stream("server"))
@@ -40,21 +41,19 @@ def run_op(env, path, op):
 
 
 class TestSingleOpReap:
-    """One-sided verbs, dependent reads and CAS share one reap: all pay
-    the cross-NUMA hop when client threads are not affinitized."""
+    """One-sided verbs and dependent reads share one reap: both pay the
+    cross-NUMA hop when client threads are not affinitized.  The
+    dependent read takes the ring-bypass ``_issue`` -> ``_reap`` hop."""
 
-    @pytest.mark.parametrize("cas", [False, True], ids=["read", "cas"])
-    def test_unaffinitized_threads_pay_the_numa_hop(self, cas):
+    @pytest.mark.parametrize("dependent", [False, True],
+                             ids=["read", "dependent-read"])
+    def test_unaffinitized_threads_pay_the_numa_hop(self, dependent):
         def latency(numa_affinity):
             config = RdmaConfig(1, 0, 1, 4, numa_affinity=numa_affinity)
             env, _, path, tokens = make_stack(config, seed=3)
-            if cas:
-                op = EngineOp(is_read=False, size=8, token=tokens[0],
-                              data=bytes(8), cas=True,
-                              completion=env.event())
-            else:
-                op = EngineOp(is_read=True, size=8, token=tokens[0],
-                              completion=env.event())
+            op = EngineOp(is_read=True, size=8, token=tokens[0],
+                          lookup_offset=0 if dependent else None,
+                          completion=env.event())
 
             def proc(env):
                 # Submitted directly: submission_overhead() would draw
@@ -270,3 +269,18 @@ class TestResponseTimeout:
         results = env.run_process(scenario(env))
         assert all(r.ok for r in results)
         assert path.ops_failed == 0
+
+
+class TestControlPlaneModel:
+    def test_engine_qps_take_the_deferred_connect(self):
+        config = RdmaConfig(2, 2, 4, 4)
+        _, server, path, _ = make_stack(config, region_size=1 << 16,
+                                        model_control_plane=True)
+        client_ep = path.endpoint
+        # Engine QPs take the deferred path when the model is on: the
+        # connect handshake is charged lazily, not free at attach.
+        # (client_ep.qps also lists the server's response QPs, which
+        # piggyback on the connect exchange -- look at client-owned only.)
+        engine_qps = [qp for qp in client_ep.qps if qp.local is client_ep]
+        assert engine_qps
+        assert all(not qp.established for qp in engine_qps)

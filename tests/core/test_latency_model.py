@@ -69,18 +69,11 @@ class TestOptimizationLadder:
         assert 1.3 < on.throughput / off.throughput < 1.8  # paper: +52%
         assert on.latency < off.latency
 
-    def test_breakdown_network_matches_fabric(self, model):
-        bd = model.breakdown(RdmaConfig(1, 0, 1, 1), 8, is_read=False)
-        assert bd.network == pytest.approx(2.9 * US, rel=0.02)
-        assert bd.network < bd.median < bd.p99
-
-    def test_unoptimized_p99_tail_is_fat(self, model):
-        locked = model.breakdown(
-            RdmaConfig(1, 1, 1, 1, lock_free=False, one_sided_fast_path=False,
-                       numa_affinity=False), 8, is_read=False)
-        tuned = model.breakdown(RdmaConfig(1, 0, 1, 1), 8, is_read=False)
-        # Paper: lock-free cut tail latency ~7x.
-        assert locked.p99 / tuned.p99 > 5
+    def test_network_round_trip_matches_fabric(self, model):
+        config = RdmaConfig(1, 0, 1, 1)
+        network = model.network_round_trip(config, 8, is_read=False)
+        assert network == pytest.approx(2.9 * US, rel=0.02)
+        assert network < model.evaluate_op(config, 8, is_read=False).latency
 
 
 class TestRecordSizeEffects:

@@ -142,30 +142,24 @@ class TestAllocateLifecycle:
         assert not allocator.vms
 
 
-class TestReallocate:
-    def test_reallocate_grows_by_one_vm(self):
+class TestReplaceAndRelease:
+    """The two halves of a migration's VM swap."""
+
+    def test_allocate_replacement_grows_by_one_vm(self):
         _, allocator, manager = make_manager()
         allocation = manager.allocate(4 * REGION, EASY_SLO,
                                       region_bytes=REGION)
         vms_before = len(allocation.vms)
-        grown = manager.reallocate(allocation, add_regions=2)
-        assert grown is not None
-        vm, server = grown
+        vm, server = manager.allocate_replacement(allocation, 2)
         assert len(allocation.vms) == vms_before + 1
         assert allocation.regions_per_server[server.endpoint.name] == 2
 
-    def test_reallocate_drops_a_vm(self):
+    def test_release_vm_drops_a_vm(self):
         _, allocator, manager = make_manager()
         allocation = manager.allocate(2 * REGION, EASY_SLO,
                                       region_bytes=REGION)
-        _vm, _server = manager.reallocate(allocation, add_regions=1)
+        manager.allocate_replacement(allocation, 1)
         to_drop = allocation.vms[-1]
-        manager.reallocate(allocation, drop_vm=to_drop)
+        manager.release_vm(allocation, to_drop)
         assert to_drop not in allocation.vms
         assert not to_drop.alive
-
-    def test_reallocate_noop(self):
-        _, _, manager = make_manager()
-        allocation = manager.allocate(REGION, EASY_SLO,
-                                      region_bytes=REGION)
-        assert manager.reallocate(allocation) is None

@@ -76,11 +76,6 @@ class TestSsdSpec:
              for _ in range(1)]
         assert a == b
 
-    def test_mean_latency_includes_gc(self):
-        ssd = SsdSpec()
-        no_gc = ssd.with_gc_disabled() if hasattr(ssd, "with_gc_disabled") else None
-        assert ssd.mean_latency(4096, False) > ssd.read_latency_median
-
     def test_bandwidth_is_ssd_class(self):
         # Paper: SSDs are 16-24 Gbit/s.
         assert 16 <= SsdSpec().bandwidth_gbps <= 24

@@ -11,7 +11,7 @@ child and fire its ``on_abandon`` hook so the producer reclaims.
 
 import pytest
 
-from repro.analysis.hb import KernelMonitor
+from repro.analysis.sanitize import KernelMonitor
 from repro.sim import Environment, Resource, Store, Timeout, US
 
 
@@ -134,9 +134,9 @@ class _TriggerLog(KernelMonitor):
 
 def test_timeout_trigger_visible_to_monitor():
     # Regression: Timeout used to stamp its outcome inline, bypassing
-    # succeed(), so monitors (the hb race detector, the sanitizer's
-    # trace recorder) never saw timeout triggers and the trigger->resume
-    # happens-before edge for timeouts was silently missing.
+    # succeed(), so monitors (the sanitizer's trace recorder) never saw
+    # timeout triggers and the trigger->resume edge for timeouts was
+    # silently missing.
     env = Environment()
     monitor = _TriggerLog()
     env.monitor = monitor

@@ -258,3 +258,26 @@ def test_starved_process_detected():
 
     with pytest.raises(SimulationError, match="starved"):
         env.run_process(waiter(env))
+
+
+def test_monitor_hooks_do_not_change_schedule():
+    from repro.analysis.sanitize import TraceRecorder
+
+    def workload(env):
+        order = []
+
+        def worker(tag, delay):
+            yield env.timeout(delay)
+            order.append((tag, env.now))
+
+        env.process(worker("a", 0.2), name="a")
+        env.process(worker("b", 0.1), name="b")
+        env.run()
+        return order
+
+    bare = workload(Environment())
+    monitored_env = Environment()
+    recorder = TraceRecorder()
+    monitored_env.monitor = recorder
+    assert workload(monitored_env) == bare
+    assert recorder.entries
