@@ -7,11 +7,13 @@ simulated testbed:
 
 * re-populate: the affected regions are unavailable for the whole
   re-provision + re-load window;
-* replication: reads fail over within one I/O, at ~2x the hourly cost.
+* replication: a two-member :class:`~repro.shard.router.ShardRouter`
+  at ``replication=2`` keeps serving from the surviving replica, at ~2x
+  the hourly cost.
 """
 
 from repro.core import Slo
-from repro.core.replication import ReplicatedCache
+from repro.shard import ShardRouter
 from repro.sim.clock import US
 from repro.workloads.scenarios import build_cluster
 
@@ -52,16 +54,19 @@ def _measure_replicated():
     harness = build_cluster(seed=32, provisioning_delay_s=PROVISIONING_S)
     env = harness.env
     client = harness.redy_client("repl-app")
-    group = ReplicatedCache.create(client, CAPACITY, SLO, n_replicas=2,
-                                   region_bytes=REGION)
-    steady_state_cost = group.hourly_cost  # before any replica dies
+    router = ShardRouter.replicated(client, CAPACITY, SLO,
+                                    region_bytes=REGION)
+    # Before any replica dies.
+    steady_state_cost = sum(router.member(name).cache.allocation.hourly_cost
+                            for name in router.members)
+    primary = router.member(router.owners_of_slot(0)[0]).cache
 
     def scenario(env):
-        yield group.write(100, b"x" * 64)
-        for vm in list(group.primary.allocation.vms):
+        yield router.write(100, b"x" * 64)
+        for vm in list(primary.allocation.vms):
             harness.allocator.fail(vm)
         outage_start = env.now
-        result = yield group.read(100, 64)
+        result = yield router.read(100, 64)
         assert result.ok and result.data == b"x" * 64
         return env.now - outage_start, steady_state_cost
 

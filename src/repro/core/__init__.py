@@ -38,7 +38,6 @@ from repro.core.manager import (
     SloUnsatisfiableError,
 )
 from repro.core.migration import MigrationPolicy
-from repro.core.replication import ReplicatedCache
 
 __all__ = [
     "CacheAllocation",
@@ -52,7 +51,6 @@ __all__ = [
     "RdmaConfig",
     "RedyCache",
     "RedyClient",
-    "ReplicatedCache",
     "Slo",
     "SloUnsatisfiableError",
     "config_space_size",

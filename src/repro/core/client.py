@@ -69,10 +69,11 @@ class RetryPolicy:
 
     The default (one attempt, no timeout) is exactly the historical
     behaviour: errors surface to the caller on the first failure, which
-    is what :class:`~repro.core.replication.ReplicatedCache` needs to
-    fail over within one I/O.  Chaos scenarios and availability
-    benchmarks opt into retries to ride out injected faults (QP errors,
-    latency spikes) without giving up on the cache.
+    is what a replicated :class:`~repro.shard.router.ShardRouter` needs
+    to fail a read over to the next owner within one I/O.  Chaos
+    scenarios and availability benchmarks opt into retries to ride out
+    injected faults (QP errors, latency spikes) without giving up on the
+    cache.
     """
 
     #: Total attempts (first try included).  1 = fail fast.
@@ -149,8 +150,9 @@ class RedyClient:
         :class:`~repro.core.manager.SloUnsatisfiableError` (and leaves no
         state behind) when the request cannot be satisfied.
         ``exclude_servers`` keeps the cache off given fault domains
-        (used by replication); ``harvest=True`` requests essentially-free
-        stranded memory, accessed one-sided.  ``use_verb_programs``
+        (used by :meth:`~repro.shard.router.ShardRouter.replicated`);
+        ``harvest=True`` requests essentially-free stranded memory,
+        accessed one-sided.  ``use_verb_programs``
         overrides the manager-chosen configuration's dependent-read
         transport (one-RTT verb programs vs classic two-hop GETs).
         """

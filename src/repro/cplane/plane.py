@@ -3,20 +3,18 @@
 One :class:`ControlPlane` per fabric.  It flips the fabric into
 control-plane cost modeling (QP/connect/MR costs + NIC context caches),
 owns one :class:`~repro.cplane.pool.QpPool` per (local, remote)
-endpoint pair, sizes the pools' warm targets from admission traffic via
-the :class:`~repro.cplane.predictor.WarmPoolPredictor`, and runs the
-periodic idle harvester.  The serving layers wire into it at two
-points:
+endpoint pair, sizes the pools' warm targets from session-open arrivals
+via the :class:`~repro.cplane.predictor.WarmPoolPredictor`, and runs
+the periodic idle harvester.  The shard router wires into it through
+:meth:`bind_router`: a rebalance that removes a member reclaims every
+QP pooled against the departed endpoint (fast teardown), so a storm
+landing mid-rebalance cannot strand QPs on a corpse.
 
-* :meth:`bind_router` -- a rebalance that removes a member reclaims
-  every QP pooled against the departed endpoint (fast teardown), so a
-  storm landing mid-rebalance cannot strand QPs on a corpse;
-* :meth:`note_admission` -- the tenant tier reports admitted requests,
-  feeding the predictor that sizes pre-connected warm pools.
-
-Installing a plane sets ``fabric.control_plane``, which the engine's
-attach path consults to lease pooled QPs instead of creating naive
-per-thread ones.
+Installing a plane turns on the fabric's control-plane cost model
+(``fabric.model_control_plane``); the engine's attach path reads that
+flag to create its per-thread QPs deferred, so their connect handshake
+is charged on first use.  The engine does not lease pooled QPs: only
+sessions opened through :meth:`open_session` ride the pools.
 """
 
 from __future__ import annotations
@@ -55,11 +53,9 @@ class ControlPlane:
         self.pools: Dict[Tuple[str, str], QpPool] = {}
         self._session_ids = itertools.count(1)
         self._harvester_running = False
-        self.tenants: Dict[str, int] = {}
         # Control-plane costs become real the moment a plane exists:
         # deferred QPs, timed registration, and NIC context caches.
         fabric.enable_control_plane_model()
-        fabric.control_plane = self
 
     # ------------------------------------------------------------------
     # Pools
@@ -105,15 +101,6 @@ class ControlPlane:
     def warm_target(self) -> int:
         return self.predictor.target_warm(self.establish_latency_estimate())
 
-    def prewarm(self) -> Generator[Event, object, int]:
-        """Process: push every pool's warm pool up to the predictor's
-        current target.  Returns total QPs pre-connected."""
-        target = self.warm_target()
-        total = 0
-        for key in sorted(self.pools):
-            total += yield from self.pools[key].ensure_warm(target)
-        return total
-
     def harvest_once(self) -> int:
         """One harvester pass over every pool (sorted order)."""
         total = 0
@@ -155,33 +142,3 @@ class ControlPlane:
         self.log.append(self.env.now, "storm.rebalance", "plane",
                         reclaimed=reclaimed,
                         lost_slots=getattr(report, "lost_slots", 0))
-
-    def register_tenant(self, name: str) -> None:
-        """Track one serving tenant (admission feed identity)."""
-        self.tenants.setdefault(name, 0)
-
-    def note_admission(self, tenant: Optional[str] = None) -> None:
-        """Feed one admitted request into the warm-pool predictor (the
-        tenant tier calls this on every ADMIT verdict)."""
-        if tenant is not None:
-            self.tenants[tenant] = self.tenants.get(tenant, 0) + 1
-        self.predictor.observe(self.env.now)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Aggregate control-plane state (deterministic ordering)."""
-        pools = {f"{k[0]}->{k[1]}": self.pools[k].stats()
-                 for k in sorted(self.pools)}
-        return {
-            "pools": pools,
-            "predictor": self.predictor.snapshot(),
-            "warm_target": self.warm_target(),
-            "tenants": dict(sorted(self.tenants.items())),
-            "mr_registrations": self.fabric.mr_registrations,
-            "mr_registered_bytes": self.fabric.mr_registered_bytes,
-            "log_events": len(self.log),
-            "log_digest": self.log.digest(),
-        }

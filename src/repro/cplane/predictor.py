@@ -1,13 +1,13 @@
-"""Warm-pool sizing from observed admission traffic.
+"""Warm-pool sizing from observed session-open traffic.
 
 Pre-connecting QPs ahead of demand only pays if the pool knows how much
-demand is coming.  The predictor watches session-open (or tenant
-admission) arrivals and keeps an exponentially weighted estimate of the
-arrival rate; the warm target is then Little's law over the connect
-path: with sessions arriving at ``rate`` per second and establishment
-taking ``establish_latency`` seconds, ``rate * latency`` connects are
-in flight at steady state, so that many pre-connected QPs (times a
-safety factor) absorb a burst without a handshake on the critical path.
+demand is coming.  The predictor watches session-open arrivals and
+keeps an exponentially weighted estimate of the arrival rate; the warm
+target is then Little's law over the connect path: with sessions
+arriving at ``rate`` per second and establishment taking
+``establish_latency`` seconds, ``rate * latency`` connects are in
+flight at steady state, so that many pre-connected QPs (times a safety
+factor) absorb a burst without a handshake on the critical path.
 
 Deterministic: state is a pure function of the ``observe()`` call times
 -- no wall clock, no randomness.
@@ -80,7 +80,3 @@ class WarmPoolPredictor:
         in_flight = self.rate_per_s * establish_latency_s * self.safety
         target = int(math.ceil(in_flight))
         return max(self.min_warm, min(self.max_warm, target))
-
-    def snapshot(self) -> dict:
-        return {"rate_per_s": self.rate_per_s,
-                "observations": self.observations}

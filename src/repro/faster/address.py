@@ -54,7 +54,7 @@ def pack_tombstone(key: int, value_bytes: int) -> bytes:
     """Serialize a deletion record, padded to the store's record size.
 
     Log-structured deletion: the tombstone supersedes earlier versions
-    so that compaction and recovery observe the delete.
+    of the key in the log.
     """
     return (_HEADER.pack(KEY_BYTES, TOMBSTONE_LENGTH) + _KEY.pack(key)
             + b"\x00" * value_bytes)

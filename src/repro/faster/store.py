@@ -1,7 +1,7 @@
 """FasterKv: the store facade tying index, hybrid log, and devices.
 
 The timed operations (:meth:`FasterKv.read`, :meth:`FasterKv.upsert`,
-:meth:`FasterKv.rmw`) are generators meant to run inside simulation
+:meth:`FasterKv.delete`) are generators meant to run inside simulation
 processes; they charge FASTER-thread CPU against the caller-supplied
 ``cpu`` resource so that one thread's issue and completion work never
 overlaps in time, while device waits release the thread (the
@@ -226,8 +226,8 @@ class FasterKv:
     def delete(self, key: int, cpu: Resource):
         """Process: delete one key.  Returns False when absent.
 
-        Appends a tombstone (so the log records the deletion for
-        compaction/recovery) and unhooks the index entry.
+        Appends a tombstone (the log records the deletion) and unhooks
+        the index entry.
         """
         yield cpu.acquire()
         try:
@@ -239,61 +239,3 @@ class FasterKv:
         finally:
             cpu.release()
         return existed
-
-    def rmw(self, key: int, transform, cpu: Resource):
-        """Process: read-modify-write.  ``transform(old) -> new value``.
-
-        Returns False when the key does not exist.
-        """
-        outcome = yield from self.read(key, cpu)
-        if not outcome.found:
-            return False
-        yield from self.upsert(key, transform(outcome.value), cpu)
-        return True
-
-    # ------------------------------------------------------------------
-    # Log compaction (§8.1)
-    # ------------------------------------------------------------------
-
-    def compact(self, until_address: int, cpu: Resource):
-        """Process: reclaim log space below ``until_address``.
-
-        "To free up storage, the oldest segment is read, its reachable
-        records are appended to the log tail, and then it is
-        deallocated" (§8.1).  A record is *reachable* when the index
-        still points at its address; superseded versions and tombstoned
-        keys are dropped.  Returns (records_scanned, records_relocated).
-        """
-        until_address = min(until_address, self.hlog.head_address)
-        address = self.hlog.begin_address
-        if until_address <= address:
-            return 0, 0
-        scanned = relocated = 0
-        while address < until_address:
-            if self.device is None:
-                break
-            result = yield from self.device.read_io(address,
-                                                    self.record_size)
-            yield cpu.acquire()
-            try:
-                yield self.env.timeout(
-                    self.costs.async_completion
-                    + self.value_bytes * self.costs.per_value_byte)
-                scanned += 1
-                if result.ok and not is_tombstone(result.data):
-                    key, _value = unpack_record(result.data)
-                    if self.index.lookup(key) == address:
-                        # Still the live version: relocate to the tail.
-                        new_address = self.hlog.append(result.data)
-                        self.index.update(key, new_address)
-                        relocated += 1
-            finally:
-                cpu.release()
-            address += self.record_size
-        self.hlog.begin_address = address
-        return scanned, relocated
-
-    @property
-    def live_log_bytes(self) -> int:
-        """Log bytes not yet reclaimed by compaction."""
-        return self.hlog.tail_address - self.hlog.begin_address

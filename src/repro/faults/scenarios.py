@@ -16,8 +16,9 @@ The scenarios cover the §6 robustness matrix:
 * :func:`spot_evict_programs` -- notice-based evictions while dependent
   GETs run as one-RTT verb programs: live migration vs the CAS-guarded
   chase (zero lost acked writes, clean abort/fallback accounting);
-* :func:`evict_primary` -- hard-kill the primary of a 2-way
-  :class:`~repro.core.replication.ReplicatedCache` (failover path);
+* :func:`evict_primary` -- hard-kill the primary of a 2-way replicated
+  cache, a two-member :class:`~repro.shard.router.ShardRouter` at
+  ``replication=2`` (the §6.2 failover path);
 * :func:`link_flap` -- transient QP error storms the retry policy must
   ride out;
 * :func:`slow_node` -- a throttled server plus a fabric latency spike
@@ -37,7 +38,6 @@ from typing import Callable, Dict, List
 
 from repro.core import Slo
 from repro.core.client import RetryPolicy
-from repro.core.replication import ReplicatedCache
 from repro.faults.injector import FaultInjector
 from repro.faults.log import FaultLog
 from repro.faults.spec import (
@@ -48,6 +48,7 @@ from repro.faults.spec import (
     VmKill,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.shard import ShardRouter
 from repro.workloads.scenarios import build_cluster
 
 __all__ = ["ChaosReport", "churn_run", "conn_storm_rebalance",
@@ -324,39 +325,48 @@ def spot_evict_programs(seed: int) -> ChaosReport:
 
 
 def evict_primary(seed: int) -> ChaosReport:
-    """Kill the primary of a replicated cache; reads must fail over."""
+    """Kill the primary of a 2-way replicated cache; reads stay up.
+
+    The group is :meth:`ShardRouter.replicated
+    <repro.shard.router.ShardRouter.replicated>`: two members on
+    disjoint servers, each owning every slot.  The kill departs the
+    probed slot's primary through the router's VM-termination hook, the
+    probes keep reading the survivor, and the write seeded before the
+    kill must read back intact after the horizon.
+    """
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, provisioning_delay_s=2.0,
                             metrics=registry)
     env = harness.env
     client = harness.redy_client("chaos-repl-app")
-    group = ReplicatedCache.create(client, CAPACITY, SLO, n_replicas=2,
-                                   region_bytes=REGION)
+    router = ShardRouter.replicated(client, CAPACITY, SLO,
+                                    region_bytes=REGION)
+    payload = b"\xa5" * PROBE_BYTES
+    wrote = env.run_process(router.write_io(4096, payload))
+    primary = router.member(
+        router.owners_of_slot(4096 // router.slot_bytes)[0]).cache
 
-    def seed_then_probe():
-        yield group.write(4096, b"\xa5" * PROBE_BYTES)
-
-    env.run_process(seed_then_probe())
     injector = FaultInjector(env, allocator=harness.allocator,
                              fabric=harness.fabric)
     injector.install_failure_hook()
     kills = FaultSchedule([
         VmKill(at=env.now + 1.0, vm_index=i)
-        for i in range(len(group.primary.allocation.vms))
+        for i in range(len(primary.allocation.vms))
     ])
-    injector.arm(kills, cache=group.primary)
+    injector.arm(kills, cache=primary)
 
     stats = _ProbeStats(SLO.max_latency)
     horizon = env.now + 3.0
-    env.process(_probe_loop(env, lambda: group.read(4096, PROBE_BYTES),
+    env.process(_probe_loop(env, lambda: router.read(4096, PROBE_BYTES),
                             stats, interval_s=5e-3, until=horizon),
                 name="chaos-probe")
     env.run(until=horizon + 1.0)
-    failover = registry.get("replication.failover_latency")
+    read = env.run_process(router.read_io(4096, PROBE_BYTES))
+    intact = wrote.ok and read.ok and read.data == payload
     return _finish(
         "evict-primary", seed, harness, injector, registry, stats,
-        {"failovers": float(group.failovers),
-         "failover_p50_s": failover.p50 if failover is not None else 0.0})
+        {"members_after": float(len(router.members)),
+         "lost_acked_writes": 0.0 if intact else 1.0})
 
 
 def link_flap(seed: int) -> ChaosReport:
@@ -426,8 +436,6 @@ def shard_churn(seed: int) -> ChaosReport:
     replicas -- the report carries the rebalance stats and the probe
     availability through the event.
     """
-    from repro.shard import ShardRouter
-
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, metrics=registry)
     env = harness.env
@@ -495,7 +503,6 @@ def conn_storm_rebalance(seed: int) -> ChaosReport:
     """
     from repro.cplane import ControlPlane, PoolPolicy
     from repro.net.memory import MemoryRegion
-    from repro.shard import ShardRouter
 
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, metrics=registry)

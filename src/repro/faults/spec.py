@@ -21,11 +21,8 @@ The taxonomy mirrors how spot memory actually degrades:
 * :class:`SlowNode` -- one endpoint serializes slower by a factor
   (thermal throttling, noisy neighbour).
 
-Schedules can be hand-built, drawn from a seeded RNG
-(:meth:`FaultSchedule.poisson_evictions`), or derived from the §2.1
-synthetic cluster trace (:meth:`FaultSchedule.from_trace`), whose
-stranding episodes mark exactly the capacity squeezes that evict
-harvest VMs in production.
+Schedules are hand-built or drawn from a seeded RNG
+(:meth:`FaultSchedule.poisson_evictions`).
 """
 
 from __future__ import annotations
@@ -196,33 +193,6 @@ class FaultSchedule:
                 specs.append(VmEviction(at=t, vm_index=index,
                                         notice_s=notice_s))
             index += 1
-        return cls(specs)
-
-    @classmethod
-    def from_trace(cls, trace, *, max_events: int = 8,
-                   time_scale: float = 1.0, start_at: float = 1.0,
-                   notice_s: Optional[float] = None,
-                   abrupt: bool = False) -> "FaultSchedule":
-        """Eviction schedule derived from a §2.1 synthetic cluster trace.
-
-        A completed stranding episode in the trace is a capacity squeeze
-        -- cores filled up, then freed -- which is precisely when the
-        platform reclaims harvest/spot VMs to make room.  The episode
-        durations (in completion order, deterministic for a seeded
-        trace) become inter-eviction gaps, optionally compressed by
-        ``time_scale`` so hours of trace drive seconds of cache sim.
-        """
-        durations = [float(d) for d in
-                     list(trace.stranding_durations_s)[:max_events]]
-        specs = []
-        t = start_at
-        for index, gap in enumerate(durations):
-            t += gap * time_scale
-            if abrupt:
-                specs.append(VmKill(at=t, vm_index=index))
-            else:
-                specs.append(VmEviction(at=t, vm_index=index,
-                                        notice_s=notice_s))
         return cls(specs)
 
     def __repr__(self) -> str:

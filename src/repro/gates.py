@@ -578,7 +578,7 @@ SCENARIOS: Dict[str, Scenario] = {
     "evict-primary": Scenario(
         _chaos(chaos.evict_primary),
         _chaos_invariants(("failed_probes", "==", 0),
-                          ("failovers", ">=", 1))),
+                          ("members_after", "==", 1))),
     "link-flap": Scenario(
         _chaos(chaos.link_flap),
         _chaos_invariants(("failed_probes", "==", 0), ("retries", ">", 0))),

@@ -97,10 +97,6 @@ class HashRing:
     # Placement
     # ------------------------------------------------------------------
 
-    def owner(self, point: int) -> str:
-        """The shard owning ring point ``point``."""
-        return self.owners(point, 1)[0]
-
     def owners(self, point: int, n: int) -> List[str]:
         """The first ``n`` *distinct* shards at or clockwise of ``point``.
 

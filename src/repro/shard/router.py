@@ -17,7 +17,9 @@ Design points (mirroring the single-cache machinery one level up):
   first distinct shards clockwise of its ring point.  Writes go to all
   live owners (ack when at least one lands); reads try the primary and
   fail over down the owner list.  R>=2 is what makes a hard VM kill
-  survivable with zero lost acknowledged writes.
+  survivable with zero lost acknowledged writes.  The §6.2 replicated
+  cache is this with R members on disjoint physical servers, all
+  owning every slot (:meth:`ShardRouter.replicated`).
 * **Backpressure.**  Per-shard in-flight accounting with a FIFO waiter
   queue bounds the queue depth any one member sees; callers queue at
   the router instead of overrunning a slow shard.
@@ -39,7 +41,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.client import CacheIoResult, RedyCache
+from repro.core.client import CacheIoResult, RedyCache, RedyClient
+from repro.core.config import Slo
 from repro.core.migration import MigrationPolicy
 from repro.core.regions import AddressError
 from repro.obs.metrics import registry_of
@@ -187,6 +190,22 @@ class ShardRouter:
         self._c_tenant_reads = m.counter("router.tenant_reads") if m else None
         self._c_tenant_writes = (m.counter("router.tenant_writes")
                                  if m else None)
+
+    @classmethod
+    def replicated(cls, client: RedyClient, capacity: int, slo: Slo,
+                   replicas: int = 2, *,
+                   region_bytes: int = 1 << 30) -> "ShardRouter":
+        """The §6.2 replicated cache: ``replicas`` members on disjoint
+        physical servers at ``replication=replicas``, so every slot is
+        written to all of them and read from its primary with failover."""
+        members: Dict[str, RedyCache] = {}
+        used: set = set()
+        for i in range(replicas):
+            cache = client.create(capacity, slo, region_bytes=region_bytes,
+                                  exclude_servers=frozenset(used))
+            members[f"r{i}"] = cache
+            used.update(vm.server.server_id for vm in cache.allocation.vms)
+        return cls(client.env, members, replication=replicas)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -731,8 +750,11 @@ class ShardRouter:
     def _on_member_vm_dead(self, member: ShardMember) -> None:
         if member.name not in self._members:
             return
-        if member.departing:
-            # Died mid-drain: stop using it as a stream source.
+        if member.departing or not any(
+                m.alive and not m.departing
+                for m in self._members.values() if m is not member):
+            # Died mid-drain (stop using it as a stream source), or no
+            # survivor is left to take its ranges: I/O on them errors.
             member.alive = False
             return
         self.depart(member.name, emergency=True, reason="vm-kill")

@@ -40,11 +40,3 @@ class RngRegistry:
                 entropy=self._root.entropy, spawn_key=tuple(name_entropy))
             self._streams[name] = np.random.Generator(np.random.PCG64(child))
         return self._streams[name]
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """Return a registry with a seed derived from this one and ``salt``.
-
-        Used by parameter sweeps to give each configuration its own
-        independent randomness while staying reproducible.
-        """
-        return RngRegistry(seed=(self.seed * 1_000_003 + salt) % (2**63))

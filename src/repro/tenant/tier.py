@@ -154,17 +154,11 @@ class TenantTier:
     def __init__(self, env: Environment, router: ShardRouter, *,
                  plans: Optional[Dict[str, ClassPlan]] = None,
                  max_inflight: Optional[int] = None,
-                 flush_chunk_bytes: int = 4096,
-                 control_plane=None):
+                 flush_chunk_bytes: int = 4096):
         if flush_chunk_bytes < 1:
             raise ValueError("flush_chunk_bytes must be >= 1")
         self.env = env
         self.router = router
-        #: Optional RDMA connection control plane
-        #: (:class:`repro.cplane.ControlPlane`).  Admitted requests feed
-        #: its warm-pool predictor, so pre-connected QP capacity tracks
-        #: the admitted (not offered) load per tenant.
-        self.control_plane = control_plane
         self.plans = plans if plans is not None else plan_slo_classes()
         #: Shared scheduling-slot pool: how many tenant requests may be
         #: in flight against the shard pool at once.  Defaults to the
@@ -246,8 +240,6 @@ class TenantTier:
         self._next_base = base + span
         self._tenants[spec.name] = tenant
         self._order.append(tenant)
-        if self.control_plane is not None:
-            self.control_plane.register_tenant(spec.name)
         return tenant
 
     def tenant(self, name: str) -> TenantState:
@@ -329,9 +321,6 @@ class TenantTier:
                 tenant.c_admitted.inc()
         elif tenant.c_delayed is not None:
             tenant.c_delayed.inc()
-        if self.control_plane is not None:
-            # Admitted/reserved traffic sizes the warm QP pool.
-            self.control_plane.note_admission(name)
         self.env.process(
             self._request(tenant, is_read, addr, size, data, done,
                           verdict, wait),

@@ -1,20 +1,17 @@
-"""Tests for replicated caches (§6.2's replication alternative)."""
+"""Tests for the replicated cache (§6.2's replication alternative), served
+by :meth:`repro.shard.ShardRouter.replicated`."""
 
 import pytest
 
-from repro.core import Slo
-from repro.core.replication import ReplicatedCache
-from repro.workloads.scenarios import build_cluster
+from repro.shard import ShardRouter
 
-REGION = 4096
-SLO = Slo(max_latency=1e-3, min_throughput=1e4, record_size=64)
-
-
-@pytest.fixture()
-def stack():
-    harness = build_cluster(seed=2, n_servers=8)
-    client = harness.redy_client("repl-app")
-    return harness, client
+from tests.shard.conftest import (
+    CAPACITY,
+    REGION,
+    SLO,
+    make_replicated,
+    server_ids,
+)
 
 
 def run(env, event):
@@ -24,103 +21,86 @@ def run(env, event):
     return env.run_process(proc(env))
 
 
+def kill(harness, cache):
+    """Fail every VM of ``cache``, no warning."""
+    for vm in list(cache.allocation.vms):
+        harness.allocator.fail(vm)
+
+
+def settle(harness, router):
+    harness.env.run_process(router.settled())
+
+
 class TestConstruction:
-    def test_replicas_land_on_disjoint_servers(self, stack):
-        harness, client = stack
-        group = ReplicatedCache.create(client, 2 * REGION, SLO,
-                                       n_replicas=3, region_bytes=REGION)
-        domains = group.fault_domains()
+    def test_replicas_land_on_disjoint_servers(self):
+        _harness, _client, members, router = make_replicated(replicas=3)
+        assert router.replication == 3
+        domains = [server_ids(cache) for cache in members.values()]
         assert len(domains) == 3
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not (domains[i] & domains[j])
+        assert all(len(router.owners_of_slot(slot)) == 3
+                   for slot in range(router.n_slots))
 
-    def test_cost_scales_with_replicas(self, stack):
-        harness, client = stack
-        single = ReplicatedCache.create(client, REGION, SLO, n_replicas=1,
-                                        region_bytes=REGION)
-        double = ReplicatedCache.create(client, REGION, SLO, n_replicas=2,
-                                        region_bytes=REGION)
-        assert double.hourly_cost == pytest.approx(2 * single.hourly_cost)
-
-    def test_zero_replicas_rejected(self, stack):
-        harness, client = stack
+    def test_zero_replicas_rejected(self):
+        _harness, client, _members, _router = make_replicated()
         with pytest.raises(ValueError):
-            ReplicatedCache.create(client, REGION, SLO, n_replicas=0,
+            ShardRouter.replicated(client, CAPACITY, SLO, 0,
                                    region_bytes=REGION)
 
 
 class TestDataPath:
-    def test_write_all_read_primary(self, stack):
-        harness, client = stack
-        group = ReplicatedCache.create(client, REGION, SLO, n_replicas=2,
-                                       region_bytes=REGION)
-        assert run(harness.env, group.write(100, b"replicated")).ok
-        result = run(harness.env, group.read(100, 10))
+    def test_write_all_read_primary(self):
+        harness, _client, members, router = make_replicated()
+        assert run(harness.env, router.write(100, b"replicated")).ok
+        result = run(harness.env, router.read(100, 10))
         assert result.ok and result.data == b"replicated"
-        # Both replicas independently hold the data.
-        for replica in group.replicas:
-            assert run(harness.env, replica.read(100, 10)
+        # Every member owns the slot and independently holds the data.
+        assert len(router.owners_of_slot(0)) == 2
+        for cache in members.values():
+            assert run(harness.env, cache.read(100, 10)
                        ).data == b"replicated"
 
-    def test_failover_preserves_acknowledged_writes(self, stack):
-        harness, client = stack
-        group = ReplicatedCache.create(client, REGION, SLO, n_replicas=2,
-                                       region_bytes=REGION)
-        run(harness.env, group.write(0, b"survive-me"))
-        # Kill every VM of the primary replica, no warning.
-        for vm in list(group.primary.allocation.vms):
-            harness.allocator.fail(vm)
-        result = run(harness.env, group.read(0, 10))
+    def test_failover_preserves_acknowledged_writes(self):
+        harness, _client, members, router = make_replicated()
+        run(harness.env, router.write(0, b"survive-me"))
+        primary = router.owners_of_slot(0)[0]
+        kill(harness, members[primary])
+        settle(harness, router)
+        result = run(harness.env, router.read(0, 10))
         assert result.ok
         assert result.data == b"survive-me"
-        assert group.failovers == 1
-        assert len(group.replicas) == 1
+        assert primary not in router.members
+        assert len(router.members) == 1
 
-    def test_writes_drop_dead_replicas_but_succeed(self, stack):
-        harness, client = stack
-        group = ReplicatedCache.create(client, REGION, SLO, n_replicas=2,
-                                       region_bytes=REGION)
-        for vm in list(group.replicas[1].allocation.vms):
-            harness.allocator.fail(vm)
-        result = run(harness.env, group.write(0, b"to-the-living"))
+    def test_writes_drop_dead_replicas_but_succeed(self):
+        harness, _client, members, router = make_replicated()
+        secondary = router.owners_of_slot(0)[1]
+        kill(harness, members[secondary])
+        result = run(harness.env, router.write(0, b"to-the-living"))
         assert result.ok
-        assert len(group.replicas) == 1
-        assert run(harness.env, group.read(0, 13)).data == b"to-the-living"
+        settle(harness, router)
+        assert router.members == [router.owners_of_slot(0)[0]]
+        assert secondary not in router.members
+        assert run(harness.env, router.read(0, 13)).data == b"to-the-living"
 
-    def test_total_loss_surfaces_error(self, stack):
-        harness, client = stack
-        group = ReplicatedCache.create(client, REGION, SLO, n_replicas=1,
-                                       region_bytes=REGION)
-        for vm in list(group.primary.allocation.vms):
-            harness.allocator.fail(vm)
-        result = run(harness.env, group.read(0, 8))
-        assert not result.ok
+    def test_total_loss_surfaces_error(self):
+        # With two members the first departs; the last has no survivor
+        # to hand its ranges to, so I/O surfaces the error instead.
+        for replicas in (1, 2):
+            harness, _client, members, router = make_replicated(
+                replicas=replicas)
+            for cache in members.values():
+                kill(harness, cache)
+            result = run(harness.env, router.read(0, 8))
+            assert not result.ok and "no live shard" in result.error
 
 
 class TestRedundancyMaintenance:
-    def test_restore_redundancy_builds_a_fresh_copy(self, stack):
-        harness, client = stack
-        group = ReplicatedCache.create(client, 2 * REGION, SLO,
-                                       n_replicas=2, region_bytes=REGION)
-        run(harness.env, group.write(REGION, b"carry-over"))
-        for vm in list(group.primary.allocation.vms):
-            harness.allocator.fail(vm)
-        run(harness.env, group.read(0, 8))  # triggers failover
-        assert len(group.replicas) == 1
-
-        count = run(harness.env, group.restore_redundancy(2))
-        assert count == 2
-        # The fresh replica holds the content and is on its own servers.
-        fresh = group.replicas[-1]
-        assert run(harness.env, fresh.read(REGION, 10)).data == b"carry-over"
-        domains = group.fault_domains()
-        assert not (domains[0] & domains[1])
-
-    def test_delete_releases_all_replicas(self, stack):
-        harness, client = stack
-        group = ReplicatedCache.create(client, REGION, SLO, n_replicas=2,
-                                       region_bytes=REGION)
+    def test_delete_releases_all_replicas(self):
+        harness, _client, members, _router = make_replicated()
         assert len(harness.allocator.vms) == 2
-        group.delete()
+        for cache in members.values():
+            cache.delete()
         assert len(harness.allocator.vms) == 0

@@ -4,7 +4,8 @@ One simulated hour with three caches sharing a fleet:
 
 * a *spot* cache watched by the lifetime guard and the cost optimizer,
   with periodic reclamations arriving underneath both;
-* a *replicated* cache whose primary suffers a hard VM failure;
+* a *replicated* cache (a two-member replication-2 shard router) whose
+  primary suffers a hard VM failure;
 * a *harvest* cache on stranded memory that gets evicted when a paying
   tenant needs the space.
 
@@ -19,7 +20,7 @@ from repro.cluster.pricing import SpotMarket
 from repro.core import Slo
 from repro.core.costopt import CostOptimizer
 from repro.core.guard import SpotGuard
-from repro.core.replication import ReplicatedCache
+from repro.shard import ShardRouter
 from repro.workloads.scenarios import build_cluster, strand_servers
 
 REGION = 1 << 20
@@ -51,8 +52,9 @@ def test_soak_hour_of_chaos(seed):
     CostOptimizer(spot_cache, market, check_interval_s=600.0)
 
     repl_client = harness.redy_client("soak-repl")
-    replicated = ReplicatedCache.create(repl_client, CAPACITY, SLO,
-                                        n_replicas=2, region_bytes=REGION)
+    replicated = ShardRouter.replicated(repl_client, CAPACITY, SLO,
+                                        region_bytes=REGION)
+    repl_primary = replicated.member(replicated.owners_of_slot(0)[0])
 
     harvest_client = harness.redy_client("soak-harvest")
     harvest_cache = harvest_client.create(CAPACITY, SLO,
@@ -84,10 +86,7 @@ def test_soak_hour_of_chaos(seed):
             else:
                 result = yield cache.read(addr, 256)
                 completed["count"] += 1
-                if result.ok and name != "repl":
-                    assert result.data == bytes(
-                        shadows[name][addr:addr + 256]), (name, addr)
-                elif result.ok:
+                if result.ok:
                     assert result.data == bytes(
                         shadows[name][addr:addr + 256]), (name, addr)
             yield env.timeout(float(rng.exponential(2.0)))
@@ -102,7 +101,7 @@ def test_soak_hour_of_chaos(seed):
                     break
         # Hard-fail the replicated cache's primary mid-run.
         yield env.timeout(200.0)
-        for vm in list(replicated.primary.allocation.vms):
+        for vm in list(repl_primary.cache.allocation.vms):
             harness.allocator.fail(vm)
         # Evict the harvest cache from its stranded host.
         yield env.timeout(300.0)
@@ -136,6 +135,7 @@ def test_soak_hour_of_chaos(seed):
 
     # The chaos actually happened.
     assert spot_cache.migrations, "spot cache never migrated"
-    assert replicated.failovers == 1
+    assert list(replicated.retired) == [repl_primary.name]
+    assert len(replicated.members) == 1
     assert harvest_cache.migrations, "harvest cache never migrated"
     assert spot_cache.migration_failures == 0

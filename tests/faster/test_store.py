@@ -122,26 +122,6 @@ class TestWrites:
         with pytest.raises(ValueError):
             run_upsert(env, store, cpu, 1, b"too long for 8B store")
 
-    def test_rmw(self):
-        env, store, cpu = make_store()
-
-        def proc(env):
-            ok = yield from store.rmw(
-                99, lambda old: bytes(b ^ 0xFF for b in old), cpu)
-            return ok
-
-        assert env.run_process(proc(env))
-        expected = bytes(b ^ 0xFF for b in (99).to_bytes(8, "little"))
-        assert run_read(env, store, cpu, 99).value == expected
-
-    def test_rmw_missing_key_returns_false(self):
-        env, store, cpu = make_store()
-
-        def proc(env):
-            return (yield from store.rmw(777, lambda v: v, cpu))
-
-        assert env.run_process(proc(env)) is False
-
 
 class TestStatistics:
     def test_served_by_counters(self):
@@ -204,15 +184,6 @@ class TestDelete:
         outcome = env.run_process(proc(env))
         assert outcome.found and outcome.value == b"reborn!!"
 
-    def test_rmw_on_deleted_key_returns_false(self):
-        env, store, cpu = make_store()
-
-        def proc(env):
-            yield from store.delete(99, cpu)
-            return (yield from store.rmw(99, lambda v: v, cpu))
-
-        assert env.run_process(proc(env)) is False
-
 
 class TestDurableWrites:
     def test_durable_upsert_waits_for_the_device(self):
@@ -248,60 +219,3 @@ class TestDurableWrites:
             return env.now - start
 
         assert env.run_process(timed(env)) < 5e-6
-
-
-class TestCompaction:
-    def run_compact(self, env, store, cpu, until):
-        def proc(env):
-            return (yield from store.compact(until, cpu))
-
-        return env.run_process(proc(env))
-
-    def test_compaction_relocates_only_live_records(self):
-        env, store, cpu = make_store(n_records=100, memory_records=20)
-        # Supersede keys 0..9: their old on-device versions become dead.
-        for key in range(10):
-            run_upsert(env, store, cpu, key, b"liveliv!")
-        until = 20 * store.record_size  # covers old versions of keys 0..19
-        scanned, relocated = self.run_compact(env, store, cpu, until)
-        assert scanned == 20
-        # Keys 0..9 have newer versions elsewhere; only 10..19 relocate.
-        assert relocated == 10
-        assert store.hlog.begin_address == until
-
-    def test_compacted_records_remain_readable(self):
-        env, store, cpu = make_store(n_records=100, memory_records=20)
-        until = 30 * store.record_size
-        self.run_compact(env, store, cpu, until)
-        for key in range(30):
-            outcome = run_read(env, store, cpu, key)
-            assert outcome.found, key
-            assert outcome.value == key.to_bytes(8, "little")
-
-    def test_compaction_skips_tombstones(self):
-        env, store, cpu = make_store(n_records=100, memory_records=20)
-
-        def proc(env):
-            yield from store.delete(3, cpu)
-            return (yield from store.compact(10 * store.record_size, cpu))
-
-        _scanned, relocated = env.run_process(proc(env))
-        assert relocated == 9  # key 3's old version is dead
-        assert not run_read(env, store, cpu, 3).found
-
-    def test_compaction_shrinks_live_log(self):
-        env, store, cpu = make_store(n_records=100, memory_records=20)
-        before = store.live_log_bytes
-        self.run_compact(env, store, cpu, 40 * store.record_size)
-        # 40 records reclaimed, 40 re-appended... but re-appends spill
-        # and later compactions would drop superseded copies; net live
-        # bytes must not exceed the original.
-        assert store.live_log_bytes <= before
-
-    def test_compaction_capped_at_head_address(self):
-        env, store, cpu = make_store(n_records=100, memory_records=20)
-        head_before = store.hlog.head_address
-        scanned, _ = self.run_compact(env, store, cpu, 10**12)
-        # Only the portion on-device at entry is compactable (relocation
-        # appends advance the head further while the pass runs).
-        assert scanned == head_before // store.record_size

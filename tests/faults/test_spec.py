@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.traces import TraceConfig, generate_trace
 from repro.faults import (
     FaultSchedule,
     LatencySpike,
@@ -88,18 +87,3 @@ class TestSchedule:
         with pytest.raises(ValueError):
             FaultSchedule.poisson_evictions(rate_per_s=1.0, duration_s=1.0,
                                             rng=rng, kill_fraction=1.5)
-
-    def test_from_trace_uses_stranding_episodes(self):
-        trace = generate_trace(TraceConfig(clusters=2, duration_hours=6,
-                                           seed=3))
-        schedule = FaultSchedule.from_trace(trace, max_events=4,
-                                            time_scale=1e-3, notice_s=5.0)
-        assert 0 < len(schedule) <= 4
-        assert all(isinstance(spec, VmEviction) for spec in schedule)
-        assert all(spec.notice_s == 5.0 for spec in schedule)
-        # Cumulative: each eviction strictly after the previous one.
-        times = [spec.at for spec in schedule]
-        assert times == sorted(times)
-        abrupt = FaultSchedule.from_trace(trace, max_events=4,
-                                          time_scale=1e-3, abrupt=True)
-        assert all(isinstance(spec, VmKill) for spec in abrupt)

@@ -2,7 +2,15 @@
 
 from repro.obs.metrics import MetricsRegistry
 
-from tests.shard.conftest import CAPACITY, REGION, SLO, SLOT, make_fleet
+from tests.shard.conftest import (
+    CAPACITY,
+    REGION,
+    SLO,
+    SLOT,
+    make_fleet,
+    make_replicated,
+    server_ids,
+)
 
 
 def run(harness, gen):
@@ -137,6 +145,33 @@ class TestFaultWiring:
         assert run(harness, _verify(router, acked)()) == []
         snap = metrics.snapshot()
         assert snap['router.departures{reason="vm-kill"}']["value"] == 1
+
+    def test_join_restores_redundancy_after_a_kill(self):
+        harness, client, members, router = make_replicated()
+        acked = run(harness, _fill(router)())
+
+        def kill(name):
+            for vm in list(members[name].allocation.vms):
+                harness.allocator.fail(vm)
+            yield from router.settled()
+
+        def driver():
+            yield from kill(router.owners_of_slot(0)[0])
+            (survivor,) = router.members
+            fresh = client.create(
+                CAPACITY, SLO, region_bytes=REGION,
+                exclude_servers=frozenset(server_ids(members[survivor])))
+            yield router.join("r2", fresh)
+            assert not server_ids(fresh) & server_ids(members[survivor])
+            assert all(len(router.owners_of_slot(slot)) == 2
+                       for slot in range(router.n_slots))
+            # The fresh copy alone now serves every acknowledged write.
+            yield from kill(survivor)
+            return True
+
+        assert run(harness, driver())
+        assert router.members == ["r2"]
+        assert run(harness, _verify(router, acked)()) == []
 
     def test_reclaim_notice_triggers_planned_departure(self):
         metrics = MetricsRegistry()

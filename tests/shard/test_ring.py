@@ -12,7 +12,8 @@ def test_placement_is_deterministic_across_builds():
     a = HashRing(SHARDS, vnodes_per_shard=32)
     b = HashRing(reversed(SHARDS), vnodes_per_shard=32)  # insertion order
     points = [key_hash(slot) for slot in range(512)]
-    assert [a.owner(p) for p in points] == [b.owner(p) for p in points]
+    assert ([a.owners(p, 1) for p in points]
+            == [b.owners(p, 1) for p in points])
     assert a.ranges(2) == b.ranges(2)
 
 
@@ -31,7 +32,7 @@ def test_owners_clamps_to_member_count():
 
 def test_empty_ring_has_no_owner():
     with pytest.raises(ValueError):
-        HashRing().owner(0)
+        HashRing().owners(0, 1)
 
 
 def test_duplicate_and_missing_membership_errors():

@@ -5,7 +5,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import ShardRouter
 
-from tests.shard.conftest import SLOT, make_fleet
+from tests.shard.conftest import SLOT, make_fleet, make_replicated
 
 
 def run(harness, gen):
@@ -187,6 +187,19 @@ class TestValidation:
             ShardRouter(env, members, slot_bytes=0)
         with pytest.raises(ValueError):
             ShardRouter(env, members, max_inflight_per_shard=0)
+
+
+class TestReplicatedRouter:
+    """:meth:`ShardRouter.replicated`, the §6.2 replicated cache."""
+
+    def test_cost_scales_with_replicas(self):
+        def hourly_cost(replicas):
+            _harness, _client, members, _router = make_replicated(
+                replicas=replicas)
+            return sum(cache.allocation.hourly_cost
+                       for cache in members.values())
+
+        assert hourly_cost(2) == pytest.approx(2 * hourly_cost(1))
 
 
 def _mixed_workload_snapshot(seed):

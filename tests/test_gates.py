@@ -66,7 +66,8 @@ MUTATIONS = {
     "spot-evict-programs": [("summary.faults_injected", 0),
                             ("summary.lost_acked_writes", 1)],
     "evict-primary": [("summary.failed_probes", 1),
-                      ("summary.failovers", 0)],
+                      ("summary.members_after", 2),
+                      ("summary.lost_acked_writes", 1)],
     "link-flap": [("summary.failed_probes", 1),
                   ("summary.retries", 0)],
     "slow-node": [("summary.failed_probes", 1),
