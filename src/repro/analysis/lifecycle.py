@@ -25,7 +25,7 @@ is exactly the discipline the production fix demands::
 Rules:
 
 * **L001** QueuePair/endpoint acquired and dropped without
-  ``reclaim``/``disconnect``/``detach`` on some path.
+  ``reclaim``/``detach``/``close`` on some path.
 * **L002** Event callback registered on a foreign event with no detach
   anywhere in the function (the AnyOf/AllOf losing-children leak
   class PR 6 fixed by hand).
@@ -53,7 +53,7 @@ __all__ = ["analyze_lifecycle"]
 
 #: Method names that release/retire each resource class.
 _QP_ACQUIRE_CALLS = {"create_qp", "attach"}
-_QP_RELEASES = {"reclaim", "disconnect", "detach", "close"}
+_QP_RELEASES = {"reclaim", "detach", "close"}
 _LOCK_RELEASES = {"release"}
 
 #: Direct metrics-instrument constructors (canonical, import-resolved).

@@ -97,8 +97,8 @@ _CATALOG = (
         id="L001",
         title="QP/endpoint acquired without reclaim on every path",
         severity="error",
-        hint="reclaim()/disconnect() the QP in a finally, or hand it to "
-             "a long-lived owner (pool, endpoint registry) that does",
+        hint="reclaim() the QP in a finally, or hand it to a "
+             "long-lived owner (pool, endpoint registry) that does",
         rationale="a dropped QueuePair stays registered on both "
                   "endpoints forever: fault flushes walk it, NIC context "
                   "caches churn on it, and reclaim-storm accounting "

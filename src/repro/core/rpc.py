@@ -101,8 +101,8 @@ class RpcClient:
 
         # Request leg.
         yield self.env.timeout(nic.doorbell + nic.per_message_processing)
-        yield from fabric.transmit(self.endpoint, server.endpoint,
-                                   call.request_bytes)
+        yield fabric.transmit(self.endpoint, server.endpoint,
+                              call.request_bytes)
         if not server.endpoint.alive:
             done.fail(RpcError(f"{call.method}: server endpoint down"))
             return
@@ -126,9 +126,9 @@ class RpcClient:
 
         # Response leg.
         yield self.env.timeout(nic.doorbell + nic.per_message_processing)
-        yield from fabric.transmit(server.endpoint, self.endpoint,
-                                   call.response_bytes)
-        yield self.env.timeout(nic.rx_dma + nic.completion_poll)
+        yield fabric.transmit(server.endpoint, self.endpoint,
+                              call.response_bytes,
+                              nic.rx_dma + nic.completion_poll)
 
         if error is not None:
             done.fail(error)

@@ -3,7 +3,10 @@
 The fabric owns the physical-layer costs: transmit serialization at line
 rate (shared by everything an endpoint sends -- this is how migration
 traffic contends with foreground traffic in the Figure 15/16 experiments)
-and per-switch-hop propagation latency.
+and per-switch-hop propagation latency.  A link is a FIFO reservation,
+not a lock: each message books the next free interval on it, so a
+message costs one kernel event, at its arrival (a cross-rack message
+through an oversubscribed rack uplink keeps one more, at tx end).
 
 Topology follows the paper's three network distances (§5.2): endpoints in
 the same rack are one switch apart, same cluster three, different
@@ -13,6 +16,7 @@ clusters five.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
@@ -26,7 +30,6 @@ from repro.hardware.profiles import (
 from repro.net.memory import MemoryRegion
 from repro.obs.metrics import registry_of
 from repro.sim.kernel import Environment, Event
-from repro.sim.resources import Resource
 
 __all__ = ["Endpoint", "Fabric", "Placement"]
 
@@ -56,9 +59,12 @@ class Endpoint:
         self.fabric = fabric
         self.name = name
         self.placement = placement
-        #: Serializes outbound bytes at line rate.  Shared by every QP on
-        #: this endpoint, so bulk transfers and foreground traffic contend.
-        self.tx_link = Resource(fabric.env, slots=1)
+        #: Instant the tx link finishes serializing every message it has
+        #: accepted.  Outbound bytes go out at line rate in FIFO order
+        #: (see :meth:`Fabric.transmit`); every QP on this endpoint
+        #: shares the link, so bulk transfers and foreground traffic
+        #: contend.
+        self.tx_free_at = -math.inf
         self.regions: Dict[int, MemoryRegion] = {}
         self.alive = True
         #: Every queue pair touching this endpoint (either side), so a
@@ -179,9 +185,10 @@ class Fabric:
         #: -created endpoints) when it attaches to a fabric.
         self.model_control_plane = model_control_plane
         self._endpoints: Dict[str, Endpoint] = {}
-        #: Shared rack-uplink serializers, created lazily per rack when
-        #: the profile declares finite uplink bandwidth.
-        self._uplinks: Dict[tuple[int, int], Resource] = {}
+        #: Per-rack uplink reservations (the instant each rack's shared
+        #: uplink frees up), used when the profile declares finite uplink
+        #: bandwidth.
+        self._uplink_free_at: Dict[tuple[int, int], float] = {}
         #: Fabric-wide extra one-way propagation delay, seconds.  The
         #: fault injector raises it for the duration of a transient
         #: latency spike (congestion, PFC storm) and lowers it back.
@@ -235,16 +242,6 @@ class Fabric:
         for endpoint in self._endpoints.values():
             endpoint.enable_control_plane_model()
 
-    def _rack_uplink(self, placement: Placement) -> Optional[Resource]:
-        if self.profile.fabric.rack_uplink_gbps is None:
-            return None
-        key = (placement.cluster, placement.rack)
-        uplink = self._uplinks.get(key)
-        if uplink is None:
-            uplink = Resource(self.env, slots=1)
-            self._uplinks[key] = uplink
-        return uplink
-
     def add_endpoint(self, name: str,
                      placement: Placement = Placement()) -> Endpoint:
         if name in self._endpoints:
@@ -260,47 +257,81 @@ class Fabric:
         return src.placement.switch_hops_to(dst.placement)
 
     def transmit(self, src: Endpoint, dst: Endpoint,
-                 wire_payload_bytes: int) -> Generator[Event, None, None]:
-        """Process: move one message from ``src`` to ``dst``.
+                 wire_payload_bytes: int, tail: float = 0.0) -> Event:
+        """Send one message from ``src`` to ``dst``; the returned event
+        fires when it has arrived, plus ``tail``.
 
-        Charges transmit serialization (holding the source's tx link, so
-        concurrent senders queue) followed by propagation across the
-        switches.  Propagation does not hold the link: back-to-back
-        messages pipeline, which is what makes queue depth effective.
+        The source's tx link is a FIFO reservation: the message starts
+        serializing when the link frees up (``tx_free_at``, or now if it
+        is idle) and holds it for its wire time, so concurrent senders
+        queue in call order without a waiter event.  Propagation across
+        the switches does not hold the link: back-to-back messages
+        pipeline, which is what makes queue depth effective.
+
+        ``tail`` is receive-side work that follows arrival with nothing
+        checked in between (a READ payload's DMA into requester memory);
+        folding it in saves the caller a timeout.  The arrival instant
+        is ``end + (base + extra)`` then ``+ tail``, the association a
+        chain of relative timeouts would produce.
+
+        Faults apply when the message reserves the link, i.e. when this
+        is called: the source's ``throttle`` stretches its wire time and
+        the fabric's ``extra_latency_s`` (a latency spike) lengthens its
+        propagation.  A message already queued or serializing when a
+        fault edge passes keeps the values it reserved with.
         """
+        wire_time = self._wire_time_cache.get(wire_payload_bytes)
+        if wire_time is None:
+            wire_time = self.profile.nic.wire_time(wire_payload_bytes)
+            self._wire_time_cache[wire_payload_bytes] = wire_time
+        wire_time = wire_time * src.throttle
         env = self.env
-        yield src.tx_link.acquire()
-        try:
-            # Throttle is read only after the link is held: the fault
-            # injector may raise it while a sender queues for the link.
-            wire_time = self._wire_time_cache.get(wire_payload_bytes)
-            if wire_time is None:
-                wire_time = self.profile.nic.wire_time(wire_payload_bytes)
-                self._wire_time_cache[wire_payload_bytes] = wire_time
-            wire_time = wire_time * src.throttle
-            yield env.timeout(wire_time)
-            tx_busy = self._tx_busy
-            if tx_busy is not None:
-                tx_busy.inc(wire_time)
-                self._bytes_moved.inc(wire_payload_bytes)
-                self._messages.inc()
-        finally:
-            src.tx_link.release()
+        start = src.tx_free_at
+        now = env.now
+        if start < now:
+            start = now
+        end = start + wire_time
+        src.tx_free_at = end
+        tx_busy = self._tx_busy
+        if tx_busy is not None:
+            tx_busy.inc(wire_time)
+            self._bytes_moved.inc(wire_payload_bytes)
+            self._messages.inc()
         hops = src.placement.switch_hops_to(dst.placement)
-        if hops > SWITCH_HOPS_INTRA_RACK:
-            # Cross-rack traffic squeezes through the rack's shared
-            # uplink when the fabric is oversubscribed.
-            uplink = self._rack_uplink(src.placement)
-            if uplink is not None:
-                uplink_gbps = self.profile.fabric.rack_uplink_gbps
-                yield uplink.acquire()
-                try:
-                    yield env.timeout(
-                        wire_payload_bytes * 8 / (uplink_gbps * 1e9))
-                finally:
-                    uplink.release()
         base = self._one_way_cache.get(hops)
         if base is None:
             base = self.profile.fabric.one_way_base(hops)
             self._one_way_cache[hops] = base
-        yield env.timeout(base + self.extra_latency_s)
+        if (hops > SWITCH_HOPS_INTRA_RACK
+                and self.profile.fabric.rack_uplink_gbps is not None):
+            return self._via_rack_uplink(src, wire_payload_bytes, end, base,
+                                         tail)
+        return env.timeout_at(end + (base + self.extra_latency_s) + tail)
+
+    def _via_rack_uplink(self, src: Endpoint, wire_payload_bytes: int,
+                         tx_end: float, base: float, tail: float) -> Event:
+        """Arrival of a cross-rack message on an oversubscribed fabric.
+
+        The rack's shared uplink is a FIFO reservation too, but messages
+        must reach it in tx-end order, so this path keeps an event at
+        tx end and books the uplink there; the latency spike is read
+        at that instant as well.
+        """
+        env = self.env
+        key = (src.placement.cluster, src.placement.rack)
+        uplink_time = wire_payload_bytes * 8 / (
+            self.profile.fabric.rack_uplink_gbps * 1e9)
+        arrived = env.event()
+
+        def reserve_uplink(_tx_done: Event) -> None:
+            now = env.now
+            start = self._uplink_free_at.get(key, now)
+            if start < now:
+                start = now
+            end = start + uplink_time
+            self._uplink_free_at[key] = end
+            env.timeout_at(end + (base + self.extra_latency_s) + tail
+                           )._add_callback(lambda _: arrived.succeed())
+
+        env.timeout_at(tx_end)._add_callback(reserve_uplink)
+        return arrived

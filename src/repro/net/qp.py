@@ -2,10 +2,15 @@
 
 A :class:`QueuePair` executes one-sided work requests against its remote
 endpoint.  It enforces the NIC's queue-depth bound (``max_depth``
-in-flight operations -- the ``q`` variable of Table 2), delivers
-completions in post order, and turns remote failures (revoked regions,
-dead endpoints) into error completions rather than exceptions, matching
-how RDMA surfaces transport errors through the completion queue.
+in-flight operations -- the ``q`` variable of Table 2) and turns remote
+failures (revoked regions, dead endpoints) into error completions rather
+than exceptions, matching how RDMA surfaces transport errors through the
+completion queue.
+
+Each in-flight operation completes when its own wire round trip ends,
+not in post order: a 64 B WRITE posted behind a 1 MiB READ on the same
+QP completes first (DESIGN.md §6 lists this deviation from RC
+ordering).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ CONTROL_MESSAGE_BYTES = 0
 
 
 class QueuePairError(Exception):
-    """Raised for QP misuse (e.g. posting on a disconnected QP)."""
+    """Raised for QP misuse (e.g. reconnecting a reclaimed QP)."""
 
 
 class QueuePair:
@@ -67,8 +72,6 @@ class QueuePair:
         self._in_flight = 0
         self._wr_seq = 0
         self._backlog: Deque[tuple[WorkRequest, Event]] = deque()
-        #: Completions pending in-order delivery, keyed by arrival.
-        self._connected = True
         #: Whether the connection handshake has completed.  Established
         #: immediately unless ``deferred``.
         self._established = not deferred
@@ -166,13 +169,11 @@ class QueuePair:
             if not (local.alive and remote.alive):
                 ok = False
                 break
-            yield from fabric.transmit(local, remote,
-                                       nic.connect_message_bytes)
+            yield fabric.transmit(local, remote, nic.connect_message_bytes)
             if not remote.alive:
                 ok = False
                 break
-            yield from fabric.transmit(remote, local,
-                                       nic.connect_message_bytes)
+            yield fabric.transmit(remote, local, nic.connect_message_bytes)
         self._established = True
         event, self._establishing = self._establishing, None
         if ok:
@@ -213,16 +214,6 @@ class QueuePair:
         self.local.drop_qp(self)
         self.remote.drop_qp(self)
 
-    def disconnect(self) -> None:
-        """Tear the QP down; queued-but-unsent requests fail immediately.
-
-        Operations already launched keep running (their wire traffic is
-        committed) and deliver their completions normally; only the
-        unsent backlog is failed here.
-        """
-        self._connected = False
-        self._flush_backlog("queue pair disconnected")
-
     def _flush_backlog(self, reason: str) -> None:
         while self._backlog:
             wr, event = self._backlog.popleft()
@@ -256,10 +247,10 @@ class QueuePair:
 
         Mirrors the QP recycle a host does after a transport error:
         both endpoints must still be alive, and the QP must not have
-        been deliberately torn down with :meth:`disconnect`.
+        been deliberately torn down with :meth:`reclaim`.
         """
-        if not self._connected:
-            raise QueuePairError("reconnect() on a disconnected queue pair")
+        if self.reclaimed:
+            raise QueuePairError("reconnect() on a reclaimed queue pair")
         if not (self.local.alive and self.remote.alive):
             raise QueuePairError("reconnect() with a dead endpoint")
         self._error_state = None
@@ -272,8 +263,6 @@ class QueuePair:
         waits in the send queue (FIFO), exactly the behaviour the
         fully-loaded-QP optimization (§4.3) tunes around.
         """
-        if not self._connected:
-            raise QueuePairError("post() on a disconnected queue pair")
         env = self.env
         wr.posted_at = env.now
         self._wr_seq += 1
@@ -307,8 +296,7 @@ class QueuePair:
 
     def _drain_backlog(self) -> None:
         """Launch queued requests up to the depth bound (post-establish)."""
-        while (self._backlog and self._connected
-               and self._error_state is None
+        while (self._backlog and self._error_state is None
                and self._in_flight < self.max_depth):
             wr, event = self._backlog.popleft()
             self._launch(wr, event)
@@ -353,7 +341,7 @@ class QueuePair:
     def _finish(self, wr: WorkRequest, completion_event: Event,
                 completion: Completion) -> None:
         self._in_flight -= 1
-        if self._backlog and self._connected:
+        if self._backlog:
             next_wr, next_event = self._backlog.popleft()
             if self._backlog_depth is not None:
                 self._backlog_depth.set(len(self._backlog))
@@ -401,7 +389,7 @@ class QueuePair:
         else:
             request_bytes = CONTROL_MESSAGE_BYTES
 
-        yield from fabric.transmit(local, remote, request_bytes)
+        yield fabric.transmit(local, remote, request_bytes)
 
         if not remote.alive:
             self._finish(wr, completion_event,
@@ -429,21 +417,20 @@ class QueuePair:
                              length=wr.payload_bytes)
                 region.deliver(wr.payload_object)
                 response_bytes = CONTROL_MESSAGE_BYTES
+                delivery = 0.0
             else:
                 # Responder NIC pulls the payload from host memory.
                 yield env.timeout(nic.dma_fetch(wr.payload_bytes))
                 data = region.read(wr.token, wr.remote_offset, wr.payload_bytes)
                 response_bytes = wr.payload_bytes
+                # Delivering the READ payload into requester memory.
+                delivery = nic.rx_dma
         except RdmaAccessError as exc:
             self._finish(wr, completion_event,
                          self._error_completion(wr, str(exc)))
             return
 
-        yield from fabric.transmit(remote, local, response_bytes)
-
-        if op is not RdmaOp.WRITE:
-            # Deliver the READ payload into requester memory.
-            yield env.timeout(nic.rx_dma)
+        yield fabric.transmit(remote, local, response_bytes, delivery)
 
         self._finish(
             wr, completion_event,
@@ -488,7 +475,7 @@ class QueuePair:
         if shapes is not None and shapes.install(program.shape_key):
             request_bytes = program.cached_request_wire_bytes
 
-        yield from fabric.transmit(local, remote, request_bytes)
+        yield fabric.transmit(local, remote, request_bytes)
 
         if not remote.alive:
             self._finish(wr, completion_event,
@@ -571,11 +558,10 @@ class QueuePair:
 
         response_bytes = (program.response_wire_bytes if ok
                           else program.response_bytes_through(executed))
-        yield from fabric.transmit(remote, local, response_bytes)
-
         reads = [r for r in step_results if r.op is StepOp.READ and r.ok]
-        if reads:
-            yield env.timeout(nic.rx_dma)
+        # Read payloads land in requester memory as part of the arrival.
+        yield fabric.transmit(remote, local, response_bytes,
+                              nic.rx_dma if reads else 0.0)
 
         self._finish(wr, completion_event, Completion(
             wr_id=wr.wr_id, op=RdmaOp.PROGRAM, ok=ok,

@@ -819,6 +819,49 @@ class Environment:
             monitor.on_trigger(timeout)
         return timeout
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A timeout that fires at the absolute instant ``when``.
+
+        ``timeout(when - now)`` is not the same thing: ``now + (when -
+        now)`` need not round back to ``when``.  A caller that computes
+        an instant itself (the fabric's link reservations) gets exactly
+        that instant here.  Ordering matches :meth:`timeout`: an entry
+        at ``when == now`` queues behind everything already due.  The
+        body is :meth:`timeout`'s, inlined for the same reason.
+        """
+        now = self._now
+        if when < now:
+            raise SimulationError(
+                f"timeout_at({when}) is in the past (now={now})")
+        free = self._timeout_free
+        if free:
+            timeout = free.pop()
+        else:
+            timeout = Timeout.__new__(Timeout)
+            timeout.env = self
+        timeout.callbacks = None
+        timeout._value = value
+        timeout._ok = True
+        timeout._triggered = True
+        timeout._processed = False
+        timeout.on_abandon = None
+        timeout.delay = when - now
+        if self._use_heap:
+            self._sequence += 1
+            heappush(self._heap, (when, PRIORITY_NORMAL, self._sequence,
+                                  _EVENT_DISPATCH, timeout))
+        elif when == now:
+            self._immediate.append((_EVENT_DISPATCH, timeout))
+        else:
+            seq = self._sequence + 1
+            self._sequence = seq
+            heappush(self._near, (when, PRIORITY_NORMAL, seq,
+                                  _EVENT_DISPATCH, timeout))
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_trigger(timeout)
+        return timeout
+
     def process(self, generator: Generator[Event, Any, Any],
                 name: str = "") -> Process:
         """Spawn ``generator`` as a process; it first runs on the next

@@ -10,22 +10,28 @@ intended and update the pin with it.
 from repro.core import Slo
 from repro.core.config import RdmaConfig
 from repro.core.measurement import measure_config
+from repro.hardware import AZURE_HPC
+from repro.net import Fabric, MemoryRegion, QueuePair, RdmaOp, WorkRequest
 from repro.obs import MetricsRegistry
 from repro.shard import ShardRouter
-from repro.sim import Resource
+from repro.sim import Environment, Resource
 from repro.tenant import TenantSpec, TenantTier
 from repro.workloads.scenarios import build_cluster, build_faster_store
 
 #: Kernel steps of one uncontended 64 B write then read of the same
 #: address on an idle testbed (one-sided configuration).
-READ_WRITE_STEPS = 32
+READ_WRITE_STEPS = 27
 #: Kernel steps of a small two-sided closed-loop measurement.
-MEASURE_STEPS = 3779
+MEASURE_STEPS = 3202
 #: Kernel steps of one FasterKv read that misses local memory and is
 #: served by the Redy tier of the tiered device.
-FASTER_REDY_READ_STEPS = 18
+FASTER_REDY_READ_STEPS = 15
 #: Kernel steps of one TenantTier read through a one-member router.
-TENANT_READ_STEPS = 19
+TENANT_READ_STEPS = 16
+#: Kernel steps of two concurrent 1 MiB writes from one endpoint, on two
+#: QPs.  The second queues for the tx link by reservation, which costs
+#: no dispatch of its own.
+CONTENDED_WRITES_STEPS = 16
 
 
 def _check(name, pinned, steps):
@@ -102,3 +108,23 @@ def test_tenant_read_step_budget():
     result, steps = _steps_of(harness.env, body)
     assert result.ok and result.data == b"y" * 64
     _check("one TenantTier read", TENANT_READ_STEPS, steps)
+
+
+def test_contended_tx_link_step_budget():
+    env = Environment()
+    fabric = Fabric(env, AZURE_HPC)
+    client = fabric.add_endpoint("client")
+    server = fabric.add_endpoint("server")
+    size = 1 << 20
+    region = server.register(MemoryRegion(2 * size, backing=False))
+    qps = [QueuePair(env, client, server, max_depth=1) for _ in range(2)]
+
+    def body():
+        events = [qp.post(WorkRequest(RdmaOp.WRITE, region.token,
+                                      index * size, size))
+                  for index, qp in enumerate(qps)]
+        return (yield env.all_of(events))
+
+    completions, steps = _steps_of(env, body)
+    assert all(completion.ok for completion in completions)
+    _check("two contended 1 MiB writes", CONTENDED_WRITES_STEPS, steps)

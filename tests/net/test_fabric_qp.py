@@ -144,6 +144,9 @@ class TestQueueDepth:
             QueuePair(env, a, b, max_depth=AZURE_HPC.nic.max_queue_depth + 1)
 
     def test_completions_in_post_order(self):
+        """Equal reads complete in post order: they share one FIFO link
+        each way.  Mixed sizes need not (see
+        test_small_write_overtakes_a_bulk_read_on_one_qp)."""
         env, _, _, _, region, qp = make_pair(depth=4)
         order = []
 
@@ -183,22 +186,29 @@ class TestFailureHandling:
         assert not completion.ok
         assert "outside region" in completion.error
 
-    def test_disconnect_fails_backlogged_requests(self):
+    def test_reclaim_fails_backlogged_requests(self):
         env, _, _, _, region, qp = make_pair(depth=1)
         first = qp.post(WorkRequest(RdmaOp.READ, region.token, 0, 8))
         second = qp.post(WorkRequest(RdmaOp.READ, region.token, 0, 8))
-        qp.disconnect()
+        qp.reclaim()
         env.run()
         assert first.value.ok  # already in flight, allowed to finish
         assert not second.value.ok
+        assert "reclaimed" in second.value.error
 
-    def test_post_after_disconnect_rejected(self):
+    def test_post_after_reclaim_completes_in_error(self):
+        """A late poster gets an error completion, never an exception,
+        and a reclaimed QP cannot be brought back."""
         env, _, _, _, region, qp = make_pair()
-        qp.disconnect()
+        qp.reclaim()
+        completion, _ = run_one(
+            env, qp, WorkRequest(RdmaOp.READ, region.token, 0, 8))
+        assert not completion.ok
+        assert "reclaimed" in completion.error
         with pytest.raises(QueuePairError):
-            qp.post(WorkRequest(RdmaOp.READ, region.token, 0, 8))
+            qp.reconnect()
 
-    def test_disconnect_with_operations_in_flight(self):
+    def test_reclaim_with_operations_in_flight(self):
         """Mid-run teardown: every posted op completes exactly once.
 
         Launched operations finish normally (their wire traffic is
@@ -213,7 +223,7 @@ class TestFailureHandling:
         def reclaimer(env):
             # Well inside the first ops' flight time (~3.5us each).
             yield env.timeout(1 * US)
-            qp.disconnect()
+            qp.reclaim()
 
         env.process(reclaimer(env))
         env.run()
@@ -222,10 +232,10 @@ class TestFailureHandling:
         assert all(event.processed for event in events)
         # The two launched ops finished; the four backlogged ones failed.
         assert [c.ok for c in completions] == [True, True] + [False] * 4
-        assert all("disconnected" in c.error for c in completions[2:])
+        assert all("reclaimed" in c.error for c in completions[2:])
         assert qp.in_flight == 0
         assert qp.backlog_length == 0
-        # Completion timestamps are sane: failures at disconnect time,
+        # Completion timestamps are sane: failures at reclaim time,
         # successes when their wire round trip ended.
         assert all(c.completed_at == pytest.approx(1 * US)
                    for c in completions[2:])
@@ -234,24 +244,105 @@ class TestFailureHandling:
 
 class TestBandwidthSharing:
     def test_tx_link_serializes_concurrent_bulk_sends(self):
-        """Two 1MB writes from one endpoint take ~2x one write's wire time."""
-        env, fabric, client, server, region, _ = make_pair(
-            region_size=4 << 20, backing=False)
-        qp1 = QueuePair(env, client, server, max_depth=1)
-        qp2 = QueuePair(env, client, server, max_depth=1)
+        """Two 1 MiB sends from one endpoint serialize back to back:
+        the second arrives at start + 2 x wire + propagation, exactly."""
+        env, fabric, client, server, _, _ = make_pair()
         size = 1 << 20
+        wire = AZURE_HPC.nic.wire_time(size)
+        prop = AZURE_HPC.fabric.one_way_base(fabric.switch_hops(client,
+                                                                server))
+        arrivals = []
 
         def proc(env):
-            e1 = qp1.post(WorkRequest(RdmaOp.WRITE, region.token, 0, size))
-            e2 = qp2.post(WorkRequest(RdmaOp.WRITE, region.token, size, size))
-            yield env.all_of([e1, e2])
-            return env.now
+            yield env.timeout(1 * US)
+            start = env.now
+            first = fabric.transmit(client, server, size)
+            second = fabric.transmit(client, server, size)
+            for message in (first, second):
+                message._add_callback(lambda _: arrivals.append(env.now))
+            yield env.all_of([first, second])
+            return start
 
-        elapsed = env.run_process(proc(env))
-        wire_one = AZURE_HPC.nic.wire_time(size)
-        dma_one = AZURE_HPC.nic.dma_fetch(size)  # paid in parallel, once
-        assert elapsed > 2 * wire_one
-        assert elapsed < 2 * wire_one + dma_one + 10 * US
+        start = env.run_process(proc(env))
+        assert arrivals == [start + wire + prop, start + 2 * wire + prop]
+
+    def test_small_write_overtakes_a_bulk_read_on_one_qp(self):
+        """Completions are not delivered in post order (DESIGN.md §6):
+        a 64 B WRITE posted behind a 1 MiB READ completes first."""
+        env, _, _, _, region, qp = make_pair(region_size=2 << 20,
+                                             backing=False)
+        done = {}
+
+        def proc(env):
+            read = qp.post(WorkRequest(RdmaOp.READ, region.token, 0,
+                                       1 << 20))
+            write = qp.post(WorkRequest(RdmaOp.WRITE, region.token,
+                                        1 << 20, 64, data=b"w" * 64))
+            for name, event in (("read", read), ("write", write)):
+                event._add_callback(
+                    lambda e, name=name: done.setdefault(name, env.now))
+            yield env.all_of([read, write])
+
+        env.run_process(proc(env))
+        assert list(done) == ["write", "read"]
+        assert done["write"] < 4 * US < 100 * US < done["read"]
+
+
+class TestFaultEdges:
+    """A message's throttle stretch and latency-spike extra are fixed
+    when it reserves the tx link, i.e. when it is sent (DESIGN.md §5e)."""
+
+    SIZE = 1 << 20
+
+    def _send_across_edge(self, apply_fault):
+        """Send two messages back to back, apply a fault while the first
+        is still serializing, then send a third; return the arrivals."""
+        env, fabric, client, server, _, _ = make_pair()
+        arrivals = {}
+
+        def send(name):
+            message = fabric.transmit(client, server, self.SIZE)
+            message._add_callback(
+                lambda _: arrivals.setdefault(name, env.now))
+            return message
+
+        def proc(env):
+            first, queued = send("first"), send("queued")
+            yield env.timeout(AZURE_HPC.nic.wire_time(self.SIZE) / 2)
+            apply_fault(fabric, client)
+            later = send("later")
+            yield env.all_of([first, queued, later])
+
+        env.run_process(proc(env))
+        return arrivals
+
+    def test_throttle_edge_stretches_only_later_reservations(self):
+        wire = AZURE_HPC.nic.wire_time(self.SIZE)
+        prop = AZURE_HPC.fabric.one_way_base(1)
+
+        def throttle(fabric, client):
+            client.throttle = 4.0
+
+        arrivals = self._send_across_edge(throttle)
+        # The queued message serializes after the edge at full speed.
+        assert arrivals["first"] == wire + prop
+        assert arrivals["queued"] == wire + wire + prop
+        assert arrivals["later"] == wire + wire + wire * 4.0 + prop
+
+    def test_spike_edge_delays_only_later_reservations(self):
+        wire = AZURE_HPC.nic.wire_time(self.SIZE)
+        prop = AZURE_HPC.fabric.one_way_base(1)
+        extra = 50 * US
+
+        def spike(fabric, client):
+            fabric.extra_latency_s += extra
+
+        arrivals = self._send_across_edge(spike)
+        # Both messages sent before the edge propagate without the spike,
+        # though each is still on the wire when it starts.
+        assert arrivals["first"] == wire + prop
+        assert arrivals["queued"] == wire + wire + prop
+        assert arrivals["later"] == wire + wire + wire + (prop + extra)
 
 
 class TestRackUplinkOversubscription:

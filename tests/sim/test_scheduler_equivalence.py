@@ -235,6 +235,83 @@ def test_equal_timestamps_keep_creation_order():
     assert sorted(order_heap) == list(range(500))
 
 
+def test_timeout_at_same_instant_fifo_identical():
+    # Absolute-instant timeouts interleaved with relative ones at shared
+    # instants: both loops fire them in scheduling order.
+    def burst(scheduler):
+        env = Environment(scheduler=scheduler)
+        fired = []
+
+        def waiter(tag, when):
+            if tag % 2:
+                yield env.timeout_at(when)
+            else:
+                yield env.timeout(when - env.now)
+            fired.append((tag, env.now))
+
+        for tag in range(300):
+            env.process(waiter(tag, (tag % 3) * US), name=f"a{tag}")
+        env.run()
+        return fired, env.event_loop_stats()
+
+    fired_heap, stats_heap = burst("heap")
+    assert (fired_heap, stats_heap) == burst("calendar")
+    order = [tag for tag, _ in fired_heap]
+    assert order == sorted(order, key=lambda tag: (tag % 3, tag))
+
+
+def test_timeout_at_now_queues_behind_entries_already_due():
+    def run(scheduler):
+        env = Environment(scheduler=scheduler)
+        fired = []
+
+        def early(tag):
+            # Scheduled for 1us before the clock gets there.
+            yield env.timeout(1 * US)
+            fired.append(tag)
+
+        def late():
+            yield env.timeout(1 * US)
+            fired.append("late")
+            # Due now, and behind "early1", which is due now as well.
+            yield env.timeout_at(env.now)
+            fired.append("at-now")
+
+        env.process(early("early0"))
+        env.process(late())
+        env.process(early("early1"))
+        env.run()
+        return fired
+
+    assert run("heap") == run("calendar") == [
+        "early0", "late", "early1", "at-now"]
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_timeout_at_in_the_past_raises(scheduler):
+    env = Environment(scheduler=scheduler)
+    env.run(until=2 * US)
+    with pytest.raises(SimulationError):
+        env.timeout_at(1 * US)
+    assert env.timeout_at(env.now).delay == 0.0
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_timeout_at_fires_at_the_exact_instant(scheduler):
+    # now + (when - now) rounds away from `when` here, so a relative
+    # timeout could not hit it.
+    now, when = 1 * 0.1 * US, 12 * 0.1 * US
+    assert now + (when - now) != when
+    env = Environment(scheduler=scheduler)
+    env.run(until=now)
+
+    def waiter():
+        yield env.timeout_at(when)
+        return env.now
+
+    assert env.run_process(waiter()) == when
+
+
 def test_freelist_reuse_preserves_event_payloads():
     # The default run loop recycles processed Event/Timeout shells
     # through freelists.  Reuse must be invisible: every wait gets the

@@ -132,9 +132,6 @@ OBSERVATION_POINTS = {
         "how tests check a cache's region count across VMs",
     "QueuePair.backlog_length":
         "how tests check the QP backlog beyond the queue depth",
-    "QueuePair.disconnect":
-        "teardown tests of the backlog flush that reclaim() shares; "
-        "no live caller (ROADMAP: fold into reclaim)",
     "QpPool.qp_ids":
         "how tests check deterministic session-to-QP assignment",
     "QpContextCache.resident_ids":
