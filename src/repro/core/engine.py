@@ -76,8 +76,11 @@ class _Connection:
             self.credits.try_put(object())
         #: The batch ring feeding this connection.
         self.batch_ring: Store = Store(env)
-        #: In-flight request batches awaiting a response, by batch id.
+        #: In-flight request batches awaiting a response, by batch id,
+        #: in post order (so the oldest deadline is the first entry's).
         self.outstanding: Dict[int, RequestBatch] = {}
+        #: Whether the response watchdog has a deadline on the event list.
+        self.watchdog_armed = False
         self.closed = False
 
 
@@ -349,7 +352,7 @@ class CacheDataPath:
                 connection.outstanding[batch.batch_id] = batch
                 wr = WorkRequest(
                     RdmaOp.WRITE, connection.request_ring_token, 0,
-                    batch.wire_bytes, payload_object=batch)
+                    batch.wire_bytes, payload_object=batch, signaled=False)
                 self._watch_batch(connection, batch, connection.qp.post(wr))
 
     def _on_completion(self, event: Event,
@@ -499,24 +502,44 @@ class CacheDataPath:
 
     def _watch_batch(self, connection: _Connection, batch: RequestBatch,
                      ack: Event) -> None:
-        """Arm a posted batch's two failure paths, as callbacks that
-        settle its op events themselves: a failed request write (server
-        died) and a response that never arrives (§6.2 failures)."""
-        def acked(event: Event) -> None:
-            completion = event._value
-            if not completion.ok:
-                self._abort_batch(connection, batch, completion.error)
+        """Arm a posted batch's two failure paths (§6.2): a callback on
+        its unsignaled request write, which fires only with an error
+        completion (the server died), and the connection's response
+        watchdog for a response that never arrives."""
+        self._on_completion(
+            ack, lambda event: self._abort_batch(connection, batch,
+                                                 event._value.error))
+        if not connection.watchdog_armed:
+            connection.watchdog_armed = True
+            self._arm_watchdog(connection, batch.created_at + self.op_timeout)
 
-        def expired(_event: Event) -> None:
-            timed_out = self._abort_batch(
+    def _arm_watchdog(self, connection: _Connection, deadline: float) -> None:
+        self.env.timeout_at(deadline)._add_callback(
+            lambda _event: self._watchdog(connection))
+
+    def _watchdog(self, connection: _Connection) -> None:
+        """One response timer per connection (TCP's one retransmission
+        timer per connection, RFC 6298).  Fail, in post order, every
+        batch whose deadline ``created_at + op_timeout`` has come --
+        each at the instant a timer of its own would have fired -- then
+        re-arm for the oldest batch still outstanding.  An answered
+        batch leaves its deadline behind: the watchdog finds the next
+        one when it fires (lazy re-arming)."""
+        now = self.env.now
+        outstanding = connection.outstanding
+        while outstanding:
+            batch = next(iter(outstanding.values()))
+            deadline = batch.created_at + self.op_timeout
+            if deadline > now:
+                self._arm_watchdog(connection, deadline)
+                return
+            self._abort_batch(
                 connection, batch,
                 f"no response from {connection.server.endpoint.name} "
                 f"within {self.op_timeout}s")
-            if timed_out and self._timeout_counter is not None:
+            if self._timeout_counter is not None:
                 self._timeout_counter.inc()
-
-        self._on_completion(ack, acked)
-        self.env.timeout(self.op_timeout)._add_callback(expired)
+        connection.watchdog_armed = False
 
     def _abort_batch(self, connection: _Connection, batch: RequestBatch,
                      error: str) -> bool:

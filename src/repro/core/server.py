@@ -185,9 +185,12 @@ class CacheServer:
             response = ResponseBatch(ops=batch.ops, results=results,
                                      connection_id=connection.connection_id,
                                      batch_id=batch.batch_id)
+            # Unsignaled: the client finds the response by polling its
+            # ring, so nothing waits on this write's success.
             wr = WorkRequest(
                 RdmaOp.WRITE, connection.response_ring_token, 0,
-                batch.response_bytes, payload_object=response)
+                batch.response_bytes, payload_object=response,
+                signaled=False)
             yield env.timeout(doorbell)
             connection.response_qp.post(wr)
 

@@ -94,14 +94,17 @@ def _measure(seed: int) -> dict:
         result = measure_config(config, record_size, seed=seed,
                                 batches_per_connection=20, warmup_batches=5,
                                 metrics=registry, **options)
+        batches = registry.get("engine.batch_weight")
         return {**asdict(result),
+                "batch_weight_mean": (batches.sum / batches.count
+                                      if batches.count else 0.0),
                 "programs": _counter(registry, "engine.programs"),
                 "program_fallbacks": _counter(registry,
                                               "engine.program_fallbacks"),
                 "metrics": registry.snapshot()}
 
     return {
-        "two-sided": one(RdmaConfig(1, 0, 1, 4), 64),
+        "two-sided": one(RdmaConfig(2, 2, 4, 4), 64),
         "programs": one(RdmaConfig(2, 0, 1, 4, use_verb_programs=True), 256,
                         read_fraction=1.0, dependent_reads=True),
     }
@@ -116,10 +119,12 @@ def _measure_invariants(blob: dict) -> List[str]:
              f"{name}: latency p50 {run['latency_p50']:g} s vs p99 "
              f"{run['latency_p99']:g} s"),
         ])
-    programs = blob["programs"]
+    two_sided, programs = blob["two-sided"], blob["programs"]
     return failures + _failed([
-        (blob["two-sided"]["programs"] == 0,
-         "two-sided run issued verb programs"),
+        (two_sided["programs"] == 0, "two-sided run issued verb programs"),
+        (two_sided["batch_weight_mean"] > 1,
+         f"two-sided run did not batch (mean batch weight "
+         f"{two_sided['batch_weight_mean']:g})"),
         (programs["programs"] > 0, "programs run issued no verb programs"),
         (programs["program_fallbacks"] == 0,
          f"{programs['program_fallbacks']} program fallbacks on a quiet "

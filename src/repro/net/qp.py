@@ -215,6 +215,7 @@ class QueuePair:
         self.remote.drop_qp(self)
 
     def _flush_backlog(self, reason: str) -> None:
+        # Error completions fire for unsignaled requests too.
         while self._backlog:
             wr, event = self._backlog.popleft()
             completion = self._error_completion(wr, reason)
@@ -259,9 +260,15 @@ class QueuePair:
         """Post a work request; returns an event that fires with its
         :class:`Completion`.
 
+        An unsignaled request (``wr.signaled`` false) returns the same
+        event, but it fires only with an error completion: a success
+        completes silently, with no event-list entry.
+
         If ``max_depth`` operations are already in flight the request
         waits in the send queue (FIFO), exactly the behaviour the
-        fully-loaded-QP optimization (§4.3) tunes around.
+        fully-loaded-QP optimization (§4.3) tunes around.  Otherwise
+        the verb launches in place: its executor's first step runs
+        inside this call (see :meth:`Environment.start`).
         """
         env = self.env
         wr.posted_at = env.now
@@ -334,7 +341,9 @@ class QueuePair:
 
     def _launch(self, wr: WorkRequest, completion_event: Event) -> None:
         self._in_flight += 1
-        self.env.process(
+        # In place: the first step only reads `alive`, touches the local
+        # QP-context cache and creates a timeout (Environment.start).
+        self.env.start(
             self._execute(wr, completion_event),
             name=f"qp:{self.local.name}->{self.remote.name}:{wr.wr_id}")
 
@@ -351,6 +360,8 @@ class QueuePair:
             self._wire_latency.observe(self.env.now - wr.posted_at)
             if not completion.ok:
                 self._error_completions.inc()
+        if completion.ok and not wr.signaled:
+            return
         completion_event.succeed(completion)
 
     def _execute(self, wr: WorkRequest, completion_event: Event):
@@ -363,7 +374,12 @@ class QueuePair:
         op = wr.op
 
         if not local.alive:
-            # A dead requester posts nothing: its NIC is gone.
+            # A dead requester posts nothing: its NIC is gone.  This
+            # step runs inside post() (or _finish, or the backlog
+            # drain); the zero timeout queues the error completion
+            # behind everything already due now, so the poster's step
+            # and the entries before it see the post still pending.
+            yield env.timeout(0)
             self._finish(wr, completion_event,
                          self._error_completion(wr, "local endpoint down"))
             return

@@ -65,6 +65,13 @@ class WorkRequest:
     wr_id: int = 0
     #: The chained program this request carries (PROGRAM ops only).
     program: Optional["VerbProgram"] = None
+    #: Whether a successful completion is reported (``IBV_SEND_SIGNALED``).
+    #: The completion event of an unsignaled request fires only with an
+    #: error completion -- real RC QPs still report errors for unsignaled
+    #: work -- so a poster that only cares about failures (a message-ring
+    #: write whose answer arrives by other means) costs no dispatch when
+    #: it succeeds.
+    signaled: bool = True
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

@@ -1,5 +1,6 @@
 """Integration tests: the executable data path (engine + cache server)."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -9,15 +10,25 @@ from repro.core.engine import CacheDataPath, EngineError
 from repro.core.protocol import EngineOp
 from repro.core.server import CacheServer
 from repro.hardware import AZURE_HPC
-from repro.net import Fabric, Placement
-from repro.sim import Environment
+from repro.net import (
+    Fabric,
+    MemoryRegion,
+    Placement,
+    QueuePair,
+    RdmaOp,
+    WorkRequest,
+)
+from repro.sim import US, Environment
 from repro.sim.rng import RngRegistry
 
 
+SCHEDULERS = ["calendar", "heap"]
+
+
 def make_stack(config, *, backed=True, region_size=1 << 20, n_regions=1,
-               seed=0, model_control_plane=False):
+               seed=0, model_control_plane=False, scheduler=None):
     rngs = RngRegistry(seed)
-    env = Environment()
+    env = Environment(scheduler=scheduler)
     fabric = Fabric(env, AZURE_HPC,
                     model_control_plane=model_control_plane)
     client_ep = fabric.add_endpoint("client", Placement())
@@ -112,6 +123,91 @@ class TestCompletionCallbacks:
             return log
 
         assert order(use_callback=True) == order(use_callback=False)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+class TestInPlaceLaunchFailurePaths:
+    """A verb's executor starts inside ``post()`` (and inside ``_finish``
+    and the post-establishment backlog drain), not on a bootstrap entry.
+    A launch that fails at once -- the requester is dead -- must still
+    complete where the bootstrapped executor completed it: behind the
+    entries queued after the launch in the same instant.  Each expected
+    log is what bootstrapped launches produce."""
+
+    @staticmethod
+    def _pair(scheduler, depth=1, deferred=False):
+        env = Environment(scheduler=scheduler)
+        fabric = Fabric(env, AZURE_HPC)
+        client = fabric.add_endpoint("client")
+        server = fabric.add_endpoint("server")
+        region = server.register(MemoryRegion(4096))
+        qp = QueuePair(env, client, server, max_depth=depth,
+                       deferred=deferred)
+        return env, client, qp, WorkRequest(RdmaOp.READ, region.token, 0, 8)
+
+    def test_post_from_a_dead_requester(self, scheduler):
+        env, client, qp, wr = self._pair(scheduler)
+        log = []
+
+        def bystander():
+            log.append("bystander")
+            yield env.timeout(0)
+            log.append("bystander+")
+
+        def poster():
+            yield env.timeout(1 * US)
+            client.fail()
+            qp.post(wr)._add_callback(
+                lambda event: log.append(("done", event.value.error)))
+            env.process(bystander())
+            marker = env.event()
+            marker.succeed()
+            marker._add_callback(lambda event: log.append("marker"))
+
+        env.process(poster())
+        env.run()
+        assert log == ["bystander", "marker",
+                       ("done", "local endpoint down"), "bystander+"]
+
+    def test_backlog_launch_from_finish(self, scheduler):
+        env, client, qp, wr = self._pair(scheduler)
+        log = []
+        first = qp.post(wr)
+        second = qp.post(WorkRequest(RdmaOp.READ, wr.token, 8, 8))
+        for name, event in (("first", first), ("second", second)):
+            event._add_callback(
+                lambda event, name=name: log.append((name, event.value.error)))
+
+        def killer():
+            yield env.timeout(1 * US)  # the first READ is on the wire
+            client.fail()
+
+        env.process(killer())
+        env.run()
+        assert log == [("first", None), ("second", "local endpoint down")]
+        assert first.value.completed_at == second.value.completed_at
+
+    def test_backlog_drain_after_establishment(self, scheduler):
+        probe_env, _, probe, _ = self._pair(scheduler, deferred=True)
+        probe.establish()
+        probe_env.run()
+
+        env, client, qp, wr = self._pair(scheduler, deferred=True)
+        log = []
+        qp.post(wr)._add_callback(
+            lambda event: log.append(("done", event.value.error)))
+        qp.establish()._add_callback(
+            lambda event: log.append(("established", event.value)))
+
+        def killer():
+            # Inside the handshake's last leg: establishment succeeds,
+            # then drains the backlog from a dead requester.
+            yield env.timeout(probe.established_at - 0.1 * US)
+            client.fail()
+
+        env.process(killer())
+        env.run()
+        assert log == [("established", True), ("done", "local endpoint down")]
 
 
 class TestFunctionalDataPath:
@@ -224,7 +320,27 @@ class TestStatistics:
         assert path.completed_weight == 8
 
 
+def _drop_requests(server, connection_id, dropped):
+    """Lose request batches on one connection's ring before the server
+    sees them: the batch is acknowledged, no response ever comes.
+    ``dropped(batch)`` decides per batch; lost batches are returned."""
+    ring = server._connections[connection_id].request_ring
+    deliver, lost = ring._mailbox, []
+
+    def mailbox(batch):
+        if dropped(batch):
+            lost.append(batch)
+        else:
+            deliver(batch)
+
+    ring.attach_mailbox(mailbox)
+    return lost
+
+
 class TestResponseTimeout:
+    """One response watchdog per connection fails each unanswered batch
+    at its own deadline, ``created_at + op_timeout`` (§6.2)."""
+
     def test_server_death_after_ack_fails_ops_instead_of_hanging(self):
         """The §6.2 hang window: the server receives the request batch
         (the RDMA write is acknowledged) and dies before responding.
@@ -232,6 +348,7 @@ class TestResponseTimeout:
         config = RdmaConfig(1, 1, 4, 4, one_sided_fast_path=False)
         env, server, path, tokens = make_stack(config)
         path.op_timeout = 0.001  # keep the test fast
+        connection = path.threads[0].connections["server"]
 
         def scenario(env):
             op = EngineOp(is_read=True, size=8, token=tokens[0],
@@ -240,14 +357,15 @@ class TestResponseTimeout:
             # Let the request land (delivery ~2.4us), then kill the VM
             # mid-processing, before any response can be posted (~3.3us).
             yield env.timeout(2.6e-6)
+            (batch,) = connection.outstanding.values()
             server.fail()
             result = yield op.completion
-            return result, env.now
+            return result, env.now, batch.created_at + path.op_timeout
 
-        result, when = env.run_process(scenario(env))
+        result, when, deadline = env.run_process(scenario(env))
         assert not result.ok
         assert "no response" in result.error
-        assert when <= 0.002
+        assert when == deadline
 
     def test_timeout_does_not_fire_for_healthy_batches(self):
         config = RdmaConfig(1, 1, 4, 4, one_sided_fast_path=False)
@@ -268,6 +386,110 @@ class TestResponseTimeout:
 
         results = env.run_process(scenario(env))
         assert all(r.ok for r in results)
+        assert path.ops_failed == 0
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_stuck_batches_fail_at_their_own_deadlines(self, scheduler):
+        """Two server threads, one per connection.  On each connection
+        the oldest batch is lost and newer ones are answered; later a
+        second batch is lost on connection 0.  Every lost batch fails at
+        its own deadline, and no answered batch fails."""
+        config = RdmaConfig(2, 2, 1, 4, one_sided_fast_path=False)
+        env, server, path, tokens = make_stack(config, scheduler=scheduler)
+        path.op_timeout = 0.001
+        stuck = {0: {0, 5}, 1: {0}}  # per connection: lost op indices
+        lost_per_connection = [_drop_requests(
+            server, index,
+            lambda batch, lose=stuck[index]: batch.ops[0].offset // 8 in lose)
+            for index in (0, 1)]
+        failed_at = {}
+
+        def client(env, index, ops):
+            answered = []
+            for i in range(ops):
+                op = EngineOp(is_read=True, size=8, token=tokens[0],
+                              offset=i * 8, completion=env.event())
+                yield path.submit(op, thread_index=index)
+                if i in stuck[index]:
+                    op.completion._add_callback(
+                        lambda event, op=op: failed_at.setdefault(
+                            id(op), env.now))
+                    yield env.timeout(20e-6)  # newer batches go out behind
+                else:
+                    answered.append((yield op.completion))
+            return answered
+
+        clients = [env.process(client(env, 0, 8)),
+                   env.process(client(env, 1, 4))]
+        env.run()
+        answered = clients[0].value + clients[1].value
+        assert len(answered) == 9 and all(r.ok for r in answered)
+        lost = lost_per_connection[0] + lost_per_connection[1]
+        assert len(lost) == 3 and path.ops_failed == 3
+        for batch in lost:
+            (op,) = batch.ops
+            assert "no response" in op.completion.value.error
+            assert failed_at[id(op)] == batch.created_at + path.op_timeout
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_outstanding_batches_share_one_deadline_entry(self, scheduler):
+        """N unanswered batches on one connection leave one entry on the
+        event list (the connection's watchdog), not one timer each."""
+        config = RdmaConfig(1, 1, 1, 8, one_sided_fast_path=False)
+        env, server, path, tokens = make_stack(config, scheduler=scheduler)
+        lost = _drop_requests(server, 0, lambda batch: True)
+        ops = []
+
+        def scenario(env):
+            for i in range(8):
+                op = EngineOp(is_read=True, size=8, token=tokens[0],
+                              offset=i * 8, completion=env.event())
+                ops.append(op)
+                yield path.submit(op, thread_index=0)
+                yield env.timeout(1e-6)
+            # Every request write has landed; only deadlines remain.
+            yield env.timeout(20e-6)
+            return env.event_loop_stats()["pending"]
+
+        assert env.run_process(scenario(env)) == 1
+        assert len(lost) == 8
+        env.run()
+        assert [op.completion.value.ok for op in ops] == [False] * 8
+        assert path.ops_failed == 8
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_batch_answered_a_tick_before_its_deadline_survives(
+            self, scheduler):
+        config = RdmaConfig(1, 1, 4, 4, one_sided_fast_path=False)
+
+        def run(op_timeout):
+            env, _, path, tokens = make_stack(config, scheduler=scheduler)
+            if op_timeout is not None:
+                path.op_timeout = op_timeout
+            connection = path.threads[0].connections["server"]
+
+            def scenario(env):
+                op = EngineOp(is_read=True, size=8, token=tokens[0],
+                              completion=env.event())
+                yield path.submit(op, thread_index=0)
+                yield env.timeout(1e-6)
+                (batch,) = connection.outstanding.values()
+                result = yield op.completion
+                return result, batch.created_at, env.now
+
+            outcome = env.run_process(scenario(env))
+            env.run()  # past every deadline
+            return outcome, path
+
+        (_, created, answered), _ = run(None)
+        # The smallest op_timeout whose deadline falls after the reap.
+        op_timeout = answered - created
+        while created + op_timeout <= answered:
+            op_timeout = math.nextafter(op_timeout, math.inf)
+        assert math.nextafter(answered, math.inf) == created + op_timeout
+        (result, _, when), path = run(op_timeout)
+        assert when == answered
+        assert result.ok
         assert path.ops_failed == 0
 
 

@@ -9,29 +9,38 @@ intended and update the pin with it.
 
 from repro.core import Slo
 from repro.core.config import RdmaConfig
+from repro.core.engine import CacheDataPath
 from repro.core.measurement import measure_config
+from repro.core.protocol import EngineOp
+from repro.core.server import CacheServer
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, MemoryRegion, QueuePair, RdmaOp, WorkRequest
 from repro.obs import MetricsRegistry
 from repro.shard import ShardRouter
 from repro.sim import Environment, Resource
+from repro.sim.rng import RngRegistry
 from repro.tenant import TenantSpec, TenantTier
 from repro.workloads.scenarios import build_cluster, build_faster_store
 
 #: Kernel steps of one uncontended 64 B write then read of the same
 #: address on an idle testbed (one-sided configuration).
-READ_WRITE_STEPS = 27
+READ_WRITE_STEPS = 25
 #: Kernel steps of a small two-sided closed-loop measurement.
-MEASURE_STEPS = 3202
+MEASURE_STEPS = 2551
 #: Kernel steps of one FasterKv read that misses local memory and is
 #: served by the Redy tier of the tiered device.
-FASTER_REDY_READ_STEPS = 15
+FASTER_REDY_READ_STEPS = 14
 #: Kernel steps of one TenantTier read through a one-member router.
-TENANT_READ_STEPS = 16
+TENANT_READ_STEPS = 15
 #: Kernel steps of two concurrent 1 MiB writes from one endpoint, on two
 #: QPs.  The second queues for the tx link by reservation, which costs
 #: no dispatch of its own.
-CONTENDED_WRITES_STEPS = 16
+CONTENDED_WRITES_STEPS = 14
+#: Kernel steps of one two-sided batch: submit, request-ring write,
+#: server thread, response-ring write, reap, then the connection's
+#: response watchdog.  Both ring writes are unsignaled (no completion
+#: dispatch on success), and the watchdog is the only deadline entry.
+TWO_SIDED_BATCH_STEPS = 19
 
 
 def _check(name, pinned, steps):
@@ -128,3 +137,26 @@ def test_contended_tx_link_step_budget():
     completions, steps = _steps_of(env, body)
     assert all(completion.ok for completion in completions)
     _check("two contended 1 MiB writes", CONTENDED_WRITES_STEPS, steps)
+
+
+def test_two_sided_batch_step_budget():
+    rngs = RngRegistry(0)
+    env = Environment()
+    fabric = Fabric(env, AZURE_HPC)
+    server = CacheServer(env, AZURE_HPC, fabric.add_endpoint("server"),
+                         rngs.stream("server"))
+    path = CacheDataPath(env, AZURE_HPC,
+                         RdmaConfig(1, 1, 4, 4, one_sided_fast_path=False),
+                         fabric.add_endpoint("client"),
+                         rngs.stream("client"))
+    (token,) = path.attach_server(server, n_regions=1, region_size=4096)
+
+    def body():
+        op = EngineOp(is_read=False, size=8, token=token, data=b"2-sided!",
+                      completion=env.event())
+        yield path.submit(op)
+        return (yield op.completion)
+
+    result, steps = _steps_of(env, body)
+    assert result.ok and server.batches_processed == 1
+    _check("one two-sided batch", TWO_SIDED_BATCH_STEPS, steps)

@@ -242,6 +242,62 @@ class TestFailureHandling:
         assert all(c.completed_at > 1 * US for c in completions[:2])
 
 
+class TestUnsignaledWrites:
+    """``signaled=False`` (the message-ring writes): a success completes
+    silently, with no event-list entry; every error still fires."""
+
+    @staticmethod
+    def _write(region, offset=0):
+        return WorkRequest(RdmaOp.WRITE, region.token, offset, 8,
+                           data=b"unsignal", payload_object="batch",
+                           signaled=False)
+
+    def test_success_delivers_without_firing(self):
+        steps = {}
+        for signaled in (True, False):
+            env, _, _, _, region, qp = make_pair()
+            delivered = []
+            region.attach_mailbox(delivered.append)
+            wr = self._write(region)
+            wr.signaled = signaled
+            event = qp.post(wr)
+            env.run()
+            assert delivered == ["batch"]
+            assert region.read(region.token, 0, 8) == b"unsignal"
+            assert event.triggered is signaled
+            assert qp.in_flight == 0
+            steps[signaled] = env.event_loop_stats()["steps"]
+        # Four executor timeouts (NIC processing, request arrival,
+        # responder DMA, ack arrival) plus the signaled completion.
+        assert steps == {True: 5, False: 4}
+
+    @pytest.mark.parametrize("fault,error", [
+        ("dead-remote", "remote endpoint down"),
+        ("revoked-region", "no region"),
+        ("qp-in-error", "link down"),
+        ("reclaimed-backlog", "reclaimed")])
+    def test_errors_still_fire(self, fault, error):
+        env, _, _, server, region, qp = make_pair(depth=1)
+        if fault == "dead-remote":
+            server.fail()
+        elif fault == "revoked-region":
+            server.deregister(region.region_id)
+        elif fault == "qp-in-error":
+            qp.inject_error("link down")
+        else:
+            in_flight = qp.post(self._write(region, offset=8))
+        event = qp.post(self._write(region))
+        if fault == "reclaimed-backlog":
+            assert qp.backlog_length == 1
+            qp.reclaim()
+        env.run()
+        assert event.processed and not event.value.ok
+        assert error in event.value.error
+        if fault == "reclaimed-backlog":
+            # The launched write finishes on the wire, silently.
+            assert not in_flight.triggered
+
+
 class TestBandwidthSharing:
     def test_tx_link_serializes_concurrent_bulk_sends(self):
         """Two 1 MiB sends from one endpoint serialize back to back:

@@ -105,6 +105,13 @@ def test_one_violated_field_fails_the_invariants(name, path, value):
     assert SCENARIOS[name].invariants(blob) != []
 
 
+def test_unbatched_two_sided_run_fails_the_measure_invariants():
+    blob = copy.deepcopy(_blob("measure"))
+    assert "batch_weight_mean" in blob["two-sided"]
+    blob["two-sided"]["batch_weight_mean"] = 1.0
+    assert SCENARIOS["measure"].invariants(blob) != []
+
+
 def test_tenants_isolates_abuse_and_recovers_from_the_kill():
     kill = _blob("tenants")["kill"]
     stats = kill["tenants"]
