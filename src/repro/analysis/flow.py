@@ -15,18 +15,17 @@ Three layers, all pure stdlib:
   ``finally``, ``with``, ``return``/``raise``, ``match``, and --
   critically for a discrete-event codebase built on generator
   processes -- **suspension points**: every statement containing a
-  ``yield``/``yield from`` gets an ``interrupt`` edge to the innermost
-  exception continuation, because
-  :meth:`repro.sim.kernel.Process.interrupt` can throw into the
-  generator at exactly those points.  Exception/interrupt edges carry
-  the state from *before* the raising statement (its effect never
-  completed), which is what makes ``yield x.acquire()`` analyzable: an
-  interrupt during the wait holds nothing, an interrupt at the next
-  yield holds the slot.
+  ``yield``/``yield from`` gets an ``except`` edge to the innermost
+  exception continuation, because the kernel throws a failed event's
+  exception into the generator at exactly those points.  Exception
+  edges carry the state from *before* the raising statement (its
+  effect never completed), which is what makes ``yield x.acquire()``
+  analyzable: a failure of the wait itself holds nothing, a failure at
+  the next yield holds the slot.
 
   ``finally`` bodies are built once, with edges in from the normal
   ends, from every routed abrupt jump (``return``/``break``/
-  ``continue``/raise/interrupt), and edges out that continue each
+  ``continue``/raise), and edges out that continue each
   jump toward its ultimate target.  Distinct jump *targets* get
   distinct out-edges, but same-target paths merge inside the body; the
   resulting over-approximation only ever *adds* paths, so a "released
@@ -73,14 +72,13 @@ NEXT = "next"            # sequential fall-through
 TRUE = "true"            # branch / loop-entry arm
 FALSE = "false"          # branch-not-taken / loop-exhausted arm
 LOOP = "loop"            # back edge to a loop header
-EXCEPT = "except"        # exception propagation (raise / assert / cleanup)
-INTERRUPT = "interrupt"  # generator suspension point: Interrupt delivery
+#: Exception propagation (raise / assert / cleanup / a failed event
+#: thrown in at a yield).  The source statement did *not* complete, so
+#: the edge carries the source node's pre-state through the dataflow
+#: engine.
+EXCEPT = "except"
 
-EDGE_KINDS = (NEXT, TRUE, FALSE, LOOP, EXCEPT, INTERRUPT)
-
-#: Edge kinds whose source statement did *not* complete: they carry the
-#: pre-state of the source node through the dataflow engine.
-ABRUPT_KINDS = frozenset({EXCEPT, INTERRUPT})
+EDGE_KINDS = (NEXT, TRUE, FALSE, LOOP, EXCEPT)
 
 #: Synthetic structural nodes that reference a statement for position
 #: only; analyzers must not re-apply statement effects at them.
@@ -226,12 +224,12 @@ class Cfg:
     """Per-function control-flow graph.
 
     ``entry`` and ``exit`` bracket normal control flow; ``raise_exit``
-    is the exceptional exit every uncaught exception (and generator
-    interrupt) reaches.  :meth:`edge_set` renders the graph as
-    ``(src_key, kind, dst_key)`` triples -- statement nodes keyed by
-    line number, structural nodes by ``label@Lline``, the three
-    boundary nodes by bare label -- which is what the construct-level
-    tests assert against.
+    is the exceptional exit every uncaught exception (a failed event
+    thrown in at a yield included) reaches.  :meth:`edge_set` renders
+    the graph as ``(src_key, kind, dst_key)`` triples -- statement nodes
+    keyed by line number, structural nodes by ``label@Lline``, the
+    three boundary nodes by bare label -- which is what the
+    construct-level tests assert against.
     """
 
     def __init__(self, name: str, func: Optional[FuncDef]):
@@ -364,11 +362,12 @@ class _CfgBuilder:
         for end, end_kind in ctx.exits:
             self._route(end, end_kind, target, through[1:])
 
-    def _raise_to(self, src: int, kind: str) -> None:
-        """Route an exception/interrupt from ``src`` to the innermost
-        exception continuation, through intervening finally bodies."""
+    def _raise_to(self, src: int) -> None:
+        """Route an exception from ``src`` to the innermost exception
+        continuation, through intervening finally bodies."""
         target, depth = self._exc_stack[-1]
-        self._route(src, kind, target, list(reversed(self._finals[depth:])))
+        self._route(src, EXCEPT, target,
+                    list(reversed(self._finals[depth:])))
 
     def _push_exc(self, target: int) -> None:
         self._exc_stack.append((target, len(self._finals)))
@@ -406,17 +405,15 @@ class _CfgBuilder:
 
     def _simple(self, stmt: ast.stmt, ends: Ends) -> Ends:
         node = self._place(stmt, ends, "stmt")
-        if statement_yields(stmt):
-            self._raise_to(node, INTERRUPT)
-        elif isinstance(stmt, ast.Assert):
-            self._raise_to(node, EXCEPT)
+        if statement_yields(stmt) or isinstance(stmt, ast.Assert):
+            self._raise_to(node)
         elif self._in_handler_scope() and _contains_call(stmt):
             # Inside a try/with the author signalled exception
             # awareness: calls must reach the handler/cleanup, or the
             # except bodies would be dead code in the dataflow.  Plain
-            # statements outside any try stay non-raising -- interrupts
-            # at yields are the hazard this CFG models there.
-            self._raise_to(node, EXCEPT)
+            # statements outside any try stay non-raising -- failures
+            # thrown in at yields are the hazard this CFG models there.
+            self._raise_to(node)
         return [(node, NEXT)]
 
     def _in_handler_scope(self) -> bool:
@@ -431,7 +428,7 @@ class _CfgBuilder:
     def _stmt_If(self, stmt: ast.If, ends: Ends) -> Ends:
         test = self._place(stmt, ends, "if")
         if statement_yields(stmt.test):
-            self._raise_to(test, INTERRUPT)
+            self._raise_to(test)
         out = self._body(stmt.body, [(test, TRUE)])
         if stmt.orelse:
             out = out + self._body(stmt.orelse, [(test, FALSE)])
@@ -442,7 +439,7 @@ class _CfgBuilder:
     def _stmt_While(self, stmt: ast.While, ends: Ends) -> Ends:
         header = self._place(stmt, ends, "while")
         if statement_yields(stmt.test):
-            self._raise_to(header, INTERRUPT)
+            self._raise_to(header)
         ctx = _LoopCtx(header, len(self._finals))
         self._loops.append(ctx)
         body_ends = self._body(stmt.body, [(header, TRUE)])
@@ -460,7 +457,7 @@ class _CfgBuilder:
                    ends: Ends) -> Ends:
         header = self._place(stmt, ends, "for")
         if statement_yields(stmt.iter):
-            self._raise_to(header, INTERRUPT)
+            self._raise_to(header)
         ctx = _LoopCtx(header, len(self._finals))
         self._loops.append(ctx)
         body_ends = self._body(stmt.body, [(header, TRUE)])
@@ -511,13 +508,13 @@ class _CfgBuilder:
     def _stmt_Return(self, stmt: ast.Return, ends: Ends) -> Ends:
         node = self._place(stmt, ends, "return")
         if stmt.value is not None and statement_yields(stmt.value):
-            self._raise_to(node, INTERRUPT)
+            self._raise_to(node)
         self._route(node, NEXT, self.cfg.exit, list(reversed(self._finals)))
         return []
 
     def _stmt_Raise(self, stmt: ast.Raise, ends: Ends) -> Ends:
         node = self._place(stmt, ends, "raise-stmt")
-        self._raise_to(node, EXCEPT)
+        self._raise_to(node)
         return []
 
     # -- with ----------------------------------------------------------
@@ -526,7 +523,7 @@ class _CfgBuilder:
                    ends: Ends) -> Ends:
         enter = self._place(stmt, ends, "with")
         if any(statement_yields(item.context_expr) for item in stmt.items):
-            self._raise_to(enter, INTERRUPT)
+            self._raise_to(enter)
         # __exit__ runs on both the normal and the exceptional path;
         # exceptions then continue outward from the cleanup node.
         cleanup = self._new(stmt, "with-exit")
@@ -534,7 +531,7 @@ class _CfgBuilder:
         body_ends = self._body(stmt.body, [(enter, NEXT)])
         self._pop_exc()
         self._connect_ends(body_ends, cleanup)
-        self._raise_to(cleanup, EXCEPT)
+        self._raise_to(cleanup)
         return [(cleanup, NEXT)]
 
     _stmt_With = _with_stmt
@@ -577,7 +574,7 @@ class _CfgBuilder:
                                               [(h_entry, NEXT)]))
             # No handler matched: the exception continues outward,
             # running this try's finally (still on self._finals) first.
-            self._raise_to(dispatch, EXCEPT)
+            self._raise_to(dispatch)
 
         if fin_ctx is not None:
             self._finals.pop()
@@ -635,8 +632,8 @@ def forward(
     """Forward worklist dataflow; returns ``(in_states, out_states)``.
 
     ``transfer(node, in_state)`` computes a node's post-state.  Normal
-    edges propagate the post-state; ``except``/``interrupt`` edges
-    propagate the *pre*-state (the statement's effect never completed).
+    edges propagate the post-state; ``except`` edges propagate the
+    *pre*-state (the statement's effect never completed).
     ``refine_edge(node, kind, state)`` may sharpen the state flowing
     down one edge (branch-condition awareness) or return None to keep
     it unchanged.  ``must=True`` joins with intersection (a fact holds
@@ -657,7 +654,7 @@ def forward(
         out_state = transfer(node, in_state)
         out_states[node_id] = out_state
         for edge in cfg.succs[node_id]:
-            base = in_state if edge.kind in ABRUPT_KINDS else out_state
+            base = in_state if edge.kind == EXCEPT else out_state
             if refine_edge is not None:
                 refined = refine_edge(node, edge.kind, base)
                 if refined is not None:

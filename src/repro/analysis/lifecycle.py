@@ -1,8 +1,8 @@
 """L-rules: resource-lifecycle analyzers on the flow CFG.
 
 Every rule here is about a resource whose acquire/release must balance
-on *every* path -- normal completion, exception unwind, and generator
-interrupt (`Process.interrupt` throws into a sim process at any yield).
+on *every* path -- normal completion and exception unwind, including
+the failed event the kernel throws into a sim process at any yield.
 The obligation analysis runs the forward dataflow engine with may-join:
 an acquire arms an obligation keyed by the resource expression; a
 matching release (or an escape -- returning/storing/passing the
@@ -10,15 +10,15 @@ resource hands ownership elsewhere) discharges it; any obligation still
 live at the normal or exceptional exit is a leak, reported at the
 acquire site so a suppression comment on that line applies.
 
-The CFG's abrupt-edge semantics do the subtle work: an ``interrupt``
-edge carries the state from *before* its statement, so an interrupt
-during ``yield x.acquire()`` itself (nothing held yet) is not a leak,
-while an interrupt at the next suspension point (slot held) is -- which
-is exactly the discipline the production fix demands::
+The CFG's abrupt-edge semantics do the subtle work: an ``except``
+edge carries the state from *before* its statement, so a failure of
+``yield x.acquire()`` itself (nothing held yet) is not a leak, while a
+failure at the next suspension point (slot held) is -- which is
+exactly the discipline the production fix demands::
 
     yield window.acquire()
     try:
-        yield do_work()        # interrupt here runs the finally
+        yield do_work()        # a failure here runs the finally
     finally:
         window.release()
 
@@ -411,7 +411,7 @@ class _FunctionLifecycle:
         for anchor, (rule, resource, on_raise) in sorted(leaks.items()):
             _rule, _res, lineno, col = self.anchors.get(
                 anchor, (rule, resource, 0, 0))
-            path_kind = ("exception/interrupt paths" if on_raise
+            path_kind = ("exception paths" if on_raise
                          else "some path")
             message = {
                 "L001": f"{resource} is acquired in {self.qualname}() but "

@@ -16,7 +16,7 @@ Pure-stdlib static analysis with repository-specific determinism rules
 
 On top of the lexical D rules, two control-flow-sensitive families run
 over per-function CFGs built by :mod:`repro.analysis.flow` (exception
-and interrupt edges included; catalog in ``docs/lifecycle-rules.md``):
+edges at every yield included; catalog in ``docs/lifecycle-rules.md``):
 
 * **L001-L006** resource lifecycles: QP reclaim on every path, callback
   detach, registry-owned metrics, admission-reservation release,

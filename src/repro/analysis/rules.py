@@ -129,11 +129,11 @@ _CATALOG = (
         title="admission reservation not released on the delay path",
         severity="error",
         hint="wrap the delay wait in try/finally with "
-             "admission.release(), so interrupts and shed-while-queued "
+             "admission.release(), so exception and shed-while-queued "
              "paths drain the bounded queue",
         rationale="a DELAY verdict holds a bounded-queue slot; leaking "
-                  "it on interrupt/exception permanently shrinks the "
-                  "tenant's admission capacity until nothing is admitted",
+                  "it on an exception permanently shrinks the tenant's "
+                  "admission capacity until nothing is admitted",
     ),
     Rule(
         id="L005",
@@ -141,10 +141,10 @@ _CATALOG = (
         severity="error",
         hint="put the work after `yield x.acquire()` in try/finally "
              "with x.release(); keep the acquire itself outside the try",
-        rationale="Process.interrupt() can fire at any later yield; "
-                  "without a finally the slot leaks and the resource's "
-                  "capacity shrinks by one forever (fault injection "
-                  "interrupts processes as a matter of course)",
+        rationale="any later yield can raise (a failed event is thrown "
+                  "into the waiting process); without a finally the "
+                  "slot leaks and the resource's capacity shrinks by "
+                  "one forever",
     ),
     Rule(
         id="L006",

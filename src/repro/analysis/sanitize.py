@@ -4,7 +4,7 @@ The determinism contract behind the fault log, the gate registry, and
 the sweep result cache is "same seed, bit-identical run".  The
 sanitizer checks it end to end: it runs a workload twice from the same
 seed while recording every kernel scheduling action (process spawns,
-resumes, event triggers, interrupts) *and* every draw from every
+resumes, event triggers) *and* every draw from every
 :class:`repro.sim.rng.RngRegistry` stream, then bisects the first
 diverging trace entry with prefix-digest binary search and attributes
 it -- either to a named RNG stream whose draw sequence differs, or to a
@@ -52,13 +52,10 @@ class KernelMonitor:
 
     def on_step(self, process: Any) -> None:
         """``process`` is about to run without an event delivery
-        (bootstrap, interrupt throw, or failure propagation)."""
+        (bootstrap or failure propagation)."""
 
     def on_trigger(self, event: Any) -> None:
         """The current context triggered ``event`` (succeed or fail)."""
-
-    def on_interrupt(self, process: Any) -> None:
-        """The current context called ``process.interrupt()``."""
 
 
 class TraceRecorder(KernelMonitor):
@@ -68,9 +65,8 @@ class TraceRecorder(KernelMonitor):
 
     * ``("spawn", pid, name)`` -- process creation, in creation order;
     * ``("resume", pid, name, event_type, now)`` -- a process resumed;
-    * ``("step", pid, name, now)`` -- bootstrap / interrupt / failure;
+    * ``("step", pid, name, now)`` -- bootstrap / failure;
     * ``("trigger", event_type, now)`` -- an event fired;
-    * ``("interrupt", pid, name, now)`` -- someone interrupted ``pid``;
     * ``("rng", stream, method)`` -- one draw from a registry stream.
 
     Processes are identified by a deterministic spawn index, never by
@@ -103,10 +99,6 @@ class TraceRecorder(KernelMonitor):
 
     def on_trigger(self, event: Any) -> None:
         self.entries.append(("trigger", type(event).__name__, event.env.now))
-
-    def on_interrupt(self, process: Any) -> None:
-        self.entries.append(("interrupt", self._pid(process), process.name,
-                             process.env.now))
 
     def record_rng(self, stream: str, method: str) -> None:
         self.rng_counts[stream] = self.rng_counts.get(stream, 0) + 1

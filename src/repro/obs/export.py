@@ -11,7 +11,7 @@ machine-diffable across PRs.  Schema::
       "name": "<run id>",
       "sim_now": <simulated seconds at snapshot>,
       "event_loop": {"steps": ..., "events": ..., "immediate_calls": ...,
-                      "process_failures": ...},          # when env given
+                     "process_failures": ..., "pending": ...},  # when env given
       "metrics": {"<dotted.name>": {"type": ..., ...}, ...},
       "spans": [...],                                     # when tracer given
       "extra": {...}                                      # caller context

@@ -9,23 +9,23 @@ value (or the event's exception is thrown into it).
 Two interchangeable schedulers implement the event list (selected per
 Environment, or process-wide via :func:`set_default_scheduler`):
 
-* ``"calendar"`` (default) -- work due *now* lives in two plain FIFO
-  deques (O(1) append/pop, one per priority), and everything later
-  sits on one binary heap.  Most traffic is same-instant, so most
-  entries never touch the heap.
+* ``"calendar"`` (default) -- work due *now* lives in a plain FIFO
+  deque (O(1) append/pop), and everything later sits on one binary
+  heap.  Most traffic is same-instant, so most entries never touch the
+  heap.
 * ``"heap"`` -- the original single binary heap, kept as the ordering
   reference for the scheduler-equivalence suite and the gate harness
   (``repro gate``, which runs every registered scenario on both loops).
 
 Scheduler choice is **not observable** in event ordering: both dispatch
-in exactly the same ``(when, priority, insertion-order)`` total order,
-which the scheduler-equivalence suite and ``repro gate`` verify
-trace-for-trace.
+in exactly the same ``(when, insertion-order)`` total order, which the
+scheduler-equivalence suite and ``repro gate`` verify trace-for-trace.
 
 The feature set is intentionally small -- timeouts, one-shot events,
-ready (already-satisfied) events, processes, and interrupts -- because
-that is exactly what the higher layers (RDMA fabric, cache engine,
-cluster allocator) need.
+ready (already-satisfied) events and processes -- because that is
+exactly what the higher layers (RDMA fabric, cache engine, cluster
+allocator) need.  Faults reach a process as a failed event it waits
+on, never as an exception thrown into it from outside.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ except ImportError:  # pragma: no cover - non-CPython: disable interning
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Ready",
     "SimulationError",
@@ -102,25 +101,6 @@ class SimulationError(Exception):
     """Raised for kernel misuse (e.g. scheduling into the past)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupting party supplies ``cause``, which the interrupted
-    process can inspect to decide how to react (the migration and
-    reclamation code paths use this to distinguish "VM reclaimed" from
-    "cache deleted").
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-# Event lifecycle priorities.  Lower value fires first at equal timestamps.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -146,10 +126,11 @@ class Event:
         self._ok: Optional[bool] = None
         self._triggered = False
         self._processed = False
-        #: Called (once) when the sole waiting process abandons this wait
-        #: -- e.g. it was interrupted.  Resource containers use it to pull
-        #: the orphaned waiter out of their queues so items and slots are
-        #: not handed to a process that will never consume them.
+        #: Called (once) when the event's waiter abandons the wait -- a
+        #: combinator that was decided by another child, or walked away
+        #: from itself.  Resource containers use it to pull the orphaned
+        #: waiter out of their queues so items and slots are not handed
+        #: to a process that will never consume them.
         self.on_abandon: Optional[Callable[["Event"], None]] = None
 
     @property
@@ -169,7 +150,7 @@ class Event:
     def value(self) -> Any:
         return self._value
 
-    def succeed(self, value: Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._triggered:
             raise SimulationError(f"{self!r} already triggered")
@@ -182,18 +163,16 @@ class Event:
         env = self.env
         if env._use_heap:
             env._sequence += 1
-            heappush(env._heap, (env._now, priority, env._sequence,
+            heappush(env._heap, (env._now, env._sequence,
                                  _EVENT_DISPATCH, self))
-        elif priority:
-            env._immediate.append((_EVENT_DISPATCH, self))
         else:
-            env._urgent.append((_EVENT_DISPATCH, self))
+            env._immediate.append((_EVENT_DISPATCH, self))
         monitor = env.monitor
         if monitor is not None:
             monitor.on_trigger(self)
         return self
 
-    def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
         The exception is thrown into every waiting process.
@@ -205,7 +184,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.env._enqueue(self, delay=0.0, priority=priority)
+        self.env._enqueue(self)
         monitor = self.env.monitor
         if monitor is not None:
             monitor.on_trigger(self)
@@ -247,55 +226,16 @@ _EVENT_DISPATCH = Event._run_callbacks
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` seconds after creation."""
+    """An event that fires at a set instant.
 
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        self.env = env
-        _arm_timeout(self, env, delay, value)
-
-
-def _arm_timeout(timeout: Timeout, env: "Environment", delay: float,
-                 value: Any) -> None:
-    """(Re)initialize ``timeout`` in its triggered state and schedule it.
-
-    Shared between :class:`Timeout` construction and the freelist reuse
-    path in :meth:`Environment.timeout`.  The delay is validated here,
-    once -- ``_enqueue`` trusts its (kernel-internal) callers -- and the
-    Event fields are written directly in their final triggered state
-    instead of calling ``Event.__init__`` and overwriting half of what
-    it set.  Timeouts *are* triggers (they are born with their value),
-    so an attached monitor receives ``on_trigger`` here exactly as it
-    does from ``succeed()``/``fail()``.
+    Built only by :meth:`Environment.timeout` and
+    :meth:`Environment.timeout_at`, which write its fields straight into
+    their triggered state (a timeout is born with its value, so an
+    attached monitor receives ``on_trigger`` there, exactly as from
+    ``succeed()``/``fail()``).
     """
-    if delay < 0:
-        raise SimulationError(f"negative timeout delay: {delay}")
-    timeout.callbacks = None
-    timeout._value = value
-    timeout._ok = True
-    timeout._triggered = True
-    timeout._processed = False
-    timeout.on_abandon = None
-    timeout.delay = delay
-    if env._use_heap:
-        env._sequence += 1
-        heappush(env._heap, (env._now + delay, PRIORITY_NORMAL,
-                             env._sequence, _EVENT_DISPATCH, timeout))
-    else:
-        now = env._now
-        when = now + delay
-        if when == now:
-            # Zero delay (or one too small to move the float clock):
-            # due at the current instant, FIFO behind earlier arrivals.
-            env._immediate.append((_EVENT_DISPATCH, timeout))
-        else:
-            env._sequence += 1
-            heappush(env._near, (when, PRIORITY_NORMAL, env._sequence,
-                                 _EVENT_DISPATCH, timeout))
-    monitor = env.monitor
-    if monitor is not None:
-        monitor.on_trigger(timeout)
+
+    __slots__ = ()
 
 
 class Ready(Event):
@@ -334,7 +274,7 @@ class Ready(Event):
         self.__class__ = Event
         self._processed = False
         self.callbacks = [callback]
-        self.env._enqueue(self, delay=0.0, priority=PRIORITY_NORMAL)
+        self.env._enqueue(self)
 
 
 class Process(Event):
@@ -345,8 +285,7 @@ class Process(Event):
     processes joinable: ``yield other_process`` waits for completion.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name", "_send", "_throw",
-                 "_resume_handler")
+    __slots__ = ("_generator", "name", "_send", "_throw", "_resume_handler")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
@@ -355,7 +294,6 @@ class Process(Event):
         # to the monitor and leaves the first step to its caller.
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Pre-bound handler slots: ``_step`` runs once per yield, so the
         # send/throw/resume bound methods are built a single time here
@@ -368,59 +306,7 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        Interrupting a finished process is a no-op, mirroring the
-        at-most-once semantics of VM reclamation notices.  The check is
-        repeated when the scheduled throw actually fires: the process may
-        finish (or a second interrupt may land) between the call and the
-        throw, and throwing into a finished generator would corrupt the
-        kernel ("already triggered").
-        """
-        if self._triggered:
-            return
-        self._detach_from_wait()
-        monitor = self.env.monitor
-        if monitor is not None:
-            monitor.on_interrupt(self)
-        self.env._call_soon(self._fire_interrupt, cause,
-                            priority=PRIORITY_URGENT)
-
-    def _detach_from_wait(self) -> None:
-        """Stop listening to whatever the process is waiting on."""
-        target, self._waiting_on = self._waiting_on, None
-        if target is None or not target.callbacks:
-            return
-        try:
-            target.callbacks.remove(self._resume_handler)
-        except ValueError:
-            return
-        # Only the party that actually removed the resume callback owns
-        # the abandonment: the wait is now orphaned and the resource that
-        # produced the event must reclaim the item/slot.
-        target._notify_abandoned()
-
-    def _fire_interrupt(self, cause: Any) -> None:
-        if self._triggered:
-            # Finished (or was torn down by an earlier interrupt) between
-            # scheduling and firing: at-most-once delivery, drop it.
-            return
-        # A prior interrupt may have resumed the process onto a *new*
-        # wait; detach from that one too before throwing.
-        self._detach_from_wait()
-        self.env._interrupts_thrown += 1
-        self._step(throw=Interrupt(cause))
-
     def _resume(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            # Stale delivery: waiting on an already-processed event is
-            # delivered via _call_soon, which an interrupt cannot unhook
-            # from the event list -- or the process finished/was
-            # interrupted (then _waiting_on is None).  Either way the
-            # event did not resume this process; drop it.
-            return
-        self._waiting_on = None
         monitor = self.env.monitor
         if monitor is not None:
             monitor.on_resume(self, event)
@@ -466,7 +352,6 @@ class Process(Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded {target!r}, "
                     f"expected an Event") from None
-            self._waiting_on = target
         else:
             self._step(throw=event._value)
 
@@ -508,9 +393,6 @@ class Process(Event):
             env._process_free.append(self)
 
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        if self._triggered:
-            # Bootstrap of a process an interrupt already finished.
-            return
         monitor = self.env.monitor
         if monitor is not None:
             monitor.on_step(self)
@@ -527,9 +409,8 @@ class Process(Event):
         except StopIteration as stop:
             # Unobserved exit: as in _resume, plus the caller's reference
             # (the run loop's entry on bootstrap, _resume's `self` on a
-            # thrown failure).  An interrupt's throw and
-            # Environment.start hold one more, so they never match and
-            # keep their event-list entry.
+            # thrown failure).  Environment.start holds one more, so it
+            # never matches and keeps its event-list entry.
             if not self.callbacks and _refcount(self) == 4:
                 self._exit_unobserved(stop.value)
             else:
@@ -552,7 +433,6 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, "
                 f"expected an Event") from None
-        self._waiting_on = target
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'done' if self._triggered else 'alive'}>"
@@ -564,11 +444,10 @@ class _Combinator(Event):
     Both watch a set of child events through per-child callbacks.  Once
     the combinator's outcome is decided (or its own waiter walks away),
     the callbacks registered on still-undecided children are *detached*
-    and each such child gets :meth:`Event._notify_abandoned` -- exactly
-    what :meth:`Process._detach_from_wait` does for a plain wait.
-    Without the detach, hedged-read loops that race fresh timeouts
-    against one long-lived event grow that event's callback list without
-    bound, and resource slots granted to losing children leak.
+    and each such child gets :meth:`Event._notify_abandoned`.  Without
+    the detach, hedged-read loops that race fresh timeouts against one
+    long-lived event grow that event's callback list without bound, and
+    resource slots granted to losing children leak.
     """
 
     __slots__ = ("_children", "_child_cbs")
@@ -614,9 +493,9 @@ class _Combinator(Event):
                 child._notify_abandoned()
 
     def _notify_abandoned(self) -> None:
-        # The combinator's own waiter walked away (it was interrupted):
-        # propagate the abandonment to every remaining child before
-        # running our own hook.
+        # The combinator's own waiter walked away (an outer combinator
+        # was decided by another child): propagate the abandonment to
+        # every remaining child before running our own hook.
         self._detach_children(-1)
         hook, self.on_abandon = self.on_abandon, None
         if hook is not None:
@@ -699,10 +578,9 @@ class Environment:
         # -- heap scheduler state --
         self._heap: list[tuple] = []
         # -- default ("calendar") scheduler state --
-        # Work due at the current instant: plain FIFO deques (appends
+        # Work due at the current instant: a plain FIFO deque (appends
         # at `now` happen in sequence order, so FIFO *is* seq order).
-        self._urgent: deque = deque()     # PRIORITY_URGENT at `now`
-        self._immediate: deque = deque()  # PRIORITY_NORMAL at `now`
+        self._immediate: deque = deque()
         # Everything scheduled for a later instant: one binary heap.
         self._near: list[tuple] = []
         # -- interned-struct freelists (fed by the default run loop) --
@@ -722,7 +600,7 @@ class Environment:
         self.metrics: Any = None
         #: Kernel monitor (see
         #: :class:`repro.analysis.sanitize.KernelMonitor`): receives
-        #: spawn/resume/trigger/interrupt hooks when set.  Inherits the
+        #: spawn/step/resume/trigger hooks when set.  Inherits the
         #: process-wide default so the replay sanitizer can observe
         #: workloads that construct their own Environments.
         self.monitor: Any = _default_monitor
@@ -731,7 +609,6 @@ class Environment:
         self._events_processed = 0
         self._immediate_calls = 0
         self._process_failures = 0
-        self._interrupts_thrown = 0
 
     @property
     def now(self) -> float:
@@ -745,19 +622,18 @@ class Environment:
             "events": self._events_processed,
             "immediate_calls": self._immediate_calls,
             "process_failures": self._process_failures,
-            "interrupts_thrown": self._interrupts_thrown,
             "pending": self._pending_count(),
         }
 
     def _pending_count(self) -> int:
         if self._use_heap:
             return len(self._heap)
-        return len(self._urgent) + len(self._immediate) + len(self._near)
+        return len(self._immediate) + len(self._near)
 
     def _has_pending(self) -> bool:
         if self._use_heap:
             return bool(self._heap)
-        return bool(self._urgent or self._immediate or self._near)
+        return bool(self._immediate or self._near)
 
     # -- factories ---------------------------------------------------------
 
@@ -779,12 +655,9 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        # Inlined _arm_timeout: this factory runs once per simulated
-        # fabric/CPU hop -- the hottest allocation site in a measurement
-        # run -- so the freelist pop, slot re-init, and scheduling all
-        # happen in-frame.  Semantics are identical to Timeout(); the
-        # kernel tests and the scheduler-equivalence suite pin both
-        # entry points.
+        # This factory runs once per simulated fabric/CPU hop -- the
+        # hottest allocation site in a measurement run -- so the
+        # freelist pop, slot init and scheduling all happen in-frame.
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         free = self._timeout_free
@@ -799,21 +672,21 @@ class Environment:
         timeout._triggered = True
         timeout._processed = False
         timeout.on_abandon = None
-        timeout.delay = delay
         if self._use_heap:
             self._sequence += 1
-            heappush(self._heap, (self._now + delay, PRIORITY_NORMAL,
-                                  self._sequence, _EVENT_DISPATCH, timeout))
+            heappush(self._heap, (self._now + delay, self._sequence,
+                                  _EVENT_DISPATCH, timeout))
         else:
             now = self._now
             when = now + delay
             if when == now:
+                # Zero delay (or one too small to move the float clock):
+                # due at the current instant, FIFO behind earlier arrivals.
                 self._immediate.append((_EVENT_DISPATCH, timeout))
             else:
                 seq = self._sequence + 1
                 self._sequence = seq
-                heappush(self._near, (when, PRIORITY_NORMAL, seq,
-                                      _EVENT_DISPATCH, timeout))
+                heappush(self._near, (when, seq, _EVENT_DISPATCH, timeout))
         monitor = self.monitor
         if monitor is not None:
             monitor.on_trigger(timeout)
@@ -845,18 +718,16 @@ class Environment:
         timeout._triggered = True
         timeout._processed = False
         timeout.on_abandon = None
-        timeout.delay = when - now
         if self._use_heap:
             self._sequence += 1
-            heappush(self._heap, (when, PRIORITY_NORMAL, self._sequence,
-                                  _EVENT_DISPATCH, timeout))
+            heappush(self._heap, (when, self._sequence, _EVENT_DISPATCH,
+                                  timeout))
         elif when == now:
             self._immediate.append((_EVENT_DISPATCH, timeout))
         else:
             seq = self._sequence + 1
             self._sequence = seq
-            heappush(self._near, (when, PRIORITY_NORMAL, seq,
-                                  _EVENT_DISPATCH, timeout))
+            heappush(self._near, (when, seq, _EVENT_DISPATCH, timeout))
         monitor = self.monitor
         if monitor is not None:
             monitor.on_trigger(timeout)
@@ -921,7 +792,6 @@ class Environment:
             proc._processed = False
             proc.on_abandon = None
             proc._generator = generator
-            proc._waiting_on = None
             proc.name = name or getattr(generator, "__name__", "process")
             proc._send = generator.send
             proc._throw = generator.throw
@@ -941,10 +811,10 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
     #
-    # Timed entries are ``(when, priority, sequence, fn, arg)``: the
-    # handler is pre-bound at scheduling time so the dispatch loop calls
-    # ``fn(arg)`` without type inspection.  ``sequence`` is unique, so
-    # comparisons never reach the trailing elements.  Events carry
+    # Timed entries are ``(when, sequence, fn, arg)``: the handler is
+    # pre-bound at scheduling time so the dispatch loop calls ``fn(arg)``
+    # without type inspection.  ``sequence`` is unique, so comparisons
+    # never reach the trailing elements.  Events carry
     # ``(Event._run_callbacks, event)`` -- that function's identity is
     # what distinguishes an event from an immediate call in the loop
     # statistics -- and immediate calls carry ``(fn, arg)``; the
@@ -953,44 +823,28 @@ class Environment:
     # a closure per call.
     #
     # On the default loop, entries due at the current instant skip the
-    # sequence counter entirely and land on the FIFO deques: nothing
-    # already queued for `now` can carry a larger timestamp, a lower
-    # priority value lives on its own deque, and FIFO order *is*
-    # insertion order -- so the (when, priority, sequence) total order
-    # is preserved without a single comparison.  Only future entries
-    # pay for a sequence number and a heap push.  The
-    # scheduler-equivalence suite pins this ordering against the
-    # reference heap.
+    # sequence counter entirely and land on the FIFO deque: nothing
+    # already queued for `now` can carry a larger timestamp, and FIFO
+    # order *is* insertion order -- so the (when, sequence) total order
+    # is preserved without a single comparison.  Only future entries pay
+    # for a sequence number and a heap push.  The scheduler-equivalence
+    # suite pins this ordering against the reference heap.
 
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        # Delay is validated by the callers that can produce a negative
-        # one (_arm_timeout); succeed()/fail() always pass 0.0.
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap, (self._now + delay, priority,
-                                  self._sequence, _EVENT_DISPATCH, event))
-            return
-        when = self._now + delay
-        if when == self._now:
-            if priority:
-                self._immediate.append((_EVENT_DISPATCH, event))
-            else:
-                self._urgent.append((_EVENT_DISPATCH, event))
-            return
-        self._sequence += 1
-        heappush(self._near,
-                 (when, priority, self._sequence, _EVENT_DISPATCH, event))
-
-    def _call_soon(self, fn: Callable[[Any], None], arg: Any,
-                   priority: int = PRIORITY_NORMAL) -> None:
+    def _enqueue(self, event: Event) -> None:
+        """Schedule ``event``'s dispatch at the current instant."""
         if self._use_heap:
             self._sequence += 1
             heappush(self._heap,
-                     (self._now, priority, self._sequence, fn, arg))
-        elif priority:
-            self._immediate.append((fn, arg))
+                     (self._now, self._sequence, _EVENT_DISPATCH, event))
         else:
-            self._urgent.append((fn, arg))
+            self._immediate.append((_EVENT_DISPATCH, event))
+
+    def _call_soon(self, fn: Callable[[Any], None], arg: Any) -> None:
+        if self._use_heap:
+            self._sequence += 1
+            heappush(self._heap, (self._now, self._sequence, fn, arg))
+        else:
+            self._immediate.append((fn, arg))
 
     # -- execution ---------------------------------------------------------
 
@@ -999,16 +853,14 @@ class Environment:
         if self._use_heap:
             if not self._heap:
                 raise SimulationError("step() on an empty event list")
-            when, _priority, _seq, fn, arg = heappop(self._heap)
+            when, _seq, fn, arg = heappop(self._heap)
             self._now = when
-        elif self._urgent:
-            fn, arg = self._urgent.popleft()
         elif self._near and self._near[0][0] <= self._now:
-            _when, _priority, _seq, fn, arg = heappop(self._near)
+            _when, _seq, fn, arg = heappop(self._near)
         elif self._immediate:
             fn, arg = self._immediate.popleft()
         elif self._near:
-            when, _priority, _seq, fn, arg = heappop(self._near)
+            when, _seq, fn, arg = heappop(self._near)
             self._now = when
         else:
             raise SimulationError("step() on an empty event list")
@@ -1042,14 +894,12 @@ class Environment:
             self._run_calendar(until)
 
     def _run_calendar(self, until: Optional[float]) -> None:
-        urgent = self._urgent
         immediate = self._immediate
         near = self._near
         dispatch = _EVENT_DISPATCH
         event_free = self._event_free
         timeout_free = self._timeout_free
         process_free = self._process_free
-        pop_urgent = urgent.popleft
         pop_immediate = immediate.popleft
         # Hot-loop locals for what would otherwise be per-event global
         # (class/function) or builtin lookups.
@@ -1064,25 +914,20 @@ class Environment:
         try:
             while True:
                 # Drain everything due at the current instant.  Order:
-                # urgent deque first (urgent entries only ever arise at
-                # the current instant, and priority outranks sequence),
-                # then near-heap entries that have come due (scheduled
+                # near-heap entries that have come due first (scheduled
                 # for this instant *before* the clock reached it, so
                 # their sequence numbers are smaller than anything a
-                # callback appends to the deques now), then the normal
-                # deque.  Same-timestamp events batch through here
-                # without touching a heap.
+                # callback appends to the deque now), then the deque.
+                # Same-timestamp events batch through here without
+                # touching a heap.
                 #
-                # Phase A: near entries that have come due, with urgent
-                # preemption.  Once the near heap holds nothing <= now
-                # it cannot regain it this instant -- entries scheduled
-                # *at* `now` go to the deques, never to near -- so
-                # phase B drains the deques without re-checking it.
+                # Phase A: near entries that have come due.  Once the
+                # near heap holds nothing <= now it cannot regain it this
+                # instant -- entries scheduled *at* `now` go to the
+                # deque, never to near -- so phase B drains the deque
+                # without re-checking it.
                 while near and near[0][0] <= now:
-                    if urgent:
-                        fn, arg = pop_urgent()
-                    else:
-                        _when, _priority, _seq, fn, arg = pop_heap(near)
+                    _when, _seq, fn, arg = pop_heap(near)
                     steps += 1
                     if fn is dispatch:
                         # Inlined Event._run_callbacks (the overwhelmingly
@@ -1117,15 +962,9 @@ class Environment:
                     else:
                         fn(arg)
                 # Phase B: deque-only drain (dispatch block duplicated
-                # from phase A -- the two-deque check is the whole point
-                # of the split, so no shared helper frame).
-                while True:
-                    if urgent:
-                        fn, arg = pop_urgent()
-                    elif immediate:
-                        fn, arg = pop_immediate()
-                    else:
-                        break
+                # from phase A -- no shared helper frame).
+                while immediate:
+                    fn, arg = pop_immediate()
                     steps += 1
                     if fn is dispatch:
                         events += 1
@@ -1167,15 +1006,15 @@ class Environment:
             self._immediate_calls += steps - events
 
     def _run_heap(self, until: Optional[float]) -> None:
-        # The original single-heap dispatch loop, kept verbatim as the
-        # A/B reference scheduler.
+        # The original single-heap dispatch loop, kept as the A/B
+        # reference scheduler.
         heap = self._heap
         dispatch = _EVENT_DISPATCH
         steps = events = 0
         try:
             if until is None:
                 while heap:
-                    when, _priority, _seq, fn, arg = heappop(heap)
+                    when, _seq, fn, arg = heappop(heap)
                     self._now = when
                     steps += 1
                     if fn is dispatch:
@@ -1190,7 +1029,7 @@ class Environment:
                         fn(arg)
                 return
             while heap and heap[0][0] <= until:
-                when, _priority, _seq, fn, arg = heappop(heap)
+                when, _seq, fn, arg = heappop(heap)
                 self._now = when
                 steps += 1
                 if fn is dispatch:

@@ -84,11 +84,10 @@ class Store:
 
         With an item in stock this is a :class:`Ready` carrying it, which
         the yielding process continues past in the same kernel step.  A
-        consumer that abandons the wait (it was interrupted, or its
-        combinator was decided elsewhere) is pulled back out of the
-        queue -- and if an item was already handed to it, the item is
-        returned to the store -- so no item is ever lost to an orphaned
-        waiter.
+        consumer that abandons the wait (a combinator dropped it) is
+        pulled back out of the queue -- and if an item was already
+        handed to it, the item is returned to the store -- so no item is
+        ever lost to an orphaned waiter.
         """
         if self._items:
             ready = Ready(self.env, self._items.popleft(), self._cancel_get)
@@ -106,8 +105,9 @@ class Store:
         except ValueError:
             pass
         if event.triggered and event.ok:
-            # A put() handed its item over in the same instant the
-            # consumer was interrupted; reclaim it for the next consumer.
+            # A put() handed its item over in the same instant a
+            # combinator dropped the wait; reclaim it for the next
+            # consumer.
             self._restock(event.value)
 
     def _cancel_put(self, event: Event) -> None:
@@ -175,8 +175,8 @@ class Resource:
         yielding process continues past in the same kernel step; a free
         slot implies an empty waiter queue (``release`` hands a slot
         straight to the next waiter), so this never jumps the queue.  A
-        waiter that abandons the wait (it was interrupted, or its
-        combinator was decided elsewhere) is removed from the queue --
+        waiter that abandons the wait (a combinator dropped it) is
+        removed from the queue --
         and if a slot was already handed to it, the slot is released
         again -- so ``in_use`` credits can never leak to processes that
         will never run.
@@ -197,8 +197,8 @@ class Resource:
             pass
         if event.triggered and event.ok:
             # The slot was granted (at acquire time or via a release
-            # handoff) but its owner was interrupted before resuming;
-            # pass it on so the credit is not permanently leaked.
+            # handoff) but a combinator dropped the wait before it was
+            # consumed; pass it on so the credit is not permanently leaked.
             self.release()
 
     def release(self) -> None:

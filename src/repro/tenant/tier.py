@@ -346,7 +346,7 @@ class TenantTier:
         if verdict != ADMIT:
             # Token reserved: sleep until it matures, FIFO per tenant.
             # The reservation holds a bounded-queue slot, so it must
-            # drain even when fault injection interrupts the sleep --
+            # drain on every exit from here, exceptions included --
             # otherwise the tenant's admission capacity shrinks forever.
             try:
                 yield self.env.timeout(wait)

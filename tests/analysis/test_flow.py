@@ -71,12 +71,12 @@ def test_generator_yield_has_interrupt_edge():
         "    yield r.acquire()\n"  # 2
         "    r.release()\n"        # 3
     )
-    # Process.interrupt() can fire at any suspension point: every
-    # yield gets an interrupt edge to the raise exit carrying the
-    # statement's PRE-state (the acquire never completed).
+    # A failed event is thrown in at any suspension point: every yield
+    # gets an except edge to the raise exit carrying the statement's
+    # PRE-state (the acquire never completed).
     assert edges == {
         ("entry", "next", "L2"),
-        ("L2", "interrupt", "raise"),
+        ("L2", "except", "raise"),
         ("L2", "next", "L3"),
         ("L3", "next", "exit"),
     }
@@ -91,10 +91,10 @@ def test_yield_inside_try_interrupts_into_finally():
         "    finally:\n"
         "        r.release()\n"        # 6
     )
-    # The interrupt at the inner yield routes through the finally, so
-    # the release is on the interrupted path -- this is exactly what
-    # makes the try/finally idiom pass L005.
-    assert ("L4", "interrupt", "finally@L3") in edges
+    # A failure at the inner yield routes through the finally, so the
+    # release is on the failed path -- this is exactly what makes the
+    # try/finally idiom pass L005.
+    assert ("L4", "except", "finally@L3") in edges
     assert ("L6", "next", "raise") in edges
     assert ("L6", "next", "exit") in edges
 

@@ -97,9 +97,9 @@ def test_anyof_losing_store_get_is_reclaimed():
     assert len(store) == 0
 
 
-def test_interrupted_combinator_propagates_abandonment():
-    # Interrupting the waiter abandons the AnyOf itself, which must
-    # cascade the detach to every still-pending child.
+def test_abandoned_combinator_propagates_abandonment():
+    # An outer AnyOf decided by another child walks away from the inner
+    # one, which must cascade the detach to every still-pending child.
     env = Environment()
     children = [env.event() for _ in range(3)]
     abandoned = []
@@ -107,21 +107,96 @@ def test_interrupted_combinator_propagates_abandonment():
         child.on_abandon = abandoned.append
 
     def waiter():
-        try:
-            yield env.any_of(children)
-        except Exception:
-            pass
+        index, _value = yield env.any_of(
+            [env.any_of(children), env.timeout(1 * US)])
+        assert index == 1
 
-    proc = env.process(waiter(), name="waiter")
-
-    def interrupter():
-        yield env.timeout(1 * US)
-        proc.interrupt("walk away")
-
-    env.process(interrupter(), name="interrupter")
-    env.run()
+    env.run_process(waiter())
     assert abandoned == children
     assert all(_callback_count(child) == 0 for child in children)
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_anyof_losing_acquire_leaves_the_line(scheduler):
+    # A queued acquire the combinator walked away from must not be
+    # granted the slot later: nobody would ever release it.
+    env = Environment(scheduler=scheduler)
+    resource = Resource(env, slots=1)
+    acquired = []
+
+    def holder():
+        yield resource.acquire()
+        yield env.timeout(3 * US)
+        resource.release()
+
+    def impatient():
+        index, _value = yield env.any_of(
+            [resource.acquire(), env.timeout(1 * US)])
+        assert index == 1
+
+    def patient():
+        yield resource.acquire()
+        acquired.append(env.now)
+        resource.release()
+
+    env.process(holder())
+    env.process(impatient())
+    env.process(patient())
+    env.run()
+    assert acquired == [3 * US]
+    assert resource.in_use == 0
+    assert resource.queue_length == 0
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_anyof_losing_store_put_leaves_the_queue(scheduler):
+    env = Environment(scheduler=scheduler)
+    store = Store(env, capacity=1)
+    store.try_put("filler")
+
+    def impatient():
+        index, _value = yield env.any_of(
+            [store.put("blocked"), env.timeout(1 * US)])
+        assert index == 1
+
+    def drainer():
+        yield env.timeout(2 * US)
+        ok, item = store.try_get()
+        assert ok and item == "filler"
+        # The abandoned putter's item must NOT arrive afterwards.
+        ok, _item = store.try_get()
+        assert not ok
+
+    env.process(impatient())
+    env.run_process(drainer())
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_anyof_dropping_a_handed_store_get_restocks_the_item(scheduler):
+    # put() hands the item to the queued getter in the very instant a
+    # sibling decides the combinator: the Store reclaims it for the next
+    # consumer.
+    env = Environment(scheduler=scheduler)
+    store = Store(env)
+    sibling = env.event()
+    won = []
+
+    def racer():
+        index, _value = yield env.any_of([store.get(), sibling])
+        won.append(index)
+
+    def driver():
+        yield env.timeout(1 * US)
+        sibling.succeed("sibling")
+        store.put("precious")     # hands the item to the queued getter
+        yield env.timeout(1 * US)
+        ok, item = store.try_get()
+        assert ok and item == "precious"
+
+    env.process(racer())
+    env.run_process(driver())
+    assert won == [1]
+    assert len(store) == 0
 
 
 class _TriggerLog(KernelMonitor):
@@ -153,25 +228,13 @@ def test_timeout_trigger_visible_to_monitor():
     assert timeout_triggers == [("Timeout", 0.0), ("Timeout", 1 * US)]
 
 
-def test_timeout_class_entry_point_notifies_monitor_too():
-    env = Environment()
-    monitor = _TriggerLog()
-    env.monitor = monitor
-
-    def sleeper():
-        yield Timeout(env, 1 * US)
-
-    env.run_process(sleeper())
-    assert ("Timeout", 0.0) in monitor.triggered
-
-
 # -- satisfied waits (Ready) dropped by a combinator --------------------
 #
 # A free slot, a stocked store and a put with room answer with a Ready,
 # which has no event-list entry until a combinator consumes it.  When a
-# same-instant sibling decides the combinator first, or its waiter is
-# interrupted, the Ready's producer must get the slot or item back
-# exactly as for a queued wait.
+# same-instant sibling decides the combinator first, or an outer
+# combinator walks away from it, the Ready's producer must get the slot
+# or item back exactly as for a queued wait.
 
 
 def _decided_sibling(env):
@@ -250,28 +313,21 @@ def test_anyof_dropping_a_satisfied_put_keeps_the_item_once(scheduler):
 
 @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 @pytest.mark.parametrize("wait", ["acquire", "get"])
-def test_interrupted_combinator_waiter_returns_a_satisfied_wait(scheduler,
-                                                               wait):
+def test_abandoned_combinator_returns_a_satisfied_wait(scheduler, wait):
     env = Environment(scheduler=scheduler)
     resource = Resource(env, slots=1)
     store = Store(env)
     store.try_put("item")
 
     def waiter():
+        # The sibling's entry runs before the satisfied child's, so the
+        # outer combinator drops the inner one while it still holds it.
+        sibling = _decided_sibling(env)
         satisfied = resource.acquire() if wait == "acquire" else store.get()
-        try:
-            yield env.any_of([satisfied, env.event()])
-        except Exception:
-            pass
+        inner = env.any_of([satisfied, env.event()])
+        index, _value = yield env.any_of([sibling, inner])
+        assert index == 0
 
-    proc = env.process(waiter(), name="waiter")
-
-    def interrupter():
-        # Same instant, before the satisfied child's entry runs.
-        proc.interrupt("walk away")
-        yield env.timeout(0)
-
-    env.process(interrupter(), name="interrupter")
-    env.run()
+    env.run_process(waiter())
     assert resource.in_use == 0
     assert list(store._items) == ["item"]

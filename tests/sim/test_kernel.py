@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, US
+from repro.sim import Environment, SimulationError, US
 
 
 def test_timeout_advances_clock():
@@ -151,40 +151,6 @@ def test_unjoined_process_exception_surfaces():
     env.process(bad(env))
     with pytest.raises(ValueError, match="unhandled"):
         env.run()
-
-
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100 * US)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause, env.now)
-        return ("slept", None, env.now)
-
-    def interrupter(env, target):
-        yield env.timeout(5 * US)
-        target.interrupt(cause="reclaim")
-
-    target = env.process(sleeper(env))
-    env.process(interrupter(env, target))
-    env.run()
-    assert target.value == ("interrupted", "reclaim", pytest.approx(5 * US))
-
-
-def test_interrupt_finished_process_is_noop():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1 * US)
-        return "done"
-
-    proc = env.process(quick(env))
-    env.run()
-    proc.interrupt("too late")
-    env.run()
-    assert proc.value == "done"
 
 
 def test_run_until_stops_clock_exactly():

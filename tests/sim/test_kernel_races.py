@@ -1,25 +1,15 @@
-"""Regression tests for kernel interrupt/failure races.
+"""Regression tests for kernel failure handling.
 
 Each test here reproduces a silent-corruption bug the seed kernel had:
-zombie processes after an unjoined failure, crashes on
-interrupt-vs-completion races, and resource credits handed to waiters
-that will never run.  They document the hardened contract:
-
-* a failing process ALWAYS triggers its event (never stays ``is_alive``),
-* interrupts are at-most-once and re-checked at fire time,
-* abandoning a Store/Resource wait returns the item/slot to the pool.
+a zombie process after an unjoined failure.  They document the
+hardened contract: a failing process ALWAYS triggers its event (never
+stays ``is_alive``).  Abandoned Store/Resource waits are pinned in
+``test_combinator_leaks.py``.
 """
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Store,
-    US,
-)
+from repro.sim import Environment, SimulationError, US
 
 
 # ---------------------------------------------------------------------------
@@ -85,221 +75,6 @@ def test_failure_with_joiner_reaches_joiner_not_hook():
     target = env.process(crasher(env))
     assert env.run_process(joiner(env, target)) == "caught expected"
     assert hook_calls == []  # the joiner owned the failure
-
-
-# ---------------------------------------------------------------------------
-# Interrupt-vs-completion races
-# ---------------------------------------------------------------------------
-
-def test_double_interrupt_is_a_noop_not_a_crash():
-    """Two interrupts land; the process exits on the first.
-
-    The seed kernel's scheduled throw did not re-check ``_triggered`` at
-    fire time, so the second throw hit a finished generator and the
-    resulting exception corrupted the kernel with "already triggered".
-    """
-    env = Environment()
-
-    def worker(env):
-        try:
-            yield env.timeout(10 * US)
-        except Interrupt as interrupt:
-            return f"stopped: {interrupt.cause}"
-        return "ran to completion"
-
-    proc = env.process(worker(env), name="worker")
-
-    def reclaimer(env):
-        yield env.timeout(1 * US)
-        proc.interrupt("vm reclaimed")
-        proc.interrupt("vm reclaimed again")  # at-most-once: a no-op
-
-    env.process(reclaimer(env))
-    env.run()
-
-    assert not proc.is_alive
-    assert proc.ok
-    assert proc.value == "stopped: vm reclaimed"
-
-
-def test_interrupt_after_finish_in_same_instant_is_dropped():
-    """The process finishes between interrupt() and the scheduled throw."""
-    env = Environment()
-    done = []
-
-    def worker(env):
-        yield env.timeout(1 * US)
-        done.append(env.now)
-        return "done"
-
-    proc = env.process(worker(env), name="worker")
-
-    def canceller(env):
-        # Same simulated instant as the worker's completion, but this
-        # callback runs first (urgent interrupt fires before the normal-
-        # priority timeout callback would have resumed the worker) -- so
-        # the worker is interrupted mid-wait and never completes.
-        yield env.timeout(1 * US)
-        proc.interrupt("too late?")
-
-    env.process(canceller(env))
-    env.run()
-    assert not proc.is_alive
-
-
-def test_interrupted_process_can_wait_again_without_stale_resume():
-    """An interrupt must fully detach the process from its old wait."""
-    env = Environment()
-
-    def worker(env):
-        try:
-            yield env.timeout(10 * US)
-        except Interrupt:
-            pass
-        yield env.timeout(5 * US)  # a fresh wait after the interrupt
-        return env.now
-
-    proc = env.process(worker(env), name="worker")
-
-    def interrupter(env):
-        yield env.timeout(1 * US)
-        proc.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-    assert proc.value == pytest.approx(6 * US)
-
-
-# ---------------------------------------------------------------------------
-# Abandoned waits on Store / Resource
-# ---------------------------------------------------------------------------
-
-def test_interrupted_store_getter_does_not_eat_items():
-    """An orphaned getter must not receive (and lose) a later put.
-
-    On the seed kernel the interrupted consumer stayed in ``_getters``;
-    the producer's put succeeded the orphaned event and the item
-    vanished.
-    """
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer(env, store, tag):
-        try:
-            item = yield store.get()
-        except Interrupt:
-            return
-        received.append((tag, item))
-
-    doomed = env.process(consumer(env, store, "doomed"))
-    env.process(consumer(env, store, "survivor"))
-
-    def driver(env):
-        yield env.timeout(1 * US)
-        doomed.interrupt()
-        yield env.timeout(1 * US)
-        yield store.put("the-item")
-
-    env.process(driver(env))
-    env.run()
-
-    assert received == [("survivor", "the-item")]
-
-
-def test_store_item_handed_in_same_instant_as_interrupt_is_restocked():
-    """put() hands the item over in the very instant the consumer is
-    interrupted: the hardened Store reclaims it for the next consumer."""
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer(env):
-        try:
-            item = yield store.get()
-        except Interrupt:
-            return "interrupted"
-        received.append(item)
-
-    doomed = env.process(consumer(env))
-
-    def driver(env):
-        yield env.timeout(1 * US)
-        store.put("precious")     # hands the item to the waiting getter
-        doomed.interrupt()        # ... who abandons it in the same instant
-        yield env.timeout(1 * US)
-        ok, item = store.try_get()
-        assert ok and item == "precious"
-
-    env.run_process(driver(env))
-    assert received == []
-    assert len(store) == 0
-
-
-def test_interrupted_resource_waiter_does_not_leak_slots():
-    """A slot released to an interrupted waiter must be re-releasable.
-
-    On the seed kernel the orphaned waiter kept the slot forever:
-    ``in_use`` never decremented -- exactly the queue-depth credit leak
-    that would starve the engine's issuer loop.
-    """
-    env = Environment()
-    resource = Resource(env, slots=1)
-    acquired = []
-
-    def holder(env):
-        yield resource.acquire()
-        yield env.timeout(3 * US)
-        resource.release()
-
-    def waiter(env, tag):
-        try:
-            yield resource.acquire()
-        except Interrupt:
-            return
-        acquired.append((tag, env.now))
-        resource.release()
-
-    env.process(holder(env))
-    doomed = env.process(waiter(env, "doomed"))
-    env.process(waiter(env, "survivor"))
-
-    def interrupter(env):
-        yield env.timeout(1 * US)
-        doomed.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-
-    assert [tag for tag, _t in acquired] == ["survivor"]
-    assert resource.in_use == 0
-    assert resource.queue_length == 0
-
-
-def test_interrupted_putter_leaves_queue():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.try_put("filler")
-
-    def producer(env):
-        try:
-            yield store.put("blocked")
-        except Interrupt:
-            return
-
-    doomed = env.process(producer(env))
-
-    def driver(env):
-        yield env.timeout(1 * US)
-        doomed.interrupt()
-        yield env.timeout(1 * US)
-        ok, item = store.try_get()
-        assert ok and item == "filler"
-        # The abandoned putter's item must NOT arrive afterwards.
-        ok, _item = store.try_get()
-        assert not ok
-
-    env.run_process(driver(env))
 
 
 # ---------------------------------------------------------------------------

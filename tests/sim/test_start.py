@@ -166,9 +166,6 @@ class _Monitor:
     def on_trigger(self, event):
         pass
 
-    def on_interrupt(self, process):
-        pass
-
 
 def test_monitor_sees_spawn_then_step():
     env = Environment()

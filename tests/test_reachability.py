@@ -153,9 +153,6 @@ OBSERVATION_POINTS = {
         "walk",
     "Process.is_alive":
         "how kernel tests check a process finished exactly once",
-    "Process.interrupt":
-        "the kernel's interrupt primitive, pinned by tests/sim and "
-        "modelled by the lint rules; no live caller (ROADMAP)",
     "TokenBucket.level":
         "how tests check the admission bucket's refill and burst cap",
 }
