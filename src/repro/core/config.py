@@ -86,8 +86,8 @@ class RdmaConfig:
     #: Dependent reads (pointer -> record GETs) execute as remote-side
     #: verb programs in one round trip instead of two sequential READs
     #: (see ``repro.net.programs``).  Off by default: the classic
-    #: two-hop path is the measured baseline, and endpoints without
-    #: chained-WQE support fall back to it anyway.
+    #: two-hop path is the measured baseline, and an aborted program
+    #: falls back to it anyway.
     use_verb_programs: bool = False
 
     def __post_init__(self) -> None:

@@ -34,7 +34,7 @@ from repro.core.server import CacheServer, RING_SLOT_BYTES
 from repro.hardware.profiles import TestbedProfile
 from repro.net.fabric import Endpoint
 from repro.net.memory import MemoryRegion
-from repro.net.programs import POINTER_BYTES, VerbProgram
+from repro.net.programs import POINTER_BYTES, VerbProgram, chase_target
 from repro.net.qp import QueuePair
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
@@ -437,33 +437,27 @@ class CacheDataPath:
         """The dependent GET's transport: index word first, then the
         record; returns the completion that answers the op.
 
-        With ``use_verb_programs`` on (and a supporting remote NIC) the
-        whole chain is one posted program -- one round trip.  Otherwise,
-        or when a program completes in error (CAS guard abort, region
-        revoked mid-chain, downlevel endpoint), the classic two-hop READ
-        sequence runs as the fallback; an op only fails if the fallback
-        fails too, so no acked read is lost to the optimization.
+        With ``use_verb_programs`` on the whole chain is one posted
+        program -- one round trip.  Otherwise, or when the program
+        completes in error (CAS guard abort, region revoked mid-chain),
+        the classic two-hop READ sequence runs as the fallback; an op
+        only fails if the fallback fails too, so no acked read is lost
+        to the optimization.
         """
-        supports = connection.server.endpoint.supports_programs
         if self.config.use_verb_programs:
-            if supports:
-                program = VerbProgram.dependent_read(
-                    pointer_offset=op.lookup_offset,
-                    fallback_offset=op.offset,
-                    read_bytes=op.size,
-                    verify=op.verify,
-                    label="get:bucket->record")
-                if self._programs_counter is not None:
-                    self._programs_counter.inc()
-                completion = yield connection.qp.post_program(
-                    program, op.token)
-                if (completion.cas_aborted
-                        and self._cas_abort_counter is not None):
-                    self._cas_abort_counter.inc()
-                if completion.ok:
-                    return completion
-            # Graceful degradation (the remote NIC cannot run chains) or
-            # abort fallback: re-run the access as the classic two-hop
+            program = VerbProgram(
+                pointer_offset=op.lookup_offset,
+                read_bytes=op.size,
+                fallback_offset=op.offset,
+                verify=op.verify)
+            if self._programs_counter is not None:
+                self._programs_counter.inc()
+            completion = yield connection.qp.post_program(program, op.token)
+            if completion.cas_aborted and self._cas_abort_counter is not None:
+                self._cas_abort_counter.inc()
+            if completion.ok:
+                return completion
+            # Abort fallback: re-run the access as the classic two-hop
             # sequence (it re-samples the pointer, so a guard abort
             # resolves to the post-move location).
             if self._fallback_counter is not None:
@@ -490,14 +484,9 @@ class CacheDataPath:
             yield self.env.timeout(work * self._noise())
         finally:
             thread.cpu.release()
-        if first.data is not None and len(first.data) >= 1:
-            target = int.from_bytes(first.data[:POINTER_BYTES], "little")
-        else:
-            # Size-only region: no bytes came back; chase the static
-            # fallback offset (same wire timing either way).
-            target = op.offset
         second = yield connection.qp.post(WorkRequest(
-            RdmaOp.READ, op.token, target, op.size))
+            RdmaOp.READ, op.token, chase_target(first.data, op.offset),
+            op.size))
         return second
 
     def _watch_batch(self, connection: _Connection, batch: RequestBatch,

@@ -169,9 +169,9 @@ class DataPathModel:
         complete = nic.completion_poll + cpu.callback + numa
 
         if config.use_verb_programs:
-            program = VerbProgram.dependent_read(
-                pointer_offset=0, read_bytes=record_size, verify=verify)
-            service = len(program) * nic.program_step_latency
+            program = VerbProgram(pointer_offset=0, read_bytes=record_size,
+                                  verify=verify)
+            service = program.step_count * nic.program_step_latency
             service += nic.dma_fetch(POINTER_BYTES)
             service += nic.dma_fetch(record_size)
             if verify:

@@ -74,37 +74,21 @@ class Endpoint:
         #: it above 1 to model a throttled/overheating node; all outbound
         #: wire time stretches by this factor while it is raised.
         self.throttle = 1.0
-        #: Whether this NIC can execute chained verb programs as the
-        #: responder (see ``repro.net.programs``).  Heterogeneous fleets
-        #: have older NICs without chained-WQE support; posting a PROGRAM
-        #: at one completes in error and the data path falls back to the
-        #: classic two-hop sequence.
-        self.supports_programs = True
         #: On-NIC QP-context (ICM) cache.  ``None`` -- the historical
         #: default -- models an always-resident context (no per-QP NIC
         #: state pressure); control-plane modeling installs an LRU of
         #: ``NicSpec.qp_context_cache_entries`` and every verb through
         #: this NIC then touches it (see ``QueuePair._execute``).
         self.qp_context_cache: Optional[QpContextCache] = None
-        #: Installed verb-program descriptor shapes (see
-        #: ``repro.net.programs.ProgramShapeCache``).  ``None`` until
-        #: control-plane modeling is enabled; then program descriptors
-        #: whose shape is already installed at this responder ride a
-        #: compact wire reference instead of the full descriptor.
-        self.program_shapes = None
         if fabric.model_control_plane:
             self.enable_control_plane_model()
 
     def enable_control_plane_model(self) -> None:
-        """Install the per-NIC control-plane state (QP-context cache +
-        program-shape cache) on this endpoint.  Idempotent."""
+        """Install the per-NIC control-plane state (the QP-context
+        cache) on this endpoint.  Idempotent."""
         if self.qp_context_cache is None:
             self.qp_context_cache = QpContextCache(
                 self.fabric.profile.nic.qp_context_cache_entries)
-        if self.program_shapes is None:
-            from repro.net.programs import ProgramShapeCache
-
-            self.program_shapes = ProgramShapeCache()
 
     def register(self, region: MemoryRegion) -> MemoryRegion:
         """Register a memory region with this NIC.

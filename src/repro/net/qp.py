@@ -1,11 +1,12 @@
 """Queue pairs: reliable connected RDMA with bounded in-flight operations.
 
 A :class:`QueuePair` executes one-sided work requests against its remote
-endpoint.  It enforces the NIC's queue-depth bound (``max_depth``
-in-flight operations -- the ``q`` variable of Table 2) and turns remote
-failures (revoked regions, dead endpoints) into error completions rather
-than exceptions, matching how RDMA surfaces transport errors through the
-completion queue.
+endpoint: READs, WRITEs and PROGRAMs (the dependent read of
+:mod:`repro.net.programs`).  It enforces the NIC's queue-depth bound
+(``max_depth`` in-flight operations -- the ``q`` variable of Table 2)
+and turns remote failures (revoked regions, dead endpoints) into error
+completions rather than exceptions, matching how RDMA surfaces
+transport errors through the completion queue.
 
 Each in-flight operation completes when its own wire round trip ends,
 not in post order: a 64 B WRITE posted behind a 1 MiB READ on the same
@@ -16,16 +17,15 @@ ordering).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Optional
 
 from repro.net.fabric import Endpoint
 from repro.net.memory import AccessToken, RdmaAccessError
 from repro.net.programs import (
-    ProgramStep,
-    StepOp,
-    StepResult,
+    CAS_WORD_BYTES,
+    POINTER_BYTES,
     VerbProgram,
-    resolve_offset,
+    chase_target,
 )
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
@@ -312,11 +312,11 @@ class QueuePair:
 
     def post_program(self, program: VerbProgram, token: AccessToken,
                      context: object = None) -> Event:
-        """Post a dependent-read chain as one work request.
+        """Post a dependent read as one work request.
 
-        The whole chain travels in one descriptor message, executes at
-        the remote NIC, and answers with one completion -- partial if a
-        step faulted or the CAS guard aborted the chain (see
+        The descriptor travels in one message, executes at the remote
+        NIC, and answers with one completion -- partial if a READ
+        faulted or the CAS guard aborted the read (see
         :mod:`repro.net.programs`).
         """
         return self.post(WorkRequest(
@@ -454,23 +454,24 @@ class QueuePair:
                        context=wr.context))
 
     def _execute_program(self, wr: WorkRequest, completion_event: Event):
-        """Execute a dependent-read chain: one wire round trip plus
-        per-step remote-NIC service time.
+        """Execute a dependent read: one wire round trip plus remote-NIC
+        service time.
 
-        The descriptor crosses the fabric once; the remote NIC walks the
-        chain charging ``program_step_latency`` per step plus each step's
-        DMA cost, all folded into a *single* service timeout (one
-        trigger->resume edge per program -- a kernel monitor such as the
-        replay sanitizer sees program execution as one atomic remote
-        event, not a per-step flurry); one response returns the
-        READ payloads.
+        The descriptor crosses the fabric once; the remote NIC READs the
+        pointer word, then the record at the offset it holds
+        (:func:`~repro.net.programs.chase_target`), charging
+        ``program_step_latency`` per step plus each step's DMA cost, all
+        folded into a *single* service timeout (one trigger->resume edge
+        per program: a kernel monitor such as the replay sanitizer sees
+        the execution as one atomic remote event); one response returns
+        the payloads.
 
-        Memory sampling: READ steps read at descriptor arrival; CAS
-        guards re-sample *after* the service window, so a write that
-        lands while the chain executes is visible to them -- that is the
-        self-verifying read that makes dependent GETs safe against
-        concurrent migration.  A fault or guard mismatch aborts the
-        chain and surfaces a partial completion.
+        Memory sampling: both READs sample at descriptor arrival; the
+        CAS guard re-reads the pointer *after* the service window, so a
+        write that lands while the read executes is visible to it --
+        that is the self-verifying read that makes dependent GETs safe
+        against concurrent migration.  A fault, a revoked region or a
+        guard mismatch aborts the read with a partial completion.
         """
         local = self.local
         remote = self.remote
@@ -482,24 +483,11 @@ class QueuePair:
         if self._programs_posted is not None:
             self._programs_posted.inc()
 
-        # Descriptor amortization: when the responder already has this
-        # program *shape* installed (any earlier connection posted it),
-        # the request carries a compact shape reference plus operands
-        # instead of the full per-step descriptors.
-        request_bytes = program.request_wire_bytes
-        shapes = remote.program_shapes
-        if shapes is not None and shapes.install(program.shape_key):
-            request_bytes = program.cached_request_wire_bytes
-
-        yield fabric.transmit(local, remote, request_bytes)
+        yield fabric.transmit(local, remote, program.request_wire_bytes)
 
         if not remote.alive:
             self._finish(wr, completion_event,
                          self._error_completion(wr, "remote endpoint down"))
-            return
-        if not remote.supports_programs:
-            self._finish(wr, completion_event, self._error_completion(
-                wr, f"{remote.name} does not support verb programs"))
             return
         region = remote.find_region(wr.token.region_id)
         if region is None:
@@ -509,33 +497,33 @@ class QueuePair:
                     wr, f"no region {wr.token.region_id} at {remote.name}"))
             return
 
-        steps = program.steps
-        produced: List[Optional[bytes]] = [None] * len(steps)
-        results: Dict[int, StepResult] = {}
-        guards: List[tuple[int, ProgramStep, int]] = []
+        token = wr.token
+        step_latency = nic.program_step_latency
         service = self._context_penalty(remote)
+        service += step_latency
+        service += nic.dma_fetch(POINTER_BYTES)
+        pointer: Optional[bytes] = None
+        record: Optional[bytes] = None
         error: Optional[str] = None
-
-        for index, step in enumerate(steps):
-            service += nic.program_step_latency
-            offset = resolve_offset(step, tuple(produced))
-            if step.op is StepOp.CAS:
-                # Guard: evaluated after the service window, against
-                # then-current memory.
-                service += nic.dma_fetch(step.length)
-                guards.append((index, step, offset))
-                continue
-            if step.length:
-                service += nic.dma_fetch(step.length)
-            try:
-                data = region.read(wr.token, offset, step.length)
-            except RdmaAccessError as exc:
-                error = str(exc)
-                results[index] = StepResult(index, step.op, False, offset,
-                                            None, error)
-                break
-            produced[index] = data
-            results[index] = StepResult(index, step.op, True, offset, data)
+        ran = 1  # steps the NIC ran, a faulting one included
+        try:
+            pointer = region.read(token, program.pointer_offset,
+                                  POINTER_BYTES)
+            ran = 2
+            service += step_latency
+            if program.read_bytes:
+                service += nic.dma_fetch(program.read_bytes)
+            record = region.read(
+                token, chase_target(pointer, program.fallback_offset),
+                program.read_bytes)
+        except RdmaAccessError as exc:
+            error = str(exc)
+        # Steps whose outcome is ok: a faulting READ is not one.
+        executed = ran if error is None else ran - 1
+        if error is None and program.verify:
+            # The guard's window share; it reads after the window.
+            service += step_latency
+            service += nic.dma_fetch(CAS_WORD_BYTES)
 
         # The whole remote-side chain is one service interval.
         yield env.timeout(service)
@@ -543,47 +531,38 @@ class QueuePair:
         cas_aborted = False
         if error is None:
             try:
-                # The region may have been revoked while the chain ran
-                # (migration finalized, VM reclaimed mid-program): the
-                # chain aborts and nothing is acked.
-                region.check_access(wr.token, 0, 0)
-                for index, step, offset in guards:
-                    current = region.read(wr.token, offset, step.length)
-                    expected = produced[step.compare_from]
-                    matched = (current is None or expected is None
-                               or current == expected)
-                    results[index] = StepResult(
-                        index, StepOp.CAS, matched, offset, current,
-                        None if matched else
-                        "cas guard: word changed mid-program")
-                    if not matched:
+                # The region may have been revoked while the read ran
+                # (migration finalized, VM reclaimed mid-program): it
+                # aborts and nothing is acked.
+                region.check_access(token, 0, 0)
+                if program.verify:
+                    current = region.read(token, program.pointer_offset,
+                                          CAS_WORD_BYTES)
+                    ran = 3
+                    # An unbacked word has nothing to compare: it passes.
+                    if current is None or pointer is None or current == pointer:
+                        executed = 3
+                    else:
                         cas_aborted = True
-                        error = (f"program aborted by CAS guard at "
-                                 f"step {index}")
-                        break
+                        error = "program aborted by CAS guard at step 2"
             except RdmaAccessError as exc:
                 error = str(exc)
 
-        step_results = tuple(results[i] for i in sorted(results))
-        executed = sum(1 for r in step_results if r.ok)
         if self._program_steps is not None:
-            self._program_steps.inc(len(step_results))
+            self._program_steps.inc(ran)
             if cas_aborted:
                 self._program_cas_aborts.inc()
         ok = error is None
 
-        response_bytes = (program.response_wire_bytes if ok
-                          else program.response_bytes_through(executed))
-        reads = [r for r in step_results if r.op is StepOp.READ and r.ok]
         # Read payloads land in requester memory as part of the arrival.
-        yield fabric.transmit(remote, local, response_bytes,
-                              nic.rx_dma if reads else 0.0)
+        yield fabric.transmit(remote, local,
+                              program.response_bytes_through(executed),
+                              nic.rx_dma if executed else 0.0)
 
         self._finish(wr, completion_event, Completion(
             wr_id=wr.wr_id, op=RdmaOp.PROGRAM, ok=ok,
-            data=reads[-1].data if ok else None, error=error,
-            context=wr.context, steps_completed=executed,
-            step_results=step_results, cas_aborted=cas_aborted))
+            data=record if ok else None, error=error,
+            context=wr.context, cas_aborted=cas_aborted))
 
     def _error_completion(self, wr: WorkRequest, error: str) -> Completion:
         return Completion(wr_id=wr.wr_id, op=wr.op, ok=False, error=error,

@@ -6,20 +6,21 @@ rings (paper §4.1: "Redy implements two-sided communications ... using
 one-sided RDMA writes, since they are faster").
 
 ``PROGRAM`` work requests carry a :class:`~repro.net.programs.
-VerbProgram` -- a dependent-read chain executed at the remote NIC in
-one round trip (see :mod:`repro.net.programs`).
+VerbProgram` -- the dependent read (pointer READ, record READ at the
+offset the pointer holds, optional CAS guard) executed at the remote
+NIC in one round trip (see :mod:`repro.net.programs`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.net.memory import AccessToken
 
 if TYPE_CHECKING:
-    from repro.net.programs import StepResult, VerbProgram
+    from repro.net.programs import VerbProgram
 
 __all__ = ["Completion", "RdmaOp", "WorkRequest"]
 
@@ -29,7 +30,7 @@ class RdmaOp(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-    #: A chained verb program executed remotely (repro.net.programs).
+    #: A dependent read executed remotely (repro.net.programs).
     PROGRAM = "program"
 
 
@@ -63,7 +64,7 @@ class WorkRequest:
     #: counter keeps ticking between runs and leaks into process names,
     #: which the replay sanitizer flags as schedule divergence.
     wr_id: int = 0
-    #: The chained program this request carries (PROGRAM ops only).
+    #: The dependent read this request carries (PROGRAM ops only).
     program: Optional["VerbProgram"] = None
     #: Whether a successful completion is reported (``IBV_SEND_SIGNALED``).
     #: The completion event of an unsignaled request fires only with an
@@ -93,12 +94,10 @@ class WorkRequest:
 class Completion:
     """Completion-queue entry for one work request.
 
-    For PROGRAM work requests, ``data`` holds the payload of the last
-    completed READ step (the record a dependent GET chased), while
-    ``step_results`` carries every step's remote-side outcome.  A chain
-    that aborted mid-program surfaces as a *partial* completion:
-    ``ok=False``, ``steps_completed < len(program)``, and
-    ``cas_aborted=True`` when a self-verifying guard (rather than an
+    For PROGRAM work requests, ``data`` holds the record the dependent
+    read chased.  A read that aborted mid-program surfaces as a
+    *partial* completion: ``ok=False``, no ``data``, and
+    ``cas_aborted=True`` when the self-verifying guard (rather than an
     access fault) stopped it.
     """
 
@@ -112,10 +111,6 @@ class Completion:
     context: object = None
     #: Simulated timestamp when the completion was generated.
     completed_at: float = 0.0
-    #: PROGRAM only: how many steps ran before success/abort.
-    steps_completed: int = 0
-    #: PROGRAM only: per-step remote outcomes, in chain order.
-    step_results: Tuple["StepResult", ...] = field(default_factory=tuple)
-    #: PROGRAM only: a CAS guard observed a changed word and aborted
-    #: the chain.
+    #: PROGRAM only: the CAS guard observed a changed pointer and
+    #: aborted the read.
     cas_aborted: bool = False

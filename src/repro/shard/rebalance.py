@@ -27,7 +27,7 @@ targets in plan order; two same-seed runs produce bit-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.migration import MigrationPolicy
 from repro.sim.resources import Resource
@@ -82,9 +82,9 @@ class RebalanceReport:
 class Rebalancer:
     """Executes rebalance plans against a :class:`ShardRouter`."""
 
-    def __init__(self, router, policy: Optional[MigrationPolicy] = None):
+    def __init__(self, router):
         self.router = router
-        self.policy = policy if policy is not None else MigrationPolicy()
+        self.policy = MigrationPolicy()
         m = router.metrics
         self._c_moves = m.counter("rebalance.moves") if m else None
         self._c_slots = m.counter("rebalance.slots_moved") if m else None

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.client import CacheIoResult, RedyCache, RedyClient
 from repro.core.config import Slo
-from repro.core.migration import MigrationPolicy
 from repro.core.regions import AddressError
 from repro.obs.metrics import registry_of
 from repro.shard.hotkeys import HotKeyDetector, HotKeyPolicy
@@ -89,12 +88,10 @@ class ShardRouter:
                  members: Mapping[str, RedyCache],
                  *,
                  slot_bytes: int = 1 << 16,
-                 vnodes_per_shard: int = 64,
                  replication: int = 1,
                  max_inflight_per_shard: int = 32,
                  hedge_after_s: Optional[float] = None,
                  hotkeys: Optional[HotKeyPolicy] = None,
-                 rebalance_policy: Optional[MigrationPolicy] = None,
                  control_plane=None):
         if not members:
             raise ValueError("router needs at least one member cache")
@@ -119,8 +116,7 @@ class ShardRouter:
         self.hot_policy = hotkeys
         self.metrics = registry_of(env)
 
-        self.ring = HashRing(sorted(members),
-                             vnodes_per_shard=vnodes_per_shard)
+        self.ring = HashRing(sorted(members))
         #: Precomputed slot -> ring point (the hot path never hashes).
         self._slot_points = [key_hash(slot) for slot in range(self.n_slots)]
 
@@ -147,7 +143,7 @@ class ShardRouter:
         self._rr: Dict[int, int] = {}
         self._promoting: set = set()
 
-        self.rebalancer = Rebalancer(self, policy=rebalance_policy)
+        self.rebalancer = Rebalancer(self)
         #: Completed rebalances, in order (the scale-out bench reads
         #: durations and byte counts off these).
         self.reports: List[RebalanceReport] = []

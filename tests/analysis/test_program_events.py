@@ -64,8 +64,8 @@ def _chase_edges(*, verify, two_hop=False):
                 WorkRequest(RdmaOp.READ, region.token, offset, 32))
             assert second.ok
         else:
-            program = VerbProgram.dependent_read(
-                pointer_offset=64, read_bytes=32, verify=verify)
+            program = VerbProgram(pointer_offset=64, read_bytes=32,
+                                  verify=verify)
             completion = yield qp.post_program(program, region.token)
             assert completion.ok
 

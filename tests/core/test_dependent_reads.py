@@ -98,19 +98,6 @@ class TestEngineDependentReads:
         assert metrics.counter("engine.programs").value == 0
         assert metrics.counter("engine.two_hop_reads").value == 1
 
-    def test_downlevel_endpoint_degrades_to_two_hop(self):
-        metrics = MetricsRegistry()
-        config = RdmaConfig(1, 0, 1, 4, use_verb_programs=True)
-        env, server, path, token = make_stack(config, metrics=metrics)
-        server.endpoint.supports_programs = False
-        seed_chain(env, path, token)
-        result, _ = run_op(env, path, dependent_op(env, token))
-        assert result.ok
-        assert result.data == b"r" * 32
-        assert metrics.counter("engine.programs").value == 0
-        assert metrics.counter("engine.two_hop_reads").value == 1
-        assert metrics.counter("engine.program_fallbacks").value == 1
-
     def test_cas_abort_falls_back_within_the_same_attempt(self):
         """A pointer swung mid-program aborts the CAS guard; the engine
         re-runs the chase as two-hop in the same attempt and resolves to

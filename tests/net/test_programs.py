@@ -1,9 +1,9 @@
-"""Verb programs: chained one-sided verbs executed in one round trip.
+"""Verb programs: the dependent read executed in one round trip.
 
-Covers the descriptor (validation + wire-cost accounting), the QP-side
-execution engine (`QueuePair.post_program`), the self-verifying CAS
-guard, partial completions on mid-chain faults, and per-request context
-propagation.
+Covers the descriptor (validation + wire sizes), the pointer-deref rule
+it shares with the two-hop fallback, the QP-side executor
+(`QueuePair.post_program`), the self-verifying CAS guard, partial
+completions on faults, and per-request context propagation.
 """
 
 import struct
@@ -19,23 +19,15 @@ from repro.net import (
     RdmaOp,
     WorkRequest,
 )
-from repro.net.programs import (
-    CAS_WORD_BYTES,
-    MAX_PROGRAM_STEPS,
-    PROGRAM_HEADER_BYTES,
-    PROGRAM_STATUS_BYTES,
-    STEP_DESCRIPTOR_BYTES,
-    ProgramError,
-    ProgramStep,
-    StepOp,
-    VerbProgram,
-    resolve_offset,
-)
+from repro.net.programs import ProgramError, VerbProgram, chase_target
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment, US
 
 
-def make_pair(depth=4, region_size=1 << 20, backing=True):
+def make_pair(depth=4, region_size=1 << 20, backing=True, metrics=None):
     env = Environment()
+    if metrics is not None:
+        metrics.install(env)
     fabric = Fabric(env, AZURE_HPC)
     client = fabric.add_endpoint("client", Placement(cluster=0, rack=0))
     server = fabric.add_endpoint("server", Placement(cluster=0, rack=0))
@@ -45,78 +37,131 @@ def make_pair(depth=4, region_size=1 << 20, backing=True):
 
 
 def chase(pointer_offset=64, read_bytes=32, verify=False):
-    return VerbProgram.dependent_read(
-        pointer_offset=pointer_offset, read_bytes=read_bytes, verify=verify)
+    return VerbProgram(pointer_offset=pointer_offset, read_bytes=read_bytes,
+                       verify=verify)
+
+
+RECORD = bytes(range(32))
+
+#: Every outcome a dependent read can have, pinned exactly: completion
+#: instant, completion fields and the QP's program counters.
+#: ``pointer`` is the word stored at the pointer offset; ``disturb``
+#: lands a pointer swing ("move") or a revocation ("revoke") 20 us into
+#: the remote service window.
+OUTCOME_CASES = {
+    "ok": dict(),
+    "ok-verify": dict(verify=True),
+    "zero-byte-record": dict(read_bytes=0),
+    "pointer-fault": dict(region_size=8192, pointer_offset=8188),
+    "record-fault": dict(region_size=8192, pointer=1 << 40),
+    "record-fault-verify": dict(region_size=8192, pointer=1 << 40,
+                                verify=True),
+    "guard-abort": dict(region_size=4 << 20, read_bytes=1 << 20,
+                        verify=True, disturb="move"),
+    "revoked-mid-service": dict(region_size=4 << 20, read_bytes=1 << 20,
+                                disturb="revoke"),
+    "revoked-mid-service-verify": dict(region_size=4 << 20,
+                                       read_bytes=1 << 20, verify=True,
+                                       disturb="revoke"),
+    "unbacked": dict(backing=False),
+    "unbacked-verify": dict(backing=False, verify=True),
+}
+
+
+def run_outcome(region_size=1 << 20, backing=True, pointer_offset=64,
+                pointer=4096, read_bytes=32, verify=False, disturb=None):
+    metrics = MetricsRegistry()
+    env, _, _, _, region, qp = make_pair(
+        region_size=region_size, backing=backing, metrics=metrics)
+    if pointer_offset + 8 <= region_size:
+        region.local_write(pointer_offset, struct.pack("<Q", pointer))
+    if 4096 + len(RECORD) <= region_size:
+        region.local_write(4096, RECORD)
+    program = chase(pointer_offset=pointer_offset, read_bytes=read_bytes,
+                    verify=verify)
+
+    def disturber(env):
+        yield env.timeout(20 * US)
+        if disturb == "move":
+            region.local_write(pointer_offset, struct.pack("<Q", 8192))
+        else:
+            region.revoke()
+
+    def proc(env):
+        if disturb is not None:
+            env.process(disturber(env))
+        return (yield qp.post_program(program, region.token))
+
+    completion = env.run_process(proc(env))
+    counters = tuple(int(metrics.counter(name).value) for name in (
+        "qp.programs_posted", "qp.program_steps", "qp.program_cas_aborts"))
+    return completion, counters
+
+
+OUTSIDE = "outside region of size 8192"
+REVOKED = "region 1 token revoked (VM gone?)"
+
+
+@pytest.mark.parametrize("case,expected", [
+    # (completed_at, ok, error, cas_aborted, data,
+    #  (programs_posted, program_steps, program_cas_aborts))
+    ("ok", (4.321226666666668e-06, True, None, False, RECORD, (1, 2, 0))),
+    ("ok-verify", (4.8256e-06, True, None, False, RECORD, (1, 3, 0))),
+    ("zero-byte-record",
+     (3.916533333333334e-06, True, None, False, b"", (1, 2, 0))),
+    ("pointer-fault", (3.665893333333333e-06, False,
+                       "access [8188, 8196) " + OUTSIDE, False, None,
+                       (1, 1, 0))),
+    ("record-fault", (4.318666666666667e-06, False,
+                      "access [1099511627776, 1099511627808) " + OUTSIDE,
+                      False, None, (1, 2, 0))),
+    ("record-fault-verify", (4.321866666666667e-06, False,
+                             "access [1099511627776, 1099511627808) "
+                             + OUTSIDE, False, None, (1, 2, 0))),
+    ("guard-abort", (0.00015861141333333334, False,
+                     "program aborted by CAS guard at step 2", True, None,
+                     (1, 3, 1))),
+    ("revoked-mid-service", (0.00015810768000000002, False, REVOKED, False,
+                             None, (1, 2, 0))),
+    ("revoked-mid-service-verify", (0.00015861141333333334, False, REVOKED,
+                                    False, None, (1, 2, 0))),
+    ("unbacked", (4.321226666666668e-06, True, None, False, None, (1, 2, 0))),
+    ("unbacked-verify", (4.8256e-06, True, None, False, None, (1, 3, 0))),
+])
+def test_program_outcome_is_pinned(case, expected):
+    """Completion instant (exact float: same service-time sum in the
+    same order, same partial response size), completion fields and
+    program counters of every dependent-read outcome."""
+    completion, counters = run_outcome(**OUTCOME_CASES[case])
+    assert (completion.completed_at, completion.ok, completion.error,
+            completion.cas_aborted, completion.data, counters) == expected
 
 
 class TestProgramValidation:
-    def test_empty_program_rejected(self):
+    @pytest.mark.parametrize("field", [
+        "pointer_offset", "read_bytes", "fallback_offset"])
+    def test_negative_operands_rejected(self, field):
+        operands = dict(pointer_offset=64, read_bytes=32, fallback_offset=0)
+        operands[field] = -1
         with pytest.raises(ProgramError):
-            VerbProgram(steps=())
-
-    def test_chain_bound_enforced(self):
-        steps = tuple(ProgramStep(op=StepOp.READ, length=8)
-                      for _ in range(MAX_PROGRAM_STEPS + 1))
-        with pytest.raises(ProgramError):
-            VerbProgram(steps=steps)
-        VerbProgram(steps=steps[:MAX_PROGRAM_STEPS])  # at the bound: fine
-
-    def test_offset_from_must_name_an_earlier_step(self):
-        with pytest.raises(ProgramError):
-            VerbProgram(steps=(
-                ProgramStep(op=StepOp.READ, length=8, offset_from=0),))
-        with pytest.raises(ProgramError):
-            VerbProgram(steps=(
-                ProgramStep(op=StepOp.READ, length=8),
-                ProgramStep(op=StepOp.READ, length=8, offset_from=1),))
-
-    def test_cas_operand_shapes_enforced(self):
-        with pytest.raises(ProgramError):
-            ProgramStep(op=StepOp.CAS, length=4, compare_from=0).validate(1)
-        # A CAS step is a guard: it must compare against an earlier step.
-        with pytest.raises(ProgramError):
-            ProgramStep(op=StepOp.CAS, length=8).validate(1)
-        with pytest.raises(ProgramError):
-            ProgramStep(op=StepOp.CAS, length=8, compare_from=1).validate(1)
-        with pytest.raises(ProgramError):
-            ProgramStep(op=StepOp.READ, length=8, compare_from=0).validate(1)
-
-    def test_wire_byte_accounting(self):
-        program = VerbProgram(steps=(
-            ProgramStep(op=StepOp.READ, offset=0, length=8),
-            ProgramStep(op=StepOp.READ, offset=64, length=16,
-                        offset_from=0),
-            ProgramStep(op=StepOp.CAS, offset=0, length=8, compare_from=0),
-        ))
-        assert program.request_wire_bytes == (
-            PROGRAM_HEADER_BYTES
-            + 2 * STEP_DESCRIPTOR_BYTES       # two READs
-            + STEP_DESCRIPTOR_BYTES + 2 * CAS_WORD_BYTES)
-        assert program.response_wire_bytes == (
-            PROGRAM_STATUS_BYTES + 8 + 16 + CAS_WORD_BYTES)
-        # A chain that aborted after the first step returns only its data.
-        assert program.response_bytes_through(1) == PROGRAM_STATUS_BYTES + 8
+            VerbProgram(**operands)
 
     @pytest.mark.parametrize("verify,sizes", [
-        (False, (64, 40, 48)),
-        (True, (104, 64, 56)),
+        (False, (64, 48)),
+        (True, (104, 56)),
     ])
     def test_dependent_read_wire_bytes_are_pinned(self, verify, sizes):
-        """The GET-path chain's wire sizes (request, cached-shape request,
-        response) feed every dependent-read timing; they must not move
-        when the step vocabulary changes."""
+        """The GET-path chain's wire sizes (request, response) feed every
+        dependent-read timing; they must not move."""
         program = chase(read_bytes=32, verify=verify)
         assert (program.request_wire_bytes,
-                program.cached_request_wire_bytes,
                 program.response_wire_bytes) == sizes
 
-    def test_resolve_offset_derefs_little_endian_word(self):
-        step = ProgramStep(op=StepOp.READ, offset=5, length=8,
-                           offset_from=0)
-        assert resolve_offset(step, (struct.pack("<Q", 4096),)) == 4096
-        # Unbacked source (size-only region): static fallback offset.
-        assert resolve_offset(step, (None,)) == 5
-        assert resolve_offset(step, (b"",)) == 5
+    def test_chase_target_derefs_little_endian_word(self):
+        assert chase_target(struct.pack("<Q", 4096), 5) == 4096
+        # Unbacked pointer word (size-only region): static fallback offset.
+        assert chase_target(None, 5) == 5
+        assert chase_target(b"", 5) == 5
 
 
 class TestProgramExecution:
@@ -132,11 +177,9 @@ class TestProgramExecution:
 
         completion = env.run_process(proc(env))
         assert completion.ok
+        # The record READ targeted the *dereffed* offset.
         assert completion.data == payload
-        assert completion.steps_completed == 2
         assert not completion.cas_aborted
-        # Per-step outcomes: the second READ targeted the *dereffed* offset.
-        assert completion.step_results[1].offset == 4096
 
     def test_one_round_trip_beats_two_sequential_reads(self):
         env, _, _, _, region, qp = make_pair()
@@ -173,7 +216,8 @@ class TestProgramExecution:
 
         completion = env.run_process(proc(env))
         assert completion.ok
-        assert completion.steps_completed == 3
+        assert not completion.cas_aborted
+        assert completion.data == b"y" * 32
 
     def test_cas_guard_aborts_when_pointer_moves_mid_program(self):
         """The self-verifying read: guards re-sample *after* the service
@@ -183,8 +227,7 @@ class TestProgramExecution:
         region.local_write(64, struct.pack("<Q", 4096))
         # A large record makes the service window long enough (~70us of
         # responder DMA) to land a concurrent write inside it.
-        program = VerbProgram.dependent_read(
-            pointer_offset=64, read_bytes=1 << 20, verify=True)
+        program = chase(read_bytes=1 << 20, verify=True)
 
         def mover(env):
             yield env.timeout(20 * US)
@@ -198,8 +241,6 @@ class TestProgramExecution:
         assert not completion.ok
         assert completion.cas_aborted
         assert "guard" in completion.error
-        # Both READs executed; only the guard failed.
-        assert completion.steps_completed == 2
         assert completion.data is None  # aborted chains deliver no payload
 
     def test_mid_chain_fault_yields_partial_completion(self):
@@ -213,14 +254,12 @@ class TestProgramExecution:
         completion = env.run_process(proc(env))
         assert not completion.ok
         assert not completion.cas_aborted
-        assert completion.steps_completed == 1
         assert "outside region" in completion.error
 
     def test_revoked_region_mid_service_aborts_cleanly(self):
         env, _, _, _, region, qp = make_pair(region_size=4 << 20)
         region.local_write(64, struct.pack("<Q", 4096))
-        program = VerbProgram.dependent_read(
-            pointer_offset=64, read_bytes=1 << 20, verify=True)
+        program = chase(read_bytes=1 << 20, verify=True)
 
         def revoker(env):
             yield env.timeout(20 * US)
@@ -233,18 +272,6 @@ class TestProgramExecution:
         completion = env.run_process(proc(env))
         assert not completion.ok
         assert "revoked" in completion.error
-
-    def test_non_supporting_endpoint_yields_error_completion(self):
-        env, _, _, server, region, qp = make_pair()
-        server.supports_programs = False
-        region.local_write(64, struct.pack("<Q", 4096))
-
-        def proc(env):
-            return (yield qp.post_program(chase(), region.token))
-
-        completion = env.run_process(proc(env))
-        assert not completion.ok
-        assert "does not support verb programs" in completion.error
 
     def test_unbacked_region_keeps_the_timing_path(self):
         """Size-only measurement regions run the same chain shape: the
@@ -270,29 +297,18 @@ class TestProgramExecution:
 
 class TestMultiStepSubmission:
     def test_zero_byte_read_inside_a_chain(self):
-        """Regression: a zero-length READ step (pure existence probe)
-        must complete ok, produce empty bytes, and not clobber the data
-        payload of the chain's real READ."""
+        """Regression: a zero-length record READ (pure existence probe)
+        completes ok with empty bytes, not the pointer word."""
         env, _, _, _, region, qp = make_pair()
-        payload = b"z" * 16
-        region.local_write(4096, payload)
+        region.local_write(4096, b"z" * 16)
         region.local_write(64, struct.pack("<Q", 4096))
-        program = VerbProgram(steps=(
-            ProgramStep(op=StepOp.READ, offset=64, length=8),
-            ProgramStep(op=StepOp.READ, offset=0, length=0),
-            ProgramStep(op=StepOp.READ, offset=0, length=16,
-                        offset_from=0),
-        ))
 
         def proc(env):
-            return (yield qp.post_program(program, region.token))
+            return (yield qp.post_program(chase(read_bytes=0), region.token))
 
         completion = env.run_process(proc(env))
         assert completion.ok
-        assert completion.steps_completed == 3
-        assert completion.step_results[1].data == b""
-        # The *last* successful READ's payload is the completion data.
-        assert completion.data == payload
+        assert completion.data == b""
 
     def test_context_propagates_per_request(self):
         """Concurrent programs on one QP keep per-request correlation:

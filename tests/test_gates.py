@@ -10,6 +10,8 @@ entry's seed-0 kernel events to the recorded count.
 import copy
 import functools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,22 @@ def test_recorded_events_cover_every_entry():
     assert list(recorded) == list(SCENARIOS)
     assert all(isinstance(count, int) and count > 0
                for count in recorded.values())
+
+
+def test_readme_gate_block_matches_the_registry():
+    """README's ``repro gate --all`` console block lists every entry in
+    registry order with its recorded seed-0 kernel events."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ python -m repro gate --all", 1)[1]
+    block = block.split("```", 1)[0]
+    shown = re.findall(r"^PASS (\S+) +([\d,]+) kernel events", block,
+                       flags=re.MULTILINE)
+    recorded = json.loads(gates.EVENTS_FILE.read_text())
+    assert [name for name, _ in shown] == list(SCENARIOS)
+    assert {name: int(count.replace(",", ""))
+            for name, count in shown} == recorded
+    assert f"gate: {len(SCENARIOS)}/{len(SCENARIOS)} passed at seed 0" \
+        in block
 
 
 @pytest.mark.parametrize("delta,change", [(-1, "grew"), (1, "dropped")])

@@ -136,8 +136,6 @@ OBSERVATION_POINTS = {
         "how tests check deterministic session-to-QP assignment",
     "QpContextCache.resident_ids":
         "how tests check the NIC context cache's LRU residency",
-    "ProgramShapeCache.shape_id":
-        "how tests check program-shape install and reuse",
     "FasterKv.log_size":
         "how tests check the hybrid log's size after a load",
     "_BufferedDevice.watermark":
