@@ -22,8 +22,8 @@ edges at every yield included; catalog in ``docs/lifecycle-rules.md``):
   detach, registry-owned metrics, admission-reservation release,
   ``acquire``/``release`` pairing, spawn join
   (:mod:`repro.analysis.lifecycle`);
-* **P001-P004** call-order protocols: connect→post→reclaim,
-  plan→execute-once, degrade→flush→re-promote, build→seal→post
+* **P001-P003** call-order protocols: connect→post→reclaim,
+  plan→execute-once, degrade→flush→re-promote
   (:mod:`repro.analysis.protocols`).
 
 Suppress a deliberate exception on its own line::

@@ -19,9 +19,6 @@ QP -- the caller holds the state machine, the helper just runs it.
 * **P003** ``TenantTier`` degradation: ``degraded = True`` ->
   flush -> ``degraded = False``; re-promoting without the flush
   abandons dirty chunks in the mirror.
-* **P004** verb programs: build step list -> seal into
-  ``VerbProgram`` -> post; mutating the step list after sealing never
-  reaches the wire, and posting an unsealed list skips validation.
 """
 
 from __future__ import annotations
@@ -38,12 +35,10 @@ __all__ = ["analyze_protocols"]
 
 _POST_ATTRS = {"post", "post_program"}
 _ESTABLISH_ATTRS = {"establish", "reconnect", "connect"}
-_MUTATORS = {"append", "extend", "insert", "pop", "clear", "remove"}
 
 _QP = "qp|"        # state-key prefixes, one namespace per rule
 _PLAN = "plan|"
 _TENANT = "deg|"
-_STEPS = "steps|"
 
 
 def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
@@ -200,13 +195,9 @@ class _FunctionProtocols:
         var = target.id
         inner = value.value if isinstance(
             value, (ast.Yield, ast.YieldFrom)) else value
-        # P004: steps list construction.
-        if isinstance(inner, (ast.List, ast.ListComp)):
-            new[_STEPS + var] = frozenset({"building"})
-            return
         if not isinstance(inner, ast.Call):
             # Rebinding a tracked name to something untracked.
-            for prefix in (_QP, _PLAN, _STEPS):
+            for prefix in (_QP, _PLAN):
                 new.pop(prefix + var, None)
             return
         resolved = self.resolver.resolve(inner.func) or ""
@@ -236,8 +227,6 @@ class _FunctionProtocols:
             self.plan_anchors[id(stmt)] = (stmt.lineno, stmt.col_offset,
                                            var)
             return
-        if tail == "list" and inner.args:
-            new[_STEPS + var] = frozenset({"building"})
 
     def _call(self, call: ast.Call,
               new: Dict[str, FrozenSet[object]]) -> None:
@@ -303,44 +292,12 @@ class _FunctionProtocols:
                 key = _TENANT + mark
                 if key in new and "degraded" in new[key]:
                     new[key] = new[key] | {"flushed"}
-        # -- P004 -----------------------------------------------------
-        if var is not None and _STEPS + var in new:
-            states = new[_STEPS + var]
-            if attr in _MUTATORS and "sealed" in states:
-                self._emit("P004", call,
-                           f"{var}.{attr}() after the steps were sealed "
-                           f"into a VerbProgram: the mutation never "
-                           f"reaches the wire")
-        if attr == "post_program":
-            for arg in call.args:
-                if (isinstance(arg, ast.Name)
-                        and _STEPS + arg.id in new
-                        and "sealed" not in new[_STEPS + arg.id]):
-                    self._emit("P004", call,
-                               f"post_program({arg.id}) with an "
-                               f"unsealed step list: wrap it in "
-                               f"VerbProgram first so validation runs")
-        # Sealing: steps var referenced in a VerbProgram(...) call.
-        resolved = self.resolver.resolve(func) or ""
-        if resolved.rsplit(".", 1)[-1] == "VerbProgram":
-            self._seal(call, new)
         self._interprocedural(call, new)
-
-    def _seal(self, call: ast.Call,
-              new: Dict[str, FrozenSet[object]]) -> None:
-        for name in _names_in(call):
-            key = _STEPS + name
-            if key in new:
-                new[key] = new[key] | {"sealed"}
 
     def _interprocedural(self, call: ast.Call,
                          new: Dict[str, FrozenSet[object]]) -> None:
         """P001 across helpers: passing a may-unestablished QP to a
         local function summarized as posting on that parameter."""
-        if isinstance(call.func, ast.Name) and (
-                self.resolver.resolve(call.func) or
-                "").rsplit(".", 1)[-1] == "VerbProgram":
-            self._seal(call, new)
         callee = self.graph.resolve_call(call.func, self.cls)
         if callee is None:
             return
@@ -372,11 +329,8 @@ class _FunctionProtocols:
     def _protocol_consumed(self, call: ast.Call) -> bool:
         """Calls whose arguments the typestate transfer itself models;
         their arguments must stay tracked past this statement."""
-        if isinstance(call.func, ast.Attribute) and call.func.attr in (
-                "execute", "post_program"):
-            return True
-        resolved = self.resolver.resolve(call.func) or ""
-        return resolved.rsplit(".", 1)[-1] in ("VerbProgram", "tuple")
+        return (isinstance(call.func, ast.Attribute)
+                and call.func.attr == "execute")
 
     def _escapes(self, stmt: ast.stmt,
                  new: Dict[str, FrozenSet[object]]) -> None:
@@ -403,7 +357,6 @@ class _FunctionProtocols:
         for name in escaped:
             new.pop(_QP + name, None)
             new.pop(_PLAN + name, None)
-            new.pop(_STEPS + name, None)
 
     # -- branch refinement --------------------------------------------
 

@@ -191,17 +191,6 @@ _CATALOG = (
                   "re-promoting before the flush serves stale remote "
                   "data for every key written while degraded",
     ),
-    Rule(
-        id="P004",
-        title="verb-program steps mutated after sealing",
-        severity="error",
-        hint="finish building the step list, seal it with "
-             "VerbProgram(tuple(steps)), and never touch the list "
-             "again; build a new program for a new shape",
-        rationale="VerbProgram snapshots the steps at construction; "
-                  "later appends never reach the wire, so the posted "
-                  "program silently diverges from the intended chain",
-    ),
 )
 
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _CATALOG}

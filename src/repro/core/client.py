@@ -42,7 +42,7 @@ class CacheDeletedError(Exception):
     will return an exception")."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheIoResult:
     """Outcome of one cache Read or Write."""
 

@@ -32,6 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.hardware.ssd import SsdSpec
+from repro.net.memory import zeroed
 from repro.obs.metrics import registry_of
 from repro.sim.clock import US
 from repro.sim.kernel import Environment, Event
@@ -119,7 +120,7 @@ class _BufferedDevice(IDevice):
             raise ValueError("device capacity must be >= 1")
         self.env = env
         self.capacity = capacity
-        self._buf = bytearray(capacity)
+        self._buf = zeroed(capacity)
         self._watermark = 0  # exclusive end of spilled data
         self._service_time = _service_histogram(env, self.name)
 
@@ -139,7 +140,7 @@ class _BufferedDevice(IDevice):
         self._watermark = max(self._watermark, addr + len(data))
 
     def _fetch(self, addr: int, size: int) -> bytes:
-        return bytes(self._buf[addr:addr + size])
+        return self._buf[addr:addr + size]
 
     def spill(self, addr: int, data: bytes) -> None:
         self._store(addr, data)

@@ -68,16 +68,23 @@ class FaultLog:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
-    def to_jsonl(self) -> str:
-        """Canonical one-line-per-event JSON (sorted keys, exact floats)."""
-        return "\n".join(
-            json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
-            for event in self._events)
-
     def digest(self) -> str:
         """SHA-256 over the canonical serialization -- the determinism
-        fingerprint two same-seed runs must share."""
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
+        fingerprint two same-seed runs must share.
+
+        The canonical form is one JSON line per event (sorted keys, no
+        whitespace, exact floats), newline-separated with no trailing
+        newline.  The lines are hashed as a stream, so the whole log is
+        never held as one string.
+        """
+        sha = hashlib.sha256()
+        separator = b""
+        for event in self._events:
+            sha.update(separator)
+            sha.update(json.dumps(event.to_dict(), sort_keys=True,
+                                  separators=(",", ":")).encode())
+            separator = b"\n"
+        return sha.hexdigest()
 
     def __repr__(self) -> str:
         return f"<FaultLog {len(self._events)} events>"

@@ -11,10 +11,11 @@ the cache manager.
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["AccessToken", "MemoryRegion", "RdmaAccessError"]
+__all__ = ["AccessToken", "MemoryRegion", "RdmaAccessError", "zeroed"]
 
 # Fallback id/key sources for regions that are never registered with a
 # fabric endpoint (unit tests poking a region directly).  Registered
@@ -24,6 +25,20 @@ __all__ = ["AccessToken", "MemoryRegion", "RdmaAccessError"]
 # routing tables and process names, which breaks bit-identical replay.
 _REGION_IDS = itertools.count(1)
 _TOKEN_KEYS = itertools.count(0x1000)
+
+
+def zeroed(size: int) -> mmap.mmap:
+    """A ``size``-byte zero-filled store that costs host memory only for
+    the pages written.
+
+    A private anonymous mapping reads as zeros: a read maps the kernel's
+    shared zero page, which the resident set does not count, and the
+    first write to a page allocates it.  Slice reads return ``bytes``
+    and slice writes behave as on a ``bytearray``, except that a
+    wrong-length assignment raises instead of resizing -- every writer
+    bounds-checks first, so no path relies on either.
+    """
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
 class RdmaAccessError(Exception):
@@ -44,8 +59,11 @@ class MemoryRegion:
 
     ``backing`` chooses whether the region actually stores bytes.  The
     functional cache path needs real bytes (a read must return what was
-    written); the performance-measurement path moves size-only payloads to
-    keep simulations fast, so it registers regions with ``backing=False``.
+    written).  A backed region is a :func:`zeroed` store, so it costs
+    host memory only for the pages the simulation writes, not for its
+    capacity.  The performance-measurement path moves size-only payloads
+    and registers regions with ``backing=False``, which also skips the
+    byte copies.
     """
 
     def __init__(self, size: int, backing: bool = True):
@@ -53,7 +71,7 @@ class MemoryRegion:
             raise ValueError(f"region size must be positive, got {size}")
         self.region_id = next(_REGION_IDS)
         self.size = size
-        self._buf: Optional[bytearray] = bytearray(size) if backing else None
+        self._buf: Optional[mmap.mmap] = zeroed(size) if backing else None
         self._token = AccessToken(
             region_id=self.region_id, key=next(_TOKEN_KEYS), size=size)
         self._revoked = False
@@ -128,7 +146,7 @@ class MemoryRegion:
         self.check_access(token, offset, length)
         if self._buf is None:
             return None
-        return bytes(self._buf[offset:offset + length])
+        return self._buf[offset:offset + length]
 
     def local_write(self, offset: int, data: bytes) -> None:
         """Server-local write (used by the cache server's request executor)."""
@@ -145,7 +163,7 @@ class MemoryRegion:
                 f"local read [{offset}, {offset + length}) out of bounds")
         if self._buf is None:
             return None
-        return bytes(self._buf[offset:offset + length])
+        return self._buf[offset:offset + length]
 
     def __repr__(self) -> str:
         backing = "backed" if self.has_backing else "unbacked"

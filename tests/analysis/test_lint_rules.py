@@ -20,7 +20,7 @@ EXPECTED_VIOLATIONS = {"D001": 2, "D002": 3, "D003": 3,
                        "D004": 2, "D005": 2, "D006": 2,
                        "L001": 2, "L002": 2, "L003": 2,
                        "L004": 2, "L005": 2, "L006": 2,
-                       "P001": 2, "P002": 2, "P003": 1, "P004": 1}
+                       "P001": 2, "P002": 2, "P003": 1}
 
 
 def findings_for(name, rules=None):

@@ -1,5 +1,8 @@
 """Tests for the IDevice implementations."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,27 @@ def run(env, event):
         return (yield event)
 
     return env.run_process(proc(env))
+
+
+def _resident_bytes():
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm")
+    return int(statm.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestLocalMemoryDevice:
+    def test_costs_host_memory_only_where_written(self):
+        size = 256 << 20
+        env = Environment()
+        before = _resident_bytes()
+        device = LocalMemoryDevice(env, size)
+        assert run(env, device.write(4096, b"w" * 4096)).ok
+        far = run(env, device.read(size - 4096, 4096))
+        grown = _resident_bytes() - before
+        assert far.ok and far.data == bytes(4096)
+        assert run(env, device.read(4096, 4096)).data == b"w" * 4096
+        assert grown < 16 << 20
 
 
 class TestSsdDevice:

@@ -1,5 +1,7 @@
 """Tests for the fault injector against a live simulated cluster."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Slo
@@ -240,10 +242,14 @@ class TestFaultLog:
         log.append(2.0, "link-down", "ep", duration_s=0.5)
         assert len(log) == 2
         assert log.kinds() == {"vm-kill": 1, "link-down": 1}
-        jsonl = log.to_jsonl()
-        assert jsonl.count("\n") == 1
-        # Canonical form: sorted keys, no whitespace.
-        assert '"detail":{"server":3}' in jsonl
+        # Canonical form: sorted keys, no whitespace, one line per
+        # event, newline-joined with no trailing newline.
+        jsonl = (
+            '{"detail":{"server":3},"kind":"vm-kill","target":"vm-1",'
+            '"time":1.0}\n'
+            '{"detail":{"duration_s":0.5},"kind":"link-down",'
+            '"target":"ep","time":2.0}')
+        assert log.digest() == hashlib.sha256(jsonl.encode()).hexdigest()
 
         other = FaultLog()
         other.append(1.0, "vm-kill", "vm-1", server=3)

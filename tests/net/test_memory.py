@@ -1,5 +1,8 @@
 """Unit tests for memory regions and access tokens."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.net import MemoryRegion, RdmaAccessError
@@ -59,3 +62,22 @@ def test_local_access_bypasses_token_but_not_bounds():
     assert region.local_read(0, 4) == b"abcd"
     with pytest.raises(RdmaAccessError):
         region.local_write(14, b"abcd")
+
+
+def _resident_bytes():
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm")
+    return int(statm.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def test_backed_region_costs_host_memory_only_where_written():
+    size = 256 << 20
+    before = _resident_bytes()
+    region = MemoryRegion(size)
+    region.local_write(4096, b"w" * 4096)
+    far = region.read(region.token, size - 4096, 4096)
+    grown = _resident_bytes() - before
+    assert far == bytes(4096)
+    assert region.local_read(4096, 4096) == b"w" * 4096
+    assert grown < 16 << 20
