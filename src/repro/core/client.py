@@ -406,12 +406,14 @@ class RedyCache:
         if kind == "d":
             return (yield from self._dependent_io(addr, size))
         is_read = kind == "r"
-        start = self.env.now
+        env = self.env
+        start = env.now
         try:
             fragments = self.table.translate(addr, size)
         except AddressError as exc:
             return CacheIoResult(ok=False, error=str(exc))
-        ops: list[tuple] = []
+        single = len(fragments) == 1
+        ops: list[EngineOp] = []
         for fragment in fragments:
             gate = (self.table.read_gate(fragment.region_index) if is_read
                     else self.table.write_gate(fragment.region_index))
@@ -425,32 +427,39 @@ class RedyCache:
                                fragment.buffer_offset + fragment.length]
             op = EngineOp(
                 is_read=is_read, size=fragment.length, token=mapping.token,
-                offset=fragment.offset, data=payload, tenant=tenant,
-                completion=self.env.event())
-            yield self.env.timeout(self.path.submission_overhead())
+                offset=fragment.offset, data=payload, tenant=tenant)
+            yield env.timeout(self.path.submission_overhead())
+            if single:
+                result = yield from self.path.io(op)
+                if not result.ok:
+                    return CacheIoResult(ok=False, error=result.error,
+                                         latency=env.now - start)
+                payload = None
+                if is_read:
+                    payload = (result.data if result.data is not None
+                               else bytes(size))
+                return CacheIoResult(ok=True, data=payload,
+                                     latency=env.now - start)
+            # Across regions the fragments are in flight together.
             yield self.path.submit(op)
-            ops.append((fragment, op))
-        if len(ops) == 1:
-            results = [(yield ops[0][1].completion)]
-        else:
-            results = yield self.env.all_of(
-                [op.completion for _f, op in ops])
+            ops.append(op)
+        results = yield env.all_of([op.completion for op in ops])
 
         failures = [r for r in results if not r.ok]
         if failures:
             return CacheIoResult(ok=False, error=failures[0].error,
-                                 latency=self.env.now - start)
+                                 latency=env.now - start)
         payload = None
         if is_read:
             buffer = bytearray(size)
-            for (fragment, _op), result in zip(ops, results):
+            for fragment, result in zip(fragments, results):
                 if result.data is not None:
                     buffer[fragment.buffer_offset:
                            fragment.buffer_offset + fragment.length] = \
                         result.data
             payload = bytes(buffer)
         return CacheIoResult(ok=True, data=payload,
-                             latency=self.env.now - start)
+                             latency=env.now - start)
 
     def _dependent_io(self, addr: int, size: int):
         """A dependent read handed to the data path as one engine op.
@@ -476,11 +485,9 @@ class RedyCache:
         token = self.table.region(fragment.region_index).token
         op = EngineOp(
             is_read=True, size=size, token=token, offset=0,
-            lookup_offset=fragment.offset, verify=True,
-            completion=self.env.event())
+            lookup_offset=fragment.offset, verify=True)
         yield self.env.timeout(self.path.submission_overhead())
-        yield self.path.submit(op)
-        result = yield op.completion
+        result = yield from self.path.io(op)
         return CacheIoResult(ok=result.ok, data=result.data,
                              error=result.error,
                              latency=self.env.now - start)

@@ -1,19 +1,28 @@
 """Client-side data path: the executable version of Figure 6.
 
 :class:`CacheDataPath` owns the client threads of one Redy cache.  Each
-client thread runs one RDMA connection per attached cache server, with:
+client thread runs one RDMA connection per attached cache server.  One
+generator, :meth:`CacheDataPath.io`, runs an op to its
+:class:`~repro.core.protocol.OpResult` in the caller's process
+(``result = yield from path.io(op)``):
 
-* a *batch ring* buffering application requests (backpressure included),
-* an issuer loop that gathers up to ``b`` requests, takes a queue-depth
-  credit, and either posts a one-sided verb (single-op batches on the
-  fast path, §4.3) or writes a request batch into the server's message
-  ring, and
-* a completion loop that reaps response batches from the client's
-  response ring, runs callbacks, and returns credits.
+* on a configuration whose ops are one verb each (``uses_one_sided``,
+  the §4.3 fast path), ``io`` issues, posts and reaps the verb itself.
+  A per-connection *issue slot* (one holder, FIFO) orders a
+  connection's ops as one sequential issuer would: an op takes its
+  queue-depth credit and the thread CPU only once the op ahead of it
+  is posted;
+* a dependent read never batches: ``io`` issues it, chases the pointer
+  (one verb program or two READs) and reaps it;
+* on a batching configuration ``io`` puts the op into the connection's
+  *batch ring* and waits for it.  An issuer loop gathers up to ``b``
+  requests, takes a credit and writes them into the server's message
+  ring as one batch; a completion loop reaps response batches from the
+  client's response ring, runs callbacks and returns credits.  Only
+  batching configurations run these loops.
 
-All CPU charges go through one per-thread ``Resource`` so that the
-issuer and completion sides cannot overlap in time -- they are the same
-hardware thread.
+All CPU charges go through one per-thread ``Resource`` so that issue and
+reap cannot overlap in time -- they are the same hardware thread.
 """
 
 from __future__ import annotations
@@ -81,7 +90,9 @@ class _Connection:
         self.outstanding: Dict[int, RequestBatch] = {}
         #: Whether the response watchdog has a deadline on the event list.
         self.watchdog_armed = False
-        self.closed = False
+        #: One-sided ops hold this from before their credit until after
+        #: their post, so they issue one at a time, in arrival order.
+        self.issue_slot = Resource(env, slots=1)
 
 
 class _ClientThread:
@@ -152,10 +163,11 @@ class CacheDataPath:
             self._fallback_counter = None
             self._cas_abort_counter = None
             self._tenant_ops_family = None
-        for thread in self.threads:
-            env.process(self._completion_loop(thread),
-                        name=f"redy-client:{client_endpoint.name}:"
-                             f"t{thread.index}:completions")
+        if not config.uses_one_sided:
+            for thread in self.threads:
+                env.process(self._completion_loop(thread),
+                            name=f"redy-client:{client_endpoint.name}:"
+                                 f"t{thread.index}:completions")
 
     # ------------------------------------------------------------------
     # Control plane
@@ -204,10 +216,11 @@ class CacheDataPath:
             thread.connections[server.endpoint.name] = connection
             for token in reply.region_tokens:
                 thread.routes[token.region_id] = connection
-            self.env.process(
-                self._issuer_loop(thread, connection),
-                name=f"redy-client:{self.endpoint.name}:t{thread.index}:"
-                     f"issue->{server.endpoint.name}")
+            if not config.uses_one_sided:
+                self.env.process(
+                    self._issuer_loop(thread, connection),
+                    name=f"redy-client:{self.endpoint.name}:"
+                         f"t{thread.index}:issue->{server.endpoint.name}")
         return reply.region_tokens
 
     def add_route(self, region_id: int, server_name: str) -> None:
@@ -241,16 +254,16 @@ class CacheDataPath:
                 - self._jitter_sigma**2 / 2)
         return cost
 
-    def submit(self, op: EngineOp, thread_index: Optional[int] = None) -> Event:
-        """Queue one op; returns an event that fires when the op is in the
-        batch ring (backpressure point).  The op's own ``completion``
-        event fires with its :class:`OpResult` when the I/O finishes.
-        A dependent read skips the ring, so its hand-off is a
-        :class:`Ready` the caller continues past at once.
+    def io(self, op: EngineOp, thread_index: Optional[int] = None):
+        """Run ``op`` on a client thread; returns its :class:`OpResult`.
+
+        A generator for the caller's process: ``result = yield from
+        path.io(op)``.  A one-sided op and a dependent read run issue,
+        post and reap right here; a batching configuration's op goes
+        through the batch ring and its ``completion`` event.
         """
-        if op.completion is None:
-            op.completion = self.env.event()
-        op.enqueued_at = self.env.now
+        env = self.env
+        op.enqueued_at = env.now
         if thread_index is None:
             thread_index = self._round_robin % len(self.threads)
             self._round_robin += 1
@@ -264,12 +277,48 @@ class CacheDataPath:
                 raise EngineError("dependent reads need a region token")
             if op.weight != 1:
                 raise EngineError("dependent reads are weight-1 ops")
-            self.env.process(
-                self._bypass(thread, connection, op),
-                name=f"redy-client:{self.endpoint.name}:"
-                     f"t{thread.index}:dependent-read")
-            return Ready(self.env)
-        return connection.batch_ring.put(op)
+            return (yield from self._bypass(thread, connection, op))
+        if not self.config.uses_one_sided:
+            if op.completion is None:
+                op.completion = env.event()
+            yield connection.batch_ring.put(op)
+            return (yield op.completion)
+        if op.token is None:
+            raise EngineError("one-sided ops need a region token")
+        if op.weight != 1:
+            raise EngineError("one-sided ops are weight-1 ops")
+        slot = connection.issue_slot
+        yield slot.acquire()
+        try:
+            yield from self._issue(thread, connection, op)
+            done = connection.qp.post(WorkRequest(
+                RdmaOp.READ if op.is_read else RdmaOp.WRITE,
+                op.token, op.offset, op.size, data=op.data))
+        finally:
+            slot.release()
+        completed_at_post = done.triggered
+        completion = yield done
+        if completed_at_post:
+            # A post to a QP in the error state completes inside post();
+            # a waiter spawned at post found it processed and resumed
+            # one hop after its dispatch.  Keep that hop.
+            yield env.timeout(0)
+        return (yield from self._reap(thread, connection, op, completion))
+
+    def submit(self, op: EngineOp,
+               thread_index: Optional[int] = None) -> Event:
+        """Start ``op`` for a caller that waits on events rather than
+        running it in its own process (a cache I/O across regions keeps
+        its fragments in flight together this way): :meth:`io` runs in
+        a process of its own, and ``op.completion`` (created here when
+        unset) fires with the op's :class:`OpResult`.  Returns a
+        :class:`Ready`: nothing waits for the op to be accepted.
+        """
+        if op.completion is None:
+            op.completion = self.env.event()
+        self.env.start(self.io(op, thread_index),
+                       name=f"redy-client:{self.endpoint.name}:submit")
+        return Ready(self.env)
 
     def _route(self, thread: _ClientThread, op: EngineOp) -> _Connection:
         if op.token is not None:
@@ -304,11 +353,10 @@ class CacheDataPath:
         per_op = cpu.client_per_op
         numa_affinity = config.numa_affinity
         lock_free = config.lock_free
-        uses_one_sided = config.uses_one_sided
         batch_weight = self._batch_weight
         credit_wait = self._credit_wait
         sigma = self.profile.measurement_noise
-        while not connection.closed:
+        while True:
             first = yield ring_get()
             batch_ops = [first]
             weight = first.weight
@@ -341,19 +389,14 @@ class CacheDataPath:
             yield env.timeout(work * noise)
             cpu_release()
 
-            one_sided = (len(batch_ops) == 1 and first.weight == 1
-                         and uses_one_sided and first.token is not None)
-            if one_sided:
-                self._post_one_sided(thread, connection, first)
-            else:
-                batch = RequestBatch(ops=batch_ops,
-                                     connection_id=connection.connection_id,
-                                     created_at=env.now)
-                connection.outstanding[batch.batch_id] = batch
-                wr = WorkRequest(
-                    RdmaOp.WRITE, connection.request_ring_token, 0,
-                    batch.wire_bytes, payload_object=batch, signaled=False)
-                self._watch_batch(connection, batch, connection.qp.post(wr))
+            batch = RequestBatch(ops=batch_ops,
+                                 connection_id=connection.connection_id,
+                                 created_at=env.now)
+            connection.outstanding[batch.batch_id] = batch
+            wr = WorkRequest(
+                RdmaOp.WRITE, connection.request_ring_token, 0,
+                batch.wire_bytes, payload_object=batch, signaled=False)
+            self._watch_batch(connection, batch, connection.qp.post(wr))
 
     def _on_completion(self, event: Event,
                        callback: Callable[[Event], None]) -> None:
@@ -373,32 +416,30 @@ class CacheDataPath:
         else:
             event._add_callback(callback)
 
-    def _post_one_sided(self, thread: _ClientThread, connection: _Connection,
-                        op: EngineOp) -> None:
-        """Post one op as a single verb; its completion starts the reap
-        (see :meth:`_on_completion`)."""
-        verb = RdmaOp.READ if op.is_read else RdmaOp.WRITE
-        wr = WorkRequest(verb, op.token, op.offset, op.size, data=op.data)
-        start = self.env.start
-        self._on_completion(
-            connection.qp.post(wr),
-            lambda event: start(
-                self._reap(thread, connection, op, event._value),
-                name="redy-client:one-sided-completion"))
-
     def _bypass(self, thread: _ClientThread, connection: _Connection,
                 op: EngineOp):
         """A dependent GET outside the batching protocol: issue, chase
-        (see :meth:`_chase`), reap."""
-        yield from self._issue(thread, connection)
+        (see :meth:`_chase`), reap; returns the op's result."""
+        yield from self._issue(thread, connection, op)
         completion = yield from self._chase(thread, connection, op)
-        yield from self._reap(thread, connection, op, completion)
+        return (yield from self._reap(thread, connection, op, completion))
 
-    def _issue(self, thread: _ClientThread, connection: _Connection):
+    def _issue(self, thread: _ClientThread, connection: _Connection,
+               op: EngineOp):
         """Take a queue-depth credit, then charge the client CPU for
-        building and posting one work request."""
+        building and posting one work request.
+
+        A one-sided op came through the batch ring as a one-op batch:
+        it observes batch weight 1 and pays the ring consumer's charges
+        (cross-NUMA work, the mutex when the ring is not lock-free), as
+        the issuer loop charges a batch.  A dependent read bypasses the
+        ring and pays neither.
+        """
         env = self.env
         cpu, nic = self.profile.cpu, self.profile.nic
+        dequeued = not op.is_dependent
+        if dequeued and self._batch_weight is not None:
+            self._batch_weight.observe(1)
         credit_wait_started = env.now
         yield connection.credits.get()
         if self._credit_wait is not None:
@@ -406,6 +447,13 @@ class CacheDataPath:
         yield thread.cpu.acquire()
         try:
             work = cpu.batch_prepare + nic.doorbell + cpu.client_per_op
+            if dequeued:
+                if not self.config.numa_affinity:
+                    work += cpu.numa_cpu_per_op
+                if not self.config.lock_free:
+                    work += cpu.handoff_locked + cpu.lock_contention_mean * (
+                        math.exp(self.rng.normal(0.0, self._lock_sigma)
+                                 - self._lock_sigma**2 / 2))
             yield env.timeout(work * self._noise())
         finally:
             thread.cpu.release()
@@ -414,7 +462,14 @@ class CacheDataPath:
               op: EngineOp, completion: Completion):
         """Reap one verb completion: poll + callback on the client CPU,
         the cross-NUMA hop when threads are not affinitized, then return
-        the credit and settle the op."""
+        the credit and settle the op; returns its result.
+
+        An op run in its caller's process (no ``completion`` event)
+        returns into that process at once -- unless another entry is
+        due at this instant: then one zero hop puts the caller behind
+        it, where a waiter on the op's completion event would have
+        resumed.
+        """
         env = self.env
         cpu = self.profile.cpu
         yield thread.cpu.acquire()
@@ -428,9 +483,13 @@ class CacheDataPath:
                 self.rng.normal(0.0, self._jitter_sigma)
                 - self._jitter_sigma**2 / 2))
         connection.credits.try_put(object())
-        self._finish(op, OpResult(
+        result = OpResult(
             ok=completion.ok, data=completion.data, error=completion.error,
-            latency=env.now - op.enqueued_at))
+            latency=env.now - op.enqueued_at)
+        self._finish(op, result)
+        if op.completion is None and env.due_now():
+            yield env.timeout(0)
+        return result
 
     def _chase(self, thread: _ClientThread, connection: _Connection,
                op: EngineOp):

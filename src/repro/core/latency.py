@@ -212,8 +212,8 @@ class DataPathModel:
         # Client thread: build the batch, reap the response, run callbacks.
         per_op_cpu = 2 * cpu.client_per_op + cpu.callback + self._numa_cpu(config)
         if not config.lock_free:
-            # Consumer side of the contended queue (see the engine's
-            # issuer loop for the matching charge).
+            # Consumer side of the contended queue (the engine charges
+            # it in `CacheDataPath._issue` and in the batch issuer loop).
             per_op_cpu += cpu.handoff_locked + cpu.lock_contention_mean
         client = (cpu.batch_prepare + nic.doorbell + nic.completion_poll
                   + b * per_op_cpu)

@@ -158,8 +158,7 @@ def measure_config(config: RdmaConfig, record_size: int, *,
         draw = workload_rng.random
         overhead = path.submission_overhead
         timeout = env.timeout
-        new_event = env.event
-        submit = path.submit
+        io = path.io
         n_offsets = len(offsets)
         append_latency = latencies.append
         while not state["stop"]:
@@ -174,15 +173,14 @@ def measure_config(config: RdmaConfig, record_size: int, *,
                     offset=int(offsets[offset_cursor % n_offsets]),
                     lookup_offset=int(
                         lookup_offsets[offset_cursor % n_offsets]),
-                    weight=1, completion=new_event())
+                    weight=1)
             else:
                 op = EngineOp(
                     is_read=is_read, size=record_size, token=token,
                     offset=int(offsets[offset_cursor % n_offsets]),
-                    weight=weight, completion=new_event())
+                    weight=weight)
             offset_cursor += 1
-            yield submit(op, thread_index=thread_index)
-            result = yield op.completion
+            result = yield from io(op, thread_index=thread_index)
             if not result.ok:
                 raise RuntimeError(f"measurement op failed: {result.error}")
             state["completed"] += 1

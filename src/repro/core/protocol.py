@@ -45,6 +45,9 @@ class EngineOp:
     offset: int = 0
     data: Optional[bytes] = None
     weight: int = 1
+    #: Fires with the op's :class:`OpResult`; the data path creates it
+    #: only for an op that waits in a batch ring or that ``submit``
+    #: starts.
     completion: Optional[Event] = None
     enqueued_at: float = 0.0
     #: Dependent read: offset of the pointer word to chase first.  The
@@ -94,7 +97,7 @@ class EngineOp:
 
 @dataclass
 class OpResult:
-    """Outcome of one :class:`EngineOp`, delivered via its completion event."""
+    """Outcome of one :class:`EngineOp`, as ``CacheDataPath.io`` returns it."""
 
     ok: bool
     data: Optional[bytes] = None

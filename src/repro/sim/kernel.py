@@ -630,6 +630,16 @@ class Environment:
             return len(self._heap)
         return len(self._immediate) + len(self._near)
 
+    def due_now(self) -> bool:
+        """Whether an entry is due at the current instant: one that runs
+        before anything the running step schedules now."""
+        if self._use_heap:
+            heap = self._heap
+            return bool(heap) and heap[0][0] <= self._now
+        near = self._near
+        return bool(self._immediate) or (
+            bool(near) and near[0][0] <= self._now)
+
     def _has_pending(self) -> bool:
         if self._use_heap:
             return bool(self._heap)

@@ -40,8 +40,7 @@ def make_stack(config, *, seed=0, metrics=None):
 def run_op(env, path, op):
     def proc(env):
         yield env.timeout(path.submission_overhead())
-        yield path.submit(op)
-        result = yield op.completion
+        result = yield from path.io(op)
         return result, env.now
 
     return env.run_process(proc(env))
@@ -50,20 +49,17 @@ def run_op(env, path, op):
 def seed_chain(env, path, token, *, pointer_offset=64, record_offset=4096,
                payload=b"r" * 32):
     write = EngineOp(is_read=False, size=len(payload), token=token,
-                     offset=record_offset, data=payload,
-                     completion=env.event())
+                     offset=record_offset, data=payload)
     assert run_op(env, path, write)[0].ok
     swing = EngineOp(is_read=False, size=8, token=token,
                      offset=pointer_offset,
-                     data=struct.pack("<Q", record_offset),
-                     completion=env.event())
+                     data=struct.pack("<Q", record_offset))
     assert run_op(env, path, swing)[0].ok
 
 
 def dependent_op(env, token, size=32, *, pointer_offset=64, verify=True):
     return EngineOp(is_read=True, size=size, token=token, offset=0,
-                    lookup_offset=pointer_offset, verify=verify,
-                    completion=env.event())
+                    lookup_offset=pointer_offset, verify=verify)
 
 
 class TestEngineDependentReads:
@@ -121,8 +117,7 @@ class TestEngineDependentReads:
             env.process(mover(env))
             op = dependent_op(env, token, size=256 * 1024)
             yield env.timeout(path.submission_overhead())
-            yield path.submit(op)
-            return (yield op.completion)
+            return (yield from path.io(op))
 
         result = env.run_process(proc(env))
         assert result.ok

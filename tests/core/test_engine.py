@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import RdmaConfig
+from repro.analysis.sanitize import KernelMonitor
+from repro.core import RdmaConfig, Slo
 from repro.core.engine import CacheDataPath, EngineError
 from repro.core.protocol import EngineOp
 from repro.core.server import CacheServer
@@ -20,6 +21,7 @@ from repro.net import (
 )
 from repro.sim import US, Environment
 from repro.sim.rng import RngRegistry
+from repro.workloads.scenarios import build_cluster
 
 
 SCHEDULERS = ["calendar", "heap"]
@@ -44,9 +46,7 @@ def make_stack(config, *, backed=True, region_size=1 << 20, n_regions=1,
 def run_op(env, path, op):
     def proc(env):
         yield env.timeout(path.submission_overhead())
-        yield path.submit(op)
-        result = yield op.completion
-        return result
+        return (yield from path.io(op))
 
     return env.run_process(proc(env))
 
@@ -63,14 +63,12 @@ class TestSingleOpReap:
             config = RdmaConfig(1, 0, 1, 4, numa_affinity=numa_affinity)
             env, _, path, tokens = make_stack(config, seed=3)
             op = EngineOp(is_read=True, size=8, token=tokens[0],
-                          lookup_offset=0 if dependent else None,
-                          completion=env.event())
+                          lookup_offset=0 if dependent else None)
 
             def proc(env):
-                # Submitted directly: submission_overhead() would draw
-                # NUMA jitter from the same RNG stream before the op.
-                yield path.submit(op)
-                return (yield op.completion)
+                # Run directly: submission_overhead() would draw NUMA
+                # jitter from the same RNG stream before the op.
+                return (yield from path.io(op))
 
             result = env.run_process(proc(env))
             assert result.ok
@@ -79,11 +77,51 @@ class TestSingleOpReap:
         assert latency(False) > latency(True)
 
 
+class TestInProcessOps:
+    """A one-sided op runs issue, post and reap in its caller's process:
+    the verb's executor is the only process it spawns."""
+
+    def test_one_sided_read_io_spawns_only_the_verb_executor(self):
+        harness = build_cluster(seed=0)
+        cache = harness.redy_client("spawns").create(
+            1 << 20, Slo(max_latency=20e-6, min_throughput=2e6,
+                         record_size=64),
+            region_bytes=1 << 20)
+        assert cache.allocation.config.uses_one_sided
+        env = harness.env
+        spawned = []
+
+        class Spawns(KernelMonitor):
+            def on_spawn(self, process):
+                spawned.append(process.name)
+
+        def reader():
+            env.monitor = Spawns()
+            try:
+                return (yield from cache.read_io(4096, 64))
+            finally:
+                env.monitor = None
+
+        assert env.run_process(reader()).ok
+        assert len(spawned) == 1 and spawned[0].startswith("qp:")
+
+    def test_submit_runs_the_op_and_fires_its_completion(self):
+        env, _, path, tokens = make_stack(RdmaConfig(1, 0, 1, 4))
+        op = EngineOp(is_read=False, size=4, token=tokens[0], data=b"abcd")
+
+        def proc(env):
+            yield path.submit(op)
+            return (yield op.completion)
+
+        assert env.run_process(proc(env)).ok
+        assert path.ops_completed == 1
+
+
 class TestCompletionCallbacks:
-    """The engine reaps one-sided verbs and watches posted batches with
-    completion callbacks, not waiter processes.  A callback must run
-    exactly where a waiter spawned at post time would have resumed --
-    also when the post completed at once (a QP in the error state)."""
+    """The engine watches posted batches with completion callbacks, not
+    waiter processes.  A callback must run exactly where a waiter
+    spawned at post time would have resumed -- also when the post
+    completed at once (a QP in the error state)."""
 
     @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
     @pytest.mark.parametrize("at_post", [False, True],
@@ -215,10 +253,9 @@ class TestFunctionalDataPath:
         env, _, path, tokens = make_stack(RdmaConfig(1, 0, 1, 4))
         token = tokens[0]
         write = EngineOp(is_read=False, size=11, token=token, offset=64,
-                         data=b"hello redy!", completion=env.event())
+                         data=b"hello redy!")
         assert run_op(env, path, write).ok
-        read = EngineOp(is_read=True, size=11, token=token, offset=64,
-                        completion=env.event())
+        read = EngineOp(is_read=True, size=11, token=token, offset=64)
         result = run_op(env, path, read)
         assert result.ok
         assert result.data == b"hello redy!"
@@ -228,10 +265,9 @@ class TestFunctionalDataPath:
         env, _, path, tokens = make_stack(config)
         token = tokens[0]
         write = EngineOp(is_read=False, size=5, token=token, offset=100,
-                         data=b"batch", completion=env.event())
+                         data=b"batch")
         assert run_op(env, path, write).ok
-        read = EngineOp(is_read=True, size=5, token=token, offset=100,
-                        completion=env.event())
+        read = EngineOp(is_read=True, size=5, token=token, offset=100)
         result = run_op(env, path, read)
         assert result.ok
         assert result.data == b"batch"
@@ -242,14 +278,11 @@ class TestFunctionalDataPath:
         token = tokens[0]
 
         def proc(env):
-            ops = []
-            for i in range(8):
-                op = EngineOp(is_read=False, size=4, token=token,
-                              offset=i * 4, data=b"abcd",
-                              completion=env.event())
-                yield path.submit(op, thread_index=0)
-                ops.append(op)
-            yield env.all_of([op.completion for op in ops])
+            ops = [env.process(path.io(
+                EngineOp(is_read=False, size=4, token=token, offset=i * 4,
+                         data=b"abcd"), thread_index=0))
+                for i in range(8)]
+            yield env.all_of(ops)
 
         env.run_process(proc(env))
         # Eight ops submitted back-to-back on one thread with b=8 should
@@ -261,8 +294,7 @@ class TestFunctionalDataPath:
         env, _, path, tokens = make_stack(RdmaConfig(1, 1, 4, 4,
                                                      one_sided_fast_path=False),
                                           region_size=128)
-        op = EngineOp(is_read=True, size=64, token=tokens[0], offset=100,
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=64, token=tokens[0], offset=100)
         result = run_op(env, path, op)
         assert not result.ok
         assert "out of bounds" in result.error or "outside" in result.error
@@ -273,29 +305,26 @@ class TestFunctionalDataPath:
         for i, token in enumerate(tokens):
             payload = bytes([i]) * 8
             write = EngineOp(is_read=False, size=8, token=token, offset=0,
-                             data=payload, completion=env.event())
+                             data=payload)
             assert run_op(env, path, write).ok
         for i, token in enumerate(tokens):
-            read = EngineOp(is_read=True, size=8, token=token, offset=0,
-                            completion=env.event())
+            read = EngineOp(is_read=True, size=8, token=token, offset=0)
             assert run_op(env, path, read).data == bytes([i]) * 8
 
     def test_unknown_region_rejected(self):
         env, _, path, _ = make_stack(RdmaConfig(1, 0, 1, 4))
         from repro.net.memory import AccessToken
         bogus = AccessToken(region_id=999999, key=1, size=64)
-        op = EngineOp(is_read=True, size=8, token=bogus,
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=8, token=bogus)
         with pytest.raises(EngineError):
-            path.submit(op)
+            env.run_process(path.io(op))
 
 
 class TestFailureVisibility:
     def test_server_failure_fails_one_sided_ops(self):
         env, server, path, tokens = make_stack(RdmaConfig(1, 0, 1, 4))
         server.fail()
-        op = EngineOp(is_read=True, size=8, token=tokens[0],
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=8, token=tokens[0])
         result = run_op(env, path, op)
         assert not result.ok
 
@@ -303,8 +332,7 @@ class TestFailureVisibility:
         config = RdmaConfig(1, 1, 4, 4, one_sided_fast_path=False)
         env, server, path, tokens = make_stack(config)
         server.fail()
-        op = EngineOp(is_read=True, size=8, token=tokens[0],
-                      completion=env.event())
+        op = EngineOp(is_read=True, size=8, token=tokens[0])
         result = run_op(env, path, op)
         assert not result.ok
         assert path.ops_failed == 1
@@ -313,8 +341,7 @@ class TestFailureVisibility:
 class TestStatistics:
     def test_completed_weight_counts_logical_ops(self):
         env, _, path, tokens = make_stack(RdmaConfig(1, 1, 8, 4))
-        op = EngineOp(is_read=False, size=8, token=tokens[0], weight=8,
-                      completion=env.event())
+        op = EngineOp(is_read=False, size=8, token=tokens[0], weight=8)
         run_op(env, path, op)
         assert path.ops_completed == 1
         assert path.completed_weight == 8
@@ -351,15 +378,14 @@ class TestResponseTimeout:
         connection = path.threads[0].connections["server"]
 
         def scenario(env):
-            op = EngineOp(is_read=True, size=8, token=tokens[0],
-                          completion=env.event())
-            yield path.submit(op, thread_index=0)
+            op = EngineOp(is_read=True, size=8, token=tokens[0])
+            running = env.process(path.io(op, thread_index=0))
             # Let the request land (delivery ~2.4us), then kill the VM
             # mid-processing, before any response can be posted (~3.3us).
             yield env.timeout(2.6e-6)
             (batch,) = connection.outstanding.values()
             server.fail()
-            result = yield op.completion
+            result = yield running
             return result, env.now, batch.created_at + path.op_timeout
 
         result, when, deadline = env.run_process(scenario(env))
@@ -376,10 +402,8 @@ class TestResponseTimeout:
             results = []
             for i in range(10):
                 op = EngineOp(is_read=False, size=8, token=tokens[0],
-                              offset=i * 8, data=bytes([i]) * 8,
-                              completion=env.event())
-                yield path.submit(op, thread_index=0)
-                results.append((yield op.completion))
+                              offset=i * 8, data=bytes([i]) * 8)
+                results.append((yield from path.io(op, thread_index=0)))
             # Run past every watchdog deadline: nothing double-fires.
             yield env.timeout(0.01)
             return results
@@ -408,15 +432,15 @@ class TestResponseTimeout:
             answered = []
             for i in range(ops):
                 op = EngineOp(is_read=True, size=8, token=tokens[0],
-                              offset=i * 8, completion=env.event())
-                yield path.submit(op, thread_index=index)
+                              offset=i * 8)
+                running = env.process(path.io(op, thread_index=index))
                 if i in stuck[index]:
-                    op.completion._add_callback(
+                    running._add_callback(
                         lambda event, op=op: failed_at.setdefault(
                             id(op), env.now))
                     yield env.timeout(20e-6)  # newer batches go out behind
                 else:
-                    answered.append((yield op.completion))
+                    answered.append((yield running))
             return answered
 
         clients = [env.process(client(env, 0, 8)),
@@ -443,9 +467,9 @@ class TestResponseTimeout:
         def scenario(env):
             for i in range(8):
                 op = EngineOp(is_read=True, size=8, token=tokens[0],
-                              offset=i * 8, completion=env.event())
+                              offset=i * 8)
                 ops.append(op)
-                yield path.submit(op, thread_index=0)
+                env.process(path.io(op, thread_index=0))
                 yield env.timeout(1e-6)
             # Every request write has landed; only deadlines remain.
             yield env.timeout(20e-6)
@@ -469,12 +493,11 @@ class TestResponseTimeout:
             connection = path.threads[0].connections["server"]
 
             def scenario(env):
-                op = EngineOp(is_read=True, size=8, token=tokens[0],
-                              completion=env.event())
-                yield path.submit(op, thread_index=0)
+                op = EngineOp(is_read=True, size=8, token=tokens[0])
+                running = env.process(path.io(op, thread_index=0))
                 yield env.timeout(1e-6)
                 (batch,) = connection.outstanding.values()
-                result = yield op.completion
+                result = yield running
                 return result, batch.created_at, env.now
 
             outcome = env.run_process(scenario(env))

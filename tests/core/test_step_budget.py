@@ -23,15 +23,22 @@ from repro.tenant import TenantSpec, TenantTier
 from repro.workloads.scenarios import build_cluster, build_faster_store
 
 #: Kernel steps of one uncontended 64 B write then read of the same
-#: address on an idle testbed (one-sided configuration).
-READ_WRITE_STEPS = 25
+#: address on an idle testbed (one-sided configuration).  25 while each
+#: op went through the batch ring, the issuer loop and a reap process.
+READ_WRITE_STEPS = 21
 #: Kernel steps of a small two-sided closed-loop measurement.
 MEASURE_STEPS = 2551
 #: Kernel steps of one FasterKv read that misses local memory and is
-#: served by the Redy tier of the tiered device.
-FASTER_REDY_READ_STEPS = 14
-#: Kernel steps of one TenantTier read through a one-member router.
-TENANT_READ_STEPS = 15
+#: served by the Redy tier of the tiered device (14 with the ring hand-off
+#: and the reap process).
+FASTER_REDY_READ_STEPS = 12
+#: Kernel steps of one dependent read through a cache (the classic
+#: two-hop chase: pointer READ, client turnaround, record READ).  19 when
+#: the read ran in a process of its own and handed back its result.
+DEPENDENT_READ_STEPS = 17
+#: Kernel steps of one TenantTier read through a one-member router (15
+#: with the ring hand-off and the reap process).
+TENANT_READ_STEPS = 13
 #: Kernel steps of two concurrent 1 MiB writes from one endpoint, on two
 #: QPs.  The second queues for the tx link by reservation, which costs
 #: no dispatch of its own.
@@ -100,6 +107,22 @@ def test_faster_read_served_by_redy_step_budget():
     _check("one FasterKv read served by Redy", FASTER_REDY_READ_STEPS, steps)
 
 
+def test_dependent_read_step_budget():
+    harness = build_cluster(seed=0)
+    cache = harness.redy_client("budget").create(
+        1 << 20, Slo(max_latency=20e-6, min_throughput=2e6, record_size=64),
+        region_bytes=1 << 20)
+    cache.load(64, (4096).to_bytes(8, "little"))
+    cache.load(4096, b"d" * 64)
+
+    def body():
+        return (yield cache.dependent_read(64, 64))
+
+    result, steps = _steps_of(harness.env, body)
+    assert result.ok and result.data == b"d" * 64
+    _check("one dependent read", DEPENDENT_READ_STEPS, steps)
+
+
 def test_tenant_read_step_budget():
     harness = build_cluster(seed=0)
     member = harness.redy_client("budget").create(
@@ -152,10 +175,8 @@ def test_two_sided_batch_step_budget():
     (token,) = path.attach_server(server, n_regions=1, region_size=4096)
 
     def body():
-        op = EngineOp(is_read=False, size=8, token=token, data=b"2-sided!",
-                      completion=env.event())
-        yield path.submit(op)
-        return (yield op.completion)
+        op = EngineOp(is_read=False, size=8, token=token, data=b"2-sided!")
+        return (yield from path.io(op))
 
     result, steps = _steps_of(env, body)
     assert result.ok and server.batches_processed == 1

@@ -207,3 +207,21 @@ def test_ready_handed_to_a_combinator_becomes_an_ordinary_event():
 
     env.run_process(waiter())
     assert resource.in_use == 0
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_due_now_sees_what_else_this_instant_runs(scheduler):
+    env = Environment(scheduler=scheduler)
+    seen = []
+
+    def second(_event):
+        seen.append(env.due_now())  # nothing else is due
+        env.event().succeed()
+        seen.append(env.due_now())  # the event's dispatch is
+
+    # The first timeout's callback sees the second, due at its instant.
+    env.timeout(1 * US)._add_callback(lambda _: seen.append(env.due_now()))
+    env.timeout(1 * US)._add_callback(second)
+    env.timeout(2 * US)._add_callback(lambda _: seen.append(env.due_now()))
+    env.run()
+    assert seen == [True, False, True, False]

@@ -195,17 +195,19 @@ def _one_sided_round_trip(seed):
     return harness.env.run_process(driver())
 
 
-def test_callback_started_reap_traces_identically_on_both_loops():
+def test_in_process_reap_traces_identically_on_both_loops():
     calendar, blob = _record(_one_sided_round_trip, 0)
     heap, heap_blob = _record(_one_sided_round_trip, 0, scheduler="heap")
     assert blob == heap_blob and blob[:3] == [True, True, True]
     assert calendar.entries == heap.entries
-    # Each reap is spawned by the completion's callback and steps at
-    # once: no bootstrap entry separates its spawn from its first step.
+    # Each I/O process issues, posts and reaps its verb itself; the only
+    # process it spawns is the verb's executor, which the post starts in
+    # place: no bootstrap entry separates its spawn from its first step.
     entries = calendar.entries
-    reaps = [i for i, entry in enumerate(entries)
-             if entry[0] == "spawn"
-             and entry[2] == "redy-client:one-sided-completion"]
-    assert len(reaps) == 2
-    for i in reaps:
+    spawns = [i for i, entry in enumerate(entries) if entry[0] == "spawn"]
+    # After the top-level process: each I/O and its verb's executor.
+    assert [entries[i][2].split(":")[0] for i in spawns[1:]] == [
+        "redy-io-w@4096", "qp", "redy-io-r@4096", "qp"]
+    executors = [i for i in spawns if entries[i][2].startswith("qp:")]
+    for i in executors:
         assert entries[i + 1][:3] == ("step",) + entries[i][1:3]
