@@ -14,7 +14,7 @@ Convenience launcher for a repository checkout:
   (``repro.analysis``) over source paths; exit 0 clean, 1 findings,
   2 internal error;
 * ``python -m repro gate spot-churn`` -- run one registered scenario
-  (``repro.gates``) on both kernel event loops, demand identical
+  (``repro.gates``) twice, demand in-order dispatch and identical
   traces and blobs, and check its invariants; ``--all`` gates every
   entry, no name lists them; exit 0 pass, 1 failures, 2 internal error;
 * ``python -m repro examples`` -- list the example applications.
@@ -219,9 +219,9 @@ def cmd_gate(name: str | None, run_all: bool, seed: int,
              as_json: bool) -> int:
     """Run registered scenarios through the gate harness (``repro.gates``).
 
-    Each entry runs on the default and the heap kernel event loop; both
-    traces and both blobs must match, and the blob must pass the entry's
-    invariants.  Without a name (and without ``--all``) lists the
+    Each entry runs twice: every dispatch must follow the reference
+    ``(when, insertion)`` order, both traces and both blobs must match,
+    and the blob must pass the entry's invariants.  Without a name (and without ``--all``) lists the
     registry.  Exit codes follow the analysis contract: 0 every entry
     passed, 1 failures, 2 internal error (mapped in :func:`main`).
     """
@@ -300,8 +300,8 @@ def main(argv: list[str] | None = None) -> int:
                            "(default: all, e.g. D001,D003)")
     gate = sub.add_parser(
         "gate",
-        help="run registered scenarios on both event loops and check "
-             "their invariants")
+        help="run registered scenarios twice, check dispatch order, "
+             "replay and their invariants")
     gate.add_argument("name", nargs="?", default=None,
                       help="entry to gate (omit to list the registry)")
     gate.add_argument("--all", action="store_true", dest="run_all",

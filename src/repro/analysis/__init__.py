@@ -9,9 +9,10 @@ fault logs, shard replays, and content-addressed sweep caching):
   unsorted digest JSON).  Run it as ``python -m repro lint``.
 * **Dynamic** -- :mod:`repro.analysis.sanitize`, a replay-divergence
   sanitizer that runs a workload twice from one seed and bisects the
-  first diverging kernel event.  ``python -m repro gate``
-  (:mod:`repro.gates`) runs every registered scenario through it on
-  both kernel event loops.
+  first diverging kernel event; its recorder also checks every dispatch
+  against a reference ``(when, insertion)`` heap.  ``python -m repro
+  gate`` (:mod:`repro.gates`) runs every registered scenario through
+  it.
 
 Both prongs report through :mod:`repro.analysis.report` (text or JSON)
 and share the exit-code contract: 0 clean, 1 findings, 2 internal error.

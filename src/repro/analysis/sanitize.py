@@ -14,8 +14,10 @@ The recorder observes workloads that build their own Environments
 internally via :func:`repro.sim.kernel.set_default_monitor`; RNG
 observation monkeypatches :meth:`RngRegistry.stream` for the duration
 of the run (wrappers are cached so stream identity is preserved).
+While it records, the recorder also checks the kernel's dispatch order
+against a reference heap of its own (:class:`DispatchOrder`).
 :mod:`repro.gates` runs every registered scenario through the same
-recorder, once per kernel event loop.
+recorder twice: a replay check and an order check in one harness.
 
 Usage::
 
@@ -28,20 +30,23 @@ from __future__ import annotations
 import contextlib
 import hashlib
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.report import Finding
 from repro.sim import kernel
 from repro.sim.rng import RngRegistry
 
-__all__ = ["DivergenceReport", "KernelMonitor", "TraceRecorder", "sanitize"]
+__all__ = ["DispatchOrder", "DivergenceReport", "KernelMonitor",
+           "TraceRecorder", "sanitize"]
 
 
 class KernelMonitor:
     """Hook protocol the kernel drives when ``Environment.monitor`` is set.
 
     The base class is a no-op so subclasses implement only the edges
-    they care about; :class:`TraceRecorder` is the one in this package.
+    they care about; :class:`DispatchOrder` and its extension
+    :class:`TraceRecorder` are the ones in this package.
     """
 
     def on_spawn(self, process: Any) -> None:
@@ -57,8 +62,92 @@ class KernelMonitor:
     def on_trigger(self, event: Any) -> None:
         """The current context triggered ``event`` (succeed or fail)."""
 
+    def on_schedule(self, when: float, fn: Any, arg: Any) -> None:
+        """The kernel put the entry ``fn(arg)`` on the event list, due at
+        ``when``.  ``arg`` is always an event (its ``env`` owns the
+        list)."""
 
-class TraceRecorder(KernelMonitor):
+    def on_dispatch(self, fn: Any, arg: Any) -> None:
+        """The kernel took ``fn(arg)`` off the event list and is about to
+        call it (``arg.env.now`` is already the entry's instant)."""
+
+
+def _describe(when: float, index: Optional[int], fn: Any,
+              arg: Any) -> list:
+    """``[when, insertion index, handler, argument type]`` of an entry;
+    the index is None for one the check never saw scheduled."""
+    return [when, index, getattr(fn, "__qualname__", type(fn).__name__),
+            type(arg).__name__]
+
+
+class DispatchOrder(KernelMonitor):
+    """Checks that the kernel dispatches in ``(when, insertion)`` order.
+
+    Per Environment it keeps a reference heap of ``(when, insertion
+    index, fn, arg)`` for every entry scheduled and not yet dispatched.
+    Each dispatch must be that heap's minimum: the same ``fn`` and
+    ``arg`` by identity, at ``env.now == when``.  Anything else counts
+    in :attr:`mismatches`, and the first one is described in
+    :attr:`first_mismatch`.  The check lets go of an entry before the
+    kernel calls it, so the kernel's reference-count proofs (recycling,
+    unobserved exits) decide exactly as in an unmonitored run.  Attach
+    it before the Environment schedules anything.
+    """
+
+    def __init__(self) -> None:
+        #: Per Environment: the entries it has scheduled and not yet
+        #: dispatched, as a heap (dropped once empty).
+        self.pending: Dict[Any, List[tuple]] = {}
+        self._scheduled = 0
+        self.dispatches = 0
+        self.mismatches = 0
+        self.first_mismatch: Optional[Dict[str, Any]] = None
+
+    def on_schedule(self, when: float, fn: Any, arg: Any) -> None:
+        heap = self.pending.get(arg.env)
+        if heap is None:
+            heap = self.pending[arg.env] = []
+        self._scheduled += 1
+        heappush(heap, (when, self._scheduled, fn, arg))
+
+    def on_dispatch(self, fn: Any, arg: Any) -> None:
+        self.dispatches += 1
+        env = arg.env
+        heap = self.pending.get(env)
+        if heap:
+            when, _index, expected_fn, expected_arg = heap[0]
+            if (expected_fn is fn and expected_arg is arg
+                    and when == env.now):
+                heappop(heap)
+                if not heap:
+                    del self.pending[env]
+                return
+        self._mismatch(env, fn, arg, heap or [])
+
+    def _mismatch(self, env: Any, fn: Any, arg: Any,
+                  heap: List[tuple]) -> None:
+        """Record an out-of-order dispatch, then drop the dispatched
+        entry from the reference heap so later dispatches are checked
+        against the entries still pending."""
+        self.mismatches += 1
+        position = next((i for i, entry in enumerate(heap)
+                         if entry[2] is fn and entry[3] is arg), None)
+        if self.first_mismatch is None:
+            index = None if position is None else heap[position][1]
+            self.first_mismatch = {
+                "dispatch": self.dispatches,
+                "expected": _describe(*heap[0]) if heap else None,
+                "dispatched": _describe(env.now, index, fn, arg),
+            }
+        if position is not None:
+            heap[position] = heap[-1]
+            heap.pop()
+            heapify(heap)
+            if not heap:
+                del self.pending[env]
+
+
+class TraceRecorder(DispatchOrder):
     """Records the kernel schedule (and RNG draws) as a flat trace.
 
     Entry shapes (all tuples, repr-stable across runs):
@@ -70,10 +159,13 @@ class TraceRecorder(KernelMonitor):
     * ``("rng", stream, method)`` -- one draw from a registry stream.
 
     Processes are identified by a deterministic spawn index, never by
-    ``id()``, so two identical runs produce byte-identical traces.
+    ``id()``, so two identical runs produce byte-identical traces.  The
+    recorder checks dispatch order as :class:`DispatchOrder` does; that
+    check adds nothing to :attr:`entries`.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self.entries: List[tuple] = []
         self.rng_counts: Dict[str, int] = {}
         self._pids: Dict[Any, int] = {}
@@ -228,29 +320,23 @@ class DivergenceReport:
             })]
 
 
-def _record(workload: Callable[[int], Any], seed: int,
-            scheduler: Optional[str] = None) -> Tuple[TraceRecorder, Any]:
+def _record(workload: Callable[[int], Any],
+            seed: int) -> Tuple[TraceRecorder, Any]:
     """Run ``workload(seed)`` once under full instrumentation.
 
     Returns the recorder and whatever the workload returned.
 
     Every install here is paired with a ``finally`` restore so a raising
-    workload can never leak the recorder (or a scheduler override) into
-    the caller's process-wide state.
+    workload can never leak the recorder into the caller's process-wide
+    state.
     """
     recorder = TraceRecorder()
-    previous_scheduler = (kernel.set_default_scheduler(scheduler)
-                          if scheduler is not None else None)
+    previous = kernel.set_default_monitor(recorder)
     try:
-        previous = kernel.set_default_monitor(recorder)
-        try:
-            with _instrumented_rng(recorder):
-                value = workload(seed)
-        finally:
-            kernel.set_default_monitor(previous)
+        with _instrumented_rng(recorder):
+            value = workload(seed)
     finally:
-        if scheduler is not None:
-            kernel.set_default_scheduler(previous_scheduler)
+        kernel.set_default_monitor(previous)
     return recorder, value
 
 

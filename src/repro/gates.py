@@ -8,18 +8,17 @@ reads do, pooled connection storms leak nothing -- is one
 own cluster and returns a JSON-able blob, and an ``invariants(blob)``
 that returns one line per violated check.
 
-:func:`check` is the harness.  It records the run with the replay
-sanitizer's :class:`~repro.analysis.sanitize.TraceRecorder` (every
-kernel scheduling action and every RNG draw) twice: once on the default
-event loop, once on the ``"heap"`` reference loop.  Both traces and
-both blobs must be identical.  On a mismatch it bisects the first
-diverging kernel event and runs the default loop a third time: if that
-run disagrees with the first, the scenario does not replay from its
-seed (a *replay* bug: leaked state, wall clock, unordered iteration);
-if it agrees, only the event-list implementation changed the run (an
-*ordering* bug in the kernel).  Then it applies the invariants to the
-default loop's blob.  :func:`gate` wraps any number of entries into one
-``repro.gate/v1`` report.
+:func:`check` is the harness.  It records the run twice with the
+replay sanitizer's :class:`~repro.analysis.sanitize.TraceRecorder`
+(every kernel scheduling action and every RNG draw).  While recording,
+the recorder holds every dispatch to the ``(when, insertion)`` order of
+a reference heap of its own; a dispatch out of that order is an
+*ordering* bug in the kernel.  The two runs' traces and blobs must be
+identical; if they are not, the harness bisects the first diverging
+kernel event and reports a *replay* bug (the scenario does not replay
+from its seed: leaked state, wall clock, unordered iteration).  Then it
+applies the invariants to the first run's blob.  :func:`gate` wraps any
+number of entries into one ``repro.gate/v1`` report.
 
 Kernel work is a reviewed number too.  ``gate_events.json``, next to
 this module, holds every entry's seed-0 ``events`` (the trace length).
@@ -39,7 +38,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from repro.analysis.sanitize import _compare, _record
+from repro.analysis.sanitize import TraceRecorder, _compare, _record
 from repro.core import Slo
 from repro.core.config import RdmaConfig
 from repro.core.measurement import measure_config
@@ -628,40 +627,50 @@ def _events_failures(name: str, seed: int, events: int) -> List[str]:
             f"record the new count in {EVENTS_FILE.name}"]
 
 
-def _divergence(kind: str, report) -> Tuple[dict, List[str]]:
-    """The report's divergence record and its failure lines."""
+def _ordering(name: str, run: TraceRecorder) -> Tuple[dict, List[str]]:
+    """The divergence record and failure line of a misordered run."""
+    first = run.first_mismatch
+    return ({"kind": "ordering", "entry": name,
+             "mismatches": run.mismatches, "dispatches": run.dispatches,
+             **first},
+            [f"ordering bug: {name} dispatched {run.mismatches} of "
+             f"{run.dispatches} entries out of (when, insertion) order; "
+             f"first at dispatch {first['dispatch']}: expected "
+             f"{first['expected']}, got {first['dispatched']}"])
+
+
+def _replay(name: str, report) -> Tuple[dict, List[str]]:
+    """The divergence record and failure lines of a run that did not
+    replay."""
     if report.deterministic:
-        return ({"kind": kind, "runs": report.label},
-                [f"{kind} bug: {report.label} traces agree but the blobs "
+        return ({"kind": "replay", "entry": name, "runs": report.label},
+                [f"replay bug: {report.label} traces agree but the blobs "
                  "differ"])
     finding = report.to_findings()[0].to_dict()
-    return ({"kind": kind, "runs": report.label, **finding["detail"],
-             "attribution": finding["hint"]},
-            [f"{kind} bug: {report.label} {finding['message']}",
+    return ({"kind": "replay", "entry": name, "runs": report.label,
+             **finding["detail"], "attribution": finding["hint"]},
+            [f"replay bug: {report.label} {finding['message']}",
              f"attribution: {finding['hint']}"])
 
 
 def check(name: str, seed: int = 0) -> dict:
     """Gate one registered scenario; returns its report entry.
 
-    The entry is ``ok`` only if the default and heap loops traced and
-    returned identically, no invariant failed, and (at seed 0) its
+    The entry is ``ok`` only if both runs dispatched in order, traced
+    and returned identically, no invariant failed, and (at seed 0) its
     kernel events equal the recorded count.
     """
     scenario = SCENARIOS[name]
-    default, blob = _record(scenario.run, seed)
-    heap, heap_blob = _record(scenario.run, seed, scheduler="heap")
-    report = _compare(default, heap, seed, f"{name}[default-vs-heap]", 5)
+    first, blob = _record(scenario.run, seed)
+    replay, replay_blob = _record(scenario.run, seed)
+    report = _compare(first, replay, seed, f"{name}[run-vs-replay]", 5)
+    misordered = first if first.mismatches else replay
     divergence, failures = None, []
-    if not report.deterministic or _canonical(heap_blob) != _canonical(blob):
-        # A third default-loop run tells a replay bug from an ordering bug.
-        again, again_blob = _record(scenario.run, seed)
-        rerun = _compare(default, again, seed,
-                         f"{name}[default-vs-default]", 5)
-        if rerun.deterministic and _canonical(again_blob) == _canonical(blob):
-            divergence, failures = _divergence("ordering", report)
-        else:
-            divergence, failures = _divergence("replay", rerun)
+    if misordered.mismatches:
+        divergence, failures = _ordering(name, misordered)
+    elif not report.deterministic or (
+            _canonical(replay_blob) != _canonical(blob)):
+        divergence, failures = _replay(name, report)
     failures += scenario.invariants(blob)
     failures += _events_failures(name, seed, report.events_a)
     return {
@@ -692,8 +701,8 @@ def format_report(report: dict) -> str:
     lines = []
     for entry in report["entries"]:
         if entry["divergence"] is None:
-            replay = (f"{entry['events']:>9,} kernel events, default == heap "
-                      f"(digest {entry['digest'][:16]})")
+            replay = (f"{entry['events']:>9,} kernel events, in order, "
+                      f"replayed (digest {entry['digest'][:16]})")
         else:
             replay = f"{entry['divergence']['kind']} divergence"
         lines.append(f"{'PASS' if entry['ok'] else 'FAIL'} "

@@ -7,8 +7,6 @@ measurement substrate:
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of counters,
   gauges, and fixed-bucket latency histograms (p50/p99 without storing
   samples), cheap enough for the simulator's hot paths;
-* :mod:`repro.obs.tracing` -- lightweight spans keyed to *simulated*
-  time, for auditing where an operation's latency went;
 * :mod:`repro.obs.export` -- JSON snapshots, used by the benchmark
   suite to persist ``BENCH_*.json`` metric blobs alongside each figure.
 
@@ -33,7 +31,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.tracing import Span, Tracer
 from repro.obs.export import snapshot, to_json, write_json
 
 __all__ = [
@@ -42,8 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Span",
-    "Tracer",
     "snapshot",
     "to_json",
     "write_json",

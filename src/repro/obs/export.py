@@ -13,7 +13,6 @@ machine-diffable across PRs.  Schema::
       "event_loop": {"steps": ..., "events": ..., "immediate_calls": ...,
                      "process_failures": ..., "pending": ...},  # when env given
       "metrics": {"<dotted.name>": {"type": ..., ...}, ...},
-      "spans": [...],                                     # when tracer given
       "extra": {...}                                      # caller context
     }
 """
@@ -26,7 +25,6 @@ import pathlib
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 
 __all__ = ["SCHEMA", "snapshot", "to_json", "write_json", "format_table"]
 
@@ -45,7 +43,7 @@ def _jsonable(value: Any) -> Any:
 
 
 def snapshot(registry: MetricsRegistry, *, name: str = "",
-             env=None, tracer: Optional[Tracer] = None,
+             env=None,
              extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """One self-describing dict of everything the run measured."""
     blob: Dict[str, Any] = {
@@ -56,31 +54,26 @@ def snapshot(registry: MetricsRegistry, *, name: str = "",
     if env is not None:
         blob["sim_now"] = env.now
         blob["event_loop"] = env.event_loop_stats()
-    if tracer is not None:
-        blob["spans"] = tracer.to_list()
-        if tracer.dropped:
-            blob["spans_dropped"] = tracer.dropped
     if extra:
         blob["extra"] = extra
     return _jsonable(blob)
 
 
 def to_json(registry: MetricsRegistry, *, name: str = "", env=None,
-            tracer: Optional[Tracer] = None,
             extra: Optional[Dict[str, Any]] = None, indent: int = 2) -> str:
     return json.dumps(
-        snapshot(registry, name=name, env=env, tracer=tracer, extra=extra),
+        snapshot(registry, name=name, env=env, extra=extra),
         indent=indent, sort_keys=True)
 
 
 def write_json(path, registry: MetricsRegistry, *, name: str = "",
-               env=None, tracer: Optional[Tracer] = None,
+               env=None,
                extra: Optional[Dict[str, Any]] = None) -> pathlib.Path:
     """Write the snapshot to ``path`` and return it."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(to_json(registry, name=name or path.stem, env=env,
-                            tracer=tracer, extra=extra) + "\n")
+                            extra=extra) + "\n")
     return path
 
 

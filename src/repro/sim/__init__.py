@@ -23,7 +23,6 @@ from repro.sim.kernel import (
     Ready,
     SimulationError,
     Timeout,
-    set_default_scheduler,
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
@@ -43,5 +42,4 @@ __all__ = [
     "Store",
     "Timeout",
     "US",
-    "set_default_scheduler",
 ]

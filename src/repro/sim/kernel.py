@@ -6,20 +6,14 @@ The kernel follows the classic event-list design: an
 events.  When a yielded event fires, the process resumes with the event's
 value (or the event's exception is thrown into it).
 
-Two interchangeable schedulers implement the event list (selected per
-Environment, or process-wide via :func:`set_default_scheduler`):
-
-* ``"calendar"`` (default) -- work due *now* lives in a plain FIFO
-  deque (O(1) append/pop), and everything later sits on one binary
-  heap.  Most traffic is same-instant, so most entries never touch the
-  heap.
-* ``"heap"`` -- the original single binary heap, kept as the ordering
-  reference for the scheduler-equivalence suite and the gate harness
-  (``repro gate``, which runs every registered scenario on both loops).
-
-Scheduler choice is **not observable** in event ordering: both dispatch
-in exactly the same ``(when, insertion-order)`` total order, which the
-scheduler-equivalence suite and ``repro gate`` verify trace-for-trace.
+The event list has two parts: work due *now* lives in a plain FIFO
+deque (O(1) append/pop), and everything later sits on one binary heap.
+Most traffic is same-instant, so most entries never touch the heap.
+Dispatch follows exactly the ``(when, insertion-order)`` total order.
+An attached monitor sees every insertion and every dispatch;
+:class:`repro.analysis.sanitize.DispatchOrder`, which the replay
+sanitizer's trace recorder extends, checks that order against a
+reference heap of its own.
 
 The feature set is intentionally small -- timeouts, one-shot events,
 ready (already-satisfied) events and processes -- because that is
@@ -48,15 +42,11 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "set_default_monitor",
-    "set_default_scheduler",
 ]
 
 #: Monitor installed on every Environment created while set (see
 #: :func:`set_default_monitor`).  ``None`` keeps the kernel hook-free.
 _default_monitor: Optional[Any] = None
-
-#: Scheduler used by Environments that do not pass one explicitly.
-_default_scheduler: str = "calendar"
 
 #: Per-class cap on the Event/Timeout/Process freelists.
 _FREELIST_MAX = 512
@@ -75,25 +65,6 @@ def set_default_monitor(monitor: Optional[Any]) -> Optional[Any]:
     global _default_monitor
     previous = _default_monitor
     _default_monitor = monitor
-    return previous
-
-
-def set_default_scheduler(scheduler: Optional[str]) -> str:
-    """Select the event-list implementation for new Environments.
-
-    ``"calendar"`` (the default) or ``"heap"``; ``None`` restores
-    ``"calendar"``.  Returns the previous default so callers can
-    restore it (the gate harness wraps its heap runs this way).
-    Existing Environments are unaffected.
-    """
-    global _default_scheduler
-    if scheduler is None:
-        scheduler = "calendar"
-    if scheduler not in ("calendar", "heap"):
-        raise SimulationError(
-            f"unknown scheduler {scheduler!r}; expected 'calendar' or 'heap'")
-    previous = _default_scheduler
-    _default_scheduler = scheduler
     return previous
 
 
@@ -157,18 +128,14 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        # Inlined Environment scheduling: succeed() fires once per
-        # simulated operation, and the delay is always zero -- on the
-        # default loop that is a plain deque append.
+        # Inlined Environment._enqueue: succeed() fires once per
+        # simulated operation, and the delay is always zero -- a plain
+        # deque append.
         env = self.env
-        if env._use_heap:
-            env._sequence += 1
-            heappush(env._heap, (env._now, env._sequence,
-                                 _EVENT_DISPATCH, self))
-        else:
-            env._immediate.append((_EVENT_DISPATCH, self))
+        env._immediate.append((_EVENT_DISPATCH, self))
         monitor = env.monitor
         if monitor is not None:
+            monitor.on_schedule(env._now, _EVENT_DISPATCH, self)
             monitor.on_trigger(self)
         return self
 
@@ -562,28 +529,14 @@ class AnyOf(_Combinator):
 class Environment:
     """Owns simulated time and the event list."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        if scheduler is None:
-            scheduler = _default_scheduler
-        if scheduler not in ("calendar", "heap"):
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; "
-                f"expected 'calendar' or 'heap'")
-        #: Which event-list implementation this Environment runs on
-        #: (``"calendar"`` or ``"heap"``); fixed at construction.
-        self.scheduler = scheduler
-        self._use_heap = scheduler == "heap"
-        # -- heap scheduler state --
-        self._heap: list[tuple] = []
-        # -- default ("calendar") scheduler state --
         # Work due at the current instant: a plain FIFO deque (appends
         # at `now` happen in sequence order, so FIFO *is* seq order).
         self._immediate: deque = deque()
         # Everything scheduled for a later instant: one binary heap.
         self._near: list[tuple] = []
-        # -- interned-struct freelists (fed by the default run loop) --
+        # -- interned-struct freelists (fed by the run loop) --
         self._event_free: list[Event] = []
         self._timeout_free: list[Timeout] = []
         self._process_free: list[Process] = []
@@ -600,9 +553,10 @@ class Environment:
         self.metrics: Any = None
         #: Kernel monitor (see
         #: :class:`repro.analysis.sanitize.KernelMonitor`): receives
-        #: spawn/step/resume/trigger hooks when set.  Inherits the
-        #: process-wide default so the replay sanitizer can observe
-        #: workloads that construct their own Environments.
+        #: spawn/step/resume/trigger and schedule/dispatch hooks when
+        #: set.  Inherits the process-wide default so the replay
+        #: sanitizer can observe workloads that construct their own
+        #: Environments.
         self.monitor: Any = _default_monitor
         # Event-loop statistics (cheap ints, always on).
         self._steps = 0
@@ -626,23 +580,16 @@ class Environment:
         }
 
     def _pending_count(self) -> int:
-        if self._use_heap:
-            return len(self._heap)
         return len(self._immediate) + len(self._near)
 
     def due_now(self) -> bool:
         """Whether an entry is due at the current instant: one that runs
         before anything the running step schedules now."""
-        if self._use_heap:
-            heap = self._heap
-            return bool(heap) and heap[0][0] <= self._now
         near = self._near
         return bool(self._immediate) or (
             bool(near) and near[0][0] <= self._now)
 
     def _has_pending(self) -> bool:
-        if self._use_heap:
-            return bool(self._heap)
         return bool(self._immediate or self._near)
 
     # -- factories ---------------------------------------------------------
@@ -682,23 +629,19 @@ class Environment:
         timeout._triggered = True
         timeout._processed = False
         timeout.on_abandon = None
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap, (self._now + delay, self._sequence,
-                                  _EVENT_DISPATCH, timeout))
+        now = self._now
+        when = now + delay
+        if when == now:
+            # Zero delay (or one too small to move the float clock):
+            # due at the current instant, FIFO behind earlier arrivals.
+            self._immediate.append((_EVENT_DISPATCH, timeout))
         else:
-            now = self._now
-            when = now + delay
-            if when == now:
-                # Zero delay (or one too small to move the float clock):
-                # due at the current instant, FIFO behind earlier arrivals.
-                self._immediate.append((_EVENT_DISPATCH, timeout))
-            else:
-                seq = self._sequence + 1
-                self._sequence = seq
-                heappush(self._near, (when, seq, _EVENT_DISPATCH, timeout))
+            seq = self._sequence + 1
+            self._sequence = seq
+            heappush(self._near, (when, seq, _EVENT_DISPATCH, timeout))
         monitor = self.monitor
         if monitor is not None:
+            monitor.on_schedule(when, _EVENT_DISPATCH, timeout)
             monitor.on_trigger(timeout)
         return timeout
 
@@ -728,11 +671,7 @@ class Environment:
         timeout._triggered = True
         timeout._processed = False
         timeout.on_abandon = None
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap, (when, self._sequence, _EVENT_DISPATCH,
-                                  timeout))
-        elif when == now:
+        if when == now:
             self._immediate.append((_EVENT_DISPATCH, timeout))
         else:
             seq = self._sequence + 1
@@ -740,6 +679,7 @@ class Environment:
             heappush(self._near, (when, seq, _EVENT_DISPATCH, timeout))
         monitor = self.monitor
         if monitor is not None:
+            monitor.on_schedule(when, _EVENT_DISPATCH, timeout)
             monitor.on_trigger(timeout)
         return timeout
 
@@ -832,40 +772,34 @@ class Environment:
     # bootstrap schedule plain bound/class methods instead of allocating
     # a closure per call.
     #
-    # On the default loop, entries due at the current instant skip the
-    # sequence counter entirely and land on the FIFO deque: nothing
-    # already queued for `now` can carry a larger timestamp, and FIFO
-    # order *is* insertion order -- so the (when, sequence) total order
-    # is preserved without a single comparison.  Only future entries pay
-    # for a sequence number and a heap push.  The scheduler-equivalence
-    # suite pins this ordering against the reference heap.
+    # Entries due at the current instant skip the sequence counter
+    # entirely and land on the FIFO deque: nothing already queued for
+    # `now` can carry a larger timestamp, and FIFO order *is* insertion
+    # order -- so the (when, sequence) total order is preserved without
+    # a single comparison.  Only future entries pay for a sequence
+    # number and a heap push.  A monitor sees every insertion
+    # (``on_schedule``) and every dispatch (``on_dispatch``, before the
+    # handler runs); ``DispatchOrder`` checks this order against a
+    # plain heap from those two hooks.
 
     def _enqueue(self, event: Event) -> None:
         """Schedule ``event``'s dispatch at the current instant."""
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap,
-                     (self._now, self._sequence, _EVENT_DISPATCH, event))
-        else:
-            self._immediate.append((_EVENT_DISPATCH, event))
+        self._immediate.append((_EVENT_DISPATCH, event))
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_schedule(self._now, _EVENT_DISPATCH, event)
 
     def _call_soon(self, fn: Callable[[Any], None], arg: Any) -> None:
-        if self._use_heap:
-            self._sequence += 1
-            heappush(self._heap, (self._now, self._sequence, fn, arg))
-        else:
-            self._immediate.append((fn, arg))
+        self._immediate.append((fn, arg))
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_schedule(self._now, fn, arg)
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
         """Process the next entry on the event list."""
-        if self._use_heap:
-            if not self._heap:
-                raise SimulationError("step() on an empty event list")
-            when, _seq, fn, arg = heappop(self._heap)
-            self._now = when
-        elif self._near and self._near[0][0] <= self._now:
+        if self._near and self._near[0][0] <= self._now:
             _when, _seq, fn, arg = heappop(self._near)
         elif self._immediate:
             fn, arg = self._immediate.popleft()
@@ -879,6 +813,9 @@ class Environment:
             self._events_processed += 1
         else:
             self._immediate_calls += 1
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_dispatch(fn, arg)
         fn(arg)
 
     def run(self, until: Optional[float] = None) -> None:
@@ -887,23 +824,16 @@ class Environment:
         ``until`` is an absolute timestamp; when reached, ``now`` is set to
         exactly ``until`` so callers can resume cleanly.
 
-        The dispatch loops inline :meth:`step` (same semantics, verified
-        by the kernel tests and the scheduler-equivalence suite): this
-        is 75% of a measurement run, and the per-entry method call,
-        bound-counter updates, and re-checked ``until`` guard are
-        measurable at tens of thousands of steps per simulated second.
-        Loop statistics accumulate in locals and are flushed even when a
-        handler raises.
+        The loop inlines :meth:`step` (same semantics, verified by the
+        kernel tests and the dispatch-order suite): this is 75% of a
+        measurement run, and the per-entry method call, bound-counter
+        updates, and re-checked ``until`` guard are measurable at tens
+        of thousands of steps per simulated second.  Loop statistics
+        accumulate in locals and are flushed even when a handler raises.
         """
         if until is not None and until < self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})")
-        if self._use_heap:
-            self._run_heap(until)
-        else:
-            self._run_calendar(until)
-
-    def _run_calendar(self, until: Optional[float]) -> None:
         immediate = self._immediate
         near = self._near
         dispatch = _EVENT_DISPATCH
@@ -919,6 +849,7 @@ class Environment:
         timeout_cls = Timeout
         event_cls = Event
         process_cls = Process
+        monitor = self.monitor
         now = self._now
         steps = events = 0
         try:
@@ -939,6 +870,8 @@ class Environment:
                 while near and near[0][0] <= now:
                     _when, _seq, fn, arg = pop_heap(near)
                     steps += 1
+                    if monitor is not None:
+                        monitor.on_dispatch(fn, arg)
                     if fn is dispatch:
                         # Inlined Event._run_callbacks (the overwhelmingly
                         # common entry kind): one fewer frame per event.
@@ -976,6 +909,8 @@ class Environment:
                 while immediate:
                     fn, arg = pop_immediate()
                     steps += 1
+                    if monitor is not None:
+                        monitor.on_dispatch(fn, arg)
                     if fn is dispatch:
                         events += 1
                         arg._processed = True
@@ -1010,49 +945,6 @@ class Environment:
                     return
                 now = when
                 self._now = when
-        finally:
-            self._steps += steps
-            self._events_processed += events
-            self._immediate_calls += steps - events
-
-    def _run_heap(self, until: Optional[float]) -> None:
-        # The original single-heap dispatch loop, kept as the A/B
-        # reference scheduler.
-        heap = self._heap
-        dispatch = _EVENT_DISPATCH
-        steps = events = 0
-        try:
-            if until is None:
-                while heap:
-                    when, _seq, fn, arg = heappop(heap)
-                    self._now = when
-                    steps += 1
-                    if fn is dispatch:
-                        events += 1
-                        arg._processed = True
-                        callbacks = arg.callbacks
-                        if callbacks is not None:
-                            arg.callbacks = None
-                            for callback in callbacks:
-                                callback(arg)
-                    else:
-                        fn(arg)
-                return
-            while heap and heap[0][0] <= until:
-                when, _seq, fn, arg = heappop(heap)
-                self._now = when
-                steps += 1
-                if fn is dispatch:
-                    events += 1
-                    arg._processed = True
-                    callbacks = arg.callbacks
-                    if callbacks is not None:
-                        arg.callbacks = None
-                        for callback in callbacks:
-                            callback(arg)
-                else:
-                    fn(arg)
-            self._now = until
         finally:
             self._steps += steps
             self._events_processed += events

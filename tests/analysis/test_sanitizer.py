@@ -134,25 +134,32 @@ def _raising_workload(seed):
 
 def test_monitor_restored_when_workload_raises():
     # Exception safety: a raising workload must not leak the recorder
-    # (or an RNG wrapper, or a scheduler override) into process state.
+    # (or an RNG wrapper) into process state.
     with pytest.raises(RuntimeError, match="workload blew up"):
         _record(_raising_workload, seed=0)
     assert kernel.set_default_monitor(None) is None
     assert RngRegistry.stream.__qualname__ == "RngRegistry.stream"
 
 
-def test_scheduler_restored_when_workload_raises():
-    before = kernel.set_default_scheduler(None)  # pin a known default
-    try:
+def test_nested_record_restores_the_outer_monitor():
+    # A recording inside a recorded workload hands the outer recorder
+    # back when it raises, so the outer run keeps checking its order.
+    def outer(seed):
         with pytest.raises(RuntimeError):
-            _record(_raising_workload, seed=0, scheduler="heap")
-        assert kernel.set_default_scheduler(None) == "calendar"
-        assert kernel.set_default_monitor(None) is None
-    finally:
-        kernel.set_default_scheduler(before)
+            _record(_raising_workload, seed)
+        current = kernel.set_default_monitor(None)
+        kernel.set_default_monitor(current)
+        return current
+
+    recorder, inner_monitor = _record(outer, seed=0)
+    assert inner_monitor is recorder
+    assert kernel.set_default_monitor(None) is None
 
 
-def test_cross_scheduler_gate_on_clean_workload(monkeypatch):
+def test_recorder_checks_order_on_clean_workload(monkeypatch):
+    recorder, _ = _record(_deterministic_workload, seed=3)
+    assert recorder.dispatches > 0 and recorder.mismatches == 0
+    assert recorder.pending == {}  # every scheduled entry was dispatched
     monkeypatch.setitem(gates.SCENARIOS, "det", gates.Scenario(
         _deterministic_workload, lambda blob: []))
     entry = gates.check("det", seed=3)
@@ -161,10 +168,12 @@ def test_cross_scheduler_gate_on_clean_workload(monkeypatch):
     assert entry["events"] > 0 and len(entry["digest"]) == 64
 
 
-def test_cross_scheduler_gate_on_measurement_path():
+def test_gate_checks_order_on_measurement_path():
+    recorder, _ = _record(gates.SCENARIOS["measure"].run, seed=0)
+    assert recorder.dispatches > 500 and recorder.mismatches == 0
     entry = gates.check("measure", seed=0)
     assert entry["ok"], entry["failures"]
-    assert entry["divergence"] is None  # default == heap, trace and blob
+    assert entry["divergence"] is None  # in order, trace and blob replay
     assert entry["events"] > 500
 
 

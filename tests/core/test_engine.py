@@ -24,13 +24,16 @@ from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_cluster
 
 
-SCHEDULERS = ["calendar", "heap"]
+#: Every case runs bare and under the dispatch-order check (see
+#: ``tests/conftest.py``).
+LOOPS = ["calendar", "heap"]
 
 
 def make_stack(config, *, backed=True, region_size=1 << 20, n_regions=1,
-               seed=0, model_control_plane=False, scheduler=None):
+               seed=0, model_control_plane=False, env=None):
     rngs = RngRegistry(seed)
-    env = Environment(scheduler=scheduler)
+    if env is None:
+        env = Environment()
     fabric = Fabric(env, AZURE_HPC,
                     model_control_plane=model_control_plane)
     client_ep = fabric.add_endpoint("client", Placement())
@@ -123,13 +126,13 @@ class TestCompletionCallbacks:
     spawned at post time would have resumed -- also when the post
     completed at once (a QP in the error state)."""
 
-    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+    @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
     @pytest.mark.parametrize("at_post", [False, True],
                              ids=["pending", "completed-at-post"])
-    def test_callback_runs_where_a_spawned_waiter_resumed(self, scheduler,
+    def test_callback_runs_where_a_spawned_waiter_resumed(self, make_env,
                                                           at_post):
         def order(use_callback):
-            env = Environment(scheduler=scheduler)
+            env = make_env()
             log = []
 
             def bystander(tag):
@@ -163,7 +166,7 @@ class TestCompletionCallbacks:
         assert order(use_callback=True) == order(use_callback=False)
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
 class TestInPlaceLaunchFailurePaths:
     """A verb's executor starts inside ``post()`` (and inside ``_finish``
     and the post-establishment backlog drain), not on a bootstrap entry.
@@ -173,8 +176,8 @@ class TestInPlaceLaunchFailurePaths:
     log is what bootstrapped launches produce."""
 
     @staticmethod
-    def _pair(scheduler, depth=1, deferred=False):
-        env = Environment(scheduler=scheduler)
+    def _pair(make_env, depth=1, deferred=False):
+        env = make_env()
         fabric = Fabric(env, AZURE_HPC)
         client = fabric.add_endpoint("client")
         server = fabric.add_endpoint("server")
@@ -183,8 +186,8 @@ class TestInPlaceLaunchFailurePaths:
                        deferred=deferred)
         return env, client, qp, WorkRequest(RdmaOp.READ, region.token, 0, 8)
 
-    def test_post_from_a_dead_requester(self, scheduler):
-        env, client, qp, wr = self._pair(scheduler)
+    def test_post_from_a_dead_requester(self, make_env):
+        env, client, qp, wr = self._pair(make_env)
         log = []
 
         def bystander():
@@ -207,8 +210,8 @@ class TestInPlaceLaunchFailurePaths:
         assert log == ["bystander", "marker",
                        ("done", "local endpoint down"), "bystander+"]
 
-    def test_backlog_launch_from_finish(self, scheduler):
-        env, client, qp, wr = self._pair(scheduler)
+    def test_backlog_launch_from_finish(self, make_env):
+        env, client, qp, wr = self._pair(make_env)
         log = []
         first = qp.post(wr)
         second = qp.post(WorkRequest(RdmaOp.READ, wr.token, 8, 8))
@@ -225,12 +228,12 @@ class TestInPlaceLaunchFailurePaths:
         assert log == [("first", None), ("second", "local endpoint down")]
         assert first.value.completed_at == second.value.completed_at
 
-    def test_backlog_drain_after_establishment(self, scheduler):
-        probe_env, _, probe, _ = self._pair(scheduler, deferred=True)
+    def test_backlog_drain_after_establishment(self, make_env):
+        probe_env, _, probe, _ = self._pair(make_env, deferred=True)
         probe.establish()
         probe_env.run()
 
-        env, client, qp, wr = self._pair(scheduler, deferred=True)
+        env, client, qp, wr = self._pair(make_env, deferred=True)
         log = []
         qp.post(wr)._add_callback(
             lambda event: log.append(("done", event.value.error)))
@@ -412,14 +415,14 @@ class TestResponseTimeout:
         assert all(r.ok for r in results)
         assert path.ops_failed == 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_stuck_batches_fail_at_their_own_deadlines(self, scheduler):
+    @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+    def test_stuck_batches_fail_at_their_own_deadlines(self, make_env):
         """Two server threads, one per connection.  On each connection
         the oldest batch is lost and newer ones are answered; later a
         second batch is lost on connection 0.  Every lost batch fails at
         its own deadline, and no answered batch fails."""
         config = RdmaConfig(2, 2, 1, 4, one_sided_fast_path=False)
-        env, server, path, tokens = make_stack(config, scheduler=scheduler)
+        env, server, path, tokens = make_stack(config, env=make_env())
         path.op_timeout = 0.001
         stuck = {0: {0, 5}, 1: {0}}  # per connection: lost op indices
         lost_per_connection = [_drop_requests(
@@ -455,12 +458,12 @@ class TestResponseTimeout:
             assert "no response" in op.completion.value.error
             assert failed_at[id(op)] == batch.created_at + path.op_timeout
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_outstanding_batches_share_one_deadline_entry(self, scheduler):
+    @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+    def test_outstanding_batches_share_one_deadline_entry(self, make_env):
         """N unanswered batches on one connection leave one entry on the
         event list (the connection's watchdog), not one timer each."""
         config = RdmaConfig(1, 1, 1, 8, one_sided_fast_path=False)
-        env, server, path, tokens = make_stack(config, scheduler=scheduler)
+        env, server, path, tokens = make_stack(config, env=make_env())
         lost = _drop_requests(server, 0, lambda batch: True)
         ops = []
 
@@ -481,13 +484,13 @@ class TestResponseTimeout:
         assert [op.completion.value.ok for op in ops] == [False] * 8
         assert path.ops_failed == 8
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
     def test_batch_answered_a_tick_before_its_deadline_survives(
-            self, scheduler):
+            self, make_env):
         config = RdmaConfig(1, 1, 4, 4, one_sided_fast_path=False)
 
         def run(op_timeout):
-            env, _, path, tokens = make_stack(config, scheduler=scheduler)
+            env, _, path, tokens = make_stack(config, env=make_env())
             if op_timeout is not None:
                 path.op_timeout = op_timeout
             connection = path.threads[0].connections["server"]

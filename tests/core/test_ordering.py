@@ -105,14 +105,15 @@ def test_read_after_write_same_thread_sees_the_write():
 # A one-sided op takes a queue-depth credit and the thread CPU only once
 # the op ahead of it on the connection is posted, and its reap shares
 # the thread CPU with later issues.  These pins fix the exact schedule:
-# each op's completion instant and result, on both event loops.
+# each op's completion instant and result, bare and under the
+# dispatch-order check (``tests/conftest.py``).
 
-SCHEDULERS = ["calendar", "heap"]
+LOOPS = ["calendar", "heap"]
 
 
-def _ordering_stack(scheduler, queue_depth):
+def _ordering_stack(make_env, queue_depth):
     rngs = RngRegistry(0)
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     fabric = Fabric(env, AZURE_HPC)
     server = CacheServer(env, AZURE_HPC,
                          fabric.add_endpoint("server", Placement()),
@@ -138,13 +139,13 @@ CONTENDED_BURST = {
 }
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_contended_one_sided_burst_completes_on_pinned_instants(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_contended_one_sided_burst_completes_on_pinned_instants(make_env):
     """Six ops start at one instant and a seventh a tick later, on one
     thread with four credits: credits run out, and issues and reaps take
     turns on the thread CPU.  (With two credits every op holding one is
     issuing, so no reap could queue for the CPU between two issues.)"""
-    env, path, token = _ordering_stack(scheduler, queue_depth=4)
+    env, path, token = _ordering_stack(make_env, queue_depth=4)
     outcome = {}
 
     def one(index):
@@ -173,12 +174,12 @@ ERROR_POST_LOG = [
 ]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_error_state_post_reaps_behind_a_same_instant_bystander(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_error_state_post_reaps_behind_a_same_instant_bystander(make_env):
     """A post to a QP in the error state completes inside ``post()``;
     its reap still starts behind the entries queued in that instant,
     so a bystander spawned right after the post gets the CPU first."""
-    env, path, token = _ordering_stack(scheduler, queue_depth=2)
+    env, path, token = _ordering_stack(make_env, queue_depth=2)
     thread = path.threads[0]
     qp = thread.connections["server"].qp
     qp.inject_error("link down")
@@ -218,13 +219,13 @@ HANDED_ON_CREDIT_LOG = [
 ]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_caller_resumes_behind_the_credit_its_reap_hands_on(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_caller_resumes_behind_the_credit_its_reap_hands_on(make_env):
     """An op run in its caller's process returns behind what its reap
     queued in that instant: with one credit, the op waiting for it
     starts its issue, and takes the thread CPU, before the first op's
     caller continues."""
-    env, path, token = _ordering_stack(scheduler, queue_depth=1)
+    env, path, token = _ordering_stack(make_env, queue_depth=1)
     thread = path.threads[0]
     log = []
 

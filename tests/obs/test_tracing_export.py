@@ -1,4 +1,4 @@
-"""Tracer spans, the JSON exporter, and the instrumented data path."""
+"""The JSON exporter and the instrumented data path."""
 
 import json
 
@@ -6,63 +6,9 @@ import pytest
 
 from repro.core.config import RdmaConfig
 from repro.core.measurement import measure_config
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.obs.export import SCHEMA, format_table, snapshot, write_json
 from repro.sim import Environment, US
-
-
-class TestTracer:
-    def test_span_measures_simulated_time(self):
-        env = Environment()
-        tracer = Tracer(env)
-
-        def worker(env):
-            span = tracer.span("service", op="read")
-            yield env.timeout(4 * US)
-            span.finish(bytes=64)
-            return span
-
-        span = env.run_process(worker(env))
-        assert span.duration == pytest.approx(4 * US)
-        assert span.attrs == {"op": "read", "bytes": 64}
-        assert tracer.spans_named("service") == [span]
-
-    def test_child_spans_link_to_parent(self):
-        env = Environment()
-        tracer = Tracer(env)
-        parent = tracer.span("request")
-        child = tracer.span("wire", parent=parent)
-        child.finish()
-        parent.finish()
-        assert child.parent_id == parent.span_id
-
-    def test_ring_buffer_bounds_memory(self):
-        env = Environment()
-        tracer = Tracer(env, max_spans=10)
-        for i in range(25):
-            tracer.span(f"s{i}").finish()
-        assert len(tracer.spans) == 10
-        assert tracer.dropped == 15
-        assert tracer.spans[0].name == "s15"
-
-    def test_finish_is_idempotent(self):
-        env = Environment()
-        tracer = Tracer(env)
-        span = tracer.span("once")
-        span.finish()
-        end = span.end
-        span.finish()
-        assert span.end == end
-        assert len(tracer.spans) == 1
-
-    def test_context_manager_records_errors(self):
-        env = Environment()
-        tracer = Tracer(env)
-        with pytest.raises(RuntimeError):
-            with tracer.span("failing"):
-                raise RuntimeError("boom")
-        (span,) = tracer.spans
-        assert "boom" in span.attrs["error"]
 
 
 class TestExport:

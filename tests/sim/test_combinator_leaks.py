@@ -15,6 +15,11 @@ from repro.analysis.sanitize import KernelMonitor
 from repro.sim import Environment, Resource, Store, Timeout, US
 
 
+#: Every case runs bare and under the dispatch-order check (see
+#: ``tests/conftest.py``).
+LOOPS = ["calendar", "heap"]
+
+
 def _callback_count(event):
     return len(event.callbacks or ())
 
@@ -116,11 +121,11 @@ def test_abandoned_combinator_propagates_abandonment():
     assert all(_callback_count(child) == 0 for child in children)
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_anyof_losing_acquire_leaves_the_line(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_anyof_losing_acquire_leaves_the_line(make_env):
     # A queued acquire the combinator walked away from must not be
     # granted the slot later: nobody would ever release it.
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     resource = Resource(env, slots=1)
     acquired = []
 
@@ -148,9 +153,9 @@ def test_anyof_losing_acquire_leaves_the_line(scheduler):
     assert resource.queue_length == 0
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_anyof_losing_store_put_leaves_the_queue(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_anyof_losing_store_put_leaves_the_queue(make_env):
+    env = make_env()
     store = Store(env, capacity=1)
     store.try_put("filler")
 
@@ -171,12 +176,12 @@ def test_anyof_losing_store_put_leaves_the_queue(scheduler):
     env.run_process(drainer())
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_anyof_dropping_a_handed_store_get_restocks_the_item(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_anyof_dropping_a_handed_store_get_restocks_the_item(make_env):
     # put() hands the item to the queued getter in the very instant a
     # sibling decides the combinator: the Store reclaims it for the next
     # consumer.
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     store = Store(env)
     sibling = env.event()
     won = []
@@ -244,9 +249,9 @@ def _decided_sibling(env):
     return sibling
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_anyof_dropping_a_satisfied_acquire_returns_the_slot(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_anyof_dropping_a_satisfied_acquire_returns_the_slot(make_env):
+    env = make_env()
     resource = Resource(env, slots=1)
     granted = []
 
@@ -268,9 +273,9 @@ def test_anyof_dropping_a_satisfied_acquire_returns_the_slot(scheduler):
     assert resource.in_use == 0
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_anyof_dropping_a_satisfied_get_restocks_the_item(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_anyof_dropping_a_satisfied_get_restocks_the_item(make_env):
+    env = make_env()
     store = Store(env)
     store.try_put("item")
     got = []
@@ -291,11 +296,11 @@ def test_anyof_dropping_a_satisfied_get_restocks_the_item(scheduler):
     assert len(store) == 0
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_anyof_dropping_a_satisfied_put_keeps_the_item_once(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_anyof_dropping_a_satisfied_put_keeps_the_item_once(make_env):
     # A put accepted at call time has already stored its item; dropping
     # its wait detaches the combinator and leaves exactly that one item.
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     store = Store(env, capacity=1)
     put = []
 
@@ -311,10 +316,10 @@ def test_anyof_dropping_a_satisfied_put_keeps_the_item_once(scheduler):
     assert list(store._items) == ["item"]
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
 @pytest.mark.parametrize("wait", ["acquire", "get"])
-def test_abandoned_combinator_returns_a_satisfied_wait(scheduler, wait):
-    env = Environment(scheduler=scheduler)
+def test_abandoned_combinator_returns_a_satisfied_wait(make_env, wait):
+    env = make_env()
     resource = Resource(env, slots=1)
     store = Store(env)
     store.try_put("item")

@@ -11,13 +11,16 @@ import pytest
 
 from repro.sim import Environment, Ready, Resource, Store, US
 
-SCHEDULERS = ["calendar", "heap"]
+
+#: Every case runs bare and under the dispatch-order check (see
+#: ``tests/conftest.py``).
+LOOPS = ["calendar", "heap"]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
 @pytest.mark.parametrize("wait", ["acquire", "get", "put"])
-def test_satisfied_wait_continues_before_queued_entries(scheduler, wait):
-    env = Environment(scheduler=scheduler)
+def test_satisfied_wait_continues_before_queued_entries(make_env, wait):
+    env = make_env()
     resource = Resource(env, slots=1)
     store = Store(env)
     store.try_put("item")
@@ -45,9 +48,9 @@ def test_satisfied_wait_continues_before_queued_entries(scheduler, wait):
     assert log == [("continued", expected), "bystander"]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_contended_acquire_still_waits_its_turn(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_contended_acquire_still_waits_its_turn(make_env):
+    env = make_env()
     resource = Resource(env, slots=1)
     log = []
 
@@ -70,9 +73,9 @@ def test_contended_acquire_still_waits_its_turn(scheduler):
     assert resource.in_use == 0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_unreferenced_finished_process_skips_the_event_list(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_unreferenced_finished_process_skips_the_event_list(make_env):
+    env = make_env()
     resource = Resource(env, slots=1)
 
     def at_bootstrap():
@@ -93,9 +96,9 @@ def test_unreferenced_finished_process_skips_the_event_list(scheduler):
     assert all(proc.processed for proc in env._process_free)
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_recycled_process_is_reused_by_the_next_spawn(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_recycled_process_is_reused_by_the_next_spawn(make_env):
+    env = make_env()
     results = []
 
     def quick(value):
@@ -115,14 +118,14 @@ def test_recycled_process_is_reused_by_the_next_spawn(scheduler):
     assert results == [2]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
 @pytest.mark.parametrize("join", ["same-instant", "later"])
-def test_held_process_joined_after_it_finished_keeps_its_order(scheduler,
+def test_held_process_joined_after_it_finished_keeps_its_order(make_env,
                                                               join):
     # A process someone holds may be joined after it finished: its exit
     # must still reach the event list, so the joiner resumes in the same
     # place as it always did relative to same-instant bystanders.
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     log = []
 
     def child():
@@ -157,12 +160,12 @@ def test_held_process_joined_after_it_finished_keeps_its_order(scheduler,
                        "b+"]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_held_process_exits_through_every_path_keep_their_entry(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_held_process_exits_through_every_path_keep_their_entry(make_env):
     # Bootstrap, resume and thrown-failure exits reach the refcount proof
     # through different kernel frames; an outside holder must defeat the
     # shortcut on all of them.
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     failing = env.event()
 
     def at_bootstrap():
@@ -209,9 +212,9 @@ def test_ready_handed_to_a_combinator_becomes_an_ordinary_event():
     assert resource.in_use == 0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_due_now_sees_what_else_this_instant_runs(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_due_now_sees_what_else_this_instant_runs(make_env):
+    env = make_env()
     seen = []
 
     def second(_event):

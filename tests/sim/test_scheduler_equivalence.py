@@ -1,36 +1,36 @@
-"""Scheduler-equivalence suite: default loop vs the reference heap.
+"""Dispatch-order suite: the event loop vs the reference heap.
 
-The default loop's same-instant deque (DESIGN.md §5h) is a pure
-wall-clock optimization: the ``(when, sequence)`` dispatch order must
-be *identical* to the binary heap's, byte for byte, on any workload.
-These tests pin that property the strong way -- randomized workloads
-exercising every kernel primitive run once per scheduler under a full
-trace recorder, and the traces, application logs, clocks, and
-event-loop statistics must all match exactly.
+The loop's same-instant deque (DESIGN.md §5h) is a pure wall-clock
+optimization: its dispatch order must be exactly the ``(when,
+insertion)`` order of one binary heap, on any workload.  The reference
+heap is :class:`~repro.analysis.sanitize.DispatchOrder`, a kernel
+monitor that sees every insertion and every dispatch.  These tests pin
+the property the strong way -- randomized workloads exercising every
+kernel primitive run under the check, which must agree with every
+dispatch and hold exactly the entries still pending on the kernel's
+event list, while the application logs, clocks and event-loop
+statistics match an unchecked run.  A mutated loop must fail the check.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
 
-from repro.analysis.sanitize import TraceRecorder
-from repro.sim import (
-    Environment,
-    Resource,
-    SimulationError,
-    Store,
-    US,
-    set_default_scheduler,
-)
+from repro.analysis.sanitize import DispatchOrder
+from repro.sim import Environment, Resource, SimulationError, Store, US
 
-SCHEDULERS = ("heap", "calendar")
+#: Every case runs bare and under the dispatch-order check (see
+#: ``tests/conftest.py``).
+LOOPS = ["calendar", "heap"]
 
 
 def _mixed_workload(env, rng, log):
     """Spawn a randomized tangle of every kernel primitive.
 
     All randomness is drawn from ``rng`` (seeded by the caller), partly
-    at build time and partly inside running processes; if the two
-    schedulers ever dispatched differently, the in-process draws would
+    at build time and partly inside running processes; if the check
+    ever changed what the loop dispatched, the in-process draws would
     diverge too and the logs would disagree loudly.
     """
     store = Store(env)
@@ -127,181 +127,189 @@ def _mixed_workload(env, rng, log):
                 name="joiner")
 
 
-def _run_traced(scheduler, seed, until=None):
-    env = Environment(scheduler=scheduler)
-    recorder = TraceRecorder()
-    env.monitor = recorder
+def _checked_env(checked):
+    env = Environment()
+    check = None
+    if checked:
+        check = env.monitor = DispatchOrder()
+    return env, check
+
+
+def _in_order(env, check):
+    """The check agreed with every dispatch, and its reference heap
+    holds exactly the kernel's pending entries, in dispatch order."""
+    assert check.dispatches == env.event_loop_stats()["steps"] > 0
+    assert check.mismatches == 0, check.first_mismatch
+    now = env.now
+    near = sorted(env._near, key=lambda entry: entry[:2])
+    kernel = ([(when, fn, arg) for when, _, fn, arg in near if when <= now]
+              + [(now, fn, arg) for fn, arg in env._immediate]
+              + [(when, fn, arg) for when, _, fn, arg in near if when > now])
+    shadow = [(when, fn, arg) for when, _, fn, arg in
+              sorted(check.pending.get(env, ()), key=lambda e: e[:2])]
+    assert len(shadow) == len(kernel)
+    assert all(a[0] == b[0] and a[1] is b[1] and a[2] is b[2]
+               for a, b in zip(shadow, kernel))
+    return len(kernel)
+
+
+def _run_mixed(seed, checked, until=None):
+    env, check = _checked_env(checked)
     log = []
     _mixed_workload(env, np.random.default_rng(seed), log)
     env.run(until=until)
+    pending = _in_order(env, check) if checked else None
     # Detach before the env is dropped: when a run stops at `until`
     # with processes still suspended, gc later closes their generators
     # (GeneratorExit -> `finally: release()` -> succeed()), and those
-    # teardown triggers would land in the trace at gc-determined times.
+    # teardown entries would reach the check at gc-determined times.
     env.monitor = None
-    return list(recorder.entries), log, env.now, env.event_loop_stats()
+    return log, env.now, env.event_loop_stats(), pending
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_workloads_dispatch_identically(seed):
-    trace_h, log_h, now_h, stats_h = _run_traced("heap", seed)
-    trace_c, log_c, now_c, stats_c = _run_traced("calendar", seed)
-    assert trace_h == trace_c
-    assert log_h == log_c
-    assert now_h == now_c
-    assert stats_h == stats_c
-    assert stats_h["events"] > 50  # the workload actually did something
+    log, now, stats, pending = _run_mixed(seed, checked=True)
+    assert pending == 0
+    assert (log, now, stats, None) == _run_mixed(seed, checked=False)
+    assert stats["steps"] > 50  # the workload actually did something
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_run_until_boundary_identical(seed):
-    # Stopping mid-run at an arbitrary boundary must leave both
-    # schedulers at the same clock with the same pending population.
-    results = {}
-    for scheduler in SCHEDULERS:
-        results[scheduler] = _run_traced(scheduler, seed, until=1.7 * US)
-    trace_h, log_h, now_h, stats_h = results["heap"]
-    trace_c, log_c, now_c, stats_c = results["calendar"]
-    assert trace_h == trace_c
-    assert log_h == log_c
-    assert now_h == now_c == pytest.approx(1.7 * US)
-    assert stats_h == stats_c
+    # Stopping mid-run at an arbitrary boundary leaves the check holding
+    # exactly the kernel's pending population, at the same clock.
+    log, now, stats, pending = _run_mixed(seed, checked=True, until=1.7 * US)
+    assert pending > 0
+    assert now == pytest.approx(1.7 * US)
+    assert (log, now, stats, None) == _run_mixed(seed, checked=False,
+                                                 until=1.7 * US)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_reentrant_run_identical(seed):
-    # run(until), spawn more work, run() again: the default loop's
-    # carried-over state (the future-entry heap and the now-deque)
-    # must resume exactly where the reference heap would.
-    def staged(scheduler):
-        env = Environment(scheduler=scheduler)
-        recorder = TraceRecorder()
-        env.monitor = recorder
+    # run(until), spawn more work, run() again: the loop's carried-over
+    # state (the future-entry heap and the now-deque) must resume
+    # exactly where the reference heap does.
+    def staged(checked):
+        env, check = _checked_env(checked)
         log = []
         rng = np.random.default_rng(seed)
         _mixed_workload(env, rng, log)
         env.run(until=2 * US)
+        if checked:
+            assert _in_order(env, check) > 0
         _mixed_workload(env, rng, log)  # second wave, mid-flight
         env.run()
-        env.monitor = None  # see _run_traced: keep gc teardown out
-        return list(recorder.entries), log, env.now, env.event_loop_stats()
+        if checked:
+            assert _in_order(env, check) == 0
+        env.monitor = None  # see _run_mixed: keep gc teardown out
+        return log, env.now, env.event_loop_stats()
 
-    assert staged("heap") == staged("calendar")
+    assert staged(True) == staged(False)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_wide_delay_spread_identical(seed):
     # Log-uniform delays over 12 decades keep hundreds of entries at
-    # wildly different timestamps on the default loop's heap at once,
-    # so its ordering is exercised at depth rather than one entry at a
-    # time, against the reference heap's identical order.
-    def spread(scheduler):
-        env = Environment(scheduler=scheduler)
-        rng = np.random.default_rng(seed)
-        fired = []
+    # wildly different timestamps on the loop's heap at once, so its
+    # ordering is checked at depth rather than one entry at a time.
+    env, check = _checked_env(True)
+    rng = np.random.default_rng(seed)
+    fired = []
 
-        def waiter(tag, delay):
-            yield env.timeout(delay)
-            fired.append((tag, env.now))
+    def waiter(tag, delay):
+        yield env.timeout(delay)
+        fired.append((tag, env.now))
 
-        delays = 10.0 ** rng.uniform(-9.0, 3.0, size=600)
-        for tag, delay in enumerate(delays):
-            env.process(waiter(tag, float(delay)), name=f"w{tag}")
-        env.run()
-        return fired, env.now, env.event_loop_stats()
-
-    assert spread("heap") == spread("calendar")
+    delays = 10.0 ** rng.uniform(-9.0, 3.0, size=600)
+    for tag, delay in enumerate(delays):
+        env.process(waiter(tag, float(delay)), name=f"w{tag}")
+    env.run(until=float(np.median(delays)))
+    assert _in_order(env, check) > 200
+    env.run()
+    _in_order(env, check)
+    assert [now for _, now in fired] == sorted(float(d) for d in delays)
 
 
 def test_equal_timestamps_keep_creation_order():
     # Thousands of entries at identical timestamps: the tie-break is
-    # the scheduling sequence number, which the default loop's deque
-    # encodes as FIFO order.  Any instability shows up as a permutation here.
-    def burst(scheduler):
-        env = Environment(scheduler=scheduler)
-        fired = []
+    # the insertion index, which the loop's deque encodes as FIFO order.
+    # Any instability shows up as a permutation here.
+    env, check = _checked_env(True)
+    fired = []
 
-        def waiter(tag, delay):
-            yield env.timeout(delay)
-            fired.append(tag)
+    def waiter(tag, delay):
+        yield env.timeout(delay)
+        fired.append(tag)
 
-        for tag in range(500):
-            env.process(waiter(tag, (tag % 5) * US), name=f"b{tag}")
-        env.run()
-        return fired
-
-    order_heap = burst("heap")
-    assert order_heap == burst("calendar")
-    assert sorted(order_heap) == list(range(500))
+    for tag in range(500):
+        env.process(waiter(tag, (tag % 5) * US), name=f"b{tag}")
+    env.run()
+    _in_order(env, check)
+    assert fired == sorted(range(500), key=lambda tag: (tag % 5, tag))
 
 
 def test_timeout_at_same_instant_fifo_identical():
     # Absolute-instant timeouts interleaved with relative ones at shared
-    # instants: both loops fire them in scheduling order.
-    def burst(scheduler):
-        env = Environment(scheduler=scheduler)
-        fired = []
+    # instants fire in scheduling order.
+    env, check = _checked_env(True)
+    fired = []
 
-        def waiter(tag, when):
-            if tag % 2:
-                yield env.timeout_at(when)
-            else:
-                yield env.timeout(when - env.now)
-            fired.append((tag, env.now))
+    def waiter(tag, when):
+        if tag % 2:
+            yield env.timeout_at(when)
+        else:
+            yield env.timeout(when - env.now)
+        fired.append((tag, env.now))
 
-        for tag in range(300):
-            env.process(waiter(tag, (tag % 3) * US), name=f"a{tag}")
-        env.run()
-        return fired, env.event_loop_stats()
-
-    fired_heap, stats_heap = burst("heap")
-    assert (fired_heap, stats_heap) == burst("calendar")
-    order = [tag for tag, _ in fired_heap]
+    for tag in range(300):
+        env.process(waiter(tag, (tag % 3) * US), name=f"a{tag}")
+    env.run()
+    _in_order(env, check)
+    order = [tag for tag, _ in fired]
     assert order == sorted(order, key=lambda tag: (tag % 3, tag))
 
 
 def test_timeout_at_now_queues_behind_entries_already_due():
-    def run(scheduler):
-        env = Environment(scheduler=scheduler)
-        fired = []
+    env, check = _checked_env(True)
+    fired = []
 
-        def early(tag):
-            # Scheduled for 1us before the clock gets there.
-            yield env.timeout(1 * US)
-            fired.append(tag)
+    def early(tag):
+        # Scheduled for 1us before the clock gets there.
+        yield env.timeout(1 * US)
+        fired.append(tag)
 
-        def late():
-            yield env.timeout(1 * US)
-            fired.append("late")
-            # Due now, and behind "early1", which is due now as well.
-            yield env.timeout_at(env.now)
-            fired.append("at-now")
+    def late():
+        yield env.timeout(1 * US)
+        fired.append("late")
+        # Due now, and behind "early1", which is due now as well.
+        yield env.timeout_at(env.now)
+        fired.append("at-now")
 
-        env.process(early("early0"))
-        env.process(late())
-        env.process(early("early1"))
-        env.run()
-        return fired
-
-    assert run("heap") == run("calendar") == [
-        "early0", "late", "early1", "at-now"]
+    env.process(early("early0"))
+    env.process(late())
+    env.process(early("early1"))
+    env.run()
+    _in_order(env, check)
+    assert fired == ["early0", "late", "early1", "at-now"]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_timeout_at_in_the_past_raises(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_timeout_at_in_the_past_raises(make_env):
+    env = make_env()
     env.run(until=2 * US)
     with pytest.raises(SimulationError):
         env.timeout_at(1 * US)
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_timeout_at_fires_at_the_exact_instant(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_timeout_at_fires_at_the_exact_instant(make_env):
     # now + (when - now) rounds away from `when` here, so a relative
     # timeout could not hit it.
     now, when = 1 * 0.1 * US, 12 * 0.1 * US
     assert now + (when - now) != when
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     env.run(until=now)
 
     def waiter():
@@ -312,11 +320,11 @@ def test_timeout_at_fires_at_the_exact_instant(scheduler):
 
 
 def test_freelist_reuse_preserves_event_payloads():
-    # The default run loop recycles processed Event/Timeout shells
-    # through freelists.  Reuse must be invisible: every wait gets the
-    # value that was armed for it, never a stale slot from a previous
+    # The run loop recycles processed Event/Timeout shells through
+    # freelists.  Reuse must be invisible: every wait gets the value
+    # that was armed for it, never a stale slot from a previous
     # occupant.
-    env = Environment(scheduler="calendar")
+    env = Environment()
     received = []
 
     def looper():
@@ -336,30 +344,22 @@ def test_freelist_reuse_preserves_event_payloads():
     assert received == expected
 
 
-def test_scheduler_choice_is_constructor_fixed():
-    previous = set_default_scheduler("heap")
-    try:
-        env = Environment()
-        assert env.scheduler == "heap"
-        # Changing the default later must not retarget a live env.
-        set_default_scheduler("calendar")
-        assert env.scheduler == "heap"
-        assert Environment().scheduler == "calendar"
-    finally:
-        set_default_scheduler(previous)
+class _JumpingDeque(deque):
+    """The mutation: every entry due now jumps the queue."""
+
+    append = deque.appendleft
 
 
-def test_unknown_scheduler_rejected():
-    with pytest.raises(SimulationError):
-        Environment(scheduler="splay-tree")
-    with pytest.raises(SimulationError):
-        set_default_scheduler("splay-tree")
-
-
-def test_set_default_scheduler_returns_previous():
-    first = set_default_scheduler("heap")
-    try:
-        assert set_default_scheduler(None) == "heap"  # None restores
-        assert Environment().scheduler == "calendar"
-    finally:
-        set_default_scheduler(first)
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_delay_entries_jumping_the_queue_fail_the_check(seed):
+    # A broken loop that runs each same-instant entry ahead of those
+    # already due (appendleft for append) must fail the check, on the
+    # same workload the suite above passes.
+    env, check = _checked_env(True)
+    env._immediate = _JumpingDeque()
+    _mixed_workload(env, np.random.default_rng(seed), [])
+    env.run()
+    assert check.mismatches > 0
+    first = check.first_mismatch
+    assert first["expected"] != first["dispatched"]
+    assert first["dispatch"] <= check.dispatches

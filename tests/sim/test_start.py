@@ -4,24 +4,27 @@ An event callback that starts a process where a waiter on that event
 would have been resumed saves the waiter's bootstrap step and moves
 nothing else.  These tests pin what ``start`` keeps from
 ``Environment.process``: recycling, joins, failure routing, monitor
-hooks, and identical schedules on both event loops.
+hooks, and the reference dispatch order.
 """
 
 import pytest
 
-from repro.analysis.sanitize import _record
+from repro.analysis.sanitize import KernelMonitor, _record
 from repro.core import Slo
 from repro.sim import Environment, US
 from repro.workloads.scenarios import build_cluster
 
-SCHEDULERS = ["calendar", "heap"]
+
+#: Every case runs bare and under the dispatch-order check (see
+#: ``tests/conftest.py``).
+LOOPS = ["calendar", "heap"]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
 @pytest.mark.parametrize("spawn", ["start", "process"])
-def test_start_runs_before_queued_entries_without_a_bootstrap(scheduler,
+def test_start_runs_before_queued_entries_without_a_bootstrap(make_env,
                                                               spawn):
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     log = []
     trigger = env.event()
 
@@ -52,9 +55,9 @@ def test_start_runs_before_queued_entries_without_a_bootstrap(scheduler,
         assert stats["steps"] == 7
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_unreferenced_finish_is_recycled_without_an_entry(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_unreferenced_finish_is_recycled_without_an_entry(make_env):
+    env = make_env()
     trigger = env.timeout(1 * US)
 
     def body():
@@ -69,11 +72,11 @@ def test_unreferenced_finish_is_recycled_without_an_entry(scheduler):
     assert env._process_free[0].processed
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_first_step_finish_keeps_its_entry(scheduler):
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_first_step_finish_keeps_its_entry(make_env):
     # start hands its process to the caller, who may join it later, so a
     # finish inside start itself must not be recycled.
-    env = Environment(scheduler=scheduler)
+    env = make_env()
     started = []
 
     def body():
@@ -88,10 +91,10 @@ def test_first_step_finish_keeps_its_entry(scheduler):
     assert env.event_loop_stats()["events"] == 2
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
 @pytest.mark.parametrize("join", ["same-instant", "later"])
-def test_held_finish_joined_later_keeps_its_order(scheduler, join):
-    env = Environment(scheduler=scheduler)
+def test_held_finish_joined_later_keeps_its_order(make_env, join):
+    env = make_env()
     log = []
     held = []
 
@@ -128,9 +131,9 @@ def test_held_finish_joined_later_keeps_its_order(scheduler, join):
     assert held[0] not in env._process_free
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_first_step_exception_reaches_on_process_failure(scheduler):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_first_step_exception_reaches_on_process_failure(make_env):
+    env = make_env()
     failures = []
     env.on_process_failure = lambda proc, exc: failures.append(
         (proc.name, str(exc), env.now))
@@ -150,7 +153,7 @@ def test_first_step_exception_reaches_on_process_failure(scheduler):
     assert failures == [("broken", "boom", 1 * US), "kernel kept running"]
 
 
-class _Monitor:
+class _Monitor(KernelMonitor):
     def __init__(self):
         self.calls = []
 
@@ -162,9 +165,6 @@ class _Monitor:
 
     def on_resume(self, process, event):
         self.calls.append(("resume", process.name))
-
-    def on_trigger(self, event):
-        pass
 
 
 def test_monitor_sees_spawn_then_step():
@@ -195,15 +195,16 @@ def _one_sided_round_trip(seed):
     return harness.env.run_process(driver())
 
 
-def test_in_process_reap_traces_identically_on_both_loops():
-    calendar, blob = _record(_one_sided_round_trip, 0)
-    heap, heap_blob = _record(_one_sided_round_trip, 0, scheduler="heap")
-    assert blob == heap_blob and blob[:3] == [True, True, True]
-    assert calendar.entries == heap.entries
+def test_in_process_reap_replays_in_order():
+    first, blob = _record(_one_sided_round_trip, 0)
+    replay, replay_blob = _record(_one_sided_round_trip, 0)
+    assert blob == replay_blob and blob[:3] == [True, True, True]
+    assert first.entries == replay.entries
+    assert first.dispatches > 0 and first.mismatches == 0
     # Each I/O process issues, posts and reaps its verb itself; the only
     # process it spawns is the verb's executor, which the post starts in
     # place: no bootstrap entry separates its spawn from its first step.
-    entries = calendar.entries
+    entries = first.entries
     spawns = [i for i, entry in enumerate(entries) if entry[0] == "spawn"]
     # After the top-level process: each I/O and its verb's executor.
     assert [entries[i][2].split(":")[0] for i in spawns[1:]] == [

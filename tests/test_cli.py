@@ -122,7 +122,7 @@ def test_shard_smoke_passes_and_reports(capsys):
     assert main(["gate", "shard"]) == 0
     out = capsys.readouterr().out
     assert "PASS shard" in out
-    assert "default == heap" in out
+    assert "in order, replayed" in out
     assert "gate: 1/1 passed at seed 0" in out
 
 
@@ -217,11 +217,11 @@ def test_sanitize_cli_demo_nondet_diverges(monkeypatch, capsys):
     assert main(["gate", "demo-nondet", "--json"]) == 1
     [entry] = json.loads(capsys.readouterr().out)["entries"]
     divergence = entry["divergence"]
-    # Runs 2 and 3 leak: the third (default-loop) run disagrees with the
-    # first, so this is a replay bug, not a kernel ordering bug.
+    # The replay leaks: it disagrees with the first run although both
+    # dispatched in order, so this is a replay bug, not an ordering bug.
     assert divergence["kind"] == "replay"
-    assert divergence["runs"] == "demo-nondet[default-vs-default]"
-    assert LEAK["runs"] == 3  # default, heap, and the third default run
+    assert divergence["runs"] == "demo-nondet[run-vs-replay]"
+    assert LEAK["runs"] == 2  # the run and its replay
     assert divergence["index"] == 7
     assert divergence["rng_divergence"] == {"demo": [3, 6]}
     assert "demo" in divergence["attribution"]
@@ -237,7 +237,7 @@ def test_verbs_smoke_passes_and_reports(capsys):
     assert main(["gate", "verbs"]) == 0
     out = capsys.readouterr().out
     assert "PASS verbs" in out
-    assert "default == heap" in out
+    assert "in order, replayed" in out
 
 
 def test_verbs_json_blob_carries_both_transports():
@@ -251,15 +251,15 @@ def test_verbs_json_blob_carries_both_transports():
 
 def test_tenants_smoke_passes_and_reports(monkeypatch, capsys):
     # The tier under abuse and a member kill, at a sixth of the `tenants`
-    # entry's size (whose full run `gate --all` covers), must trace and
-    # report identically on both event loops.
+    # entry's size (whose full run `gate --all` covers), must dispatch in
+    # order and trace and report identically on replay.
     monkeypatch.setitem(SCENARIOS, "tenants-small", Scenario(
         lambda seed: tenants_run(seed, 400, abusive=True, kill=True),
         lambda blob: [] if blob["acked_writes_lost"] == 0 else ["lost"]))
     assert main(["gate", "tenants-small"]) == 0
     out = capsys.readouterr().out
     assert "PASS tenants-small" in out
-    assert "default == heap" in out
+    assert "in order, replayed" in out
 
 
 def test_tenants_json_blob_carries_per_tenant_stats():

@@ -2,9 +2,9 @@
 
 Two halves: every registered entry's invariants hold at seed 0 and
 each one fails when a single field of its blob is violated, and the
-harness tells an ordering bug and an invariant failure apart (the
-replay-bug case is ``tests/test_cli.py``'s leaky demo) and holds each
-entry's seed-0 kernel events to the recorded count.
+harness tells an ordering bug, a replay bug and an invariant failure
+apart and holds each entry's seed-0 kernel events to the recorded
+count.
 """
 
 import copy
@@ -146,25 +146,31 @@ def _clean(seed):
     return {"now": env.now}
 
 
-def _scheduler_dependent(seed):
-    """An event list that leaks into the run: an ordering bug."""
+def _misordered(seed):
+    """An event list that runs the last-queued entry first: an ordering
+    bug, identical on every run."""
     env = Environment()
 
     def worker():
-        yield env.timeout(1.0)
-        if env.scheduler == "heap":
-            yield env.timeout(1.0)
+        yield env.timeout(0)
 
-    env.process(worker(), name="w")
+    for index in range(3):
+        env.process(worker(), name=f"w{index}")
+    env._immediate.reverse()
     env.run()
     return {"now": env.now}
 
 
-def _blob_names_the_loop(seed):
-    """Identical schedules, but the blob depends on the event list."""
+#: Module-level state a badly written entry reads across runs.
+_RUNS = {"count": 0}
+
+
+def _blob_reads_module_state(seed):
+    """Identical schedules, but the blob counts earlier runs."""
+    _RUNS["count"] += 1
     env = Environment()
     env.run()
-    return {"loop": env.scheduler}
+    return {"runs": _RUNS["count"]}
 
 
 def _register(monkeypatch, name, run, invariants=lambda blob: []):
@@ -172,22 +178,29 @@ def _register(monkeypatch, name, run, invariants=lambda blob: []):
 
 
 def test_loop_dependent_trace_is_an_ordering_bug(monkeypatch):
-    _register(monkeypatch, "ordering", _scheduler_dependent)
-    entry = gates.check("ordering")
+    # Both runs misorder alike, so they replay; the order check fails it.
+    _register(monkeypatch, "misordered", _misordered)
+    entry = gates.check("misordered")
     assert not entry["ok"]
     divergence = entry["divergence"]
     assert divergence["kind"] == "ordering"
-    assert divergence["runs"] == "ordering[default-vs-heap]"
-    assert divergence["rng_divergence"] == {}
-    assert entry["failures"][0].startswith("ordering bug:")
+    assert divergence["entry"] == "misordered"
+    assert divergence["mismatches"] > 0
+    assert divergence["expected"][0] == divergence["dispatched"][0] == 0.0
+    assert divergence["expected"][1] < divergence["dispatched"][1]
+    assert entry["failures"][0].startswith("ordering bug: misordered ")
+    assert json.loads(json.dumps(entry)) == entry
 
 
-def test_loop_dependent_blob_is_an_ordering_bug(monkeypatch):
-    _register(monkeypatch, "blob", _blob_names_the_loop)
-    entry = gates.check("blob")
-    assert entry["divergence"] == {"kind": "ordering",
-                                   "runs": "blob[default-vs-heap]"}
-    assert "the blobs differ" in entry["failures"][0]
+def test_blob_reading_module_state_is_a_replay_bug(monkeypatch):
+    _register(monkeypatch, "leaky", _blob_reads_module_state)
+    monkeypatch.setitem(_RUNS, "count", 0)
+    entry = gates.check("leaky")
+    assert entry["divergence"] == {"kind": "replay", "entry": "leaky",
+                                   "runs": "leaky[run-vs-replay]"}
+    assert entry["failures"] == [
+        "replay bug: leaky[run-vs-replay] traces agree but the blobs differ"]
+    assert _RUNS["count"] == 2
 
 
 def test_invariant_failures_fail_a_replaying_entry(monkeypatch):

@@ -141,11 +141,6 @@ OBSERVATION_POINTS = {
     "_BufferedDevice.watermark":
         "how tests check that a device's spill watermark tracks the "
         "log head",
-    "Tracer.spans_named":
-        "test lookup into the tracer (all of obs/tracing.py is slated "
-        "by ROADMAP item 1)",
-    "Span.annotate":
-        "span annotation tests (obs/tracing.py, ROADMAP item 1)",
     "Cfg.edge_set":
         "how tests check the control-flow graph the lifecycle rules "
         "walk",
