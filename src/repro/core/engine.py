@@ -4,22 +4,19 @@
 client thread runs one RDMA connection per attached cache server.  One
 generator, :meth:`CacheDataPath.io`, runs an op to its
 :class:`~repro.core.protocol.OpResult` in the caller's process
-(``result = yield from path.io(op)``):
+(``result = yield from path.io(op)``); the data path runs no process of
+its own.
 
-* on a configuration whose ops are one verb each (``uses_one_sided``,
-  the §4.3 fast path), ``io`` issues, posts and reaps the verb itself.
-  A per-connection *issue slot* (one holder, FIFO) orders a
-  connection's ops as one sequential issuer would: an op takes its
-  queue-depth credit and the thread CPU only once the op ahead of it
-  is posted;
-* a dependent read never batches: ``io`` issues it, chases the pointer
-  (one verb program or two READs) and reaps it;
-* on a batching configuration ``io`` puts the op into the connection's
-  *batch ring* and waits for it.  An issuer loop gathers up to ``b``
-  requests, takes a credit and writes them into the server's message
-  ring as one batch; a completion loop reaps response batches from the
-  client's response ring, runs callbacks and returns credits.  Only
-  batching configurations run these loops.
+* An op asks for its connection's issue slot (FIFO).  The holder
+  takes a queue-depth credit and the thread CPU and posts: on the §4.3
+  fast path one READ or WRITE verb; otherwise one request batch of the
+  ops queued behind it, up to weight ``b``, written into the server's
+  message ring (§4.2).
+* The caller that formed a batch reaps it once the response lands in
+  its connection's response ring, one reap per thread at a time, in
+  arrival order; a caller whose op rode that batch gets its result.
+* A dependent read never batches: ``io`` issues it, chases the pointer
+  (one verb program or two READs) and reaps it.
 
 All CPU charges go through one per-thread ``Resource`` so that issue and
 reap cannot overlap in time -- they are the same hardware thread.
@@ -28,7 +25,8 @@ reap cannot overlap in time -- they are the same hardware thread.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from repro.core.protocol import (
     EngineOp,
     OpResult,
     RequestBatch,
+    ResponseBatch,
 )
 from repro.core.server import CacheServer, RING_SLOT_BYTES
 from repro.hardware.profiles import TestbedProfile
@@ -70,29 +69,27 @@ def _lognormal_sigma(median: float, p99: float) -> float:
 class _Connection:
     """One client thread's connection to one cache server."""
 
-    def __init__(self, env: Environment, connection_id: int,
-                 server: CacheServer, qp: QueuePair,
-                 request_ring_token, response_ring: MemoryRegion,
-                 queue_depth: int):
-        self.connection_id = connection_id
+    def __init__(self, env: Environment, server: CacheServer, qp: QueuePair,
+                 request_ring_token, queue_depth: int):
         self.server = server
         self.qp = qp
         self.request_ring_token = request_ring_token
-        self.response_ring = response_ring
         #: Queue-depth credits: one per allowed in-flight operation.
         self.credits = Store(env, capacity=queue_depth)
         for _ in range(queue_depth):
             self.credits.try_put(object())
-        #: The batch ring feeding this connection.
-        self.batch_ring: Store = Store(env)
-        #: In-flight request batches awaiting a response, by batch id,
-        #: in post order (so the oldest deadline is the first entry's).
-        self.outstanding: Dict[int, RequestBatch] = {}
+        #: Ops not yet in a request batch, in arrival order.  Behind the
+        #: issue slot's holder, each belongs to one of the slot's waiters.
+        self.pending: Deque[EngineOp] = deque()
+        #: Held from forming a batch until after its post, so batches
+        #: issue one at a time, in arrival order.
+        self.issue_slot = Resource(env, slots=1)
+        #: In-flight request batches by batch id, in post order (so the
+        #: oldest deadline is the first entry's), with the events their
+        #: ops' callers wait on (the forming caller's first).
+        self.outstanding: Dict[int, Tuple[RequestBatch, List[Event]]] = {}
         #: Whether the response watchdog has a deadline on the event list.
         self.watchdog_armed = False
-        #: One-sided ops hold this from before their credit until after
-        #: their post, so they issue one at a time, in arrival order.
-        self.issue_slot = Resource(env, slots=1)
 
 
 class _ClientThread:
@@ -101,8 +98,11 @@ class _ClientThread:
     def __init__(self, env: Environment, index: int):
         self.index = index
         self.cpu = Resource(env, slots=1)
+        #: The reap slot: the response batch being reaped, if any; those
+        #: landing meanwhile queue in arrival order with their callers'.
+        self.reaping: Optional[ResponseBatch] = None
+        self.reap_queue: Deque[Tuple[Event, ResponseBatch]] = deque()
         self.connections: Dict[str, _Connection] = {}
-        self.response_store: Store = Store(env)
         #: region_id -> connection, for routing functional ops.
         self.routes: Dict[int, _Connection] = {}
 
@@ -126,7 +126,6 @@ class CacheDataPath:
         self.threads = [
             _ClientThread(env, i) for i in range(config.client_threads)]
         self._round_robin = 0
-        self._connection_counter = 0
         #: Lifetime statistics.
         self.ops_completed = 0
         self.ops_failed = 0
@@ -163,11 +162,6 @@ class CacheDataPath:
             self._fallback_counter = None
             self._cas_abort_counter = None
             self._tenant_ops_family = None
-        if not config.uses_one_sided:
-            for thread in self.threads:
-                env.process(self._completion_loop(thread),
-                            name=f"redy-client:{client_endpoint.name}:"
-                                 f"t{thread.index}:completions")
 
     # ------------------------------------------------------------------
     # Control plane
@@ -206,21 +200,16 @@ class CacheDataPath:
                 self.threads, response_rings, reply.request_ring_tokens):
             qp = QueuePair(self.env, self.endpoint, server.endpoint,
                            max_depth=config.queue_depth, deferred=deferred)
-            connection = _Connection(
-                self.env, self._connection_counter, server, qp,
-                ring_token, ring, config.queue_depth)
-            self._connection_counter += 1
+            connection = _Connection(self.env, server, qp, ring_token,
+                                     config.queue_depth)
+            # Each connection has its own response ring: a response
+            # finds its connection by the ring it lands in.
             ring.attach_mailbox(
-                lambda response, store=thread.response_store:
-                    store.try_put(response))
+                lambda response, thread=thread, connection=connection:
+                    self._on_response(thread, connection, response))
             thread.connections[server.endpoint.name] = connection
             for token in reply.region_tokens:
                 thread.routes[token.region_id] = connection
-            if not config.uses_one_sided:
-                self.env.process(
-                    self._issuer_loop(thread, connection),
-                    name=f"redy-client:{self.endpoint.name}:"
-                         f"t{thread.index}:issue->{server.endpoint.name}")
         return reply.region_tokens
 
     def add_route(self, region_id: int, server_name: str) -> None:
@@ -258,10 +247,9 @@ class CacheDataPath:
         """Run ``op`` on a client thread; returns its :class:`OpResult`.
 
         A generator for the caller's process: ``result = yield from
-        path.io(op)``.  A one-sided op and a dependent read run issue,
-        post and reap right here; a batching configuration's op goes
-        through the batch ring and its ``completion`` event.
-        """
+        path.io(op)``.  The caller issues under the connection's issue
+        slot and reaps the batch it formed, or its op rides a batch
+        another caller formed."""
         env = self.env
         op.enqueued_at = env.now
         if thread_index is None:
@@ -269,41 +257,64 @@ class CacheDataPath:
             self._round_robin += 1
         thread = self.threads[thread_index % len(self.threads)]
         connection = self._route(thread, op)
-        if op.is_dependent:
+        one_sided = self.config.uses_one_sided
+        dependent = op.is_dependent
+        if (dependent or one_sided) and (op.token is None or op.weight != 1):
+            kind = "dependent reads" if dependent else "one-sided ops"
+            raise EngineError(f"{kind} need a region token" if op.token is None
+                              else f"{kind} are weight-1 ops")
+        if dependent:
             # Dependent GETs never enter the message-ring batching
             # protocol: each is posted on its own doorbell (a verb
             # program or two-hop READs keep the pointer-chase semantics).
-            if op.token is None:
-                raise EngineError("dependent reads need a region token")
-            if op.weight != 1:
-                raise EngineError("dependent reads are weight-1 ops")
             return (yield from self._bypass(thread, connection, op))
-        if not self.config.uses_one_sided:
-            if op.completion is None:
-                op.completion = env.event()
-            yield connection.batch_ring.put(op)
-            return (yield op.completion)
-        if op.token is None:
-            raise EngineError("one-sided ops need a region token")
-        if op.weight != 1:
-            raise EngineError("one-sided ops are weight-1 ops")
         slot = connection.issue_slot
-        yield slot.acquire()
+        if not one_sided:  # b = 1 on the fast path: nothing to gather
+            connection.pending.append(op)
+        grant = slot.acquire()
+        at_once = grant.triggered
+        result = yield grant
+        if result is not None:
+            return result  # the op rode a batch another caller formed
+        if at_once and not one_sided and (op.weight < self.config.batch_size
+                                          or op.completion is not None
+                                          or env.due_now()):
+            # Gather behind what is already due (and the rest of a
+            # submitting step), so ops arriving meanwhile join a batch
+            # with room.  A full batch alone in its instant goes now.
+            yield env.timeout(0)
         try:
-            yield from self._issue(thread, connection, op)
-            done = connection.qp.post(WorkRequest(
-                RdmaOp.READ if op.is_read else RdmaOp.WRITE,
-                op.token, op.offset, op.size, data=op.data))
+            if one_sided:
+                yield from self._issue(thread, connection, 1)
+                done = connection.qp.post(WorkRequest(
+                    RdmaOp.READ if op.is_read else RdmaOp.WRITE,
+                    op.token, op.offset, op.size, data=op.data))
+            else:
+                ops, riders, weight = self._gather(connection.pending, slot)
+                yield from self._issue(thread, connection, weight)
+                done = env.event()
+                wakes = [done, *riders]
+                batch = RequestBatch(ops=ops, created_at=env.now)
+                connection.outstanding[batch.batch_id] = (batch, wakes)
+                wr = WorkRequest(
+                    RdmaOp.WRITE, connection.request_ring_token, 0,
+                    batch.wire_bytes, payload_object=batch, signaled=False)
+                self._watch_batch(connection, batch, connection.qp.post(wr))
         finally:
             slot.release()
         completed_at_post = done.triggered
-        completion = yield done
+        reply = yield done
         if completed_at_post:
             # A post to a QP in the error state completes inside post();
             # a waiter spawned at post found it processed and resumed
             # one hop after its dispatch.  Keep that hop.
             yield env.timeout(0)
-        return (yield from self._reap(thread, connection, op, completion))
+        if one_sided:
+            return (yield from self._reap(thread, connection, op, reply))
+        if reply.__class__ is OpResult:
+            return reply  # the batch aborted
+        return (yield from self._reap_batch(thread, connection, weight,
+                                            reply, wakes))
 
     def submit(self, op: EngineOp,
                thread_index: Optional[int] = None) -> Event:
@@ -335,68 +346,20 @@ class CacheDataPath:
         sigma = self.profile.measurement_noise
         return math.exp(self.rng.normal(0.0, sigma)) if sigma else 1.0
 
-    def _issuer_loop(self, thread: _ClientThread, connection: _Connection):
-        # Hot loop (once per batch): the profile and config are frozen
-        # for the engine's lifetime, so every per-iteration cost below
-        # is hoisted.  `base_work + weight * per_op` preserves the exact
-        # float association of the original expression.
-        cpu, nic = self.profile.cpu, self.profile.nic
-        config = self.config
-        env = self.env
-        ring_get = connection.batch_ring.get
-        ring_try_get = connection.batch_ring.try_get
-        credits_get = connection.credits.get
-        cpu_acquire = thread.cpu.acquire
-        cpu_release = thread.cpu.release
-        batch_size = config.batch_size
-        base_work = cpu.batch_prepare + nic.doorbell
-        per_op = cpu.client_per_op
-        numa_affinity = config.numa_affinity
-        lock_free = config.lock_free
-        batch_weight = self._batch_weight
-        credit_wait = self._credit_wait
-        sigma = self.profile.measurement_noise
-        while True:
-            first = yield ring_get()
-            batch_ops = [first]
-            weight = first.weight
-            while weight < batch_size:
-                ok, op = ring_try_get()
-                if not ok:
-                    break
-                batch_ops.append(op)
-                weight += op.weight
-            if batch_weight is not None:
-                batch_weight.observe(weight)
-            credit_wait_started = env.now
-            yield credits_get()
-            if credit_wait is not None:
-                credit_wait.observe(env.now - credit_wait_started)
-
-            yield cpu_acquire()
-            work = base_work + weight * per_op
-            if not numa_affinity:
-                work += weight * cpu.numa_cpu_per_op
-            if not lock_free:
-                # The consumer side of the mutex-protected queue pays the
-                # same lock acquisition + contention as the producer.
-                work += weight * (cpu.handoff_locked
-                                  + cpu.lock_contention_mean * math.exp(
-                                      self.rng.normal(0.0, self._lock_sigma)
-                                      - self._lock_sigma**2 / 2))
-            # Inlined self._noise(): same single RNG draw.
-            noise = math.exp(self.rng.normal(0.0, sigma)) if sigma else 1.0
-            yield env.timeout(work * noise)
-            cpu_release()
-
-            batch = RequestBatch(ops=batch_ops,
-                                 connection_id=connection.connection_id,
-                                 created_at=env.now)
-            connection.outstanding[batch.batch_id] = batch
-            wr = WorkRequest(
-                RdmaOp.WRITE, connection.request_ring_token, 0,
-                batch.wire_bytes, payload_object=batch, signaled=False)
-            self._watch_batch(connection, batch, connection.qp.post(wr))
+    def _gather(self, pending: Deque[EngineOp], slot: Resource):
+        """The slot holder's batch: ops from the front of ``pending``
+        until their weight reaches ``b`` (its own op always goes).  Each
+        rider's caller leaves the slot's queue; its wait event fires
+        with its op's result.  Returns ops, riders' events, weight."""
+        first = pending.popleft()
+        ops, riders, weight = [first], [], first.weight
+        batch_size = self.config.batch_size
+        while weight < batch_size and pending:
+            op = pending.popleft()
+            ops.append(op)
+            riders.append(slot.take_waiter())
+            weight += op.weight
+        return ops, riders, weight
 
     def _on_completion(self, event: Event,
                        callback: Callable[[Event], None]) -> None:
@@ -420,43 +383,52 @@ class CacheDataPath:
                 op: EngineOp):
         """A dependent GET outside the batching protocol: issue, chase
         (see :meth:`_chase`), reap; returns the op's result."""
-        yield from self._issue(thread, connection, op)
+        yield from self._issue(thread, connection, 1, dequeued=False)
         completion = yield from self._chase(thread, connection, op)
         return (yield from self._reap(thread, connection, op, completion))
 
     def _issue(self, thread: _ClientThread, connection: _Connection,
-               op: EngineOp):
+               weight: int, dequeued: bool = True):
         """Take a queue-depth credit, then charge the client CPU for
-        building and posting one work request.
+        building and posting one work request that carries ``weight``
+        requests.
 
-        A one-sided op came through the batch ring as a one-op batch:
-        it observes batch weight 1 and pays the ring consumer's charges
-        (cross-NUMA work, the mutex when the ring is not lock-free), as
-        the issuer loop charges a batch.  A dependent read bypasses the
-        ring and pays neither.
+        A ``dequeued`` batch came through the application threads' ring:
+        it observes its batch weight and pays the ring consumer's
+        per-request charges (cross-NUMA work, the mutex when the ring is
+        not lock-free).  A dependent read bypasses the ring.
         """
         env = self.env
         cpu, nic = self.profile.cpu, self.profile.nic
-        dequeued = not op.is_dependent
         if dequeued and self._batch_weight is not None:
-            self._batch_weight.observe(1)
+            self._batch_weight.observe(weight)
         credit_wait_started = env.now
         yield connection.credits.get()
         if self._credit_wait is not None:
             self._credit_wait.observe(env.now - credit_wait_started)
         yield thread.cpu.acquire()
         try:
-            work = cpu.batch_prepare + nic.doorbell + cpu.client_per_op
+            work = (cpu.batch_prepare + nic.doorbell
+                    + weight * cpu.client_per_op)
             if dequeued:
                 if not self.config.numa_affinity:
-                    work += cpu.numa_cpu_per_op
+                    work += weight * cpu.numa_cpu_per_op
                 if not self.config.lock_free:
-                    work += cpu.handoff_locked + cpu.lock_contention_mean * (
-                        math.exp(self.rng.normal(0.0, self._lock_sigma)
-                                 - self._lock_sigma**2 / 2))
+                    # The consumer side of the mutex-protected queue pays
+                    # the same lock acquisition + contention as the
+                    # producer.
+                    work += weight * (
+                        cpu.handoff_locked + cpu.lock_contention_mean
+                        * math.exp(self.rng.normal(0.0, self._lock_sigma)
+                                   - self._lock_sigma**2 / 2))
             yield env.timeout(work * self._noise())
         finally:
             thread.cpu.release()
+
+    def _numa_hop(self):
+        return self.env.timeout(self.profile.cpu.numa_penalty_mean * math.exp(
+            self.rng.normal(0.0, self._jitter_sigma)
+            - self._jitter_sigma**2 / 2))
 
     def _reap(self, thread: _ClientThread, connection: _Connection,
               op: EngineOp, completion: Completion):
@@ -471,17 +443,14 @@ class CacheDataPath:
         resumed.
         """
         env = self.env
-        cpu = self.profile.cpu
         yield thread.cpu.acquire()
         try:
-            work = self.profile.nic.completion_poll + cpu.callback
+            work = self.profile.nic.completion_poll + self.profile.cpu.callback
             yield env.timeout(work * self._noise())
         finally:
             thread.cpu.release()
         if not self.config.numa_affinity:
-            yield env.timeout(cpu.numa_penalty_mean * math.exp(
-                self.rng.normal(0.0, self._jitter_sigma)
-                - self._jitter_sigma**2 / 2))
+            yield self._numa_hop()
         connection.credits.try_put(object())
         result = OpResult(
             ok=completion.ok, data=completion.data, error=completion.error,
@@ -490,6 +459,51 @@ class CacheDataPath:
         if op.completion is None and env.due_now():
             yield env.timeout(0)
         return result
+
+    def _reap_batch(self, thread: _ClientThread, connection: _Connection,
+                    weight: int, response: Optional[ResponseBatch],
+                    wakes: List[Event]):
+        """Reap one response batch under the thread's reap slot (handed
+        on with the thread CPU when ``response`` is ``None``): charge
+        the client CPU, take the cross-NUMA hop, hand the slot on, then
+        settle as :meth:`_reap` does, for every op of the batch."""
+        env = self.env
+        cpu = self.profile.cpu
+        if response is None:
+            response = thread.reaping  # handed on with the thread CPU
+        else:
+            yield thread.cpu.acquire()
+        try:
+            work = self.profile.nic.completion_poll + weight * (
+                cpu.client_per_op + cpu.callback)
+            yield env.timeout(work * self._noise())
+        finally:
+            thread.cpu.release()
+        if not self.config.numa_affinity:
+            yield self._numa_hop()
+        if thread.reap_queue:
+            # The reap slot passes on; the next reap queues for the
+            # thread CPU before this settle wakes anyone.
+            reply, thread.reaping = thread.reap_queue.popleft()
+            thread.cpu.acquire_for(reply)
+        else:
+            thread.reaping = None
+        connection.credits.try_put(object())
+        now = env.now
+        hop = None
+        for index, (op, result) in enumerate(zip(response.ops,
+                                                 response.results)):
+            result.latency = now - op.enqueued_at
+            self._finish(op, result)
+            if index:
+                wakes[index].succeed(result)
+            elif op.completion is None and env.due_now():
+                # Behind what is already due, ahead of the riders'
+                # wake-ups.
+                hop = env.timeout(0)
+        if hop is not None:
+            yield hop
+        return response.results[0]
 
     def _chase(self, thread: _ClientThread, connection: _Connection,
                op: EngineOp):
@@ -548,6 +562,20 @@ class CacheDataPath:
             op.size))
         return second
 
+    def _on_response(self, thread: _ClientThread, connection: _Connection,
+                     response: ResponseBatch) -> None:
+        """A response batch landed in ``connection``'s ring: the caller
+        that formed the batch takes the thread's reap slot, or queues
+        for it.  A response to a batch that already aborted is dropped."""
+        entry = connection.outstanding.pop(response.batch_id, None)
+        if entry is None:
+            return
+        if thread.reaping is not None:
+            thread.reap_queue.append((entry[1][0], response))
+        else:
+            thread.reaping = response
+            entry[1][0].succeed(response)
+
     def _watch_batch(self, connection: _Connection, batch: RequestBatch,
                      ack: Event) -> None:
         """Arm a posted batch's two failure paths (§6.2): a callback on
@@ -576,7 +604,7 @@ class CacheDataPath:
         now = self.env.now
         outstanding = connection.outstanding
         while outstanding:
-            batch = next(iter(outstanding.values()))
+            batch, _ = next(iter(outstanding.values()))
             deadline = batch.created_at + self.op_timeout
             if deadline > now:
                 self._arm_watchdog(connection, deadline)
@@ -592,58 +620,16 @@ class CacheDataPath:
     def _abort_batch(self, connection: _Connection, batch: RequestBatch,
                      error: str) -> bool:
         """Fail every op of an in-flight batch exactly once."""
-        if connection.outstanding.pop(batch.batch_id, None) is None:
+        entry = connection.outstanding.pop(batch.batch_id, None)
+        if entry is None:
             return False  # already answered or already aborted
         connection.credits.try_put(object())
-        for op in batch.ops:
-            self._finish(op, OpResult(
-                ok=False, error=error,
-                latency=self.env.now - op.enqueued_at))
+        for op, wake in zip(batch.ops, entry[1]):
+            result = OpResult(ok=False, error=error,
+                              latency=self.env.now - op.enqueued_at)
+            self._finish(op, result)
+            wake.succeed(result)
         return True
-
-    def _completion_loop(self, thread: _ClientThread):
-        # Hot loop (once per response batch); hoisted like _issuer_loop.
-        cpu, nic = self.profile.cpu, self.profile.nic
-        env = self.env
-        store_get = thread.response_store.get
-        cpu_acquire = thread.cpu.acquire
-        cpu_release = thread.cpu.release
-        poll = nic.completion_poll
-        per_op = cpu.client_per_op + cpu.callback
-        numa_affinity = self.config.numa_affinity
-        sigma = self.profile.measurement_noise
-        finish = self._finish
-        while True:
-            response = yield store_get()
-            yield cpu_acquire()
-            weight = sum(op.weight for op in response.ops)
-            work = poll + weight * per_op
-            # Inlined self._noise(): same single RNG draw.
-            noise = math.exp(self.rng.normal(0.0, sigma)) if sigma else 1.0
-            yield env.timeout(work * noise)
-            cpu_release()
-            if not numa_affinity:
-                yield env.timeout(cpu.numa_penalty_mean * math.exp(
-                    self.rng.normal(0.0, self._jitter_sigma)
-                    - self._jitter_sigma**2 / 2))
-            connection = self._connection_by_id(thread,
-                                                response.connection_id)
-            if connection is not None:
-                if connection.outstanding.pop(response.batch_id,
-                                              None) is None:
-                    continue  # batch already timed out and was failed
-                connection.credits.try_put(object())
-            now = env.now
-            for op, result in zip(response.ops, response.results):
-                result.latency = now - op.enqueued_at
-                finish(op, result)
-
-    def _connection_by_id(self, thread: _ClientThread,
-                          connection_id: int) -> Optional[_Connection]:
-        for connection in thread.connections.values():
-            if connection.connection_id == connection_id:
-                return connection
-        return None
 
     def _finish(self, op: EngineOp, result: OpResult) -> None:
         if result.ok:

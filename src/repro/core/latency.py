@@ -213,7 +213,7 @@ class DataPathModel:
         per_op_cpu = 2 * cpu.client_per_op + cpu.callback + self._numa_cpu(config)
         if not config.lock_free:
             # Consumer side of the contended queue (the engine charges
-            # it in `CacheDataPath._issue` and in the batch issuer loop).
+            # it per request in `CacheDataPath._issue`).
             per_op_cpu += cpu.handoff_locked + cpu.lock_contention_mean
         client = (cpu.batch_prepare + nic.doorbell + nic.completion_poll
                   + b * per_op_cpu)

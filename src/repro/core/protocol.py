@@ -45,9 +45,8 @@ class EngineOp:
     offset: int = 0
     data: Optional[bytes] = None
     weight: int = 1
-    #: Fires with the op's :class:`OpResult`; the data path creates it
-    #: only for an op that waits in a batch ring or that ``submit``
-    #: starts.
+    #: Fires with the op's :class:`OpResult`; only ``submit`` creates
+    #: it (a caller of ``io`` gets the result back from ``io``).
     completion: Optional[Event] = None
     enqueued_at: float = 0.0
     #: Dependent read: offset of the pointer word to chase first.  The
@@ -110,7 +109,6 @@ class RequestBatch:
     """A batch of requests sent to a cache server in one RDMA write."""
 
     ops: List[EngineOp]
-    connection_id: int
     created_at: float
     batch_id: int = field(default_factory=lambda: next(_BATCH_IDS))
 
@@ -133,7 +131,6 @@ class ResponseBatch:
 
     ops: List[EngineOp]
     results: List[OpResult]
-    connection_id: int
     #: The request batch this answers (for outstanding-batch tracking).
     batch_id: int = 0
 

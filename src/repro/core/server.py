@@ -38,9 +38,8 @@ RING_SLOT_BYTES = 4096
 class _ServerConnection:
     """Server-side state for one client connection."""
 
-    def __init__(self, connection_id: int, request_ring: MemoryRegion,
-                 response_qp: QueuePair, response_ring_token) -> None:
-        self.connection_id = connection_id
+    def __init__(self, request_ring: MemoryRegion, response_qp: QueuePair,
+                 response_ring_token) -> None:
         self.request_ring = request_ring
         self.response_qp = response_qp
         self.response_ring_token = response_ring_token
@@ -109,8 +108,7 @@ class CacheServer:
             response_qp = QueuePair(self.env, self.endpoint, client_endpoint,
                                     max_depth=request.queue_depth)
             connection = _ServerConnection(
-                connection_id, ring, response_qp,
-                request.response_ring_tokens[ring_index])
+                ring, response_qp, request.response_ring_tokens[ring_index])
             self._connections[connection_id] = connection
             if self._threads:
                 inbox = self._threads[connection_id % len(self._threads)]
@@ -183,7 +181,6 @@ class CacheServer:
             self.ops_processed += batch.total_ops
 
             response = ResponseBatch(ops=batch.ops, results=results,
-                                     connection_id=connection.connection_id,
                                      batch_id=batch.batch_id)
             # Unsignaled: the client finds the response by polling its
             # ring, so nothing waits on this write's success.

@@ -201,6 +201,25 @@ class Resource:
             # consumed; pass it on so the credit is not permanently leaked.
             self.release()
 
+    def acquire_for(self, event: Event) -> None:
+        """Acquire for the process waiting on the pending ``event``: a
+        free slot is granted at once (the event fires now), else the
+        event joins the queue here.  The process resumes holding a slot."""
+        if self._in_use < self.slots:
+            self._in_use += 1
+            event.succeed()
+        else:
+            event.on_abandon = self._cancel_acquire
+            self._waiters.append(event)
+
+    def take_waiter(self) -> Event:
+        """Remove the oldest waiter without granting it a slot and
+        return its event: a holder that did the waiter's work (flat
+        combining) fires it with the outcome instead."""
+        event = self._waiters.popleft()
+        event.on_abandon = None
+        return event
+
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release() without a matching acquire()")

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis.sanitize import KernelMonitor
+from repro.cluster.vmtypes import VmType
 from repro.core import RdmaConfig, Slo
 from repro.core.engine import CacheDataPath, EngineError
 from repro.core.protocol import EngineOp
@@ -288,9 +289,9 @@ class TestFunctionalDataPath:
             yield env.all_of(ops)
 
         env.run_process(proc(env))
-        # Eight ops submitted back-to-back on one thread with b=8 should
-        # travel in very few batches (first may depart alone).
-        assert server.batches_processed <= 2
+        # Eight ops started in one instant on one thread with b=8 travel
+        # as one batch: the first op's caller gathers the other seven.
+        assert server.batches_processed == 1
         assert server.ops_processed == 8
 
     def test_out_of_bounds_op_fails_cleanly(self):
@@ -386,7 +387,7 @@ class TestResponseTimeout:
             # Let the request land (delivery ~2.4us), then kill the VM
             # mid-processing, before any response can be posted (~3.3us).
             yield env.timeout(2.6e-6)
-            (batch,) = connection.outstanding.values()
+            ((batch, _),) = connection.outstanding.values()
             server.fail()
             result = yield running
             return result, env.now, batch.created_at + path.op_timeout
@@ -440,7 +441,7 @@ class TestResponseTimeout:
                 if i in stuck[index]:
                     running._add_callback(
                         lambda event, op=op: failed_at.setdefault(
-                            id(op), env.now))
+                            id(op), (env.now, event.value)))
                     yield env.timeout(20e-6)  # newer batches go out behind
                 else:
                     answered.append((yield running))
@@ -455,8 +456,9 @@ class TestResponseTimeout:
         assert len(lost) == 3 and path.ops_failed == 3
         for batch in lost:
             (op,) = batch.ops
-            assert "no response" in op.completion.value.error
-            assert failed_at[id(op)] == batch.created_at + path.op_timeout
+            when, result = failed_at[id(op)]
+            assert "no response" in result.error
+            assert when == batch.created_at + path.op_timeout
 
     @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
     def test_outstanding_batches_share_one_deadline_entry(self, make_env):
@@ -465,14 +467,13 @@ class TestResponseTimeout:
         config = RdmaConfig(1, 1, 1, 8, one_sided_fast_path=False)
         env, server, path, tokens = make_stack(config, env=make_env())
         lost = _drop_requests(server, 0, lambda batch: True)
-        ops = []
+        runs = []
 
         def scenario(env):
             for i in range(8):
                 op = EngineOp(is_read=True, size=8, token=tokens[0],
                               offset=i * 8)
-                ops.append(op)
-                env.process(path.io(op, thread_index=0))
+                runs.append(env.process(path.io(op, thread_index=0)))
                 yield env.timeout(1e-6)
             # Every request write has landed; only deadlines remain.
             yield env.timeout(20e-6)
@@ -481,7 +482,7 @@ class TestResponseTimeout:
         assert env.run_process(scenario(env)) == 1
         assert len(lost) == 8
         env.run()
-        assert [op.completion.value.ok for op in ops] == [False] * 8
+        assert [run.value.ok for run in runs] == [False] * 8
         assert path.ops_failed == 8
 
     @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
@@ -499,7 +500,7 @@ class TestResponseTimeout:
                 op = EngineOp(is_read=True, size=8, token=tokens[0])
                 running = env.process(path.io(op, thread_index=0))
                 yield env.timeout(1e-6)
-                (batch,) = connection.outstanding.values()
+                ((batch, _),) = connection.outstanding.values()
                 result = yield running
                 return result, batch.created_at, env.now
 
@@ -517,6 +518,101 @@ class TestResponseTimeout:
         assert when == answered
         assert result.ok
         assert path.ops_failed == 0
+
+
+class TestResponsesFindTheirConnection:
+    """A response batch comes back through the response ring of the
+    connection that sent the request, whatever number the server gave
+    that connection."""
+
+    @staticmethod
+    def _testbed():
+        rngs = RngRegistry(0)
+        env = Environment()
+        return rngs, env, Fabric(env, AZURE_HPC)
+
+    def test_second_server_answers_its_own_connection(self):
+        rngs, env, fabric = self._testbed()
+        path = CacheDataPath(env, AZURE_HPC, RdmaConfig(1, 1, 4, 2),
+                             fabric.add_endpoint("client", Placement()),
+                             rngs.stream("client"))
+        tokens = []
+        for name in ("server1", "server2"):
+            server = CacheServer(env, AZURE_HPC,
+                                 fabric.add_endpoint(name, Placement()),
+                                 rngs.stream(name))
+            tokens += path.attach_server(server, n_regions=1,
+                                         region_size=4096)
+
+        def scenario(env):
+            wrote = yield from path.io(EngineOp(
+                is_read=False, size=8, token=tokens[1], data=b"server-2"))
+            read = yield from path.io(EngineOp(
+                is_read=True, size=8, token=tokens[1]))
+            return wrote, read
+
+        wrote, read = env.run_process(scenario(env))
+        assert wrote.ok and read.ok, (wrote.error, read.error)
+        assert read.data == b"server-2"
+        assert wrote.latency < 10 * US and read.latency < 10 * US
+        assert path.ops_failed == 0
+
+    def test_paths_sharing_a_server_keep_their_credits(self):
+        rngs, env, fabric = self._testbed()
+        server = CacheServer(env, AZURE_HPC,
+                             fabric.add_endpoint("server", Placement()),
+                             rngs.stream("server"))
+        paths = [CacheDataPath(env, AZURE_HPC, RdmaConfig(1, 1, 4, 2),
+                               fabric.add_endpoint(name, Placement()),
+                               rngs.stream(name))
+                 for name in ("client1", "client2")]
+        # Both attach; only the second path's connection is not the
+        # server's first.
+        for path in paths:
+            (token,) = path.attach_server(server, n_regions=1,
+                                          region_size=4096)
+        second = paths[1]
+
+        def scenario(env):
+            results = []
+            for index in range(4):
+                results.append((yield from second.io(EngineOp(
+                    is_read=False, size=8, token=token, offset=8 * index,
+                    data=bytes([index]) * 8))))
+            return results
+
+        results = env.run_process(scenario(env))
+        assert all(result.ok for result in results)
+        assert all(result.latency < 10 * US for result in results), [
+            result.latency for result in results]
+        env.run()  # past every response deadline
+        assert second.ops_completed == 4 and second.ops_failed == 0
+
+    def test_batching_cache_across_vms_reaches_every_region(self):
+        """End to end: a cache whose SLO picks a batching configuration
+        and whose regions span several VMs, so that most connections
+        are not their server's first."""
+        harness = build_cluster(seed=19)
+        harness.manager.menu = [VmType(
+            "tiny", cores=2, memory_gb=1.0, price_per_hour=0.02,
+            spot_price_per_hour=0.004)]
+        region = 64 << 20
+        cache = harness.redy_client("batching-app").create(
+            20 * region, Slo(max_latency=5e-3, min_throughput=1e8,
+                             record_size=64),
+            duration_s=3600.0, region_bytes=region, backed=False)
+        assert cache.path.config == RdmaConfig(16, 8, 63, 4)
+        assert len(cache.allocation.vms) == 4
+
+        def scenario(env):
+            results = []
+            for index in range(20):
+                results.append((yield cache.write(index * region,
+                                                  b"x" * 8)))
+            return results
+
+        results = harness.env.run_process(scenario(harness.env))
+        assert [result.ok for result in results] == [True] * 20
 
 
 class TestControlPlaneModel:

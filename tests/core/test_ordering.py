@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import RdmaConfig
 from repro.core.engine import CacheDataPath
+from repro.core.measurement import MeasurementResult, measure_config
 from repro.core.protocol import EngineOp
 from repro.core.server import CacheServer
 from repro.hardware import AZURE_HPC
@@ -111,14 +112,14 @@ def test_read_after_write_same_thread_sees_the_write():
 LOOPS = ["calendar", "heap"]
 
 
-def _ordering_stack(make_env, queue_depth):
+def _ordering_stack(make_env, config):
     rngs = RngRegistry(0)
     env = make_env()
     fabric = Fabric(env, AZURE_HPC)
     server = CacheServer(env, AZURE_HPC,
                          fabric.add_endpoint("server", Placement()),
                          rngs.stream("server"))
-    path = CacheDataPath(env, AZURE_HPC, RdmaConfig(1, 0, 1, queue_depth),
+    path = CacheDataPath(env, AZURE_HPC, config,
                          fabric.add_endpoint("client", Placement()),
                          rngs.stream("client"))
     (token,) = path.attach_server(server, n_regions=1, region_size=1 << 16)
@@ -145,7 +146,7 @@ def test_contended_one_sided_burst_completes_on_pinned_instants(make_env):
     thread with four credits: credits run out, and issues and reaps take
     turns on the thread CPU.  (With two credits every op holding one is
     issuing, so no reap could queue for the CPU between two issues.)"""
-    env, path, token = _ordering_stack(make_env, queue_depth=4)
+    env, path, token = _ordering_stack(make_env, RdmaConfig(1, 0, 1, 4))
     outcome = {}
 
     def one(index):
@@ -179,7 +180,7 @@ def test_error_state_post_reaps_behind_a_same_instant_bystander(make_env):
     """A post to a QP in the error state completes inside ``post()``;
     its reap still starts behind the entries queued in that instant,
     so a bystander spawned right after the post gets the CPU first."""
-    env, path, token = _ordering_stack(make_env, queue_depth=2)
+    env, path, token = _ordering_stack(make_env, RdmaConfig(1, 0, 1, 2))
     thread = path.threads[0]
     qp = thread.connections["server"].qp
     qp.inject_error("link down")
@@ -225,7 +226,7 @@ def test_caller_resumes_behind_the_credit_its_reap_hands_on(make_env):
     queued in that instant: with one credit, the op waiting for it
     starts its issue, and takes the thread CPU, before the first op's
     caller continues."""
-    env, path, token = _ordering_stack(make_env, queue_depth=1)
+    env, path, token = _ordering_stack(make_env, RdmaConfig(1, 0, 1, 1))
     thread = path.threads[0]
     log = []
 
@@ -238,3 +239,102 @@ def test_caller_resumes_behind_the_credit_its_reap_hands_on(make_env):
     env.process(one("second"))
     env.run()
     assert log == HANDED_ON_CREDIT_LOG
+
+
+# -- batch-boundary pins for the batching path --------------------------
+#
+# A burst of weight-1 writes on thread 0.  The issue-slot holder gathers
+# the ops queued behind it, up to ``b``, into one request batch; these
+# pins fix each batch's op count, each op's latency and an upper bound on
+# the kernel steps (the count when an issuer loop and a completion loop
+# ran this path; it may only fall).
+
+_A, _B, _C = (6.045821762200614e-06, 1.2197984090415067e-05,
+              1.777923048727792e-05)
+_D, _E, _F = (6.0460674639994996e-06, 7.40499885893378e-06,
+              1.207163495694511e-05)
+_G, _H, _I = (1.0624889473607993e-05, 1.6537426646416487e-05,
+              2.0657689150261517e-05)
+_J, _K, _L = (2.689082602680596e-05, 5.8984729703900104e-05,
+              6.393159780029906e-05)
+
+#: id -> (config, ops, start spacing in s, batch op counts, per-op
+#: latencies, most kernel steps).
+BATCH_BURSTS = {
+    "one-full-batch": (
+        RdmaConfig(1, 1, 8, 4), 8, 0.0, [8],
+        [7.029817774457128e-06] * 8, 37),
+    "one-credit": (
+        RdmaConfig(1, 1, 4, 1), 9, 0.0, [4, 4, 1],
+        [_A] * 4 + [_B] * 4 + [_C], 70),
+    "two-credits": (
+        RdmaConfig(1, 1, 4, 2), 12, 0.0, [4, 4, 4],
+        [_D] * 4 + [_E] * 4 + [_F] * 4, 74),
+    # Ops that arrive during a credit wait form the next batch.
+    "arrivals-during-credit-wait": (
+        RdmaConfig(1, 1, 4, 1), 9, 0.5e-6, [1, 1, 4, 3],
+        [5.617424753008228e-06, 1.083372579523806e-05,
+         1.6345475315307475e-05, 1.5845475315307477e-05,
+         1.5345475315307475e-05, 1.4845475315307476e-05,
+         2.1208856407765848e-05, 2.070885640776585e-05,
+         2.020885640776585e-05], 96),
+    # The reap's cross-NUMA hop runs under the thread's reap slot.
+    "numa-hop": (
+        RdmaConfig(1, 1, 4, 2, numa_affinity=False), 12, 0.0, [4, 4, 4],
+        [_G] * 4 + [_H] * 4 + [_I] * 4, 79),
+    # Lock jitter is drawn before the issue's noise, per batch.
+    "numa-hop-and-locks": (
+        RdmaConfig(1, 1, 4, 2, lock_free=False, numa_affinity=False),
+        12, 0.0, [4, 4, 4], [_J] * 4 + [_K] * 4 + [_L] * 4, 80),
+}
+
+
+@pytest.mark.parametrize("burst", sorted(BATCH_BURSTS))
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_burst_forms_pinned_batches(make_env, burst):
+    config, n_ops, spacing, batches, latencies, most_steps = \
+        BATCH_BURSTS[burst]
+    env, path, token = _ordering_stack(make_env, config)
+    server = path.threads[0].connections["server"].server
+    ring = server._connections[0].request_ring
+    deliver, sizes = ring._mailbox, []
+
+    def mailbox(batch):
+        sizes.append(len(batch.ops))
+        deliver(batch)
+
+    ring.attach_mailbox(mailbox)
+    latency = {}
+
+    def one(index):
+        if spacing:
+            yield env.timeout(index * spacing)
+        result = yield from path.io(EngineOp(
+            is_read=False, size=8, token=token, offset=8 * index,
+            data=index.to_bytes(8, "little")), thread_index=0)
+        assert result.ok
+        latency[index] = result.latency
+
+    for index in range(n_ops):
+        env.process(one(index))
+    env.run()
+    assert sizes == batches
+    assert [latency[index] for index in range(n_ops)] == latencies
+    assert env.event_loop_stats()["steps"] <= most_steps
+
+
+#: A closed-loop measurement whose callers draw lock jitter from the
+#: engine RNG between ops: its result moves if a caller returns ahead
+#: of what its reap queued, or if a reap takes the thread CPU before the
+#: reap ahead of it has finished.
+CONTENDED_MEASUREMENT = MeasurementResult(
+    latency_mean=9.650444653649009e-05, latency_p50=7.574939356602787e-05,
+    latency_p99=0.0003227272292189125, throughput=299232.0626134279,
+    ops_measured=268, duration=0.0008956259488349817)
+
+
+def test_contended_measurement_keeps_its_pinned_result():
+    assert measure_config(
+        RdmaConfig(2, 2, 4, 4, lock_free=False), 64,
+        batches_per_connection=30, warmup_batches=5, seed=1,
+    ) == CONTENDED_MEASUREMENT

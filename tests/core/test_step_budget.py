@@ -26,8 +26,9 @@ from repro.workloads.scenarios import build_cluster, build_faster_store
 #: address on an idle testbed (one-sided configuration).  25 while each
 #: op went through the batch ring, the issuer loop and a reap process.
 READ_WRITE_STEPS = 21
-#: Kernel steps of a small two-sided closed-loop measurement.
-MEASURE_STEPS = 2551
+#: Kernel steps of a small two-sided closed-loop measurement.  2551
+#: while an issuer loop and a completion loop ran the batching path.
+MEASURE_STEPS = 2469
 #: Kernel steps of one FasterKv read that misses local memory and is
 #: served by the Redy tier of the tiered device (14 with the ring hand-off
 #: and the reap process).
@@ -43,11 +44,13 @@ TENANT_READ_STEPS = 13
 #: QPs.  The second queues for the tx link by reservation, which costs
 #: no dispatch of its own.
 CONTENDED_WRITES_STEPS = 14
-#: Kernel steps of one two-sided batch: submit, request-ring write,
+#: Kernel steps of one two-sided batch: issue, request-ring write,
 #: server thread, response-ring write, reap, then the connection's
 #: response watchdog.  Both ring writes are unsignaled (no completion
 #: dispatch on success), and the watchdog is the only deadline entry.
-TWO_SIDED_BATCH_STEPS = 19
+#: 19 while the op went through the issuer and completion loops and
+#: its caller resumed from the op's completion event.
+TWO_SIDED_BATCH_STEPS = 18
 
 
 def _check(name, pinned, steps):

@@ -153,3 +153,70 @@ def test_resource_queue_length():
     env.run(until=50 * US)
     assert resource.in_use == 1
     assert resource.queue_length == 2
+
+
+def test_resource_take_waiter_skips_the_slot_grant():
+    """A holder that takes the oldest waiter owns its wait event: the
+    waiter resumes with whatever the holder fires, and the slot goes
+    to the next waiter on release."""
+    env = Environment()
+    resource = Resource(env, slots=1)
+    log = []
+
+    def holder(env):
+        yield resource.acquire()
+        yield env.timeout(10 * US)
+        taken = resource.take_waiter()
+        resource.release()
+        taken.succeed("done for you")
+
+    def waiter(env, tag):
+        got = yield resource.acquire()
+        log.append((tag, got, env.now, resource.in_use))
+        if got is None:
+            resource.release()
+
+    env.process(holder(env))
+    env.process(waiter(env, "a"))
+    env.process(waiter(env, "b"))
+    env.run()
+    assert log == [("b", None, 10 * US, 1), ("a", "done for you", 10 * US, 0)]
+    assert resource.queue_length == 0 and resource.in_use == 0
+
+
+def test_resource_acquire_for_queues_an_existing_wait():
+    """``acquire_for`` puts a process already waiting on an event into
+    the queue: it resumes holding a slot, after the earlier waiters."""
+    env = Environment()
+    resource = Resource(env, slots=1)
+    log = []
+    pending = env.event()
+
+    def holder(env):
+        yield resource.acquire()
+        yield env.timeout(10 * US)
+        resource.release()
+
+    def early(env):
+        yield env.timeout(1 * US)
+        yield resource.acquire()
+        log.append(("early", env.now))
+        yield env.timeout(5 * US)
+        resource.release()
+
+    def late(env):
+        yield pending
+        log.append(("late", env.now, resource.in_use))
+        resource.release()
+
+    def queuer(env):
+        yield env.timeout(2 * US)
+        resource.acquire_for(pending)
+
+    for body in (holder, early, late, queuer):
+        env.process(body(env))
+    env.run()
+    assert log == [("early", 10 * US), ("late", 15 * US, 1)]
+    free = env.event()
+    resource.acquire_for(free)  # a free slot: granted at once
+    assert free.triggered and resource.in_use == 1

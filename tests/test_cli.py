@@ -1,5 +1,7 @@
 """Smoke tests for the ``python -m repro`` launcher."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import cmd_examples, cmd_list, main
@@ -46,6 +48,24 @@ def test_metrics_json_output_is_parseable(capsys):
 def test_metrics_for_missing_bench_blob_is_an_error(capsys):
     assert main(["metrics", "fig99"]) == 1
     assert "no metrics blob" in capsys.readouterr().out
+
+
+def test_metrics_shows_a_committed_bench_blob(capsys):
+    assert main(["metrics", "fig07"]) == 0
+    assert "bench.op_latency" in capsys.readouterr().out
+
+
+def test_every_bench_blob_is_named_after_its_benchmark():
+    """``bench_metrics`` names a blob after its test file's full stem,
+    and ``repro metrics <id>`` reads it there: a blob named otherwise
+    is one nothing reads."""
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    blobs = sorted((benchmarks / "_results").glob("BENCH_*.json"))
+    assert blobs
+    orphans = [blob.name for blob in blobs if not (
+        benchmarks / f"test_{blob.stem.removeprefix('BENCH_')}.py"
+    ).is_file()]
+    assert not orphans
 
 
 def test_missing_command_exits_with_usage():
