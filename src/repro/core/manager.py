@@ -27,11 +27,7 @@ from typing import Callable, Dict, List, Optional
 from repro.cluster.allocator import AllocationError, Vm, VmAllocator
 from repro.cluster.vmtypes import AZURE_MENU, VmType
 from repro.core.config import RdmaConfig, Slo
-from repro.core.modeling import (
-    OfflineModeler,
-    PerfModel,
-    make_analytic_measurer,
-)
+from repro.core.modeling import PerfModel, analytic_model
 from repro.core.search import SloSearcher
 from repro.core.server import CacheServer
 from repro.core.space import ConfigSpace
@@ -94,8 +90,6 @@ class CacheManager:
         #: models the pre-provisioned-VM strategy the paper suggests;
         #: tens of seconds models on-demand provisioning.
         self.provisioning_delay_s = provisioning_delay_s
-        #: (record_size, switch_hops) -> PerfModel, built lazily.
-        self._models: Dict[tuple[int, int], PerfModel] = {}
         self.allocations: Dict[int, CacheAllocation] = {}
         # Per-manager, not module-global: allocation ids name RNG streams
         # (cache-path-<id>), so they must restart with each run for
@@ -109,20 +103,15 @@ class CacheManager:
     # ------------------------------------------------------------------
 
     def model_for(self, record_size: int, switch_hops: int) -> PerfModel:
-        """The per-distance performance model (§5.2), built on demand."""
-        key = (record_size, switch_hops)
-        if key not in self._models:
-            space = ConfigSpace(
-                max_client_threads=self.profile.modeling_cores,
-                record_size=record_size,
-                max_queue_depth=self.profile.nic.max_queue_depth)
-            measurer = make_analytic_measurer(
-                self.profile, record_size=record_size,
-                switch_hops=switch_hops, noise=self.model_noise)
-            model, _stats = OfflineModeler(
-                space, measurer, switch_hops=switch_hops).build()
-            self._models[key] = model
-        return self._models[key]
+        """The per-distance performance model (§5.2), built once per
+        process and shared with every manager on the same profile."""
+        space = ConfigSpace(
+            max_client_threads=self.profile.modeling_cores,
+            record_size=record_size,
+            max_queue_depth=self.profile.nic.max_queue_depth)
+        return analytic_model(space, profile=self.profile,
+                              switch_hops=switch_hops,
+                              noise=self.model_noise, seed=0)
 
     def find_configuration(self, slo: Slo, switch_hops: int,
                            max_server_threads: Optional[int] = None

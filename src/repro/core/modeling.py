@@ -22,11 +22,17 @@ Two measurers are provided:
 * :func:`make_analytic_measurer` evaluates the analytic
   :class:`~repro.core.latency.DataPathModel` with multiplicative
   measurement noise -- the fast path for large campaigns.
+
+As in the paper, where the modeler runs offline once per testbed and
+record size, :func:`analytic_model` builds each analytic model once per
+process: the cache manager and the tenant SLO plans share one
+:class:`PerfModel` per (space, profile, distance, noise, seed).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -41,6 +47,7 @@ __all__ = [
     "ModelingStats",
     "OfflineModeler",
     "PerfModel",
+    "analytic_model",
     "make_analytic_measurer",
     "make_testbed_measurer",
 ]
@@ -50,6 +57,11 @@ Measurer = Callable[[RdmaConfig], PerfPoint]
 #: Throughput must improve by at least this factor for an axis step to
 #: count as "improving" (early-termination sensitivity).
 _IMPROVEMENT_EPSILON = 1.01
+
+#: How many models :func:`analytic_model` keeps.  The tier-1 suite
+#: uses 20 distinct keys outside the store's own tests; a benchmark
+#: process uses at most four.
+MODEL_STORE_SIZE = 32
 
 #: §5.2: "If one measurement takes a minute, including switching to the
 #: new configuration, performing I/Os, and reporting the result".
@@ -244,6 +256,9 @@ class PerfModel:
         w_q = self._weight_matrix(self._q_axis, q_values)
         lat_plane = w_b @ grid_lat @ w_q.T
         tput_plane = w_b @ grid_tput @ w_q.T
+        # Read-only: a stored model's planes are shared by every caller.
+        lat_plane.flags.writeable = False
+        tput_plane.flags.writeable = False
         self._bracket_cache[cache_key] = (lat_plane, tput_plane)
         return lat_plane, tput_plane
 
@@ -403,6 +418,28 @@ def make_analytic_measurer(profile: TestbedProfile = AZURE_HPC, *,
         )
 
     return measurer
+
+
+@functools.lru_cache(maxsize=MODEL_STORE_SIZE)
+def analytic_model(space: ConfigSpace, *, profile: TestbedProfile,
+                   switch_hops: int, noise: float, seed: int) -> PerfModel:
+    """The analytic model of ``space``, built once per process per key.
+
+    Runs :class:`OfflineModeler` over :func:`make_analytic_measurer` and
+    keeps the model in a bounded LRU keyed by the arguments.  The build
+    is a pure function of them -- the measurer is a closed form whose
+    noise is drawn from ``default_rng(seed)`` in grid order -- so a
+    stored model is what a rebuild would return.  Callers share the
+    returned model: it has no public mutators, and its prediction caches
+    memoize pure values.  A caller that needs a fresh build, or the
+    campaign's :class:`ModelingStats`, runs :class:`OfflineModeler`.
+    """
+    measurer = make_analytic_measurer(
+        profile, record_size=space.record_size, switch_hops=switch_hops,
+        noise=noise, seed=seed)
+    model, _stats = OfflineModeler(
+        space, measurer, switch_hops=switch_hops).build()
+    return model
 
 
 class TestbedMeasurer:

@@ -25,6 +25,12 @@ this module, holds every entry's seed-0 ``events`` (the trace length).
 At seed 0 an entry whose count grew fails with the old and new counts;
 one whose count dropped fails until the file records the new count, so
 a saving lands together with its record.
+
+So are the results.  ``gate_blobs.json`` holds every entry's
+``blob_digest`` (the SHA-256 of its canonical blob) at seeds 0 and 1.
+At a recorded seed an entry whose blob hashes otherwise fails with the
+old and new digests: a change meant to move a result records the new
+digest, and any other change leaves every result where it was.
 """
 
 from __future__ import annotations
@@ -608,9 +614,27 @@ SCENARIOS: Dict[str, Scenario] = {
 #: Every entry's reviewed seed-0 kernel events (see the module doc).
 EVENTS_FILE = Path(__file__).with_name("gate_events.json")
 
+#: Every entry's reviewed blob digests at seeds 0 and 1.
+BLOBS_FILE = Path(__file__).with_name("gate_blobs.json")
+
 
 def _canonical(blob: dict) -> str:
     return json.dumps(blob, sort_keys=True)
+
+
+def _blob_digest(blob: dict) -> str:
+    return hashlib.sha256(_canonical(blob).encode()).hexdigest()
+
+
+def _blob_failures(name: str, seed: int, digest: str) -> List[str]:
+    """At a recorded seed, the entry's blob digest must equal the
+    recorded one."""
+    pinned = json.loads(BLOBS_FILE.read_text()).get(name, {}).get(str(seed))
+    if pinned is None or digest == pinned:
+        return []
+    return [f"blob digest moved {pinned[:16]} -> {digest[:16]} at seed "
+            f"{seed}: a change meant to move this result records the new "
+            f"digest in {BLOBS_FILE.name}"]
 
 
 def _events_failures(name: str, seed: int, events: int) -> List[str]:
@@ -657,8 +681,9 @@ def check(name: str, seed: int = 0) -> dict:
     """Gate one registered scenario; returns its report entry.
 
     The entry is ``ok`` only if both runs dispatched in order, traced
-    and returned identically, no invariant failed, and (at seed 0) its
-    kernel events equal the recorded count.
+    and returned identically, no invariant failed, (at seed 0) its
+    kernel events equal the recorded count, and (at a recorded seed)
+    its blob digest equals the recorded one.
     """
     scenario = SCENARIOS[name]
     first, blob = _record(scenario.run, seed)
@@ -673,11 +698,14 @@ def check(name: str, seed: int = 0) -> dict:
         divergence, failures = _replay(name, report)
     failures += scenario.invariants(blob)
     failures += _events_failures(name, seed, report.events_a)
+    blob_digest = _blob_digest(blob)
+    failures += _blob_failures(name, seed, blob_digest)
     return {
         "name": name,
         "ok": not failures,
         "events": report.events_a,
         "digest": report.digest_a,
+        "blob_digest": blob_digest,
         "divergence": divergence,
         "failures": failures,
         "blob": blob,

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import PerfPoint, RdmaConfig, Slo
-from repro.core.modeling import OfflineModeler, make_analytic_measurer
+from repro.core.modeling import analytic_model
 from repro.core.search import SloSearcher
 from repro.core.space import ConfigSpace
+from repro.hardware.profiles import AZURE_HPC
 
 __all__ = ["ClassPlan", "SLO_CLASS_WEIGHTS", "plan_slo_classes"]
 
@@ -69,9 +70,10 @@ def plan_slo_classes(record_size: int = 64, *,
                      seed: int = 0) -> dict[str, ClassPlan]:
     """Map every SLO class to a searched config + predicted perf point.
 
-    Builds a small offline model (noise-free analytic measurer, so the
-    result is deterministic and cheap) over the given config space and
-    runs the §5 SLO search once per class.  ``scavenger`` targets the
+    Takes a small offline model (noise-free analytic measurer, so the
+    result is deterministic and cheap) over the given config space from
+    the process-wide :func:`~repro.core.modeling.analytic_model` store
+    and runs the §5 SLO search once per class.  ``scavenger`` targets the
     worst corner and is always satisfiable; the tighter classes fall
     back to the nearest satisfiable target (latency relaxed toward the
     worst corner) rather than failing the whole plan, mirroring how the
@@ -80,11 +82,8 @@ def plan_slo_classes(record_size: int = 64, *,
     space = ConfigSpace(max_client_threads=max_client_threads,
                         record_size=record_size,
                         max_queue_depth=max_queue_depth)
-    measurer = make_analytic_measurer(record_size=record_size,
-                                      switch_hops=switch_hops,
-                                      noise=0.0, seed=seed)
-    model, _stats = OfflineModeler(space, measurer,
-                                   switch_hops=switch_hops).build()
+    model = analytic_model(space, profile=AZURE_HPC,
+                           switch_hops=switch_hops, noise=0.0, seed=seed)
     best, worst = model.bounds()
     searcher = SloSearcher.for_model(model)
 

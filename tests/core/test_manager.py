@@ -7,10 +7,12 @@ import pytest
 from repro.cluster import PhysicalServer, VmAllocator
 from repro.core import RdmaConfig, Slo
 from repro.core.manager import CacheManager, SloUnsatisfiableError
+from repro.core.modeling import analytic_model
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, Placement
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
+from repro.workloads.scenarios import build_cluster
 
 EASY_SLO = Slo(max_latency=1e-3, min_throughput=1e4, record_size=64)
 REGION = 4 << 20
@@ -38,6 +40,23 @@ class TestModels:
         c = manager.model_for(64, 3)
         assert a is b
         assert a is not c
+        # One model per process: a second manager on the same profile
+        # shares it.
+        _, _, other = make_manager()
+        assert other.model_for(64, 1) is a
+        assert other.model_for(64, 3) is c
+
+    def test_kv_open_setup_shape_builds_three_models(self):
+        """Nine clusters, each creating one cache, build each of the
+        three per-distance models once."""
+        analytic_model.cache_clear()
+        slo = Slo(max_latency=20e-6, min_throughput=2e6, record_size=64)
+        for _ in range(9):
+            harness = build_cluster(seed=0)
+            harness.redy_client("kv-open").create(8 << 20, slo,
+                                                  region_bytes=1 << 20)
+        info = analytic_model.cache_info()
+        assert (info.misses, info.hits) == (3, 24)
 
     def test_find_configuration_respects_server_thread_cap(self):
         _, _, manager = make_manager()

@@ -1,15 +1,21 @@
-"""Tests for offline modeling: interpolation and early termination."""
+"""Tests for offline modeling: interpolation, early termination and
+the per-process model store."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core import RdmaConfig
+from repro.core import RdmaConfig, Slo
 from repro.core.latency import DataPathModel
 from repro.core.measurement import measure_config
 from repro.core.modeling import (
+    MODEL_STORE_SIZE,
     OfflineModeler,
+    analytic_model,
     make_analytic_measurer,
     make_testbed_measurer,
 )
+from repro.core.search import SloSearcher
 from repro.core.space import ConfigSpace
 from repro.exec.runner import SweepRunner
 from repro.hardware import AZURE_HPC
@@ -159,3 +165,107 @@ def test_testbed_measurer_matches_measure_config_bit_for_bit():
     assert serial_stats == batched_stats
     for config in space.iter_grid():
         assert serial_model.known(config) == batched_model.known(config)
+
+
+# ----------------------------------------------------------------------
+# The per-process model store
+# ----------------------------------------------------------------------
+
+TINY_SPACE = ConfigSpace(max_client_threads=2, record_size=64,
+                         max_queue_depth=4)
+
+
+def _fresh(space, profile=AZURE_HPC, switch_hops=1, noise=0.0, seed=0):
+    measurer = make_analytic_measurer(
+        profile, record_size=space.record_size, switch_hops=switch_hops,
+        noise=noise, seed=seed)
+    model, _stats = OfflineModeler(
+        space, measurer, switch_hops=switch_hops).build()
+    return model
+
+
+def _stored(space, profile=AZURE_HPC, switch_hops=1, noise=0.0, seed=0):
+    return analytic_model(space, profile=profile, switch_hops=switch_hops,
+                          noise=noise, seed=seed)
+
+
+def _grid_points(model):
+    return [model.known(config) for config in model.space.iter_grid()]
+
+
+def _slo_ladder(model):
+    """Fixed SLOs spread between the model's corners, some unsatisfiable."""
+    best, worst = model.bounds()
+    slos = []
+    for latency_fraction in (-0.1, 0.0, 0.25, 0.5, 1.0):
+        for tput_fraction in (0.0, 0.25, 0.5, 1.0, 1.1):
+            slos.append(Slo(
+                max_latency=best.latency
+                * (worst.latency / best.latency) ** latency_fraction,
+                min_throughput=worst.throughput + tput_fraction
+                * (best.throughput - worst.throughput),
+                record_size=model.space.record_size))
+    return slos
+
+
+class TestAnalyticModelStore:
+    @pytest.mark.parametrize("space,noise,seed", [
+        (ConfigSpace(max_client_threads=8, record_size=64,
+                     max_queue_depth=16), 0.0, 0),
+        # Table 2's campaign: 8 B records, C = 30, Q = 16, 3 % noise.
+        (ConfigSpace(30, 8, 16), 0.03, 4),
+    ], ids=["noise-0", "tab02"])
+    def test_stored_model_equals_a_fresh_build(self, space, noise, seed):
+        stored = _stored(space, noise=noise, seed=seed)
+        assert _stored(space, noise=noise, seed=seed) is stored
+        fresh = _fresh(space, noise=noise, seed=seed)
+        assert fresh is not stored
+        assert _grid_points(stored) == _grid_points(fresh)
+        assert stored.bounds() == fresh.bounds()
+        for config in (RdmaConfig(3, 1, 3, 5), RdmaConfig(5, 3, 12, 6),
+                       RdmaConfig(7, 0, 1, 11)):
+            assert stored.predict(config) == fresh.predict(config)
+        picked = [(SloSearcher.for_model(stored).search(slo),
+                   SloSearcher.for_model(fresh).search(slo))
+                  for slo in _slo_ladder(fresh)]
+        assert all(a == b for a, b in picked)
+        assert any(a is None for a, _ in picked)
+        assert len({a for a, _ in picked if a is not None}) > 3
+
+    def test_every_key_argument_builds_separately(self):
+        base = _stored(TINY_SPACE, noise=0.03, seed=1)
+        slow_hops = replace(AZURE_HPC, fabric=replace(
+            AZURE_HPC.fabric, hop_latency=4 * AZURE_HPC.fabric.hop_latency))
+        variants = [
+            {"profile": slow_hops},
+            {"noise": 0.0},
+            {"seed": 2},
+            {"space": replace(TINY_SPACE, max_queue_depth=8)},
+            {"switch_hops": 3},
+        ]
+        for variant in variants:
+            arguments = {"space": TINY_SPACE, "noise": 0.03, "seed": 1,
+                         **variant}
+            before = analytic_model.cache_info().misses
+            model = _stored(**arguments)
+            assert analytic_model.cache_info().misses == before + 1, variant
+            assert _grid_points(model) != _grid_points(base), variant
+            assert _grid_points(model) == _grid_points(_fresh(**arguments))
+
+    def test_an_evicted_key_rebuilds_an_identical_model(self):
+        first = _stored(TINY_SPACE, noise=0.03, seed=7)
+        for seed in range(1000, 1000 + MODEL_STORE_SIZE):
+            _stored(TINY_SPACE, noise=0.03, seed=seed)
+        before = analytic_model.cache_info().misses
+        rebuilt = _stored(TINY_SPACE, noise=0.03, seed=7)
+        assert analytic_model.cache_info().misses == before + 1
+        assert rebuilt is not first
+        assert _grid_points(rebuilt) == _grid_points(first)
+        assert rebuilt.bounds() == first.bounds()
+
+    def test_shared_planes_are_read_only(self):
+        lat_plane, tput_plane = _stored(TINY_SPACE).predict_plane(1, 1)
+        with pytest.raises(ValueError):
+            lat_plane[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            tput_plane[0, 0] = 0.0

@@ -1,5 +1,6 @@
 """SLO class planning: deterministic Pareto-frontier placement."""
 
+from repro.core.modeling import analytic_model
 from repro.tenant import SLO_CLASS_WEIGHTS, plan_slo_classes
 
 
@@ -31,6 +32,14 @@ class TestPlanSloClasses:
     def test_planning_is_deterministic(self):
         assert plan_slo_classes() == plan_slo_classes()
         assert plan_slo_classes(seed=3) == plan_slo_classes(seed=3)
+
+    def test_plans_share_one_stored_model(self):
+        plan_slo_classes(seed=11)
+        before = analytic_model.cache_info()
+        plan_slo_classes(seed=11)
+        after = analytic_model.cache_info()
+        assert (after.misses, after.hits) == (before.misses,
+                                              before.hits + 1)
 
     def test_space_parameters_change_the_plan(self):
         small = plan_slo_classes(max_client_threads=1, max_queue_depth=4)

@@ -3,8 +3,8 @@
 Two halves: every registered entry's invariants hold at seed 0 and
 each one fails when a single field of its blob is violated, and the
 harness tells an ordering bug, a replay bug and an invariant failure
-apart and holds each entry's seed-0 kernel events to the recorded
-count.
+apart and holds each entry's seed-0 kernel events and its seed-0 and
+seed-1 blob digests to the recorded values.
 """
 
 import copy
@@ -219,6 +219,15 @@ def test_recorded_events_cover_every_entry():
                for count in recorded.values())
 
 
+def test_recorded_blob_digests_cover_every_entry():
+    recorded = json.loads(gates.BLOBS_FILE.read_text())
+    assert list(recorded) == list(SCENARIOS)
+    for digests in recorded.values():
+        assert list(digests) == ["0", "1"]
+        assert all(re.fullmatch(r"[0-9a-f]{64}", digest)
+                   for digest in digests.values())
+
+
 def test_readme_gate_block_matches_the_registry():
     """README's ``repro gate --all`` console block lists every entry in
     registry order with its recorded seed-0 kernel events."""
@@ -252,6 +261,24 @@ def test_seed_0_event_count_change_fails_with_old_and_new(
     assert gates.check("clean", seed=1)["ok"]
     recorded.write_text(json.dumps({"clean": events}))
     assert gates.check("clean")["ok"]
+
+
+def test_blob_digest_change_fails_with_old_and_new(monkeypatch, tmp_path):
+    _register(monkeypatch, "clean", _clean)
+    digest = gates.check("clean", seed=1)["blob_digest"]
+    recorded = tmp_path / "gate_blobs.json"
+    recorded.write_text(json.dumps({"clean": {"1": "0" * 64}}))
+    monkeypatch.setattr(gates, "BLOBS_FILE", recorded)
+    entry = gates.check("clean", seed=1)
+    assert not entry["ok"]
+    assert entry["failures"] == [
+        f"blob digest moved {'0' * 16} -> {digest[:16]} at seed 1: a "
+        "change meant to move this result records the new digest in "
+        "gate_blobs.json"]
+    # Only recorded seeds are checked; the recorded digest passes.
+    assert gates.check("clean", seed=0)["ok"]
+    recorded.write_text(json.dumps({"clean": {"1": digest}}))
+    assert gates.check("clean", seed=1)["ok"]
 
 
 def test_report_counts_entries_and_renders(monkeypatch):
