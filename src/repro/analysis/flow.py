@@ -78,8 +78,6 @@ LOOP = "loop"            # back edge to a loop header
 #: engine.
 EXCEPT = "except"
 
-EDGE_KINDS = (NEXT, TRUE, FALSE, LOOP, EXCEPT)
-
 #: Synthetic structural nodes that reference a statement for position
 #: only; analyzers must not re-apply statement effects at them.
 STRUCTURAL_LABELS = frozenset(

@@ -31,8 +31,6 @@ Rules:
   class PR 6 fixed by hand).
 * **L003** metrics instrument constructed directly instead of through
   a ``MetricsRegistry`` (orphan series never reach snapshots).
-* **L004** admission verdict handled on the delay path without
-  releasing the queue reservation on every path.
 * **L005** ``yield x.acquire()`` without a ``finally``-protected
   ``x.release()`` covering every later suspension point.
 * **L006** sim process spawned from inside another process with the
@@ -110,23 +108,18 @@ def _yielded_call(stmt: ast.stmt) -> Optional[ast.Call]:
     return None
 
 
-class _ObligationKey:
-    """State keys are strings ``rule|resource`` (latent L004 keys use
-    ``L004?|resource`` until a delay-branch arms them)."""
+def _key(rule: str, resource: str) -> str:
+    """Obligation state key ``rule|resource``."""
+    return f"{rule}|{resource}"
 
-    @staticmethod
-    def make(rule: str, resource: str, latent: bool = False) -> str:
-        return f"{rule}{'?' if latent else ''}|{resource}"
 
-    @staticmethod
-    def split(key: str) -> Tuple[str, str, bool]:
-        rule, _, resource = key.partition("|")
-        latent = rule.endswith("?")
-        return rule.rstrip("?"), resource, latent
+def _split(key: str) -> Tuple[str, str]:
+    rule, _, resource = key.partition("|")
+    return rule, resource
 
 
 class _FunctionLifecycle:
-    """Obligation dataflow (L001/L004/L005) over one function."""
+    """Obligation dataflow (L001/L005) over one function."""
 
     def __init__(self, path: str, qualname: str, func: flow.FuncDef,
                  cls: Optional[str], graph: ModuleGraph,
@@ -138,77 +131,14 @@ class _FunctionLifecycle:
         self.graph = graph
         self.resolver = resolver
         self.cfg: Cfg = flow.build_cfg(func, qualname)
-        #: acquire node id -> (rule, resource, lineno, col)
-        self.anchors: Dict[int, Tuple[str, str, int, int]] = {}
-        #: verdict variable -> admission base (for L004 refinement).
-        self.verdicts: Dict[str, str] = {}
-        #: latent L004 obligations armed at function entry (verdict
-        #: arrived as a parameter; the admit() ran in the caller).
-        self.entry_state: Dict[str, FrozenSet[object]] = {}
-        self._scan_verdicts()
-
-    # -- pre-pass ------------------------------------------------------
-
-    def _scan_verdicts(self) -> None:
-        for node in ast.walk(self.func):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            value = node.value
-            if not (isinstance(target, ast.Tuple) and target.elts
-                    and isinstance(target.elts[0], ast.Name)):
-                continue
-            if (isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Attribute)
-                    and value.func.attr == "admit"):
-                base = flow.dotted_name(value.func.value)
-                if base is not None:
-                    self.verdicts[target.elts[0].id] = base
-        self._scan_param_verdicts()
-
-    def _scan_param_verdicts(self) -> None:
-        """Interprocedural L004 shape: the admit() ran in the caller and
-        this function received the verdict as a parameter (the
-        TenantTier._start -> _request handoff).  Arm a latent
-        reservation at entry when (a) a parameter is compared against
-        ADMIT/DELAY and (b) this function releases some
-        ``<base>.admission`` itself -- evidence it owns the duty."""
-        params = {a.arg for a in self.func.args.args
-                  + self.func.args.kwonlyargs + self.func.args.posonlyargs}
-        release_bases = []
-        for node in ast.walk(self.func):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _LOCK_RELEASES):
-                base = flow.dotted_name(node.func.value)
-                if base is not None and base.rsplit(".", 1)[-1] == "admission":
-                    release_bases.append(base)
-        if not release_bases:
-            return
-        for node in ast.walk(self.func):
-            if not (isinstance(node, ast.Compare) and len(node.ops) == 1
-                    and isinstance(node.left, ast.Name)
-                    and node.left.id in params
-                    and node.left.id not in self.verdicts):
-                continue
-            token = (flow.dotted_name(node.comparators[0])
-                     or "").rsplit(".", 1)[-1].upper()
-            if token not in ("ADMIT", "DELAY"):
-                continue
-            base = release_bases[0]
-            self.verdicts[node.left.id] = base
-            anchor = -(len(self.entry_state) + 1)
-            key = _ObligationKey.make("L004", base, latent=True)
-            self.entry_state[key] = frozenset({anchor})
-            self.anchors[anchor] = ("L004", base, node.lineno,
-                                    node.col_offset)
+        #: acquire node id -> (lineno, col) the finding is reported at
+        self.anchors: Dict[int, Tuple[int, int]] = {}
 
     # -- acquire recognition ------------------------------------------
 
-    def _acquires(self, stmt: ast.stmt,
-                  node_id: int) -> List[Tuple[str, str]]:
-        """(state key, resource) obligations armed by ``stmt``."""
-        out: List[Tuple[str, str]] = []
+    def _acquires(self, stmt: ast.stmt) -> List[str]:
+        """State keys of the obligations armed by ``stmt``."""
+        out: List[str] = []
         # L005: `yield <base>.acquire()` (bare or assigned).
         call = _yielded_call(stmt)
         if (call is not None and isinstance(call.func, ast.Attribute)):
@@ -220,7 +150,7 @@ class _FunctionLifecycle:
             own_name = self.qualname.rsplit(".", 1)[-1]
             if (attr == "acquire" and base is not None
                     and "acquire" not in own_name):
-                out.append((_ObligationKey.make("L005", base), base))
+                out.append(_key("L005", base))
             elif ("acquire" in attr and attr != "acquire"
                   and self._is_local_call(call)):
                 # `yield from self._acquire_slot(tenant)`: a local
@@ -228,8 +158,8 @@ class _FunctionLifecycle:
                 # local `...release...(same arg)` discharges it.
                 res = self._helper_resource(call)
                 if res is not None:
-                    out.append((_ObligationKey.make("L005", res), res))
-        # L001 / L004 arm on assignments.
+                    out.append(_key("L005", res))
+        # L001 arms on assignments.
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
             value = stmt.value
@@ -239,17 +169,7 @@ class _FunctionLifecycle:
                         if isinstance(value.func, ast.Attribute) else "")
                 if (resolved.rsplit(".", 1)[-1] == "QueuePair"
                         or attr in _QP_ACQUIRE_CALLS):
-                    out.append((_ObligationKey.make("L001", target.id),
-                                target.id))
-            if (isinstance(target, ast.Tuple) and target.elts
-                    and isinstance(target.elts[0], ast.Name)
-                    and isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Attribute)
-                    and value.func.attr == "admit"):
-                base = flow.dotted_name(value.func.value)
-                if base is not None:
-                    out.append((_ObligationKey.make("L004", base,
-                                                    latent=True), base))
+                    out.append(_key("L001", target.id))
         return out
 
     def _is_local_call(self, call: ast.Call) -> bool:
@@ -322,7 +242,7 @@ class _FunctionLifecycle:
         if isinstance(stmt, ast.Return) and stmt.value is not None:
             returned = _names_in(stmt.value)
         for key in list(new):
-            rule, resource, _latent = _ObligationKey.split(key)
+            rule, resource = _split(key)
             if resource in released:
                 del new[key]
             elif rule == "L001" and _head(resource) in escaped:
@@ -334,74 +254,39 @@ class _FunctionLifecycle:
                 # the caller; merely passing it to a call does not
                 # (slots routinely travel into helpers while held).
                 del new[key]
-        # L004 latent keys die when the verdict escapes into a call
-        # (e.g. _start handing (verdict, wait) to the spawned worker).
-        for key in list(new):
-            rule, resource, latent = _ObligationKey.split(key)
-            if rule == "L004" and latent:
-                owners = {v for v, b in self.verdicts.items()
-                          if b == resource}
-                if owners & escaped:
-                    del new[key]
-        for key, resource in self._acquires(stmt, node.id):
+        for key in self._acquires(stmt):
             new[key] = frozenset({node.id})
-            rule, _res, _latent = _ObligationKey.split(key)
-            self.anchors[node.id] = (rule, resource, node.lineno,
+            self.anchors[node.id] = (node.lineno,
                                      getattr(stmt, "col_offset", 0))
         return new
 
     def _refine(self, node: CfgNode, kind: str,
                 state: State) -> Optional[State]:
-        """Promote latent L004 obligations on explicit delay branches:
-        the true edge of ``verdict != ADMIT`` / ``verdict == DELAY``."""
+        """``if not <base>.reclaimed:`` -- on the arm where the QP is
+        already gone, discharge any obligation on that base (the idiom
+        cplane.pool uses to guard repeat teardown)."""
         if node.label != "if" or not isinstance(node.stmt, ast.If):
             return None
-        test = node.stmt.test
-        # `if not <base>.reclaimed:` -- on the false arm the QP is
-        # already gone, which discharges any obligation on that base
-        # (the idiom cplane.pool uses to guard repeat teardown).
-        guard, negated = test, False
+        guard, negated = node.stmt.test, False
         if isinstance(guard, ast.UnaryOp) and isinstance(guard.op, ast.Not):
             guard, negated = guard.operand, True
-        if isinstance(guard, ast.Attribute) and guard.attr == "reclaimed":
-            base = flow.dotted_name(guard.value)
-            discharged_kind = "false" if negated else "true"
-            if base is not None and kind == discharged_kind:
-                new = {k: v for k, v in state.items()
-                       if _ObligationKey.split(k)[1] != base}
-                if len(new) != len(state):
-                    return new
+        if not (isinstance(guard, ast.Attribute)
+                and guard.attr == "reclaimed"):
             return None
-        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-                and isinstance(test.left, ast.Name)
-                and test.left.id in self.verdicts):
+        base = flow.dotted_name(guard.value)
+        if base is None or kind != ("false" if negated else "true"):
             return None
-        comparator = flow.dotted_name(test.comparators[0]) or ""
-        token = comparator.rsplit(".", 1)[-1].upper()
-        op = test.ops[0]
-        arms = (isinstance(op, ast.NotEq) and token == "ADMIT") or (
-            isinstance(op, ast.Eq) and token == "DELAY")
-        if not arms or kind != "true":
-            return None
-        base = self.verdicts[test.left.id]
-        latent_key = _ObligationKey.make("L004", base, latent=True)
-        if latent_key not in state:
-            return None
-        new = dict(state)
-        new[_ObligationKey.make("L004", base)] = new.pop(latent_key)
-        return new
+        new = {k: v for k, v in state.items() if _split(k)[1] != base}
+        return new if len(new) != len(state) else None
 
     def run(self) -> List[Finding]:
-        in_states, _out = flow.forward(
-            self.cfg, dict(self.entry_state), self._transfer,
-            refine_edge=self._refine)
+        in_states, _out = flow.forward(self.cfg, {}, self._transfer,
+                                       refine_edge=self._refine)
         leaks: Dict[int, Tuple[str, str, bool]] = {}
         for exit_id, on_raise in ((self.cfg.exit, False),
                                   (self.cfg.raise_exit, True)):
             for key, anchor_ids in in_states.get(exit_id, {}).items():
-                rule, resource, latent = _ObligationKey.split(key)
-                if latent:
-                    continue
+                rule, resource = _split(key)
                 for anchor in anchor_ids:
                     assert isinstance(anchor, int)
                     prior = leaks.get(anchor)
@@ -409,15 +294,12 @@ class _FunctionLifecycle:
                         leaks[anchor] = (rule, resource, on_raise)
         findings: List[Finding] = []
         for anchor, (rule, resource, on_raise) in sorted(leaks.items()):
-            _rule, _res, lineno, col = self.anchors.get(
-                anchor, (rule, resource, 0, 0))
+            lineno, col = self.anchors[anchor]
             path_kind = ("exception paths" if on_raise
                          else "some path")
             message = {
                 "L001": f"{resource} is acquired in {self.qualname}() but "
                         f"not reclaimed/detached on {path_kind}",
-                "L004": f"admission reservation on {resource} is not "
-                        f"released on {path_kind} of the delay branch",
                 "L005": f"{resource} is acquired without a finally-"
                         f"protected release covering {path_kind}",
             }[rule]

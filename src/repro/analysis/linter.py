@@ -14,17 +14,13 @@ Pure-stdlib static analysis with repository-specific determinism rules
   fields;
 * **D006** ``json.dumps`` without ``sort_keys=True`` feeding a digest.
 
-On top of the lexical D rules, two control-flow-sensitive families run
-over per-function CFGs built by :mod:`repro.analysis.flow` (exception
-edges at every yield included; catalog in ``docs/lifecycle-rules.md``):
-
-* **L001-L006** resource lifecycles: QP reclaim on every path, callback
-  detach, registry-owned metrics, admission-reservation release,
-  ``acquire``/``release`` pairing, spawn join
-  (:mod:`repro.analysis.lifecycle`);
-* **P001-P003** call-order protocols: connect→post→reclaim,
-  plan→execute-once, degrade→flush→re-promote
-  (:mod:`repro.analysis.protocols`).
+On top of the lexical D rules, the resource-lifecycle L rules
+(:mod:`repro.analysis.lifecycle`; catalog in
+``docs/lifecycle-rules.md``) run over per-function CFGs built by
+:mod:`repro.analysis.flow`, exception edges at every yield included:
+QP reclaim on every path (L001), callback detach (L002),
+registry-owned metrics (L003), ``acquire``/``release`` pairing (L005)
+and spawn join (L006).
 
 Suppress a deliberate exception on its own line::
 
@@ -53,7 +49,6 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
 from repro.analysis import flow
 from repro.analysis.flow import Resolver
 from repro.analysis.lifecycle import analyze_lifecycle
-from repro.analysis.protocols import analyze_protocols
 from repro.analysis.report import Finding
 from repro.analysis.rules import RULES
 
@@ -544,8 +539,6 @@ def lint_source(source: str, path: str = "<memory>",
         _callgraph_blocking(tree, path, resolver, findings)
     if any(rule_id.startswith("L") for rule_id in enabled):
         findings.extend(analyze_lifecycle(tree, path, resolver))
-    if any(rule_id.startswith("P") for rule_id in enabled):
-        findings.extend(analyze_protocols(tree, path, resolver))
     suppressions = _parse_suppressions(source)
     kept: List[Finding] = []
     for finding in findings:

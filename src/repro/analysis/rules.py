@@ -125,17 +125,6 @@ _CATALOG = (
                   "series silently vanishes from benchmarks and gates",
     ),
     Rule(
-        id="L004",
-        title="admission reservation not released on the delay path",
-        severity="error",
-        hint="wrap the delay wait in try/finally with "
-             "admission.release(), so exception and shed-while-queued "
-             "paths drain the bounded queue",
-        rationale="a DELAY verdict holds a bounded-queue slot; leaking "
-                  "it on an exception permanently shrinks the tenant's "
-                  "admission capacity until nothing is admitted",
-    ),
-    Rule(
         id="L005",
         title="acquired slot/lock without finally-protected release",
         severity="error",
@@ -156,40 +145,6 @@ _CATALOG = (
         rationale="a child process whose handle is dropped fails "
                   "invisibly: its exception unwinds in the kernel with "
                   "no parent to observe, join, or clean up after it",
-    ),
-    # -- P: API protocol state machines (repro.analysis.protocols) ------
-    Rule(
-        id="P001",
-        title="QueuePair protocol violation (connect -> post -> reclaim)",
-        severity="error",
-        hint="establish() a deferred QP before posting; never post or "
-             "re-establish after reclaim(); guard repeat teardown with "
-             "`if not qp.reclaimed`",
-        rationale="posting on an unestablished QP raises at runtime "
-                  "only under model_control_plane, so the bug ships "
-                  "silently; after reclaim the QP is deregistered and "
-                  "completions go nowhere",
-    ),
-    Rule(
-        id="P002",
-        title="rebalance plan not driven to execution exactly once",
-        severity="error",
-        hint="every plan_rebalance() result must flow into exactly one "
-             "rebalancer.execute(plan); drop the plan only on an "
-             "explicitly-handled abort path",
-        rationale="an unexecuted plan means the membership change never "
-                  "streams (slots silently stay put); re-executing one "
-                  "reuses single-use write gates and double-copies arcs",
-    ),
-    Rule(
-        id="P003",
-        title="tenant re-promoted without flushing the degraded mirror",
-        severity="error",
-        hint="run the dirty-chunk flush and only then set "
-             "tenant.degraded = False (see TenantTier._recovery_probe)",
-        rationale="degraded-mode writes land in the local mirror only; "
-                  "re-promoting before the flush serves stale remote "
-                  "data for every key written while degraded",
     ),
 )
 

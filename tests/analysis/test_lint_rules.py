@@ -19,8 +19,7 @@ RULE_IDS = sorted(RULES)
 EXPECTED_VIOLATIONS = {"D001": 2, "D002": 3, "D003": 3,
                        "D004": 2, "D005": 2, "D006": 2,
                        "L001": 2, "L002": 2, "L003": 2,
-                       "L004": 2, "L005": 2, "L006": 2,
-                       "P001": 2, "P002": 2, "P003": 1}
+                       "L005": 2, "L006": 2}
 
 
 def findings_for(name, rules=None):
@@ -93,15 +92,6 @@ def test_shipped_tree_is_clean():
     assert findings == []
 
 
-def test_shipped_tree_is_clean_lifecycle_and_protocols():
-    """The L/P gate mirrors the D gate: the production tree must stay
-    free of lifecycle and protocol findings (CI runs the same filter)."""
-    src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    findings, files = lint_paths([src], rules=["L*", "P*"])
-    assert len(files) > 50
-    assert findings == []
-
-
 # -- suppression comment forms -----------------------------------------
 
 
@@ -140,7 +130,7 @@ def test_rule_range_glob_does_not_cross_families():
 def test_rules_filter_accepts_globs():
     findings = findings_for("l005_violation.py", rules=["L*"])
     assert findings and {f.rule for f in findings} == {"L005"}
-    assert findings_for("l005_violation.py", rules=["P*"]) == []
+    assert findings_for("l005_violation.py", rules=["D*"]) == []
 
 
 def test_rules_filter_unknown_glob_raises():

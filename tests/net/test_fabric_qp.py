@@ -207,6 +207,8 @@ class TestFailureHandling:
         assert "reclaimed" in completion.error
         with pytest.raises(QueuePairError):
             qp.reconnect()
+        with pytest.raises(QueuePairError):
+            qp.establish()
 
     def test_reclaim_with_operations_in_flight(self):
         """Mid-run teardown: every posted op completes exactly once.

@@ -1,14 +1,18 @@
 """Exception-path leak regressions in the serving tier.
 
-These tests pin the fixes for leaks the lifecycle analyzer (L004/L005)
-found in ``TenantTier._request``: a request that left through an
-exception kept its WRR in-flight slot, permanently shrinking the
-tier's capacity.  A yield raises when the event it waits on fails, so
-every ``try``/``finally`` around a suspension point must still run.
+These tests pin two resources ``TenantTier._request`` holds across a
+suspension point: the admission reservation a DELAY verdict takes
+(released after the reservation sleep) and the WRR in-flight slot
+(released after the router I/O).  A request that left through an
+exception used to keep its slot, permanently shrinking the tier's
+capacity.  A yield raises when the event it waits on fails, so every
+``try``/``finally`` around a suspension point must still run.
 """
 
+import pytest
+
 from repro.sim import US
-from repro.tenant.admission import ADMIT
+from repro.tenant.admission import ADMIT, DELAY
 
 from .test_tier import make_tier, spec
 
@@ -35,6 +39,20 @@ class TestAdmissionReservation:
         _drive(env, tier._request(tenant, True, 0, 64, None, done,
                                   verdict, wait))
         env.run()
+        assert tenant.admission.queued == 0
+
+    def test_failed_delay_sleep_still_releases_the_reservation(self):
+        harness, _, _, tier = make_tier()
+        tenant = tier.register(spec("t", rate_per_s=10.0, burst=1.0))
+        tenant.admission.admit()
+        verdict, wait = tenant.admission.admit()
+        assert verdict == DELAY and tenant.admission.queued == 1
+        gen = tier._request(tenant, True, 0, 64, None, harness.env.event(),
+                            verdict, wait)
+        next(gen)  # suspended on the reservation sleep
+        # The kernel throws a failed event into the waiting process.
+        with pytest.raises(RuntimeError):
+            gen.throw(RuntimeError("sleep failed"))
         assert tenant.admission.queued == 0
 
 
