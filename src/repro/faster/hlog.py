@@ -70,15 +70,11 @@ class HybridLog:
     def in_mutable_region(self, addr: int) -> bool:
         return self.read_only_address <= addr < self.tail_address
 
-    @property
-    def memory_used(self) -> int:
-        return self.tail_address - self.head_address
-
     # ------------------------------------------------------------------
     # Ring-buffer plumbing
     # ------------------------------------------------------------------
 
-    def _ring_write(self, addr: int, data: bytes) -> None:
+    def _ring_write(self, addr: int, data: bytes | memoryview) -> None:
         start = addr % self.memory_bytes
         first = min(len(data), self.memory_bytes - start)
         self._buf[start:start + first] = data[:first]
@@ -112,25 +108,54 @@ class HybridLog:
         self.head_address += page_len
 
     def append(self, record: bytes) -> int:
-        """Append one record; returns its log address.
+        """Append one record; returns its log address."""
+        return self.append_run(record, len(record))
+
+    def append_run(self, records: bytes, record_size: int) -> int:
+        """Append ``records``, a run of ``record_size``-byte records laid
+        end to end; returns the first one's log address.
 
         Evicts old pages as needed.  Without a device, evicted data is
-        simply lost (a pure in-memory cache configuration).
+        simply lost (a pure in-memory cache configuration).  The run is
+        written in pieces that each end where the open page closes or
+        where the next record would need an eviction, so pages, spills
+        and statistics come out as with one append per record.
         """
-        if len(record) > self.memory_bytes:
+        memory = self.memory_bytes
+        if record_size > memory:
             raise ValueError(
-                f"record ({len(record)} B) larger than log memory "
-                f"({self.memory_bytes} B)")
-        while self.memory_used + len(record) > self.memory_bytes:
-            self._evict_page()
-        addr = self.tail_address
-        self._ring_write(addr, record)
-        end = self.tail_address = addr + len(record)
-        if end - self._open_page >= self.page_bytes:
-            self._page_ends.append(end)
-            self._open_page = end
-        self.records_appended += 1
-        return addr
+                f"record ({record_size} B) larger than log memory "
+                f"({memory} B)")
+        total = len(records)
+        if record_size < 1 or total % record_size:
+            raise ValueError(
+                f"run of {total} B is not a whole number of "
+                f"{record_size} B records")
+        first = tail = self.tail_address
+        end = first + total
+        while tail < end:
+            while tail - self.head_address + record_size > memory:
+                self._evict_page()
+            count = (end - tail) // record_size
+            if count > 1:
+                # Stop after the records that fit without an eviction,
+                # or at the one that closes the open page.  (One record
+                # always fits here and never overshoots a page close.)
+                count = min(
+                    count,
+                    (memory - tail + self.head_address) // record_size,
+                    -((tail - self._open_page - self.page_bytes)
+                      // record_size))
+            size = count * record_size
+            offset = tail - first
+            self._ring_write(tail, records if size == total else
+                             memoryview(records)[offset:offset + size])
+            tail = self.tail_address = tail + size
+            if tail - self._open_page >= self.page_bytes:
+                self._page_ends.append(tail)
+                self._open_page = tail
+            self.records_appended += count
+        return first
 
     def read(self, addr: int, size: int) -> Optional[bytes]:
         """Read from the in-memory portion; None if already spilled."""

@@ -54,6 +54,17 @@ class HashIndex:
         self.updates += 1
         self._entries[key] = address
 
+    def update_run(self, keys: range, addresses: range) -> None:
+        """Point each of ``keys`` at the matching one of ``addresses``:
+        one :meth:`update` per key, in order."""
+        if len(keys) != len(addresses):
+            raise ValueError(
+                f"{len(keys)} keys for {len(addresses)} addresses")
+        if addresses and min(addresses[0], addresses[-1]) < 0:
+            raise ValueError(f"invalid address in {addresses}")
+        self.updates += len(keys)
+        self._entries.update(zip(keys, addresses))
+
     def compare_and_update(self, key: int, expected: int,
                            address: int) -> bool:
         """CAS-style update, mirroring FASTER's concurrent index ops.

@@ -16,6 +16,7 @@ from typing import Optional
 from repro.faster.address import (
     NULL_ADDRESS,
     is_tombstone,
+    pack_key_records,
     pack_record,
     pack_tombstone,
     record_bytes,
@@ -101,25 +102,22 @@ class FasterKv:
     # Untimed bulk load (benchmark setup)
     # ------------------------------------------------------------------
 
-    def load(self, n_records: int,
-             value_of=None) -> None:
+    def load(self, n_records: int) -> None:
         """Insert keys ``0..n_records-1`` without charging simulated time.
 
-        ``value_of(key)`` supplies values; default encodes the key so
-        that round-trip tests can verify content integrity.
+        Each key's value is the key's 8 little-endian bytes, repeated, so
+        that round-trip tests can verify content integrity.  Records go
+        into the log a page at a time: one packed run, one append, one
+        index update per page.
         """
-        if value_of is None:
-            def value_of(key: int) -> bytes:
-                return key.to_bytes(8, "little") * (self.value_bytes // 8) \
-                    + b"\x00" * (self.value_bytes % 8)
-        for key in range(n_records):
-            value = value_of(key)
-            if len(value) != self.value_bytes:
-                raise ValueError(
-                    f"value_of returned {len(value)} B, store expects "
-                    f"{self.value_bytes} B")
-            addr = self.hlog.append(pack_record(key, value))
-            self.index.update(key, addr)
+        size = self.record_size
+        per_run = max(1, self.hlog.page_bytes // size)
+        for first_key in range(0, n_records, per_run):
+            count = min(per_run, n_records - first_key)
+            first = self.hlog.append_run(
+                pack_key_records(first_key, count, self.value_bytes), size)
+            self.index.update_run(range(first_key, first_key + count),
+                                  range(first, first + count * size, size))
 
     @property
     def log_size(self) -> int:

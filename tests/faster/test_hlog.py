@@ -102,6 +102,48 @@ class TestSpill:
         assert log.bytes_spilled > 0  # no crash without a device
 
 
+def log_state(log, device):
+    return (log.head_address, log.tail_address, log._open_page,
+            list(log._page_ends), log.bytes_spilled, log.records_appended,
+            bytes(log._buf), device._fetch(0, device.watermark))
+
+
+class TestRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 64), lead=st.integers(0, 63),
+           runs=st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    def test_property_run_append_equals_per_record_appends(self, size, lead,
+                                                           runs):
+        # A 64 B page in a 256 B log: sizes that tile the page and sizes
+        # that do not, runs that close pages and force spills, from a
+        # tail a lead-in record left in mid-page.
+        outcomes = []
+        for as_run in (True, False):
+            _, device, log = make_log(memory=256, page=64,
+                                      device_capacity=1 << 20)
+            if lead:
+                log.append(b"\xff" * lead)
+            firsts = []
+            appended = 0
+            for count in runs:
+                records = [bytes([(appended + i) % 251]) * size
+                           for i in range(count)]
+                appended += count
+                if as_run:
+                    firsts.append(log.append_run(b"".join(records), size))
+                else:
+                    tail = log.tail_address
+                    addrs = [log.append(record) for record in records]
+                    firsts.append(addrs[0] if addrs else tail)
+            outcomes.append((firsts, log_state(log, device)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_run_must_be_whole_records(self):
+        _, _, log = make_log()
+        with pytest.raises(ValueError):
+            log.append_run(b"x" * 33, 32)
+
+
 class TestRegions:
     def test_mutable_region_boundary(self):
         _, _, log = make_log(memory=1000, mutable_fraction=0.5)
@@ -128,5 +170,5 @@ class TestRegions:
             assert log.begin_address <= log.head_address
             assert log.head_address <= log.read_only_address
             assert log.read_only_address <= log.tail_address
-            assert log.memory_used <= log.memory_bytes
+            assert log.tail_address - log.head_address <= log.memory_bytes
             assert device.watermark == log.head_address

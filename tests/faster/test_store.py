@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import Slo
 from repro.faster import FasterKv, SsdDevice
-from repro.faster.address import record_bytes
+from repro.faster.address import pack_record, record_bytes
+from repro.faster.devices import RedyDevice, TieredDevice
+from repro.faster.hlog import DEFAULT_PAGE_BYTES
 from repro.sim import Environment, US
 from repro.sim.resources import Resource
+from repro.workloads.scenarios import build_cluster
 
 
 def make_store(n_records=100, memory_records=20, value_bytes=8,
@@ -121,6 +125,74 @@ class TestWrites:
         env, store, cpu = make_store()
         with pytest.raises(ValueError):
             run_upsert(env, store, cpu, 1, b"too long for 8B store")
+
+
+def reference_load(store, n_records):
+    """What ``FasterKv.load`` must equal: one packed record, one append
+    and one index update per key."""
+    for key in range(n_records):
+        value = (key.to_bytes(8, "little") * (store.value_bytes // 8)
+                 + b"\x00" * (store.value_bytes % 8))
+        store.index.update(key, store.hlog.append(pack_record(key, value)))
+
+
+class TestLoad:
+    """``load`` appends a page of records at a time; every byte and
+    counter must come out as with the per-record reference loop."""
+
+    #: Redy ring and region size: smaller than what spills, so it wraps.
+    REDY_BYTES = 1 << 17
+
+    def make(self, value_bytes, memory_bytes):
+        harness = build_cluster(seed=0)
+        env = harness.env
+        cache = harness.redy_client("load").create(
+            self.REDY_BYTES, Slo(max_latency=1e-3, min_throughput=2e7,
+                                 record_size=24),
+            region_bytes=self.REDY_BYTES)
+        ssd = SsdDevice(env, 1 << 21, np.random.default_rng(1))
+        device = TieredDevice(env, [RedyDevice(cache), ssd])
+        return env, FasterKv(env, device, memory_bytes, value_bytes), cache
+
+    @staticmethod
+    def state(store, cache):
+        log = store.hlog
+        ssd = store.device.tiers[1]
+        regions = [server.regions[region_id].local_read(
+                       0, server.regions[region_id].size)
+                   for server in cache.allocation.servers
+                   for region_id in sorted(server.regions)]
+        return {
+            "index": list(store.index._entries.items()),
+            "updates": store.index.updates,
+            "log": (log.head_address, log.tail_address, log._open_page,
+                    list(log._page_ends), log.bytes_spilled,
+                    log.records_appended),
+            "ring": bytes(log._buf),
+            "ssd": ssd._fetch(0, ssd.watermark),
+            "redy": regions,
+        }
+
+    @pytest.mark.parametrize("value_bytes", [8, 16, 100, 1024])
+    @pytest.mark.parametrize("memory_bytes",
+                             [DEFAULT_PAGE_BYTES // 2, 3 * DEFAULT_PAGE_BYTES],
+                             ids=["under-a-page", "three-pages"])
+    @pytest.mark.parametrize("upsert_first", [False, True],
+                             ids=["empty-log", "tail-mid-page"])
+    def test_load_equals_per_record_loop(self, value_bytes, memory_bytes,
+                                         upsert_first):
+        n_records = 5 * memory_bytes // record_bytes(value_bytes)
+        states = []
+        for load in (FasterKv.load, reference_load):
+            env, store, cache = self.make(value_bytes, memory_bytes)
+            if upsert_first:
+                assert run_upsert(env, store, Resource(env, slots=1), 3,
+                                  b"u" * value_bytes)
+            load(store, n_records)
+            states.append(self.state(store, cache))
+        loaded, reference = states
+        assert loaded["log"][0] > 0  # something spilled
+        assert loaded == reference
 
 
 class TestStatistics:
