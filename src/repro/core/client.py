@@ -409,10 +409,33 @@ class RedyCache:
         env = self.env
         start = env.now
         try:
-            fragments = self.table.translate(addr, size)
+            located = self.table.locate(addr, size)
         except AddressError as exc:
             return CacheIoResult(ok=False, error=str(exc))
-        single = len(fragments) == 1
+        if located is not None:
+            # Inside one region: the op runs in this process.
+            index, offset = located
+            gate = (self.table.read_gate(index) if is_read
+                    else self.table.write_gate(index))
+            if gate is not None:
+                yield gate  # §6.2: paused until the region migrates
+            # Re-resolve the mapping: it may have flipped while we waited.
+            token = self.table.region(index).token
+            op = EngineOp(is_read=is_read, size=size, token=token,
+                          offset=offset, data=data, tenant=tenant)
+            yield env.timeout(self.path.submission_overhead())
+            result = yield from self.path.io(op)
+            if not result.ok:
+                return CacheIoResult(ok=False, error=result.error,
+                                     latency=env.now - start)
+            payload = None
+            if is_read:
+                payload = (result.data if result.data is not None
+                           else bytes(size))
+            return CacheIoResult(ok=True, data=payload,
+                                 latency=env.now - start)
+        # Across regions (or empty): the fragments are in flight together.
+        fragments = self.table.translate(addr, size)
         ops: list[EngineOp] = []
         for fragment in fragments:
             gate = (self.table.read_gate(fragment.region_index) if is_read
@@ -429,18 +452,6 @@ class RedyCache:
                 is_read=is_read, size=fragment.length, token=mapping.token,
                 offset=fragment.offset, data=payload, tenant=tenant)
             yield env.timeout(self.path.submission_overhead())
-            if single:
-                result = yield from self.path.io(op)
-                if not result.ok:
-                    return CacheIoResult(ok=False, error=result.error,
-                                         latency=env.now - start)
-                payload = None
-                if is_read:
-                    payload = (result.data if result.data is not None
-                               else bytes(size))
-                return CacheIoResult(ok=True, data=payload,
-                                     latency=env.now - start)
-            # Across regions the fragments are in flight together.
             yield self.path.submit(op)
             ops.append(op)
         results = yield env.all_of([op.completion for op in ops])
@@ -471,21 +482,21 @@ class RedyCache:
         """
         start = self.env.now
         try:
-            fragments = self.table.translate(addr, POINTER_BYTES)
+            located = self.table.locate(addr, POINTER_BYTES)
         except AddressError as exc:
             return CacheIoResult(ok=False, error=str(exc))
-        if len(fragments) != 1:
+        if located is None:
             return CacheIoResult(
                 ok=False, error="dependent read: pointer word spans regions")
-        fragment = fragments[0]
-        gate = self.table.read_gate(fragment.region_index)
+        index, offset = located
+        gate = self.table.read_gate(index)
         if gate is not None:
             yield gate  # §6.2: paused until the region migrates
         # Re-resolve the mapping: it may have flipped while we waited.
-        token = self.table.region(fragment.region_index).token
+        token = self.table.region(index).token
         op = EngineOp(
             is_read=True, size=size, token=token, offset=0,
-            lookup_offset=fragment.offset, verify=True)
+            lookup_offset=offset, verify=True)
         yield self.env.timeout(self.path.submission_overhead())
         result = yield from self.path.io(op)
         return CacheIoResult(ok=result.ok, data=result.data,

@@ -53,6 +53,9 @@ from repro.sim.resources import Resource, Store
 #: size the config space explores.
 _BATCH_WEIGHT_BUCKETS = tuple(float(1 << i) for i in range(11))
 
+#: Standard normals the data path draws from its stream at a time.
+_NORMAL_BLOCK = 512
+
 __all__ = ["CacheDataPath", "EngineError"]
 
 
@@ -118,6 +121,9 @@ class CacheDataPath:
         self.config = config
         self.endpoint = client_endpoint
         self.rng = rng
+        #: The rest of the current block of standard normals, last one
+        #: first (see :meth:`_normal`).
+        self._normals: List[float] = []
         #: Response deadline for two-sided batches.  A server that dies
         #: after acknowledging a request never responds; the client
         #: fails those ops instead of hanging (real RDMA surfaces this
@@ -235,11 +241,10 @@ class CacheDataPath:
             cost = cpu.handoff_lockfree
         else:
             cost = cpu.handoff_locked + cpu.lock_contention_mean * math.exp(
-                self.rng.normal(0.0, self._lock_sigma)
-                - self._lock_sigma**2 / 2)
+                self._lock_sigma * self._normal() - self._lock_sigma**2 / 2)
         if not self.config.numa_affinity:
             cost += cpu.numa_penalty_mean * math.exp(
-                self.rng.normal(0.0, self._jitter_sigma)
+                self._jitter_sigma * self._normal()
                 - self._jitter_sigma**2 / 2)
         return cost
 
@@ -342,9 +347,25 @@ class CacheDataPath:
             raise EngineError("no attached cache server")
         return next(iter(thread.connections.values()))
 
+    def _normal(self) -> float:
+        """The next standard normal from this path's stream.
+
+        The stream is drawn 512 at a time.  numpy computes
+        ``rng.normal(0.0, sigma)`` as ``0.0 + sigma * z`` with ``z`` the
+        stream's next standard normal, so ``sigma * self._normal()`` is
+        exactly that value, for a ``sigma`` of 0 too (which still takes
+        its ``z``).  Nothing else draws from the stream.
+        """
+        normals = self._normals
+        if not normals:
+            normals = self._normals = self.rng.standard_normal(
+                _NORMAL_BLOCK).tolist()
+            normals.reverse()
+        return normals.pop()
+
     def _noise(self) -> float:
         sigma = self.profile.measurement_noise
-        return math.exp(self.rng.normal(0.0, sigma)) if sigma else 1.0
+        return math.exp(sigma * self._normal()) if sigma else 1.0
 
     def _gather(self, pending: Deque[EngineOp], slot: Resource):
         """The slot holder's batch: ops from the front of ``pending``
@@ -419,7 +440,7 @@ class CacheDataPath:
                     # producer.
                     work += weight * (
                         cpu.handoff_locked + cpu.lock_contention_mean
-                        * math.exp(self.rng.normal(0.0, self._lock_sigma)
+                        * math.exp(self._lock_sigma * self._normal()
                                    - self._lock_sigma**2 / 2))
             yield env.timeout(work * self._noise())
         finally:
@@ -427,8 +448,7 @@ class CacheDataPath:
 
     def _numa_hop(self):
         return self.env.timeout(self.profile.cpu.numa_penalty_mean * math.exp(
-            self.rng.normal(0.0, self._jitter_sigma)
-            - self._jitter_sigma**2 / 2))
+            self._jitter_sigma * self._normal() - self._jitter_sigma**2 / 2))
 
     def _reap(self, thread: _ClientThread, connection: _Connection,
               op: EngineOp, completion: Completion):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.net.memory import AccessToken
 from repro.sim.kernel import Environment, Event
@@ -119,12 +119,29 @@ class RegionTable:
     # Translation
     # ------------------------------------------------------------------
 
+    def _outside(self, addr: int, size: int) -> AddressError:
+        return AddressError(
+            f"access [{addr}, {addr + size}) outside cache of capacity "
+            f"{self.capacity}")
+
+    def locate(self, addr: int, size: int) -> Optional[Tuple[int, int]]:
+        """``(region index, offset)`` of a non-empty access that sits
+        inside one region; ``None`` for one that spans regions or is
+        empty (:meth:`translate` splits those).  Raises
+        :class:`AddressError` as :meth:`translate` does."""
+        region_bytes = self.region_bytes
+        if (addr < 0 or size < 0
+                or addr + size > len(self._regions) * region_bytes):
+            raise self._outside(addr, size)
+        offset = addr % region_bytes
+        if size == 0 or offset + size > region_bytes:
+            return None
+        return addr // region_bytes, offset
+
     def translate(self, addr: int, size: int) -> List[Fragment]:
         """Split [addr, addr+size) into region-local fragments."""
         if addr < 0 or size < 0 or addr + size > self.capacity:
-            raise AddressError(
-                f"access [{addr}, {addr + size}) outside cache of capacity "
-                f"{self.capacity}")
+            raise self._outside(addr, size)
         fragments: List[Fragment] = []
         cursor = addr
         remaining = size

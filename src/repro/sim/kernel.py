@@ -135,7 +135,7 @@ class Event:
         env._immediate.append((_EVENT_DISPATCH, self))
         monitor = env.monitor
         if monitor is not None:
-            monitor.on_schedule(env._now, _EVENT_DISPATCH, self)
+            monitor.on_schedule(env.now, _EVENT_DISPATCH, self)
             monitor.on_trigger(self)
         return self
 
@@ -530,7 +530,9 @@ class Environment:
     """Owns simulated time and the event list."""
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in seconds.  Only the kernel writes
+        #: it (the run loop, :meth:`step`); everything else reads it.
+        self.now = float(initial_time)
         # Work due at the current instant: a plain FIFO deque (appends
         # at `now` happen in sequence order, so FIFO *is* seq order).
         self._immediate: deque = deque()
@@ -564,11 +566,6 @@ class Environment:
         self._immediate_calls = 0
         self._process_failures = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def event_loop_stats(self) -> dict:
         """Counters describing the kernel's own work so far."""
         return {
@@ -587,7 +584,7 @@ class Environment:
         before anything the running step schedules now."""
         near = self._near
         return bool(self._immediate) or (
-            bool(near) and near[0][0] <= self._now)
+            bool(near) and near[0][0] <= self.now)
 
     def _has_pending(self) -> bool:
         return bool(self._immediate or self._near)
@@ -629,7 +626,7 @@ class Environment:
         timeout._triggered = True
         timeout._processed = False
         timeout.on_abandon = None
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             # Zero delay (or one too small to move the float clock):
@@ -655,7 +652,7 @@ class Environment:
         at ``when == now`` queues behind everything already due.  The
         body is :meth:`timeout`'s, inlined for the same reason.
         """
-        now = self._now
+        now = self.now
         if when < now:
             raise SimulationError(
                 f"timeout_at({when}) is in the past (now={now})")
@@ -787,25 +784,25 @@ class Environment:
         self._immediate.append((_EVENT_DISPATCH, event))
         monitor = self.monitor
         if monitor is not None:
-            monitor.on_schedule(self._now, _EVENT_DISPATCH, event)
+            monitor.on_schedule(self.now, _EVENT_DISPATCH, event)
 
     def _call_soon(self, fn: Callable[[Any], None], arg: Any) -> None:
         self._immediate.append((fn, arg))
         monitor = self.monitor
         if monitor is not None:
-            monitor.on_schedule(self._now, fn, arg)
+            monitor.on_schedule(self.now, fn, arg)
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
         """Process the next entry on the event list."""
-        if self._near and self._near[0][0] <= self._now:
+        if self._near and self._near[0][0] <= self.now:
             _when, _seq, fn, arg = heappop(self._near)
         elif self._immediate:
             fn, arg = self._immediate.popleft()
         elif self._near:
             when, _seq, fn, arg = heappop(self._near)
-            self._now = when
+            self.now = when
         else:
             raise SimulationError("step() on an empty event list")
         self._steps += 1
@@ -825,15 +822,17 @@ class Environment:
         exactly ``until`` so callers can resume cleanly.
 
         The loop inlines :meth:`step` (same semantics, verified by the
-        kernel tests and the dispatch-order suite): this is 75% of a
-        measurement run, and the per-entry method call, bound-counter
-        updates, and re-checked ``until`` guard are measurable at tens
-        of thousands of steps per simulated second.  Loop statistics
+        kernel tests and the dispatch-order suite): the kernel is about
+        50-60 % of sampled host time on every workload of the repository
+        benchmark (``benchmarks/perf/README.md``), and the per-entry
+        method call, bound-counter updates, and re-checked ``until``
+        guard are measurable at tens of thousands of steps per simulated
+        second.  Loop statistics
         accumulate in locals and are flushed even when a handler raises.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"run(until={until}) is in the past (now={self._now})")
+                f"run(until={until}) is in the past (now={self.now})")
         immediate = self._immediate
         near = self._near
         dispatch = _EVENT_DISPATCH
@@ -850,7 +849,7 @@ class Environment:
         event_cls = Event
         process_cls = Process
         monitor = self.monitor
-        now = self._now
+        now = self.now
         steps = events = 0
         try:
             while True:
@@ -937,14 +936,14 @@ class Environment:
                 # Advance simulated time to the next scheduled entry.
                 if not near:
                     if until is not None:
-                        self._now = until
+                        self.now = until
                     return
                 when = near[0][0]
                 if until is not None and when > until:
-                    self._now = until
+                    self.now = until
                     return
                 now = when
-                self._now = when
+                self.now = when
         finally:
             self._steps += steps
             self._events_processed += events

@@ -1,6 +1,8 @@
 """Integration tests: the executable data path (engine + cache server)."""
 
+import dataclasses
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from repro.analysis.sanitize import KernelMonitor
 from repro.cluster.vmtypes import VmType
 from repro.core import RdmaConfig, Slo
-from repro.core.engine import CacheDataPath, EngineError
+from repro.core.engine import _NORMAL_BLOCK, CacheDataPath, EngineError
 from repro.core.protocol import EngineOp
 from repro.core.server import CacheServer
 from repro.hardware import AZURE_HPC
@@ -31,16 +33,17 @@ LOOPS = ["calendar", "heap"]
 
 
 def make_stack(config, *, backed=True, region_size=1 << 20, n_regions=1,
-               seed=0, model_control_plane=False, env=None):
+               seed=0, model_control_plane=False, env=None,
+               profile=AZURE_HPC):
     rngs = RngRegistry(seed)
     if env is None:
         env = Environment()
-    fabric = Fabric(env, AZURE_HPC,
+    fabric = Fabric(env, profile,
                     model_control_plane=model_control_plane)
     client_ep = fabric.add_endpoint("client", Placement())
     server_ep = fabric.add_endpoint("server", Placement())
-    server = CacheServer(env, AZURE_HPC, server_ep, rngs.stream("server"))
-    path = CacheDataPath(env, AZURE_HPC, config, client_ep,
+    server = CacheServer(env, profile, server_ep, rngs.stream("server"))
+    path = CacheDataPath(env, profile, config, client_ep,
                          rngs.stream("client"))
     tokens = path.attach_server(server, n_regions=n_regions,
                                 region_size=region_size, backed=backed)
@@ -79,6 +82,81 @@ class TestSingleOpReap:
             return result.latency
 
         assert latency(False) > latency(True)
+
+
+class _ChargeLog(Environment):
+    """An Environment that logs the delay of every timeout."""
+
+    def __init__(self):
+        super().__init__()
+        self.charges = []
+
+    def timeout(self, delay, value=None):
+        self.charges.append(delay)
+        return super().timeout(delay, value)
+
+
+class _PerCallNormal:
+    """Stands in for the data path's next standard normal: its product
+    with a site's sigma is ``twin.normal(0.0, sigma)``, the draw the
+    site made per call before the path drew normals in blocks."""
+
+    def __init__(self, twin):
+        self.twin = twin
+        self.sigmas = []
+
+    def __rmul__(self, sigma):
+        self.sigmas.append(sigma)
+        return float(self.twin.normal(0.0, sigma))
+
+
+class TestBlockDraws:
+    """The data path draws its standard normals in blocks; every charge
+    equals the one made from per-call ``rng.normal(0.0, sigma)`` draws
+    on a twin of its stream, and every site still takes its draw."""
+
+    def test_block_draws_equal_per_call_draws(self):
+        # Mutex hand-off and unaffinitized threads: all five sites draw.
+        # The lock tail's sigma is 0, and its draws must still be taken.
+        cpu = dataclasses.replace(
+            AZURE_HPC.cpu,
+            lock_contention_p99=AZURE_HPC.cpu.lock_contention_mean)
+        profile = dataclasses.replace(AZURE_HPC, cpu=cpu)
+        config = RdmaConfig(2, 0, 1, 4, lock_free=False,
+                            numa_affinity=False)
+        workers, ops_per_worker = 4, 60
+
+        def run(per_call):
+            env = _ChargeLog()
+            _, _, path, tokens = make_stack(config, env=env, seed=5,
+                                            profile=profile)
+            if per_call is not None:
+                path._normal = lambda: per_call
+
+            def worker(env, index):
+                for i in range(ops_per_worker):
+                    op = EngineOp(is_read=bool(i % 3), size=64,
+                                  token=tokens[0], offset=index * 4096,
+                                  data=None if i % 3 else bytes(64))
+                    yield env.timeout(path.submission_overhead())
+                    assert (yield from path.io(op)).ok
+
+            for index in range(workers):
+                env.process(worker(env, index))
+            env.run()
+            return path, env.charges
+
+        per_call = _PerCallNormal(RngRegistry(5).stream("client"))
+        path, expected = run(per_call)
+        # Per op: the hand-off's lock and NUMA draws, the lock and
+        # noise draws of the post, the reap's noise draw and the NUMA
+        # hop's.
+        ops = workers * ops_per_worker
+        assert Counter(per_call.sigmas) == {
+            0.0: 2 * ops, path._jitter_sigma: 2 * ops,
+            profile.measurement_noise: 2 * ops}
+        assert len(per_call.sigmas) > 2 * _NORMAL_BLOCK
+        assert run(None)[1] == expected
 
 
 class TestInProcessOps:

@@ -79,14 +79,18 @@ class TestTranslation:
         with pytest.raises(AddressError):
             table.translate(-1, 10)
 
-    @given(addr=st.integers(0, 4095), size=st.integers(0, 4096))
+    @given(addr=st.integers(-4, 4095), size=st.integers(-4, 4096))
     def test_property_fragments_tile_the_request(self, addr, size):
         """Fragments are contiguous, in order, and cover exactly
-        [addr, addr+size)."""
+        [addr, addr+size); ``locate`` names the one region of a
+        non-empty access that has a single fragment, and only that."""
         _, table = make_table(4, 1024)
-        if addr + size > table.capacity:
-            with pytest.raises(AddressError):
+        if addr < 0 or size < 0 or addr + size > table.capacity:
+            with pytest.raises(AddressError) as translated:
                 table.translate(addr, size)
+            with pytest.raises(AddressError) as located:
+                table.locate(addr, size)
+            assert str(located.value) == str(translated.value)
             return
         fragments = table.translate(addr, size)
         assert sum(f.length for f in fragments) == size
@@ -99,6 +103,13 @@ class TestTranslation:
             assert 0 < f.length <= 1024 - f.offset
             cursor += f.length
             buffer_cursor += f.length
+        located = table.locate(addr, size)
+        if len(fragments) == 1:
+            (only,) = fragments
+            assert only.length == size
+            assert located == (only.region_index, only.offset)
+        else:
+            assert located is None
 
 
 class TestGates:

@@ -16,8 +16,15 @@ from pathlib import Path
 import pytest
 
 from repro import gates
+from repro.core import RdmaConfig
+from repro.core.engine import CacheDataPath
+from repro.core.protocol import EngineOp
+from repro.core.server import CacheServer
 from repro.gates import SCENARIOS, Scenario
+from repro.hardware import AZURE_HPC
+from repro.net import Fabric, Placement
 from repro.sim.kernel import Environment
+from repro.sim.rng import RngRegistry
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,6 +180,32 @@ def _blob_reads_module_state(seed):
     return {"runs": _RUNS["count"]}
 
 
+def _extra_normal_on_replay(seed):
+    """One-sided reads and an empty blob; the second run takes one extra
+    normal from the data path's stream before them."""
+    _RUNS["count"] += 1
+    rngs = RngRegistry(seed)
+    env = Environment()
+    fabric = Fabric(env, AZURE_HPC)
+    server = CacheServer(env, AZURE_HPC,
+                         fabric.add_endpoint("server", Placement()),
+                         rngs.stream("server"))
+    path = CacheDataPath(env, AZURE_HPC, RdmaConfig(1, 0, 1, 4),
+                         fabric.add_endpoint("client", Placement()),
+                         rngs.stream("client"))
+    token = path.attach_server(server, n_regions=1, region_size=4096)[0]
+    if _RUNS["count"] == 2:
+        path._normal()
+
+    def reader():
+        for _ in range(8):
+            yield from path.io(EngineOp(is_read=True, size=64, token=token))
+
+    env.process(reader(), name="reader")
+    env.run()
+    return {}
+
+
 def _register(monkeypatch, name, run, invariants=lambda blob: []):
     monkeypatch.setitem(SCENARIOS, name, Scenario(run, invariants))
 
@@ -200,6 +233,23 @@ def test_blob_reading_module_state_is_a_replay_bug(monkeypatch):
                                    "runs": "leaky[run-vs-replay]"}
     assert entry["failures"] == [
         "replay bug: leaky[run-vs-replay] traces agree but the blobs differ"]
+    assert _RUNS["count"] == 2
+
+
+def test_one_extra_data_path_normal_fails_the_replay_check(monkeypatch):
+    # The data path's normals reach the trace as one draw per block, so
+    # both runs draw one block; the extra normal shifts every charge
+    # after it, and the trace diverges as a schedule.
+    _register(monkeypatch, "extra-normal", _extra_normal_on_replay)
+    monkeypatch.setitem(_RUNS, "count", 0)
+    entry = gates.check("extra-normal")
+    assert not entry["ok"]
+    divergence = entry["divergence"]
+    assert divergence["kind"] == "replay"
+    assert divergence["rng_divergence"] == {}
+    assert divergence["attribution"].startswith("schedule divergence")
+    assert entry["failures"][0].startswith(
+        "replay bug: extra-normal[run-vs-replay] same-seed replay diverged")
     assert _RUNS["count"] == 2
 
 
