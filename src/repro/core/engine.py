@@ -93,6 +93,13 @@ class _Connection:
         self.outstanding: Dict[int, Tuple[RequestBatch, List[Event]]] = {}
         #: Whether the response watchdog has a deadline on the event list.
         self.watchdog_armed = False
+        #: Id of the last request batch posted here: batch ids count per
+        #: connection, which is where responses are matched to them.
+        self.last_batch_id = 0
+        #: The slot wait of a holder handed its slot, its credit and its
+        #: place in the thread CPU's queue at once (see
+        #: ``CacheDataPath._pass_issue_slot``), until it resumes.
+        self.handed: Optional[Event] = None
 
 
 class _ClientThread:
@@ -281,6 +288,9 @@ class CacheDataPath:
         result = yield grant
         if result is not None:
             return result  # the op rode a batch another caller formed
+        handed = grant is connection.handed
+        if handed:
+            connection.handed = None
         if at_once and not one_sided and (op.weight < self.config.batch_size
                                           or op.completion is not None
                                           or env.due_now()):
@@ -296,17 +306,20 @@ class CacheDataPath:
                     op.token, op.offset, op.size, data=op.data))
             else:
                 ops, riders, weight = self._gather(connection.pending, slot)
-                yield from self._issue(thread, connection, weight)
+                yield from self._issue(thread, connection, weight,
+                                       handed=handed)
                 done = env.event()
                 wakes = [done, *riders]
-                batch = RequestBatch(ops=ops, created_at=env.now)
+                connection.last_batch_id += 1
+                batch = RequestBatch(ops, env.now,
+                                     connection.last_batch_id)
                 connection.outstanding[batch.batch_id] = (batch, wakes)
                 wr = WorkRequest(
                     RdmaOp.WRITE, connection.request_ring_token, 0,
                     batch.wire_bytes, payload_object=batch, signaled=False)
                 self._watch_batch(connection, batch, connection.qp.post(wr))
         finally:
-            slot.release()
+            self._pass_issue_slot(thread, connection)
         completed_at_post = done.triggered
         reply = yield done
         if completed_at_post:
@@ -409,10 +422,10 @@ class CacheDataPath:
         return (yield from self._reap(thread, connection, op, completion))
 
     def _issue(self, thread: _ClientThread, connection: _Connection,
-               weight: int, dequeued: bool = True):
+               weight: int, dequeued: bool = True, handed: bool = False):
         """Take a queue-depth credit, then charge the client CPU for
         building and posting one work request that carries ``weight``
-        requests.
+        requests.  A ``handed`` holder already has both.
 
         A ``dequeued`` batch came through the application threads' ring:
         it observes its batch weight and pays the ring consumer's
@@ -423,11 +436,15 @@ class CacheDataPath:
         cpu, nic = self.profile.cpu, self.profile.nic
         if dequeued and self._batch_weight is not None:
             self._batch_weight.observe(weight)
-        credit_wait_started = env.now
-        yield connection.credits.get()
-        if self._credit_wait is not None:
-            self._credit_wait.observe(env.now - credit_wait_started)
-        yield thread.cpu.acquire()
+        if handed:
+            if self._credit_wait is not None:
+                self._credit_wait.observe(0.0)
+        else:
+            credit_wait_started = env.now
+            yield connection.credits.get()
+            if self._credit_wait is not None:
+                self._credit_wait.observe(env.now - credit_wait_started)
+            yield thread.cpu.acquire()
         try:
             work = (cpu.batch_prepare + nic.doorbell
                     + weight * cpu.client_per_op)
@@ -445,6 +462,30 @@ class CacheDataPath:
             yield env.timeout(work * self._noise())
         finally:
             thread.cpu.release()
+
+    def _pass_issue_slot(self, thread: _ClientThread,
+                         connection: _Connection) -> None:
+        """Release the issue slot to its next waiter.
+
+        The holder released the thread CPU just before; if a reaper took
+        it, the next holder would wake only to take its credit and queue
+        for the CPU behind that reaper.  Then, when its op alone fills a
+        batch (so the batch is the same whenever it forms) and a credit
+        is in stock, it gets the slot, the credit and its CPU-queue
+        place here, and resumes once, holding all three.
+        """
+        slot = connection.issue_slot
+        cpu = thread.cpu
+        pending = connection.pending
+        if (slot.queue_length and cpu.in_use == cpu.slots and pending
+                and pending[0].weight >= self.config.batch_size
+                and len(connection.credits)):
+            connection.credits.try_get()
+            waiter = slot.take_waiter()
+            connection.handed = waiter
+            cpu.acquire_for(waiter)
+        else:
+            slot.release()
 
     def _numa_hop(self):
         return self.env.timeout(self.profile.cpu.numa_penalty_mean * math.exp(

@@ -8,7 +8,6 @@ pairs, and access tokens.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -24,8 +23,6 @@ __all__ = [
     "RequestBatch",
     "ResponseBatch",
 ]
-
-_BATCH_IDS = itertools.count(1)
 
 
 @dataclass
@@ -106,23 +103,31 @@ class OpResult:
 
 @dataclass
 class RequestBatch:
-    """A batch of requests sent to a cache server in one RDMA write."""
+    """A batch of requests sent to a cache server in one RDMA write.
+
+    Its sizes are summed once, here: the client posts ``wire_bytes``,
+    the server counts ``total_ops`` and answers with ``response_bytes``.
+    """
 
     ops: List[EngineOp]
     created_at: float
-    batch_id: int = field(default_factory=lambda: next(_BATCH_IDS))
+    #: Issued by the posting connection's own counter, so ids repeat
+    #: exactly across same-seed runs in one interpreter (as the fabric's
+    #: QP and region ids do).
+    batch_id: int
+    total_ops: int = field(init=False)
+    wire_bytes: int = field(init=False)
+    response_bytes: int = field(init=False)
 
-    @property
-    def total_ops(self) -> int:
-        return sum(op.weight for op in self.ops)
-
-    @property
-    def wire_bytes(self) -> int:
-        return sum(op.request_wire_bytes for op in self.ops)
-
-    @property
-    def response_bytes(self) -> int:
-        return sum(op.response_wire_bytes for op in self.ops)
+    def __post_init__(self) -> None:
+        total_ops = wire_bytes = response_bytes = 0
+        for op in self.ops:
+            total_ops += op.weight
+            wire_bytes += op.request_wire_bytes
+            response_bytes += op.response_wire_bytes
+        self.total_ops = total_ops
+        self.wire_bytes = wire_bytes
+        self.response_bytes = response_bytes
 
 
 @dataclass

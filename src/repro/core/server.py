@@ -157,7 +157,12 @@ class CacheServer:
         op_cost = cpu.server_op_cost
         doorbell = self.profile.nic.doorbell
         env = self.env
-        rng = self.rng
+        # numpy computes uniform(0, c) as 0 + c * random() and
+        # normal(0, sigma) as 0 + sigma * standard_normal(), on the same
+        # stream: the products below are those draws, bit for bit, at
+        # a fraction of the call cost.
+        random = self.rng.random
+        standard_normal = self.rng.standard_normal
         execute = self._execute
         inbox_get = inbox.get
         while True:
@@ -165,12 +170,12 @@ class CacheServer:
             if not self.alive:
                 return
             # The poller notices the ring write up to a poll cycle later.
-            yield env.timeout(rng.uniform(0.0, poll_cycle))
+            yield env.timeout(random() * poll_cycle)
             work = batch_overhead
             thread_count = self._thread_count
             for op in batch.ops:
                 work += op.weight * op_cost(op.size, thread_count)
-            work *= math.exp(rng.normal(0.0, noise_sigma))
+            work *= math.exp(noise_sigma * standard_normal())
             yield env.timeout(work)
             if not self.alive:
                 # The VM died mid-processing: no response ever leaves.

@@ -78,7 +78,7 @@ class Endpoint:
         #: default -- models an always-resident context (no per-QP NIC
         #: state pressure); control-plane modeling installs an LRU of
         #: ``NicSpec.qp_context_cache_entries`` and every verb through
-        #: this NIC then touches it (see ``QueuePair._execute``).
+        #: this NIC then touches it (see ``QueuePair._launch``).
         self.qp_context_cache: Optional[QpContextCache] = None
         if fabric.model_control_plane:
             self.enable_control_plane_model()

@@ -17,9 +17,9 @@ in **one** request message, each step is charged
 :attr:`~repro.hardware.nic.NicSpec.program_step_latency` plus its DMA
 cost, and **one** response carries the payloads -- so the dependent
 read costs one round trip plus remote service time instead of two
-round trips.  :meth:`repro.net.qp.QueuePair._execute_program` executes
-it; this module owns the descriptor, its validation, its wire sizes and
-the pointer-deref rule the two-hop fallback shares.
+round trips.  ``repro.net.qp._ProgramVerb`` executes it; this module
+owns the descriptor, its validation, its wire sizes and the
+pointer-deref rule the two-hop fallback shares.
 
 Failure semantics: a READ that faults (revoked token, out-of-bounds
 deref) or a guard that observes a changed pointer aborts the read.  The

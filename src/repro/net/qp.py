@@ -17,10 +17,10 @@ ordering).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from repro.net.fabric import Endpoint
-from repro.net.memory import AccessToken, RdmaAccessError
+from repro.net.memory import AccessToken, MemoryRegion, RdmaAccessError
 from repro.net.programs import (
     CAS_WORD_BYTES,
     POINTER_BYTES,
@@ -267,8 +267,8 @@ class QueuePair:
         If ``max_depth`` operations are already in flight the request
         waits in the send queue (FIFO), exactly the behaviour the
         fully-loaded-QP optimization (§4.3) tunes around.  Otherwise
-        the verb launches in place: its executor's first step runs
-        inside this call (see :meth:`Environment.start`).
+        the verb launches in place: its first stage runs inside this
+        call (see :meth:`_launch`).
         """
         env = self.env
         wr.posted_at = env.now
@@ -340,230 +340,320 @@ class QueuePair:
         return endpoint.fabric.profile.nic.qp_context_miss_penalty
 
     def _launch(self, wr: WorkRequest, completion_event: Event) -> None:
-        self._in_flight += 1
-        # In place: the first step only reads `alive`, touches the local
-        # QP-context cache and creates a timeout (Environment.start).
-        self.env.start(
-            self._execute(wr, completion_event),
-            name=f"qp:{self.local.name}->{self.remote.name}:{wr.wr_id}")
+        """Start a verb: its first stage runs in this call.
 
-    def _finish(self, wr: WorkRequest, completion_event: Event,
-                completion: Completion) -> None:
+        That stage only reads the requester's ``alive``, touches its
+        NIC's QP-context cache and creates a timeout.  Run in place
+        instead of on an entry behind what is already due now, those
+        move within the instant only: the timeout takes its sequence
+        number earlier, so only an exact tie at its instant could tell,
+        and the read and the touch come before the entries in between,
+        which could tell only if one of them killed that endpoint or
+        touched that cache.  Launches keep their relative order (post
+        order).  A dead requester's error completion waits for a zero
+        timeout, so it queues behind everything already due now.
+        """
+        self._in_flight += 1
+        env = self.env
+        local = self.local
+        if wr.op is RdmaOp.PROGRAM:
+            verb: _Verb = _ProgramVerb(self, wr, completion_event)
+        else:
+            verb = _Verb(self, wr, completion_event)
+        if not local.alive:
+            # A dead requester posts nothing: its NIC is gone.
+            verb.then(env.timeout(0), _Verb.local_down)
+            return
+        # NIC work-request processing on the requester.
+        nic = local.fabric.profile.nic
+        per_message = nic.per_message_processing
+        penalty = self._context_penalty(local)
+        if penalty:
+            per_message += penalty
+        if wr.op is RdmaOp.WRITE and not nic.can_inline(wr.payload_bytes):
+            # Payload acquisition: inline rides in the WQE; otherwise the
+            # NIC fetches it from host memory over PCIe after processing
+            # the request (why small writes beat small reads in Figure
+            # 11).  Nothing is observed between the two, so one timeout
+            # reaches the instant the pair would, in the same float
+            # association.
+            sent = env.timeout_at(
+                env.now + per_message + nic.dma_fetch(wr.payload_bytes))
+        else:
+            sent = env.timeout(per_message)
+        verb.then(sent, type(verb).sent)
+
+    def _finish(self, verb: "_Verb", ok: bool = True,
+                data: Optional[bytes] = None, error: Optional[str] = None,
+                cas_aborted: bool = False) -> None:
+        """End a verb: free its depth slot (the backlog's head launches
+        in it), record its wire latency and, for a signaled or failed
+        verb, fire its completion.  A :class:`Completion` is built only
+        then: nobody reads an unsignaled success."""
         self._in_flight -= 1
         if self._backlog:
             next_wr, next_event = self._backlog.popleft()
             if self._backlog_depth is not None:
                 self._backlog_depth.set(len(self._backlog))
             self._launch(next_wr, next_event)
-        completion.completed_at = self.env.now
+        wr = verb.wr
+        now = self.env.now
         if self._wire_latency is not None:
-            self._wire_latency.observe(self.env.now - wr.posted_at)
-            if not completion.ok:
+            self._wire_latency.observe(now - wr.posted_at)
+            if not ok:
                 self._error_completions.inc()
-        if completion.ok and not wr.signaled:
+        if ok and not wr.signaled:
             return
-        completion_event.succeed(completion)
-
-    def _execute(self, wr: WorkRequest, completion_event: Event):
-        """The verb's life on the wire.  See DESIGN.md §4 for the budget."""
-        local = self.local
-        remote = self.remote
-        fabric = local.fabric
-        nic = fabric.profile.nic
-        env = self.env
-        op = wr.op
-
-        if not local.alive:
-            # A dead requester posts nothing: its NIC is gone.  This
-            # step runs inside post() (or _finish, or the backlog
-            # drain); the zero timeout queues the error completion
-            # behind everything already due now, so the poster's step
-            # and the entries before it see the post still pending.
-            yield env.timeout(0)
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "local endpoint down"))
-            return
-
-        # NIC work-request processing on the requester.
-        per_message = nic.per_message_processing
-        penalty = self._context_penalty(local)
-        if penalty:
-            per_message += penalty
-        yield env.timeout(per_message)
-
-        if op is RdmaOp.PROGRAM:
-            yield from self._execute_program(wr, completion_event)
-            return
-
-        if op is RdmaOp.WRITE:
-            # Payload acquisition: inline rides in the WQE; otherwise the
-            # NIC fetches it from host memory over PCIe.  This asymmetry
-            # is why small writes beat small reads in Figure 11.
-            if not nic.can_inline(wr.payload_bytes):
-                yield env.timeout(nic.dma_fetch(wr.payload_bytes))
-            request_bytes = wr.payload_bytes
-        else:
-            request_bytes = CONTROL_MESSAGE_BYTES
-
-        yield fabric.transmit(local, remote, request_bytes)
-
-        if not remote.alive:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "remote endpoint down"))
-            return
-
-        # Responder NIC looks up this QP's connection context too.
-        penalty = self._context_penalty(remote)
-        if penalty:
-            yield env.timeout(penalty)
-
-        region = remote.find_region(wr.token.region_id)
-        if region is None:
-            self._finish(
-                wr, completion_event,
-                self._error_completion(
-                    wr, f"no region {wr.token.region_id} at {remote.name}"))
-            return
-
-        data: Optional[bytes] = None
-        try:
-            if op is RdmaOp.WRITE:
-                yield env.timeout(nic.rx_dma)
-                region.write(wr.token, wr.remote_offset, wr.data,
-                             length=wr.payload_bytes)
-                region.deliver(wr.payload_object)
-                response_bytes = CONTROL_MESSAGE_BYTES
-                delivery = 0.0
-            else:
-                # Responder NIC pulls the payload from host memory.
-                yield env.timeout(nic.dma_fetch(wr.payload_bytes))
-                data = region.read(wr.token, wr.remote_offset, wr.payload_bytes)
-                response_bytes = wr.payload_bytes
-                # Delivering the READ payload into requester memory.
-                delivery = nic.rx_dma
-        except RdmaAccessError as exc:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, str(exc)))
-            return
-
-        yield fabric.transmit(remote, local, response_bytes, delivery)
-
-        self._finish(
-            wr, completion_event,
-            Completion(wr_id=wr.wr_id, op=op, ok=True, data=data,
-                       context=wr.context))
-
-    def _execute_program(self, wr: WorkRequest, completion_event: Event):
-        """Execute a dependent read: one wire round trip plus remote-NIC
-        service time.
-
-        The descriptor crosses the fabric once; the remote NIC READs the
-        pointer word, then the record at the offset it holds
-        (:func:`~repro.net.programs.chase_target`), charging
-        ``program_step_latency`` per step plus each step's DMA cost, all
-        folded into a *single* service timeout (one trigger->resume edge
-        per program: a kernel monitor such as the replay sanitizer sees
-        the execution as one atomic remote event); one response returns
-        the payloads.
-
-        Memory sampling: both READs sample at descriptor arrival; the
-        CAS guard re-reads the pointer *after* the service window, so a
-        write that lands while the read executes is visible to it --
-        that is the self-verifying read that makes dependent GETs safe
-        against concurrent migration.  A fault, a revoked region or a
-        guard mismatch aborts the read with a partial completion.
-        """
-        local = self.local
-        remote = self.remote
-        fabric = local.fabric
-        nic = fabric.profile.nic
-        env = self.env
-        program = wr.program
-        assert program is not None
-        if self._programs_posted is not None:
-            self._programs_posted.inc()
-
-        yield fabric.transmit(local, remote, program.request_wire_bytes)
-
-        if not remote.alive:
-            self._finish(wr, completion_event,
-                         self._error_completion(wr, "remote endpoint down"))
-            return
-        region = remote.find_region(wr.token.region_id)
-        if region is None:
-            self._finish(
-                wr, completion_event,
-                self._error_completion(
-                    wr, f"no region {wr.token.region_id} at {remote.name}"))
-            return
-
-        token = wr.token
-        step_latency = nic.program_step_latency
-        service = self._context_penalty(remote)
-        service += step_latency
-        service += nic.dma_fetch(POINTER_BYTES)
-        pointer: Optional[bytes] = None
-        record: Optional[bytes] = None
-        error: Optional[str] = None
-        ran = 1  # steps the NIC ran, a faulting one included
-        try:
-            pointer = region.read(token, program.pointer_offset,
-                                  POINTER_BYTES)
-            ran = 2
-            service += step_latency
-            if program.read_bytes:
-                service += nic.dma_fetch(program.read_bytes)
-            record = region.read(
-                token, chase_target(pointer, program.fallback_offset),
-                program.read_bytes)
-        except RdmaAccessError as exc:
-            error = str(exc)
-        # Steps whose outcome is ok: a faulting READ is not one.
-        executed = ran if error is None else ran - 1
-        if error is None and program.verify:
-            # The guard's window share; it reads after the window.
-            service += step_latency
-            service += nic.dma_fetch(CAS_WORD_BYTES)
-
-        # The whole remote-side chain is one service interval.
-        yield env.timeout(service)
-
-        cas_aborted = False
-        if error is None:
-            try:
-                # The region may have been revoked while the read ran
-                # (migration finalized, VM reclaimed mid-program): it
-                # aborts and nothing is acked.
-                region.check_access(token, 0, 0)
-                if program.verify:
-                    current = region.read(token, program.pointer_offset,
-                                          CAS_WORD_BYTES)
-                    ran = 3
-                    # An unbacked word has nothing to compare: it passes.
-                    if current is None or pointer is None or current == pointer:
-                        executed = 3
-                    else:
-                        cas_aborted = True
-                        error = "program aborted by CAS guard at step 2"
-            except RdmaAccessError as exc:
-                error = str(exc)
-
-        if self._program_steps is not None:
-            self._program_steps.inc(ran)
-            if cas_aborted:
-                self._program_cas_aborts.inc()
-        ok = error is None
-
-        # Read payloads land in requester memory as part of the arrival.
-        yield fabric.transmit(remote, local,
-                              program.response_bytes_through(executed),
-                              nic.rx_dma if executed else 0.0)
-
-        self._finish(wr, completion_event, Completion(
-            wr_id=wr.wr_id, op=RdmaOp.PROGRAM, ok=ok,
-            data=record if ok else None, error=error,
-            context=wr.context, cas_aborted=cas_aborted))
+        verb.event.succeed(Completion(
+            wr_id=wr.wr_id, op=wr.op, ok=ok, data=data, error=error,
+            context=wr.context, completed_at=now, cas_aborted=cas_aborted))
 
     def _error_completion(self, wr: WorkRequest, error: str) -> Completion:
         return Completion(wr_id=wr.wr_id, op=wr.op, ok=False, error=error,
                           context=wr.context, completed_at=self.env.now)
+
+
+class _Verb:
+    """One READ or WRITE in flight: a chain of timeout callbacks.
+
+    Each stage is a method that the timeout (or message arrival) ending
+    the previous stage calls back; it does the stage's work, then hangs
+    the next stage on the next timeout (:meth:`then`).  No process,
+    generator or name is built per verb, and no object per stage: the
+    record itself is the callback, and it holds the next stage as a
+    plain function.  A bound method per stage would be one more
+    collector-tracked allocation each, and one stored on the record a
+    reference cycle (DESIGN.md §5h).  See DESIGN.md §4 for the time
+    budget.
+    """
+
+    __slots__ = ("qp", "wr", "event", "stage", "region", "data")
+
+    def __init__(self, qp: QueuePair, wr: WorkRequest, event: Event):
+        self.qp = qp
+        self.wr = wr
+        #: Fires with the verb's Completion (see ``QueuePair._finish``).
+        self.event = event
+        #: The responder's region, once the request found it.
+        self.region: Optional[MemoryRegion] = None
+        #: What a READ fetched, carried to its completion.
+        self.data: Optional[bytes] = None
+
+    def then(self, event: Event, stage: Callable[["_Verb", Event], None]
+             ) -> None:
+        """Run ``stage`` when ``event`` fires: the record waits on one
+        event at a time, so one ``stage`` slot holds what comes next."""
+        self.stage = stage
+        event._add_callback(self)
+
+    def __call__(self, event: Event) -> None:
+        self.stage(self, event)
+
+    def local_down(self, _event: Event) -> None:
+        self.qp._finish(self, False, error="local endpoint down")
+
+    def sent(self, _event: Event) -> None:
+        """The requester NIC has the request (and a non-inline WRITE's
+        payload): it goes on the wire."""
+        qp = self.qp
+        wr = self.wr
+        request_bytes = (wr.payload_bytes if wr.op is RdmaOp.WRITE
+                         else CONTROL_MESSAGE_BYTES)
+        self.then(qp.local.fabric.transmit(qp.local, qp.remote,
+                                           request_bytes), _Verb.arrived)
+
+    def arrived(self, _event: Event) -> None:
+        """The request reached the responder NIC, which looks up this
+        QP's connection context too."""
+        qp = self.qp
+        remote = qp.remote
+        if not remote.alive:
+            qp._finish(self, False, error="remote endpoint down")
+            return
+        penalty = qp._context_penalty(remote)
+        if penalty:
+            self.then(qp.env.timeout(penalty), _Verb.serve)
+        else:
+            self.serve(_event)
+
+    def serve(self, _event: Event) -> None:
+        """The responder finds the region and starts its DMA: a WRITE's
+        payload into memory, a READ's out of it."""
+        qp = self.qp
+        wr = self.wr
+        remote = qp.remote
+        region = remote.find_region(wr.token.region_id)
+        if region is None:
+            qp._finish(self, False, error=(
+                f"no region {wr.token.region_id} at {remote.name}"))
+            return
+        self.region = region
+        nic = remote.fabric.profile.nic
+        if wr.op is RdmaOp.WRITE:
+            self.then(qp.env.timeout(nic.rx_dma), _Verb.landed)
+        else:
+            self.then(qp.env.timeout(nic.dma_fetch(wr.payload_bytes)),
+                      _Verb.fetched)
+
+    def landed(self, _event: Event) -> None:
+        """A WRITE's payload is in responder memory: its message goes
+        to the region's mailbox and the acknowledgement goes back."""
+        qp = self.qp
+        wr = self.wr
+        region = self.region
+        try:
+            region.write(wr.token, wr.remote_offset, wr.data,
+                         length=wr.payload_bytes)
+            region.deliver(wr.payload_object)
+        except RdmaAccessError as exc:
+            qp._finish(self, False, error=str(exc))
+            return
+        self.then(qp.local.fabric.transmit(qp.remote, qp.local,
+                                           CONTROL_MESSAGE_BYTES),
+                  _Verb.answered)
+
+    def fetched(self, _event: Event) -> None:
+        """A READ's payload left responder memory: it goes back, and
+        its DMA into requester memory ends the arrival."""
+        qp = self.qp
+        wr = self.wr
+        try:
+            self.data = self.region.read(wr.token, wr.remote_offset,
+                                         wr.payload_bytes)
+        except RdmaAccessError as exc:
+            qp._finish(self, False, error=str(exc))
+            return
+        remote = qp.remote
+        self.then(remote.fabric.transmit(remote, qp.local, wr.payload_bytes,
+                                         remote.fabric.profile.nic.rx_dma),
+                  _Verb.answered)
+
+    def answered(self, _event: Event) -> None:
+        self.qp._finish(self, data=self.data)
+
+
+class _ProgramVerb(_Verb):
+    """A dependent read in flight: one wire round trip plus remote-NIC
+    service time.
+
+    The descriptor crosses the fabric once; the remote NIC READs the
+    pointer word, then the record at the offset it holds
+    (:func:`~repro.net.programs.chase_target`), charging
+    ``program_step_latency`` per step plus each step's DMA cost, all
+    folded into a *single* service timeout (one trigger->callback edge
+    per program: a kernel monitor such as the replay sanitizer sees the
+    execution as one atomic remote event); one response returns the
+    payloads.
+
+    Memory sampling: both READs sample at descriptor arrival; the CAS
+    guard re-reads the pointer *after* the service window, so a write
+    that lands while the read executes is visible to it -- that is the
+    self-verifying read that makes dependent GETs safe against
+    concurrent migration.  A fault, a revoked region or a guard
+    mismatch aborts the read with a partial completion.
+    """
+
+    __slots__ = ("pointer", "error", "ran", "executed", "cas_aborted")
+
+    def __init__(self, qp: QueuePair, wr: WorkRequest, event: Event):
+        super().__init__(qp, wr, event)
+        self.pointer: Optional[bytes] = None
+        self.error: Optional[str] = None
+        #: Steps the NIC ran, a faulting one included.
+        self.ran = 1
+        #: Steps whose outcome is ok: a faulting READ is not one.
+        self.executed = 0
+        self.cas_aborted = False
+
+    def sent(self, _event: Event) -> None:
+        qp = self.qp
+        if qp._programs_posted is not None:
+            qp._programs_posted.inc()
+        self.then(qp.local.fabric.transmit(
+            qp.local, qp.remote, self.wr.program.request_wire_bytes),
+            _ProgramVerb.arrived)
+
+    def arrived(self, _event: Event) -> None:
+        """The descriptor reached the responder NIC: it samples both
+        READs now and charges the whole chain as one service interval."""
+        qp = self.qp
+        wr = self.wr
+        remote = qp.remote
+        if not remote.alive:
+            qp._finish(self, False, error="remote endpoint down")
+            return
+        region = remote.find_region(wr.token.region_id)
+        if region is None:
+            qp._finish(self, False, error=(
+                f"no region {wr.token.region_id} at {remote.name}"))
+            return
+        self.region = region
+        program = wr.program
+        token = wr.token
+        nic = remote.fabric.profile.nic
+        step_latency = nic.program_step_latency
+        service = qp._context_penalty(remote)
+        service += step_latency
+        service += nic.dma_fetch(POINTER_BYTES)
+        try:
+            self.pointer = region.read(token, program.pointer_offset,
+                                       POINTER_BYTES)
+            self.ran = 2
+            service += step_latency
+            if program.read_bytes:
+                service += nic.dma_fetch(program.read_bytes)
+            self.data = region.read(
+                token, chase_target(self.pointer, program.fallback_offset),
+                program.read_bytes)
+        except RdmaAccessError as exc:
+            self.error = str(exc)
+        self.executed = self.ran if self.error is None else self.ran - 1
+        if self.error is None and program.verify:
+            # The guard's window share; it reads after the window.
+            service += step_latency
+            service += nic.dma_fetch(CAS_WORD_BYTES)
+        self.then(qp.env.timeout(service), _ProgramVerb.served)
+
+    def served(self, _event: Event) -> None:
+        """The service window closed: the guard checks, and the payloads
+        of the steps that executed go back."""
+        qp = self.qp
+        wr = self.wr
+        program = wr.program
+        if self.error is None:
+            try:
+                # The region may have been revoked while the read ran
+                # (migration finalized, VM reclaimed mid-program): it
+                # aborts and nothing is acked.
+                region = self.region
+                region.check_access(wr.token, 0, 0)
+                if program.verify:
+                    current = region.read(wr.token, program.pointer_offset,
+                                          CAS_WORD_BYTES)
+                    self.ran = 3
+                    # An unbacked word has nothing to compare: it passes.
+                    pointer = self.pointer
+                    if (current is None or pointer is None
+                            or current == pointer):
+                        self.executed = 3
+                    else:
+                        self.cas_aborted = True
+                        self.error = "program aborted by CAS guard at step 2"
+            except RdmaAccessError as exc:
+                self.error = str(exc)
+        if qp._program_steps is not None:
+            qp._program_steps.inc(self.ran)
+            if self.cas_aborted:
+                qp._program_cas_aborts.inc()
+        executed = self.executed
+        remote = qp.remote
+        # Read payloads land in requester memory as part of the arrival.
+        self.then(remote.fabric.transmit(
+            remote, qp.local, program.response_bytes_through(executed),
+            remote.fabric.profile.nic.rx_dma if executed else 0.0),
+            _ProgramVerb.answered)
+
+    def answered(self, _event: Event) -> None:
+        ok = self.error is None
+        self.qp._finish(self, ok, data=self.data if ok else None,
+                        error=self.error, cas_aborted=self.cas_aborted)

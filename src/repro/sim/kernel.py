@@ -697,21 +697,9 @@ class Environment:
         waiting on that event would have been resumed -- then starting
         the work there instead of in a waiter spawned earlier moves
         nothing in the schedule and saves the waiter's bootstrap step.
-
-        Or for a process whose first step the entries queued at this
-        instant do not observe: a queue pair launching a verb's executor
-        (``QueuePair._launch``).  That step only reads the requester's
-        ``alive``, touches its NIC's QP-context cache and creates a
-        timeout.  Run in place instead of on a bootstrap entry behind
-        what is already due now, those move within the instant only:
-        the timeout takes its sequence number earlier, so only an exact
-        tie at its instant could tell, and the read and the touch come
-        before the entries in between, which could tell only if one of
-        them killed that endpoint or touched that cache.  Launches keep
-        their relative order (post order).  The step that can finish
-        the process without a timeout -- a dead requester's error
-        completion -- first yields a zero timeout, which lands on the
-        entry the bootstrap took.
+        (Queue pairs no longer use it: a verb waits only on timeouts
+        and message arrivals, so it runs as a chain of their callbacks,
+        with no process; see ``QueuePair._launch``.)
 
         A process that finishes inside this first step keeps its exit
         entry (the caller may join what this returns).

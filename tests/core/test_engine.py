@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,9 +10,10 @@ import pytest
 
 from repro.analysis.sanitize import KernelMonitor
 from repro.cluster.vmtypes import VmType
-from repro.core import RdmaConfig, Slo
+from repro.core import RdmaConfig, Slo, engine
 from repro.core.engine import _NORMAL_BLOCK, CacheDataPath, EngineError
-from repro.core.protocol import EngineOp
+from repro.core.measurement import measure_config
+from repro.core.protocol import ConnectRequest, EngineOp, RequestBatch
 from repro.core.server import CacheServer
 from repro.hardware import AZURE_HPC
 from repro.net import (
@@ -159,11 +161,112 @@ class TestBlockDraws:
         assert run(None)[1] == expected
 
 
-class TestInProcessOps:
-    """A one-sided op runs issue, post and reap in its caller's process:
-    the verb's executor is the only process it spawns."""
+class _ServerCharges(Environment):
+    """An Environment that logs the delay of every timeout the cache
+    server's thread loop takes."""
 
-    def test_one_sided_read_io_spawns_only_the_verb_executor(self):
+    def __init__(self):
+        super().__init__()
+        self.charges = []
+
+    def timeout(self, delay, value=None):
+        if sys._getframe(1).f_code is CacheServer._thread_loop.__code__:
+            self.charges.append(delay)
+        return super().timeout(delay, value)
+
+
+class TestServerDraws:
+    """The server thread draws its poll delay as ``random() * cycle``
+    and its noise as ``sigma * standard_normal()``: bit for bit the
+    ``uniform(0, cycle)`` and ``normal(0, sigma)`` draws it made before,
+    in the same interleaving on the same stream."""
+
+    CYCLE = AZURE_HPC.cpu.server_poll_cycle
+    SIGMA = AZURE_HPC.measurement_noise
+
+    def test_products_equal_the_distribution_draws(self):
+        stream = RngRegistry(11).stream("server")
+        twin = RngRegistry(11).stream("server")
+        drawn, expected = [], []
+        for _ in range(20_000):
+            drawn.append(stream.random() * self.CYCLE)
+            drawn.append(self.SIGMA * stream.standard_normal())
+            expected.append(twin.uniform(0.0, self.CYCLE))
+            expected.append(twin.normal(0.0, self.SIGMA))
+        assert drawn == expected
+
+    def test_thread_charges_equal_per_call_draws(self):
+        env = _ServerCharges()
+        fabric = Fabric(env, AZURE_HPC)
+        server = CacheServer(env, AZURE_HPC,
+                             fabric.add_endpoint("server", Placement()),
+                             RngRegistry(11).stream("server"))
+        client = fabric.add_endpoint("client", Placement())
+        ring = client.register(MemoryRegion(4096, backing=False))
+        reply = server.connect(ConnectRequest(
+            "client", n_regions=1, region_size=1 << 20, server_threads=1,
+            queue_depth=4, connections=1, response_ring_tokens=[ring.token],
+            backed=False), client)
+        token = reply.region_tokens[0]
+        request_ring = server.endpoint.find_region(
+            reply.request_ring_tokens[0].region_id)
+        batches = [
+            RequestBatch([EngineOp(is_read=bool((i + j) % 2),
+                                   size=8 << ((i + j) % 6), token=token,
+                                   weight=1 + (i * j) % 4)
+                          for j in range(1 + i % 3)], 0.0, i + 1)
+            for i in range(40)]
+
+        def client_loop():
+            # One batch at a time: each is served before the next lands.
+            for batch in batches:
+                request_ring.deliver(batch)
+                yield env.timeout(50 * US)
+
+        env.process(client_loop())
+        env.run()
+        assert server.batches_processed == len(batches)
+
+        cpu = AZURE_HPC.cpu
+        twin = RngRegistry(11).stream("server")
+        expected = []
+        for batch in batches:
+            expected.append(twin.uniform(0.0, self.CYCLE))
+            work = cpu.server_batch_overhead
+            for op in batch.ops:
+                work += op.weight * cpu.server_op_cost(op.size, 1)
+            work *= math.exp(twin.normal(0.0, self.SIGMA))
+            expected += [work, AZURE_HPC.nic.doorbell]
+        assert env.charges == expected
+
+
+def test_same_seed_runs_issue_identical_batch_ids(monkeypatch):
+    """Batch ids count per connection, so a second same-seed run in the
+    same interpreter issues the first one's ids again."""
+    issued = []
+
+    class Recorded(RequestBatch):
+        def __post_init__(self):
+            super().__post_init__()
+            issued.append(self.batch_id)
+
+    monkeypatch.setattr(engine, "RequestBatch", Recorded)
+    runs = []
+    for _ in range(2):
+        measure_config(RdmaConfig(2, 2, 4, 4), 64, batches_per_connection=10,
+                       warmup_batches=2, seed=0)
+        runs.append(issued[:])
+        issued.clear()
+    assert runs[0] == runs[1]
+    assert len(runs[0]) > 20 and min(runs[0]) == 1
+
+
+class TestInProcessOps:
+    """A one-sided op runs issue, post and reap in its caller's process,
+    and its verb runs as a chain of timeout callbacks: it spawns no
+    process."""
+
+    def test_one_sided_read_io_spawns_no_process(self):
         harness = build_cluster(seed=0)
         cache = harness.redy_client("spawns").create(
             1 << 20, Slo(max_latency=20e-6, min_throughput=2e6,
@@ -185,7 +288,7 @@ class TestInProcessOps:
                 env.monitor = None
 
         assert env.run_process(reader()).ok
-        assert len(spawned) == 1 and spawned[0].startswith("qp:")
+        assert spawned == []
 
     def test_submit_runs_the_op_and_fires_its_completion(self):
         env, _, path, tokens = make_stack(RdmaConfig(1, 0, 1, 4))

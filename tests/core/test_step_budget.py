@@ -27,8 +27,11 @@ from repro.workloads.scenarios import build_cluster, build_faster_store
 #: op went through the batch ring, the issuer loop and a reap process.
 READ_WRITE_STEPS = 21
 #: Kernel steps of a small two-sided closed-loop measurement.  2551
-#: while an issuer loop and a completion loop ran the batching path.
-MEASURE_STEPS = 2469
+#: while an issuer loop and a completion loop ran the batching path;
+#: 2469 while a non-inline ring write took separate timeouts for NIC
+#: processing and the payload fetch, and before the issue slot was
+#: handed on with its credit and CPU-queue place.
+MEASURE_STEPS = 2266
 #: Kernel steps of one FasterKv read that misses local memory and is
 #: served by the Redy tier of the tiered device (14 with the ring hand-off
 #: and the reap process).
@@ -42,8 +45,9 @@ DEPENDENT_READ_STEPS = 17
 TENANT_READ_STEPS = 13
 #: Kernel steps of two concurrent 1 MiB writes from one endpoint, on two
 #: QPs.  The second queues for the tx link by reservation, which costs
-#: no dispatch of its own.
-CONTENDED_WRITES_STEPS = 14
+#: no dispatch of its own.  14 while each write's NIC processing and
+#: payload fetch were two timeouts.
+CONTENDED_WRITES_STEPS = 12
 #: Kernel steps of one two-sided batch: issue, request-ring write,
 #: server thread, response-ring write, reap, then the connection's
 #: response watchdog.  Both ring writes are unsignaled (no completion

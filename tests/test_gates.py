@@ -22,7 +22,7 @@ from repro.core.protocol import EngineOp
 from repro.core.server import CacheServer
 from repro.gates import SCENARIOS, Scenario
 from repro.hardware import AZURE_HPC
-from repro.net import Fabric, Placement
+from repro.net import Fabric, Placement, qp
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 
@@ -251,6 +251,27 @@ def test_one_extra_data_path_normal_fails_the_replay_check(monkeypatch):
     assert entry["failures"][0].startswith(
         "replay bug: extra-normal[run-vs-replay] same-seed replay diverged")
     assert _RUNS["count"] == 2
+
+
+def test_one_extra_verb_stage_timeout_fails_the_gate(monkeypatch):
+    # A verb runs as a chain of timeout callbacks, with no process of
+    # its own to show in the trace.  One more stage -- a zero timeout
+    # between a request's arrival and its service, which moves no
+    # simulated instant -- still shows in the recorded kernel events.
+    arrived = qp._Verb.arrived
+
+    def one_more_stage(verb, event):
+        verb.qp.env.timeout(0)._add_callback(
+            lambda later: arrived(verb, later))
+
+    monkeypatch.setattr(qp._Verb, "arrived", one_more_stage)
+    entry = gates.check("verbs")
+    assert not entry["ok"]
+    assert entry["divergence"] is None
+    recorded = json.loads(gates.EVENTS_FILE.read_text())["verbs"]
+    assert entry["events"] > recorded
+    assert entry["failures"][0].startswith(
+        f"kernel events grew {recorded} -> {entry['events']} at seed 0")
 
 
 def test_invariant_failures_fail_a_replaying_entry(monkeypatch):

@@ -130,9 +130,6 @@ OBSERVATION_POINTS = {
         "how tests check the VM menu's memory:core mix (Figs 1-2)",
     "CacheAllocation.total_regions":
         "how tests check a cache's region count across VMs",
-    "Store.try_get":
-        "how tests check what a Store holds without waiting (an item an "
-        "abandoned put or get must not leave behind)",
     "QueuePair.backlog_length":
         "how tests check the QP backlog beyond the queue depth",
     "QpPool.qp_ids":
