@@ -12,9 +12,12 @@ pool per (local endpoint, remote endpoint) pair:
 * **Sharing** -- up to ``sessions_per_qp`` sessions ride one QP; the
   QP's recv region is registered once, not per session.
 * **Request tagging + completion demux** -- every submitted work
-  request is tagged with its session id; completions are routed back
-  to the owning session's event, and a tag mismatch is counted (the
-  invariant the interleaved-completion tests pin down).
+  request is tagged with its session id, and the QP's own completion
+  event is what the session waits on: a :class:`_Request` record,
+  registered as that event's first callback, checks the carried tag
+  against the one it submitted, counts a mismatch (the invariant the
+  interleaved-completion tests pin down) and restores the caller's
+  context before the session resumes.
 * **Lazy establishment** -- ``pooled-lazy`` defers the connect
   handshake to the first posted verb (:meth:`QueuePair.post` backlogs
   and connects); ``pooled`` connects at session open through the
@@ -27,9 +30,10 @@ pool per (local endpoint, remote endpoint) pair:
   :meth:`harvest` reclaims QPs idle beyond ``idle_timeout_s`` past the
   warm target, releasing QP state, NIC cache entries, and regions.
 
-Determinism: sessions and QPs are picked by sorted ``(load, qp_id)``
-keys, ids come from per-run counters, and every decision is appended
-to the shared :class:`~repro.cplane.log.CplaneLog`.
+Determinism: a session joins the least-loaded usable QP, ties to the
+lowest ``qp_id`` (one scan in creation order, which is ``qp_id`` order),
+ids come from per-run counters, and every decision is appended to the
+shared :class:`~repro.cplane.log.CplaneLog`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Generator, List, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Optional
 
 from repro.cplane.log import CplaneLog
 from repro.cplane.session import ClientSession
@@ -61,8 +65,11 @@ class PoolPolicy:
     strategy: str = "pooled-lazy"
     #: Logical sessions multiplexed per shared QP.
     sessions_per_qp: int = 16
-    #: Hard cap on live QPs per endpoint pair; at the cap new sessions
-    #: oversubscribe the least-loaded QP instead of creating one.
+    #: Cap on usable QPs per endpoint pair: a session creates a QP only
+    #: while fewer are usable; at the cap it oversubscribes the
+    #: least-loaded usable QP instead.  A broken (in-error or reclaimed)
+    #: QP does not count: it is replaced, never oversubscribed onto, and
+    #: reclaimed by the next harvest once its sessions have closed.
     max_qps: int = 4096
     #: In-flight depth of pooled QPs.
     queue_depth: int = 16
@@ -133,12 +140,11 @@ class QpPool:
         self._session_ids = (session_ids if session_ids is not None
                              else itertools.count(1))
         self._tag_seq = itertools.count(1)
-        #: qp_id -> entry, insertion (creation) ordered.
+        #: qp_id -> entry, insertion (creation) ordered -- which is
+        #: ascending qp_id, since ids come from one fabric counter.
         self._qps: Dict[int, _PooledQp] = {}
         self.sessions: Dict[int, ClientSession] = {}
         self._session_qp: Dict[int, _PooledQp] = {}
-        #: In-flight demux table: tag -> (session_id, user ctx, event).
-        self._pending: Dict[int, Tuple[int, object, Event]] = {}
         # Serialized connect worker (the NIC command queue).
         self._connect_queue: Deque[QueuePair] = deque()
         self._connect_waiters: Dict[int, Event] = {}
@@ -299,26 +305,30 @@ class QpPool:
 
     def _assign_shared_qp(self) -> Optional[_PooledQp]:
         """Least-loaded usable QP with session capacity (ties to the
-        lowest qp_id -- deterministic).  At ``max_qps``, oversubscribes
-        the least-loaded QP rather than failing."""
+        lowest qp_id -- deterministic), or None when the caller should
+        create one.  Once ``max_qps`` usable QPs are full, oversubscribes
+        the least-loaded one rather than failing; broken QPs neither
+        count against the cap nor take sessions."""
         best: Optional[_PooledQp] = None
-        best_key: Optional[Tuple[int, int]] = None
-        for qp_id in sorted(self._qps):
-            entry = self._qps[qp_id]
-            if not entry.usable:
+        best_load = 0
+        usable = 0
+        for entry in self._qps.values():
+            qp = entry.qp
+            if qp.reclaimed or qp._error_state is not None:
                 continue
-            key = (len(entry.sessions), qp_id)
-            if best_key is None or key < best_key:
-                best_key = key
+            load = len(entry.sessions)
+            if not load:
+                return entry  # an idle QP: nothing loads less
+            usable += 1
+            if best is None or load < best_load:
                 best = entry
-        if best is not None and len(best.sessions) < self.policy.sessions_per_qp:
+                best_load = load
+        if best is not None and best_load < self.policy.sessions_per_qp:
             return best
-        if len(self._qps) < self.policy.max_qps:
+        if usable < self.policy.max_qps:
             return None  # caller creates a fresh one
-        if best is not None:
-            self.oversubscriptions += 1
-            return best
-        return None
+        self.oversubscriptions += 1
+        return best
 
     def _reclaim(self, entry: _PooledQp, reason: str) -> None:
         qp = entry.qp
@@ -464,8 +474,9 @@ class QpPool:
 
     def submit(self, session: ClientSession, wr: WorkRequest) -> Event:
         """Post ``wr`` on the session's QP, tagged with the session
-        identity; returns an event firing with the completion after the
-        demultiplexer has routed (and verified) it.
+        identity; returns the QP's completion event, which fires with
+        the completion after the demultiplexer has routed (and
+        verified) it.
 
         The user's ``wr.context`` is restored on the delivered
         completion -- callers never see the pool's tag.
@@ -474,20 +485,17 @@ class QpPool:
         if entry is None:
             raise KeyError(
                 f"session {session.session_id} is not bound to a QP")
-        env = self.env
-        session.touch(env.now)
+        session.touch(self.env.now)
         if wr.op is RdmaOp.READ:
             session.reads += 1
         elif wr.op is RdmaOp.WRITE:
             session.writes += 1
-        tag = next(self._tag_seq)
-        done = env.event()
-        self._pending[tag] = (session.session_id, wr.context, done)
-        wr.context = ("cplane", tag, session.session_id)
+        request = _Request(self, next(self._tag_seq), session, wr.context)
+        wr.context = ("cplane", request.tag, session.session_id)
         completion_event = entry.qp.post(wr)
-        completion_event._add_callback(
-            lambda event, t=tag: self._demux(t, event.value))
-        return done
+        # Fresh from post(): no waiter yet, so the demux runs first.
+        completion_event._add_callback(request)
+        return completion_event
 
     def session_read(self, session: ClientSession, token: AccessToken,
                      offset: int, nbytes: int,
@@ -496,27 +504,39 @@ class QpPool:
         wr = WorkRequest(RdmaOp.READ, token, offset, nbytes, context=context)
         return self.submit(session, wr)
 
-    def _demux(self, tag: int, completion) -> None:
-        """Route one completion back to its session by tag.
 
-        Interleaved completions from multiplexed sessions arrive on the
-        shared QP in wire order, not per-session order; the tag is what
-        keeps them apart.  A mismatch between the tag table and the
-        completion's carried tag would mean the pool delivered one
-        session's bytes to another -- counted, never silent.
-        """
-        session_id, user_context, done = self._pending.pop(tag)
+class _Request:
+    """One submitted work request: its entry in the demux table, hung
+    on its completion event as that event's first callback.
+
+    Interleaved completions from multiplexed sessions arrive on the
+    shared QP in wire order, not per-session order; the tag is what
+    keeps them apart.  The record keeps the tag it submitted apart from
+    the one the completion carries, so a mismatch -- the pool handing
+    one session's bytes to another -- is counted, never silent.
+    """
+
+    __slots__ = ("pool", "tag", "session", "user_context")
+
+    def __init__(self, pool: QpPool, tag: int, session: ClientSession,
+                 user_context: object):
+        self.pool = pool
+        self.tag = tag
+        self.session = session
+        self.user_context = user_context
+
+    def __call__(self, event: Event) -> None:
+        completion = event._value
+        pool = self.pool
         carried = completion.context
+        session = self.session
         if (isinstance(carried, tuple) and len(carried) == 3
-                and carried[0] == "cplane" and carried[1] == tag
-                and carried[2] == session_id):
-            self.demux_routed += 1
+                and carried[0] == "cplane" and carried[1] == self.tag
+                and carried[2] == session.session_id):
+            pool.demux_routed += 1
         else:
-            self.demux_misroutes += 1
-            if self._c_misroutes is not None:
-                self._c_misroutes.inc()
-        completion.context = user_context
-        session = self.sessions.get(session_id)
-        if session is not None:
-            session.touch(self.env.now)
-        done.succeed(completion)
+            pool.demux_misroutes += 1
+            if pool._c_misroutes is not None:
+                pool._c_misroutes.inc()
+        completion.context = self.user_context
+        session.touch(pool.env.now)

@@ -18,6 +18,10 @@ from typing import Any, Dict, Iterator, List
 
 __all__ = ["FaultEvent", "FaultLog"]
 
+#: The canonical line encoder: what ``json.dumps(obj, sort_keys=True,
+#: separators=(",", ":"))`` builds per call, built once.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -78,11 +82,14 @@ class FaultLog:
         never held as one string.
         """
         sha = hashlib.sha256()
+        encode = _CANONICAL.encode
         separator = b""
         for event in self._events:
             sha.update(separator)
-            sha.update(json.dumps(event.to_dict(), sort_keys=True,
-                                  separators=(",", ":")).encode())
+            # to_dict() without its copy of the detail dict.
+            sha.update(encode({"time": event.time, "kind": event.kind,
+                               "target": event.target,
+                               "detail": event.detail}).encode())
             separator = b"\n"
         return sha.hexdigest()
 

@@ -13,6 +13,7 @@ from repro.core.engine import CacheDataPath
 from repro.core.measurement import measure_config
 from repro.core.protocol import EngineOp
 from repro.core.server import CacheServer
+from repro.cplane import CplaneLog, PoolPolicy, QpPool
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, MemoryRegion, QueuePair, RdmaOp, WorkRequest
 from repro.obs import MetricsRegistry
@@ -55,6 +56,10 @@ CONTENDED_WRITES_STEPS = 12
 #: 19 while the op went through the issuer and completion loops and
 #: its caller resumed from the op's completion event.
 TWO_SIDED_BATCH_STEPS = 18
+#: Kernel steps of one pooled-lazy session that opens on an established
+#: QP, reads once and closes.  7 while the pool's demux fired a second
+#: event of its own for the session to wait on.
+POOLED_READ_STEPS = 6
 
 
 def _check(name, pinned, steps):
@@ -188,3 +193,28 @@ def test_two_sided_batch_step_budget():
     result, steps = _steps_of(env, body)
     assert result.ok and server.batches_processed == 1
     _check("one two-sided batch", TWO_SIDED_BATCH_STEPS, steps)
+
+
+def test_pooled_read_step_budget():
+    env = Environment()
+    fabric = Fabric(env, AZURE_HPC, model_control_plane=True)
+    client = fabric.add_endpoint("client")
+    server = fabric.add_endpoint("server")
+    region = server.register(MemoryRegion(4096, backing=True))
+    region.local_write(0, b"pooled!!")
+    pool = QpPool(env, client, server, PoolPolicy(strategy="pooled-lazy"),
+                  CplaneLog())
+
+    def body():
+        session = yield from pool.open_session()
+        completion = yield pool.session_read(session, region.token, 0, 8)
+        pool.close_session(session)
+        return completion
+
+    # The first session creates the QP and connects it on its read.
+    _steps_of(env, body)
+    assert client.qps[0].established
+    completion, steps = _steps_of(env, body)
+    assert completion.ok and completion.data == b"pooled!!"
+    assert pool.qps_created == 1
+    _check("one pooled-lazy session read", POOLED_READ_STEPS, steps)

@@ -1,6 +1,7 @@
 """QpPool: multiplexing, demux, harvesting, and churn leak-freedom."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cplane import CplaneLog, PoolPolicy, QpPool
 from repro.hardware import AZURE_HPC
@@ -58,6 +59,27 @@ class TestMultiplexing:
         assert pool.oversubscriptions == 1
         assert sessions[0].qp_id == sessions[1].qp_id
 
+    def test_broken_qps_do_not_count_against_the_cap(self):
+        env, _, client, _, _, pool = make_pool(strategy="pooled",
+                                               sessions_per_qp=1, max_qps=2)
+        first, second = open_n(env, pool, 2)
+        client.qps[0].inject_error("link fault")
+        # One usable QP under a cap of two: the broken QP is replaced,
+        # not counted, and never oversubscribed onto.
+        (third,) = open_n(env, pool, 1)
+        assert third.qp_id not in (first.qp_id, second.qp_id)
+        assert pool.oversubscriptions == 0
+        assert pool.live_qps == 3
+        # Reclaimed by the next harvest once its session has closed.
+        pool.close_session(first)
+        assert pool.harvest() == 1
+        assert pool.qp_ids() == [second.qp_id, third.qp_id]
+        # Two usable QPs, both full: the cap holds.
+        (fourth,) = open_n(env, pool, 1)
+        assert fourth.qp_id == second.qp_id
+        assert pool.oversubscriptions == 1
+        assert pool.live_qps == 2
+
     def test_assignment_is_deterministic_across_runs(self):
         def run():
             env, _, _, _, _, pool = make_pool(strategy="pooled",
@@ -71,6 +93,77 @@ class TestMultiplexing:
                     [s.qp_id for s in reopened], pool.qp_ids())
 
         assert run() == run()
+
+
+def reference_assignment(pool):
+    """The assignment as a ``sorted()`` scan over ``(load, qp_id)`` keys,
+    as the pool once made it; returns ``(entry, oversubscribed)``.  The
+    one deliberate difference is the cap: it counts usable QPs, where
+    the old scan counted every live one, broken QPs included."""
+    best = None
+    best_key = None
+    usable = 0
+    for qp_id in sorted(pool._qps):
+        entry = pool._qps[qp_id]
+        if not entry.usable:
+            continue
+        usable += 1
+        key = (len(entry.sessions), qp_id)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = entry
+    if best is not None and len(best.sessions) < pool.policy.sessions_per_qp:
+        return best, False
+    if usable < pool.policy.max_qps:
+        return None, False
+    return best, True
+
+
+pool_ops = st.lists(
+    st.tuples(st.sampled_from(["open", "open", "close", "error",
+                               "reconnect", "reclaim_all", "harvest"]),
+              st.integers(0, 63)),
+    max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=pool_ops, sessions_per_qp=st.integers(1, 3),
+       max_qps=st.integers(1, 3),
+       strategy=st.sampled_from(["pooled", "pooled-lazy"]))
+def test_assignment_matches_the_sorted_reference(ops, sessions_per_qp,
+                                                 max_qps, strategy):
+    env, _, _, _, _, pool = make_pool(strategy=strategy,
+                                      sessions_per_qp=sessions_per_qp,
+                                      max_qps=max_qps, idle_timeout_s=0.0)
+    sessions = []
+    for op, pick in ops:
+        qps = [pool._qps[qp_id] for qp_id in pool.qp_ids()]
+        if op == "open":
+            expected, oversubscribed = reference_assignment(pool)
+            before = pool.oversubscriptions
+            assert pool._assign_shared_qp() is expected
+            assert pool.oversubscriptions - before == int(oversubscribed)
+            session = env.run_process(pool.open_session())
+            if expected is not None:
+                assert session.qp_id == expected.qp.qp_id
+            sessions.append(session)
+        elif op == "close":
+            still_open = [s for s in sessions if s.open]
+            if still_open:
+                pool.close_session(still_open[pick % len(still_open)])
+        elif op == "error":
+            usable = [entry for entry in qps if entry.usable]
+            if usable:
+                usable[pick % len(usable)].qp.inject_error("test fault")
+        elif op == "reconnect":
+            broken = [entry for entry in qps if not entry.qp.reclaimed
+                      and entry.qp.in_error]
+            if broken:
+                broken[pick % len(broken)].qp.reconnect()
+        elif op == "reclaim_all":
+            pool.reclaim_all(reason="test")
+        else:
+            pool.harvest()
 
 
 class TestDemux:
@@ -109,6 +202,31 @@ class TestDemux:
 
         completion = env.run_process(proc())
         assert completion.ok
+        assert completion.context is marker
+
+    def test_a_tampered_tag_is_counted_and_still_delivered(self):
+        env, _, client, _, region, pool = make_pool(strategy="pooled")
+        region.local_write(0, b"tampered")
+        (session,) = open_n(env, pool, 1)
+        qp = client.qps[0]
+        post = qp.post
+
+        def post_with_a_wrong_tag(wr):
+            kind, tag, session_id = wr.context
+            wr.context = (kind, tag + 1, session_id)
+            return post(wr)
+
+        qp.post = post_with_a_wrong_tag
+        marker = object()
+
+        def proc():
+            return (yield pool.session_read(session, region.token, 0, 8,
+                                            context=marker))
+
+        completion = env.run_process(proc())
+        assert pool.demux_misroutes == 1
+        assert pool.demux_routed == 0
+        assert completion.ok and completion.data == b"tampered"
         assert completion.context is marker
 
     def test_submit_requires_a_bound_session(self):

@@ -1,6 +1,7 @@
 """Tests for the fault injector against a live simulated cluster."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -257,3 +258,27 @@ class TestFaultLog:
         assert other.digest() == log.digest()
         other.append(3.0, "vm-kill", "vm-2")
         assert other.digest() != log.digest()
+
+    def test_digest_bytes_match_json_dumps_on_edge_values(self):
+        log = FaultLog()
+        log.append(0.1 + 0.2, "float", "ep", tiny=5e-324, negzero=-0.0,
+                   big=1e22, nan=float("nan"), inf=float("-inf"))
+        log.append(-0.0, "ints", "ep", big=2 ** 70, neg=-(2 ** 64) - 1,
+                   zero=0)
+        log.append(5e-324, "consts", "ep", none=None, yes=True, no=False)
+        log.append(1e22, "text", "Zürich-ノード", name="ščř ☃ \u0000",
+                   quote='"\\', empty="")
+        log.append(2.0, "nested", "ep",
+                   zeta={"b": 1, "a": {"y": [3, 2], "x": None}},
+                   alpha=[{"k": 1.5, "c": "d"}, [], (1, 2.5)],
+                   mid=[None, True, 0.1 + 0.2])
+        log.append(3.0, "empty", "")
+        # The canonical stream as the log once built it: json.dumps of
+        # each event's to_dict(), newline-joined, hashed as a stream.
+        sha = hashlib.sha256()
+        for index, event in enumerate(log):
+            if index:
+                sha.update(b"\n")
+            sha.update(json.dumps(event.to_dict(), sort_keys=True,
+                                  separators=(",", ":")).encode())
+        assert log.digest() == sha.hexdigest()
