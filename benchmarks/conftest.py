@@ -8,7 +8,8 @@ wins, by roughly what factor, where the knees fall.  Absolute numbers
 come from a simulator, so EXPERIMENTS.md records paper-vs-measured for
 each artifact.
 
-Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
+Run with ``python -m repro run all`` (every ``test_*.py`` here, under
+pytest with ``-s``) to see the tables.
 """
 
 from __future__ import annotations

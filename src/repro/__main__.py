@@ -27,6 +27,8 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
+from xml.etree import ElementTree
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 _BENCHMARKS = _REPO_ROOT / "benchmarks"
@@ -34,13 +36,20 @@ _EXAMPLES = _REPO_ROOT / "examples"
 
 
 def _experiment_ids() -> dict[str, pathlib.Path]:
+    """Every ``benchmarks/test_<id>.py`` by its full id, and by the
+    short id before the id's first ``_`` (``fig03``) where no other
+    file shares it."""
     if not _BENCHMARKS.is_dir():
         return {}
     experiments = {}
+    shared: dict[str, list[pathlib.Path]] = {}
     for path in sorted(_BENCHMARKS.glob("test_*.py")):
-        identifier = path.stem.removeprefix("test_").split("_")[0]
-        experiments.setdefault(identifier, path)
-        experiments[path.stem.removeprefix("test_")] = path
+        identifier = path.stem.removeprefix("test_")
+        experiments[identifier] = path
+        shared.setdefault(identifier.split("_")[0], []).append(path)
+    for short, paths in shared.items():
+        if len(paths) == 1:
+            experiments.setdefault(short, paths[0])
     return experiments
 
 
@@ -58,32 +67,42 @@ def cmd_list() -> int:
         print("no benchmarks/ directory found -- run from a repository "
               "checkout")
         return 1
-    seen = set()
     print(f"{'id':>26}  experiment")
-    for identifier, path in sorted(experiments.items(),
-                                   key=lambda kv: kv[1].stem):
-        if path in seen or "_" in identifier:
-            continue
-        seen.add(path)
+    for path in sorted(set(experiments.values())):
         print(f"{path.stem.removeprefix('test_'):>26}  "
               f"{_first_doc_line(path)}")
     return 0
 
 
+def _tests_run(junit: pathlib.Path) -> int:
+    """Tests a pytest JUnit XML report says ran (not skipped)."""
+    return sum(int(suite.get("tests", 0)) - int(suite.get("skipped", 0))
+               for suite in ElementTree.parse(junit).iter("testsuite"))
+
+
 def cmd_run(identifier: str) -> int:
+    """Run one experiment's benchmark file (or every one) under pytest:
+    every test in it, whether or not it uses the ``benchmark`` fixture.
+    Exits non-zero when pytest fails or no test ran."""
+    experiments = _experiment_ids()
     if identifier == "all":
-        targets = [str(_BENCHMARKS)]
+        targets = sorted(set(experiments.values()))
     else:
-        experiments = _experiment_ids()
         path = experiments.get(identifier)
         if path is None:
             print(f"unknown experiment {identifier!r}; "
                   f"try `python -m repro list`")
             return 1
-        targets = [str(path)]
-    return subprocess.call(
-        [sys.executable, "-m", "pytest", *targets,
-         "--benchmark-only", "-q", "-s"])
+        targets = [path]
+    with tempfile.TemporaryDirectory() as scratch:
+        junit = pathlib.Path(scratch) / "junit.xml"
+        code = subprocess.call(
+            [sys.executable, "-m", "pytest", *map(str, targets), "-q", "-s",
+             f"--junitxml={junit}"])
+        if code == 0 and _tests_run(junit) == 0:
+            print(f"no test ran for {identifier!r}")
+            return 1
+    return code
 
 
 def cmd_metrics(identifier: str | None, as_json: bool,

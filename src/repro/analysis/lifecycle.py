@@ -31,8 +31,9 @@ Rules:
   class PR 6 fixed by hand).
 * **L003** metrics instrument constructed directly instead of through
   a ``MetricsRegistry`` (orphan series never reach snapshots).
-* **L005** ``yield x.acquire()`` without a ``finally``-protected
-  ``x.release()`` covering every later suspension point.
+* **L005** ``yield x.acquire()`` -- or a ``x.try_acquire()`` that
+  succeeded -- without a ``finally``-protected ``x.release()`` covering
+  every later suspension point.
 * **L006** sim process spawned from inside another process with the
   handle discarded: its failure can never be joined or observed.
 """
@@ -108,6 +109,14 @@ def _yielded_call(stmt: ast.stmt) -> Optional[ast.Call]:
     return None
 
 
+def _try_acquire_base(expr: Optional[ast.expr]) -> Optional[str]:
+    """``x.y`` when ``expr`` is the call ``x.y.try_acquire()``."""
+    if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == "try_acquire"):
+        return flow.dotted_name(expr.func.value)
+    return None
+
+
 def _key(rule: str, resource: str) -> str:
     """Obligation state key ``rule|resource``."""
     return f"{rule}|{resource}"
@@ -147,9 +156,8 @@ class _FunctionLifecycle:
             # Inside a `*acquire*`-named helper the bare acquire IS the
             # function's contract; the obligation is charged at each
             # call site instead (see the helper branch below).
-            own_name = self.qualname.rsplit(".", 1)[-1]
             if (attr == "acquire" and base is not None
-                    and "acquire" not in own_name):
+                    and not self._names_acquire()):
                 out.append(_key("L005", base))
             elif ("acquire" in attr and attr != "acquire"
                   and self._is_local_call(call)):
@@ -159,6 +167,13 @@ class _FunctionLifecycle:
                 res = self._helper_resource(call)
                 if res is not None:
                     out.append(_key("L005", res))
+        # L005: a bare or assigned `<base>.try_acquire()` may have taken
+        # a slot (an `if` on it is refined per arm instead; see _refine).
+        value = (stmt.value if isinstance(stmt, (ast.Expr, ast.Assign))
+                 else None)
+        base = _try_acquire_base(value)
+        if base is not None and not self._names_acquire():
+            out.append(_key("L005", base))
         # L001 arms on assignments.
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
@@ -171,6 +186,11 @@ class _FunctionLifecycle:
                         or attr in _QP_ACQUIRE_CALLS):
                     out.append(_key("L001", target.id))
         return out
+
+    def _names_acquire(self) -> bool:
+        """Inside a ``*acquire*``-named helper an acquire is the
+        function's contract, charged at its call sites instead."""
+        return "acquire" in self.qualname.rsplit(".", 1)[-1]
 
     def _is_local_call(self, call: ast.Call) -> bool:
         return self.graph.resolve_call(call.func, self.cls) is not None
@@ -262,7 +282,11 @@ class _FunctionLifecycle:
 
     def _refine(self, node: CfgNode, kind: str,
                 state: State) -> Optional[State]:
-        """``if not <base>.reclaimed:`` -- on the arm where the QP is
+        """Branch conditions that hold or drop a resource on one arm.
+
+        ``if [not] <base>.try_acquire():`` -- on the arm where the call
+        returned True, a slot is held: arm L005 on that base.
+        ``if not <base>.reclaimed:`` -- on the arm where the QP is
         already gone, discharge any obligation on that base (the idiom
         cplane.pool uses to guard repeat teardown)."""
         if node.label != "if" or not isinstance(node.stmt, ast.If):
@@ -270,6 +294,14 @@ class _FunctionLifecycle:
         guard, negated = node.stmt.test, False
         if isinstance(guard, ast.UnaryOp) and isinstance(guard.op, ast.Not):
             guard, negated = guard.operand, True
+        held = _try_acquire_base(guard)
+        if held is not None:
+            if kind != ("false" if negated else "true") or (
+                    self._names_acquire()):
+                return None
+            assert isinstance(guard, ast.Call)
+            self.anchors[node.id] = (guard.lineno, guard.col_offset)
+            return {**state, _key("L005", held): frozenset({node.id})}
         if not (isinstance(guard, ast.Attribute)
                 and guard.attr == "reclaimed"):
             return None

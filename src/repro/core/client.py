@@ -23,7 +23,7 @@ from repro.core.config import Slo
 from repro.core.engine import CacheDataPath
 from repro.core.manager import CacheAllocation, CacheManager
 from repro.core.migration import MigrationPolicy, migrate_regions
-from repro.core.protocol import EngineOp
+from repro.core.protocol import EngineOp, OpStages
 from repro.core.regions import AddressError, RegionTable
 from repro.core.server import CacheServer
 from repro.hardware.profiles import TestbedProfile
@@ -334,13 +334,25 @@ class RedyCache:
                   tenant: Optional[str] = None) -> Event:
         """Start one I/O of ``kind``: ``"r"`` read, ``"w"`` write,
         ``"d"`` dependent read.  The process running its body is the
-        completion event."""
-        proc = self.env.process(
-            self._body(kind, addr, size, data, tenant=tenant),
-            name=f"redy-io-{kind}@{addr}")
+        completion event; the body hands its result to ``callback``
+        itself (see :meth:`_calling_back`)."""
+        body = self._body(kind, addr, size, data, tenant=tenant)
         if callback is not None:
-            proc._add_callback(lambda event: callback(event.value))
-        return proc
+            body = self._calling_back(body, callback)
+        return self.env.process(body, name=f"redy-io-{kind}@{addr}")
+
+    def _calling_back(self, body, callback: Callable):
+        """Run ``body``, then call ``callback`` with its result in its
+        last step, where the process's exit entry would have: that step
+        is always resumed by an event only the body waits on, so the
+        exit entry ran next -- behind whatever was already due, which
+        one zero hop queues behind too."""
+        result = yield from body
+        env = self.env
+        if env.due_now():
+            yield env.timeout(0)
+        callback(result)
+        return result
 
     def _body(self, kind: str, addr: int, size: int,
               data: Optional[bytes], *, tenant: Optional[str] = None):
@@ -423,6 +435,8 @@ class RedyCache:
             token = self.table.region(index).token
             op = EngineOp(is_read=is_read, size=size, token=token,
                           offset=offset, data=data, tenant=tenant)
+            if self.path.stamps_stages:
+                op.stages = OpStages(env.now)
             yield env.timeout(self.path.submission_overhead())
             result = yield from self.path.io(op)
             if not result.ok:
@@ -451,6 +465,8 @@ class RedyCache:
             op = EngineOp(
                 is_read=is_read, size=fragment.length, token=mapping.token,
                 offset=fragment.offset, data=payload, tenant=tenant)
+            if self.path.stamps_stages:
+                op.stages = OpStages(env.now)
             yield env.timeout(self.path.submission_overhead())
             yield self.path.submit(op)
             ops.append(op)

@@ -7,19 +7,27 @@ generator, :meth:`CacheDataPath.io`, runs an op to its
 (``result = yield from path.io(op)``); the data path runs no process of
 its own.
 
-* An op asks for its connection's issue slot (FIFO).  The holder
-  takes a queue-depth credit and the thread CPU and posts: on the §4.3
-  fast path one READ or WRITE verb; otherwise one request batch of the
-  ops queued behind it, up to weight ``b``, written into the server's
-  message ring (§4.2).
-* The caller that formed a batch reaps it once the response lands in
-  its connection's response ring, one reap per thread at a time, in
-  arrival order; a caller whose op rode that batch gets its result.
+* On the §4.3 fast path an op runs as one flat step sequence in that
+  generator's frame: its connection's issue slot (FIFO), a queue-depth
+  credit, the thread CPU, the issue charge, the post of one READ or
+  WRITE verb, the completion, the thread CPU again, the reap charge,
+  the cross-NUMA hop, and the settle.  A grant that is free at once
+  costs no event (``try_acquire`` / ``try_get``).  With a metrics
+  registry installed the op stamps each boundary into its
+  :class:`~repro.core.protocol.OpStages` ledger.
+* Otherwise the issue slot's holder takes a credit and the thread CPU
+  and posts one request batch of the ops queued behind it, up to weight
+  ``b``, written into the server's message ring (§4.2).  The caller
+  that formed a batch reaps it once the response lands in its
+  connection's response ring, one reap per thread at a time, in arrival
+  order; a caller whose op rode that batch gets its result.
 * A dependent read never batches: ``io`` issues it, chases the pointer
   (one verb program or two READs) and reaps it.
 
 All CPU charges go through one per-thread ``Resource`` so that issue and
-reap cannot overlap in time -- they are the same hardware thread.
+reap cannot overlap in time -- they are the same hardware thread -- and
+each charge's formula lives in one method (:meth:`_issue_charge`,
+:meth:`_reap_charge`) whichever path pays it.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from repro.core.protocol import (
     ConnectRequest,
     EngineOp,
     OpResult,
+    OpStages,
     RequestBatch,
     ResponseBatch,
 )
@@ -55,6 +64,10 @@ _BATCH_WEIGHT_BUCKETS = tuple(float(1 << i) for i in range(11))
 
 #: Standard normals the data path draws from its stream at a time.
 _NORMAL_BLOCK = 512
+
+#: The one item every connection's credit store holds copies of: a
+#: queue-depth credit carries no identity.
+_CREDIT = object()
 
 __all__ = ["CacheDataPath", "EngineError"]
 
@@ -80,7 +93,7 @@ class _Connection:
         #: Queue-depth credits: one per allowed in-flight operation.
         self.credits = Store(env, capacity=queue_depth)
         for _ in range(queue_depth):
-            self.credits.try_put(object())
+            self.credits.try_put(_CREDIT)
         #: Ops not yet in a request batch, in arrival order.  Behind the
         #: issue slot's holder, each belongs to one of the slot's waiters.
         self.pending: Deque[EngineOp] = deque()
@@ -148,6 +161,10 @@ class CacheDataPath:
         self._lock_sigma = _lognormal_sigma(
             profile.cpu.lock_contention_mean, profile.cpu.lock_contention_p99)
         metrics = registry_of(env)
+        #: Whether ops carry a stage ledger (:class:`OpStages`): only
+        #: with a metrics registry installed.  A caller that hands an op
+        #: over stamps its hand-off into one it creates when this is set.
+        self.stamps_stages = metrics is not None
         if metrics is not None:
             self._op_latency = metrics.histogram("engine.op_latency")
             self._credit_wait = metrics.histogram("engine.credit_wait")
@@ -259,9 +276,10 @@ class CacheDataPath:
         """Run ``op`` on a client thread; returns its :class:`OpResult`.
 
         A generator for the caller's process: ``result = yield from
-        path.io(op)``.  The caller issues under the connection's issue
-        slot and reaps the batch it formed, or its op rides a batch
-        another caller formed."""
+        path.io(op)``.  A one-sided op runs its whole stage sequence
+        here, in this frame (see the module doc).  Otherwise the caller
+        issues under the connection's issue slot and reaps the batch it
+        formed, or its op rides a batch another caller formed."""
         env = self.env
         op.enqueued_at = env.now
         if thread_index is None:
@@ -280,9 +298,75 @@ class CacheDataPath:
             # protocol: each is posted on its own doorbell (a verb
             # program or two-hop READs keep the pointer-chase semantics).
             return (yield from self._bypass(thread, connection, op))
+        if one_sided:
+            stages = op.stages
+            if stages is None and self.stamps_stages:
+                stages = op.stages = OpStages(op.enqueued_at)
+            if stages is not None:
+                stages.queued = op.enqueued_at
+            slot = connection.issue_slot
+            credits = connection.credits
+            cpu = thread.cpu
+            if not slot.try_acquire():
+                yield slot.acquire()
+            try:
+                if self._batch_weight is not None:
+                    self._batch_weight.observe(1)
+                credit_wait_started = env.now
+                if stages is not None:
+                    stages.slot = credit_wait_started
+                if not credits.try_get()[0]:
+                    yield credits.get()
+                if self._credit_wait is not None:
+                    self._credit_wait.observe(env.now - credit_wait_started)
+                if stages is not None:
+                    stages.credit = env.now
+                if not cpu.try_acquire():
+                    yield cpu.acquire()
+                try:
+                    if stages is not None:
+                        stages.cpu = env.now
+                    yield env.timeout(self._issue_charge(1, True))
+                finally:
+                    cpu.release()
+                done = connection.qp.post(WorkRequest(
+                    RdmaOp.READ if op.is_read else RdmaOp.WRITE,
+                    op.token, op.offset, op.size, data=op.data))
+            finally:
+                # Nobody gathers behind a one-sided op, so the slot is
+                # never handed on (see _pass_issue_slot): it is released.
+                slot.release()
+            if stages is not None:
+                stages.posted = env.now
+            completed_at_post = done.triggered
+            completion = yield done
+            if completed_at_post:
+                # A post to a QP in the error state completes inside
+                # post(); a waiter spawned at post found it processed
+                # and resumed one hop after its dispatch.  Keep that hop.
+                yield env.timeout(0)
+            if stages is not None:
+                stages.completed = env.now
+            if not cpu.try_acquire():
+                yield cpu.acquire()
+            try:
+                if stages is not None:
+                    stages.reaping = env.now
+                yield env.timeout(self._reap_charge())
+            finally:
+                cpu.release()
+            if stages is not None:
+                stages.reaped = env.now
+            if not self.config.numa_affinity:
+                yield self._numa_hop()
+            result = self._settle(connection, op, completion)
+            if stages is not None:
+                stages.settled = env.now
+            if op.completion is None and env.due_now():
+                yield env.timeout(0)  # see _reap
+            return result
         slot = connection.issue_slot
-        if not one_sided:  # b = 1 on the fast path: nothing to gather
-            connection.pending.append(op)
+        connection.pending.append(op)
         grant = slot.acquire()
         at_once = grant.triggered
         result = yield grant
@@ -291,44 +375,27 @@ class CacheDataPath:
         handed = grant is connection.handed
         if handed:
             connection.handed = None
-        if at_once and not one_sided and (op.weight < self.config.batch_size
-                                          or op.completion is not None
-                                          or env.due_now()):
+        if at_once and (op.weight < self.config.batch_size
+                        or op.completion is not None or env.due_now()):
             # Gather behind what is already due (and the rest of a
             # submitting step), so ops arriving meanwhile join a batch
             # with room.  A full batch alone in its instant goes now.
             yield env.timeout(0)
         try:
-            if one_sided:
-                yield from self._issue(thread, connection, 1)
-                done = connection.qp.post(WorkRequest(
-                    RdmaOp.READ if op.is_read else RdmaOp.WRITE,
-                    op.token, op.offset, op.size, data=op.data))
-            else:
-                ops, riders, weight = self._gather(connection.pending, slot)
-                yield from self._issue(thread, connection, weight,
-                                       handed=handed)
-                done = env.event()
-                wakes = [done, *riders]
-                connection.last_batch_id += 1
-                batch = RequestBatch(ops, env.now,
-                                     connection.last_batch_id)
-                connection.outstanding[batch.batch_id] = (batch, wakes)
-                wr = WorkRequest(
-                    RdmaOp.WRITE, connection.request_ring_token, 0,
-                    batch.wire_bytes, payload_object=batch, signaled=False)
-                self._watch_batch(connection, batch, connection.qp.post(wr))
+            ops, riders, weight = self._gather(connection.pending, slot)
+            yield from self._issue(thread, connection, weight, handed=handed)
+            done = env.event()
+            wakes = [done, *riders]
+            connection.last_batch_id += 1
+            batch = RequestBatch(ops, env.now, connection.last_batch_id)
+            connection.outstanding[batch.batch_id] = (batch, wakes)
+            wr = WorkRequest(
+                RdmaOp.WRITE, connection.request_ring_token, 0,
+                batch.wire_bytes, payload_object=batch, signaled=False)
+            self._watch_batch(connection, batch, connection.qp.post(wr))
         finally:
             self._pass_issue_slot(thread, connection)
-        completed_at_post = done.triggered
         reply = yield done
-        if completed_at_post:
-            # A post to a QP in the error state completes inside post();
-            # a waiter spawned at post found it processed and resumed
-            # one hop after its dispatch.  Keep that hop.
-            yield env.timeout(0)
-        if one_sided:
-            return (yield from self._reap(thread, connection, op, reply))
         if reply.__class__ is OpResult:
             return reply  # the batch aborted
         return (yield from self._reap_batch(thread, connection, weight,
@@ -433,7 +500,6 @@ class CacheDataPath:
         not lock-free).  A dependent read bypasses the ring.
         """
         env = self.env
-        cpu, nic = self.profile.cpu, self.profile.nic
         if dequeued and self._batch_weight is not None:
             self._batch_weight.observe(weight)
         if handed:
@@ -446,22 +512,34 @@ class CacheDataPath:
                 self._credit_wait.observe(env.now - credit_wait_started)
             yield thread.cpu.acquire()
         try:
-            work = (cpu.batch_prepare + nic.doorbell
-                    + weight * cpu.client_per_op)
-            if dequeued:
-                if not self.config.numa_affinity:
-                    work += weight * cpu.numa_cpu_per_op
-                if not self.config.lock_free:
-                    # The consumer side of the mutex-protected queue pays
-                    # the same lock acquisition + contention as the
-                    # producer.
-                    work += weight * (
-                        cpu.handoff_locked + cpu.lock_contention_mean
-                        * math.exp(self._lock_sigma * self._normal()
-                                   - self._lock_sigma**2 / 2))
-            yield env.timeout(work * self._noise())
+            yield env.timeout(self._issue_charge(weight, dequeued))
         finally:
             thread.cpu.release()
+
+    def _issue_charge(self, weight: int, dequeued: bool) -> float:
+        """Sampled client-CPU seconds to build and post one work request
+        that carries ``weight`` requests (see :meth:`_issue`)."""
+        cpu = self.profile.cpu
+        work = (cpu.batch_prepare + self.profile.nic.doorbell
+                + weight * cpu.client_per_op)
+        if dequeued:
+            if not self.config.numa_affinity:
+                work += weight * cpu.numa_cpu_per_op
+            if not self.config.lock_free:
+                # The consumer side of the mutex-protected queue pays
+                # the same lock acquisition + contention as the
+                # producer.
+                work += weight * (
+                    cpu.handoff_locked + cpu.lock_contention_mean
+                    * math.exp(self._lock_sigma * self._normal()
+                               - self._lock_sigma**2 / 2))
+        return work * self._noise()
+
+    def _reap_charge(self) -> float:
+        """Sampled client-CPU seconds to reap one verb completion: the
+        poll and the op's callback."""
+        return ((self.profile.nic.completion_poll + self.profile.cpu.callback)
+                * self._noise())
 
     def _pass_issue_slot(self, thread: _ClientThread,
                          connection: _Connection) -> None:
@@ -506,19 +584,24 @@ class CacheDataPath:
         env = self.env
         yield thread.cpu.acquire()
         try:
-            work = self.profile.nic.completion_poll + self.profile.cpu.callback
-            yield env.timeout(work * self._noise())
+            yield env.timeout(self._reap_charge())
         finally:
             thread.cpu.release()
         if not self.config.numa_affinity:
             yield self._numa_hop()
-        connection.credits.try_put(object())
-        result = OpResult(
-            ok=completion.ok, data=completion.data, error=completion.error,
-            latency=env.now - op.enqueued_at)
-        self._finish(op, result)
+        result = self._settle(connection, op, completion)
         if op.completion is None and env.due_now():
             yield env.timeout(0)
+        return result
+
+    def _settle(self, connection: _Connection, op: EngineOp,
+                completion: Completion) -> OpResult:
+        """Return the op's credit and settle it with its verb's outcome."""
+        connection.credits.try_put(_CREDIT)
+        result = OpResult(
+            ok=completion.ok, data=completion.data, error=completion.error,
+            latency=self.env.now - op.enqueued_at)
+        self._finish(op, result)
         return result
 
     def _reap_batch(self, thread: _ClientThread, connection: _Connection,
@@ -549,7 +632,7 @@ class CacheDataPath:
             thread.cpu.acquire_for(reply)
         else:
             thread.reaping = None
-        connection.credits.try_put(object())
+        connection.credits.try_put(_CREDIT)
         now = env.now
         hop = None
         for index, (op, result) in enumerate(zip(response.ops,
@@ -684,7 +767,7 @@ class CacheDataPath:
         entry = connection.outstanding.pop(batch.batch_id, None)
         if entry is None:
             return False  # already answered or already aborted
-        connection.credits.try_put(object())
+        connection.credits.try_put(_CREDIT)
         for op, wake in zip(batch.ops, entry[1]):
             result = OpResult(ok=False, error=error,
                               latency=self.env.now - op.enqueued_at)

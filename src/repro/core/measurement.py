@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.config import PerfPoint, RdmaConfig
 from repro.core.engine import CacheDataPath
-from repro.core.protocol import EngineOp
+from repro.core.protocol import EngineOp, OpStages
 from repro.core.server import CacheServer
 from repro.hardware.profiles import AZURE_HPC, TestbedProfile
 from repro.net.fabric import Fabric, Placement
@@ -161,6 +161,7 @@ def measure_config(config: RdmaConfig, record_size: int, *,
         overhead = path.submission_overhead
         timeout = env.timeout
         io = path.io
+        stamps_stages = path.stamps_stages
         n_offsets = len(offsets)
         append_latency = latencies.append
         while not state["stop"]:
@@ -168,6 +169,7 @@ def measure_config(config: RdmaConfig, record_size: int, *,
             # The application thread hands each request through the batch
             # ring; a full batch costs `weight` handoffs.
             handoff = weight * overhead()
+            handed = env.now
             yield timeout(handoff)
             if dependent_reads:
                 op = EngineOp(
@@ -181,6 +183,8 @@ def measure_config(config: RdmaConfig, record_size: int, *,
                     offset=offsets[offset_cursor % n_offsets],
                     weight=weight)
             offset_cursor += 1
+            if stamps_stages:
+                op.stages = OpStages(handed)
             result = yield from io(op, thread_index=thread_index)
             if not result.ok:
                 raise RuntimeError(f"measurement op failed: {result.error}")

@@ -19,10 +19,48 @@ __all__ = [
     "ConnectReply",
     "ConnectRequest",
     "EngineOp",
+    "ONE_SIDED_STAGES",
     "OpResult",
+    "OpStages",
     "RequestBatch",
     "ResponseBatch",
 ]
+
+#: The stages of a one-sided op, in order (see :class:`OpStages`).
+ONE_SIDED_STAGES = ("handoff", "slot_wait", "credit_wait", "cpu_wait",
+                    "issue", "verb", "reap_cpu_wait", "reap", "numa")
+
+
+class OpStages:
+    """Where one op's simulated time went: the sim-clock instants at
+    its stage boundaries, one fixed slot each.
+
+    The application thread stamps ``handed`` as it starts handing the
+    op to a client thread; the data path stamps the rest as the op
+    reaches each boundary (``queued`` is the op's ``enqueued_at``).  A
+    stage lasts from one stamp to the next, so the stages of an op sum
+    to ``settled - handed``: its hand-off plus its ``OpResult.latency``.
+    Only the one-sided path stamps past ``handed`` so far.
+    """
+
+    __slots__ = ("handed", "queued", "slot", "credit", "cpu", "posted",
+                 "completed", "reaping", "reaped", "settled")
+
+    def __init__(self, handed: float):
+        self.handed = handed
+        self.queued = self.slot = self.credit = self.cpu = None
+        self.posted = self.completed = self.reaping = None
+        self.reaped = self.settled = None
+
+    def durations(self) -> dict:
+        """Seconds per stage of :data:`ONE_SIDED_STAGES`, in order."""
+        if self.settled is None:
+            raise ValueError("the op has not settled on the one-sided path")
+        stamps = (self.handed, self.queued, self.slot, self.credit,
+                  self.cpu, self.posted, self.completed, self.reaping,
+                  self.reaped, self.settled)
+        return {stage: later - earlier for stage, earlier, later
+                in zip(ONE_SIDED_STAGES, stamps, stamps[1:])}
 
 
 @dataclass
@@ -58,6 +96,9 @@ class EngineOp:
     #: ``None`` (the default) is the classic anonymous single-user path;
     #: the engine only adds per-tenant accounting when it is set.
     tenant: Optional[str] = None
+    #: The op's stage ledger (see :class:`OpStages`); only set when a
+    #: metrics registry is installed, so an untraced run stamps nothing.
+    stages: Optional["OpStages"] = None
 
     def __post_init__(self) -> None:
         if self.size < 0:

@@ -21,10 +21,12 @@ applies the invariants to the first run's blob.  :func:`gate` wraps any
 number of entries into one ``repro.gate/v1`` report.
 
 Kernel work is a reviewed number too.  ``gate_events.json``, next to
-this module, holds every entry's seed-0 ``events`` (the trace length).
-At seed 0 an entry whose count grew fails with the old and new counts;
-one whose count dropped fails until the file records the new count, so
-a saving lands together with its record.
+this module, holds every entry's seed-0 trace entries counted by kind
+(:data:`EVENT_KINDS`; their sum is the entry's ``events``).  At seed 0
+an entry whose counts moved fails with the old and new totals and each
+kind that moved: one whose total grew always fails; one whose total
+dropped (or whose kinds moved at an equal total) fails until the file
+records the new counts, so a saving lands together with its record.
 
 So are the results.  ``gate_blobs.json`` holds every entry's
 ``blob_digest`` (the SHA-256 of its canonical blob) at seeds 0 and 1.
@@ -614,6 +616,10 @@ SCENARIOS: Dict[str, Scenario] = {
 #: Every entry's reviewed seed-0 kernel events (see the module doc).
 EVENTS_FILE = Path(__file__).with_name("gate_events.json")
 
+#: The trace entry kinds ``gate_events.json`` counts (see
+#: :class:`~repro.analysis.sanitize.TraceRecorder`).
+EVENT_KINDS = ("spawn", "step", "resume", "trigger", "rng")
+
 #: Every entry's reviewed blob digests at seeds 0 and 1.
 BLOBS_FILE = Path(__file__).with_name("gate_blobs.json")
 
@@ -637,18 +643,34 @@ def _blob_failures(name: str, seed: int, digest: str) -> List[str]:
             f"digest in {BLOBS_FILE.name}"]
 
 
-def _events_failures(name: str, seed: int, events: int) -> List[str]:
-    """Seed 0 only: the entry's events must equal its recorded count."""
+def _event_kinds(run: TraceRecorder) -> Dict[str, int]:
+    """The run's trace entries counted by kind."""
+    kinds = dict.fromkeys(EVENT_KINDS, 0)
+    for entry in run.entries:
+        kinds[entry[0]] += 1
+    return kinds
+
+
+def _events_failures(name: str, seed: int,
+                     kinds: Dict[str, int]) -> List[str]:
+    """Seed 0 only: the entry's events, kind by kind, must equal the
+    recorded counts."""
     if seed != 0:
         return []
     pinned = json.loads(EVENTS_FILE.read_text()).get(name)
-    if pinned is None or events == pinned:
+    if pinned is None or kinds == pinned:
         return []
-    if events > pinned:
-        return [f"kernel events grew {pinned} -> {events} at seed 0 "
-                f"({EVENTS_FILE.name})"]
-    return [f"kernel events dropped {pinned} -> {events} at seed 0: "
-            f"record the new count in {EVENTS_FILE.name}"]
+    moved = ", ".join(f"{kind} {pinned.get(kind, 0)} -> {kinds[kind]}"
+                      for kind in EVENT_KINDS
+                      if pinned.get(kind, 0) != kinds[kind])
+    old, new = sum(pinned.values()), sum(kinds.values())
+    if new > old:
+        return [f"kernel events grew {old} -> {new} at seed 0 ({moved}; "
+                f"{EVENTS_FILE.name})"]
+    change = (f"kernel events dropped {old} -> {new}" if new < old
+              else f"kernel events held at {new} but moved between kinds")
+    return [f"{change} at seed 0 ({moved}): record the new counts in "
+            f"{EVENTS_FILE.name}"]
 
 
 def _ordering(name: str, run: TraceRecorder) -> Tuple[dict, List[str]]:
@@ -697,13 +719,15 @@ def check(name: str, seed: int = 0) -> dict:
             _canonical(replay_blob) != _canonical(blob)):
         divergence, failures = _replay(name, report)
     failures += scenario.invariants(blob)
-    failures += _events_failures(name, seed, report.events_a)
+    kinds = _event_kinds(first)
+    failures += _events_failures(name, seed, kinds)
     blob_digest = _blob_digest(blob)
     failures += _blob_failures(name, seed, blob_digest)
     return {
         "name": name,
         "ok": not failures,
         "events": report.events_a,
+        "event_kinds": kinds,
         "digest": report.digest_a,
         "blob_digest": blob_digest,
         "divergence": divergence,

@@ -11,7 +11,10 @@ Two primitives cover the reproduction's needs:
 A request that can be met at call time (a free slot, a stocked store, a
 put with room) returns a :class:`~repro.sim.kernel.Ready` event: the
 process that yields it continues in the same kernel step instead of
-waiting for a dispatch on the event list.
+waiting for a dispatch on the event list.  A hot path that expects the
+grant to be free takes it with no event at all -- ``try_acquire``,
+``try_get``, ``try_put`` -- and asks for the event only when the
+non-blocking form fails.
 """
 
 from __future__ import annotations
@@ -188,6 +191,19 @@ class Resource:
         event.on_abandon = self._cancel_acquire
         self._waiters.append(event)
         return event
+
+    def try_acquire(self) -> bool:
+        """Non-blocking acquire: take a free slot and return True, or
+        return False (and queue nothing) when every slot is held.
+
+        The grant :meth:`acquire` would hand out as a :class:`Ready`,
+        without the event: ``if not r.try_acquire(): yield r.acquire()``
+        holds a slot after the same steps and in the same order.
+        """
+        if self._in_use < self.slots:
+            self._in_use += 1
+            return True
+        return False
 
     def _cancel_acquire(self, event: Event) -> None:
         try:

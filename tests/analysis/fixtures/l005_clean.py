@@ -22,3 +22,20 @@ class Tier:
 
     def _release_slot(self, tenant):
         tenant.slots.release()
+
+
+def flat(env, cpu):
+    if not cpu.try_acquire():
+        yield cpu.acquire()
+    try:
+        yield env.timeout(1.0)
+    finally:
+        cpu.release()
+
+
+def guarded(env, cpu):
+    if cpu.try_acquire():
+        try:
+            yield env.timeout(1.0)
+        finally:
+            cpu.release()

@@ -1,4 +1,4 @@
-"""Lint fixture: L005 acquire without finally-protected release (2 findings)."""
+"""Lint fixture: L005 acquire without finally-protected release (3 findings)."""
 
 
 def direct(env, window, router):
@@ -18,3 +18,11 @@ class Tier:
 
     def _release_slot(self, tenant):
         tenant.slots.release()
+
+
+def guarded(env, cpu):
+    # A non-blocking grant holds the slot on its True arm: a failure of
+    # the charge leaves it held.
+    if cpu.try_acquire():
+        yield env.timeout(1.0)
+        cpu.release()

@@ -5,17 +5,20 @@ including spot reclamation (migration) and hard VM failure (recovery).
 """
 
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import PhysicalServer, VmAllocator
 from repro.core import Slo
-from repro.core.client import CacheDeletedError, RedyClient
+from repro.core.client import CacheDeletedError, RedyCache, RedyClient
 from repro.core.manager import CacheManager, SloUnsatisfiableError
 from repro.core.migration import MigrationPolicy
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, Placement
 from repro.sim import Environment, US
 from repro.sim.rng import RngRegistry
+from repro.workloads.scenarios import build_cluster
 
 REGION = 4096  # small regions keep functional tests fast
 EASY_SLO = Slo(max_latency=1e-3, min_throughput=1e4, record_size=64)
@@ -84,6 +87,79 @@ class TestCreateReadWrite:
         seen = []
         run_io(env, cache.write(0, b"cb", callback=seen.append))
         assert len(seen) == 1 and seen[0].ok
+
+    @pytest.mark.parametrize("one_sided", [True, False],
+                             ids=["one-sided", "batched"])
+    def test_callback_runs_where_the_exit_entry_ran(self, one_sided):
+        """A callback runs in its I/O's last step (after one zero hop
+        when an entry is due) -- where a callback on the I/O's process
+        event ran when the process exited.  Each callback issues the
+        next op, so one that ran out of place would move later ones."""
+
+        def run(on_exit_entry):
+            harness = build_cluster(seed=5)
+            env = harness.env
+            slo = (Slo(max_latency=20e-6, min_throughput=2e6,
+                       record_size=64) if one_sided else
+                   Slo(max_latency=100e-6, min_throughput=60e6,
+                       record_size=64))
+            cache = harness.redy_client("cb").create(
+                1 << 20, slo, region_bytes=1 << 20)
+            assert cache.path.config.uses_one_sided == one_sided
+            log = []
+
+            def issue(index):
+                def done(result):
+                    log.append((index, env.now, result.ok))
+                    if index < 150:
+                        issue(index + 50)
+
+                addr = (index % 32) * 64
+                if on_exit_entry:
+                    io = (cache.read(addr, 64) if index % 3
+                          else cache.write(addr, bytes([index]) * 64))
+                    io._add_callback(lambda event: done(event.value))
+                elif index % 3:
+                    cache.read(addr, 64, done)
+                else:
+                    cache.write(addr, bytes([index]) * 64, done)
+
+            def source():
+                for index in range(50):
+                    issue(index)
+                    if index % 8 == 7:
+                        yield env.timeout(1 * US)
+
+            env.process(source())
+            env.run()
+            return log
+
+        log = run(on_exit_entry=False)
+        assert len(log) == 200 and all(ok for _, _, ok in log)
+        assert log == run(on_exit_entry=True)
+
+    @pytest.mark.parametrize("on_exit_entry", [True, False],
+                             ids=["exit-entry", "last-step"])
+    def test_callback_queues_behind_an_entry_due_at_the_last_step(
+            self, on_exit_entry):
+        """When an entry is due as the body finishes, the callback runs
+        after it, as a callback on the process's exit entry did."""
+        env = Environment()
+        log = []
+
+        def body():
+            yield env.timeout(1 * US)
+            env.timeout(0)._add_callback(lambda _: log.append("due"))
+            return "result"
+
+        if on_exit_entry:
+            env.process(body())._add_callback(
+                lambda event: log.append(event.value))
+        else:
+            holder = SimpleNamespace(env=env)
+            env.process(RedyCache._calling_back(holder, body(), log.append))
+        env.run()
+        assert log == ["due", "result"]
 
     def test_create_with_file_populates_prefix(self, stack):
         env, _, _, client = stack

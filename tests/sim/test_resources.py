@@ -220,3 +220,32 @@ def test_resource_acquire_for_queues_an_existing_wait():
     free = env.event()
     resource.acquire_for(free)  # a free slot: granted at once
     assert free.triggered and resource.in_use == 1
+
+
+def test_resource_try_acquire_takes_only_a_free_slot():
+    """``try_acquire`` grants what ``acquire`` would grant as a Ready,
+    with no event: a full resource answers False and queues nothing,
+    so a later release still goes to the oldest real waiter."""
+    env = Environment()
+    resource = Resource(env, slots=1)
+    log = []
+
+    def holder(env):
+        assert resource.try_acquire()
+        assert not resource.try_acquire()
+        assert (resource.in_use, resource.queue_length) == (1, 0)
+        yield env.timeout(10 * US)
+        resource.release()
+
+    def waiter(env):
+        yield env.timeout(1 * US)
+        assert not resource.try_acquire()
+        yield resource.acquire()
+        log.append(env.now)
+        resource.release()
+
+    env.process(holder(env))
+    env.process(waiter(env))
+    env.run()
+    assert log == [10 * US]
+    assert resource.in_use == 0 and resource.try_acquire()

@@ -1,11 +1,18 @@
 """Smoke tests for the ``python -m repro`` launcher."""
 
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro.__main__ as launcher
 from repro.__main__ import cmd_examples, cmd_list, main
 from repro.gates import SCENARIOS, Scenario, tenants_run
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+BENCHMARK_FILES = sorted(BENCHMARKS.glob("test_*.py"))
 
 
 def test_list_enumerates_experiments(capsys):
@@ -14,6 +21,58 @@ def test_list_enumerates_experiments(capsys):
     assert "fig03" in out
     assert "fig18a" in out
     assert "abl_" in out
+
+
+def test_list_shows_every_benchmark_file_once(capsys):
+    assert cmd_list() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [
+        path.stem.removeprefix("test_") for path in BENCHMARK_FILES]
+
+
+def test_run_executes_every_benchmark_file_in_full(monkeypatch):
+    """``run <id>`` hands pytest exactly that file, with no filter that
+    skips tests not using the ``benchmark`` fixture; each file collects
+    at least one test."""
+    calls = []
+
+    def call(argv):
+        calls.append(argv)
+        junit = next(arg for arg in argv if arg.startswith("--junitxml="))
+        Path(junit.split("=", 1)[1]).write_text(
+            '<testsuites><testsuite tests="1" skipped="0"/></testsuites>')
+        return 0
+
+    monkeypatch.setattr(subprocess, "call", call)
+    for path in BENCHMARK_FILES:
+        assert main(["run", path.stem.removeprefix("test_")]) == 0
+    targets = [[arg for arg in argv[3:] if not arg.startswith("-")]
+               for argv in calls]
+    assert targets == [[str(path)] for path in BENCHMARK_FILES]
+    assert not any("--benchmark-only" in argv for argv in calls)
+    collected = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *map(str, BENCHMARK_FILES)],
+        capture_output=True, text=True, cwd=BENCHMARKS.parent, check=True)
+    counts = dict(re.findall(r"^benchmarks/(test_\w+\.py): (\d+)$",
+                             collected.stdout, flags=re.MULTILINE))
+    assert sorted(counts) == [path.name for path in BENCHMARK_FILES]
+    assert all(int(count) >= 1 for count in counts.values())
+
+
+@pytest.mark.parametrize("body,code,nothing_ran", [
+    ("def test_ok():\n    assert True\n", 0, False),
+    ("import pytest\n\n\ndef test_skip():\n    pytest.skip('no')\n", 1,
+     True),
+    ("def test_broken():\n    assert False\n", 1, False),
+], ids=["ran", "nothing-ran", "failed"])
+def test_run_exits_non_zero_unless_a_test_ran_and_passed(
+        monkeypatch, tmp_path, capsys, body, code, nothing_ran):
+    (tmp_path / "test_x_demo.py").write_text(body)
+    monkeypatch.setattr(launcher, "_BENCHMARKS", tmp_path)
+    assert main(["run", "x_demo"]) == code
+    assert ("no test ran for 'x_demo'"
+            in capsys.readouterr().out) == nothing_ran
 
 
 def test_examples_enumerates_examples(capsys):

@@ -269,9 +269,14 @@ def test_one_extra_verb_stage_timeout_fails_the_gate(monkeypatch):
     assert not entry["ok"]
     assert entry["divergence"] is None
     recorded = json.loads(gates.EVENTS_FILE.read_text())["verbs"]
-    assert entry["events"] > recorded
+    assert entry["events"] > sum(recorded.values())
     assert entry["failures"][0].startswith(
-        f"kernel events grew {recorded} -> {entry['events']} at seed 0")
+        f"kernel events grew {sum(recorded.values())} -> {entry['events']} "
+        "at seed 0 (")
+    # The stage adds one timeout: a trigger and the callback it runs,
+    # which no process resume records.
+    assert f"trigger {recorded['trigger']} -> " in entry["failures"][0]
+    assert "resume" not in entry["failures"][0]
 
 
 def test_invariant_failures_fail_a_replaying_entry(monkeypatch):
@@ -286,8 +291,11 @@ def test_invariant_failures_fail_a_replaying_entry(monkeypatch):
 def test_recorded_events_cover_every_entry():
     recorded = json.loads(gates.EVENTS_FILE.read_text())
     assert list(recorded) == list(SCENARIOS)
-    assert all(isinstance(count, int) and count > 0
-               for count in recorded.values())
+    for kinds in recorded.values():
+        assert tuple(kinds) == gates.EVENT_KINDS
+        assert all(isinstance(count, int) and count >= 0
+                   for count in kinds.values())
+        assert kinds["spawn"] > 0
 
 
 def test_recorded_blob_digests_cover_every_entry():
@@ -310,7 +318,8 @@ def test_readme_gate_block_matches_the_registry():
     recorded = json.loads(gates.EVENTS_FILE.read_text())
     assert [name for name, _ in shown] == list(SCENARIOS)
     assert {name: int(count.replace(",", ""))
-            for name, count in shown} == recorded
+            for name, count in shown} == {
+        name: sum(kinds.values()) for name, kinds in recorded.items()}
     assert f"gate: {len(SCENARIOS)}/{len(SCENARIOS)} passed at seed 0" \
         in block
 
@@ -319,19 +328,41 @@ def test_readme_gate_block_matches_the_registry():
 def test_seed_0_event_count_change_fails_with_old_and_new(
         monkeypatch, tmp_path, delta, change):
     _register(monkeypatch, "clean", _clean)
-    events = gates.check("clean")["events"]
+    first = gates.check("clean")
+    events, kinds = first["events"], first["event_kinds"]
+    assert sum(kinds.values()) == events
     recorded = tmp_path / "gate_events.json"
-    recorded.write_text(json.dumps({"clean": events + delta}))
+    recorded.write_text(json.dumps(
+        {"clean": {**kinds, "step": kinds["step"] + delta}}))
     monkeypatch.setattr(gates, "EVENTS_FILE", recorded)
     entry = gates.check("clean")
     assert not entry["ok"]
     assert len(entry["failures"]) == 1
     assert entry["failures"][0].startswith(
-        f"kernel events {change} {events + delta} -> {events} at seed 0")
-    # Only seed 0 is recorded; an exact count passes.
+        f"kernel events {change} {events + delta} -> {events} at seed 0 "
+        f"(step {kinds['step'] + delta} -> {kinds['step']}")
+    # Only seed 0 is recorded; exact counts pass.
     assert gates.check("clean", seed=1)["ok"]
-    recorded.write_text(json.dumps({"clean": events}))
+    recorded.write_text(json.dumps({"clean": kinds}))
     assert gates.check("clean")["ok"]
+
+
+def test_seed_0_events_moved_between_kinds_fail_at_an_equal_total(
+        monkeypatch, tmp_path):
+    _register(monkeypatch, "clean", _clean)
+    kinds = gates.check("clean")["event_kinds"]
+    recorded = tmp_path / "gate_events.json"
+    recorded.write_text(json.dumps({"clean": {
+        **kinds, "resume": kinds["resume"] + 1,
+        "trigger": kinds["trigger"] - 1}}))
+    monkeypatch.setattr(gates, "EVENTS_FILE", recorded)
+    entry = gates.check("clean")
+    total = sum(kinds.values())
+    assert entry["failures"] == [
+        f"kernel events held at {total} but moved between kinds at seed 0 "
+        f"(resume {kinds['resume'] + 1} -> {kinds['resume']}, trigger "
+        f"{kinds['trigger'] - 1} -> {kinds['trigger']}): record the new "
+        "counts in gate_events.json"]
 
 
 def test_blob_digest_change_fails_with_old_and_new(monkeypatch, tmp_path):
