@@ -22,35 +22,13 @@ import pytest
 from repro.core.modeling import OfflineModeler, make_analytic_measurer
 from repro.core.space import ConfigSpace
 from repro.cluster.traces import TraceConfig, generate_trace
-from repro.exec import ResultCache, SweepRunner
+from repro.exec import SweepRunner, SweepTask
 from repro.obs import MetricsRegistry
 from repro.obs.export import write_json
 from repro.workloads import run_kv_workload
 from repro.workloads.scenarios import build_faster_store
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
-
-#: Shared measurement cache for all benchmark sweeps; safe to delete at
-#: any time (entries are keyed by content, so a stale hit is impossible).
-SWEEP_CACHE_DIR = RESULTS_DIR / ".cache"
-
-
-def make_sweep_runner(metrics=None, max_workers=None) -> SweepRunner:
-    """A :class:`SweepRunner` wired to the shared benchmark cache.
-
-    Module-level (not only a fixture) so experiment helpers that also
-    run standalone -- ``run_experiment`` functions, the CLI -- can build
-    the same runner the benchmarks use.
-    """
-    return SweepRunner(max_workers=max_workers,
-                       cache=ResultCache(SWEEP_CACHE_DIR),
-                       metrics=metrics)
-
-
-@pytest.fixture()
-def sweep_runner():
-    """Factory fixture: ``sweep_runner(metrics=...)`` -> cache-backed runner."""
-    return make_sweep_runner
 
 
 @pytest.fixture()
@@ -118,7 +96,6 @@ def slo_experiment(model_8b):
     """
     from repro.core.config import Slo
     from repro.core.search import SloSearcher
-    from repro.exec import SweepTask
 
     space, model, _stats = model_8b
     best, worst = model.bounds()
@@ -139,8 +116,7 @@ def slo_experiment(model_8b):
     # The per-SLO seed is tied to the SLO's index (not the position in
     # the surviving list), so dropping an unsatisfiable SLO never shifts
     # another measurement's seed.
-    runner = make_sweep_runner()
-    reals = runner.run([
+    reals = SweepRunner().run([
         SweepTask(config=config, record_size=8, seed=1000 + index,
                   batches_per_connection=30, warmup_batches=10)
         for index, _slo, config, _predicted in searched])

@@ -24,20 +24,16 @@ PAPER = {
 }
 
 
-def run_experiment(runner=None):
-    if runner is None:
-        runner = SweepRunner()
+def run_experiment():
     tasks = tasks_for(CONFIGS.values(), record_size=8, base_seed=3,
                       seed_stride=0, read_fraction=0.0)
-    results = runner.run(tasks)
+    results = SweepRunner().run(tasks)
     return {label: (result.latency_mean * 1e6, result.throughput / 1e6)
             for label, result in zip(CONFIGS, results)}
 
 
-def test_fig03_config_impact(benchmark, report, sweep_runner):
-    rows = benchmark.pedantic(run_experiment,
-                              kwargs={"runner": sweep_runner()},
-                              rounds=1, iterations=1)
+def test_fig03_config_impact(benchmark, report):
+    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     lines = [f"{'configuration':>20} {'latency':>10} {'tput':>9} "
              f"  paper: latency / tput"]
     for label, (latency, tput) in rows.items():

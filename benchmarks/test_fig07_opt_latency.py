@@ -32,19 +32,17 @@ PAPER_MEDIAN_US = {"lock-free rings": 19.0, "one-sided ops": 12.0,
 
 
 def stage_tasks():
-    """The ladder as one sweep batch (shared with Figure 8, so the two
-    figures' identical measurements share cache entries)."""
+    """The ladder as one sweep batch (shared with Figure 8, which reads
+    the throughput of the same measurements)."""
     return tasks_for([config for _label, config in STAGES], record_size=8,
                      base_seed=5, seed_stride=0, read_fraction=0.0,
                      extra_outstanding=2, batches_per_connection=400,
                      warmup_batches=100)
 
 
-def run_experiment(metrics=None, runner=None):
+def run_experiment(metrics=None):
     model = DataPathModel(AZURE_HPC, switch_hops=1)
-    if runner is None:
-        runner = SweepRunner(metrics=metrics)
-    results = runner.run(stage_tasks())
+    results = SweepRunner(metrics=metrics).run(stage_tasks())
     rows = []
     for (label, config), result in zip(STAGES, results):
         network = model.network_round_trip(config, 8, is_read=False)
@@ -53,11 +51,9 @@ def run_experiment(metrics=None, runner=None):
     return rows
 
 
-def test_fig07_optimization_latency(benchmark, report, bench_metrics,
-                                    sweep_runner):
+def test_fig07_optimization_latency(benchmark, report, bench_metrics):
     rows = benchmark.pedantic(
-        run_experiment,
-        kwargs={"runner": sweep_runner(metrics=bench_metrics)},
+        run_experiment, kwargs={"metrics": bench_metrics},
         rounds=1, iterations=1)
     lines = [f"{'stage':>18} {'median':>9} {'p99':>9} {'network':>9} "
              f"{'paper-median':>13}"]

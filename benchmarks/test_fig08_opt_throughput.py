@@ -14,10 +14,8 @@ PAPER_GAIN = {"lock-free rings": 0.687, "one-sided ops": 0.453,
               "fully-loaded QPs": 2.4, "NUMA affinity": 0.52}
 
 
-def run_experiment(metrics=None, runner=None):
-    if runner is None:
-        runner = SweepRunner(metrics=metrics)
-    results = runner.run(stage_tasks())
+def run_experiment(metrics=None):
+    results = SweepRunner(metrics=metrics).run(stage_tasks())
     rows = []
     previous = None
     for (label, _config), result in zip(STAGES, results):
@@ -27,11 +25,9 @@ def run_experiment(metrics=None, runner=None):
     return rows
 
 
-def test_fig08_optimization_throughput(benchmark, report, bench_metrics,
-                                       sweep_runner):
+def test_fig08_optimization_throughput(benchmark, report, bench_metrics):
     rows = benchmark.pedantic(
-        run_experiment,
-        kwargs={"runner": sweep_runner(metrics=bench_metrics)},
+        run_experiment, kwargs={"metrics": bench_metrics},
         rounds=1, iterations=1)
     lines = [f"{'stage':>18} {'tput':>9} {'gain':>8} {'paper-gain':>11}"]
     for label, mops, gain in rows:

@@ -37,9 +37,7 @@ def raw_network_mops(size: int) -> float:
     return min(by_message_rate, by_line_rate) / 1e6
 
 
-def run_experiment(metrics=None, runner=None):
-    if runner is None:
-        runner = SweepRunner(metrics=metrics)
+def run_experiment(metrics=None):
     tasks = [
         SweepTask(config=throughput_config(size), record_size=size,
                   read_fraction=read_fraction, seed=6,
@@ -50,11 +48,10 @@ def run_experiment(metrics=None, runner=None):
         SweepTask(config=DEP_CONFIG.with_ablation(use_verb_programs=programs),
                   record_size=size, read_fraction=1.0, seed=6,
                   batches_per_connection=60, warmup_batches=15,
-                  dependent_reads=True,
-                  label=f"dep-{'program' if programs else 'two-hop'}-{size}")
+                  dependent_reads=True)
         for size in DEP_SIZES for programs in (False, True)
     ]
-    results = runner.run(tasks + dep_tasks)
+    results = SweepRunner(metrics=metrics).run(tasks + dep_tasks)
     rows = []
     for index, size in enumerate(SIZES):
         write, read = results[2 * index], results[2 * index + 1]
@@ -72,11 +69,9 @@ def run_experiment(metrics=None, runner=None):
     return rows, dep_rows
 
 
-def test_fig12_throughput_by_record_size(benchmark, report, bench_metrics,
-                                         sweep_runner):
+def test_fig12_throughput_by_record_size(benchmark, report, bench_metrics):
     rows, dep_rows = benchmark.pedantic(
-        run_experiment,
-        kwargs={"runner": sweep_runner(metrics=bench_metrics)},
+        run_experiment, kwargs={"metrics": bench_metrics},
         rounds=1, iterations=1)
     lines = [f"{'size':>7} {'batch':>6} {'write':>9} {'read':>9} "
              f"{'raw-net':>9}   (paper: ~200M at 16B, 10x raw)"]

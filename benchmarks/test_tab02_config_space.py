@@ -14,7 +14,7 @@ from repro.core.space import ConfigSpace
 from repro.hardware import AZURE_HPC
 
 
-def run_experiment(runner=None):
+def run_experiment():
     space = ConfigSpace(max_client_threads=30, record_size=8,
                         max_queue_depth=16)
     measurer = make_analytic_measurer(record_size=8, noise=0.03, seed=4)
@@ -25,21 +25,20 @@ def run_experiment(runner=None):
     # §5.2 executed for real on a small slice of the space: the modeler
     # hands its grid to the sweep executor via the measurer's prefetch
     # hook, which batches the engine-backed measurements across the
-    # worker pool and the on-disk result cache.
+    # worker pool.
     small_space = ConfigSpace(max_client_threads=4, record_size=256,
                               max_queue_depth=8)
     engine_measurer = make_testbed_measurer(
         record_size=256, seed=4, batches_per_connection=12,
-        warmup_batches=3, runner=runner)
+        warmup_batches=3)
     _small_model, engine_stats = OfflineModeler(
         small_space, engine_measurer).build()
     return space, stats, campaign, engine_stats
 
 
-def test_tab02_config_space(benchmark, report, sweep_runner):
+def test_tab02_config_space(benchmark, report):
     space, stats, campaign, engine_stats = benchmark.pedantic(
-        run_experiment, kwargs={"runner": sweep_runner()},
-        rounds=1, iterations=1)
+        run_experiment, rounds=1, iterations=1)
     lines = [
         "Table 2 bounds (8-byte records, HB60rs + ConnectX-5):",
         f"  c: 1 .. {space.max_client_threads}   (client cores)",

@@ -9,7 +9,7 @@ Convenience launcher for a repository checkout:
   its ``repro.obs`` registry (``--json`` for the raw blob);
 * ``python -m repro metrics fig07`` -- show a saved ``BENCH_fig07.json``;
 * ``python -m repro sweep`` -- measure a configuration grid through the
-  parallel sweep executor and its on-disk result cache (``repro.exec``);
+  parallel sweep executor (``repro.exec``);
 * ``python -m repro lint`` -- run the determinism AST linter
   (``repro.analysis``) over source paths; exit 0 clean, 1 findings,
   2 internal error;
@@ -152,36 +152,31 @@ def cmd_metrics(identifier: str | None, as_json: bool,
 
 def cmd_sweep(record_size: int, max_client_threads: int,
               max_queue_depth: int, workers: int | None, batches: int,
-              warmup: int, seed: int, cache_dir: str | None,
-              as_json: bool) -> int:
+              warmup: int, seed: int, as_json: bool) -> int:
     """Measure a configuration grid through the sweep executor.
 
     Walks the powers-of-two grid of the requested configuration space,
     fans the measurements across the worker pool, and prints one row per
-    grid point plus the executor's own counters.  Re-running the same
-    sweep is near-instant: results come back from the content-addressed
-    cache (``--cache-dir ''`` disables it).
+    grid point plus the run's task count, execution mode and wall time.
+    Every run measures; the same arguments print the same grid.
     """
+    import time
+
     from repro.core.space import ConfigSpace
-    from repro.exec import ResultCache, SweepRunner, tasks_for
-    from repro.obs.metrics import MetricsRegistry
+    from repro.exec import SweepRunner, tasks_for
 
     space = ConfigSpace(max_client_threads=max_client_threads,
                         record_size=record_size,
                         max_queue_depth=max_queue_depth,
                         min_queue_depth=min(4, max_queue_depth))
     configs = list(space.iter_grid())
-    cache = None
-    if cache_dir != "":
-        root = (pathlib.Path(cache_dir) if cache_dir
-                else _BENCHMARKS / "_results" / ".cache")
-        cache = ResultCache(root)
-    registry = MetricsRegistry()
-    runner = SweepRunner(max_workers=workers, cache=cache, metrics=registry)
+    runner = SweepRunner(max_workers=workers)
     tasks = tasks_for(configs, record_size=record_size, base_seed=seed,
                       seed_stride=0, batches_per_connection=batches,
                       warmup_batches=warmup)
+    started = time.perf_counter()  # repro-lint: disable=D001 -- host wall time of the sweep, printed only, never sim state
     results = runner.run(tasks)
+    wall_seconds = time.perf_counter() - started  # repro-lint: disable=D001 -- host wall time of the sweep, printed only, never sim state
 
     rows = [{
         "config": {"s": c.server_threads, "c": c.client_threads,
@@ -193,8 +188,7 @@ def cmd_sweep(record_size: int, max_client_threads: int,
     summary = {
         "mode": runner.last_mode,
         "tasks": len(tasks),
-        "cache_hits": registry.counter("exec.cache_hits").value,
-        "wall_seconds": registry.gauge("exec.wall_seconds").value,
+        "wall_seconds": wall_seconds,
     }
     if as_json:
         print(json.dumps({"schema": "repro.exec/v1", "grid": rows,
@@ -209,7 +203,6 @@ def cmd_sweep(record_size: int, max_client_threads: int,
               f"{row['latency_p99'] * 1e6:>9.1f}us "
               f"{row['throughput'] / 1e6:>8.2f}M")
     print(f"{summary['tasks']} tasks, "
-          f"{summary['cache_hits']:.0f} cache hits, "
           f"{summary['mode']} mode, "
           f"{summary['wall_seconds']:.2f}s wall")
     return 0
@@ -303,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="measured batches per connection")
     sweep.add_argument("--warmup", type=int, default=10)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default: "
-                            "benchmarks/_results/.cache; '' disables)")
     sweep.add_argument("--json", action="store_true", dest="as_json")
     lint = sub.add_parser(
         "lint",
@@ -343,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(args.record_size, args.max_client_threads,
                              args.max_queue_depth, args.workers,
                              args.batches, args.warmup, args.seed,
-                             args.cache_dir, args.as_json)
+                             args.as_json)
         if args.command == "lint":
             return cmd_lint(args.paths, args.fmt, args.rules)
         if args.command == "gate":

@@ -1,7 +1,7 @@
 """Replay-divergence sanitizer: run twice, diff the kernel schedule.
 
 The determinism contract behind the fault log, the gate registry, and
-the sweep result cache is "same seed, bit-identical run".  The
+the sweep executor is "same seed, bit-identical run".  The
 sanitizer checks it end to end: it runs a workload twice from the same
 seed while recording every kernel scheduling action (process spawns,
 resumes, event triggers) *and* every draw from every

@@ -161,11 +161,11 @@ class PerfModel:
 
     def _bracket_cached(self, axis_name: str, axis: List[int],
                         value: int) -> List[Tuple[int, float]]:
-        cache_key = (axis_name, value)
-        brackets = self._bracket_cache.get(cache_key)
+        key = (axis_name, value)
+        brackets = self._bracket_cache.get(key)
         if brackets is None:
             brackets = self._bracket(axis, value)
-            self._bracket_cache[cache_key] = brackets
+            self._bracket_cache[key] = brackets
         return brackets
 
     def predict(self, config: RdmaConfig) -> PerfPoint:
@@ -225,8 +225,8 @@ class PerfModel:
         this is what makes the online search interactive (§7.3 reports
         0.027 s average).  Planes are cached per (s, c).
         """
-        cache_key = ("plane", s, c)
-        cached = self._bracket_cache.get(cache_key)
+        key = ("plane", s, c)
+        cached = self._bracket_cache.get(key)
         if cached is not None:
             return cached
 
@@ -259,7 +259,7 @@ class PerfModel:
         # Read-only: a stored model's planes are shared by every caller.
         lat_plane.flags.writeable = False
         tput_plane.flags.writeable = False
-        self._bracket_cache[cache_key] = (lat_plane, tput_plane)
+        self._bracket_cache[key] = (lat_plane, tput_plane)
         return lat_plane, tput_plane
 
 
@@ -449,8 +449,8 @@ class TestbedMeasurer:
     :func:`~repro.core.measurement.measure_config`; :meth:`prefetch`
     hands a whole batch of configurations to a
     :class:`~repro.exec.runner.SweepRunner` first, so a parallel pool
-    (and the on-disk result cache) serves the subsequent calls.  Every
-    grid point uses the *same* seed, so prefetched, cached, and
+    measures them and the subsequent calls read this measurer's own
+    table.  Every grid point uses the *same* seed, so prefetched and
     on-demand results are bit-identical.
     """
 
@@ -504,9 +504,9 @@ def make_testbed_measurer(profile: TestbedProfile = AZURE_HPC, *,
                           runner=None) -> TestbedMeasurer:
     """Batch-mode engine measurer backed by ``repro.exec``.
 
-    ``runner`` defaults to a fresh :class:`SweepRunner` with no cache
-    (pool-size ``os.cpu_count()``); pass one explicitly to share a
-    result cache or a metrics registry with the caller.
+    ``runner`` defaults to a fresh :class:`SweepRunner` (pool size
+    ``os.cpu_count()``); pass one explicitly to pick the pool size or
+    to share a metrics registry with the caller.
     """
     if runner is None:
         from repro.exec.runner import SweepRunner

@@ -1,30 +1,17 @@
-"""Parallel sweep execution with content-addressed result caching.
+"""Parallel sweep execution over independent measurement tasks.
 
 ``repro.exec`` turns the reproduction's configuration sweeps from
-serial batch jobs into cheap, repeatable operations (the Swift/elastic
-control-plane framing from PAPERS.md):
+serial batch jobs into parallel ones (the Swift/elastic control-plane
+framing from PAPERS.md): :class:`~repro.exec.runner.SweepRunner` fans
+independent ``measure_config`` calls across a process pool with
+deterministic per-task seeds and ordered result collection, falling
+back to serial execution when only one worker is available.  Every run
+measures: nothing is stored between processes.
 
-* :class:`~repro.exec.runner.SweepRunner` fans independent
-  ``measure_config`` calls across a process pool with deterministic
-  per-task seeds and ordered result collection, falling back to serial
-  execution when only one worker is available.
-* :class:`~repro.exec.cache.ResultCache` stores each task's frozen
-  result plus its full metrics snapshot under a SHA-256 key of the
-  task's inputs, so re-running a sweep is near-instant and replays the
-  same numbers bit-for-bit.
-
-See DESIGN.md ("The sweep executor") for the worker model, the cache
-key layout, and the determinism guarantees.
+See DESIGN.md ("Parallel sweep execution") for the worker model and the
+determinism guarantees.
 """
 
-from repro.exec.cache import CODE_VERSION, ResultCache, cache_key
 from repro.exec.runner import SweepRunner, SweepTask, tasks_for
 
-__all__ = [
-    "CODE_VERSION",
-    "ResultCache",
-    "SweepRunner",
-    "SweepTask",
-    "cache_key",
-    "tasks_for",
-]
+__all__ = ["SweepRunner", "SweepTask", "tasks_for"]

@@ -386,8 +386,8 @@ class MetricsRegistry:
         dict) are routed back through ``family.labels(...)``, so
         snapshot -> merge round-trips label structure, not just flat
         names.  Merging per-task snapshots in task order is how the
-        sweep executor makes serial, parallel, and cache-hit runs
-        produce the same registry contents.
+        sweep executor makes serial and parallel runs produce the same
+        registry contents.
         """
         for name, blob in snapshot.items():
             kind = blob["type"]
