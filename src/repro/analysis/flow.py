@@ -140,8 +140,8 @@ class Resolver:
     unresolved, so local state is never mistaken for a module path.
     """
 
-    def __init__(self, tree: ast.AST, imports: Optional[ImportTable] = None):
-        self.imports = imports if imports is not None else ImportTable(tree)
+    def __init__(self, tree: ast.AST):
+        self.imports = ImportTable(tree)
         self.bindings: Dict[str, str] = {}
         self._collect(tree)
 
@@ -599,20 +599,15 @@ def build_cfg(func: FuncDef, name: Optional[str] = None) -> Cfg:
 # Dataflow engine
 # ----------------------------------------------------------------------
 
-def _join(states: Sequence[State], must: bool) -> Dict[str,
-                                                       FrozenSet[object]]:
+def _join(states: Sequence[State]) -> Dict[str, FrozenSet[object]]:
+    """Union join: a fact holds if any incoming path has it."""
     keys: Set[str] = set()
     for state in states:
         keys.update(state)
     out: Dict[str, FrozenSet[object]] = {}
     for key in keys:
-        values = [state.get(key, frozenset()) for state in states]
-        if must:
-            merged = values[0]
-            for value in values[1:]:
-                merged = merged & value
-        else:
-            merged = frozenset().union(*values)
+        merged = frozenset().union(
+            *(state.get(key, frozenset()) for state in states))
         if merged:
             out[key] = merged
     return out
@@ -624,8 +619,6 @@ def forward(
     transfer: Callable[[CfgNode, State], State],
     refine_edge: Optional[Callable[[CfgNode, str, State],
                                    Optional[State]]] = None,
-    must: bool = False,
-    max_iterations: int = 100_000,
 ) -> Tuple[Dict[int, State], Dict[int, State]]:
     """Forward worklist dataflow; returns ``(in_states, out_states)``.
 
@@ -634,9 +627,7 @@ def forward(
     *pre*-state (the statement's effect never completed).
     ``refine_edge(node, kind, state)`` may sharpen the state flowing
     down one edge (branch-condition awareness) or return None to keep
-    it unchanged.  ``must=True`` joins with intersection (a fact holds
-    only if every incoming path agrees); the default union join tracks
-    may-facts.
+    it unchanged.  States join by union, so they track may-facts.
     """
     in_states: Dict[int, State] = {cfg.entry: dict(init)}
     out_states: Dict[int, State] = {}
@@ -644,7 +635,7 @@ def forward(
     steps = 0
     while worklist:
         steps += 1
-        if steps > max_iterations:
+        if steps > 100_000:
             break  # defensive: terminate conservatively
         node_id = worklist.pop()
         node = cfg.nodes[node_id]
@@ -661,7 +652,7 @@ def forward(
             if old is None:
                 in_states[edge.dst] = dict(base)
             else:
-                merged = _join([old, base], must)
+                merged = _join([old, base])
                 if merged == dict(old):
                     continue
                 in_states[edge.dst] = merged
@@ -735,12 +726,12 @@ class ModuleGraph:
                 return qualname
         return None
 
-    def transitive_callees(self, qualname: str,
-                           max_depth: int = 8) -> Set[str]:
-        """Every local function reachable from ``qualname``."""
+    def transitive_callees(self, qualname: str) -> Set[str]:
+        """Every local function reachable from ``qualname`` within
+        eight calls."""
         seen: Set[str] = set()
         frontier = {qualname}
-        for _ in range(max_depth):
+        for _ in range(8):
             nxt: Set[str] = set()
             for name in sorted(frontier):
                 for callee in self.calls.get(name, ()):
@@ -755,7 +746,6 @@ class ModuleGraph:
     def summarize(
         self,
         per_function: Callable[[str, FuncDef], FrozenSet[object]],
-        max_depth: int = 8,
     ) -> Dict[str, FrozenSet[object]]:
         """Transitive closure of a per-function fact set.
 
@@ -768,7 +758,7 @@ class ModuleGraph:
         out: Dict[str, FrozenSet[object]] = {}
         for name in self.functions:
             facts = frozenset(direct[name])
-            for callee in self.transitive_callees(name, max_depth):
+            for callee in self.transitive_callees(name):
                 facts |= direct.get(callee, frozenset())
             out[name] = facts
         return out

@@ -40,6 +40,9 @@ from repro.sim.rng import RngRegistry
 __all__ = ["DispatchOrder", "DivergenceReport", "KernelMonitor",
            "TraceRecorder", "sanitize"]
 
+#: Trace entries before the first divergence that a report quotes.
+_CONTEXT_EVENTS = 5
+
 
 class KernelMonitor:
     """Hook protocol the kernel drives when ``Environment.monitor`` is set.
@@ -366,7 +369,8 @@ def _first_divergence(a: List[tuple], b: List[tuple]) -> int:
 
 
 def _compare(run_a: TraceRecorder, run_b: TraceRecorder, seed: int,
-             label: str, context_events: int) -> DivergenceReport:
+             label: str, context_events: int = _CONTEXT_EVENTS
+             ) -> DivergenceReport:
     """Diff two recorded runs into a :class:`DivergenceReport`."""
     trace_a, trace_b = run_a.entries, run_b.entries
     digest_a = hashlib.sha256(
@@ -408,8 +412,7 @@ def _compare(run_a: TraceRecorder, run_b: TraceRecorder, seed: int,
 
 
 def sanitize(workload: Callable[[int], Any], seed: int = 0,
-             label: str = "workload",
-             context_events: int = 5) -> DivergenceReport:
+             label: str = "workload") -> DivergenceReport:
     """Run ``workload(seed)`` twice and diff the kernel event traces.
 
     ``workload`` must be re-entrant: it builds all of its own state
@@ -418,4 +421,4 @@ def sanitize(workload: Callable[[int], Any], seed: int = 0,
     """
     run_a, _ = _record(workload, seed)
     run_b, _ = _record(workload, seed)
-    return _compare(run_a, run_b, seed, label, context_events)
+    return _compare(run_a, run_b, seed, label)

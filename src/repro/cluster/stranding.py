@@ -63,18 +63,15 @@ def utilization_summary(trace: TraceResult) -> UtilizationSummary:
     )
 
 
-def stranding_duration_percentiles(
-        trace: TraceResult,
-        percentiles: tuple[float, ...] = (25, 50, 75)) -> np.ndarray:
-    """Stranding-event duration percentiles in minutes.
+def stranding_duration_percentiles(trace: TraceResult) -> np.ndarray:
+    """Stranding-event duration quartiles (p25, p50, p75) in minutes.
 
     Paper (Figure 2): 6 / 13 / 22 minutes at the quartiles.
     """
     if trace.stranding_durations_s.size == 0:
         raise ValueError("trace produced no stranding events; "
                          "raise target_core_utilization")
-    return np.percentile(trace.stranding_durations_s / 60.0,
-                         list(percentiles))
+    return np.percentile(trace.stranding_durations_s / 60.0, [25, 50, 75])
 
 
 def reachable_stranded_memory(trace: TraceResult,

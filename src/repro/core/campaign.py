@@ -26,7 +26,7 @@ from repro.core.config import PerfPoint, RdmaConfig
 from repro.core.modeling import Measurer, OfflineModeler, PerfModel
 from repro.core.rpc import RpcClient, RpcServer
 from repro.core.space import ConfigSpace
-from repro.hardware.profiles import AZURE_HPC, TestbedProfile
+from repro.hardware.profiles import AZURE_HPC
 from repro.net.fabric import Fabric, Placement
 from repro.sim.clock import S
 from repro.sim.kernel import Environment
@@ -63,11 +63,10 @@ class CampaignResult:
 class _ManagerSide:
     """The manager's half of Figure 9: grid walk + early termination."""
 
-    def __init__(self, space: ConfigSpace, switch_hops: int):
+    def __init__(self, space: ConfigSpace):
         # Reuse the modeler's grid/termination logic by feeding results
         # in as they arrive.
-        self._modeler = OfflineModeler(space, measurer=None,  # type: ignore[arg-type]
-                                       switch_hops=switch_hops)
+        self._modeler = OfflineModeler(space, measurer=None)  # type: ignore[arg-type]
         self._walk = iter(space.iter_grid())
         self._pending: Optional[RdmaConfig] = None
 
@@ -112,9 +111,8 @@ class _ManagerSide:
         return model, measured, estimated
 
 
-def run_modeling_campaign(space: ConfigSpace, measurer: Measurer, *,
-                          profile: TestbedProfile = AZURE_HPC,
-                          switch_hops: int = 1) -> CampaignResult:
+def run_modeling_campaign(space: ConfigSpace,
+                          measurer: Measurer) -> CampaignResult:
     """Run the Figure 9 protocol end to end in simulated time.
 
     ``measurer`` supplies each configuration's (latency, throughput) --
@@ -122,15 +120,15 @@ def run_modeling_campaign(space: ConfigSpace, measurer: Measurer, *,
     noise, standing in for the I/O run whose *duration* is charged here.
     """
     env = Environment()
-    fabric = Fabric(env, profile)
+    fabric = Fabric(env, AZURE_HPC)
     manager_endpoint = fabric.add_endpoint("manager", Placement(0, 0))
     app_endpoint = fabric.add_endpoint("measure-app", Placement(0, 0))
 
-    manager = _ManagerSide(space, switch_hops)
-    rpc_server = RpcServer(env, profile, manager_endpoint)
+    manager = _ManagerSide(space)
+    rpc_server = RpcServer(env, AZURE_HPC, manager_endpoint)
     rpc_server.register("next_config", manager.next_config)
     rpc_server.register("report", manager.report)
-    rpc_client = RpcClient(env, profile, app_endpoint)
+    rpc_client = RpcClient(env, AZURE_HPC, app_endpoint)
 
     def measurement_app(env):
         while True:

@@ -22,7 +22,8 @@ from repro.cluster.allocator import AllocationError
 from repro.core.config import Slo
 from repro.core.engine import CacheDataPath
 from repro.core.manager import CacheAllocation, CacheManager
-from repro.core.migration import MigrationPolicy, migrate_regions
+from repro.core.migration import (INGEST_BANDWIDTH_GBPS, MigrationPolicy,
+                                  migrate_regions)
 from repro.core.protocol import EngineOp, OpStages
 from repro.core.regions import AddressError, RegionTable
 from repro.core.server import CacheServer
@@ -299,9 +300,7 @@ class RedyCache:
         return self._start_io("w", addr, len(data), data, callback,
                               tenant=tenant)
 
-    def dependent_read(self, pointer_addr: int, size: int,
-                       callback: Optional[Callable[[CacheIoResult], None]]
-                       = None) -> Event:
+    def dependent_read(self, pointer_addr: int, size: int) -> Event:
         """Pointer-chasing read: dereference the little-endian u64 at
         ``pointer_addr`` and read ``size`` bytes at the address it holds.
 
@@ -314,7 +313,7 @@ class RedyCache:
         READs.  Either way the pointer and record must live in the same
         region: the pointer's target is a region-local offset.
         """
-        return self._start_io("d", pointer_addr, size, None, callback)
+        return self._start_io("d", pointer_addr, size, None, None)
 
     def read_io(self, addr: int, size: int, *,
                 tenant: Optional[str] = None):
@@ -809,7 +808,7 @@ class RedyCache:
         regions = server.allocate_regions(
             len(affected), self.region_bytes, backed=self.backed)
         self.ensure_attached(server)
-        ingest_bps = self.migration_policy.ingest_bandwidth_gbps * 1e9 / 8
+        ingest_bps = INGEST_BANDWIDTH_GBPS * 1e9 / 8
         for index, region in zip(affected, regions):
             if self.backed and self.backing_file is not None:
                 base = index * self.region_bytes

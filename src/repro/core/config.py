@@ -126,18 +126,12 @@ class RdmaConfig:
         return self.client_threads + self.server_threads
 
     def with_ablation(self, *, lock_free: bool | None = None,
-                      one_sided_fast_path: bool | None = None,
-                      numa_affinity: bool | None = None,
                       use_verb_programs: bool | None = None,
                       ) -> "RdmaConfig":
         """Copy with some optimization switches flipped."""
         updates = {}
         if lock_free is not None:
             updates["lock_free"] = lock_free
-        if one_sided_fast_path is not None:
-            updates["one_sided_fast_path"] = one_sided_fast_path
-        if numa_affinity is not None:
-            updates["numa_affinity"] = numa_affinity
         if use_verb_programs is not None:
             updates["use_verb_programs"] = use_verb_programs
         return replace(self, **updates)

@@ -135,7 +135,7 @@ class CacheDataPath:
 
     def __init__(self, env: Environment, profile: TestbedProfile,
                  config: RdmaConfig, client_endpoint: Endpoint,
-                 rng: np.random.Generator, op_timeout: float = 0.05):
+                 rng: np.random.Generator):
         self.env = env
         self.profile = profile
         self.config = config
@@ -144,11 +144,11 @@ class CacheDataPath:
         #: The rest of the current block of standard normals, last one
         #: first (see :meth:`_normal`).
         self._normals: List[float] = []
-        #: Response deadline for two-sided batches.  A server that dies
-        #: after acknowledging a request never responds; the client
-        #: fails those ops instead of hanging (real RDMA surfaces this
-        #: as a QP timeout).
-        self.op_timeout = op_timeout
+        #: Response deadline for two-sided batches, seconds.  A server
+        #: that dies after acknowledging a request never responds; the
+        #: client fails those ops instead of hanging (real RDMA surfaces
+        #: this as a QP timeout).
+        self.op_timeout = 0.05
         self.threads = [
             _ClientThread(env, i) for i in range(config.client_threads)]
         self._round_robin = 0

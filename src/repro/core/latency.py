@@ -148,48 +148,6 @@ class DataPathModel:
         return (client_out + wire_out + one_way + server
                 + wire_back + one_way + client_in)
 
-    def dependent_read_round_trip(self, config: RdmaConfig,
-                                  record_size: int, *,
-                                  verify: bool = False) -> float:
-        """Latency of one pointer-chasing GET (index word -> record).
-
-        Mirrors the engine's dependent-read path component by component:
-        with ``config.use_verb_programs`` the chase runs as a remote-side
-        verb program in one round trip (wire once, per-step NIC service);
-        otherwise it is two sequential one-sided READs with the second
-        issued straight out of the first's completion handler.
-        """
-        from repro.net.programs import POINTER_BYTES, VerbProgram
-
-        nic, cpu = self.profile.nic, self.profile.cpu
-        numa = self._numa_latency(config)
-        base = self.profile.fabric.round_trip_base(self.switch_hops)
-        issue = (cpu.batch_prepare + cpu.client_per_op + nic.doorbell
-                 + nic.per_message_processing + numa)
-        complete = nic.completion_poll + cpu.callback + numa
-
-        if config.use_verb_programs:
-            program = VerbProgram(pointer_offset=0, read_bytes=record_size,
-                                  verify=verify)
-            service = program.step_count * nic.program_step_latency
-            service += nic.dma_fetch(POINTER_BYTES)
-            service += nic.dma_fetch(record_size)
-            if verify:
-                service += nic.dma_fetch(8)
-            return (issue + base + nic.wire_time(program.request_wire_bytes)
-                    + nic.wire_time(program.response_wire_bytes)
-                    + service + nic.rx_dma + complete)
-
-        def hop(size: int) -> float:
-            return (nic.per_message_processing + base + nic.wire_time(size)
-                    + nic.dma_fetch(size) + nic.rx_dma)
-
-        # Client-side turnaround between the hops: reap the pointer
-        # completion, run the callback, ring the second doorbell.
-        turnaround = nic.completion_poll + cpu.callback + nic.doorbell
-        return (issue + hop(POINTER_BYTES) + turnaround
-                + hop(record_size) + complete)
-
     # ------------------------------------------------------------------
     # Steady state
     # ------------------------------------------------------------------

@@ -75,16 +75,13 @@ class CacheManager:
 
     def __init__(self, env: Environment, profile: TestbedProfile,
                  fabric: Fabric, allocator: VmAllocator,
-                 rngs: RngRegistry, menu: List[VmType] = AZURE_MENU,
-                 model_noise: float = 0.0,
-                 provisioning_delay_s: float = 0.0):
+                 rngs: RngRegistry, provisioning_delay_s: float = 0.0):
         self.env = env
         self.profile = profile
         self.fabric = fabric
         self.allocator = allocator
         self.rngs = rngs
-        self.menu = list(menu)
-        self.model_noise = model_noise
+        self.menu = list(AZURE_MENU)
         #: Time to stand a replacement VM up (§6.2: "The migration period
         #: depends in part on the time to provision a new VM").  Zero
         #: models the pre-provisioned-VM strategy the paper suggests;
@@ -111,7 +108,7 @@ class CacheManager:
             max_queue_depth=self.profile.nic.max_queue_depth)
         return analytic_model(space, profile=self.profile,
                               switch_hops=switch_hops,
-                              noise=self.model_noise, seed=0)
+                              noise=0.0, seed=0)
 
     def find_configuration(self, slo: Slo, switch_hops: int,
                            max_server_threads: Optional[int] = None

@@ -34,6 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["MigrationPolicy", "MigrationReport", "migrate_regions"]
 
+#: Transfer granularity of the one-sided bulk reads.
+_CHUNK_BYTES = 1 << 20
+#: In-flight chunks on the migration connection.
+MIGRATION_QUEUE_DEPTH = 8
+#: Receiver-side ingest rate (copy + registration on the new VM's
+#: single migration thread).  This is the end-to-end bottleneck:
+#: 8 Gbit/s reproduces the paper's 1.09 s per 1 GB region (§7.4).
+INGEST_BANDWIDTH_GBPS = 8.0
+
 
 @dataclass(frozen=True)
 class MigrationPolicy:
@@ -44,14 +53,6 @@ class MigrationPolicy:
     #: Pause writes only to the region currently being migrated (off =
     #: pause every affected region for the whole migration).
     pause_per_region: bool = True
-    #: Transfer granularity of the one-sided bulk reads.
-    chunk_bytes: int = 1 << 20
-    #: In-flight chunks on the migration connection.
-    queue_depth: int = 8
-    #: Receiver-side ingest rate (copy + registration on the new VM's
-    #: single migration thread).  This is the end-to-end bottleneck:
-    #: 8 Gbit/s reproduces the paper's 1.09 s per 1 GB region (§7.4).
-    ingest_bandwidth_gbps: float = 8.0
 
 
 @dataclass
@@ -103,7 +104,7 @@ def migrate_regions(cache: "RedyCache", old_server: CacheServer,
     # "The cache client needs to tell the new VM to establish a
     # bandwidth-optimized connection with the existing cache" (§6.2).
     qp = QueuePair(env, new_server.endpoint, old_server.endpoint,
-                   max_depth=min(policy.queue_depth,
+                   max_depth=min(MIGRATION_QUEUE_DEPTH,
                                  cache.profile.nic.max_queue_depth))
     ingest = Resource(env, slots=1)
 
@@ -132,13 +133,13 @@ def migrate_regions(cache: "RedyCache", old_server: CacheServer,
             chunk_events = []
             offset = 0
             while offset < cache.region_bytes:
-                length = min(policy.chunk_bytes,
+                length = min(_CHUNK_BYTES,
                              cache.region_bytes - offset)
                 wr = WorkRequest(RdmaOp.READ, old_token, offset, length)
                 completion_event = qp.post(wr)
                 chunk_events.append(env.process(
                     _ingest_chunk(env, completion_event, new_region,
-                                  offset, length, ingest, policy),
+                                  offset, length, ingest),
                     name=f"migrate:r{index}:+{offset}"))
                 offset += length
             results = yield env.all_of(chunk_events)
@@ -172,14 +173,14 @@ def migrate_regions(cache: "RedyCache", old_server: CacheServer,
 
 
 def _ingest_chunk(env, completion_event, new_region, offset, length,
-                  ingest: Resource, policy: MigrationPolicy):
+                  ingest: Resource):
     """Receive one chunk and copy it into the new region."""
     completion = yield completion_event
     if not completion.ok:
         return False
     yield ingest.acquire()
     try:
-        yield env.timeout(length * 8 / (policy.ingest_bandwidth_gbps * 1e9))
+        yield env.timeout(length * 8 / (INGEST_BANDWIDTH_GBPS * 1e9))
     finally:
         ingest.release()
     if completion.data is not None:

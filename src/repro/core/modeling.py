@@ -377,39 +377,14 @@ class OfflineModeler:
 def make_analytic_measurer(profile: TestbedProfile = AZURE_HPC, *,
                            record_size: int, switch_hops: int = 1,
                            noise: Optional[float] = None,
-                           seed: int = 0,
-                           dependent_reads: bool = False) -> Measurer:
-    """Measurer backed by the analytic model plus measurement noise.
-
-    ``dependent_reads=True`` models the pointer-chasing GET workload:
-    per-op latency comes from
-    :meth:`~repro.core.latency.DataPathModel.dependent_read_round_trip`
-    (which honours ``config.use_verb_programs``), and throughput is the
-    closed-loop bound of ``q`` chases in flight per connection, capped
-    by the NIC message rate at one message per program or two per
-    two-hop chase.
-    """
+                           seed: int = 0) -> Measurer:
+    """Measurer backed by the analytic model plus measurement noise."""
     model = DataPathModel(profile, switch_hops)
     rng = np.random.default_rng(seed)
     sigma = profile.measurement_noise if noise is None else noise
 
-    def dependent_point(config: RdmaConfig) -> PerfPoint:
-        nic = profile.nic
-        rtt = model.dependent_read_round_trip(config, record_size)
-        messages = 1 if config.use_verb_programs else 2
-        cycle = max(rtt / config.queue_depth,
-                    messages / (nic.message_rate_mops_per_qp * 1e6))
-        throughput = min(
-            config.client_threads / cycle,
-            nic.message_rate_mops_total * 1e6 / messages)
-        return PerfPoint(latency=max(rtt, config.queue_depth * cycle),
-                         throughput=throughput)
-
     def measurer(config: RdmaConfig) -> PerfPoint:
-        if dependent_reads:
-            point = dependent_point(config)
-        else:
-            point = model.evaluate(config, record_size)
+        point = model.evaluate(config, record_size)
         if sigma <= 0:
             return point
         return PerfPoint(
@@ -457,8 +432,7 @@ class TestbedMeasurer:
     def __init__(self, runner, profile: TestbedProfile = AZURE_HPC, *,
                  record_size: int, switch_hops: int = 1, seed: int = 0,
                  batches_per_connection: int = 60,
-                 warmup_batches: int = 15,
-                 dependent_reads: bool = False):
+                 warmup_batches: int = 15):
         self._runner = runner
         self._profile = profile
         self._record_size = record_size
@@ -466,7 +440,6 @@ class TestbedMeasurer:
         self._seed = seed
         self._batches = batches_per_connection
         self._warmup = warmup_batches
-        self._dependent_reads = dependent_reads
         self._results: Dict[RdmaConfig, PerfPoint] = {}
 
     def _task(self, config: RdmaConfig):
@@ -475,8 +448,7 @@ class TestbedMeasurer:
             config=config, record_size=self._record_size,
             profile=self._profile, switch_hops=self._switch_hops,
             read_fraction=0.5, batches_per_connection=self._batches,
-            warmup_batches=self._warmup, seed=self._seed,
-            dependent_reads=self._dependent_reads)
+            warmup_batches=self._warmup, seed=self._seed)
 
     def prefetch(self, configs) -> None:
         """Measure ``configs`` as one batch; later calls hit the table."""
@@ -500,7 +472,6 @@ def make_testbed_measurer(profile: TestbedProfile = AZURE_HPC, *,
                           seed: int = 0,
                           batches_per_connection: int = 60,
                           warmup_batches: int = 15,
-                          dependent_reads: bool = False,
                           runner=None) -> TestbedMeasurer:
     """Batch-mode engine measurer backed by ``repro.exec``.
 
@@ -514,4 +485,4 @@ def make_testbed_measurer(profile: TestbedProfile = AZURE_HPC, *,
     return TestbedMeasurer(
         runner, profile, record_size=record_size, switch_hops=switch_hops,
         seed=seed, batches_per_connection=batches_per_connection,
-        warmup_batches=warmup_batches, dependent_reads=dependent_reads)
+        warmup_batches=warmup_batches)

@@ -39,7 +39,6 @@ class _Call:
     method: str
     payload: Any
     request_bytes: int
-    response_bytes: int
 
 
 class RpcServer:
@@ -82,13 +81,11 @@ class RpcClient:
         self._call_ids = itertools.count(1)
 
     def call(self, server: RpcServer, method: str, payload: Any = None, *,
-             request_bytes: int = DEFAULT_MESSAGE_BYTES,
-             response_bytes: int = DEFAULT_MESSAGE_BYTES) -> Event:
+             request_bytes: int = DEFAULT_MESSAGE_BYTES) -> Event:
         """Invoke ``method`` on ``server``; the returned event fires with
         the handler's return value, or fails with :class:`RpcError`."""
         call = _Call(call_id=next(self._call_ids), method=method,
-                     payload=payload, request_bytes=request_bytes,
-                     response_bytes=response_bytes)
+                     payload=payload, request_bytes=request_bytes)
         done = self.env.event()
         self.calls_sent += 1
         self.env.process(self._roundtrip(server, call, done),
@@ -127,7 +124,7 @@ class RpcClient:
         # Response leg.
         yield self.env.timeout(nic.doorbell + nic.per_message_processing)
         yield fabric.transmit(server.endpoint, self.endpoint,
-                              call.response_bytes,
+                              DEFAULT_MESSAGE_BYTES,
                               nic.rx_dma + nic.completion_poll)
 
         if error is not None:

@@ -31,22 +31,19 @@ from repro.sim.kernel import Environment, Event
 
 __all__ = ["ControlPlane"]
 
+#: Simulated seconds between idle-harvester passes.
+_HARVEST_INTERVAL_S = 0.1
+
 
 class ControlPlane:
     """Connection control plane layered over one fabric."""
 
     def __init__(self, env: Environment, fabric: Fabric, *,
-                 policy: Optional[PoolPolicy] = None,
-                 predictor: Optional[WarmPoolPredictor] = None,
-                 harvest_interval_s: float = 0.1):
-        if harvest_interval_s <= 0:
-            raise ValueError("harvest_interval_s must be positive")
+                 policy: Optional[PoolPolicy] = None):
         self.env = env
         self.fabric = fabric
         self.policy = policy if policy is not None else PoolPolicy()
-        self.predictor = (predictor if predictor is not None
-                          else WarmPoolPredictor())
-        self.harvest_interval_s = harvest_interval_s
+        self.predictor = WarmPoolPredictor()
         self.log = CplaneLog()
         #: (local name, remote name) -> pool; session ids are unique
         #: across all pools (shared counter).
@@ -72,12 +69,11 @@ class ControlPlane:
             self.pools[key] = pool
         return pool
 
-    def open_session(self, local: Endpoint, remote: Endpoint,
-                     tenant: Optional[str] = None
+    def open_session(self, local: Endpoint, remote: Endpoint
                      ) -> Generator[Event, object, ClientSession]:
         """Process: open one logical session through the right pool."""
         self.predictor.observe(self.env.now)
-        session = yield from self.pool(local, remote).open_session(tenant)
+        session = yield from self.pool(local, remote).open_session()
         return session
 
     def close_session(self, session: ClientSession) -> None:
@@ -120,7 +116,7 @@ class ControlPlane:
 
     def _harvest_loop(self):
         while True:
-            yield self.env.timeout(self.harvest_interval_s)
+            yield self.env.timeout(_HARVEST_INTERVAL_S)
             self.harvest_once()
 
     # ------------------------------------------------------------------

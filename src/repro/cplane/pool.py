@@ -57,6 +57,10 @@ __all__ = ["PoolPolicy", "QpPool", "STRATEGIES"]
 #: Recognized pool strategies, in ablation order.
 STRATEGIES = ("per-client", "pooled", "pooled-lazy")
 
+#: Recv-buffer bytes registered per session (naive) or per QP
+#: (pooled) -- the memory-registration cost surface.
+_RECV_REGION_BYTES = 4096
+
 
 @dataclass(frozen=True)
 class PoolPolicy:
@@ -73,13 +77,9 @@ class PoolPolicy:
     max_qps: int = 4096
     #: In-flight depth of pooled QPs.
     queue_depth: int = 16
-    #: Recv-buffer bytes registered per session (naive) or per QP
-    #: (pooled) -- the memory-registration cost surface.
-    recv_region_bytes: int = 4096
     #: A QP idle this long (no sessions) becomes harvestable.
     idle_timeout_s: float = 0.25
-    #: Warm-pool bounds (the predictor's target is clamped into these).
-    warm_min: int = 0
+    #: Warm-pool cap (the predictor's target is clamped under it).
     warm_max: int = 64
 
     def __post_init__(self) -> None:
@@ -92,12 +92,10 @@ class PoolPolicy:
             raise ValueError("max_qps must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.recv_region_bytes < 1:
-            raise ValueError("recv_region_bytes must be >= 1")
         if self.idle_timeout_s < 0:
             raise ValueError("idle_timeout_s must be >= 0")
-        if self.warm_min < 0 or self.warm_max < self.warm_min:
-            raise ValueError("need 0 <= warm_min <= warm_max")
+        if self.warm_max < 0:
+            raise ValueError("warm_max must be >= 0")
 
     @property
     def shared(self) -> bool:
@@ -150,7 +148,7 @@ class QpPool:
         self._connect_waiters: Dict[int, Event] = {}
         self._connect_worker_busy = False
         #: Predictor-fed warm target (the plane updates this).
-        self.warm_target = policy.warm_min
+        self.warm_target = 0
         # Lifetime counters.
         self.opened = 0
         self.closed = 0
@@ -206,8 +204,7 @@ class QpPool:
     # Session lifecycle
     # ------------------------------------------------------------------
 
-    def open_session(self, tenant: Optional[str] = None
-                     ) -> Generator[Event, object, ClientSession]:
+    def open_session(self) -> Generator[Event, object, ClientSession]:
         """Process: open one logical session and bind it to a QP.
 
         What the open path costs depends on the strategy: ``per-client``
@@ -220,19 +217,18 @@ class QpPool:
         env = self.env
         now = env.now
         session = ClientSession(next(self._session_ids), self.local.name,
-                                self.remote.name, now, tenant)
+                                self.remote.name, now)
         self.sessions[session.session_id] = session
         self.opened += 1
         if self._c_sessions is not None:
             self._c_sessions.inc()
         self.log.append(now, "session.open", self.name,
                         session=session.session_id,
-                        strategy=self.policy.strategy, tenant=tenant)
+                        strategy=self.policy.strategy, tenant=None)
         if self.policy.strategy == "per-client":
             # Naive baseline: everything on the critical path, nothing
             # shared, nothing batched.
-            region = MemoryRegion(self.policy.recv_region_bytes,
-                                  backing=False)
+            region = MemoryRegion(_RECV_REGION_BYTES, backing=False)
             region = yield from self.local.register_timed(region)
             session.recv_region_id = region.region_id
             entry = self._create_qp()
@@ -299,7 +295,7 @@ class QpPool:
         region (one registration amortized over every session that will
         ride it)."""
         entry = self._create_qp()
-        region = MemoryRegion(self.policy.recv_region_bytes, backing=False)
+        region = MemoryRegion(_RECV_REGION_BYTES, backing=False)
         entry.region = yield from self.local.register_timed(region)
         return entry
 
@@ -421,7 +417,7 @@ class QpPool:
             return 0
         if target is None:
             target = self.warm_target
-        target = max(self.policy.warm_min, min(self.policy.warm_max, target))
+        target = max(0, min(self.policy.warm_max, target))
         self.warm_target = target
         created: List[Event] = []
         # warm_ready() already counts each freshly created (idle,

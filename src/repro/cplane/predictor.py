@@ -20,26 +20,20 @@ from typing import Optional
 
 __all__ = ["WarmPoolPredictor"]
 
+#: EWMA weight of the newest instantaneous arrival rate.
+_ALPHA = 0.3
+#: Factor on the Little's-law in-flight connects the warm target holds.
+_SAFETY = 2.0
+#: Most warm QPs the target asks for.
+_MAX_WARM = 64
+
 
 class WarmPoolPredictor:
     """EWMA arrival-rate estimator feeding the warm-pool target."""
 
-    __slots__ = ("alpha", "safety", "min_warm", "max_warm",
-                 "observations", "_rate", "_last", "_coincident")
+    __slots__ = ("observations", "_rate", "_last", "_coincident")
 
-    def __init__(self, *, alpha: float = 0.3, safety: float = 2.0,
-                 min_warm: int = 0, max_warm: int = 64):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if safety <= 0:
-            raise ValueError(f"safety must be positive, got {safety}")
-        if min_warm < 0 or max_warm < min_warm:
-            raise ValueError(
-                f"need 0 <= min_warm <= max_warm, got {min_warm}, {max_warm}")
-        self.alpha = alpha
-        self.safety = safety
-        self.min_warm = min_warm
-        self.max_warm = max_warm
+    def __init__(self):
         self.observations = 0
         self._rate: Optional[float] = None
         self._last: Optional[float] = None
@@ -71,12 +65,11 @@ class WarmPoolPredictor:
         if self._rate is None:
             self._rate = instantaneous
         else:
-            self._rate += self.alpha * (instantaneous - self._rate)
+            self._rate += _ALPHA * (instantaneous - self._rate)
 
     def target_warm(self, establish_latency_s: float) -> int:
         """Warm QPs to hold ready given the connect-path latency."""
         if establish_latency_s < 0:
             raise ValueError("establish_latency_s must be >= 0")
-        in_flight = self.rate_per_s * establish_latency_s * self.safety
-        target = int(math.ceil(in_flight))
-        return max(self.min_warm, min(self.max_warm, target))
+        in_flight = self.rate_per_s * establish_latency_s * _SAFETY
+        return min(_MAX_WARM, int(math.ceil(in_flight)))

@@ -17,16 +17,15 @@ __all__ = ["ClientSession"]
 class ClientSession:
     """One logical client connection, as the control plane sees it."""
 
-    __slots__ = ("session_id", "local_name", "remote_name", "tenant",
-                 "opened_at", "ready_at", "closed_at", "last_active",
-                 "qp_id", "recv_region_id", "reads", "writes")
+    __slots__ = ("session_id", "local_name", "remote_name", "opened_at",
+                 "ready_at", "closed_at", "last_active", "qp_id",
+                 "recv_region_id", "reads", "writes")
 
     def __init__(self, session_id: int, local_name: str, remote_name: str,
-                 opened_at: float, tenant: Optional[str] = None):
+                 opened_at: float):
         self.session_id = session_id
         self.local_name = local_name
         self.remote_name = remote_name
-        self.tenant = tenant
         #: Simulated instant the client asked to connect.
         self.opened_at = opened_at
         #: Instant the session became usable (QP assigned; includes any

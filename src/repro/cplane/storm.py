@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.cplane.plane import ControlPlane
 from repro.cplane.pool import PoolPolicy, STRATEGIES
-from repro.hardware.profiles import AZURE_HPC, TestbedProfile
+from repro.hardware.profiles import AZURE_HPC
 from repro.net.fabric import Fabric
 from repro.net.memory import MemoryRegion
 from repro.obs.metrics import MetricsRegistry
@@ -38,6 +38,17 @@ __all__ = ["run_connection_storm"]
 #: Region each storm server exposes (size-only; the storm measures
 #: timing, not cache contents).
 _SERVER_REGION_BYTES = 1 << 20
+#: Cache servers and client hosts the sessions spread over.
+_SERVERS = 2
+_CLIENT_HOSTS = 8
+#: Bytes each session READ fetches.
+_READ_BYTES = 128
+#: A session's life after its first byte, over which its follow-up
+#: reads spread.
+_LINGER_S = 0.002
+#: With a prewarm, arrivals start this long after it, so the warm pool
+#: can be built before the storm front hits it.
+_PREWARM_LEAD_S = 0.005
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -51,15 +62,9 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 def run_connection_storm(seed: int, *, clients: int = 2000,
                          strategy: str = "pooled-lazy",
-                         servers: int = 2, client_hosts: int = 8,
-                         read_bytes: int = 128,
                          window_s: float = 0.05,
-                         linger_s: float = 0.002,
                          reads_per_session: int = 1,
-                         sessions_per_qp: int = 16,
                          prewarm: int = 0,
-                         prewarm_lead_s: float = 0.005,
-                         profile: TestbedProfile = AZURE_HPC,
                          metrics: Optional[MetricsRegistry] = None) -> Dict:
     """Run one connection storm; returns the canonical result blob."""
     if strategy not in STRATEGIES:
@@ -69,10 +74,13 @@ def run_connection_storm(seed: int, *, clients: int = 2000,
     if reads_per_session < 1:
         raise ValueError("reads_per_session must be >= 1")
 
+    # Locals, not globals: the per-session closure below reads them.
+    servers, client_hosts = _SERVERS, _CLIENT_HOSTS
+    read_bytes, linger_s = _READ_BYTES, _LINGER_S
     env = Environment()
     metrics = (MetricsRegistry() if metrics is None else metrics).install(env)
     rngs = RngRegistry(seed)
-    fabric = Fabric(env, profile, model_control_plane=True)
+    fabric = Fabric(env, AZURE_HPC, model_control_plane=True)
 
     server_eps = []
     tokens = []
@@ -85,15 +93,12 @@ def run_connection_storm(seed: int, *, clients: int = 2000,
     host_eps = [fabric.add_endpoint(f"storm-host{j}")
                 for j in range(client_hosts)]
 
-    policy = PoolPolicy(strategy=strategy, sessions_per_qp=sessions_per_qp,
-                        warm_max=max(64, prewarm))
+    policy = PoolPolicy(strategy=strategy, warm_max=max(64, prewarm))
     plane = ControlPlane(env, fabric, policy=policy)
 
     # Every random draw happens here, before the first process runs, so
-    # the schedule cannot perturb the stream order.  With a prewarm,
-    # arrivals start after the lead so the warm pool can actually be
-    # built before the storm front hits it.
-    lead = prewarm_lead_s if prewarm else 0.0
+    # the schedule cannot perturb the stream order.
+    lead = _PREWARM_LEAD_S if prewarm else 0.0
     rng = rngs.stream("cplane.storm")
     arrivals = sorted(lead + float(rng.uniform(0.0, window_s))
                       for _ in range(clients))

@@ -215,7 +215,8 @@ class SsdDevice(_SlottedDevice):
     client_cpu_per_read = 3.5 * US
 
     def __init__(self, env: Environment, capacity: int,
-                 rng: np.random.Generator, spec: SsdSpec = SsdSpec()):
+                 rng: np.random.Generator):
+        spec = SsdSpec()
         super().__init__(env, capacity, spec.internal_parallelism)
         self.spec = spec
         self.rng = rng
@@ -237,6 +238,8 @@ class SmbDirectDevice(_SlottedDevice):
     #: Kernel SMB3 client + RDMA transport per read.
     client_cpu_per_read = 10.5 * US
 
+    #: Network round trip per request.
+    network_rtt = 2.9 * US
     #: Server-side service time per request (file-server CPU + RDMA).
     service_time = 6.0 * US
     #: Effective per-connection bandwidth, Gbit/s.
@@ -245,10 +248,9 @@ class SmbDirectDevice(_SlottedDevice):
     server_slots = 4
 
     def __init__(self, env: Environment, capacity: int,
-                 rng: np.random.Generator, network_rtt: float = 2.9 * US):
+                 rng: np.random.Generator):
         super().__init__(env, capacity, self.server_slots)
         self.rng = rng
-        self.network_rtt = network_rtt
 
     def _latency(self, size: int, is_write: bool) -> float:
         transfer = size * 8 / (self.bandwidth_gbps * 1e9)

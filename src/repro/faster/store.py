@@ -69,20 +69,17 @@ class FasterKv:
 
     def __init__(self, env: Environment, device: Optional[IDevice],
                  memory_bytes: int, value_bytes: int, *,
-                 costs: FasterCosts = FasterCosts(),
-                 copy_reads_to_tail: bool = True,
-                 mutable_fraction: float = 0.9,
-                 durable_writes: bool = False):
+                 copy_reads_to_tail: bool = True):
         self.env = env
         self.device = device
         self.value_bytes = value_bytes
-        self.costs = costs
+        self.costs = FasterCosts()
         #: Write-through mode: an upsert is acknowledged only once the
         #: device has it -- "an append operation is applied to all
         #: tiers.  It is acknowledged to the client after all tiers have
         #: applied the append", modulated by the tiered device's *commit
         #: point* (§8.2).
-        self.durable_writes = durable_writes
+        self.durable_writes = False
         #: FASTER's read-cache behaviour: a record served by a device is
         #: appended back to the tail so hot records migrate into memory.
         #: This is what makes the Zipfian runs of Figure 18b faster than
@@ -90,8 +87,7 @@ class FasterKv:
         #: accessed records".
         self.copy_reads_to_tail = copy_reads_to_tail
         self.index = HashIndex()
-        self.hlog = HybridLog(env, memory_bytes, device,
-                              mutable_fraction=mutable_fraction)
+        self.hlog = HybridLog(env, memory_bytes, device)
         self.record_size = record_bytes(value_bytes)
         #: Lifetime statistics.
         self.reads_memory = 0

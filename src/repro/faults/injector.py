@@ -14,8 +14,6 @@ reproducible from (seed, schedule).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.faults.log import FaultLog
 from repro.faults.spec import (
     FaultSchedule,
@@ -35,12 +33,11 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Applies :class:`FaultSchedule`\\ s to a running cluster."""
 
-    def __init__(self, env, *, allocator=None, fabric=None,
-                 log: Optional[FaultLog] = None):
+    def __init__(self, env, *, allocator=None, fabric=None):
         self.env = env
         self.allocator = allocator
         self.fabric = fabric
-        self.log = log if log is not None else FaultLog()
+        self.log = FaultLog()
         metrics = registry_of(env)
         if metrics is not None:
             self._injected = metrics.counter("faults.injected")

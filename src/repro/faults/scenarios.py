@@ -148,6 +148,52 @@ def _probe_loop(env, read_fn: Callable, stats: _ProbeStats, *,
     stats.close(env.now)
 
 
+def _write_then_verify(env, name: str, record_bytes: int,
+                       write: Callable, read: Callable):
+    """A :func:`_probe_loop` probe that writes a uniquely tagged record,
+    reads it back and verifies it byte for byte.
+
+    ``write(index, payload)`` is a generator that returns the write's
+    result; ``read(index)`` returns the read-back's event.  Returns
+    ``(probe, counters)``: ``counters`` tallies acknowledged writes and,
+    of those, the read-backs that ``verified`` or came back ``lost``.
+    Probe ``i`` runs as process ``f"{name}-{i}"``.
+    """
+    counters = {"acked": 0, "verified": 0, "lost": 0, "i": 0}
+
+    def probe():
+        done = env.event()
+
+        def body():
+            index = counters["i"]
+            counters["i"] += 1
+            payload = bytes([(index + j) % 251 for j in range(record_bytes)])
+            started = env.now
+            wrote = yield from write(index, payload)
+            if not wrote.ok:
+                # Never acked: an unavailable probe, not a lost write.
+                done.succeed(type(wrote)(ok=False, error=wrote.error,
+                                         latency=env.now - started))
+                return
+            counters["acked"] += 1
+            result = yield read(index)
+            if result.ok and result.data == payload:
+                counters["verified"] += 1
+            else:
+                counters["lost"] += 1
+                result = type(result)(
+                    ok=False,
+                    error=result.error or "acked write read back wrong")
+            done.succeed(type(result)(ok=result.ok, data=result.data,
+                                      error=result.error,
+                                      latency=env.now - started))
+
+        env.process(body(), name=f"{name}-{counters['i']}")
+        return done
+
+    return probe, counters
+
+
 def _finish(name: str, seed: int, harness, injector: FaultInjector,
             registry: MetricsRegistry, stats: _ProbeStats,
             extra_summary: Dict[str, float] = None) -> ChaosReport:
@@ -169,9 +215,7 @@ def _backing(capacity: int) -> bytes:
 # ----------------------------------------------------------------------
 
 def churn_run(seed: int, *, rate_per_s: float = 1.0,
-              duration_s: float = 6.0, kill_fraction: float = 0.25,
-              notice_s: float = 0.5, provisioning_delay_s: float = 0.25,
-              probe_interval_s: float = 5e-3) -> ChaosReport:
+              duration_s: float = 6.0) -> ChaosReport:
     """Poisson spot churn against one backed cache (§6.2 repopulate).
 
     The parametric core of the ``spot-churn`` scenario: the availability
@@ -179,8 +223,7 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0,
     rate and unavailability against fault intensity.
     """
     registry = MetricsRegistry()
-    harness = build_cluster(seed=seed,
-                            provisioning_delay_s=provisioning_delay_s,
+    harness = build_cluster(seed=seed, provisioning_delay_s=0.25,
                             metrics=registry)
     env = harness.env
     client = harness.redy_client("chaos-app")
@@ -195,7 +238,7 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0,
     rng = harness.rngs.stream("faults")
     draw = lambda: FaultSchedule.poisson_evictions(  # noqa: E731
         rate_per_s=rate_per_s, duration_s=duration_s, rng=rng,
-        start_at=0.5, notice_s=notice_s, kill_fraction=kill_fraction)
+        start_at=0.5, notice_s=0.5, kill_fraction=0.25)
     schedule = draw()
     while not len(schedule):
         # A Poisson window can come up empty; redraw from the same
@@ -207,8 +250,7 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0,
     stats = _ProbeStats(SLO.max_latency)
     horizon = max(duration_s + 2.0, schedule.horizon + 2.0)
     env.process(_probe_loop(env, lambda: cache.read(4096, PROBE_BYTES),
-                            stats, interval_s=probe_interval_s,
-                            until=horizon),
+                            stats, interval_s=5e-3, until=horizon),
                 name="chaos-probe")
     env.run(until=horizon + 1.0)
     return _finish("spot-churn", seed, harness, injector, registry, stats,
@@ -258,47 +300,22 @@ def spot_evict_programs(seed: int) -> ChaosReport:
 
     record_bytes = 256
     n_regions = CAPACITY // REGION
-    counters = {"acked": 0, "verified": 0, "lost": 0, "i": 0}
 
-    def probe():
-        """Write -> pointer swing -> dependent read-back, as one probe."""
-        done = env.event()
+    def write(index, payload):
+        """The record, then a pointer swing at it."""
+        base = (index % n_regions) * REGION
+        wrote = yield cache.write(base + 4096, payload)
+        if wrote.ok:
+            # The pointer word holds the record's *region-local* offset
+            # (what the remote chase dereferences).
+            swung = yield cache.write(base + 64, struct.pack("<Q", 4096))
+            wrote = swung if not swung.ok else wrote
+        return wrote
 
-        def body():
-            index = counters["i"]
-            counters["i"] += 1
-            region = index % n_regions
-            pointer_addr = region * REGION + 64
-            record_addr = region * REGION + 4096
-            payload = bytes([(index + j) % 251 for j in range(record_bytes)])
-            started = env.now
-            wrote = yield cache.write(record_addr, payload)
-            if wrote.ok:
-                # The pointer word holds the record's *region-local*
-                # offset (what the remote chase dereferences).
-                swung = yield cache.write(pointer_addr,
-                                          struct.pack("<Q", 4096))
-                wrote = swung if not swung.ok else wrote
-            if not wrote.ok:
-                # Never acked: not a lost write, just an unavailable probe.
-                done.succeed(type(wrote)(ok=False, error=wrote.error,
-                                         latency=env.now - started))
-                return
-            counters["acked"] += 1
-            read = yield cache.dependent_read(pointer_addr, record_bytes)
-            if read.ok and read.data == payload:
-                counters["verified"] += 1
-            else:
-                counters["lost"] += 1
-                read = type(read)(
-                    ok=False,
-                    error=read.error or "acked write read back wrong")
-            done.succeed(type(read)(ok=read.ok, data=read.data,
-                                    error=read.error,
-                                    latency=env.now - started))
-
-        env.process(body(), name=f"chaos-programs-probe-{counters['i']}")
-        return done
+    probe, counters = _write_then_verify(
+        env, "chaos-programs-probe", record_bytes, write,
+        lambda index: cache.dependent_read(
+            (index % n_regions) * REGION + 64, record_bytes))
 
     stats = _ProbeStats(SLO.max_latency)
     horizon = max(duration_s + 2.0, schedule.horizon + 2.0)
@@ -577,39 +594,17 @@ def conn_storm_rebalance(seed: int) -> ChaosReport:
     # Write-then-verify probes through the router: a write acked by the
     # replication layer must read back intact through the kill and the
     # rebalance -- a survivor always holds the slot.
-    counters = {"acked": 0, "verified": 0, "lost": 0, "i": 0}
     record_bytes = 128
 
-    def probe():
-        done = env.event()
+    def addr(index):
+        return (index % 8) * (1 << 14) + 4096
 
-        def body():
-            index = counters["i"]
-            counters["i"] += 1
-            addr = (index % 8) * (1 << 14) + 4096
-            payload = bytes([(index + j) % 251 for j in range(record_bytes)])
-            started = env.now
-            wrote = yield router.write(addr, payload)
-            if not wrote.ok:
-                # Never acked: an unavailable probe, not a lost write.
-                done.succeed(type(wrote)(ok=False, error=wrote.error,
-                                         latency=env.now - started))
-                return
-            counters["acked"] += 1
-            read = yield router.read(addr, record_bytes)
-            if read.ok and read.data == payload:
-                counters["verified"] += 1
-            else:
-                counters["lost"] += 1
-                read = type(read)(
-                    ok=False,
-                    error=read.error or "acked write read back wrong")
-            done.succeed(type(read)(ok=read.ok, data=read.data,
-                                    error=read.error,
-                                    latency=env.now - started))
+    def write(index, payload):
+        return (yield router.write(addr(index), payload))
 
-        env.process(body(), name=f"chaos-storm-probe-{counters['i']}")
-        return done
+    probe, counters = _write_then_verify(
+        env, "chaos-storm-probe", record_bytes, write,
+        lambda index: router.read(addr(index), record_bytes))
 
     stats = _ProbeStats(SLO.max_latency)
     env.process(_probe_loop(env, probe, stats, interval_s=2e-3, until=3.0),

@@ -710,7 +710,7 @@ def check(name: str, seed: int = 0) -> dict:
     scenario = SCENARIOS[name]
     first, blob = _record(scenario.run, seed)
     replay, replay_blob = _record(scenario.run, seed)
-    report = _compare(first, replay, seed, f"{name}[run-vs-replay]", 5)
+    report = _compare(first, replay, seed, f"{name}[run-vs-replay]")
     misordered = first if first.mismatches else replay
     divergence, failures = None, []
     if misordered.mismatches:

@@ -18,7 +18,7 @@ migration, FASTER devices) look for a registry on their
     env = Environment()
     registry.install(env)          # before building the testbed
     ...build fabric / servers / data path...
-    print(registry.to_json())
+    print(repro.obs.export.to_json(registry))
 
 When no registry is installed the hot paths skip all bookkeeping, so an
 uninstrumented simulation pays only a ``None`` check.

@@ -59,20 +59,19 @@ def snapshot(registry: MetricsRegistry, *, name: str = "",
     return _jsonable(blob)
 
 
-def to_json(registry: MetricsRegistry, *, name: str = "", env=None,
-            extra: Optional[Dict[str, Any]] = None, indent: int = 2) -> str:
+def to_json(registry: MetricsRegistry, *, name: str = "",
+            extra: Optional[Dict[str, Any]] = None) -> str:
     return json.dumps(
-        snapshot(registry, name=name, env=env, extra=extra),
-        indent=indent, sort_keys=True)
+        snapshot(registry, name=name, extra=extra),
+        indent=2, sort_keys=True)
 
 
 def write_json(path, registry: MetricsRegistry, *, name: str = "",
-               env=None,
                extra: Optional[Dict[str, Any]] = None) -> pathlib.Path:
     """Write the snapshot to ``path`` and return it."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_json(registry, name=name or path.stem, env=env,
+    path.write_text(to_json(registry, name=name or path.stem,
                             extra=extra) + "\n")
     return path
 

@@ -8,8 +8,8 @@ the single-cache migration machinery's shape (:mod:`repro.core.migration`):
   at the router -- reads stay unpaused and flow to the old owners until
   the move's routing override flips, exactly the §7.4 "pause only the
   moving region" optimization applied per hash range;
-* slot copies pipeline up to ``policy.queue_depth`` deep, paced by the
-  receiver's ingest bandwidth (``policy.ingest_bandwidth_gbps``), the
+* slot copies pipeline up to ``MIGRATION_QUEUE_DEPTH`` deep, paced by the
+  receiver's ingest bandwidth (``INGEST_BANDWIDTH_GBPS``), the
   same end-to-end bottleneck the migration model calibrates;
 * sources are tried primary-first; with ``replication>=2`` a hard-killed
   shard's ranges stream from the surviving replica, which is what makes
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.core.migration import MigrationPolicy
+from repro.core.migration import INGEST_BANDWIDTH_GBPS, MIGRATION_QUEUE_DEPTH
 from repro.sim.resources import Resource
 
 __all__ = ["Rebalancer", "RebalanceReport"]
@@ -84,7 +84,6 @@ class Rebalancer:
 
     def __init__(self, router):
         self.router = router
-        self.policy = MigrationPolicy()
         m = router.metrics
         self._c_moves = m.counter("rebalance.moves") if m else None
         self._c_slots = m.counter("rebalance.slots_moved") if m else None
@@ -150,8 +149,8 @@ class Rebalancer:
         """Copy ``slots`` to every move target; returns (bytes, lost)."""
         env = self.router.env
         # One ingest pipe per target models the receiver's single
-        # migration thread; queue_depth bounds the copy pipeline.
-        window = Resource(env, slots=self.policy.queue_depth)
+        # migration thread; MIGRATION_QUEUE_DEPTH bounds the copy pipeline.
+        window = Resource(env, slots=MIGRATION_QUEUE_DEPTH)
         ingests = {name: Resource(env, slots=1) for name in move.targets}
         totals = {"bytes": 0, "lost": 0, "lost_ids": []}
         copies = []
@@ -193,7 +192,7 @@ class Rebalancer:
             yield ingest.acquire()
             try:
                 yield env.timeout(
-                    size * 8 / (self.policy.ingest_bandwidth_gbps * 1e9))
+                    size * 8 / (INGEST_BANDWIDTH_GBPS * 1e9))
                 wrote = yield target.cache.write(addr, payload)
             finally:
                 ingest.release()

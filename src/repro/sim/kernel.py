@@ -642,7 +642,7 @@ class Environment:
             monitor.on_trigger(timeout)
         return timeout
 
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+    def timeout_at(self, when: float) -> Timeout:
         """A timeout that fires at the absolute instant ``when``.
 
         ``timeout(when - now)`` is not the same thing: ``now + (when -
@@ -663,7 +663,7 @@ class Environment:
             timeout = Timeout.__new__(Timeout)
             timeout.env = self
         timeout.callbacks = None
-        timeout._value = value
+        timeout._value = None
         timeout._ok = True
         timeout._triggered = True
         timeout._processed = False

@@ -40,6 +40,9 @@ _CLASS_LATENCY_FRACTION = {"premium": 0.25, "standard": 0.55,
 _CLASS_THROUGHPUT_FRACTION = {"premium": 0.5, "standard": 0.25,
                               "scavenger": 0.0}
 
+#: Record size, bytes, the class plans are searched at.
+_RECORD_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ClassPlan:
@@ -63,10 +66,8 @@ class ClassPlan:
         return max(1, self.config.queue_depth * self.config.client_threads)
 
 
-def plan_slo_classes(record_size: int = 64, *,
-                     max_client_threads: int = 4,
+def plan_slo_classes(*, max_client_threads: int = 4,
                      max_queue_depth: int = 8,
-                     switch_hops: int = 1,
                      seed: int = 0) -> dict[str, ClassPlan]:
     """Map every SLO class to a searched config + predicted perf point.
 
@@ -80,10 +81,10 @@ def plan_slo_classes(record_size: int = 64, *,
     paper's search degrades an unsatisfiable SLO request.
     """
     space = ConfigSpace(max_client_threads=max_client_threads,
-                        record_size=record_size,
+                        record_size=_RECORD_SIZE,
                         max_queue_depth=max_queue_depth)
     model = analytic_model(space, profile=AZURE_HPC,
-                           switch_hops=switch_hops, noise=0.0, seed=seed)
+                           switch_hops=1, noise=0.0, seed=seed)
     best, worst = model.bounds()
     searcher = SloSearcher.for_model(model)
 
@@ -102,7 +103,7 @@ def plan_slo_classes(record_size: int = 64, *,
         while config is None:
             slo = Slo(max_latency=best.latency * ratio ** latency_fraction,
                       min_throughput=floor,
-                      record_size=record_size)
+                      record_size=_RECORD_SIZE)
             config = searcher.search(slo)
             if config is None:
                 if latency_fraction >= 1.0 and floor <= worst.throughput:

@@ -62,6 +62,10 @@ _PROBE_BYTES = 64
 #: admission alone cannot bound queueing when capacity collapses.
 _MAX_BACKING_QUEUE = 64
 
+#: Granularity, bytes, of the dirty marks a degraded tenant's writes
+#: leave and of the flush that replays them into the cache.
+_FLUSH_CHUNK_BYTES = 4096
+
 #: Give up on one flush pass after this many whole-namespace rounds; the
 #: recovery probe retries on its next tick, so this only bounds how long
 #: a single pass chases a tenant that keeps writing during the flush.
@@ -152,14 +156,10 @@ class TenantTier:
     """Serving front-end fanning registered tenants onto one router."""
 
     def __init__(self, env: Environment, router: ShardRouter, *,
-                 plans: Optional[Dict[str, ClassPlan]] = None,
-                 max_inflight: Optional[int] = None,
-                 flush_chunk_bytes: int = 4096):
-        if flush_chunk_bytes < 1:
-            raise ValueError("flush_chunk_bytes must be >= 1")
+                 max_inflight: Optional[int] = None):
         self.env = env
         self.router = router
-        self.plans = plans if plans is not None else plan_slo_classes()
+        self.plans = plan_slo_classes()
         #: Shared scheduling-slot pool: how many tenant requests may be
         #: in flight against the shard pool at once.  Defaults to the
         #: fleet's aggregate backpressure budget.
@@ -169,7 +169,6 @@ class TenantTier:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.max_inflight = max_inflight
-        self.flush_chunk_bytes = flush_chunk_bytes
         self._tenants: Dict[str, TenantState] = {}
         #: Registration order == namespace order == scheduling scan
         #: order; deterministic by construction.
@@ -472,7 +471,7 @@ class TenantTier:
         # is untrusted wholesale (an emergency rebalance may have
         # rebuilt lost slots as zeroes), so the whole namespace is
         # flush-pending from the mirror.
-        chunks = -(-tenant.backing.capacity // self.flush_chunk_bytes)
+        chunks = -(-tenant.backing.capacity // _FLUSH_CHUNK_BYTES)
         tenant.dirty = set(range(chunks))
         self.env.process(self._recovery_probe(tenant),
                          name=f"tenant-recover:{tenant.spec.name}")
@@ -518,8 +517,8 @@ class TenantTier:
 
     def _mark_dirty(self, tenant: TenantState, addr: int,
                     size: int) -> None:
-        first = addr // self.flush_chunk_bytes
-        last = max(addr, addr + size - 1) // self.flush_chunk_bytes
+        first = addr // _FLUSH_CHUNK_BYTES
+        last = max(addr, addr + size - 1) // _FLUSH_CHUNK_BYTES
         for chunk in range(first, last + 1):
             tenant.dirty.add(chunk)
 
@@ -565,8 +564,8 @@ class TenantTier:
             chunks = sorted(tenant.dirty)
             tenant.dirty = set()
             for index, chunk in enumerate(chunks):
-                addr = chunk * self.flush_chunk_bytes
-                size = min(self.flush_chunk_bytes,
+                addr = chunk * _FLUSH_CHUNK_BYTES
+                size = min(_FLUSH_CHUNK_BYTES,
                            tenant.backing.capacity - addr)
                 payload = tenant.backing.peek(addr, size)
                 result = yield self.router.write(tenant.base + addr,

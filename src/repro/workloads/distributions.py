@@ -131,10 +131,9 @@ class ScrambledZipfianChooser:
 class LatestChooser:
     """YCSB's 'latest' distribution: recency-skewed toward high keys."""
 
-    def __init__(self, n_keys: int, rng: np.random.Generator,
-                 theta: float = DEFAULT_THETA):
+    def __init__(self, n_keys: int, rng: np.random.Generator):
         self.n_keys = n_keys
-        self._zipf = ZipfianChooser(n_keys, rng, theta)
+        self._zipf = ZipfianChooser(n_keys, rng)
 
     def sample(self, count: int) -> np.ndarray:
         return self.n_keys - 1 - self._zipf.sample(count)

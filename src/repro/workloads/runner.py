@@ -42,21 +42,19 @@ def run_kv_workload(env: Environment, store: FasterKv, *,
                     keys: np.ndarray,
                     is_read: np.ndarray,
                     update_value: bytes = b"",
-                    outstanding_per_thread: int = 8,
-                    warmup_fraction: float = 0.2,
-                    seed: int = 0) -> KvRunResult:
+                    outstanding_per_thread: int = 8) -> KvRunResult:
     """Run ``len(keys)`` operations across ``n_threads`` threads.
 
     Operations are consumed from the pre-generated ``keys`` /
     ``is_read`` arrays in order, shared by all threads (a global
     cursor), which matches how YCSB clients pull from a generator.
-    Returns throughput measured after ``warmup_fraction`` of operations
+    Returns throughput measured after the first 20 % of operations
     completed (letting the FASTER read-cache reach steady state).
     """
     if len(keys) != len(is_read):
         raise ValueError("keys and is_read must have equal length")
     n_ops = len(keys)
-    warmup_ops = int(n_ops * warmup_fraction)
+    warmup_ops = int(n_ops * 0.2)
 
     cursor = {"next": 0, "done": 0}
     window = {"t0": None, "w0": 0, "t1": None, "w1": 0}
@@ -131,17 +129,16 @@ def run_router_workload(env: Environment, router, *,
                         keys: np.ndarray,
                         is_read: np.ndarray,
                         record_bytes: int = 64,
-                        concurrency: int = 64,
-                        warmup_fraction: float = 0.1) -> RouterRunResult:
+                        concurrency: int = 64) -> RouterRunResult:
     """Drive a :class:`~repro.shard.router.ShardRouter` closed-loop.
 
     ``concurrency`` client slots pull (key, op) pairs off a shared
     cursor -- the YCSB client-pool shape -- mapping key ``k`` to the
     record-aligned address ``(k % records) * record_bytes``.  Zipfian
     key streams therefore concentrate on a few slots, which is what the
-    hot-key tier is for.  Throughput is measured after
-    ``warmup_fraction`` of the operations completed (past ring warmup
-    and the first hot-key promotions).
+    hot-key tier is for.  Throughput is measured after the first 10 %
+    of the operations completed (past ring warmup and the first hot-key
+    promotions).
     """
     if len(keys) != len(is_read):
         raise ValueError("keys and is_read must have equal length")
@@ -149,7 +146,7 @@ def run_router_workload(env: Environment, router, *,
     if records < 1:
         raise ValueError("record_bytes exceeds router capacity")
     n_ops = len(keys)
-    warmup_ops = int(n_ops * warmup_fraction)
+    warmup_ops = int(n_ops * 0.1)
 
     cursor = {"next": 0, "done": 0}
     window = {"t0": None, "w0": 0, "t1": None, "w1": 0}

@@ -42,6 +42,9 @@ __all__ = ["ClusterHarness", "FasterScenario", "build_cluster",
 #: cache for high throughput."
 FASTER_CACHE_SLO = Slo(max_latency=1e-3, min_throughput=2e7, record_size=24)
 
+#: Region size of the Redy cache a FASTER store tiers onto.
+_FASTER_REGION_BYTES = 1 << 20
+
 
 @dataclass
 class ClusterHarness:
@@ -85,18 +88,17 @@ def build_cluster(seed: int = 0, n_servers: int = 8,
                           allocator=allocator, manager=manager)
 
 
-def strand_servers(harness: ClusterHarness, count: int,
-                   keep_memory_gb: float = 64.0) -> list:
+def strand_servers(harness: ClusterHarness, count: int) -> list:
     """Manufacture stranded memory: fill every core of ``count`` idle
-    servers with synthetic tenant VMs, leaving ``keep_memory_gb``
-    unallocated on each.  Returns the stranded servers."""
+    servers with synthetic tenant VMs, leaving 64 GB unallocated on
+    each.  Returns the stranded servers."""
     stranded = []
     for server in harness.allocator.servers:
         if len(stranded) >= count:
             break
         if server.allocated_cores == 0:
             server.place(-(1000 + server.server_id), server.cores,
-                         server.memory_gb - keep_memory_gb)
+                         server.memory_gb - 64.0)
             stranded.append(server)
     if len(stranded) < count:
         raise ValueError(f"only {len(stranded)} idle servers available")
@@ -123,9 +125,6 @@ def build_faster_store(device_kind: str, *,
                        distribution: str = "uniform",
                        local_memory_fraction: float = 1.0 / 6.0,
                        redy_cache_fraction: float = 8.0 / 6.0,
-                       local_memory_bytes: Optional[int] = None,
-                       redy_cache_bytes: Optional[int] = None,
-                       region_bytes: int = 1 << 20,
                        seed: int = 1,
                        harness: Optional[ClusterHarness] = None
                        ) -> FasterScenario:
@@ -142,9 +141,7 @@ def build_faster_store(device_kind: str, *,
     workload = paper_read_only(n_records, value_bytes, distribution)
     log_bytes = workload.database_bytes
 
-    if local_memory_bytes is None:
-        local_memory_bytes = int(log_bytes * local_memory_fraction)
-    local_memory_bytes = max(local_memory_bytes,
+    local_memory_bytes = max(int(log_bytes * local_memory_fraction),
                              4 * record_bytes(value_bytes))
     ssd_capacity = max(log_bytes * 4, 1 << 20)
     device_rng = rngs.stream(f"device-{device_kind}")
@@ -158,13 +155,12 @@ def build_faster_store(device_kind: str, *,
     elif device_kind == "smb":
         device = SmbDirectDevice(env, ssd_capacity, device_rng)
     elif device_kind == "redy":
-        if redy_cache_bytes is None:
-            redy_cache_bytes = int(log_bytes * redy_cache_fraction)
-        redy_cache_bytes = max(redy_cache_bytes, region_bytes)
+        redy_cache_bytes = max(int(log_bytes * redy_cache_fraction),
+                               _FASTER_REGION_BYTES)
         client = harness.redy_client(f"faster-app-{seed}")
-        redy_cache = client.create(redy_cache_bytes + region_bytes,
+        redy_cache = client.create(redy_cache_bytes + _FASTER_REGION_BYTES,
                                    FASTER_CACHE_SLO,
-                                   region_bytes=region_bytes)
+                                   region_bytes=_FASTER_REGION_BYTES)
         cache = redy_cache
         device = TieredDevice(env, [
             RedyDevice(redy_cache),
