@@ -41,7 +41,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.client import CacheIoResult, RedyCache, RedyClient
+from repro.core.client import (CacheDeletedError, CacheIoResult, RedyCache,
+                               RedyClient)
 from repro.core.config import Slo
 from repro.core.regions import AddressError
 from repro.obs.metrics import registry_of
@@ -339,16 +340,24 @@ class ShardRouter:
     # Backpressure
     # ------------------------------------------------------------------
 
+    def _try_take(self, member: ShardMember) -> bool:
+        """Take a free in-flight slot on ``member``; False when it is
+        saturated.  A caller that gets one builds no generator."""
+        if member.inflight >= self.max_inflight_per_shard:
+            return False
+        member.inflight += 1
+        if member.inflight_gauge:
+            member.inflight_gauge.set(member.inflight)
+        return True
+
     def _acquire(self, member: ShardMember, priority: int = 0):
-        while member.inflight >= self.max_inflight_per_shard:
+        """Queue until ``member`` has a free slot, then take it."""
+        while not self._try_take(member):
             waiter = self.env.event()
             self._waiter_seq += 1
             heapq.heappush(member.waiters,
                            (-priority, self._waiter_seq, waiter))
             yield waiter
-        member.inflight += 1
-        if member.inflight_gauge:
-            member.inflight_gauge.set(member.inflight)
 
     def _release(self, member: ShardMember) -> None:
         member.inflight -= 1
@@ -357,10 +366,46 @@ class ShardRouter:
         if member.waiters and member.inflight < self.max_inflight_per_shard:
             heapq.heappop(member.waiters)[2].succeed()
 
+    def _count(self, member: ShardMember, is_read: bool) -> None:
+        counter = member.reads if is_read else member.writes
+        if counter:
+            counter.inc()
+
+    def _member_io(self, member: ShardMember, is_read: bool, addr: int,
+                   size_or_data, tenant: Optional[str] = None,
+                   priority: int = 0):
+        """Run one member I/O in the caller's frame; returns its result.
+
+        The in-flight slot is held under ``finally``.  Where a member
+        process would have had a bootstrap entry and an exit entry, a
+        zero hop queues behind whatever is already due, so dispatch
+        order is the process's (docs/determinism-rules.md, "Run a child
+        in its caller's frame").
+        """
+        if not self._try_take(member):
+            yield from self._acquire(member, priority)
+        try:
+            cache = member.cache
+            body = (cache.read_io(addr, size_or_data, tenant=tenant)
+                    if is_read else
+                    cache.write_io(addr, size_or_data, tenant=tenant))
+            self._count(member, is_read)
+            env = self.env
+            if env.due_now():
+                yield env.timeout(0)  # where the bootstrap entry ran
+            result = yield from body
+            if env.due_now():
+                yield env.timeout(0)  # where the exit entry ran
+        finally:
+            self._release(member)
+        return result
+
     def _issue(self, member: ShardMember, is_read: bool, addr: int,
                size_or_data, tenant: Optional[str] = None,
                priority: int = 0):
-        """Acquire an in-flight slot and start one member I/O.
+        """Acquire an in-flight slot and start one member I/O as a
+        process of its own: for a hedged read, a multi-target write or
+        a hot-slot copy (the rest run in :meth:`_member_io`).
 
         Returns the member cache's completion event; the slot is
         released by callback, so even an abandoned hedge loser frees
@@ -368,15 +413,17 @@ class ShardRouter:
         backpressure queue (weighted issue order for the serving tier);
         ``tenant`` rides down to the engine for per-tenant accounting.
         """
-        yield from self._acquire(member, priority)  # repro-lint: disable=L005 -- slot is released by the completion callback below, so abandoned hedge losers still free it
-        if is_read:
-            event = member.cache.read(addr, size_or_data, tenant=tenant)
-            if member.reads:
-                member.reads.inc()
-        else:
-            event = member.cache.write(addr, size_or_data, tenant=tenant)
-            if member.writes:
-                member.writes.inc()
+        if not self._try_take(member):
+            yield from self._acquire(member, priority)  # repro-lint: disable=L005 -- hedged reads, multi-target writes and hot-slot copies free the slot by the completion callback below, so an abandoned hedge loser still frees it
+        cache = member.cache
+        try:
+            event = (cache.read(addr, size_or_data, tenant=tenant)
+                     if is_read else
+                     cache.write(addr, size_or_data, tenant=tenant))
+        except CacheDeletedError:
+            self._release(member)
+            raise
+        self._count(member, is_read)
         event._add_callback(lambda _e, m=member: self._release(m))
         return event
 
@@ -445,21 +492,22 @@ class ShardRouter:
             # failover.
             if i and self._c_failovers:
                 self._c_failovers.inc()
-            result = yield from self._attempt_read(member, addr, length,
-                                                   pool[i + 1:],
-                                                   tenant, priority)
+            if self.hedge_after_s is None:
+                result = yield from self._member_io(member, True, addr,
+                                                    length, tenant, priority)
+            else:
+                result = yield from self._hedged_read(member, addr, length,
+                                                      pool[i + 1:], tenant,
+                                                      priority)
             if result.ok:
                 break
         return result
 
-    def _attempt_read(self, member: ShardMember, addr: int, length: int,
-                      alternates: List[str], tenant: Optional[str] = None,
-                      priority: int = 0):
+    def _hedged_read(self, member: ShardMember, addr: int, length: int,
+                     alternates: List[str], tenant: Optional[str] = None,
+                     priority: int = 0):
         primary = yield from self._issue(member, True, addr, length,
                                          tenant, priority)
-        if self.hedge_after_s is None:
-            result = yield primary
-            return result
         index, value = yield self.env.any_of(
             [primary, self.env.timeout(self.hedge_after_s)])
         if index == 0:
@@ -515,19 +563,27 @@ class ShardRouter:
     def _write_fragment(self, slot: int, addr: int, payload: bytes,
                         tenant: Optional[str] = None, priority: int = 0):
         yield from self._write_barrier(slot)
-        issued: List[Event] = []
         # Sorted acquire order: concurrent multi-target writes never
         # hold-and-wait on each other's shards in opposite orders.
-        for name in sorted(self._write_targets(slot)):
-            member = self._members.get(name)
-            if member is None or not member.alive:
-                continue
-            event = yield from self._issue(member, False, addr, payload,
-                                           tenant, priority)
-            issued.append(event)
-        if not issued:
+        targets = [member for name in sorted(self._write_targets(slot))
+                   if (member := self._members.get(name)) is not None
+                   and member.alive]
+        if not targets:
             return CacheIoResult(ok=False, error="no live shard for range")
-        results = yield self.env.all_of(issued)
+        if len(targets) == 1:
+            results = [(yield from self._member_io(targets[0], False, addr,
+                                                   payload, tenant,
+                                                   priority))]
+            if self.env.due_now():
+                yield self.env.timeout(0)  # where the all_of entry ran
+        else:
+            issued: List[Event] = []
+            for member in targets:
+                # A target can die while an earlier one's slot is awaited.
+                if member.alive:
+                    issued.append((yield from self._issue(
+                        member, False, addr, payload, tenant, priority)))
+            results = yield self.env.all_of(issued)
         oks = [r for r in results if r.ok]
         if len(oks) < len(results) and self._c_partial:
             self._c_partial.inc(len(results) - len(oks))

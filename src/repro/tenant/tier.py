@@ -355,7 +355,8 @@ class TenantTier:
             yield from self._serve_degraded(tenant, is_read, addr, size,
                                             data, done, arrival)
             return
-        yield from self._acquire_slot(tenant)
+        if not self._try_slot(tenant):
+            yield from self._acquire_slot(tenant)
         try:
             gaddr = tenant.base + addr
             if is_read:
@@ -401,19 +402,23 @@ class TenantTier:
     # Weighted scheduling (shared slot pool)
     # ------------------------------------------------------------------
 
-    def _acquire_slot(self, tenant: TenantState):
+    def _try_slot(self, tenant: TenantState) -> bool:
+        """Take a free scheduling slot; False when the tenant must queue.
+        A caller that gets one builds no generator."""
         if (self._inflight < self.max_inflight
                 and tenant.inflight < tenant.plan.max_inflight
                 and not tenant.waiters):
             self._inflight += 1
             tenant.inflight += 1
-            if False:
-                yield  # pragma: no cover -- makes this a generator
-            return
+            return True
+        return False
+
+    def _acquire_slot(self, tenant: TenantState):
+        """Queue for a slot :meth:`_try_slot` found taken.  The releaser
+        transfers the slot before waking us: both counters are already
+        incremented when this resumes."""
         waiter = self.env.event()
         tenant.waiters.append(waiter)
-        # The releaser transfers the slot before waking us: both
-        # counters are already incremented when this resumes.
         yield waiter
 
     def _release_slot(self, tenant: TenantState) -> None:

@@ -42,8 +42,13 @@ FASTER_REDY_READ_STEPS = 12
 #: the read ran in a process of its own and handed back its result.
 DEPENDENT_READ_STEPS = 17
 #: Kernel steps of one TenantTier read through a one-member router (15
-#: with the ring hand-off and the reap process).
-TENANT_READ_STEPS = 13
+#: with the ring hand-off and the reap process; 13 while the router ran
+#: the member read as a process of its own).
+TENANT_READ_STEPS = 11
+#: Kernel steps of one uncontended write then read of the same address
+#: through a one-member router.  26 while the router ran each member
+#: I/O as a process of its own.
+ROUTER_WRITE_READ_STEPS = 21
 #: Kernel steps of two concurrent 1 MiB writes from one endpoint, on two
 #: QPs.  The second queues for the tx link by reservation, which costs
 #: no dispatch of its own.  14 while each write's NIC processing and
@@ -152,6 +157,23 @@ def test_tenant_read_step_budget():
     result, steps = _steps_of(harness.env, body)
     assert result.ok and result.data == b"y" * 64
     _check("one TenantTier read", TENANT_READ_STEPS, steps)
+
+
+def test_router_write_read_step_budget():
+    harness = build_cluster(seed=0)
+    member = harness.redy_client("budget").create(
+        1 << 19, Slo(max_latency=1e-3, min_throughput=1e5, record_size=512),
+        duration_s=3600.0, region_bytes=1 << 18)
+    router = ShardRouter(harness.env, {"s00": member}, slot_bytes=1 << 12)
+
+    def body():
+        wrote = yield router.write(4096, b"z" * 64)
+        read = yield router.read(4096, 64)
+        return wrote, read
+
+    (wrote, read), steps = _steps_of(harness.env, body)
+    assert wrote.ok and read.ok and read.data == b"z" * 64
+    _check("one router write + one read", ROUTER_WRITE_READ_STEPS, steps)
 
 
 def test_contended_tx_link_step_budget():

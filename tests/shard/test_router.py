@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.sanitize import KernelMonitor
+from repro.core.client import CacheDeletedError
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import ShardRouter
 
@@ -104,6 +106,78 @@ class TestBackpressure:
             member = router.member(name)
             assert member.inflight == 0
             assert not member.waiters
+
+    @pytest.mark.parametrize("hedge_after_s", [None, 1e-9])
+    def test_read_of_a_deleted_member_returns_its_slot(self, hedge_after_s):
+        harness, _client, members, router = make_fleet(
+            n_shards=1, hedge_after_s=hedge_after_s)
+        (name,) = router.members
+        members[name].delete()
+        raised = []
+
+        def driver():
+            for _ in range(router.max_inflight_per_shard + 4):
+                try:
+                    yield from router.read_io(0, 64)
+                except CacheDeletedError:
+                    raised.append(True)
+
+        harness.env.process(driver())
+        harness.env.run()
+        # Every read got past backpressure: none leaked its slot.
+        assert len(raised) == router.max_inflight_per_shard + 4
+        assert router.member(name).inflight == 0
+
+
+class _Spawns(KernelMonitor):
+    """Names of the processes spawned while installed."""
+
+    def __init__(self):
+        self.names = []
+
+    def on_spawn(self, process):
+        self.names.append(process.name)
+
+
+def _spawned_by(harness, body):
+    """Run ``body`` in a process; the names of everything it spawned."""
+    env = harness.env
+    proc = env.process(body())
+    spawns = _Spawns()
+    env.monitor = spawns
+    env.run()
+    env.monitor = None
+    return proc.value, spawns.names
+
+
+class TestMemberIoInCallersFrame:
+    def test_unhedged_read_and_single_target_write_spawn_nothing(self,
+                                                                 fleet):
+        harness, _client, _members, router = fleet
+
+        def body():
+            wrote = yield from router.write_io(0, b"i" * 64)
+            read = yield from router.read_io(0, 64)
+            return wrote, read
+
+        (wrote, read), spawned = _spawned_by(harness, body)
+        assert wrote.ok and read.ok and read.data == b"i" * 64
+        assert spawned == []
+
+    def test_hedged_read_spawns_one_process_per_member_io(self):
+        metrics = MetricsRegistry()
+        harness, _client, _members, router = make_fleet(
+            metrics=metrics, replication=2, hedge_after_s=1e-9)
+        router.load(0, b"h" * 64)
+
+        def body():
+            return (yield from router.read_io(0, 64))
+
+        read, spawned = _spawned_by(harness, body)
+        assert read.ok and read.data == b"h" * 64
+        assert metrics.snapshot()["router.hedges"]["value"] == 1
+        # The primary and its hedge: each a process of its own.
+        assert spawned == ["redy-io-r@0", "redy-io-r@0"]
 
 
 class TestFailover:
