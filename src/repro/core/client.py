@@ -20,11 +20,11 @@ from typing import Callable, Optional
 
 from repro.cluster.allocator import AllocationError
 from repro.core.config import Slo
-from repro.core.engine import CacheDataPath
+from repro.core.engine import CacheDataPath, OneSidedIo
 from repro.core.manager import CacheAllocation, CacheManager
 from repro.core.migration import (INGEST_BANDWIDTH_GBPS, MigrationPolicy,
                                   migrate_regions)
-from repro.core.protocol import EngineOp, OpStages
+from repro.core.protocol import EngineOp, OpResult, OpStages
 from repro.core.regions import AddressError, RegionTable
 from repro.core.server import CacheServer
 from repro.hardware.profiles import TestbedProfile
@@ -177,13 +177,16 @@ class RedyClient:
 class RedyCache:
     """One provisioned cache: a contiguous byte-addressable device.
 
-    Every I/O is a generator body that returns its
-    :class:`CacheIoResult`.  :meth:`read`, :meth:`write` and
-    :meth:`dependent_read` run it as a process and return that process,
-    which fires with the result.  A layer that already runs in a process
-    delegates instead -- ``yield from cache.read_io(...)`` or
-    ``cache.write_io(...)`` -- and the I/O costs it no process, no
-    bootstrap step and no completion hand-off.
+    Every I/O has a body that returns its :class:`CacheIoResult`.  A
+    fail-fast read or write inside one region of a one-sided cache runs
+    as a :class:`~repro.core.engine.OneSidedIo` record, a chain of
+    callbacks; any other I/O (two-sided, dependent, across regions, or
+    under retries) runs a generator.  :meth:`read`, :meth:`write` and
+    :meth:`dependent_read` return an event that fires with the result:
+    the record itself, or the process running the generator.  A layer
+    that already runs in a process delegates instead -- ``yield from
+    cache.read_io(...)`` or ``cache.write_io(...)`` -- and the I/O costs
+    it no process, no bootstrap step and no completion hand-off.
     """
 
     def __init__(self, client: RedyClient, allocation: CacheAllocation,
@@ -317,25 +320,32 @@ class RedyCache:
 
     def read_io(self, addr: int, size: int, *,
                 tenant: Optional[str] = None):
-        """The generator body of :meth:`read`, for a caller that already
-        runs in a process: ``result = yield from cache.read_io(...)``
-        runs the read in the caller's process and returns its
-        :class:`CacheIoResult`, with no process or event of its own."""
-        return self._body("r", addr, size, None, tenant=tenant)
+        """The body of :meth:`read`, for a caller that already runs in a
+        process: ``result = yield from cache.read_io(...)`` runs the read
+        in the caller's process and returns its :class:`CacheIoResult`,
+        with no process of its own."""
+        return iter(self._body("r", addr, size, None, tenant=tenant))
 
     def write_io(self, addr: int, data: bytes, *,
                  tenant: Optional[str] = None):
-        """The generator body of :meth:`write` (see :meth:`read_io`)."""
-        return self._body("w", addr, len(data), data, tenant=tenant)
+        """The body of :meth:`write` (see :meth:`read_io`)."""
+        return iter(self._body("w", addr, len(data), data, tenant=tenant))
 
     def _start_io(self, kind: str, addr: int, size: int,
                   data: Optional[bytes], callback: Optional[Callable], *,
                   tenant: Optional[str] = None) -> Event:
         """Start one I/O of ``kind``: ``"r"`` read, ``"w"`` write,
-        ``"d"`` dependent read.  The process running its body is the
-        completion event; the body hands its result to ``callback``
-        itself (see :meth:`_calling_back`)."""
+        ``"d"`` dependent read.  A :class:`_CacheIo` record is its own
+        completion event and calls ``callback`` itself; any other body
+        runs in a process, which is the completion event, and hands its
+        result to ``callback`` itself (see :meth:`_calling_back`)."""
         body = self._body(kind, addr, size, data, tenant=tenant)
+        if body.__class__ is _CacheIo:
+            body.mode = OneSidedIo.JOINED
+            body.callback = callback
+            # The first stage runs where a process's bootstrap entry ran.
+            self.env._call_soon(OneSidedIo._resume, body)
+            return body
         if callback is not None:
             body = self._calling_back(body, callback)
         return self.env.process(body, name=f"redy-io-{kind}@{addr}")
@@ -355,15 +365,29 @@ class RedyCache:
 
     def _body(self, kind: str, addr: int, size: int,
               data: Optional[bytes], *, tenant: Optional[str] = None):
-        """The generator that runs one I/O under the retry policy and
-        returns its :class:`CacheIoResult`."""
+        """What runs one I/O under the retry policy, for ``yield from``:
+        a :class:`_CacheIo` record for a fail-fast read or write that
+        sits inside one region of a one-sided cache, else a generator.
+        Either returns the I/O's :class:`CacheIoResult`."""
         if self.deleted:
             raise CacheDeletedError("cache was deleted")
         policy = self.retry_policy
-        if policy.max_attempts == 1 and policy.attempt_timeout_s is None:
-            # Fail-fast default: no retry wrapper on the hot path.
-            return self._io(kind, addr, size, data, tenant=tenant)
-        return self._io_with_retry(kind, addr, size, data, tenant=tenant)
+        if policy.max_attempts != 1 or policy.attempt_timeout_s is not None:
+            return self._io_with_retry(kind, addr, size, data, tenant=tenant)
+        region_bytes = self.region_bytes
+        offset = addr % region_bytes
+        if (kind != "d" and self.path.one_sided
+                and 0 < size <= region_bytes - offset):
+            # Inside one region, or outside the cache: the record's
+            # first stage then answers with the address error, as _io
+            # does.
+            record = _CacheIo(self.path, EngineOp(
+                is_read=kind == "r", size=size, offset=offset, data=data,
+                tenant=tenant), None, _CacheIo.locate)
+            record.cache = self
+            record.addr = addr
+            return record
+        return self._io(kind, addr, size, data, tenant=tenant)
 
     def _io_with_retry(self, kind: str, addr: int, size: int,
                        data: Optional[bytes], tenant: Optional[str] = None):
@@ -426,48 +450,30 @@ class RedyCache:
         if located is not None:
             # Inside one region: the op runs in this process.
             index, offset = located
-            gate = (self.table.read_gate(index) if is_read
-                    else self.table.write_gate(index))
+            op = EngineOp(is_read=is_read, size=size, offset=offset,
+                          data=data, tenant=tenant)
+            gate = self.table.gate(index, is_read)
             if gate is not None:
                 yield gate  # §6.2: paused until the region migrates
-            # Re-resolve the mapping: it may have flipped while we waited.
-            token = self.table.region(index).token
-            op = EngineOp(is_read=is_read, size=size, token=token,
-                          offset=offset, data=data, tenant=tenant)
-            if self.path.stamps_stages:
-                op.stages = OpStages(env.now)
-            yield env.timeout(self.path.submission_overhead())
+            yield self._hand_off(op, index)
             result = yield from self.path.io(op)
-            if not result.ok:
-                return CacheIoResult(ok=False, error=result.error,
-                                     latency=env.now - start)
-            payload = None
-            if is_read:
-                payload = (result.data if result.data is not None
-                           else bytes(size))
-            return CacheIoResult(ok=True, data=payload,
-                                 latency=env.now - start)
+            return self._cache_result(op, result, start)
         # Across regions (or empty): the fragments are in flight together.
         fragments = self.table.translate(addr, size)
         ops: list[EngineOp] = []
         for fragment in fragments:
-            gate = (self.table.read_gate(fragment.region_index) if is_read
-                    else self.table.write_gate(fragment.region_index))
+            index = fragment.region_index
+            gate = self.table.gate(index, is_read)
             if gate is not None:
                 yield gate  # §6.2: paused until the region migrates
-            # Re-resolve the mapping: it may have flipped while we waited.
-            mapping = self.table.region(fragment.region_index)
             payload = None
             if data is not None:
                 payload = data[fragment.buffer_offset:
                                fragment.buffer_offset + fragment.length]
-            op = EngineOp(
-                is_read=is_read, size=fragment.length, token=mapping.token,
-                offset=fragment.offset, data=payload, tenant=tenant)
-            if self.path.stamps_stages:
-                op.stages = OpStages(env.now)
-            yield env.timeout(self.path.submission_overhead())
-            yield self.path.submit(op)
+            op = EngineOp(is_read=is_read, size=fragment.length,
+                          offset=fragment.offset, data=payload, tenant=tenant)
+            yield self._hand_off(op, index)
+            self.path.submit(op)
             ops.append(op)
         results = yield env.all_of([op.completion for op in ops])
 
@@ -487,6 +493,33 @@ class RedyCache:
         return CacheIoResult(ok=True, data=payload,
                              latency=env.now - start)
 
+    # The client prefix every data-path I/O shares past its region gate:
+    # the hand-off and the result (see _CacheIo for the one-sided
+    # record).
+
+    def _hand_off(self, op: EngineOp, index: int) -> Event:
+        """Aim ``op`` at region ``index``'s current mapping (it may have
+        flipped while the op waited at the gate), stamp its hand-off,
+        and return the app thread's hand-off charge to wait out."""
+        op.token = self.table.region(index).token
+        path = self.path
+        if path.stamps_stages:
+            op.stages = OpStages(self.env.now)
+        return self.env.timeout(path.submission_overhead())
+
+    def _cache_result(self, op: EngineOp, result,
+                      start: float) -> CacheIoResult:
+        """The cache I/O's result from its single engine op's."""
+        latency = self.env.now - start
+        if not result.ok:
+            return CacheIoResult(ok=False, error=result.error,
+                                 latency=latency)
+        payload = None
+        if op.is_read:
+            payload = (result.data if result.data is not None
+                       else bytes(op.size))
+        return CacheIoResult(ok=True, data=payload, latency=latency)
+
     def _dependent_io(self, addr: int, size: int):
         """A dependent read handed to the data path as one engine op.
 
@@ -504,7 +537,7 @@ class RedyCache:
             return CacheIoResult(
                 ok=False, error="dependent read: pointer word spans regions")
         index, offset = located
-        gate = self.table.read_gate(index)
+        gate = self.table.gate(index, True)
         if gate is not None:
             yield gate  # §6.2: paused until the region migrates
         # Re-resolve the mapping: it may have flipped while we waited.
@@ -826,3 +859,103 @@ class RedyCache:
         self.allocation.regions_per_server.pop(server_name, None)
         self._attached.discard(server_name)
         done.succeed(True)
+
+
+class _CacheIo(OneSidedIo):
+    """A :class:`RedyCache` read or write inside one region of a
+    one-sided cache, as one :class:`~repro.core.engine.OneSidedIo`
+    record: the client's stages run in front of the data path's.
+
+    :meth:`locate` translates the address and waits out the region's
+    gate (§6.2), :meth:`hand_off` pays the app thread's hand-off charge
+    and gives the op to the data path's stages, and :meth:`_settled`
+    turns its result into the I/O's.  ``read_io`` / ``write_io`` run
+    the record from the caller's frame (its ``__iter__``); ``read`` /
+    ``write`` start it ``JOINED`` (:meth:`RedyCache._start_io`;
+    docs/determinism-rules.md, "Run an I/O as a callback record"): its
+    first stage runs on a ``_call_soon`` entry where a process's
+    bootstrap entry ran, and it hands its result to ``callback`` behind
+    what is due, as :meth:`RedyCache._calling_back` does.
+    """
+
+    __slots__ = ("cache", "addr", "index", "started_at", "callback")
+
+    @property
+    def name(self) -> str:
+        """What a failure report calls the I/O: the name
+        :meth:`RedyCache.read` gives a process (``redy-io-r@<addr>``)."""
+        return f"redy-io-{'r' if self.op.is_read else 'w'}@{self.addr}"
+
+    def locate(self, _event: Optional[Event]) -> None:
+        """Translate the address, then wait out the region's gate."""
+        self.started_at = self.env.now
+        op = self.op
+        table = self.cache.table
+        try:
+            self.index = index = table.locate(self.addr, op.size)[0]
+        except AddressError as exc:
+            self._value = CacheIoResult(ok=False, error=str(exc))
+            self.hand_back(None)
+            return
+        gate = table.gate(index, op.is_read)
+        if gate is None:
+            self.hand_off(None)
+        else:
+            self.stage = _CacheIo.hand_off
+            gate._add_callback(self._resume_handler)
+
+    def hand_off(self, _event: Optional[Event]) -> None:
+        """Hand the op to a client thread of the cache's data path (a
+        reshape may have replaced it while the op waited at the gate),
+        aimed at the region's current mapping: the app thread's
+        charge."""
+        cache = self.cache
+        self.path = path = cache.path
+        self.stage = (OneSidedIo.begin if path.one_sided
+                      else _CacheIo.two_sided)
+        cache._hand_off(self.op, self.index).callbacks = [
+            self._resume_handler]
+
+    def two_sided(self, _event: Event) -> None:
+        """The cache was reshaped onto a two-sided configuration: the op
+        runs there in a process of its own, and its completion answers."""
+        op = self.op
+        self.path.submit(op)
+        self.stage = _CacheIo.answered
+        if self.mode is OneSidedIo.FRAME:
+            self._hand_over(op.completion)
+        else:
+            op.completion._add_callback(self._resume_handler)
+
+    def answered(self, _event: Optional[Event]) -> None:
+        self._settled(self.op.completion._value)
+
+    def _settled(self, result: OpResult) -> None:
+        """The I/O's result from its op's.  A joined record then hops
+        behind what is due, where the process that ran the I/O resumed
+        from its settle hop, and hands the result back."""
+        self._value = self.cache._cache_result(self.op, result,
+                                               self.started_at)
+        if self.mode is not OneSidedIo.JOINED:
+            self.stage = None
+        elif self.env.due_now():
+            self.stage = _CacheIo.hand_back
+            self.env.timeout(0).callbacks = [self._resume_handler]
+        else:
+            self.hand_back(None)
+
+    def hand_back(self, _event: Optional[Event]) -> None:
+        """Finish, or call the callback behind what is due: the step a
+        process's exit entry would have run in (``_calling_back``)."""
+        if self.mode is not OneSidedIo.JOINED or self.callback is None:
+            self.stage = None
+        elif self.env.due_now():
+            self.stage = _CacheIo.call_back
+            self.env.timeout(0).callbacks = [self._resume_handler]
+        else:
+            self.callback(self._value)
+            self.stage = None
+
+    def call_back(self, _event: Event) -> None:
+        self.callback(self._value)
+        self.stage = None

@@ -1,18 +1,20 @@
 """Client-side data path: the executable version of Figure 6.
 
 :class:`CacheDataPath` owns the client threads of one Redy cache.  Each
-client thread runs one RDMA connection per attached cache server.  One
-generator, :meth:`CacheDataPath.io`, runs an op to its
+client thread runs one RDMA connection per attached cache server.
+:meth:`CacheDataPath.io` runs an op to its
 :class:`~repro.core.protocol.OpResult` in the caller's process
 (``result = yield from path.io(op)``); the data path runs no process of
 its own.
 
-* On the §4.3 fast path an op runs as one flat step sequence in that
-  generator's frame: its connection's issue slot (FIFO), a queue-depth
+* On the §4.3 fast path an op runs as one :class:`OneSidedIo` record, a
+  chain of callbacks: its connection's issue slot (FIFO), a queue-depth
   credit, the thread CPU, the issue charge, the post of one READ or
   WRITE verb, the completion, the thread CPU again, the reap charge,
   the cross-NUMA hop, and the settle.  A grant that is free at once
-  costs no event (``try_acquire`` / ``try_get``).  With a metrics
+  costs no event (``try_acquire`` / ``try_get``).  A ``RedyCache``
+  read or write inside one region runs the same stages behind its
+  region gate (a subclass in ``core/client.py``).  With a metrics
   registry installed the op stamps each boundary into its
   :class:`~repro.core.protocol.OpStages` ledger.
 * Otherwise the issue slot's holder takes a credit and the thread CPU
@@ -55,7 +57,7 @@ from repro.net.programs import POINTER_BYTES, VerbProgram, chase_target
 from repro.net.qp import QueuePair
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
-from repro.sim.kernel import Environment, Event, Ready
+from repro.sim.kernel import Environment, Event, _refcount
 from repro.sim.resources import Resource, Store
 
 #: Batch-weight histogram buckets: powers of two up to the largest batch
@@ -69,11 +71,18 @@ _NORMAL_BLOCK = 512
 #: queue-depth credit carries no identity.
 _CREDIT = object()
 
-__all__ = ["CacheDataPath", "EngineError"]
+__all__ = ["CacheDataPath", "EngineError", "OneSidedIo"]
 
 
 class EngineError(Exception):
     """Data-path misuse (no route for an op, engine not attached, ...)."""
+
+
+def _direct_op_error(kind: str, op: EngineOp) -> EngineError:
+    """What a one-sided op or a dependent read (``kind``) without a
+    region token, or of weight above 1, raises."""
+    return EngineError(f"{kind} need a region token" if op.token is None
+                       else f"{kind} are weight-1 ops")
 
 
 def _lognormal_sigma(median: float, p99: float) -> float:
@@ -139,6 +148,8 @@ class CacheDataPath:
         self.env = env
         self.profile = profile
         self.config = config
+        #: Whether ops run on the §4.3 fast path (as OneSidedIo records).
+        self.one_sided = config.uses_one_sided
         self.endpoint = client_endpoint
         self.rng = rng
         #: The rest of the current block of standard normals, last one
@@ -275,96 +286,62 @@ class CacheDataPath:
     def io(self, op: EngineOp, thread_index: Optional[int] = None):
         """Run ``op`` on a client thread; returns its :class:`OpResult`.
 
-        A generator for the caller's process: ``result = yield from
-        path.io(op)``.  A one-sided op runs its whole stage sequence
-        here, in this frame (see the module doc).  Otherwise the caller
-        issues under the connection's issue slot and reaps the batch it
-        formed, or its op rides a batch another caller formed."""
-        env = self.env
-        op.enqueued_at = env.now
+        For the caller's process: ``result = yield from path.io(op)``.
+        Every body is a generator: a one-sided op's runs a
+        :class:`OneSidedIo` record from the caller's frame (its
+        ``__iter__``), a dependent read's is :meth:`_bypass`, and any
+        other op's :meth:`_batched`."""
+        if op.is_dependent:
+            return self._bypass(op, thread_index)
+        if self.one_sided:
+            return iter(OneSidedIo(self, op, thread_index))
+        return self._batched(op, thread_index)
+
+    def submit(self, op: EngineOp,
+               thread_index: Optional[int] = None) -> None:
+        """Start ``op`` for a caller that waits on events rather than
+        running it in its own frame (a cache I/O across regions keeps
+        its fragments in flight together this way): ``op.completion``
+        (created here when unset) fires with the op's :class:`OpResult`.
+        A one-sided op's record starts here; any other op runs
+        :meth:`io` in a process of its own."""
+        if op.completion is None:
+            op.completion = self.env.event()
+        if self.one_sided and not op.is_dependent:
+            record = OneSidedIo(self, op, thread_index)
+            record.mode = OneSidedIo.SUBMITTED
+            record._resume(None)
+        else:
+            self.env.start(self.io(op, thread_index),
+                           name=f"redy-client:{self.endpoint.name}:submit")
+
+    def _prepare(self, op: EngineOp, thread_index: Optional[int]
+                 ) -> Tuple["_ClientThread", _Connection]:
+        """An op's first step on the data path: stamp its enqueue time,
+        pick its client thread (round robin unless given) and route it
+        to that thread's connection for the op's region (an op with no
+        region token takes the first)."""
+        op.enqueued_at = self.env.now
         if thread_index is None:
             thread_index = self._round_robin % len(self.threads)
             self._round_robin += 1
         thread = self.threads[thread_index % len(self.threads)]
-        connection = self._route(thread, op)
-        one_sided = self.config.uses_one_sided
-        dependent = op.is_dependent
-        if (dependent or one_sided) and (op.token is None or op.weight != 1):
-            kind = "dependent reads" if dependent else "one-sided ops"
-            raise EngineError(f"{kind} need a region token" if op.token is None
-                              else f"{kind} are weight-1 ops")
-        if dependent:
-            # Dependent GETs never enter the message-ring batching
-            # protocol: each is posted on its own doorbell (a verb
-            # program or two-hop READs keep the pointer-chase semantics).
-            return (yield from self._bypass(thread, connection, op))
-        if one_sided:
-            stages = op.stages
-            if stages is None and self.stamps_stages:
-                stages = op.stages = OpStages(op.enqueued_at)
-            if stages is not None:
-                stages.queued = op.enqueued_at
-            slot = connection.issue_slot
-            credits = connection.credits
-            cpu = thread.cpu
-            if not slot.try_acquire():
-                yield slot.acquire()
-            try:
-                if self._batch_weight is not None:
-                    self._batch_weight.observe(1)
-                credit_wait_started = env.now
-                if stages is not None:
-                    stages.slot = credit_wait_started
-                if not credits.try_get()[0]:
-                    yield credits.get()
-                if self._credit_wait is not None:
-                    self._credit_wait.observe(env.now - credit_wait_started)
-                if stages is not None:
-                    stages.credit = env.now
-                if not cpu.try_acquire():
-                    yield cpu.acquire()
-                try:
-                    if stages is not None:
-                        stages.cpu = env.now
-                    yield env.timeout(self._issue_charge(1, True))
-                finally:
-                    cpu.release()
-                done = connection.qp.post(WorkRequest(
-                    RdmaOp.READ if op.is_read else RdmaOp.WRITE,
-                    op.token, op.offset, op.size, data=op.data))
-            finally:
-                # Nobody gathers behind a one-sided op, so the slot is
-                # never handed on (see _pass_issue_slot): it is released.
-                slot.release()
-            if stages is not None:
-                stages.posted = env.now
-            completed_at_post = done.triggered
-            completion = yield done
-            if completed_at_post:
-                # A post to a QP in the error state completes inside
-                # post(); a waiter spawned at post found it processed
-                # and resumed one hop after its dispatch.  Keep that hop.
-                yield env.timeout(0)
-            if stages is not None:
-                stages.completed = env.now
-            if not cpu.try_acquire():
-                yield cpu.acquire()
-            try:
-                if stages is not None:
-                    stages.reaping = env.now
-                yield env.timeout(self._reap_charge())
-            finally:
-                cpu.release()
-            if stages is not None:
-                stages.reaped = env.now
-            if not self.config.numa_affinity:
-                yield self._numa_hop()
-            result = self._settle(connection, op, completion)
-            if stages is not None:
-                stages.settled = env.now
-            if op.completion is None and env.due_now():
-                yield env.timeout(0)  # see _reap
-            return result
+        token = op.token
+        if token is None:
+            if not thread.connections:
+                raise EngineError("no attached cache server")
+            return thread, next(iter(thread.connections.values()))
+        connection = thread.routes.get(token.region_id)
+        if connection is None:
+            raise EngineError(f"no route for region {token.region_id}")
+        return thread, connection
+
+    def _batched(self, op: EngineOp, thread_index: Optional[int]):
+        """A two-sided op: its caller issues under the connection's
+        issue slot and reaps the batch it formed, or its op rides a
+        batch another caller formed."""
+        env = self.env
+        thread, connection = self._prepare(op, thread_index)
         slot = connection.issue_slot
         connection.pending.append(op)
         grant = slot.acquire()
@@ -400,32 +377,6 @@ class CacheDataPath:
             return reply  # the batch aborted
         return (yield from self._reap_batch(thread, connection, weight,
                                             reply, wakes))
-
-    def submit(self, op: EngineOp,
-               thread_index: Optional[int] = None) -> Event:
-        """Start ``op`` for a caller that waits on events rather than
-        running it in its own process (a cache I/O across regions keeps
-        its fragments in flight together this way): :meth:`io` runs in
-        a process of its own, and ``op.completion`` (created here when
-        unset) fires with the op's :class:`OpResult`.  Returns a
-        :class:`Ready`: nothing waits for the op to be accepted.
-        """
-        if op.completion is None:
-            op.completion = self.env.event()
-        self.env.start(self.io(op, thread_index),
-                       name=f"redy-client:{self.endpoint.name}:submit")
-        return Ready(self.env)
-
-    def _route(self, thread: _ClientThread, op: EngineOp) -> _Connection:
-        if op.token is not None:
-            connection = thread.routes.get(op.token.region_id)
-            if connection is None:
-                raise EngineError(
-                    f"no route for region {op.token.region_id}")
-            return connection
-        if not thread.connections:
-            raise EngineError("no attached cache server")
-        return next(iter(thread.connections.values()))
 
     def _normal(self) -> float:
         """The next standard normal from this path's stream.
@@ -480,10 +431,12 @@ class CacheDataPath:
         else:
             event._add_callback(callback)
 
-    def _bypass(self, thread: _ClientThread, connection: _Connection,
-                op: EngineOp):
+    def _bypass(self, op: EngineOp, thread_index: Optional[int]):
         """A dependent GET outside the batching protocol: issue, chase
         (see :meth:`_chase`), reap; returns the op's result."""
+        thread, connection = self._prepare(op, thread_index)
+        if op.token is None or op.weight != 1:
+            raise _direct_op_error("dependent reads", op)
         yield from self._issue(thread, connection, 1, dequeued=False)
         completion = yield from self._chase(thread, connection, op)
         return (yield from self._reap(thread, connection, op, completion))
@@ -798,3 +751,321 @@ class CacheDataPath:
     def completed_weight(self) -> int:
         """Total logical requests completed (weights summed)."""
         return self._completed_weight
+
+
+#: Grants a :class:`OneSidedIo` holds (its ``held`` bits), each returned
+#: on every exit path, and the sets of them its stages hold.
+_SLOT_HELD, _CREDIT_HELD, _CPU_HELD = 1, 2, 4
+_SLOT_AND_CREDIT_HELD = _SLOT_HELD | _CREDIT_HELD
+_ISSUE_HELD = _SLOT_HELD | _CREDIT_HELD | _CPU_HELD
+_REAP_HELD = _CREDIT_HELD | _CPU_HELD
+
+
+class OneSidedIo(Event):
+    """One one-sided op as a chain of callbacks.
+
+    Built the way a verb is (``net/qp.py``'s ``_Verb``): each stage is a
+    plain function that the event ending the previous wait calls back,
+    and the ``stage`` slot holds what comes next.  The callback is one
+    bound method made per record (``_resume_handler``, as a process
+    keeps one): an event calls it faster than an instance's
+    ``__call__``, and the reference cycle it makes ends when the record
+    does.  A grant that is free at once costs no wait: the stage goes on
+    in place (``try_acquire`` / ``try_get``).  A queued grant hangs the
+    same stage on its event, which runs it again holding the grant
+    (``held`` says how far it got).  No process or name is built per
+    op, and no generator unless a caller's frame runs the record
+    (``__iter__``).  The stages, in order: the issue slot, the credit and
+    the thread CPU, the issue charge and the post, the completion (one
+    more hop when the post completed at once, on a QP in the error
+    state), the thread CPU, the reap charge, the cross-NUMA hop and the
+    settle.  A stage waits on an event it was just handed (a timeout, a
+    grant or the post's completion, which nothing else waits on) by
+    setting that event's callback list, as ``Process._resume`` does.
+
+    The record is the op's completion event, and ``mode`` says who
+    takes its result (docs/determinism-rules.md, "Run an I/O as a
+    callback record"):
+
+    * ``FRAME``: ``result = yield from record`` (:meth:`__iter__`, what
+      :meth:`CacheDataPath.io` returns).  The first stage runs in the
+      caller's step; the caller's frame then waits on the record, and
+      takes over its last wait (:meth:`_hand_over`): it resumes where
+      the settle would have run, settles, and takes the settle hop
+      behind what is due, as a frame that ran the op itself did.
+    * ``SUBMITTED``: :meth:`CacheDataPath.submit` starts it at once;
+      ``op.completion`` carries the result.
+    * ``JOINED``: a ``RedyCache`` read or write returned to its caller
+      (``core/client.py``, a subclass that starts at stages of its own,
+      :meth:`__init__`'s ``stage``); it finishes with an event-list
+      entry exactly when the process that ran such an I/O did.
+
+    A stage that raises returns every grant the record holds; the
+    exception then reaches a caller's waiting frame in the same step
+    (:meth:`Event.trigger_in_place`), and otherwise fails the record as
+    a process's failure would have.
+    """
+
+    FRAME, SUBMITTED, JOINED = 1, 2, 3
+
+    __slots__ = ("stage", "_resume_handler", "mode", "path", "op",
+                 "thread_index", "thread", "connection", "held", "mark",
+                 "completion")
+
+    def __init__(self, path: "CacheDataPath", op: EngineOp,
+                 thread_index: Optional[int] = None, stage=None):
+        # Event's fields, set here rather than through its __init__.
+        self.env = path.env
+        self.callbacks = None
+        self._value = None
+        self._ok = None
+        self._triggered = False
+        self._processed = False
+        self.on_abandon = None
+        self.path = path
+        self.op = op
+        self.thread_index = thread_index
+        #: The stage the record runs next; a subclass may start it at
+        #: one of its own.
+        self.stage = OneSidedIo.begin if stage is None else stage
+        self.held = 0
+        self._resume_handler = self._resume
+
+    @property
+    def name(self) -> str:
+        """What a failure report calls a submitted op (the name
+        ``submit`` gave its process)."""
+        return f"redy-client:{self.path.endpoint.name}:submit"
+
+    def _resume(self, event: Optional[Event] = None) -> None:
+        """Run the next stage; once the last one ran, finish."""
+        try:
+            self.stage(self, event)
+        except BaseException as exc:  # noqa: BLE001 - routed like a process's
+            self._resume_handler = None
+            self._release()
+            if self.mode is OneSidedIo.FRAME:
+                self.trigger_in_place(exc, ok=False)
+            else:
+                self._handle_failure(exc)
+            return
+        if self.stage is None:
+            self._resume_handler = None
+            self._finished()
+
+    def __iter__(self):
+        """``result = yield from record``: run the record from the
+        caller's frame (``FRAME``, see the class doc).  A stage's
+        exception raises in that frame, in the stage's step."""
+        self.mode = OneSidedIo.FRAME
+        try:
+            self.stage(self, None)
+            if self.stage is None:
+                # Answered in its first stage (an address outside the
+                # cache).
+                self._resume_handler = None
+                return self._value
+            yield self
+            if self.stage is None:
+                return self._value  # it finished itself (_finished)
+            # This frame took over the last wait: the settle runs here.
+            self.stage(self, None)
+        except BaseException:
+            self._resume_handler = None
+            self._release()
+            raise
+        self._resume_handler = None
+        env = self.env
+        if self.op.completion is None and env.due_now():
+            yield env.timeout(0)  # the settle hop (see _reap)
+        return self._value
+
+    def _hand_over(self, event: Event) -> None:
+        """Wait on ``event``, the last wait before the settle, as a
+        ``FRAME`` record: the frame waiting on the record takes the wait
+        over (the event is one nothing else waits on), resumes at
+        ``event`` and runs the next stage itself, so the record hands
+        nothing back."""
+        callbacks = self.callbacks
+        if callbacks is None:
+            event.callbacks = [self._resume_handler]
+        else:
+            self.callbacks = None
+            event.callbacks = callbacks
+
+    def _finished(self) -> None:
+        """The last stage ran in a callback: hand the result on."""
+        mode = self.mode
+        if mode is OneSidedIo.JOINED:
+            # Finish as the process that ran the I/O would have exited.
+            # As in Process._exit_unobserved: with no joiner, and no
+            # references but the step's own -- the resume handler an
+            # event's entry holds, or the bootstrap entry's argument;
+            # the frames of _resume and this call; getrefcount's
+            # argument -- nothing can ever read the record, so
+            # dispatching it would change nothing.
+            if not self.callbacks and _refcount(self) == 4:
+                self._ok = True
+                self._triggered = True
+                self._processed = True
+                monitor = self.env.monitor
+                if monitor is not None:
+                    monitor.on_trigger(self)
+            else:
+                self.succeed(self._value)
+        elif mode is OneSidedIo.FRAME:
+            # Nobody took the last wait over (see _hand_over).
+            self.trigger_in_place(self._value)
+        # SUBMITTED: op.completion fired at the settle.
+
+    def _settled(self, result: OpResult) -> None:
+        """The op settled with ``result``: that is the record's value,
+        and the settle its last stage."""
+        self._value = result
+        self.stage = None
+
+    # -- stages ----------------------------------------------------------
+
+    def begin(self, _event: Optional[Event]) -> None:
+        """The op reaches its client thread: take the issue slot, a
+        queue-depth credit and the thread CPU, in that order, then pay
+        the issue charge.  A grant that is not free at once hangs this
+        stage on its event, and the stage runs again holding it: its
+        bit is set in ``held`` before the wait, so the stage goes on
+        from there."""
+        held = self.held
+        path = self.path
+        if not held:
+            op = self.op
+            self.thread, connection = path._prepare(op, self.thread_index)
+            if op.token is None or op.weight != 1:
+                raise _direct_op_error("one-sided ops", op)
+            self.connection = connection
+            stages = op.stages
+            if stages is None and path.stamps_stages:
+                stages = op.stages = OpStages(op.enqueued_at)
+            if stages is not None:
+                stages.queued = op.enqueued_at
+            self.held = _SLOT_HELD
+            slot = connection.issue_slot
+            if not slot.try_acquire():  # repro-lint: disable=L005 -- the slot is released in post(), or by _release() when a stage raises
+                slot.acquire().callbacks = [self._resume_handler]
+                return
+        if held < _SLOT_AND_CREDIT_HELD:
+            if path._batch_weight is not None:
+                path._batch_weight.observe(1)
+            self.mark = now = self.env.now
+            stages = self.op.stages
+            if stages is not None:
+                stages.slot = now
+            self.held = _SLOT_AND_CREDIT_HELD
+            credits = self.connection.credits
+            if not credits.try_get()[0]:
+                credits.get().callbacks = [self._resume_handler]
+                return
+        if held < _ISSUE_HELD:
+            now = self.env.now
+            if path._credit_wait is not None:
+                path._credit_wait.observe(now - self.mark)
+            stages = self.op.stages
+            if stages is not None:
+                stages.credit = now
+            self.held = _ISSUE_HELD
+            cpu = self.thread.cpu
+            if not cpu.try_acquire():  # repro-lint: disable=L005 -- the CPU is released in post(), or by _release() when a stage raises
+                cpu.acquire().callbacks = [self._resume_handler]
+                return
+        env = self.env
+        stages = self.op.stages
+        if stages is not None:
+            stages.cpu = env.now
+        self.stage = OneSidedIo.post
+        env.timeout(path._issue_charge(1, True)).callbacks = [
+            self._resume_handler]
+
+    def post(self, _event: Event) -> None:
+        """Post the op's one READ or WRITE verb."""
+        connection = self.connection
+        self.thread.cpu.release()
+        self.held = _SLOT_AND_CREDIT_HELD
+        op = self.op
+        done = connection.qp.post(WorkRequest(
+            RdmaOp.READ if op.is_read else RdmaOp.WRITE,
+            op.token, op.offset, op.size, data=op.data))
+        # Nobody gathers behind a one-sided op, so the slot is never
+        # handed on (see _pass_issue_slot): it is released.
+        connection.issue_slot.release()
+        self.held = _CREDIT_HELD
+        if op.stages is not None:
+            op.stages.posted = self.env.now
+        self.stage = (OneSidedIo.completed_at_post if done._triggered
+                      else OneSidedIo.reap)
+        done.callbacks = [self._resume_handler]
+
+    def completed_at_post(self, event: Event) -> None:
+        """A post to a QP in the error state completes inside post(); a
+        waiter spawned at post found it processed and resumed one hop
+        after its dispatch.  Keep that hop (carrying the completion)."""
+        self.stage = OneSidedIo.reap
+        self.env.timeout(0, event._value).callbacks = [self._resume_handler]
+
+    def reap(self, event: Event) -> None:
+        """The verb completed: take the thread CPU, then pay the reap
+        charge.  A CPU not free at once runs this stage again, holding
+        it."""
+        if self.held == _CREDIT_HELD:
+            self.completion = event._value
+            stages = self.op.stages
+            if stages is not None:
+                stages.completed = self.env.now
+            self.held = _REAP_HELD
+            cpu = self.thread.cpu
+            if not cpu.try_acquire():  # repro-lint: disable=L005 -- the CPU is released in reaped(), or by _release() when a stage raises
+                cpu.acquire().callbacks = [self._resume_handler]
+                return
+        env = self.env
+        stages = self.op.stages
+        if stages is not None:
+            stages.reaping = env.now
+        path = self.path
+        charge = env.timeout(path._reap_charge())
+        self.stage = OneSidedIo.reaped
+        if path.config.numa_affinity and self.mode is OneSidedIo.FRAME:
+            self._hand_over(charge)
+        else:
+            charge.callbacks = [self._resume_handler]
+
+    def reaped(self, _event: Event) -> None:
+        """Reaped: free the thread CPU and take the cross-NUMA hop when
+        threads are not affinitized (this stage runs again after it).
+        Then return the credit and settle the op with its verb's
+        outcome."""
+        path = self.path
+        op = self.op
+        if self.held == _REAP_HELD:
+            self.thread.cpu.release()
+            self.held = _CREDIT_HELD
+            if op.stages is not None:
+                op.stages.reaped = self.env.now
+            if not path.config.numa_affinity:
+                hop = path._numa_hop()
+                if self.mode is OneSidedIo.FRAME:
+                    self._hand_over(hop)
+                else:
+                    hop.callbacks = [self._resume_handler]
+                return
+        self.held = 0
+        result = path._settle(self.connection, op, self.completion)
+        if op.stages is not None:
+            op.stages.settled = self.env.now
+        self._settled(result)
+
+    def _release(self) -> None:
+        """Return every grant the record holds (a stage raised)."""
+        held, self.held = self.held, 0
+        if held & _CPU_HELD:
+            self.thread.cpu.release()
+        if held & _SLOT_HELD:
+            self.connection.issue_slot.release()
+        if held & _CREDIT_HELD:
+            self.connection.credits.try_put(_CREDIT)

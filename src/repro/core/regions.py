@@ -183,8 +183,9 @@ class RegionTable:
             mapping._read_gate.succeed()
             mapping._read_gate = None
 
-    def write_gate(self, index: int) -> Optional[Event]:
-        return self._regions[index]._write_gate
-
-    def read_gate(self, index: int) -> Optional[Event]:
-        return self._regions[index]._read_gate
+    def gate(self, index: int, is_read: bool) -> Optional[Event]:
+        """The gate a read (``is_read``) or a write of region ``index``
+        waits out, if one is closed (§6.2: paused until the region
+        migrates)."""
+        mapping = self._regions[index]
+        return mapping._read_gate if is_read else mapping._write_gate

@@ -157,6 +157,37 @@ class Event:
             monitor.on_trigger(self)
         return self
 
+    def trigger_in_place(self, value: Any = None, ok: bool = True) -> None:
+        """Trigger the event as the last act of the running step.
+
+        With nothing due now, the entry :meth:`succeed` would queue is
+        the next one dispatched, so running the callbacks here, in this
+        call, moves nothing in the schedule and saves that entry.  With
+        an entry due, a success queues exactly as :meth:`succeed` does.
+        A failure (``ok`` false, ``value`` the exception) always runs
+        the callbacks here: it stands for an exception the waiter would
+        have raised in its own frame, in this step.  A caller may use
+        this only where nothing else runs in its step after the call.
+        """
+        if self._triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        env = self.env
+        near = env._near
+        if ok and (env._immediate or (near and near[0][0] <= env.now)):
+            self.succeed(value)  # an entry is due (see Environment.due_now)
+            return
+        self._ok = ok
+        self._value = value
+        self._triggered = True
+        self._processed = True
+        monitor = env.monitor
+        if monitor is not None:
+            monitor.on_trigger(self)
+        callbacks, self.callbacks = self.callbacks, None
+        if callbacks:
+            for callback in callbacks:
+                callback(self)
+
     def _run_callbacks(self) -> None:
         self._processed = True
         callbacks, self.callbacks = self.callbacks, None
@@ -173,6 +204,26 @@ class Event:
             self.callbacks = [callback]
         else:
             self.callbacks.append(callback)  # repro-lint: disable=L002 -- this IS the registration primitive; detach duty lies with callers (combinators keep handles)
+
+    def _handle_failure(self, exc: BaseException) -> None:
+        """Fail the event whose own work raised ``exc``: a process, or
+        a record that runs its work as callbacks (``repro.core.engine``)."""
+        # Always route the failure through fail() so the process event
+        # triggers and `is_alive` flips -- raising from inside
+        # Environment.step() would leave a permanently-alive zombie
+        # whose joiners hang forever.  With no joiner registered yet
+        # the failure is handed to the environment's
+        # `on_process_failure` hook; without a hook it still
+        # re-raises (after the state flip) so errors stay loud.
+        had_joiners = bool(self.callbacks)
+        self.fail(exc)
+        self.env._process_failures += 1
+        if not had_joiners:
+            hook = self.env.on_process_failure
+            if hook is not None:
+                hook(self, exc)
+            else:
+                raise exc
 
     def _notify_abandoned(self) -> None:
         """Tell the event's producer that its waiter walked away."""
@@ -321,24 +372,6 @@ class Process(Event):
                     f"expected an Event") from None
         else:
             self._step(throw=event._value)
-
-    def _handle_failure(self, exc: BaseException) -> None:
-        # Always route the failure through fail() so the process event
-        # triggers and `is_alive` flips -- raising from inside
-        # Environment.step() would leave a permanently-alive zombie
-        # whose joiners hang forever.  With no joiner registered yet
-        # the failure is handed to the environment's
-        # `on_process_failure` hook; without a hook it still
-        # re-raises (after the state flip) so errors stay loud.
-        had_joiners = bool(self.callbacks)
-        self.fail(exc)
-        self.env._process_failures += 1
-        if not had_joiners:
-            hook = self.env.on_process_failure
-            if hook is not None:
-                hook(self, exc)
-            else:
-                raise exc
 
     def _exit_unobserved(self, value: Any) -> None:
         """Finish without an event-list entry, straight to the freelist.
@@ -616,16 +649,20 @@ class Environment:
             raise SimulationError(f"negative timeout delay: {delay}")
         free = self._timeout_free
         if free:
+            # A recycled timeout was dispatched (no callbacks left) and
+            # never failed or hooked (only resource events carry
+            # on_abandon): its other slots already hold these values.
             timeout = free.pop()
+            timeout._processed = False
         else:
             timeout = Timeout.__new__(Timeout)
             timeout.env = self
-        timeout.callbacks = None
+            timeout.callbacks = None
+            timeout._ok = True
+            timeout._triggered = True
+            timeout._processed = False
+            timeout.on_abandon = None
         timeout._value = value
-        timeout._ok = True
-        timeout._triggered = True
-        timeout._processed = False
-        timeout.on_abandon = None
         now = self.now
         when = now + delay
         if when == now:
@@ -658,16 +695,17 @@ class Environment:
                 f"timeout_at({when}) is in the past (now={now})")
         free = self._timeout_free
         if free:
-            timeout = free.pop()
+            timeout = free.pop()  # as in timeout()
+            timeout._processed = False
         else:
             timeout = Timeout.__new__(Timeout)
             timeout.env = self
-        timeout.callbacks = None
+            timeout.callbacks = None
+            timeout._ok = True
+            timeout._triggered = True
+            timeout._processed = False
+            timeout.on_abandon = None
         timeout._value = None
-        timeout._ok = True
-        timeout._triggered = True
-        timeout._processed = False
-        timeout.on_abandon = None
         if when == now:
             self._immediate.append((_EVENT_DISPATCH, timeout))
         else:

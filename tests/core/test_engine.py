@@ -295,7 +295,7 @@ class TestInProcessOps:
         op = EngineOp(is_read=False, size=4, token=tokens[0], data=b"abcd")
 
         def proc(env):
-            yield path.submit(op)
+            path.submit(op)
             return (yield op.completion)
 
         assert env.run_process(proc(env)).ok

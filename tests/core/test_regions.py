@@ -118,7 +118,7 @@ class TestGates:
         table.pause_writes(1)
         assert table.region(1).writes_paused
         assert not table.region(1).reads_paused
-        gate = table.write_gate(1)
+        gate = table.gate(1, False)
         assert gate is not None
         table.resume(1)
         assert not table.region(1).writes_paused
@@ -128,9 +128,9 @@ class TestGates:
     def test_pause_is_idempotent(self):
         env, table = make_table()
         table.pause_writes(0)
-        gate = table.write_gate(0)
+        gate = table.gate(0, False)
         table.pause_writes(0)
-        assert table.write_gate(0) is gate
+        assert table.gate(0, False) is gate
 
     def test_resume_without_pause_is_noop(self):
         _, table = make_table()
@@ -142,7 +142,7 @@ class TestGates:
         log = []
 
         def writer(env):
-            gate = table.write_gate(0)
+            gate = table.gate(0, False)
             if gate is not None:
                 yield gate
             log.append(env.now)

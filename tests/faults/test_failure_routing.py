@@ -81,8 +81,8 @@ class TestMidMigrationKill:
         for index in range(len(cache.table)):
             mapping = cache.table.region(index)
             assert mapping.server_name in live
-            assert cache.table.read_gate(index) is None
-            assert cache.table.write_gate(index) is None
+            assert cache.table.gate(index, True) is None
+            assert cache.table.gate(index, False) is None
         assert all(vm.alive for vm in cache.allocation.vms)
 
         # ... and every byte is where the address space says it is.

@@ -201,8 +201,8 @@ def test_in_process_reap_replays_in_order():
     assert blob == replay_blob and blob[:3] == [True, True, True]
     assert first.entries == replay.entries
     assert first.dispatches > 0 and first.mismatches == 0
-    # Each I/O process issues, posts and reaps its verb itself, and the
-    # verb runs as a chain of timeout callbacks: after the top-level
-    # process, the two I/Os are the only processes.
+    # Each I/O runs as a callback record that issues, posts and reaps
+    # its verb itself, and the verb runs as a chain of timeout
+    # callbacks: the top-level process is the only process.
     spawns = [entry[2] for entry in first.entries if entry[0] == "spawn"]
-    assert spawns[1:] == ["redy-io-w@4096", "redy-io-r@4096"]
+    assert spawns == ["driver"]
