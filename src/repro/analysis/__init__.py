@@ -10,9 +10,10 @@ fault logs, shard replays, and content-addressed sweep caching):
 * **Dynamic** -- :mod:`repro.analysis.sanitize`, a replay-divergence
   sanitizer that runs a workload twice from one seed and bisects the
   first diverging kernel event; its recorder also checks every dispatch
-  against a reference ``(when, insertion)`` heap.  ``python -m repro
-  gate`` (:mod:`repro.gates`) runs every registered scenario through
-  it.
+  against a reference ``(when, insertion)`` heap and names every sim
+  ``Resource`` a run leaves holding a slot or a waiter.  ``python -m
+  repro gate`` (:mod:`repro.gates`) runs every registered scenario
+  through it, and tier-1 runs the same balance check on every test.
 
 Both prongs report through :mod:`repro.analysis.report` (text or JSON)
 and share the exit-code contract: 0 clean, 1 findings, 2 internal error.

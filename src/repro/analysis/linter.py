@@ -14,18 +14,17 @@ Pure-stdlib static analysis with repository-specific determinism rules
   fields;
 * **D006** ``json.dumps`` without ``sort_keys=True`` feeding a digest.
 
-On top of the lexical D rules, the resource-lifecycle L rules
+Beside the D rules run three syntactic resource-lifecycle L rules
 (:mod:`repro.analysis.lifecycle`; catalog in
-``docs/lifecycle-rules.md``) run over per-function CFGs built by
-:mod:`repro.analysis.flow`, exception edges at every yield included:
-QP reclaim on every path (L001), callback detach (L002),
-registry-owned metrics (L003), ``acquire``/``release`` pairing (L005)
-and spawn join (L006).
+``docs/lifecycle-rules.md``): callback detach (L002), registry-owned
+metrics (L003) and spawn join (L006).  Acquire/release balance is
+checked at run time instead
+(:func:`repro.analysis.sanitize.tracked_resources`).
 
 Suppress a deliberate exception on its own line::
 
     started = perf_counter()  # repro-lint: disable=D001 -- wall timing
-    slot = pool.acquire()     # repro-lint: disable=D001,L005 -- multiple
+    env.process(spin())       # repro-lint: disable=D004,L006 -- multiple
     hook = attach()           # repro-lint: disable=L* -- family glob
 
 The linter resolves import aliases (``import numpy as np``, ``from time
@@ -119,37 +118,6 @@ def _parse_suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
     return table
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-# The alias table moved into the flow framework so the CFG analyzers
-# share it; the historical name stays importable from here.
-_ImportTable = flow.ImportTable
-
-
-def _is_yielding(func: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> bool:
-    """Does ``func`` itself (ignoring nested defs) contain a yield?"""
-    stack: List[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
 class _SetInference:
     """Tracks which names / ``self.attr``s hold set values."""
 
@@ -186,7 +154,7 @@ class _SetInference:
     def _is_set_annotation(annotation: ast.AST) -> bool:
         if isinstance(annotation, ast.Subscript):
             annotation = annotation.value
-        dotted = _dotted(annotation)
+        dotted = flow.dotted_name(annotation)
         return dotted in {"set", "frozenset", "Set", "FrozenSet",
                           "typing.Set", "typing.FrozenSet"}
 
@@ -259,7 +227,7 @@ class _Analyzer(ast.NodeVisitor):
         self._check_mutable_defaults(node)
         outer_locals = self.sets.local_names
         self.sets.seed_from_function(node)
-        self._func_stack.append((node.name, _is_yielding(node)))
+        self._func_stack.append((node.name, flow.statement_yields(node)))
         self.generic_visit(node)
         self._func_stack.pop()
         self.sets.local_names = outer_locals

@@ -94,17 +94,6 @@ _CATALOG = (
     ),
     # -- L: resource lifecycle (repro.analysis.lifecycle) ---------------
     Rule(
-        id="L001",
-        title="QP/endpoint acquired without reclaim on every path",
-        severity="error",
-        hint="reclaim() the QP in a finally, or hand it to a "
-             "long-lived owner (pool, endpoint registry) that does",
-        rationale="a dropped QueuePair stays registered on both "
-                  "endpoints forever: fault flushes walk it, NIC context "
-                  "caches churn on it, and reclaim-storm accounting "
-                  "counts phantoms",
-    ),
-    Rule(
         id="L002",
         title="event callback registered without a detach path",
         severity="error",
@@ -123,17 +112,6 @@ _CATALOG = (
         rationale="a directly-constructed Counter/Gauge/Histogram is "
                   "invisible to MetricsRegistry.snapshot(), so its "
                   "series silently vanishes from benchmarks and gates",
-    ),
-    Rule(
-        id="L005",
-        title="acquired slot/lock without finally-protected release",
-        severity="error",
-        hint="put the work after `yield x.acquire()` in try/finally "
-             "with x.release(); keep the acquire itself outside the try",
-        rationale="any later yield can raise (a failed event is thrown "
-                  "into the waiting process); without a finally the "
-                  "slot leaks and the resource's capacity shrinks by "
-                  "one forever",
     ),
     Rule(
         id="L006",

@@ -15,9 +15,12 @@ internally via :func:`repro.sim.kernel.set_default_monitor`; RNG
 observation monkeypatches :meth:`RngRegistry.stream` for the duration
 of the run (wrappers are cached so stream identity is preserved).
 While it records, the recorder also checks the kernel's dispatch order
-against a reference heap of its own (:class:`DispatchOrder`).
-:mod:`repro.gates` runs every registered scenario through the same
-recorder twice: a replay check and an order check in one harness.
+against a reference heap of its own (:class:`DispatchOrder`), and
+:func:`tracked_resources` notes every :class:`~repro.sim.resources.Resource`
+the run builds, so :func:`unbalanced` can name each one that ends
+holding a slot or a waiter.  :mod:`repro.gates` runs every registered
+scenario through the same recorder twice: a replay check, an order
+check and a balance check in one harness.
 
 Usage::
 
@@ -29,16 +32,19 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.report import Finding
 from repro.sim import kernel
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 __all__ = ["DispatchOrder", "DivergenceReport", "KernelMonitor",
-           "TraceRecorder", "sanitize"]
+           "TraceRecorder", "sanitize", "tracked_resources", "unbalanced"]
 
 #: Trace entries before the first divergence that a report quotes.
 _CONTEXT_EVENTS = 5
@@ -171,6 +177,8 @@ class TraceRecorder(DispatchOrder):
         super().__init__()
         self.entries: List[tuple] = []
         self.rng_counts: Dict[str, int] = {}
+        #: :func:`unbalanced`'s lines for the recorded run.
+        self.unbalanced: List[str] = []
         self._pids: Dict[Any, int] = {}
         self._next_pid = 1
 
@@ -247,6 +255,43 @@ def _instrumented_rng(recorder: TraceRecorder) -> Iterator[None]:
         yield
     finally:
         RngRegistry.stream = original  # type: ignore[method-assign]
+
+
+@contextlib.contextmanager
+def tracked_resources() -> Iterator[List[Tuple[Resource, str]]]:
+    """Note every :class:`Resource` built while active, with the
+    ``dir/file.py:line`` that built it.
+
+    Patches ``Resource.__init__`` for the duration, as
+    :func:`_instrumented_rng` patches ``RngRegistry.stream``, so a run
+    outside the block pays nothing.  Yields the list it appends to.
+    """
+    built: List[Tuple[Resource, str]] = []
+    original = Resource.__init__
+
+    def init(self: Resource, *args: Any, **kwargs: Any) -> None:
+        original(self, *args, **kwargs)
+        caller = sys._getframe(1)
+        while caller.f_code is init.__code__:  # an inner tracker's init
+            caller = caller.f_back  # type: ignore[assignment]
+        where = "/".join(Path(caller.f_code.co_filename).parts[-2:])
+        built.append((self, f"{where}:{caller.f_lineno}"))
+
+    Resource.__init__ = init  # type: ignore[method-assign]
+    try:
+        yield built
+    finally:
+        Resource.__init__ = original  # type: ignore[method-assign]
+
+
+def unbalanced(built: List[Tuple[Resource, str]]) -> List[str]:
+    """One line per Resource that is not idle: a slot still held
+    (``in_use > 0``) or a process still queued for one."""
+    return [f"resource built at {site} ends with {resource.in_use} of "
+            f"{resource.slots} slots held and {resource.queue_length} "
+            f"waiting"
+            for resource, site in built
+            if resource.in_use or resource.queue_length]
 
 
 @dataclass(frozen=True)
@@ -327,7 +372,9 @@ def _record(workload: Callable[[int], Any],
             seed: int) -> Tuple[TraceRecorder, Any]:
     """Run ``workload(seed)`` once under full instrumentation.
 
-    Returns the recorder and whatever the workload returned.
+    Returns the recorder and whatever the workload returned; the
+    recorder's :attr:`~TraceRecorder.unbalanced` names every Resource
+    the run left holding a slot or a waiter.
 
     Every install here is paired with a ``finally`` restore so a raising
     workload can never leak the recorder into the caller's process-wide
@@ -336,10 +383,11 @@ def _record(workload: Callable[[int], Any],
     recorder = TraceRecorder()
     previous = kernel.set_default_monitor(recorder)
     try:
-        with _instrumented_rng(recorder):
+        with _instrumented_rng(recorder), tracked_resources() as built:
             value = workload(seed)
     finally:
         kernel.set_default_monitor(previous)
+    recorder.unbalanced = unbalanced(built)
     return recorder, value
 
 

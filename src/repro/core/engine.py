@@ -948,7 +948,8 @@ class OneSidedIo(Event):
                 stages.queued = op.enqueued_at
             self.held = _SLOT_HELD
             slot = connection.issue_slot
-            if not slot.try_acquire():  # repro-lint: disable=L005 -- the slot is released in post(), or by _release() when a stage raises
+            # Released in post(), or by _release() when a stage raises.
+            if not slot.try_acquire():
                 slot.acquire().callbacks = [self._resume_handler]
                 return
         if held < _SLOT_AND_CREDIT_HELD:
@@ -972,7 +973,8 @@ class OneSidedIo(Event):
                 stages.credit = now
             self.held = _ISSUE_HELD
             cpu = self.thread.cpu
-            if not cpu.try_acquire():  # repro-lint: disable=L005 -- the CPU is released in post(), or by _release() when a stage raises
+            # Released in post(), or by _release() when a stage raises.
+            if not cpu.try_acquire():
                 cpu.acquire().callbacks = [self._resume_handler]
                 return
         env = self.env
@@ -1020,7 +1022,8 @@ class OneSidedIo(Event):
                 stages.completed = self.env.now
             self.held = _REAP_HELD
             cpu = self.thread.cpu
-            if not cpu.try_acquire():  # repro-lint: disable=L005 -- the CPU is released in reaped(), or by _release() when a stage raises
+            # Released in reaped(), or by _release() when a stage raises.
+            if not cpu.try_acquire():
                 cpu.acquire().callbacks = [self._resume_handler]
                 return
         env = self.env

@@ -17,8 +17,11 @@ a reference heap of its own; a dispatch out of that order is an
 identical; if they are not, the harness bisects the first diverging
 kernel event and reports a *replay* bug (the scenario does not replay
 from its seed: leaked state, wall clock, unordered iteration).  Then it
-applies the invariants to the first run's blob.  :func:`gate` wraps any
-number of entries into one ``repro.gate/v1`` report.
+applies the invariants to the first run's blob, and fails every
+:class:`~repro.sim.resources.Resource` the first run left holding a
+slot or a waiter (:func:`~repro.analysis.sanitize.unbalanced`; the
+blob is untouched).  :func:`gate` wraps any number of entries into one
+``repro.gate/v1`` report.
 
 Kernel work is a reviewed number too.  ``gate_events.json``, next to
 this module, holds every entry's seed-0 trace entries counted by kind
@@ -703,9 +706,9 @@ def check(name: str, seed: int = 0) -> dict:
     """Gate one registered scenario; returns its report entry.
 
     The entry is ``ok`` only if both runs dispatched in order, traced
-    and returned identically, no invariant failed, (at seed 0) its
-    kernel events equal the recorded count, and (at a recorded seed)
-    its blob digest equals the recorded one.
+    and returned identically, no invariant failed, every Resource ended
+    idle, (at seed 0) its kernel events equal the recorded count, and
+    (at a recorded seed) its blob digest equals the recorded one.
     """
     scenario = SCENARIOS[name]
     first, blob = _record(scenario.run, seed)
@@ -719,6 +722,7 @@ def check(name: str, seed: int = 0) -> dict:
             _canonical(replay_blob) != _canonical(blob)):
         divergence, failures = _replay(name, report)
     failures += scenario.invariants(blob)
+    failures += first.unbalanced
     kinds = _event_kinds(first)
     failures += _events_failures(name, seed, kinds)
     blob_digest = _blob_digest(blob)

@@ -414,7 +414,7 @@ class ShardRouter:
         ``tenant`` rides down to the engine for per-tenant accounting.
         """
         if not self._try_take(member):
-            yield from self._acquire(member, priority)  # repro-lint: disable=L005 -- hedged reads, multi-target writes and hot-slot copies free the slot by the completion callback below, so an abandoned hedge loser still frees it
+            yield from self._acquire(member, priority)
         cache = member.cache
         try:
             event = (cache.read(addr, size_or_data, tenant=tenant)

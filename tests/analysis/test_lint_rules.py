@@ -18,8 +18,7 @@ RULE_IDS = sorted(RULES)
 #: Findings each violation fixture is built to produce.
 EXPECTED_VIOLATIONS = {"D001": 2, "D002": 3, "D003": 3,
                        "D004": 2, "D005": 2, "D006": 2,
-                       "L001": 2, "L002": 2, "L003": 2,
-                       "L005": 3, "L006": 2}
+                       "L002": 2, "L003": 2, "L006": 2}
 
 
 def findings_for(name, rules=None):
@@ -128,9 +127,9 @@ def test_rule_range_glob_does_not_cross_families():
 
 
 def test_rules_filter_accepts_globs():
-    findings = findings_for("l005_violation.py", rules=["L*"])
-    assert findings and {f.rule for f in findings} == {"L005"}
-    assert findings_for("l005_violation.py", rules=["D*"]) == []
+    findings = findings_for("l006_violation.py", rules=["L*"])
+    assert findings and {f.rule for f in findings} == {"L006"}
+    assert findings_for("l006_violation.py", rules=["D*"]) == []
 
 
 def test_rules_filter_unknown_glob_raises():

@@ -1,12 +1,14 @@
-"""Replay-divergence sanitizer tests: bisection and RNG attribution."""
+"""Replay-divergence sanitizer tests: bisection and RNG attribution,
+and the resource-balance check."""
 
 import pytest
 
 from repro import gates
 from repro.analysis import sanitize
-from repro.analysis.sanitize import _record
+from repro.analysis.sanitize import _record, tracked_resources, unbalanced
 from repro.sim import kernel
 from repro.sim.kernel import Environment
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 from tests.analysis.nondet_demo import LEAK, demo_nondet
@@ -183,3 +185,59 @@ def test_report_describe_mentions_both_runs():
     assert "DIVERGED" in text
     assert "run A" in text and "run B" in text
     assert "attribution" in text
+
+
+@pytest.mark.holds_resource("the inner session's leaking test keeps its "
+                            "slot, and its Resource is tracked here too")
+def test_a_test_ending_with_a_held_slot_fails_naming_the_site(pytester):
+    pytester.makeconftest(
+        "from tests.conftest import pytest_configure, resource_balance"
+        "  # noqa: F401\n")
+    pytester.makepyfile(test_held="""
+        import pytest
+        from repro.sim import Environment, Resource
+
+        def test_leaks():
+            Resource(Environment(), slots=2).try_acquire()
+
+        @pytest.mark.holds_resource("kept on purpose")
+        def test_marked():
+            Resource(Environment()).try_acquire()
+
+        def test_balanced():
+            slot = Resource(Environment())
+            slot.try_acquire()
+            slot.release()
+        """)
+    result = pytester.runpytest_inprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(passed=3, errors=1)
+    result.stdout.fnmatch_lines([
+        "*ERROR at teardown of test_leaks*",
+        "resource built at */test_held.py:5 ends with 1 of 2 slots held "
+        "and 0 waiting"])
+
+
+def test_unbalanced_names_held_slots_and_waiters():
+    env = Environment()
+    with tracked_resources() as built:
+        idle = Resource(env)
+        held = Resource(env, slots=2)
+    assert [resource for resource, _site in built] == [idle, held]
+    assert unbalanced(built) == []
+
+    def waiter():
+        yield held.acquire()
+
+    held.try_acquire()
+    held.try_acquire()
+    env.process(waiter())
+    env.run()
+    site = built[1][1]
+    assert site.startswith("analysis/test_sanitizer.py:")
+    assert unbalanced(built) == [
+        f"resource built at {site} ends with 2 of 2 slots held and 1 "
+        f"waiting"]
+    held.release()
+    held.release()
+    held.release()
+    assert unbalanced(built) == []

@@ -2,8 +2,31 @@
 
 import pytest
 
-from repro.analysis.sanitize import DispatchOrder
+from repro.analysis.sanitize import (DispatchOrder, tracked_resources,
+                                     unbalanced)
 from repro.sim import Environment
+
+pytest_plugins = ["pytester"]
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "holds_resource(reason): the test ends holding a Resource slot or "
+        "waiter on purpose, so the resource-balance check skips it")
+
+
+@pytest.fixture(autouse=True)
+def resource_balance(request):
+    """Fail a test that ends with a Resource not idle (a slot held or a
+    process queued), naming where the Resource was built.  A test that
+    holds one on purpose says why with ``@pytest.mark.holds_resource``."""
+    with tracked_resources() as built:
+        yield
+    if request.node.get_closest_marker("holds_resource") is None:
+        lines = unbalanced(built)
+        if lines:
+            pytest.fail("\n".join(lines), pytrace=False)
 
 
 @pytest.fixture

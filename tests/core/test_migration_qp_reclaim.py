@@ -4,9 +4,10 @@ finishes (or fails).
 ``migrate_regions`` builds a dedicated high-depth QueuePair as a
 temporary bulk pipe.  Before the fix the pair was never reclaimed, so
 every spot reclamation left one phantom QP registered on the surviving
-endpoint -- found by lifecycle rule L001 (connect without reclaim on
-the exceptional paths) and fixed with a ``try/finally`` around the
-whole copy loop.
+endpoint -- found by the since-retired lifecycle rule L001 and fixed
+with a ``try/finally`` around the whole copy loop.  A leaked QP has no
+other symptom, so both ways out of the loop are pinned here: a
+migration that finishes, and one whose source VM dies mid-copy.
 """
 
 import pytest
@@ -70,3 +71,27 @@ def test_migration_bulk_qp_is_reclaimed(stack, monkeypatch):
     assert all(qp.reclaimed for qp in created)
     for server in cache.allocation.servers:
         assert all(qp not in created for qp in server.endpoint.qps)
+
+
+def test_bulk_qp_is_reclaimed_when_the_source_vm_dies_mid_copy(
+        stack, monkeypatch):
+    env, allocator, _, client = stack
+    created = []
+
+    class SpyQueuePair(migration_mod.QueuePair):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(migration_mod, "QueuePair", SpyQueuePair)
+
+    # Two 1 MiB regions take ~2.4 ms to copy; the VM dies after 0.5 ms,
+    # so the second region's chunk reads complete in error.
+    region = 1 << 20
+    cache = client.create(2 * region, EASY_SLO, duration_s=3600.0,
+                          region_bytes=region)
+    allocator.reclaim(cache.allocation.vms[0], notice_s=0.5e-3)
+    env.run()
+
+    assert cache.migration_failures == 1 and not cache.migrations
+    assert len(created) == 1 and created[0].reclaimed

@@ -156,6 +156,7 @@ class TestTieredDevice:
 
         elapsed = env.run_process(proc(env))
         assert elapsed < 10 * US  # memory-tier ack, not SSD
+        env.run()  # the SSD copy lands and frees its device slot
 
     def test_commit_point_one_waits_for_ssd(self):
         env, fast, slow, tiered = self.make_tiered(commit_point=1)
@@ -195,6 +196,7 @@ class TestRedyTier:
         result = run(env, tiered.read(32, 32))
         assert result.ok and result.data == b"A" * 32
         assert result.tier is redy
+        env.run()  # the SSD copy lands and frees its device slot
 
     def test_failed_ring_write_falls_through_to_the_next_tier(self):
         env, cache, redy, ssd, tiered = self.make_tiered()

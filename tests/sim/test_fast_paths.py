@@ -18,7 +18,11 @@ LOOPS = ["calendar", "heap"]
 
 
 @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
-@pytest.mark.parametrize("wait", ["acquire", "get", "put"])
+@pytest.mark.parametrize("wait", [
+    pytest.param("acquire", marks=pytest.mark.holds_resource(
+        "the waiter keeps the slot its Ready granted; only the grant's "
+        "timing is under test")),
+    "get", "put"])
 def test_satisfied_wait_continues_before_queued_entries(make_env, wait):
     env = make_env()
     resource = Resource(env, slots=1)

@@ -134,6 +134,8 @@ def test_resource_release_without_acquire_rejected():
         resource.release()
 
 
+@pytest.mark.holds_resource("stops at run(until) to read a held slot and "
+                             "two queued waiters")
 def test_resource_queue_length():
     env = Environment()
     resource = Resource(env, slots=1)
@@ -184,6 +186,8 @@ def test_resource_take_waiter_skips_the_slot_grant():
     assert resource.queue_length == 0 and resource.in_use == 0
 
 
+@pytest.mark.holds_resource("ends holding the slot acquire_for granted, "
+                             "which the test asserts")
 def test_resource_acquire_for_queues_an_existing_wait():
     """``acquire_for`` puts a process already waiting on an event into
     the queue: it resumes holding a slot, after the earlier waiters."""
@@ -222,6 +226,8 @@ def test_resource_acquire_for_queues_an_existing_wait():
     assert free.triggered and resource.in_use == 1
 
 
+@pytest.mark.holds_resource("ends holding the slot try_acquire took, "
+                             "which the test asserts")
 def test_resource_try_acquire_takes_only_a_free_slot():
     """``try_acquire`` grants what ``acquire`` would grant as a Ready,
     with no event: a full resource answers False and queues nothing,

@@ -176,6 +176,8 @@ def test_random_workloads_dispatch_identically(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+@pytest.mark.holds_resource("stops at run(until) mid-run: the workload's "
+                            "workers may hold a slot there")
 def test_run_until_boundary_identical(seed):
     # Stopping mid-run at an arbitrary boundary leaves the check holding
     # exactly the kernel's pending population, at the same clock.

@@ -7,7 +7,9 @@ import pytest
 from repro.core import Slo
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import ShardRouter
+from repro.sim import Environment
 from repro.tenant import TenantSpec, TenantTier
+from repro.tenant.backing import FailOpenStore
 from repro.workloads.scenarios import build_cluster
 
 REGION = 1 << 18
@@ -225,6 +227,29 @@ class TestWeightedScheduling:
         env.process(slow_one(), name="starved")
         env.run()
         assert "at" in first_slow
+
+
+class TestFailOpenStore:
+    def test_accesses_take_turns_on_the_one_device_slot(self):
+        env = Environment()
+        backing = FailOpenStore(env, 4096)
+        done = []
+
+        def access(kind):
+            if kind == "write":
+                yield from backing.write(0, b"w" * 64)
+            else:
+                yield from backing.read(0, 64)
+            done.append((kind, env.now))
+
+        for kind in ("write", "read", "write"):
+            env.process(access(kind))
+        env.run()
+        latency = FailOpenStore.access_latency_s
+        assert [kind for kind, _ in done] == ["write", "read", "write"]
+        assert [at for _, at in done] == pytest.approx(
+            [latency, 2 * latency, 3 * latency])
+        assert backing.queue_length == 0
 
 
 class TestDegradation:

@@ -24,6 +24,7 @@ from repro.gates import SCENARIOS, Scenario
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, Placement, qp
 from repro.sim.kernel import Environment
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 
@@ -286,6 +287,43 @@ def test_invariant_failures_fail_a_replaying_entry(monkeypatch):
     assert entry["divergence"] is None
     assert entry["failures"] == ["now = 1.0, expected 0"]
     assert not entry["ok"]
+
+
+def _holds_a_slot(release):
+    """A worker holds one of two slots for a second, then releases it
+    only if ``release``."""
+    def run(seed):
+        env = Environment()
+        slots = Resource(env, slots=2)
+
+        def worker():
+            yield slots.acquire()
+            yield env.timeout(1.0)
+            if release:
+                slots.release()
+
+        env.process(worker(), name="w")
+        env.run()
+        return {"now": env.now}
+    return run
+
+
+@pytest.mark.holds_resource("the unreleased run leaves its slot held")
+def test_a_run_leaving_a_slot_held_fails_with_that_resource(monkeypatch):
+    built_at = next(
+        number for number, line in enumerate(
+            Path(__file__).read_text().splitlines(), start=1)
+        if "slots = Resource(env, slots=2)" in line)
+    _register(monkeypatch, "held", _holds_a_slot(release=False))
+    entry = gates.check("held")
+    assert not entry["ok"] and entry["divergence"] is None
+    assert entry["failures"] == [
+        f"resource built at tests/test_gates.py:{built_at} ends with 1 of "
+        f"2 slots held and 0 waiting"]
+    assert entry["blob"] == {"now": 1.0}  # the check adds nothing here
+    _register(monkeypatch, "held", _holds_a_slot(release=True))
+    entry = gates.check("held")
+    assert entry["ok"] and entry["failures"] == []
 
 
 def test_recorded_events_cover_every_entry():

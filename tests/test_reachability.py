@@ -148,9 +148,6 @@ OBSERVATION_POINTS = {
     "_BufferedDevice.watermark":
         "how tests check that a device's spill watermark tracks the "
         "log head",
-    "Cfg.edge_set":
-        "how tests check the control-flow graph the lifecycle rules "
-        "walk",
     "Process.is_alive":
         "how kernel tests check a process finished exactly once",
     "TokenBucket.level":
