@@ -31,7 +31,7 @@ from repro.hardware.profiles import TestbedProfile
 from repro.net.fabric import Fabric, Placement
 from repro.net.programs import POINTER_BYTES
 from repro.obs.metrics import registry_of
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment, Event, _refcount
 from repro.sim.rng import RngRegistry
 
 __all__ = ["CacheDeletedError", "CacheIoResult", "RedyCache", "RedyClient",
@@ -177,14 +177,14 @@ class RedyClient:
 class RedyCache:
     """One provisioned cache: a contiguous byte-addressable device.
 
-    Every I/O has a body that returns its :class:`CacheIoResult`.  A
-    fail-fast read or write inside one region of a one-sided cache runs
-    as a :class:`~repro.core.engine.OneSidedIo` record, a chain of
-    callbacks; any other I/O (two-sided, dependent, across regions, or
-    under retries) runs a generator.  :meth:`read`, :meth:`write` and
+    Every I/O is a generator body that returns its
+    :class:`CacheIoResult`.  :meth:`read`, :meth:`write` and
     :meth:`dependent_read` return an event that fires with the result:
-    the record itself, or the process running the generator.  A layer
-    that already runs in a process delegates instead -- ``yield from
+    for a fail-fast read or write inside one region of a one-sided
+    cache, a :class:`_CacheIo` record that runs the I/O as a chain of
+    callbacks (:class:`~repro.core.engine.OneSidedIo`), and otherwise
+    the process running the body.  A layer that already runs in a
+    process delegates to the body instead -- ``yield from
     cache.read_io(...)`` or ``cache.write_io(...)`` -- and the I/O costs
     it no process, no bootstrap step and no completion hand-off.
     """
@@ -320,16 +320,16 @@ class RedyCache:
 
     def read_io(self, addr: int, size: int, *,
                 tenant: Optional[str] = None):
-        """The body of :meth:`read`, for a caller that already runs in a
-        process: ``result = yield from cache.read_io(...)`` runs the read
-        in the caller's process and returns its :class:`CacheIoResult`,
-        with no process of its own."""
-        return iter(self._body("r", addr, size, None, tenant=tenant))
+        """The generator body of :meth:`read`, for a caller that already
+        runs in a process: ``result = yield from cache.read_io(...)``
+        runs the read in the caller's process and returns its
+        :class:`CacheIoResult`, with no process or event of its own."""
+        return self._body("r", addr, size, None, tenant=tenant)
 
     def write_io(self, addr: int, data: bytes, *,
                  tenant: Optional[str] = None):
-        """The body of :meth:`write` (see :meth:`read_io`)."""
-        return iter(self._body("w", addr, len(data), data, tenant=tenant))
+        """The generator body of :meth:`write` (see :meth:`read_io`)."""
+        return self._body("w", addr, len(data), data, tenant=tenant)
 
     def _start_io(self, kind: str, addr: int, size: int,
                   data: Optional[bytes], callback: Optional[Callable], *,
@@ -339,13 +339,13 @@ class RedyCache:
         completion event and calls ``callback`` itself; any other body
         runs in a process, which is the completion event, and hands its
         result to ``callback`` itself (see :meth:`_calling_back`)."""
-        body = self._body(kind, addr, size, data, tenant=tenant)
-        if body.__class__ is _CacheIo:
-            body.mode = OneSidedIo.JOINED
-            body.callback = callback
+        record = self._record(kind, addr, size, data, tenant)
+        if record is not None:
+            record.callback = callback
             # The first stage runs where a process's bootstrap entry ran.
-            self.env._call_soon(OneSidedIo._resume, body)
-            return body
+            self.env._call_soon(OneSidedIo._resume, record)
+            return record
+        body = self._body(kind, addr, size, data, tenant=tenant)
         if callback is not None:
             body = self._calling_back(body, callback)
         return self.env.process(body, name=f"redy-io-{kind}@{addr}")
@@ -365,29 +365,39 @@ class RedyCache:
 
     def _body(self, kind: str, addr: int, size: int,
               data: Optional[bytes], *, tenant: Optional[str] = None):
-        """What runs one I/O under the retry policy, for ``yield from``:
-        a :class:`_CacheIo` record for a fail-fast read or write that
-        sits inside one region of a one-sided cache, else a generator.
-        Either returns the I/O's :class:`CacheIoResult`."""
+        """The generator that runs one I/O under the retry policy and
+        returns its :class:`CacheIoResult`.  A deleted cache raises here,
+        at the call."""
         if self.deleted:
             raise CacheDeletedError("cache was deleted")
         policy = self.retry_policy
-        if policy.max_attempts != 1 or policy.attempt_timeout_s is not None:
-            return self._io_with_retry(kind, addr, size, data, tenant=tenant)
+        if policy.max_attempts == 1 and policy.attempt_timeout_s is None:
+            # Fail-fast default: no retry wrapper on the hot path.
+            return self._io(kind, addr, size, data, tenant=tenant)
+        return self._io_with_retry(kind, addr, size, data, tenant=tenant)
+
+    def _record(self, kind: str, addr: int, size: int,
+                data: Optional[bytes], tenant: Optional[str]
+                ) -> Optional["_CacheIo"]:
+        """A :class:`_CacheIo` record for a fail-fast read or write that
+        sits inside one region of a one-sided cache (or outside the
+        cache: its first stage then answers with the address error, as
+        :meth:`_io` does); None for any other I/O, and on a deleted
+        cache, which :meth:`_body` refuses."""
+        policy = self.retry_policy
         region_bytes = self.region_bytes
         offset = addr % region_bytes
-        if (kind != "d" and self.path.one_sided
-                and 0 < size <= region_bytes - offset):
-            # Inside one region, or outside the cache: the record's
-            # first stage then answers with the address error, as _io
-            # does.
-            record = _CacheIo(self.path, EngineOp(
-                is_read=kind == "r", size=size, offset=offset, data=data,
-                tenant=tenant), None, _CacheIo.locate)
-            record.cache = self
-            record.addr = addr
-            return record
-        return self._io(kind, addr, size, data, tenant=tenant)
+        if (kind == "d" or not self.path.one_sided or self.deleted
+                or policy.max_attempts != 1
+                or policy.attempt_timeout_s is not None
+                or not 0 < size <= region_bytes - offset):
+            return None
+        record = _CacheIo(self.path, EngineOp(
+            is_read=kind == "r", size=size, offset=offset, data=data,
+            tenant=tenant), None, _CacheIo.locate)
+        record.cache = self
+        record.addr = addr
+        return record
 
     def _io_with_retry(self, kind: str, addr: int, size: int,
                        data: Optional[bytes], tenant: Optional[str] = None):
@@ -869,13 +879,15 @@ class _CacheIo(OneSidedIo):
     :meth:`locate` translates the address and waits out the region's
     gate (§6.2), :meth:`hand_off` pays the app thread's hand-off charge
     and gives the op to the data path's stages, and :meth:`_settled`
-    turns its result into the I/O's.  ``read_io`` / ``write_io`` run
-    the record from the caller's frame (its ``__iter__``); ``read`` /
-    ``write`` start it ``JOINED`` (:meth:`RedyCache._start_io`;
-    docs/determinism-rules.md, "Run an I/O as a callback record"): its
-    first stage runs on a ``_call_soon`` entry where a process's
-    bootstrap entry ran, and it hands its result to ``callback`` behind
-    what is due, as :meth:`RedyCache._calling_back` does.
+    turns its result into the I/O's.  ``read`` / ``write`` return the
+    record, which is the I/O's completion event
+    (:meth:`RedyCache._start_io`; docs/determinism-rules.md, "Run an
+    I/O as a callback record"): its first stage runs on a ``_call_soon``
+    entry where a process's bootstrap entry ran, it hands its result to
+    ``callback`` behind what is due, as :meth:`RedyCache._calling_back`
+    does, and it finishes as that process would have exited
+    (:meth:`_finished`).  ``read_io`` / ``write_io`` run a generator
+    body instead.
     """
 
     __slots__ = ("cache", "addr", "index", "started_at", "callback")
@@ -922,23 +934,18 @@ class _CacheIo(OneSidedIo):
         op = self.op
         self.path.submit(op)
         self.stage = _CacheIo.answered
-        if self.mode is OneSidedIo.FRAME:
-            self._hand_over(op.completion)
-        else:
-            op.completion._add_callback(self._resume_handler)
+        op.completion._add_callback(self._resume_handler)
 
     def answered(self, _event: Optional[Event]) -> None:
         self._settled(self.op.completion._value)
 
     def _settled(self, result: OpResult) -> None:
-        """The I/O's result from its op's.  A joined record then hops
-        behind what is due, where the process that ran the I/O resumed
-        from its settle hop, and hands the result back."""
+        """The I/O's result from its op's.  The record then hops behind
+        what is due, where the process that ran the I/O resumed from its
+        settle hop, and hands the result back."""
         self._value = self.cache._cache_result(self.op, result,
                                                self.started_at)
-        if self.mode is not OneSidedIo.JOINED:
-            self.stage = None
-        elif self.env.due_now():
+        if self.env.due_now():
             self.stage = _CacheIo.hand_back
             self.env.timeout(0).callbacks = [self._resume_handler]
         else:
@@ -947,7 +954,7 @@ class _CacheIo(OneSidedIo):
     def hand_back(self, _event: Optional[Event]) -> None:
         """Finish, or call the callback behind what is due: the step a
         process's exit entry would have run in (``_calling_back``)."""
-        if self.mode is not OneSidedIo.JOINED or self.callback is None:
+        if self.callback is None:
             self.stage = None
         elif self.env.due_now():
             self.stage = _CacheIo.call_back
@@ -959,3 +966,20 @@ class _CacheIo(OneSidedIo):
     def call_back(self, _event: Event) -> None:
         self.callback(self._value)
         self.stage = None
+
+    def _finished(self) -> None:
+        """Finish as the process that ran the I/O would have exited.  As
+        in ``Process._exit_unobserved``: with no joiner, and no
+        references but the step's own -- the resume handler an event's
+        entry holds, or the bootstrap entry's argument; the frames of
+        ``_resume`` and this call; getrefcount's argument -- nothing can
+        ever read the record, so dispatching it would change nothing."""
+        if not self.callbacks and _refcount(self) == 4:
+            self._ok = True
+            self._triggered = True
+            self._processed = True
+            monitor = self.env.monitor
+            if monitor is not None:
+                monitor.on_trigger(self)
+        else:
+            self.succeed(self._value)

@@ -7,15 +7,18 @@ client thread runs one RDMA connection per attached cache server.
 (``result = yield from path.io(op)``); the data path runs no process of
 its own.
 
-* On the §4.3 fast path an op runs as one :class:`OneSidedIo` record, a
-  chain of callbacks: its connection's issue slot (FIFO), a queue-depth
-  credit, the thread CPU, the issue charge, the post of one READ or
-  WRITE verb, the completion, the thread CPU again, the reap charge,
-  the cross-NUMA hop, and the settle.  A grant that is free at once
-  costs no event (``try_acquire`` / ``try_get``).  A ``RedyCache``
-  read or write inside one region runs the same stages behind its
-  region gate (a subclass in ``core/client.py``).  With a metrics
-  registry installed the op stamps each boundary into its
+* On the §4.3 fast path an op runs as one flat step sequence in the
+  caller's frame (:meth:`CacheDataPath._one_sided`): its connection's
+  issue slot (FIFO), a queue-depth credit, the thread CPU, the issue
+  charge, the post of one READ or WRITE verb, the completion, the
+  thread CPU again, the reap charge, the cross-NUMA hop, and the
+  settle.  A grant that is free at once costs no event
+  (``try_acquire`` / ``try_get``).  An op nobody waits for in a frame
+  runs the same stages as one :class:`OneSidedIo` record, a chain of
+  callbacks: a submitted op, and a ``RedyCache`` read or write inside
+  one region, behind its region gate (a subclass in
+  ``core/client.py``).  With a metrics registry installed the op
+  stamps each boundary into its
   :class:`~repro.core.protocol.OpStages` ledger.
 * Otherwise the issue slot's holder takes a credit and the thread CPU
   and posts one request batch of the ops queued behind it, up to weight
@@ -57,7 +60,7 @@ from repro.net.programs import POINTER_BYTES, VerbProgram, chase_target
 from repro.net.qp import QueuePair
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
-from repro.sim.kernel import Environment, Event, _refcount
+from repro.sim.kernel import Environment, Event
 from repro.sim.resources import Resource, Store
 
 #: Batch-weight histogram buckets: powers of two up to the largest batch
@@ -286,15 +289,14 @@ class CacheDataPath:
     def io(self, op: EngineOp, thread_index: Optional[int] = None):
         """Run ``op`` on a client thread; returns its :class:`OpResult`.
 
-        For the caller's process: ``result = yield from path.io(op)``.
-        Every body is a generator: a one-sided op's runs a
-        :class:`OneSidedIo` record from the caller's frame (its
-        ``__iter__``), a dependent read's is :meth:`_bypass`, and any
-        other op's :meth:`_batched`."""
+        A generator for the caller's process: ``result = yield from
+        path.io(op)``.  A one-sided op's body is :meth:`_one_sided`, a
+        dependent read's :meth:`_bypass`, and any other op's
+        :meth:`_batched`."""
         if op.is_dependent:
             return self._bypass(op, thread_index)
         if self.one_sided:
-            return iter(OneSidedIo(self, op, thread_index))
+            return self._one_sided(op, thread_index)
         return self._batched(op, thread_index)
 
     def submit(self, op: EngineOp,
@@ -308,9 +310,7 @@ class CacheDataPath:
         if op.completion is None:
             op.completion = self.env.event()
         if self.one_sided and not op.is_dependent:
-            record = OneSidedIo(self, op, thread_index)
-            record.mode = OneSidedIo.SUBMITTED
-            record._resume(None)
+            OneSidedIo(self, op, thread_index)._resume(None)
         else:
             self.env.start(self.io(op, thread_index),
                            name=f"redy-client:{self.endpoint.name}:submit")
@@ -335,6 +335,88 @@ class CacheDataPath:
         if connection is None:
             raise EngineError(f"no route for region {token.region_id}")
         return thread, connection
+
+    def _one_sided(self, op: EngineOp, thread_index: Optional[int]):
+        """A one-sided op (§4.3) as one flat step sequence in its
+        caller's frame: the stages of :class:`OneSidedIo`, in order.  A
+        step that raises returns every grant the op holds."""
+        env = self.env
+        thread, connection = self._prepare(op, thread_index)
+        if op.token is None or op.weight != 1:
+            raise _direct_op_error("one-sided ops", op)
+        stages = op.stages
+        if stages is None and self.stamps_stages:
+            stages = op.stages = OpStages(op.enqueued_at)
+        if stages is not None:
+            stages.queued = op.enqueued_at
+        slot = connection.issue_slot
+        credits = connection.credits
+        cpu = thread.cpu
+        if not slot.try_acquire():
+            yield slot.acquire()
+        credit = False
+        try:
+            try:
+                if self._batch_weight is not None:
+                    self._batch_weight.observe(1)
+                credit_wait_started = env.now
+                if stages is not None:
+                    stages.slot = credit_wait_started
+                if not credits.try_get()[0]:
+                    yield credits.get()
+                credit = True
+                if self._credit_wait is not None:
+                    self._credit_wait.observe(env.now - credit_wait_started)
+                if stages is not None:
+                    stages.credit = env.now
+                if not cpu.try_acquire():
+                    yield cpu.acquire()
+                try:
+                    if stages is not None:
+                        stages.cpu = env.now
+                    yield env.timeout(self._issue_charge(1, True))
+                finally:
+                    cpu.release()
+                done = connection.qp.post(WorkRequest(
+                    RdmaOp.READ if op.is_read else RdmaOp.WRITE,
+                    op.token, op.offset, op.size, data=op.data))
+            finally:
+                # Nobody gathers behind a one-sided op, so the slot is
+                # never handed on (see _pass_issue_slot): it is released.
+                slot.release()
+            if stages is not None:
+                stages.posted = env.now
+            completed_at_post = done._triggered
+            completion = yield done
+            if completed_at_post:
+                # A post to a QP in the error state completes inside
+                # post(); a waiter spawned at post found it processed
+                # and resumed one hop after its dispatch.  Keep that hop.
+                yield env.timeout(0)
+            if stages is not None:
+                stages.completed = env.now
+            if not cpu.try_acquire():
+                yield cpu.acquire()
+            try:
+                if stages is not None:
+                    stages.reaping = env.now
+                yield env.timeout(self._reap_charge())
+            finally:
+                cpu.release()
+            if stages is not None:
+                stages.reaped = env.now
+            if not self.config.numa_affinity:
+                yield self._numa_hop()
+        except BaseException:
+            if credit:
+                credits.try_put(_CREDIT)
+            raise
+        result = self._settle(connection, op, completion)
+        if stages is not None:
+            stages.settled = env.now
+        if op.completion is None and env.due_now():
+            yield env.timeout(0)  # see _reap
+        return result
 
     def _batched(self, op: EngineOp, thread_index: Optional[int]):
         """A two-sided op: its caller issues under the connection's
@@ -762,7 +844,7 @@ _REAP_HELD = _CREDIT_HELD | _CPU_HELD
 
 
 class OneSidedIo(Event):
-    """One one-sided op as a chain of callbacks.
+    """One submitted one-sided op as a chain of callbacks.
 
     Built the way a verb is (``net/qp.py``'s ``_Verb``): each stage is a
     plain function that the event ending the previous wait calls back,
@@ -773,9 +855,8 @@ class OneSidedIo(Event):
     does.  A grant that is free at once costs no wait: the stage goes on
     in place (``try_acquire`` / ``try_get``).  A queued grant hangs the
     same stage on its event, which runs it again holding the grant
-    (``held`` says how far it got).  No process or name is built per
-    op, and no generator unless a caller's frame runs the record
-    (``__iter__``).  The stages, in order: the issue slot, the credit and
+    (``held`` says how far it got).  No process, name or generator is
+    built per op.  The stages, in order: the issue slot, the credit and
     the thread CPU, the issue charge and the post, the completion (one
     more hop when the post completed at once, on a QP in the error
     state), the thread CPU, the reap charge, the cross-NUMA hop and the
@@ -783,32 +864,20 @@ class OneSidedIo(Event):
     grant or the post's completion, which nothing else waits on) by
     setting that event's callback list, as ``Process._resume`` does.
 
-    The record is the op's completion event, and ``mode`` says who
-    takes its result (docs/determinism-rules.md, "Run an I/O as a
-    callback record"):
+    Nobody waits in a frame for a record (docs/determinism-rules.md,
+    "Run an I/O as a callback record"): :meth:`CacheDataPath.submit`
+    starts one at once and ``op.completion`` carries the result, and a
+    ``RedyCache`` read or write returned to its caller is a subclass
+    (``core/client.py``) that starts at stages of its own
+    (:meth:`__init__`'s ``stage``) and is its own completion event.  An
+    op run from a caller's frame is the generator
+    :meth:`CacheDataPath._one_sided` instead.
 
-    * ``FRAME``: ``result = yield from record`` (:meth:`__iter__`, what
-      :meth:`CacheDataPath.io` returns).  The first stage runs in the
-      caller's step; the caller's frame then waits on the record, and
-      takes over its last wait (:meth:`_hand_over`): it resumes where
-      the settle would have run, settles, and takes the settle hop
-      behind what is due, as a frame that ran the op itself did.
-    * ``SUBMITTED``: :meth:`CacheDataPath.submit` starts it at once;
-      ``op.completion`` carries the result.
-    * ``JOINED``: a ``RedyCache`` read or write returned to its caller
-      (``core/client.py``, a subclass that starts at stages of its own,
-      :meth:`__init__`'s ``stage``); it finishes with an event-list
-      entry exactly when the process that ran such an I/O did.
-
-    A stage that raises returns every grant the record holds; the
-    exception then reaches a caller's waiting frame in the same step
-    (:meth:`Event.trigger_in_place`), and otherwise fails the record as
-    a process's failure would have.
+    A stage that raises returns every grant the record holds, and the
+    record fails as a process's failure would have.
     """
 
-    FRAME, SUBMITTED, JOINED = 1, 2, 3
-
-    __slots__ = ("stage", "_resume_handler", "mode", "path", "op",
+    __slots__ = ("stage", "_resume_handler", "path", "op",
                  "thread_index", "thread", "connection", "held", "mark",
                  "completion")
 
@@ -844,79 +913,15 @@ class OneSidedIo(Event):
         except BaseException as exc:  # noqa: BLE001 - routed like a process's
             self._resume_handler = None
             self._release()
-            if self.mode is OneSidedIo.FRAME:
-                self.trigger_in_place(exc, ok=False)
-            else:
-                self._handle_failure(exc)
+            self._handle_failure(exc)
             return
         if self.stage is None:
             self._resume_handler = None
             self._finished()
 
-    def __iter__(self):
-        """``result = yield from record``: run the record from the
-        caller's frame (``FRAME``, see the class doc).  A stage's
-        exception raises in that frame, in the stage's step."""
-        self.mode = OneSidedIo.FRAME
-        try:
-            self.stage(self, None)
-            if self.stage is None:
-                # Answered in its first stage (an address outside the
-                # cache).
-                self._resume_handler = None
-                return self._value
-            yield self
-            if self.stage is None:
-                return self._value  # it finished itself (_finished)
-            # This frame took over the last wait: the settle runs here.
-            self.stage(self, None)
-        except BaseException:
-            self._resume_handler = None
-            self._release()
-            raise
-        self._resume_handler = None
-        env = self.env
-        if self.op.completion is None and env.due_now():
-            yield env.timeout(0)  # the settle hop (see _reap)
-        return self._value
-
-    def _hand_over(self, event: Event) -> None:
-        """Wait on ``event``, the last wait before the settle, as a
-        ``FRAME`` record: the frame waiting on the record takes the wait
-        over (the event is one nothing else waits on), resumes at
-        ``event`` and runs the next stage itself, so the record hands
-        nothing back."""
-        callbacks = self.callbacks
-        if callbacks is None:
-            event.callbacks = [self._resume_handler]
-        else:
-            self.callbacks = None
-            event.callbacks = callbacks
-
     def _finished(self) -> None:
-        """The last stage ran in a callback: hand the result on."""
-        mode = self.mode
-        if mode is OneSidedIo.JOINED:
-            # Finish as the process that ran the I/O would have exited.
-            # As in Process._exit_unobserved: with no joiner, and no
-            # references but the step's own -- the resume handler an
-            # event's entry holds, or the bootstrap entry's argument;
-            # the frames of _resume and this call; getrefcount's
-            # argument -- nothing can ever read the record, so
-            # dispatching it would change nothing.
-            if not self.callbacks and _refcount(self) == 4:
-                self._ok = True
-                self._triggered = True
-                self._processed = True
-                monitor = self.env.monitor
-                if monitor is not None:
-                    monitor.on_trigger(self)
-            else:
-                self.succeed(self._value)
-        elif mode is OneSidedIo.FRAME:
-            # Nobody took the last wait over (see _hand_over).
-            self.trigger_in_place(self._value)
-        # SUBMITTED: op.completion fired at the settle.
+        """The last stage ran: a submitted op's ``op.completion`` fired
+        at the settle, so nothing is left to hand on."""
 
     def _settled(self, result: OpResult) -> None:
         """The op settled with ``result``: that is the record's value,
@@ -1030,13 +1035,9 @@ class OneSidedIo(Event):
         stages = self.op.stages
         if stages is not None:
             stages.reaping = env.now
-        path = self.path
-        charge = env.timeout(path._reap_charge())
         self.stage = OneSidedIo.reaped
-        if path.config.numa_affinity and self.mode is OneSidedIo.FRAME:
-            self._hand_over(charge)
-        else:
-            charge.callbacks = [self._resume_handler]
+        env.timeout(self.path._reap_charge()).callbacks = [
+            self._resume_handler]
 
     def reaped(self, _event: Event) -> None:
         """Reaped: free the thread CPU and take the cross-NUMA hop when
@@ -1051,11 +1052,7 @@ class OneSidedIo(Event):
             if op.stages is not None:
                 op.stages.reaped = self.env.now
             if not path.config.numa_affinity:
-                hop = path._numa_hop()
-                if self.mode is OneSidedIo.FRAME:
-                    self._hand_over(hop)
-                else:
-                    hop.callbacks = [self._resume_handler]
+                path._numa_hop().callbacks = [self._resume_handler]
                 return
         self.held = 0
         result = path._settle(self.connection, op, self.completion)

@@ -288,10 +288,11 @@ class RedyDevice(IDevice):
 
     @property
     def window_start(self) -> int:
-        return max(self._watermark - self.capacity, self._floor)
+        return max(self._watermark - self.cache.table.capacity, self._floor)
 
     def covers(self, addr: int) -> bool:
-        return self.window_start <= addr < self._watermark
+        return (max(self._watermark - self.cache.table.capacity, self._floor)
+                <= addr < self._watermark)
 
     def _ring_pieces(self, addr: int, size: int):
         """Split [addr, addr+size) at the ring boundary."""
@@ -303,21 +304,25 @@ class RedyDevice(IDevice):
 
     def read_io(self, addr: int, size: int):
         started = self.env.now
+        capacity = self.cache.table.capacity
+        start = addr % capacity
+        if start + size <= capacity:
+            # One piece: the cache's bytes are the read's.
+            result = yield from self.cache.read_io(start, size)
+            if addr < self.window_start:
+                return self._aged_out(addr)
+            if not result.ok:
+                return DeviceReadResult(ok=False, error=result.error)
+            if self._service_time is not None:
+                self._service_time.observe(self.env.now - started)
+            return DeviceReadResult(ok=True, data=result.data)
+        # A read across the ring's wrap: both halves in parallel.
         pieces = list(self._ring_pieces(addr, size))
-        if len(pieces) == 1:
-            results = [(yield from self.cache.read_io(pieces[0][0], size))]
-        else:
-            # A read across the ring's wrap: both halves in parallel.
-            results = yield self.env.all_of([
-                self.cache.read(cache_addr, length)
-                for cache_addr, _buffer_offset, length in pieces])
+        results = yield self.env.all_of([
+            self.cache.read(cache_addr, length)
+            for cache_addr, _buffer_offset, length in pieces])
         if addr < self.window_start:
-            # The address aged out of the ring while the read was in
-            # flight: its slot now holds newer log bytes.  Callers fall
-            # back to the next tier (the log's full copy).
-            return DeviceReadResult(
-                ok=False, error=f"address {addr} fell out of the cache "
-                                f"window during the read")
+            return self._aged_out(addr)
         failed = next((r for r in results if not r.ok), None)
         if failed is not None:
             return DeviceReadResult(ok=False, error=failed.error)
@@ -328,6 +333,15 @@ class RedyDevice(IDevice):
         if self._service_time is not None:
             self._service_time.observe(self.env.now - started)
         return DeviceReadResult(ok=True, data=bytes(buffer))
+
+    @staticmethod
+    def _aged_out(addr: int) -> DeviceReadResult:
+        """The address aged out of the ring while the read was in
+        flight: its slot now holds newer log bytes.  Callers fall back
+        to the next tier (the log's full copy)."""
+        return DeviceReadResult(
+            ok=False, error=f"address {addr} fell out of the cache "
+                            f"window during the read")
 
     def write_io(self, addr: int, data: bytes):
         pieces = list(self._ring_pieces(addr, len(data)))

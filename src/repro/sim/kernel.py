@@ -157,37 +157,6 @@ class Event:
             monitor.on_trigger(self)
         return self
 
-    def trigger_in_place(self, value: Any = None, ok: bool = True) -> None:
-        """Trigger the event as the last act of the running step.
-
-        With nothing due now, the entry :meth:`succeed` would queue is
-        the next one dispatched, so running the callbacks here, in this
-        call, moves nothing in the schedule and saves that entry.  With
-        an entry due, a success queues exactly as :meth:`succeed` does.
-        A failure (``ok`` false, ``value`` the exception) always runs
-        the callbacks here: it stands for an exception the waiter would
-        have raised in its own frame, in this step.  A caller may use
-        this only where nothing else runs in its step after the call.
-        """
-        if self._triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        env = self.env
-        near = env._near
-        if ok and (env._immediate or (near and near[0][0] <= env.now)):
-            self.succeed(value)  # an entry is due (see Environment.due_now)
-            return
-        self._ok = ok
-        self._value = value
-        self._triggered = True
-        self._processed = True
-        monitor = env.monitor
-        if monitor is not None:
-            monitor.on_trigger(self)
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
     def _run_callbacks(self) -> None:
         self._processed = True
         callbacks, self.callbacks = self.callbacks, None

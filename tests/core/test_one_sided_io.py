@@ -1,12 +1,13 @@
-"""A one-sided cache I/O runs as one callback record (``OneSidedIo``).
+"""A one-sided cache I/O spawns no process.
 
-A fail-fast read or write inside one region of a one-sided cache builds
-no process and no generator: ``RedyCache.read``/``write`` return the
-record, and ``read_io``/``write_io`` and ``CacheDataPath.io`` run it
-from the caller's frame.  These tests pin that structure,
-what the other I/O shapes still spawn, where a raising stage's
-exception goes from each entry point (with every grant returned), and
-when a finished I/O keeps an event-list entry.
+A fail-fast read or write inside one region of a one-sided cache runs
+as one callback record (``OneSidedIo``) when ``RedyCache.read``/
+``write`` start it, and as a generator body in the caller's frame
+when the caller runs ``read_io``/``write_io`` or ``CacheDataPath.io``
+with ``yield from``.  These tests pin that structure, what the other
+I/O shapes still spawn, where a raising stage's exception goes from
+each entry point (with every grant returned), and when a finished I/O
+keeps an event-list entry.
 """
 
 import pytest
@@ -75,9 +76,11 @@ def _spawned_by(env, body):
 
 
 def _grants_free(path):
-    """No issue slot or thread CPU is held on any connection."""
+    """No issue slot, queue-depth credit or thread CPU is held on any
+    connection."""
     return all(thread.cpu.in_use == 0
                and all(connection.issue_slot.in_use == 0
+                       and connection.credits.is_full
                        for connection in thread.connections.values())
                for thread in path.threads)
 

@@ -216,3 +216,67 @@ class TestRedyTier:
         result = run(env, tiered.read(32, 32))
         assert result.ok and result.data == b"B" * 32
         assert result.tier is ssd
+
+    def test_read_across_the_ring_wrap_returns_both_halves(self):
+        env, cache, redy, _ssd, _tiered = self.make_tiered()
+        capacity = cache.capacity
+        data = bytes(range(32))
+        assert run(env, redy.write(capacity - 16, data)).ok
+        result = run(env, redy.read(capacity - 16, 32))
+        assert result.ok and result.data == data
+
+    def _age_out_mid_read(self, env, cache, redy, read):
+        """Start ``read`` of log address 32; 1 us in, a spill one ring
+        length later takes its slot.  Returns the read's result."""
+        capacity = cache.capacity
+        times = {}
+
+        def reader():
+            times["started"] = env.now
+            result = yield read()
+            times["finished"] = env.now
+            return result
+
+        def spill(_event):
+            times["spilled"] = env.now
+            redy.spill(capacity + 32, b"D" * 32)
+
+        env.timeout(1 * US)._add_callback(spill)
+        result = env.run_process(reader())
+        assert times["started"] < times["spilled"] < times["finished"]
+        assert not redy.covers(32)
+        return result
+
+    def test_read_that_ages_out_mid_read_gets_the_window_error(self):
+        env, cache, redy, _ssd, _tiered = self.make_tiered()
+        assert run(env, redy.write(32, b"C" * 32)).ok
+        result = self._age_out_mid_read(env, cache, redy,
+                                        lambda: redy.read(32, 32))
+        assert not result.ok
+        assert result.error == ("address 32 fell out of the cache window "
+                                "during the read")
+
+    def test_tiered_read_that_ages_out_mid_read_is_served_by_the_ssd(self):
+        env, cache, redy, ssd, tiered = self.make_tiered()
+        assert run(env, tiered.write(32, b"C" * 32)).ok
+        env.run()  # the SSD copy lands
+        result = self._age_out_mid_read(env, cache, redy,
+                                        lambda: tiered.read(32, 32))
+        assert result.ok and result.data == b"C" * 32
+        assert result.tier is ssd
+        env.run()
+
+    @pytest.mark.parametrize("offset", [32, -16], ids=["one-piece", "wrap"])
+    def test_failed_cache_read_passes_its_error_up(self, offset):
+        env, cache, redy, _ssd, _tiered = self.make_tiered()
+        addr = offset % cache.capacity
+        assert run(env, redy.write(addr, b"E" * 32)).ok
+        qps = [connection.qp for thread in cache.path.threads
+               for connection in thread.connections.values()]
+        for qp in qps:
+            qp.inject_error("link down")
+        result = run(env, redy.read(addr, 32))
+        assert not result.ok and result.error == "link down"
+        for qp in qps:
+            qp.reconnect()
+        env.run()
