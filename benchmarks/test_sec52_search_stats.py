@@ -59,12 +59,14 @@ def run_experiment(model_bundle):
 def test_sec52_search_statistics(benchmark, report, model_8b):
     times, found, reduction = benchmark.pedantic(
         run_experiment, args=(model_8b,), rounds=1, iterations=1)
+    # Host search times vary run to run: printed, kept out of the
+    # committed text so that text reproduces exactly.
+    print(f"\nsearch time (host): min {times.min() * 1e6:.0f}us, median "
+          f"{np.median(times) * 1e3:.2f}ms, mean {times.mean() * 1e3:.2f}ms, "
+          f"max {times.max() * 1e3:.1f}ms "
+          "(paper: 2us .. 0.12s, average 0.027s, median 0.01s)")
     lines = [
         f"SLOs searched: 100, satisfiable: {found}",
-        f"search time: min {times.min() * 1e6:.0f}us, median "
-        f"{np.median(times) * 1e3:.2f}ms, mean {times.mean() * 1e3:.2f}ms, "
-        f"max {times.max() * 1e3:.1f}ms",
-        "(paper: 2us .. 0.12s, average 0.027s, median 0.01s)",
         f"pruning reduces explored leaves by {reduction:.0%} "
         f"(paper: ~25%)",
     ]

@@ -13,7 +13,7 @@ Two layers, both pure stdlib:
   and methods by qualified name, the local calls each makes (resolved
   through ``self.``/``cls.`` and class names), and transitive
   closures, so analyzers can summarize helpers and flag call sites
-  (D004's blocking helpers, L002's detach reach).
+  (D004's blocking helpers).
 
 Resource balance -- a slot or QP acquired and released on every path --
 is checked at run time instead, where callback-released grants are

@@ -14,10 +14,10 @@ Pure-stdlib static analysis with repository-specific determinism rules
   fields;
 * **D006** ``json.dumps`` without ``sort_keys=True`` feeding a digest.
 
-Beside the D rules run three syntactic resource-lifecycle L rules
+Beside the D rules run two syntactic resource-lifecycle L rules
 (:mod:`repro.analysis.lifecycle`; catalog in
-``docs/lifecycle-rules.md``): callback detach (L002), registry-owned
-metrics (L003) and spawn join (L006).  Acquire/release balance is
+``docs/lifecycle-rules.md``): registry-owned metrics (L003) and spawn
+join (L006).  Acquire/release balance is
 checked at run time instead
 (:func:`repro.analysis.sanitize.tracked_resources`).
 

@@ -94,16 +94,6 @@ _CATALOG = (
     ),
     # -- L: resource lifecycle (repro.analysis.lifecycle) ---------------
     Rule(
-        id="L002",
-        title="event callback registered without a detach path",
-        severity="error",
-        hint="keep the callback handle and remove() it on the losing "
-             "branches (the AnyOf/AllOf pattern), or clear() on teardown",
-        rationale="a callback left on a long-lived event fires into dead "
-                  "contexts and pins every object it closes over -- the "
-                  "exact leak class behind the PR 6 combinator fixes",
-    ),
-    Rule(
         id="L003",
         title="metrics instrument constructed outside a registry",
         severity="error",

@@ -459,14 +459,13 @@ def _compare(run_a: TraceRecorder, run_b: TraceRecorder, seed: int,
         context=context, rng_divergence=rng_divergence)
 
 
-def sanitize(workload: Callable[[int], Any], seed: int = 0,
-             label: str = "workload") -> DivergenceReport:
-    """Run ``workload(seed)`` twice and diff the kernel event traces.
+def sanitize(workload: Callable[[int], Any]) -> DivergenceReport:
+    """Run ``workload(0)`` twice and diff the kernel event traces.
 
     ``workload`` must be re-entrant: it builds all of its own state
     (Environments, registries, caches) from the seed argument.  Returns
     a :class:`DivergenceReport`; ``report.deterministic`` is the gate.
     """
-    run_a, _ = _record(workload, seed)
-    run_b, _ = _record(workload, seed)
-    return _compare(run_a, run_b, seed, label)
+    run_a, _ = _record(workload, 0)
+    run_b, _ = _record(workload, 0)
+    return _compare(run_a, run_b, 0, "workload")

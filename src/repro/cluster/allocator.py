@@ -63,13 +63,14 @@ class Vm:
 class VmAllocator:
     """Places VMs on a fixed fleet of physical servers."""
 
-    def __init__(self, env: Environment, servers: Sequence[PhysicalServer],
-                 reclaim_notice_s: float = DEFAULT_RECLAIM_NOTICE_S):
+    def __init__(self, env: Environment, servers: Sequence[PhysicalServer]):
         if not servers:
             raise AllocationError("allocator needs at least one server")
         self.env = env
         self.servers = list(servers)
-        self.reclaim_notice_s = reclaim_notice_s
+        #: Warning a reclaimed spot VM gets before it dies; an
+        #: experiment may shorten it before the first reclaim.
+        self.reclaim_notice_s = DEFAULT_RECLAIM_NOTICE_S
         self.vms: Dict[int, Vm] = {}
         # Per-allocator, not module-global: VM ids seed endpoint names
         # and RNG stream names downstream, so they must be a function of

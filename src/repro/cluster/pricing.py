@@ -23,6 +23,10 @@ from repro.sim.kernel import Environment
 
 __all__ = ["SpotMarket"]
 
+#: The band a spot price walks in, as fractions of the on-demand price.
+FLOOR_FRACTION = 0.10
+CEILING_FRACTION = 0.95
+
 
 class SpotMarket:
     """Per-VM-type spot prices evolving in simulated time."""
@@ -30,20 +34,14 @@ class SpotMarket:
     def __init__(self, env: Environment, menu: Sequence[VmType],
                  rng: np.random.Generator, *,
                  update_interval_s: float = 60.0,
-                 volatility: float = 0.20,
-                 floor_fraction: float = 0.10,
-                 ceiling_fraction: float = 0.95):
+                 volatility: float = 0.20):
         if update_interval_s <= 0:
             raise ValueError("update_interval_s must be positive")
-        if not 0 < floor_fraction < ceiling_fraction <= 1.0:
-            raise ValueError("need 0 < floor < ceiling <= 1")
         self.env = env
         self.menu = list(menu)
         self.rng = rng
         self.update_interval_s = update_interval_s
         self.volatility = volatility
-        self.floor_fraction = floor_fraction
-        self.ceiling_fraction = ceiling_fraction
         self._prices: Dict[str, float] = {
             t.name: t.spot_price_per_hour for t in menu}
         env.process(self._tick(), name="spot-market")
@@ -66,6 +64,6 @@ class SpotMarket:
             for vm_type in self.menu:
                 step = float(np.exp(self.rng.normal(0.0, self.volatility)))
                 price = self._prices[vm_type.name] * step
-                floor = vm_type.price_per_hour * self.floor_fraction
-                ceiling = vm_type.price_per_hour * self.ceiling_fraction
+                floor = vm_type.price_per_hour * FLOOR_FRACTION
+                ceiling = vm_type.price_per_hour * CEILING_FRACTION
                 self._prices[vm_type.name] = min(max(price, floor), ceiling)

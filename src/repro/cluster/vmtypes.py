@@ -83,11 +83,12 @@ AZURE_MENU: List[VmType] = [
 ]
 
 
-def cheapest_covering(menu: Sequence[VmType], cores: int, memory_gb: float,
-                      spot: bool = False) -> List[VmType]:
-    """Menu entries that cover (cores, memory), cheapest first."""
+def cheapest_covering(menu: Sequence[VmType], cores: int,
+                      memory_gb: float) -> List[VmType]:
+    """Menu entries that cover (cores, memory), cheapest on demand
+    first."""
     candidates = [t for t in menu if t.fits_requirements(cores, memory_gb)]
-    return sorted(candidates, key=lambda t: t.price(spot))
+    return sorted(candidates, key=lambda t: t.price_per_hour)
 
 
 #: Nominal bookkeeping price of harvested stranded memory, $/GB/hour.

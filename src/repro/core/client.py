@@ -87,14 +87,6 @@ class RetryPolicy:
     #: timeout machinery.  An expired attempt counts as failed (its
     #: in-flight I/O is abandoned, not cancelled -- RDMA semantics).
     attempt_timeout_s: Optional[float] = None
-    #: Backoff jitter in [0, 1]: each wait is scaled by a factor drawn
-    #: uniformly from ``[1 - jitter, 1]``.  With N clients retrying
-    #: after the *same* fault (a shard VM kill hits every router
-    #: front-end at once), zero jitter retries them in lockstep --
-    #: synchronized retry storms at every backoff step.  The draw comes
-    #: from the caller's sim RNG stream, so schedules are decorrelated
-    #: across clients yet bit-reproducible from the seed.
-    jitter: float = 0.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -103,37 +95,28 @@ class RetryPolicy:
             raise ValueError("need 0 <= base_backoff_s <= max_backoff_s")
         if self.attempt_timeout_s is not None and self.attempt_timeout_s <= 0:
             raise ValueError("attempt_timeout_s must be positive")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
-    def backoff_s(self, failures: int, rng=None) -> float:
-        """Wait after ``failures`` consecutive failed attempts (>= 1).
-
-        ``rng`` (a ``numpy`` generator, normally a per-cache stream from
-        the sim's :class:`~repro.sim.rng.RngRegistry`) supplies the
-        jitter draw; without one the wait is the deterministic cap.
-        """
-        wait = min(self.base_backoff_s * (2.0 ** (failures - 1)),
+    def backoff_s(self, failures: int) -> float:
+        """Wait after ``failures`` consecutive failed attempts (>= 1)."""
+        return min(self.base_backoff_s * (2.0 ** (failures - 1)),
                    self.max_backoff_s)
-        if self.jitter > 0.0 and rng is not None:
-            wait *= 1.0 - self.jitter * float(rng.random())
-        return wait
 
 
 class RedyClient:
     """Factory for caches, colocated with one application."""
 
+    #: Where the application runs: the manager places caches near it.
+    placement = Placement()
+
     def __init__(self, env: Environment, profile: TestbedProfile,
                  fabric: Fabric, manager: CacheManager, rngs: RngRegistry,
-                 name: str = "redy-app",
-                 placement: Placement = Placement()):
+                 name: str = "redy-app"):
         self.env = env
         self.profile = profile
         self.fabric = fabric
         self.manager = manager
         self.rngs = rngs
-        self.placement = placement
-        self.endpoint = fabric.add_endpoint(name, placement)
+        self.endpoint = fabric.add_endpoint(name, self.placement)
 
     def create(self, capacity: int, slo: Slo,
                duration_s: float = math.inf, *,
@@ -215,10 +198,6 @@ class RedyCache:
         self.path = CacheDataPath(
             self.env, self.profile, allocation.config, client.endpoint,
             client.rngs.stream(f"cache-path-{allocation.allocation_id}"))
-        #: Per-cache jitter stream: caches retrying after the same fault
-        #: draw from distinct streams, so their schedules decorrelate.
-        self._retry_rng = client.rngs.stream(
-            f"client-retry-{allocation.allocation_id}")
         self.table = RegionTable(self.env, region_bytes)
         self._attached: set[str] = set()
         for server in allocation.servers:
@@ -417,8 +396,7 @@ class RedyCache:
             if attempt:
                 if self._retries_counter is not None:
                     self._retries_counter.inc()
-                yield self.env.timeout(
-                    policy.backoff_s(attempt, rng=self._retry_rng))
+                yield self.env.timeout(policy.backoff_s(attempt))
             if self.deleted:
                 result = CacheIoResult(ok=False, error="cache was deleted")
                 break

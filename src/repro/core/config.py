@@ -125,16 +125,9 @@ class RdmaConfig:
         """Client + server cores the configuration consumes (its cost)."""
         return self.client_threads + self.server_threads
 
-    def with_ablation(self, *, lock_free: bool | None = None,
-                      use_verb_programs: bool | None = None,
-                      ) -> "RdmaConfig":
-        """Copy with some optimization switches flipped."""
-        updates = {}
-        if lock_free is not None:
-            updates["lock_free"] = lock_free
-        if use_verb_programs is not None:
-            updates["use_verb_programs"] = use_verb_programs
-        return replace(self, **updates)
+    def with_ablation(self, *, use_verb_programs: bool) -> "RdmaConfig":
+        """Copy with the verb-program switch set."""
+        return replace(self, use_verb_programs=use_verb_programs)
 
     def describe(self) -> str:
         return (f"c={self.client_threads} s={self.server_threads} "
@@ -157,8 +150,6 @@ class Slo:
     min_throughput: float
     #: Record size the application reads/writes, bytes.
     record_size: int
-    #: Fraction of I/Os that are reads (used by the engine's workload mix).
-    read_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_latency <= 0:
@@ -170,9 +161,6 @@ class Slo:
         if self.record_size < 1:
             raise ConfigurationError(
                 f"record_size must be >= 1, got {self.record_size}")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ConfigurationError(
-                f"read_fraction must be in [0, 1], got {self.read_fraction}")
 
     def is_satisfied_by(self, perf: PerfPoint) -> bool:
         return (perf.latency <= self.max_latency

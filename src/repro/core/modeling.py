@@ -471,18 +471,13 @@ def make_testbed_measurer(profile: TestbedProfile = AZURE_HPC, *,
                           record_size: int, switch_hops: int = 1,
                           seed: int = 0,
                           batches_per_connection: int = 60,
-                          warmup_batches: int = 15,
-                          runner=None) -> TestbedMeasurer:
-    """Batch-mode engine measurer backed by ``repro.exec``.
-
-    ``runner`` defaults to a fresh :class:`SweepRunner` (pool size
-    ``os.cpu_count()``); pass one explicitly to pick the pool size or
-    to share a metrics registry with the caller.
-    """
-    if runner is None:
-        from repro.exec.runner import SweepRunner
-        runner = SweepRunner()
+                          warmup_batches: int = 15) -> TestbedMeasurer:
+    """Batch-mode engine measurer backed by ``repro.exec``, on a fresh
+    :class:`~repro.exec.runner.SweepRunner` (pool size
+    ``os.cpu_count()``)."""
+    from repro.exec.runner import SweepRunner
     return TestbedMeasurer(
-        runner, profile, record_size=record_size, switch_hops=switch_hops,
-        seed=seed, batches_per_connection=batches_per_connection,
+        SweepRunner(), profile, record_size=record_size,
+        switch_hops=switch_hops, seed=seed,
+        batches_per_connection=batches_per_connection,
         warmup_batches=warmup_batches)

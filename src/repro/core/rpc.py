@@ -25,8 +25,10 @@ from repro.sim.kernel import Environment, Event
 
 __all__ = ["RpcClient", "RpcError", "RpcServer"]
 
-#: Default serialized size of a control message.
-DEFAULT_MESSAGE_BYTES = 256
+#: Serialized size of a control message, request or response.
+MESSAGE_BYTES = 256
+#: Handler time at the callee.
+SERVICE_TIME = 5.0 * US
 
 
 class RpcError(Exception):
@@ -38,20 +40,16 @@ class _Call:
     call_id: int
     method: str
     payload: Any
-    request_bytes: int
 
 
 class RpcServer:
     """Dispatches named methods on one endpoint."""
 
     def __init__(self, env: Environment, profile: TestbedProfile,
-                 endpoint: Endpoint, service_time: float = 5.0 * US):
-        if service_time < 0:
-            raise ValueError("service_time must be >= 0")
+                 endpoint: Endpoint):
         self.env = env
         self.profile = profile
         self.endpoint = endpoint
-        self.service_time = service_time
         self._handlers: Dict[str, Callable[[Any], Any]] = {}
         #: Lifetime statistics.
         self.calls_served = 0
@@ -80,12 +78,12 @@ class RpcClient:
         #: across runs, which the replay sanitizer flags as divergence).
         self._call_ids = itertools.count(1)
 
-    def call(self, server: RpcServer, method: str, payload: Any = None, *,
-             request_bytes: int = DEFAULT_MESSAGE_BYTES) -> Event:
+    def call(self, server: RpcServer, method: str,
+             payload: Any = None) -> Event:
         """Invoke ``method`` on ``server``; the returned event fires with
         the handler's return value, or fails with :class:`RpcError`."""
         call = _Call(call_id=next(self._call_ids), method=method,
-                     payload=payload, request_bytes=request_bytes)
+                     payload=payload)
         done = self.env.event()
         self.calls_sent += 1
         self.env.process(self._roundtrip(server, call, done),
@@ -98,8 +96,7 @@ class RpcClient:
 
         # Request leg.
         yield self.env.timeout(nic.doorbell + nic.per_message_processing)
-        yield fabric.transmit(self.endpoint, server.endpoint,
-                              call.request_bytes)
+        yield fabric.transmit(self.endpoint, server.endpoint, MESSAGE_BYTES)
         if not server.endpoint.alive:
             done.fail(RpcError(f"{call.method}: server endpoint down"))
             return
@@ -112,7 +109,7 @@ class RpcClient:
                 f"no such method {call.method!r}")
             result = None
         else:
-            yield self.env.timeout(server.service_time)
+            yield self.env.timeout(SERVICE_TIME)
             try:
                 result = handler(call.payload)
                 error = None
@@ -124,7 +121,7 @@ class RpcClient:
         # Response leg.
         yield self.env.timeout(nic.doorbell + nic.per_message_processing)
         yield fabric.transmit(server.endpoint, self.endpoint,
-                              DEFAULT_MESSAGE_BYTES,
+                              MESSAGE_BYTES,
                               nic.rx_dma + nic.completion_poll)
 
         if error is not None:

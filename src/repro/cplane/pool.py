@@ -61,6 +61,15 @@ STRATEGIES = ("per-client", "pooled", "pooled-lazy")
 #: (pooled) -- the memory-registration cost surface.
 _RECV_REGION_BYTES = 4096
 
+#: Cap on usable QPs per endpoint pair: a session creates a QP only
+#: while fewer are usable; at the cap it oversubscribes the
+#: least-loaded usable QP instead.  A broken (in-error or reclaimed) QP
+#: does not count: it is replaced, never oversubscribed onto, and
+#: reclaimed by the next harvest once its sessions have closed.
+MAX_QPS = 4096
+#: In-flight depth of pooled QPs.
+QUEUE_DEPTH = 16
+
 
 @dataclass(frozen=True)
 class PoolPolicy:
@@ -69,14 +78,6 @@ class PoolPolicy:
     strategy: str = "pooled-lazy"
     #: Logical sessions multiplexed per shared QP.
     sessions_per_qp: int = 16
-    #: Cap on usable QPs per endpoint pair: a session creates a QP only
-    #: while fewer are usable; at the cap it oversubscribes the
-    #: least-loaded usable QP instead.  A broken (in-error or reclaimed)
-    #: QP does not count: it is replaced, never oversubscribed onto, and
-    #: reclaimed by the next harvest once its sessions have closed.
-    max_qps: int = 4096
-    #: In-flight depth of pooled QPs.
-    queue_depth: int = 16
     #: A QP idle this long (no sessions) becomes harvestable.
     idle_timeout_s: float = 0.25
     #: Warm-pool cap (the predictor's target is clamped under it).
@@ -88,10 +89,6 @@ class PoolPolicy:
                 f"unknown strategy {self.strategy!r} (have {STRATEGIES})")
         if self.sessions_per_qp < 1:
             raise ValueError("sessions_per_qp must be >= 1")
-        if self.max_qps < 1:
-            raise ValueError("max_qps must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         if self.idle_timeout_s < 0:
             raise ValueError("idle_timeout_s must be >= 0")
         if self.warm_max < 0:
@@ -280,7 +277,7 @@ class QpPool:
 
     def _create_qp(self) -> _PooledQp:
         qp = QueuePair(self.env, self.local, self.remote,
-                       max_depth=self.policy.queue_depth, deferred=True)
+                       max_depth=QUEUE_DEPTH, deferred=True)
         entry = _PooledQp(qp, self.env.now)
         self._qps[qp.qp_id] = entry
         self.qps_created += 1
@@ -302,9 +299,9 @@ class QpPool:
     def _assign_shared_qp(self) -> Optional[_PooledQp]:
         """Least-loaded usable QP with session capacity (ties to the
         lowest qp_id -- deterministic), or None when the caller should
-        create one.  Once ``max_qps`` usable QPs are full, oversubscribes
-        the least-loaded one rather than failing; broken QPs neither
-        count against the cap nor take sessions."""
+        create one.  Once :data:`MAX_QPS` usable QPs are full,
+        oversubscribes the least-loaded one rather than failing; broken
+        QPs neither count against the cap nor take sessions."""
         best: Optional[_PooledQp] = None
         best_load = 0
         usable = 0
@@ -321,7 +318,7 @@ class QpPool:
                 best_load = load
         if best is not None and best_load < self.policy.sessions_per_qp:
             return best
-        if usable < self.policy.max_qps:
+        if usable < MAX_QPS:
             return None  # caller creates a fresh one
         self.oversubscriptions += 1
         return best
@@ -423,7 +420,7 @@ class QpPool:
         # warm_ready() already counts each freshly created (idle,
         # usable) QP, so it is the sole progress measure here.
         while (self.warm_ready() < target
-               and len(self._qps) < self.policy.max_qps):
+               and len(self._qps) < MAX_QPS):
             entry = yield from self._create_shared_qp()
             created.append(self._request_establish(entry.qp))
         for waiter in created:
@@ -494,10 +491,9 @@ class QpPool:
         return completion_event
 
     def session_read(self, session: ClientSession, token: AccessToken,
-                     offset: int, nbytes: int,
-                     context: object = None) -> Event:
+                     offset: int, nbytes: int) -> Event:
         """Convenience: submit one tagged READ for ``session``."""
-        wr = WorkRequest(RdmaOp.READ, token, offset, nbytes, context=context)
+        wr = WorkRequest(RdmaOp.READ, token, offset, nbytes)
         return self.submit(session, wr)
 
 

@@ -379,15 +379,14 @@ class TieredDevice(IDevice):
 
     name = "tiered"
 
-    def __init__(self, env: Environment, tiers: List[IDevice],
-                 commit_point: int = 0):
+    def __init__(self, env: Environment, tiers: List[IDevice]):
         if not tiers:
             raise ValueError("tiered device needs at least one tier")
-        if not 0 <= commit_point < len(tiers):
-            raise ValueError(f"commit_point {commit_point} out of range")
         self.env = env
         self.tiers = list(tiers)
-        self.commit_point = commit_point
+        #: Acknowledge a write once the first tier has it; an experiment
+        #: may move the commit point up before the first write.
+        self.commit_point = 0
 
     def resolve(self, addr: int) -> Optional[IDevice]:
         """The lowest tier currently holding ``addr``."""

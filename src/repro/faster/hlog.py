@@ -3,13 +3,13 @@
 One logical append-only address space: "the tail of the log is stored in
 main memory and the remainder is spilled to storage".  The in-memory
 portion is a ring buffer over ``[head_address, tail_address)``; its
-youngest ``mutable_fraction`` supports in-place updates, the rest is
+youngest :data:`MUTABLE_FRACTION` supports in-place updates, the rest is
 read-only.  When an append needs room, the oldest in-memory page spills
 to the device and the head advances.
 
 A page ends at the end of the record that fills it, so a record never
 straddles a spill: it is wholly in memory or wholly on the device.
-Records that tile ``page_bytes`` give pages of exactly that size.
+Records that tile :data:`PAGE_BYTES` give pages of exactly that size.
 """
 
 from __future__ import annotations
@@ -23,25 +23,22 @@ from repro.sim.kernel import Environment
 __all__ = ["HybridLog"]
 
 #: Spill granularity: FASTER flushes whole pages, not single records.
-DEFAULT_PAGE_BYTES = 1 << 16
+PAGE_BYTES = 1 << 16
+#: Share of the in-memory log, youngest first, open to in-place updates.
+MUTABLE_FRACTION = 0.9
 
 
 class HybridLog:
     """The in-memory half of the log plus its spill mechanics."""
 
     def __init__(self, env: Environment, memory_bytes: int,
-                 device: Optional[IDevice],
-                 mutable_fraction: float = 0.9,
-                 page_bytes: int = DEFAULT_PAGE_BYTES):
+                 device: Optional[IDevice]):
         if memory_bytes < 1:
             raise ValueError("memory_bytes must be >= 1")
-        if not 0.0 <= mutable_fraction <= 1.0:
-            raise ValueError("mutable_fraction must be in [0, 1]")
         self.env = env
         self.memory_bytes = memory_bytes
         self.device = device
-        self.mutable_fraction = mutable_fraction
-        self.page_bytes = min(page_bytes, memory_bytes)
+        self.page_bytes = min(PAGE_BYTES, memory_bytes)
         self._buf = bytearray(memory_bytes)
         self.begin_address = 0
         self.head_address = 0
@@ -61,7 +58,7 @@ class HybridLog:
     @property
     def read_only_address(self) -> int:
         """Below this (and >= head) the in-memory log is immutable."""
-        mutable_bytes = int(self.memory_bytes * self.mutable_fraction)
+        mutable_bytes = int(self.memory_bytes * MUTABLE_FRACTION)
         return max(self.head_address, self.tail_address - mutable_bytes)
 
     def in_memory(self, addr: int) -> bool:

@@ -68,8 +68,7 @@ class FasterKv:
     """A FASTER-style key-value store over one (possibly tiered) device."""
 
     def __init__(self, env: Environment, device: Optional[IDevice],
-                 memory_bytes: int, value_bytes: int, *,
-                 copy_reads_to_tail: bool = True):
+                 memory_bytes: int, value_bytes: int):
         self.env = env
         self.device = device
         self.value_bytes = value_bytes
@@ -80,12 +79,6 @@ class FasterKv:
         #: applied the append", modulated by the tiered device's *commit
         #: point* (§8.2).
         self.durable_writes = False
-        #: FASTER's read-cache behaviour: a record served by a device is
-        #: appended back to the tail so hot records migrate into memory.
-        #: This is what makes the Zipfian runs of Figure 18b faster than
-        #: uniform -- "FASTER uses local memory to cache frequently-
-        #: accessed records".
-        self.copy_reads_to_tail = copy_reads_to_tail
         self.index = HashIndex()
         self.hlog = HybridLog(env, memory_bytes, device)
         self.record_size = record_bytes(value_bytes)
@@ -173,13 +166,15 @@ class FasterKv:
                 self.reads_missing += 1
                 return ReadOutcome(found=False)
             key_read, value = unpack_record(result.data)
-            if self.copy_reads_to_tail:
-                # Promote the record so subsequent reads hit memory.
-                # Only if the index still points at the address we
-                # fetched.
-                yield self.env.timeout(self.costs.copy_to_tail)
-                new_address = self.hlog.append(result.data)
-                self.index.compare_and_update(key, address, new_address)
+            # FASTER's read-cache behaviour: a record served by a device
+            # is appended back to the tail so hot records migrate into
+            # memory.  This is what makes the Zipfian runs of Figure 18b
+            # faster than uniform -- "FASTER uses local memory to cache
+            # frequently-accessed records".  The index swings only if it
+            # still points at the address we fetched.
+            yield self.env.timeout(self.costs.copy_to_tail)
+            new_address = self.hlog.append(result.data)
+            self.index.compare_and_update(key, address, new_address)
         finally:
             cpu.release()
         self.reads_device += 1

@@ -47,7 +47,7 @@ from repro.faults.spec import (
     SlowNode,
     VmKill,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, sample_p99
 from repro.shard import ShardRouter
 from repro.workloads.scenarios import build_cluster
 
@@ -59,6 +59,8 @@ REGION = 1 << 20
 CAPACITY = 4 * REGION
 SLO = Slo(max_latency=1e-3, min_throughput=1e5, record_size=512)
 PROBE_BYTES = 64
+#: Window the spot-churn scenarios draw their Poisson evictions over.
+CHURN_WINDOW_S = 6.0
 
 
 @dataclass
@@ -124,8 +126,6 @@ class _ProbeStats:
             self._down_since = None
 
     def summary(self) -> Dict[str, float]:
-        ordered = sorted(self.latencies)
-        p99 = ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
         return {
             "probes": self.probes,
             "failed_probes": self.failures,
@@ -135,7 +135,7 @@ class _ProbeStats:
             "unavailability_windows": len(self.windows),
             "unavailable_s": sum(self.windows),
             "max_unavailable_s": max(self.windows, default=0.0),
-            "read_p99_s": p99,
+            "read_p99_s": sample_p99(self.latencies),
         }
 
 
@@ -214,8 +214,7 @@ def _backing(capacity: int) -> bytes:
 # Scenarios
 # ----------------------------------------------------------------------
 
-def churn_run(seed: int, *, rate_per_s: float = 1.0,
-              duration_s: float = 6.0) -> ChaosReport:
+def churn_run(seed: int, *, rate_per_s: float = 1.0) -> ChaosReport:
     """Poisson spot churn against one backed cache (§6.2 repopulate).
 
     The parametric core of the ``spot-churn`` scenario: the availability
@@ -237,7 +236,7 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0,
     injector.install_failure_hook()
     rng = harness.rngs.stream("faults")
     draw = lambda: FaultSchedule.poisson_evictions(  # noqa: E731
-        rate_per_s=rate_per_s, duration_s=duration_s, rng=rng,
+        rate_per_s=rate_per_s, duration_s=CHURN_WINDOW_S, rng=rng,
         start_at=0.5, notice_s=0.5, kill_fraction=0.25)
     schedule = draw()
     while not len(schedule):
@@ -248,7 +247,7 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0,
     injector.arm(schedule, cache=cache)
 
     stats = _ProbeStats(SLO.max_latency)
-    horizon = max(duration_s + 2.0, schedule.horizon + 2.0)
+    horizon = max(CHURN_WINDOW_S + 2.0, schedule.horizon + 2.0)
     env.process(_probe_loop(env, lambda: cache.read(4096, PROBE_BYTES),
                             stats, interval_s=5e-3, until=horizon),
                 name="chaos-probe")
@@ -289,9 +288,8 @@ def spot_evict_programs(seed: int) -> ChaosReport:
                              fabric=harness.fabric)
     injector.install_failure_hook()
     rng = harness.rngs.stream("faults")
-    duration_s = 6.0
     draw = lambda: FaultSchedule.poisson_evictions(  # noqa: E731
-        rate_per_s=1.0, duration_s=duration_s, rng=rng,
+        rate_per_s=1.0, duration_s=CHURN_WINDOW_S, rng=rng,
         start_at=0.5, notice_s=0.5, kill_fraction=0.0)
     schedule = draw()
     while not len(schedule):
@@ -318,7 +316,7 @@ def spot_evict_programs(seed: int) -> ChaosReport:
             (index % n_regions) * REGION + 64, record_bytes))
 
     stats = _ProbeStats(SLO.max_latency)
-    horizon = max(duration_s + 2.0, schedule.horizon + 2.0)
+    horizon = max(CHURN_WINDOW_S + 2.0, schedule.horizon + 2.0)
     env.process(_probe_loop(env, probe, stats, interval_s=5e-3,
                             until=horizon),
                 name="chaos-probe")

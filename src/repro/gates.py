@@ -56,7 +56,7 @@ from repro.core.measurement import measure_config
 from repro.cplane import run_connection_storm
 from repro.cplane.pool import STRATEGIES
 from repro.faults import scenarios as chaos
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, sample_p99
 from repro.shard import HotKeyPolicy, ShardRouter
 from repro.tenant import TenantSpec, TenantTier
 from repro.workloads.runner import run_router_workload
@@ -434,18 +434,14 @@ def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
 
     lost = env.run_process(settle_and_verify())
 
-    def p99(values):
-        ordered = sorted(values)
-        return ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
-
     blob = {
         "schema": "repro.tenants/v1",
         "seed": seed,
         "ops": ops,
         "abusive": abusive,
         "kill": kill,
-        "premium_read_p99_s": p99(latencies["prem"]),
-        "standard_read_p99_s": p99(latencies["std"]),
+        "premium_read_p99_s": sample_p99(latencies["prem"]),
+        "standard_read_p99_s": sample_p99(latencies["std"]),
         "failed_reads": failed_reads,
         "acked_writes_checked": sum(len(a) for a in acked.values()),
         "acked_writes_lost": lost,

@@ -310,8 +310,8 @@ class QueuePair:
         if self._backlog_depth is not None:
             self._backlog_depth.set(len(self._backlog))
 
-    def post_program(self, program: VerbProgram, token: AccessToken,
-                     context: object = None) -> Event:
+    def post_program(self, program: VerbProgram,
+                     token: AccessToken) -> Event:
         """Post a dependent read as one work request.
 
         The descriptor travels in one message, executes at the remote
@@ -321,7 +321,7 @@ class QueuePair:
         """
         return self.post(WorkRequest(
             RdmaOp.PROGRAM, token, 0, program.request_wire_bytes,
-            context=context, program=program))
+            program=program))
 
     def _context_penalty(self, endpoint: Endpoint) -> float:
         """Touch ``endpoint``'s NIC QP-context cache for this QP.

@@ -9,9 +9,6 @@ machine-diffable across PRs.  Schema::
     {
       "schema": "repro.obs/v1",
       "name": "<run id>",
-      "sim_now": <simulated seconds at snapshot>,
-      "event_loop": {"steps": ..., "events": ..., "immediate_calls": ...,
-                     "process_failures": ..., "pending": ...},  # when env given
       "metrics": {"<dotted.name>": {"type": ..., ...}, ...},
       "extra": {...}                                      # caller context
     }
@@ -43,7 +40,6 @@ def _jsonable(value: Any) -> Any:
 
 
 def snapshot(registry: MetricsRegistry, *, name: str = "",
-             env=None,
              extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """One self-describing dict of everything the run measured."""
     blob: Dict[str, Any] = {
@@ -51,9 +47,6 @@ def snapshot(registry: MetricsRegistry, *, name: str = "",
         "name": name,
         "metrics": registry.snapshot(),
     }
-    if env is not None:
-        blob["sim_now"] = env.now
-        blob["event_loop"] = env.event_loop_stats()
     if extra:
         blob["extra"] = extra
     return _jsonable(blob)
@@ -105,11 +98,4 @@ def format_table(blob: Dict[str, Any]) -> str:
         else:
             value = _si(metric["value"])
         lines.append(f"{name:<44} {kind:<9} {value}")
-    loop = blob.get("event_loop")
-    if loop:
-        lines.append("")
-        lines.append("event loop: " + "  ".join(
-            f"{key}={value}" for key, value in sorted(loop.items())))
-    if "sim_now" in blob:
-        lines.append(f"simulated time: {blob['sim_now']:.6f}s")
     return "\n".join(lines)

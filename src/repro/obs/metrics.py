@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +24,16 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "sample_p99",
     "split_labeled_name",
 ]
+
+
+def sample_p99(values: Iterable[float]) -> float:
+    """p99 of raw samples: the sorted sample at index
+    ``int(0.99 * (n - 1))``, or 0.0 when there are none."""
+    ordered = sorted(values)
+    return ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
 
 
 def _geometric_buckets(lo: float, hi: float, per_decade: int) -> tuple:

@@ -53,6 +53,11 @@ from repro.sim.kernel import Environment, Event
 
 __all__ = ["ShardMember", "ShardRouter"]
 
+#: Backpressure: ops one member may have in flight; later ones wait.
+MAX_INFLIGHT_PER_SHARD = 32
+#: Members of the §6.2 replicated cache, each on its own servers.
+REPLICAS = 2
+
 
 class ShardMember:
     """One member cache plus the router's per-shard accounting."""
@@ -90,7 +95,6 @@ class ShardRouter:
                  *,
                  slot_bytes: int = 1 << 16,
                  replication: int = 1,
-                 max_inflight_per_shard: int = 32,
                  hedge_after_s: Optional[float] = None,
                  hotkeys: Optional[HotKeyPolicy] = None,
                  control_plane=None):
@@ -100,8 +104,6 @@ class ShardRouter:
             raise ValueError("slot_bytes must be >= 1")
         if replication < 1:
             raise ValueError("replication must be >= 1")
-        if max_inflight_per_shard < 1:
-            raise ValueError("max_inflight_per_shard must be >= 1")
         capacities = {cache.capacity for cache in members.values()}
         if len(capacities) != 1:
             raise ValueError("member caches must share one capacity "
@@ -112,7 +114,6 @@ class ShardRouter:
         self.slot_bytes = slot_bytes
         self.n_slots = -(-self.capacity // slot_bytes)
         self.replication = replication
-        self.max_inflight_per_shard = max_inflight_per_shard
         self.hedge_after_s = hedge_after_s
         self.hot_policy = hotkeys
         self.metrics = registry_of(env)
@@ -189,20 +190,20 @@ class ShardRouter:
                                  if m else None)
 
     @classmethod
-    def replicated(cls, client: RedyClient, capacity: int, slo: Slo,
-                   replicas: int = 2, *,
+    def replicated(cls, client: RedyClient, capacity: int, slo: Slo, *,
                    region_bytes: int = 1 << 30) -> "ShardRouter":
-        """The §6.2 replicated cache: ``replicas`` members on disjoint
-        physical servers at ``replication=replicas``, so every slot is
-        written to all of them and read from its primary with failover."""
+        """The §6.2 replicated cache: :data:`REPLICAS` members on
+        disjoint physical servers at ``replication=REPLICAS``, so every
+        slot is written to all of them and read from its primary with
+        failover."""
         members: Dict[str, RedyCache] = {}
         used: set = set()
-        for i in range(replicas):
+        for i in range(REPLICAS):
             cache = client.create(capacity, slo, region_bytes=region_bytes,
                                   exclude_servers=frozenset(used))
             members[f"r{i}"] = cache
             used.update(vm.server.server_id for vm in cache.allocation.vms)
-        return cls(client.env, members, replication=replicas)
+        return cls(client.env, members, replication=REPLICAS)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -343,7 +344,7 @@ class ShardRouter:
     def _try_take(self, member: ShardMember) -> bool:
         """Take a free in-flight slot on ``member``; False when it is
         saturated.  A caller that gets one builds no generator."""
-        if member.inflight >= self.max_inflight_per_shard:
+        if member.inflight >= MAX_INFLIGHT_PER_SHARD:
             return False
         member.inflight += 1
         if member.inflight_gauge:
@@ -363,7 +364,7 @@ class ShardRouter:
         member.inflight -= 1
         if member.inflight_gauge:
             member.inflight_gauge.set(member.inflight)
-        if member.waiters and member.inflight < self.max_inflight_per_shard:
+        if member.waiters and member.inflight < MAX_INFLIGHT_PER_SHARD:
             heapq.heappop(member.waiters)[2].succeed()
 
     def _count(self, member: ShardMember, is_read: bool) -> None:
@@ -519,11 +520,11 @@ class ShardRouter:
         for name in alternates:
             alt = self._members.get(name)
             if (alt is not None and alt.alive
-                    and alt.inflight < self.max_inflight_per_shard):
+                    and alt.inflight < MAX_INFLIGHT_PER_SHARD):
                 hedge_member = alt
                 break
         if (hedge_member is None and member.alive
-                and member.inflight < self.max_inflight_per_shard):
+                and member.inflight < MAX_INFLIGHT_PER_SHARD):
             hedge_member = member
         if hedge_member is None:
             result = yield primary

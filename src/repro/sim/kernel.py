@@ -172,7 +172,7 @@ class Event:
         elif self.callbacks is None:
             self.callbacks = [callback]
         else:
-            self.callbacks.append(callback)  # repro-lint: disable=L002 -- this IS the registration primitive; detach duty lies with callers (combinators keep handles)
+            self.callbacks.append(callback)
 
     def _handle_failure(self, exc: BaseException) -> None:
         """Fail the event whose own work raised ``exc``: a process, or
@@ -531,10 +531,10 @@ class AnyOf(_Combinator):
 class Environment:
     """Owns simulated time and the event list."""
 
-    def __init__(self, initial_time: float = 0.0):
+    def __init__(self):
         #: Current simulated time in seconds.  Only the kernel writes
         #: it (the run loop, :meth:`step`); everything else reads it.
-        self.now = float(initial_time)
+        self.now = 0.0
         # Work due at the current instant: a plain FIFO deque (appends
         # at `now` happen in sequence order, so FIFO *is* seq order).
         self._immediate: deque = deque()

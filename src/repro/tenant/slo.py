@@ -11,9 +11,9 @@ through weighted scheduling: the class weight is the tenant's share of
 the shard pool when it is contended, and the searched configuration's
 queue depth bounds the tenant's in-flight ops.
 
-Everything here is a pure function of its arguments: the analytic
-measurer runs with ``noise=0``, so two calls with the same parameters
-produce bit-identical plans (the determinism contract).
+Everything here is a pure function: the analytic measurer runs with
+``noise=0``, so two calls produce bit-identical plans (the determinism
+contract).
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ _CLASS_THROUGHPUT_FRACTION = {"premium": 0.5, "standard": 0.25,
 
 #: Record size, bytes, the class plans are searched at.
 _RECORD_SIZE = 64
+#: The config space the class plans are searched in.
+_MAX_CLIENT_THREADS = 4
+_MAX_QUEUE_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,11 @@ class ClassPlan:
         return max(1, self.config.queue_depth * self.config.client_threads)
 
 
-def plan_slo_classes(*, max_client_threads: int = 4,
-                     max_queue_depth: int = 8,
-                     seed: int = 0) -> dict[str, ClassPlan]:
+def plan_slo_classes() -> dict[str, ClassPlan]:
     """Map every SLO class to a searched config + predicted perf point.
 
     Takes a small offline model (noise-free analytic measurer, so the
-    result is deterministic and cheap) over the given config space from
+    result is deterministic and cheap) over a fixed config space from
     the process-wide :func:`~repro.core.modeling.analytic_model` store
     and runs the §5 SLO search once per class.  ``scavenger`` targets the
     worst corner and is always satisfiable; the tighter classes fall
@@ -80,11 +81,11 @@ def plan_slo_classes(*, max_client_threads: int = 4,
     worst corner) rather than failing the whole plan, mirroring how the
     paper's search degrades an unsatisfiable SLO request.
     """
-    space = ConfigSpace(max_client_threads=max_client_threads,
+    space = ConfigSpace(max_client_threads=_MAX_CLIENT_THREADS,
                         record_size=_RECORD_SIZE,
-                        max_queue_depth=max_queue_depth)
+                        max_queue_depth=_MAX_QUEUE_DEPTH)
     model = analytic_model(space, profile=AZURE_HPC,
-                           switch_hops=1, noise=0.0, seed=seed)
+                           switch_hops=1, noise=0.0, seed=0)
     best, worst = model.bounds()
     searcher = SloSearcher.for_model(model)
 

@@ -44,7 +44,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.core.client import CacheIoResult
 from repro.obs.metrics import registry_of
-from repro.shard.router import ShardRouter
+from repro.shard.router import MAX_INFLIGHT_PER_SHARD, ShardRouter
 from repro.sim.kernel import Environment, Event
 from repro.tenant.admission import ADMIT, SHED, AdmissionController
 from repro.tenant.backing import FailOpenStore
@@ -86,10 +86,6 @@ class TenantSpec:
     slo_class: str = "standard"
     #: Bound on queued (token-reserved) requests before shedding.
     max_queue: int = 16
-    #: Shed *reads* are served from the backing mirror instead of being
-    #: rejected (writes are always rejected on shed: serving them
-    #: locally without admission would silently fork the namespace).
-    fail_open_on_shed: bool = True
     #: Degraded-mode recovery probe cadence.
     probe_interval_s: float = 5e-3
 
@@ -155,20 +151,15 @@ class TenantState:
 class TenantTier:
     """Serving front-end fanning registered tenants onto one router."""
 
-    def __init__(self, env: Environment, router: ShardRouter, *,
-                 max_inflight: Optional[int] = None):
+    def __init__(self, env: Environment, router: ShardRouter):
         self.env = env
         self.router = router
         self.plans = plan_slo_classes()
         #: Shared scheduling-slot pool: how many tenant requests may be
-        #: in flight against the shard pool at once.  Defaults to the
-        #: fleet's aggregate backpressure budget.
-        if max_inflight is None:
-            max_inflight = (router.max_inflight_per_shard
-                            * max(1, len(router.members)))
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        self.max_inflight = max_inflight
+        #: in flight against the shard pool at once, the fleet's
+        #: aggregate backpressure budget.
+        self.max_inflight = (MAX_INFLIGHT_PER_SHARD
+                             * max(1, len(router.members)))
         self._tenants: Dict[str, TenantState] = {}
         #: Registration order == namespace order == scheduling scan
         #: order; deterministic by construction.
@@ -302,11 +293,13 @@ class TenantTier:
         if verdict == SHED:
             if tenant.c_shed is not None:
                 tenant.c_shed.inc()
-            if is_read and tenant.spec.fail_open_on_shed:
+            if is_read:
                 # Saturation fail-open: serve (possibly slightly stale)
                 # bytes from the local mirror rather than erroring --
                 # but keep the retry_after pressure signal on the
-                # result so well-behaved clients still back off.
+                # result so well-behaved clients still back off.  A
+                # shed write is rejected: serving it locally without
+                # admission would silently fork the namespace.
                 self.env.process(
                     self._backing_read(tenant, addr, size, done,
                                        self.env.now, wait),

@@ -24,7 +24,7 @@ from repro.sim.kernel import Environment
 
 
 def test_measure_programs_workload_is_deterministic():
-    report = sanitize(SCENARIOS["measure"].run, seed=0, label="measure")
+    report = sanitize(SCENARIOS["measure"].run)
     assert report.deterministic
     assert report.events_a == report.events_b > 500
 

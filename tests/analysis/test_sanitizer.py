@@ -68,7 +68,7 @@ def make_rng_leaky():
 
 
 def test_deterministic_workload_is_clean():
-    report = sanitize(_deterministic_workload, seed=3, label="det")
+    report = sanitize(_deterministic_workload)
     assert report.deterministic
     assert report.digest_a == report.digest_b
     assert report.events_a == report.events_b > 0
@@ -77,7 +77,7 @@ def test_deterministic_workload_is_clean():
 
 
 def test_schedule_divergence_is_bisected_to_the_exact_event():
-    report = sanitize(make_schedule_leaky(), seed=0, label="leaky")
+    report = sanitize(make_schedule_leaky())
     assert not report.deterministic
     # Trace: spawn, bootstrap step, timeout trigger@0, resume@1.0, and
     # the second timeout's trigger@1.0 agree (trigger entries record
@@ -92,7 +92,7 @@ def test_schedule_divergence_is_bisected_to_the_exact_event():
 
 
 def test_rng_divergence_is_attributed_to_the_stream():
-    report = sanitize(make_rng_leaky(), seed=11, label="rng-leak")
+    report = sanitize(make_rng_leaky())
     assert not report.deterministic
     assert report.rng_divergence == {"jitter": (2, 3)}
     assert "jitter" in report.attribution
@@ -105,20 +105,19 @@ def test_rng_divergence_is_attributed_to_the_stream():
 
 def test_demo_workload_diverges():
     LEAK["runs"] = 0
-    report = sanitize(demo_nondet, seed=0, label="demo")
+    report = sanitize(demo_nondet)
     assert not report.deterministic
     assert report.rng_divergence  # the leak draws extra values in run two
 
 
 def test_shipped_measure_workload_is_deterministic():
-    report = sanitize(gates.SCENARIOS["measure"].run, seed=0,
-                      label="measure")
+    report = sanitize(gates.SCENARIOS["measure"].run)
     assert report.deterministic
     assert report.events_a > 500  # the whole measurement path is traced
 
 
 def test_default_monitor_is_restored_after_sanitize():
-    sanitize(_deterministic_workload, seed=1)
+    sanitize(_deterministic_workload)
     # set_default_monitor returns the previous monitor: must be None.
     assert kernel.set_default_monitor(None) is None
 
@@ -180,7 +179,7 @@ def test_gate_checks_order_on_measurement_path():
 
 
 def test_report_describe_mentions_both_runs():
-    report = sanitize(make_schedule_leaky(), seed=0, label="leaky")
+    report = sanitize(make_schedule_leaky())
     text = report.describe()
     assert "DIVERGED" in text
     assert "run A" in text and "run B" in text

@@ -76,7 +76,7 @@ class TestPlacement:
 class TestReclamation:
     def test_reclaim_gives_notice_then_terminates(self):
         env = Environment()
-        allocator = VmAllocator(env, make_fleet(), reclaim_notice_s=30.0)
+        allocator = VmAllocator(env, make_fleet())
         vm = allocator.allocate(D8, spot=True)
         notices = []
         deaths = []

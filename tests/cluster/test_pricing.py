@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.pricing import SpotMarket
+from repro.cluster.pricing import CEILING_FRACTION, FLOOR_FRACTION, SpotMarket
 from repro.cluster.vmtypes import AZURE_MENU
 from repro.sim import Environment
 
@@ -33,8 +33,8 @@ class TestSpotMarket:
         env.run(until=4 * 3600.0)
         for vm_type in AZURE_MENU:
             price = market.spot_price(vm_type)
-            assert (vm_type.price_per_hour * 0.10 - 1e-12 <= price
-                    <= vm_type.price_per_hour * 0.95 + 1e-12)
+            assert (vm_type.price_per_hour * FLOOR_FRACTION - 1e-12 <= price
+                    <= vm_type.price_per_hour * CEILING_FRACTION + 1e-12)
 
     def test_on_demand_price_is_static(self):
         env, market = make_market()
@@ -65,6 +65,3 @@ class TestSpotMarket:
         with pytest.raises(ValueError):
             SpotMarket(env, AZURE_MENU, np.random.default_rng(0),
                        update_interval_s=0)
-        with pytest.raises(ValueError):
-            SpotMarket(env, AZURE_MENU, np.random.default_rng(0),
-                       floor_fraction=0.9, ceiling_fraction=0.5)

@@ -118,7 +118,8 @@ def test_property_vm_allocator_conserves_resources(seed):
     rng = np.random.default_rng(seed)
     servers = [PhysicalServer(server_id=i, cluster=0, rack=0, cores=64,
                               memory_gb=512.0) for i in range(3)]
-    allocator = VmAllocator(env, servers, reclaim_notice_s=1.0)
+    allocator = VmAllocator(env, servers)
+    allocator.reclaim_notice_s = 1.0
     live = []
     for _ in range(60):
         action = rng.random()

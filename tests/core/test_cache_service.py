@@ -15,7 +15,7 @@ from repro.core.client import CacheDeletedError, RedyCache, RedyClient
 from repro.core.manager import CacheManager, SloUnsatisfiableError
 from repro.core.migration import MigrationPolicy
 from repro.hardware import AZURE_HPC
-from repro.net import Fabric, Placement
+from repro.net import Fabric
 from repro.sim import Environment, US
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_cluster
@@ -34,10 +34,9 @@ def stack():
                        cores=48, memory_gb=384.0)
         for i in range(8)
     ]
-    allocator = VmAllocator(env, servers, reclaim_notice_s=30.0)
+    allocator = VmAllocator(env, servers)
     manager = CacheManager(env, AZURE_HPC, fabric, allocator, rngs)
-    client = RedyClient(env, AZURE_HPC, fabric, manager, rngs,
-                        placement=Placement(cluster=0, rack=0))
+    client = RedyClient(env, AZURE_HPC, fabric, manager, rngs)
     return env, allocator, manager, client
 
 

@@ -47,10 +47,10 @@ class TestRdmaConfig:
 
     def test_with_ablation_flips_only_named_switches(self):
         config = RdmaConfig(2, 2, 4, 4)
-        flipped = config.with_ablation(lock_free=False)
-        assert not flipped.lock_free
-        assert flipped.numa_affinity
-        assert config.lock_free  # original untouched
+        flipped = config.with_ablation(use_verb_programs=True)
+        assert flipped.use_verb_programs
+        assert flipped.lock_free and flipped.numa_affinity
+        assert not config.use_verb_programs  # original untouched
 
     def test_describe(self):
         assert RdmaConfig(2, 1, 4, 8).describe() == "c=2 s=1 b=4 q=8"
@@ -121,9 +121,6 @@ class TestSlo:
             Slo(max_latency=1, min_throughput=-1, record_size=8)
         with pytest.raises(ConfigurationError):
             Slo(max_latency=1, min_throughput=1, record_size=0)
-        with pytest.raises(ConfigurationError):
-            Slo(max_latency=1, min_throughput=1, record_size=8,
-                read_fraction=1.5)
 
 
 class TestPerfPoint:

@@ -22,7 +22,7 @@ from repro.core.manager import CacheManager
 from repro.core.migration import (INGEST_BANDWIDTH_GBPS, MigrationPolicy,
                                   migrate_regions)
 from repro.hardware import AZURE_HPC
-from repro.net import Fabric, Placement
+from repro.net import Fabric
 from repro.sim import US, Environment
 from repro.sim.rng import RngRegistry
 
@@ -43,8 +43,7 @@ def _migrate(monkeypatch, policy, ops, regions=(0, 1)):
                               memory_gb=384.0) for i in range(4)]
     allocator = VmAllocator(env, servers)
     manager = CacheManager(env, AZURE_HPC, fabric, allocator, rngs)
-    client = RedyClient(env, AZURE_HPC, fabric, manager, rngs,
-                        placement=Placement(cluster=0, rack=0))
+    client = RedyClient(env, AZURE_HPC, fabric, manager, rngs)
     cache = client.create(2 * REGION, EASY_SLO, duration_s=3600.0,
                           region_bytes=REGION)
     vm, old_server = cache.allocation.vms[0], cache.allocation.servers[0]

@@ -18,7 +18,7 @@ from repro.core import migration as migration_mod
 from repro.core.client import RedyClient
 from repro.core.manager import CacheManager
 from repro.hardware import AZURE_HPC
-from repro.net import Fabric, Placement
+from repro.net import Fabric
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
 
@@ -36,10 +36,9 @@ def stack():
                        cores=48, memory_gb=384.0)
         for i in range(8)
     ]
-    allocator = VmAllocator(env, servers, reclaim_notice_s=30.0)
+    allocator = VmAllocator(env, servers)
     manager = CacheManager(env, AZURE_HPC, fabric, allocator, rngs)
-    client = RedyClient(env, AZURE_HPC, fabric, manager, rngs,
-                        placement=Placement(cluster=0, rack=0))
+    client = RedyClient(env, AZURE_HPC, fabric, manager, rngs)
     return env, allocator, manager, client
 
 

@@ -13,8 +13,8 @@ from repro.core.modeling import (
     OfflineModeler,
     analytic_model,
     make_analytic_measurer,
-    make_testbed_measurer,
 )
+from repro.core import modeling
 from repro.core.search import SloSearcher
 from repro.core.space import ConfigSpace
 from repro.exec.runner import SweepRunner
@@ -136,9 +136,9 @@ class TestEngineMeasurer:
         """The simulated-testbed measurer and the analytic model must tell
         the same story (they share the same cost constants)."""
         config = RdmaConfig(2, 1, 4, 4)
-        engine = make_testbed_measurer(
-            record_size=64, seed=2, batches_per_connection=80,
-            runner=SweepRunner(max_workers=1))(config)
+        engine = modeling.TestbedMeasurer(
+            SweepRunner(max_workers=1), record_size=64, seed=2,
+            batches_per_connection=80)(config)
         analytic = DataPathModel(AZURE_HPC, 1).evaluate(config, 64)
         assert engine.latency == pytest.approx(analytic.latency, rel=0.45)
         assert engine.throughput == pytest.approx(analytic.throughput,
@@ -157,9 +157,9 @@ def test_testbed_measurer_matches_measure_config_bit_for_bit():
                               warmup_batches=2, seed=7).perf
 
     serial = OfflineModeler(space, direct)
-    batched = OfflineModeler(space, make_testbed_measurer(
-        record_size=1024, seed=7, batches_per_connection=6,
-        warmup_batches=2, runner=SweepRunner(max_workers=1)))
+    batched = OfflineModeler(space, modeling.TestbedMeasurer(
+        SweepRunner(max_workers=1), record_size=1024, seed=7,
+        batches_per_connection=6, warmup_batches=2))
     serial_model, serial_stats = serial.build()
     batched_model, batched_stats = batched.build()
     assert serial_stats == batched_stats

@@ -1,17 +1,9 @@
 """Tests for the replicated cache (§6.2's replication alternative), served
 by :meth:`repro.shard.ShardRouter.replicated`."""
 
-import pytest
+from repro.shard.router import REPLICAS
 
-from repro.shard import ShardRouter
-
-from tests.shard.conftest import (
-    CAPACITY,
-    REGION,
-    SLO,
-    make_replicated,
-    server_ids,
-)
+from tests.shard.conftest import make_fleet, make_replicated, server_ids
 
 
 def run(env, event):
@@ -33,21 +25,12 @@ def settle(harness, router):
 
 class TestConstruction:
     def test_replicas_land_on_disjoint_servers(self):
-        _harness, _client, members, router = make_replicated(replicas=3)
-        assert router.replication == 3
-        domains = [server_ids(cache) for cache in members.values()]
-        assert len(domains) == 3
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not (domains[i] & domains[j])
-        assert all(len(router.owners_of_slot(slot)) == 3
+        _harness, _client, members, router = make_replicated()
+        assert router.replication == REPLICAS == 2
+        first, second = (server_ids(cache) for cache in members.values())
+        assert not (first & second)
+        assert all(len(router.owners_of_slot(slot)) == 2
                    for slot in range(router.n_slots))
-
-    def test_zero_replicas_rejected(self):
-        _harness, client, _members, _router = make_replicated()
-        with pytest.raises(ValueError):
-            ShardRouter.replicated(client, CAPACITY, SLO, 0,
-                                   region_bytes=REGION)
 
 
 class TestDataPath:
@@ -87,10 +70,10 @@ class TestDataPath:
 
     def test_total_loss_surfaces_error(self):
         # With two members the first departs; the last has no survivor
-        # to hand its ranges to, so I/O surfaces the error instead.
-        for replicas in (1, 2):
-            harness, _client, members, router = make_replicated(
-                replicas=replicas)
+        # to hand its ranges to, so I/O surfaces the error instead.  A
+        # one-member router is the last member from the start.
+        for harness, _client, members, router in (make_fleet(n_shards=1),
+                                                  make_replicated()):
             for cache in members.values():
                 kill(harness, cache)
             result = run(harness.env, router.read(0, 8))

@@ -1,90 +1,13 @@
-"""Deterministic retry jitter (ISSUE 4 satellite).
+"""The retry backoff schedule: doubling from the base, then capped, and
+the same on every run (no draw from any stream)."""
 
-N shard clients that all see the same fault must not retry in lockstep
-(a synchronized retry storm at every backoff step), yet the whole
-schedule must stay a pure function of the root seed.  The jitter draw
-comes from a per-cache stream of the sim's ``RngRegistry``, giving
-exactly that: decorrelated across caches, bit-identical across runs.
-"""
-
-import numpy as np
-import pytest
-
-from repro.core import Slo
 from repro.core.client import RetryPolicy
-from repro.sim.rng import RngRegistry
-from repro.workloads.scenarios import build_cluster
-
-REGION = 1 << 20
-SLO = Slo(max_latency=1e-3, min_throughput=1e5, record_size=512)
-
-
-def test_jitter_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=-0.1)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.5)
 
 
 def test_backoff_without_rng_is_the_deterministic_cap():
     policy = RetryPolicy(max_attempts=5, base_backoff_s=1e-4,
-                         max_backoff_s=4e-4, jitter=0.5)
+                         max_backoff_s=4e-4)
     assert policy.backoff_s(1) == 1e-4
     assert policy.backoff_s(2) == 2e-4
     assert policy.backoff_s(3) == 4e-4
     assert policy.backoff_s(4) == 4e-4  # capped
-
-
-def test_jitter_shrinks_but_never_grows_the_wait():
-    policy = RetryPolicy(max_attempts=3, base_backoff_s=1e-4, jitter=0.5)
-    rng = np.random.default_rng(3)
-    for failures in (1, 2, 3):
-        cap = policy.backoff_s(failures)
-        jittered = policy.backoff_s(failures, rng=rng)
-        assert cap * 0.5 <= jittered <= cap
-
-
-def _schedule(rngs: RngRegistry, stream: str, policy: RetryPolicy,
-              n: int = 6) -> list:
-    rng = rngs.stream(stream)
-    return [policy.backoff_s(k, rng=rng) for k in range(1, n + 1)]
-
-
-def test_schedules_decorrelate_across_streams_but_reproduce_across_runs():
-    policy = RetryPolicy(max_attempts=6, base_backoff_s=1e-4,
-                         max_backoff_s=1e-2, jitter=0.5)
-    first = {name: _schedule(RngRegistry(seed=7), name, policy)
-             for name in ("client-retry-1", "client-retry-2",
-                          "client-retry-3")}
-    # Decorrelated: no two clients share a schedule after the same fault.
-    schedules = list(first.values())
-    for i in range(len(schedules)):
-        for j in range(i + 1, len(schedules)):
-            assert schedules[i] != schedules[j]
-    # Reproducible: a fresh registry with the same seed replays each
-    # client's schedule bit for bit.
-    second = {name: _schedule(RngRegistry(seed=7), name, policy)
-              for name in first}
-    assert second == first
-    # And a different root seed moves every schedule.
-    third = {name: _schedule(RngRegistry(seed=8), name, policy)
-             for name in first}
-    assert all(third[name] != first[name] for name in first)
-
-
-def test_caches_draw_jitter_from_distinct_per_allocation_streams():
-    """End to end: two caches on one cluster jitter independently."""
-
-    def backoffs(seed):
-        harness = build_cluster(seed=seed)
-        client = harness.redy_client("jitter-app")
-        policy = RetryPolicy(max_attempts=4, jitter=0.5)
-        caches = [client.create(2 * REGION, SLO, region_bytes=REGION,
-                                retry_policy=policy)
-                  for _ in range(2)]
-        return [[cache.retry_policy.backoff_s(k, rng=cache._retry_rng)
-                 for k in (1, 2, 3)] for cache in caches]
-
-    first = backoffs(seed=5)
-    assert first[0] != first[1]
-    assert backoffs(seed=5) == first

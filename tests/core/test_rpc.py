@@ -1,21 +1,19 @@
 """Tests for the RDMA-RPC control-plane framework."""
 
-import pytest
-
 from repro.core.rpc import RpcClient, RpcError, RpcServer
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, Placement
 from repro.sim import Environment, US
 
 
-def make_pair(hops="rack", service_time=5 * US):
+def make_pair(hops="rack"):
     env = Environment()
     fabric = Fabric(env, AZURE_HPC)
     client_ep = fabric.add_endpoint("rpc-client", Placement(0, 0))
     placements = {"rack": Placement(0, 0), "cluster": Placement(0, 1),
                   "dc": Placement(1, 0)}
     server_ep = fabric.add_endpoint("rpc-server", placements[hops])
-    server = RpcServer(env, AZURE_HPC, server_ep, service_time=service_time)
+    server = RpcServer(env, AZURE_HPC, server_ep)
     client = RpcClient(env, AZURE_HPC, client_ep)
     return env, client, server
 
@@ -106,40 +104,18 @@ class TestRpc:
 
         assert "down" in env.run_process(proc(env))
 
-    def test_large_payloads_cost_wire_time(self):
-        env, client, server = make_pair()
-        server.register("blob", lambda _p: None)
-
-        def timed(request_bytes):
-            def proc(env):
-                start = env.now
-                yield client.call(server, "blob",
-                                  request_bytes=request_bytes)
-                return env.now - start
-
-            return env.run_process(proc(env))
-
-        small = timed(256)
-        large = timed(4 << 20)
-        assert large > small + 300 * US  # 4 MB at 100 Gbit/s ~ 335us
-
     def test_concurrent_calls_interleave(self):
-        env, client, server = make_pair(service_time=20 * US)
+        env, client, server = make_pair()
         server.register("echo", lambda p: p)
 
-        def proc(env):
-            events = [client.call(server, "echo", i) for i in range(5)]
+        def proc(env, calls):
+            start = env.now
+            events = [client.call(server, "echo", i) for i in range(calls)]
             results = yield env.all_of(events)
-            return results, env.now
+            return results, env.now - start
 
-        results, elapsed = env.run_process(proc(env))
+        _, single = env.run_process(proc(env, 1))
+        results, elapsed = env.run_process(proc(env, 5))
         assert results == [0, 1, 2, 3, 4]
         # Calls overlap on the wire; total is far less than 5 serial RPCs.
-        assert elapsed < 5 * (30 * US)
-
-    def test_validation(self):
-        env = Environment()
-        fabric = Fabric(env, AZURE_HPC)
-        ep = fabric.add_endpoint("x")
-        with pytest.raises(ValueError):
-            RpcServer(env, AZURE_HPC, ep, service_time=-1.0)
+        assert elapsed < 2 * single

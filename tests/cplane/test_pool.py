@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cplane import CplaneLog, PoolPolicy, QpPool
+from repro.cplane.pool import MAX_QPS
 from repro.hardware import AZURE_HPC
-from repro.net import Fabric, MemoryRegion, Placement
+from repro.net import Fabric, MemoryRegion, Placement, RdmaOp, WorkRequest
 from repro.sim import Environment
 
 
@@ -53,32 +54,32 @@ class TestMultiplexing:
 
     def test_oversubscription_at_the_qp_cap(self):
         env, _, _, _, _, pool = make_pool(strategy="pooled",
-                                          sessions_per_qp=1, max_qps=1)
-        sessions = open_n(env, pool, 2)
-        assert pool.qps_created == 1
+                                          sessions_per_qp=1)
+        sessions = open_n(env, pool, MAX_QPS + 1)
+        assert pool.qps_created == MAX_QPS
         assert pool.oversubscriptions == 1
-        assert sessions[0].qp_id == sessions[1].qp_id
+        assert sessions[0].qp_id == sessions[-1].qp_id
 
     def test_broken_qps_do_not_count_against_the_cap(self):
         env, _, client, _, _, pool = make_pool(strategy="pooled",
-                                               sessions_per_qp=1, max_qps=2)
-        first, second = open_n(env, pool, 2)
+                                               sessions_per_qp=1)
+        first, second, *rest = open_n(env, pool, MAX_QPS)
         client.qps[0].inject_error("link fault")
-        # One usable QP under a cap of two: the broken QP is replaced,
-        # not counted, and never oversubscribed onto.
-        (third,) = open_n(env, pool, 1)
-        assert third.qp_id not in (first.qp_id, second.qp_id)
+        # One usable QP short of the cap: the broken QP is replaced, not
+        # counted, and never oversubscribed onto.
+        (extra,) = open_n(env, pool, 1)
+        assert extra.qp_id not in {s.qp_id for s in [first, second, *rest]}
         assert pool.oversubscriptions == 0
-        assert pool.live_qps == 3
+        assert pool.live_qps == MAX_QPS + 1
         # Reclaimed by the next harvest once its session has closed.
         pool.close_session(first)
         assert pool.harvest() == 1
-        assert pool.qp_ids() == [second.qp_id, third.qp_id]
-        # Two usable QPs, both full: the cap holds.
-        (fourth,) = open_n(env, pool, 1)
-        assert fourth.qp_id == second.qp_id
+        assert pool.qp_ids() == [s.qp_id for s in [second, *rest, extra]]
+        # The cap's worth of usable QPs, all full: the cap holds.
+        (last,) = open_n(env, pool, 1)
+        assert last.qp_id == second.qp_id
         assert pool.oversubscriptions == 1
-        assert pool.live_qps == 2
+        assert pool.live_qps == MAX_QPS
 
     def test_assignment_is_deterministic_across_runs(self):
         def run():
@@ -114,7 +115,7 @@ def reference_assignment(pool):
             best = entry
     if best is not None and len(best.sessions) < pool.policy.sessions_per_qp:
         return best, False
-    if usable < pool.policy.max_qps:
+    if usable < MAX_QPS:
         return None, False
     return best, True
 
@@ -128,13 +129,12 @@ pool_ops = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(ops=pool_ops, sessions_per_qp=st.integers(1, 3),
-       max_qps=st.integers(1, 3),
        strategy=st.sampled_from(["pooled", "pooled-lazy"]))
 def test_assignment_matches_the_sorted_reference(ops, sessions_per_qp,
-                                                 max_qps, strategy):
+                                                 strategy):
     env, _, _, _, _, pool = make_pool(strategy=strategy,
                                       sessions_per_qp=sessions_per_qp,
-                                      max_qps=max_qps, idle_timeout_s=0.0)
+                                      idle_timeout_s=0.0)
     sessions = []
     for op, pick in ops:
         qps = [pool._qps[qp_id] for qp_id in pool.qp_ids()]
@@ -169,8 +169,7 @@ def test_assignment_matches_the_sorted_reference(ops, sessions_per_qp,
 class TestDemux:
     def test_interleaved_completions_route_by_tag(self):
         env, _, _, _, region, pool = make_pool(strategy="pooled",
-                                               sessions_per_qp=8,
-                                               queue_depth=8)
+                                               sessions_per_qp=8)
         region.local_write(0, b"AAAAAAAA")
         region.local_write(4096, b"B" * 2048)
         a, b = open_n(env, pool, 2)
@@ -196,8 +195,8 @@ class TestDemux:
         marker = object()
 
         def proc():
-            completion = yield pool.session_read(
-                session, region.token, 0, 8, context=marker)
+            completion = yield pool.submit(session, WorkRequest(
+                RdmaOp.READ, region.token, 0, 8, context=marker))
             return completion
 
         completion = env.run_process(proc())
@@ -220,8 +219,8 @@ class TestDemux:
         marker = object()
 
         def proc():
-            return (yield pool.session_read(session, region.token, 0, 8,
-                                            context=marker))
+            return (yield pool.submit(session, WorkRequest(
+                RdmaOp.READ, region.token, 0, 8, context=marker)))
 
         completion = env.run_process(proc())
         assert pool.demux_misroutes == 1
@@ -234,8 +233,6 @@ class TestDemux:
         (session,) = open_n(env, pool, 1)
         pool.close_session(session)
         pool.reclaim_all(reason="test")
-        from repro.net import RdmaOp, WorkRequest
-
         with pytest.raises(KeyError):
             pool.submit(session, WorkRequest(RdmaOp.READ, region.token,
                                              0, 8))

@@ -124,8 +124,9 @@ class TestTieredDevice:
         env = Environment()
         fast = LocalMemoryDevice(env, 1024)
         slow = SsdDevice(env, 4096, np.random.default_rng(5))
-        return env, fast, slow, TieredDevice(env, [fast, slow],
-                                             commit_point=commit_point)
+        tiered = TieredDevice(env, [fast, slow])
+        tiered.commit_point = commit_point
+        return env, fast, slow, tiered
 
     def test_read_served_by_lowest_covering_tier(self):
         env, fast, slow, tiered = self.make_tiered()
@@ -173,9 +174,6 @@ class TestTieredDevice:
         env = Environment()
         with pytest.raises(ValueError):
             TieredDevice(env, [])
-        fast = LocalMemoryDevice(env, 64)
-        with pytest.raises(ValueError):
-            TieredDevice(env, [fast], commit_point=2)
 
 
 class TestRedyTier:

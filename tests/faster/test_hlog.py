@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faster.devices import LocalMemoryDevice
-from repro.faster.hlog import HybridLog
+from repro.faster.hlog import MUTABLE_FRACTION, PAGE_BYTES, HybridLog
 from repro.sim import Environment
 
+#: A log of four pages, and a device that holds every spill of the
+#: property tests below.
+FOUR_PAGES = 4 * PAGE_BYTES
+BIG_DEVICE = 1 << 24
 
-def make_log(memory=1024, device_capacity=1 << 16, page=256,
-             mutable_fraction=0.5):
+
+def make_log(memory=1024, device_capacity=1 << 16):
     env = Environment()
     device = LocalMemoryDevice(env, device_capacity)
-    log = HybridLog(env, memory, device, mutable_fraction=mutable_fraction,
-                    page_bytes=page)
+    log = HybridLog(env, memory, device)
     return env, device, log
 
 
@@ -36,7 +39,7 @@ class TestAppendRead:
             log.append(b"x" * 65)
 
     def test_wraparound_preserves_content(self):
-        _, _, log = make_log(memory=100, page=20)
+        _, _, log = make_log(memory=100)
         payloads = [bytes([i]) * 30 for i in range(10)]
         addrs = [log.append(p) for p in payloads]
         # The last few records must still be intact despite ring wrap.
@@ -47,7 +50,7 @@ class TestAppendRead:
 
 class TestSpill:
     def test_eviction_spills_to_device(self):
-        _, device, log = make_log(memory=128, page=64)
+        _, device, log = make_log(memory=128)
         for i in range(8):
             log.append(bytes([i]) * 32)
         assert log.head_address > 0
@@ -55,7 +58,7 @@ class TestSpill:
         assert device.watermark == log.head_address
 
     def test_spilled_data_matches_what_was_appended(self):
-        _, device, log = make_log(memory=128, page=64)
+        _, device, log = make_log(memory=128)
         payloads = [bytes([i]) * 32 for i in range(8)]
         addrs = [log.append(p) for p in payloads]
         for addr, payload in zip(addrs, payloads):
@@ -64,7 +67,7 @@ class TestSpill:
                 assert device._fetch(addr, 32) == payload
 
     def test_read_of_spilled_address_returns_none(self):
-        _, _, log = make_log(memory=128, page=64)
+        _, _, log = make_log(memory=128)
         first = log.append(b"z" * 64)
         for i in range(4):
             log.append(bytes([i]) * 64)
@@ -96,7 +99,7 @@ class TestSpill:
 
     def test_no_device_drops_evicted_data(self):
         env = Environment()
-        log = HybridLog(env, 128, None, page_bytes=64)
+        log = HybridLog(env, 128, None)
         for i in range(4):
             log.append(bytes([i]) * 64)
         assert log.bytes_spilled > 0  # no crash without a device
@@ -110,17 +113,18 @@ def log_state(log, device):
 
 class TestRuns:
     @settings(max_examples=60, deadline=None)
-    @given(size=st.integers(1, 64), lead=st.integers(0, 63),
+    @given(size=st.integers(1, PAGE_BYTES),
+           lead=st.integers(0, PAGE_BYTES - 1),
            runs=st.lists(st.integers(0, 40), min_size=1, max_size=6))
     def test_property_run_append_equals_per_record_appends(self, size, lead,
                                                            runs):
-        # A 64 B page in a 256 B log: sizes that tile the page and sizes
-        # that do not, runs that close pages and force spills, from a
-        # tail a lead-in record left in mid-page.
+        # A log of four pages: sizes that tile the page and sizes that
+        # do not, runs that close pages and force spills, from a tail a
+        # lead-in record left in mid-page.
         outcomes = []
         for as_run in (True, False):
-            _, device, log = make_log(memory=256, page=64,
-                                      device_capacity=1 << 20)
+            _, device, log = make_log(memory=FOUR_PAGES,
+                                      device_capacity=BIG_DEVICE)
             if lead:
                 log.append(b"\xff" * lead)
             firsts = []
@@ -146,25 +150,26 @@ class TestRuns:
 
 class TestRegions:
     def test_mutable_region_boundary(self):
-        _, _, log = make_log(memory=1000, mutable_fraction=0.5)
+        _, _, log = make_log(memory=1000)
         for i in range(10):
             log.append(bytes([i]) * 100)
-        assert log.read_only_address == log.tail_address - 500
+        assert log.read_only_address == (
+            log.tail_address - int(1000 * MUTABLE_FRACTION))
         assert log.in_mutable_region(log.tail_address - 100)
         assert not log.in_mutable_region(log.read_only_address - 1)
 
     def test_update_in_place_only_in_mutable_region(self):
-        _, _, log = make_log(memory=1000, mutable_fraction=0.5)
+        _, _, log = make_log(memory=1000)
         addrs = [log.append(bytes([i]) * 100) for i in range(10)]
         assert log.update_in_place(addrs[-1], b"Y" * 100)
         assert log.read(addrs[-1], 100) == b"Y" * 100
         assert not log.update_in_place(addrs[0], b"N" * 100)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(1, 64), min_size=1, max_size=200))
+    @given(st.lists(st.integers(1, PAGE_BYTES), min_size=1, max_size=200))
     def test_property_invariants_hold_under_any_append_sequence(self, sizes):
-        _, device, log = make_log(memory=256, page=64,
-                                  device_capacity=1 << 20)
+        _, device, log = make_log(memory=FOUR_PAGES,
+                                  device_capacity=BIG_DEVICE)
         for i, size in enumerate(sizes):
             log.append(bytes([i % 256]) * size)
             assert log.begin_address <= log.head_address

@@ -7,20 +7,19 @@ from repro.core import Slo
 from repro.faster import FasterKv, SsdDevice
 from repro.faster.address import pack_record, record_bytes
 from repro.faster.devices import RedyDevice, TieredDevice
-from repro.faster.hlog import DEFAULT_PAGE_BYTES
+from repro.faster.hlog import PAGE_BYTES
 from repro.sim import Environment, US
 from repro.sim.resources import Resource
 from repro.workloads.scenarios import build_cluster
 
 
 def make_store(n_records=100, memory_records=20, value_bytes=8,
-               copy_reads_to_tail=True, device=True):
+               device=True):
     env = Environment()
     record = record_bytes(value_bytes)
     dev = (SsdDevice(env, n_records * record * 8, np.random.default_rng(1))
            if device else None)
-    store = FasterKv(env, dev, memory_records * record, value_bytes,
-                     copy_reads_to_tail=copy_reads_to_tail)
+    store = FasterKv(env, dev, memory_records * record, value_bytes)
     store.load(n_records)
     cpu = Resource(env, slots=1)
     return env, store, cpu
@@ -83,17 +82,12 @@ class TestReads:
         assert env.run_process(proc(env)) > 20 * US
 
     def test_copy_to_tail_promotes_hot_record(self):
-        env, store, cpu = make_store(copy_reads_to_tail=True)
+        env, store, cpu = make_store()
         first = run_read(env, store, cpu, 0)
         assert first.served_by == "ssd"
         second = run_read(env, store, cpu, 0)
         assert second.served_by == "memory"
         assert second.value == first.value
-
-    def test_without_copy_to_tail_cold_stays_cold(self):
-        env, store, cpu = make_store(copy_reads_to_tail=False)
-        assert run_read(env, store, cpu, 0).served_by == "ssd"
-        assert run_read(env, store, cpu, 0).served_by == "ssd"
 
     def test_evicted_without_device_is_lost(self):
         env, store, cpu = make_store(device=False)
@@ -175,7 +169,7 @@ class TestLoad:
 
     @pytest.mark.parametrize("value_bytes", [8, 16, 100, 1024])
     @pytest.mark.parametrize("memory_bytes",
-                             [DEFAULT_PAGE_BYTES // 2, 3 * DEFAULT_PAGE_BYTES],
+                             [PAGE_BYTES // 2, 3 * PAGE_BYTES],
                              ids=["under-a-page", "three-pages"])
     @pytest.mark.parametrize("upsert_first", [False, True],
                              ids=["empty-log", "tail-mid-page"])
@@ -197,7 +191,7 @@ class TestLoad:
 
 class TestStatistics:
     def test_served_by_counters(self):
-        env, store, cpu = make_store(copy_reads_to_tail=False)
+        env, store, cpu = make_store()
         run_read(env, store, cpu, 99)
         run_read(env, store, cpu, 0)
         run_read(env, store, cpu, 4242)

@@ -36,7 +36,7 @@ def test_different_seed_diverges_when_randomized():
 
 
 def test_churn_runs_inject_faults_and_log_them():
-    report = churn_run(seed=0, rate_per_s=2.0, duration_s=4.0)
+    report = churn_run(seed=0, rate_per_s=2.0)
     kinds = report.log.kinds()
     assert {"vm-eviction", "vm-kill"} & set(kinds)
     assert report.summary["faults_injected"] >= 1

@@ -317,9 +317,14 @@ class TestMultiStepSubmission:
         region.local_write(4096, b"a" * 32)
         region.local_write(64, struct.pack("<Q", 4096))
 
+        def post(tag):
+            program = chase()
+            return qp.post(WorkRequest(
+                RdmaOp.PROGRAM, region.token, 0, program.request_wire_bytes,
+                context=tag, program=program))
+
         def proc(env):
-            events = [qp.post_program(chase(), region.token, context=tag)
-                      for tag in ("first", "second")]
+            events = [post(tag) for tag in ("first", "second")]
             yield env.all_of(events)
             return [event.value for event in events]
 

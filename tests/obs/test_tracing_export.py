@@ -17,11 +17,10 @@ class TestExport:
         registry = MetricsRegistry().install(env)
         registry.counter("ops").inc(3)
         registry.histogram("lat").observe(5 * US)
-        blob = snapshot(registry, name="unit", env=env)
+        blob = snapshot(registry, name="unit")
         assert blob["schema"] == SCHEMA
         assert blob["name"] == "unit"
         assert blob["metrics"]["ops"]["value"] == 3
-        assert "event_loop" in blob and "sim_now" in blob
         json.dumps(blob)  # must be serializable as-is
 
     def test_empty_histogram_serializes(self):

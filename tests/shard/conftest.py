@@ -29,13 +29,12 @@ def make_fleet(seed=1, n_shards=3, *, metrics=None, n_servers=8,
     return harness, client, members, router
 
 
-def make_replicated(seed=1, replicas=2, *, metrics=None, n_servers=8):
-    """A harness plus the §6.2 replicated cache: ``replicas`` members on
-    disjoint servers, all owning every slot
-    (:meth:`ShardRouter.replicated`)."""
+def make_replicated(seed=1, *, metrics=None, n_servers=8):
+    """A harness plus the §6.2 replicated cache: two members on disjoint
+    servers, both owning every slot (:meth:`ShardRouter.replicated`)."""
     harness = build_cluster(seed=seed, n_servers=n_servers, metrics=metrics)
     client = harness.redy_client("repl-app")
-    router = ShardRouter.replicated(client, CAPACITY, SLO, replicas,
+    router = ShardRouter.replicated(client, CAPACITY, SLO,
                                     region_bytes=REGION)
     members = {name: router.member(name).cache for name in router.members}
     return harness, client, members, router

@@ -6,6 +6,7 @@ from repro.analysis.sanitize import KernelMonitor
 from repro.core.client import CacheDeletedError
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import ShardRouter
+from repro.shard.router import MAX_INFLIGHT_PER_SHARD
 
 from tests.shard.conftest import SLOT, make_fleet, make_replicated
 
@@ -77,11 +78,11 @@ class TestIoPath:
 class TestBackpressure:
     def test_inflight_never_exceeds_the_cap(self):
         metrics = MetricsRegistry()
-        harness, _client, _members, router = make_fleet(
-            metrics=metrics, max_inflight_per_shard=4)
+        harness, _client, _members, router = make_fleet(metrics=metrics)
 
         def driver():
-            # 80 concurrent reads of one slot: all hit the same owner.
+            # 80 concurrent reads of one slot: all hit the same owner,
+            # more than its cap of 32 at once.
             reads = [router.read(0, 64) for _ in range(80)]
             results = yield harness.env.all_of(reads)
             return results
@@ -91,7 +92,7 @@ class TestBackpressure:
         snap = metrics.snapshot()
         peaks = [blob["max"] for name, blob in snap.items()
                  if name.startswith('shard.inflight{')]
-        assert peaks and max(peaks) <= 4
+        assert peaks and max(peaks) == MAX_INFLIGHT_PER_SHARD
 
     def test_waiters_drain_after_the_burst(self, fleet):
         harness, _client, _members, router = fleet
@@ -116,7 +117,7 @@ class TestBackpressure:
         raised = []
 
         def driver():
-            for _ in range(router.max_inflight_per_shard + 4):
+            for _ in range(MAX_INFLIGHT_PER_SHARD + 4):
                 try:
                     yield from router.read_io(0, 64)
                 except CacheDeletedError:
@@ -125,7 +126,7 @@ class TestBackpressure:
         harness.env.process(driver())
         harness.env.run()
         # Every read got past backpressure: none leaked its slot.
-        assert len(raised) == router.max_inflight_per_shard + 4
+        assert len(raised) == MAX_INFLIGHT_PER_SHARD + 4
         assert router.member(name).inflight == 0
 
 
@@ -264,21 +265,19 @@ class TestValidation:
             ShardRouter(env, members, replication=0)
         with pytest.raises(ValueError):
             ShardRouter(env, members, slot_bytes=0)
-        with pytest.raises(ValueError):
-            ShardRouter(env, members, max_inflight_per_shard=0)
 
 
 class TestReplicatedRouter:
     """:meth:`ShardRouter.replicated`, the §6.2 replicated cache."""
 
     def test_cost_scales_with_replicas(self):
-        def hourly_cost(replicas):
-            _harness, _client, members, _router = make_replicated(
-                replicas=replicas)
+        def hourly_cost(members):
             return sum(cache.allocation.hourly_cost
                        for cache in members.values())
 
-        assert hourly_cost(2) == pytest.approx(2 * hourly_cost(1))
+        _harness, _client, single, _router = make_fleet(n_shards=1)
+        _harness, _client, pair, _router = make_replicated()
+        assert hourly_cost(pair) == pytest.approx(2 * hourly_cost(single))
 
 
 def _mixed_workload_snapshot(seed):

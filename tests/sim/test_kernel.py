@@ -166,7 +166,8 @@ def test_run_until_stops_clock_exactly():
 
 
 def test_run_until_in_past_rejected():
-    env = Environment(initial_time=10.0)
+    env = Environment()
+    env.run(until=10.0)
     with pytest.raises(SimulationError):
         env.run(until=5.0)
 

@@ -153,47 +153,44 @@ class TestAdmissionIntegration:
             assert result.data == b"m" * RECORD
             assert result.retry_after > 0.0
 
-    def test_fail_open_on_shed_can_be_disabled(self):
-        harness, _, _, tier = make_tier()
-        tier.register(spec("a", rate_per_s=1000.0, burst=2.0, max_queue=1,
-                           fail_open_on_shed=False))
 
-        def body():
-            events = [tier.read("a", 0, RECORD) for _ in range(8)]
-            results = []
-            for event in events:
-                results.append((yield event))
-            return results
-
-        results = harness.env.run_process(body())
-        shed = [r for r in results if not r.ok]
-        assert shed
-        assert all(r.error == "admission shed" for r in shed)
+def register_classes(tier, per_class=4):
+    """``per_class`` premium tenants ``fast<i>`` and as many scavengers
+    ``slow<i>``, none rate-limited.  Four premium tenants (8 slots each)
+    fill a one-member tier's 32 shared slots alone, so with the
+    scavengers (4 each) waiting too, every grant after the first 32 goes
+    through the WRR picker."""
+    names = {"fast": [f"fast{i}" for i in range(per_class)],
+             "slow": [f"slow{i}" for i in range(per_class)]}
+    for kind, slo_class in (("fast", "premium"), ("slow", "scavenger")):
+        for name in names[kind]:
+            tier.register(spec(name, slo_class=slo_class,
+                               rate_per_s=1e9, burst=1e6))
+    return names
 
 
 class TestWeightedScheduling:
     def test_premium_outschedules_scavenger_under_contention(self):
-        # A single shared slot forces every grant through the WRR
-        # picker: completions should track the 8:1 class weights.
-        harness, _, _, tier = make_tier(max_inflight=1)
-        tier.register(spec("fast", slo_class="premium",
-                           rate_per_s=1e9, burst=1e6))
-        tier.register(spec("slow", slo_class="scavenger",
-                           rate_per_s=1e9, burst=1e6))
+        # More demand than the shared slots: completions should track
+        # the 8:1 class weights.
+        harness, _, _, tier = make_tier(n_members=1)
+        assert tier.max_inflight == 32
+        names = register_classes(tier)
         done = {"fast": 0, "slow": 0}
         env = harness.env
 
-        def offered(name, count):
+        def offered(kind, name, count):
             for index in range(count):
                 result = yield tier.read(name, (index % 64) * RECORD,
                                          RECORD)
                 assert result.ok
-                done[name] += 1
+                done[kind] += 1
 
-        for name in ("fast", "slow"):
-            for worker in range(8):
-                env.process(offered(name, 40),
-                            name=f"load:{name}:{worker}")
+        for kind in ("fast", "slow"):
+            for name in names[kind]:
+                for worker in range(8):
+                    env.process(offered(kind, name, 10),
+                                name=f"load:{name}:{worker}")
 
         def sample_at(t):
             yield env.timeout(t)
@@ -207,26 +204,28 @@ class TestWeightedScheduling:
         assert done["fast"] == done["slow"] == 320
 
     def test_scavenger_is_not_starved(self):
-        harness, _, _, tier = make_tier(max_inflight=1)
-        tier.register(spec("fast", slo_class="premium",
-                           rate_per_s=1e9, burst=1e6))
-        tier.register(spec("slow", slo_class="scavenger",
-                           rate_per_s=1e9, burst=1e6))
+        harness, _, _, tier = make_tier(n_members=1)
+        names = register_classes(tier)
+        floods = []
         first_slow = {}
         env = harness.env
 
-        def fast_flood():
-            for index in range(400):
-                yield tier.read("fast", 0, RECORD)
+        def fast_flood(name):
+            for index in range(50):
+                yield tier.read(name, 0, RECORD)
+            floods.append(env.now)
 
         def slow_one():
-            yield tier.read("slow", 0, RECORD)
+            yield tier.read("slow0", 0, RECORD)
             first_slow["at"] = env.now
 
-        env.process(fast_flood(), name="flood")
+        # Twice the premium caps: a premium tenant always has a waiter.
+        for name in names["fast"]:
+            for worker in range(16):
+                env.process(fast_flood(name), name=f"flood:{name}:{worker}")
         env.process(slow_one(), name="starved")
         env.run()
-        assert "at" in first_slow
+        assert first_slow["at"] < min(floods)
 
 
 class TestFailOpenStore:

@@ -18,10 +18,11 @@ tests check live behaviour through are the exceptions, listed in
 
 Options: every defaulted parameter of a public function, method or
 constructor, and every defaulted ``@dataclass`` field, must be set by
-some call in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``.
-An option only its default ever reaches is a constant; the calibration
-profiles are exempt (:data:`OPTION_EXEMPT_CLASSES`), and the few kept
-on purpose are listed in :data:`KEPT_OPTIONS` with their reasons.
+some call in ``src/`` or ``benchmarks/``, not counting tests and
+examples.  An option only its default and tests ever reach is a
+constant; the calibration profiles are exempt
+(:data:`OPTION_EXEMPT_CLASSES`), and the few kept on purpose are listed
+in :data:`KEPT_OPTIONS` with their reasons.
 """
 
 import ast
@@ -235,7 +236,7 @@ OPTION_EXEMPT_CLASSES = {
                    "marginals",
 }
 
-#: Options no call sets, kept on purpose.  Each entry must still be an
+#: Options no live call sets, kept on purpose.  Each entry must still be an
 #: option that no call sets.
 KEPT_OPTIONS = {
     "make_testbed_measurer(profile=)":
@@ -243,6 +244,9 @@ KEPT_OPTIONS = {
         "manager goes through, built on the manager's own profile",
     "make_testbed_measurer(switch_hops=)":
         "the same entry point, for the manager's per-distance models",
+    "main(argv=)":
+        "the CLI entry point: ``python -m repro`` calls it bare to parse "
+        "the command line, and the CLI tests pass their argument lists",
 }
 
 #: Factories whose fields start empty: such a field is state, not an
@@ -362,14 +366,19 @@ class _CallScan(ast.NodeVisitor):
         self.stores, self.forwards = stores, forwards
         self.cls = self.func = None
         # Keys each name is given as a dict: displays, dict(...) calls,
-        # subscript stores and .update(...) keywords, anywhere here.
-        self.dict_keys = {}
+        # subscript stores, .update(...) keywords and loops over tables
+        # of dicts, anywhere here.
+        self.dict_keys, tables = {}, {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         self._keys(target.id).update(
                             self._literal_keys(node.value, nested=True))
+                        if isinstance(node.value, (ast.List, ast.Tuple)):
+                            tables.setdefault(target.id, set()).update(
+                                *(self._literal_keys(item)
+                                  for item in ast.walk(node.value)))
                     elif (isinstance(target, ast.Subscript)
                           and isinstance(target.value, ast.Name)
                           and isinstance(target.slice, ast.Constant)):
@@ -380,6 +389,14 @@ class _CallScan(ast.NodeVisitor):
                   and isinstance(node.func.value, ast.Name)):
                 self._keys(node.func.value.id).update(
                     k.arg for k in node.keywords if k.arg)
+        # A ``for`` loop over a list or tuple table gives its loop names
+        # the keys of every dict inside the table.
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+                    and node.iter.id in tables):
+                for name in ast.walk(node.target):
+                    if isinstance(name, ast.Name):
+                        self._keys(name.id).update(tables[node.iter.id])
         self.visit(tree)
 
     def _keys(self, name):
@@ -469,10 +486,11 @@ class _CallScan(ast.NodeVisitor):
 
 def _settings():
     """``(keywords, positional, stores)``: per callable name, the
-    keywords some call passes and the most positional arguments one
-    passes; and every ``(class or None, attribute)`` stored."""
+    keywords some call in ``src/`` or ``benchmarks/`` passes and the
+    most positional arguments one passes; and every ``(class or None,
+    attribute)`` stored there."""
     keywords, positional, stores, forwards = {}, {}, set(), set()
-    for folder in ("src", "benchmarks", "examples", "tests"):
+    for folder in ("src", "benchmarks"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             _CallScan(ast.parse(path.read_text()), keywords, positional,
                       stores, forwards)
@@ -488,7 +506,8 @@ def _settings():
 
 
 def test_every_option_is_set_somewhere():
-    """Every defaulted parameter and dataclass field is set by some call.
+    """Every defaulted parameter and dataclass field is set by some call
+    in ``src/`` or ``benchmarks/``.
 
     A call sets a parameter when it is to a callable of that name and
     passes the parameter by keyword or by position; for a constructor
@@ -501,9 +520,10 @@ def test_every_option_is_set_somewhere():
     inside the field's class).  A ``*args`` argument counts as passing
     every positional parameter.  A ``**`` argument passes the keys that
     the same file gives that name as a dict (displays, ``dict(...)``,
-    subscript stores, ``update`` keywords) and, inside a function that
-    takes ``**`` itself, every keyword its callers pass; a key built at
-    run time is invisible.  Fields whose default is an empty container
+    subscript stores, ``update`` keywords, a ``for`` over a list or
+    tuple of dicts) and, inside a function that takes ``**`` itself,
+    every keyword its callers pass; a key built at run time is
+    invisible.  Fields whose default is an empty container
     are state, not options, and are skipped.
     """
     keywords, positional, stores = _settings()
