@@ -138,6 +138,7 @@ class QpPool:
         #: qp_id -> entry, insertion (creation) ordered -- which is
         #: ascending qp_id, since ids come from one fabric counter.
         self._qps: Dict[int, _PooledQp] = {}
+        #: Open sessions by id (a session leaves when it closes).
         self.sessions: Dict[int, ClientSession] = {}
         self._session_qp: Dict[int, _PooledQp] = {}
         # Serialized connect worker (the NIC command queue).
@@ -249,6 +250,7 @@ class QpPool:
             return
         session.closed_at = self.env.now
         self.closed += 1
+        self.sessions.pop(session.session_id, None)
         entry = self._session_qp.pop(session.session_id, None)
         self.log.append(self.env.now, "session.close", self.name,
                         session=session.session_id)
@@ -350,7 +352,7 @@ class QpPool:
             self._reclaim(self._qps[qp_id], reason=reason)
             count += 1
         for session_id in sorted(self._session_qp):
-            session = self.sessions[session_id]
+            session = self.sessions.pop(session_id)
             session.closed_at = self.env.now
             self.closed += 1
         self._session_qp.clear()

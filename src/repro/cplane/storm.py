@@ -78,7 +78,8 @@ def run_connection_storm(seed: int, *, clients: int = 2000,
     servers, client_hosts = _SERVERS, _CLIENT_HOSTS
     read_bytes, linger_s = _READ_BYTES, _LINGER_S
     env = Environment()
-    metrics = (MetricsRegistry() if metrics is None else metrics).install(env)
+    if metrics is not None:
+        metrics.install(env)
     rngs = RngRegistry(seed)
     fabric = Fabric(env, AZURE_HPC, model_control_plane=True)
 
@@ -199,12 +200,6 @@ def run_connection_storm(seed: int, *, clients: int = 2000,
         "log_events": len(plane.log),
         "log_digest": plane.log.digest(),
         "sim_seconds": env.now,
-        "qp_establishments": int(_counter_value(metrics, "qp.establishments")),
-        "qp_context_misses": int(_counter_value(metrics, "qp.context_misses")),
+        "qp_establishments": fabric.qp_establishments,
+        "qp_context_misses": fabric.qp_context_misses,
     }
-
-
-def _counter_value(metrics: MetricsRegistry, name: str) -> float:
-    """Read one counter's value off the registry (0.0 if never used)."""
-    counter = metrics.get(name)
-    return counter.value if counter is not None else 0.0

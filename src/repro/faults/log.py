@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 __all__ = ["FaultEvent", "FaultLog"]
 
@@ -42,34 +42,33 @@ class FaultLog:
 
     Events only ever append (never mutate, never reorder), so a log is a
     faithful trace of the fault plane's actions; tests and the chaos CLI
-    compare logs via :meth:`digest`.
+    compare logs via :meth:`digest`.  An event is kept as a plain
+    ``(time, kind, target, detail)`` tuple; :class:`FaultEvent` objects
+    are built only for :attr:`events` and iteration.
     """
 
     def __init__(self):
-        self._events: List[FaultEvent] = []
+        self._events: List[Tuple[float, str, str, Dict[str, Any]]] = []
 
     def append(self, time: float, kind: str, target: str,
-               **detail: Any) -> FaultEvent:
-        event = FaultEvent(time=time, kind=kind, target=target,
-                           detail=detail)
-        self._events.append(event)
-        return event
+               **detail: Any) -> None:
+        self._events.append((time, kind, target, detail))
 
     @property
     def events(self) -> tuple:
-        return tuple(self._events)
+        return tuple(FaultEvent(*event) for event in self._events)
 
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self._events)
+        return (FaultEvent(*event) for event in self._events)
 
     def kinds(self) -> Dict[str, int]:
         """Event counts by kind (for summaries and smoke assertions)."""
         counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
+        for _time, kind, _target, _detail in self._events:
+            counts[kind] = counts.get(kind, 0) + 1
         return counts
 
     def digest(self) -> str:
@@ -84,12 +83,10 @@ class FaultLog:
         sha = hashlib.sha256()
         encode = _CANONICAL.encode
         separator = b""
-        for event in self._events:
+        for time, kind, target, detail in self._events:
             sha.update(separator)
-            # to_dict() without its copy of the detail dict.
-            sha.update(encode({"time": event.time, "kind": event.kind,
-                               "target": event.target,
-                               "detail": event.detail}).encode())
+            sha.update(encode({"time": time, "kind": kind, "target": target,
+                               "detail": detail}).encode())
             separator = b"\n"
         return sha.hexdigest()
 

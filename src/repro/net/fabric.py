@@ -185,9 +185,12 @@ class Fabric:
         #: the fabric (not a module global) to replay bit-identically.
         self._qp_ids = itertools.count(1)
         #: Lifetime control-plane accounting (registration work done
-        #: through the timed path).
+        #: through the timed path, QP handshakes that connected, and
+        #: verbs that missed a NIC's QP-context cache).
         self.mr_registrations = 0
         self.mr_registered_bytes = 0
+        self.qp_establishments = 0
+        self.qp_context_misses = 0
         # Memoized pure-profile costs, keyed by hop count / payload size.
         # The profile is immutable, so the cached floats are the exact
         # values the methods return; transmit() runs once per simulated

@@ -183,6 +183,7 @@ class QueuePair:
                 local.qp_context_cache.touch(self.qp_id)
             if remote.qp_context_cache is not None:
                 remote.qp_context_cache.touch(self.qp_id)
+            fabric.qp_establishments += 1
             if self._establishments is not None:
                 self._establishments.inc()
                 self._establish_latency.observe(env.now - started)
@@ -335,9 +336,11 @@ class QueuePair:
         cache = endpoint.qp_context_cache
         if cache is None or cache.touch(self.qp_id):
             return 0.0
+        fabric = endpoint.fabric
+        fabric.qp_context_misses += 1
         if self._context_misses is not None:
             self._context_misses.inc()
-        return endpoint.fabric.profile.nic.qp_context_miss_penalty
+        return fabric.profile.nic.qp_context_miss_penalty
 
     def _launch(self, wr: WorkRequest, completion_event: Event) -> None:
         """Start a verb: its first stage runs in this call.

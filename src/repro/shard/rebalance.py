@@ -126,7 +126,7 @@ class Rebalancer:
                     gate.succeed()
             # Flip routing for this arc as soon as it has landed; the
             # rest of the plan keeps routing through the old ring.
-            router._overrides.append((move.lo, move.hi, move.new_owners))
+            router._install_override(move.lo, move.hi, move.new_owners)
             report.slots_moved += len(slots)
             report.bytes_moved += moved_bytes
             report.lost_slots += lost

@@ -131,8 +131,13 @@ class ShardRouter:
         self.retired: Dict[str, ShardMember] = {}
 
         #: Routing overrides installed per completed move while a
-        #: rebalance is in flight: (lo, hi, new_owners).
+        #: rebalance is in flight: (lo, hi, new_owners).  Changed only by
+        #: :meth:`_install_override` and :meth:`_swap_ring`.
         self._overrides: List[Tuple[int, int, Tuple[str, ...]]] = []
+        #: Per-slot route table: slot -> owner list, filled on a slot's
+        #: first lookup (:meth:`_owners`) and reset wholesale where
+        #: routing changes: :meth:`_swap_ring` and :meth:`_install_override`.
+        self._routes: List[Optional[List[str]]] = [None] * self.n_slots
         #: Write gates for ranges currently being streamed.
         self._gates: List[Tuple[int, int, Event]] = []
         #: Write gates for individual slots (hot-key promotion copies).
@@ -226,7 +231,7 @@ class ShardRouter:
         return self.ring.ranges(self.replication)
 
     def owners_of_slot(self, slot: int) -> List[str]:
-        return self._route_owners(self._slot_points[slot])
+        return list(self._owners(slot))
 
     # ------------------------------------------------------------------
     # Public I/O API (mirrors RedyCache.read/write)
@@ -317,9 +322,31 @@ class ShardRouter:
                 return list(owners)
         return self.ring.owners(point, self.replication)
 
+    def _owners(self, slot: int) -> List[str]:
+        """``slot``'s owner list from the route table (shared: callers
+        must not mutate it)."""
+        owners = self._routes[slot]
+        if owners is None:
+            owners = self._routes[slot] = self._route_owners(
+                self._slot_points[slot])
+        return owners
+
+    def _install_override(self, lo: int, hi: int,
+                          owners: Tuple[str, ...]) -> None:
+        """Route the arc ``(lo, hi]`` to ``owners`` (a rebalance move
+        has landed) until the ring swaps."""
+        self._overrides.append((lo, hi, owners))
+        self._routes = [None] * self.n_slots
+
+    def _swap_ring(self, ring: HashRing) -> None:
+        """Route through ``ring`` from now on, dropping every override."""
+        self.ring = ring
+        self._overrides.clear()
+        self._routes = [None] * self.n_slots
+
     def _read_pool(self, slot: int) -> List[str]:
         """Candidate shards for a read, hottest-aware and rotated."""
-        owners = self._route_owners(self._slot_points[slot])
+        owners = self._owners(slot)
         extras = self._hot.get(slot)
         if extras is None:
             return owners
@@ -333,8 +360,10 @@ class ShardRouter:
 
     def _write_targets(self, slot: int) -> List[str]:
         """All shards a write to ``slot`` must reach (owners + hot)."""
-        owners = self._route_owners(self._slot_points[slot])
-        extras = self._hot.get(slot, ())
+        owners = self._owners(slot)
+        extras = self._hot.get(slot)
+        if not extras:
+            return owners
         return owners + [name for name in extras if name not in owners]
 
     # ------------------------------------------------------------------
@@ -436,43 +465,57 @@ class ShardRouter:
             data: Optional[bytes], tenant: Optional[str] = None,
             priority: int = 0):
         started = self.env.now
-        try:
-            fragments = self._fragments(addr, size)
-        except AddressError as exc:
-            return CacheIoResult(ok=False, error=str(exc))
+        slot_bytes = self.slot_bytes
+        slot = addr // slot_bytes
+        # An I/O inside one slot (every small op, and size 0) runs its
+        # one fragment directly; anything else -- several slots, out of
+        # range -- is split (and checked) by _fragments.
+        single = (size >= 0 and addr >= 0
+                  and addr + size <= min((slot + 1) * slot_bytes,
+                                         self.capacity))
+        if not single:
+            try:
+                fragments = self._fragments(addr, size)
+            except AddressError as exc:
+                return CacheIoResult(ok=False, error=str(exc))
         if tenant is not None:
             family = self._c_tenant_reads if is_read else self._c_tenant_writes
             if family is not None:
                 family.labels(tenant=tenant).inc()
-        bodies = [
-            self._read_fragment(slot, frag_addr, length, tenant, priority)
-            if is_read else
-            self._write_fragment(slot, frag_addr,
-                                 data[offset:offset + length],
-                                 tenant, priority)
-            for slot, frag_addr, length, offset in fragments]
-        if len(bodies) == 1:
-            results = [(yield from bodies[0])]
+        if single:
+            # Slicing copies a mutable payload, as the split path does.
+            result = yield from (
+                self._read_fragment(slot, addr, size, tenant, priority)
+                if is_read else
+                self._write_fragment(slot, addr, data[0:size], tenant,
+                                     priority))
         else:
             # One process per fragment, so the fragments run in parallel.
             kind = "read" if is_read else "write"
             results = yield self.env.all_of([
-                self.env.process(body,
-                                 name=f"router-{kind}-frag:{fragment[0]}")
-                for body, fragment in zip(bodies, fragments)])
+                self.env.process(
+                    self._read_fragment(slot, frag_addr, length, tenant,
+                                        priority)
+                    if is_read else
+                    self._write_fragment(slot, frag_addr,
+                                         data[offset:offset + length],
+                                         tenant, priority),
+                    name=f"router-{kind}-frag:{slot}")
+                for slot, frag_addr, length, offset in fragments])
+            result = next((r for r in results if not r.ok), results[0])
+            if result.ok and is_read:
+                result = CacheIoResult(
+                    ok=True, data=b"".join(r.data for r in results))
         latency = self.env.now - started
-        failed = [r for r in results if not r.ok]
-        if failed:
-            return CacheIoResult(ok=False, error=failed[0].error,
+        if not result.ok:
+            return CacheIoResult(ok=False, error=result.error,
                                  latency=latency)
         if is_read:
             if self._c_reads:
                 self._c_reads.inc()
             if self._h_read_lat:
                 self._h_read_lat.observe(latency)
-            payload = (results[0].data if len(results) == 1
-                       else b"".join(r.data for r in results))
-            return CacheIoResult(ok=True, data=payload, latency=latency)
+            return CacheIoResult(ok=True, data=result.data, latency=latency)
         if self._c_writes:
             self._c_writes.inc()
         if self._h_write_lat:
@@ -619,7 +662,7 @@ class ShardRouter:
         gated = False
         try:
             point = self._slot_points[slot]
-            owners = self._route_owners(point)
+            owners = self._owners(slot)
             need = max(0, self.hot_policy.replicas - len(owners))
             if need == 0:
                 # Owners alone satisfy R: round-robin across them.
@@ -676,8 +719,7 @@ class ShardRouter:
         for slot, extras in list(self._hot.items()):
             if name in extras:
                 remaining = tuple(n for n in extras if n != name)
-                if remaining or len(self._route_owners(
-                        self._slot_points[slot])) > 1:
+                if remaining or len(self._owners(slot)) > 1:
                     self._hot[slot] = remaining
                 else:
                     del self._hot[slot]
@@ -756,8 +798,7 @@ class ShardRouter:
         new.add(member.name)
         plan = plan_rebalance(old, new, self.replication)
         report = yield from self.rebalancer.execute(plan)
-        self.ring = new
-        self._overrides.clear()
+        self._swap_ring(new)
         self.reports.append(report)
         for hook in self.on_rebalance:
             hook(report)
@@ -768,8 +809,7 @@ class ShardRouter:
         new.remove(member.name)
         plan = plan_rebalance(self.ring, new, self.replication)
         report = yield from self.rebalancer.execute(plan)
-        self.ring = new
-        self._overrides.clear()
+        self._swap_ring(new)
         self._members.pop(member.name, None)
         self.retired[member.name] = member
         self._drop_hot_member(member.name)

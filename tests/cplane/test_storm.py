@@ -1,6 +1,9 @@
 """The connection-storm ablation: replay determinism, wins, leak-freedom."""
 
+import json
+
 from repro.cplane import run_connection_storm
+from repro.obs.metrics import MetricsRegistry
 
 CLIENTS = 400
 
@@ -51,9 +54,25 @@ def test_every_strategy_completes_and_leaks_nothing():
 
 
 def test_storm_blob_is_json_clean():
-    import json
-
     blob = run_connection_storm(13, clients=50)
     # np.float64 leaking out of the RNG draws would raise here.
     round_trip = json.loads(json.dumps(blob, sort_keys=True))
     assert round_trip["clients"] == 50
+
+
+def test_a_passed_registry_moves_no_byte_and_counts_the_blob_totals():
+    # Per-client QPs arriving within 1 ms outnumber each server NIC's
+    # QP-context cache, so both counts move.
+    kwargs = dict(clients=CLIENTS, strategy="per-client",
+                  reads_per_session=2, window_s=0.001)
+    plain = run_connection_storm(17, **kwargs)
+    registry = MetricsRegistry()
+    traced = run_connection_storm(17, metrics=registry, **kwargs)
+    assert (json.dumps(traced, sort_keys=True)
+            == json.dumps(plain, sort_keys=True))
+    assert plain["qp_establishments"] > 0
+    assert plain["qp_context_misses"] > 0
+    assert (registry.get("qp.establishments").value
+            == plain["qp_establishments"])
+    assert (registry.get("qp.context_misses").value
+            == plain["qp_context_misses"])

@@ -1,6 +1,7 @@
 """Live rebalancing: joins, departures, fault wiring, durability."""
 
 from repro.obs.metrics import MetricsRegistry
+from repro.shard.ring import key_hash, plan_rebalance, range_contains
 
 from tests.shard.conftest import (
     CAPACITY,
@@ -241,3 +242,147 @@ class TestDeterminism:
         # Moves and digests are placement-determined, so even a
         # different cluster seed keeps the plan digest stable.
         assert one(5)["plan_digest"] == one(4)["plan_digest"]
+
+
+def _read_counts(router):
+    """Router-issued reads each member (live or retired) has served."""
+    members = dict(router.retired)
+    members.update((name, router.member(name)) for name in router.members)
+    return {name: member.reads.value for name, member in members.items()}
+
+
+def _read_slot(router, slot):
+    """Process body: read ``slot`` once; the member that served it."""
+    before = _read_counts(router)
+    res = yield router.read(slot * SLOT, 64)
+    assert res.ok
+    after = _read_counts(router)
+    (served,) = [name for name, count in after.items()
+                 if count != before.get(name, 0)]
+    return served
+
+
+def _ring_owners(router, slot):
+    return router.ring.owners(key_hash(slot), router.replication)
+
+
+def _warm(harness, router):
+    """Route every slot once (writes and reads), filling the route table."""
+    acked = run(harness, _fill(router)())
+    assert run(harness, _verify(router, acked)()) == []
+
+
+class TestRouteTable:
+    """The per-slot route table resets wherever routing changes: a ring
+    swap and an override install."""
+
+    def _every_read_reaches_the_ring_owners(self, harness, router, metrics):
+        failovers = metrics.snapshot()["router.failovers"]["value"]
+
+        def driver():
+            for slot in range(router.n_slots):
+                owners = _ring_owners(router, slot)
+                assert router.owners_of_slot(slot) == owners, slot
+                served = yield from _read_slot(router, slot)
+                assert served == owners[0], slot
+
+        run(harness, driver())
+        # No read tried a stale owner first.
+        assert metrics.snapshot()["router.failovers"]["value"] == failovers
+
+    def test_reads_reach_the_new_owners_after_a_join(self):
+        metrics = MetricsRegistry()
+        harness, client, _members, router = make_fleet(n_shards=3,
+                                                       metrics=metrics)
+        _warm(harness, router)
+        new_cache = client.create(CAPACITY, SLO, region_bytes=REGION)
+
+        def driver():
+            router.join("s3", new_cache)
+            yield from router.settled()
+
+        run(harness, driver())
+        assert "s3" in router.ring
+        self._every_read_reaches_the_ring_owners(harness, router, metrics)
+
+    def test_reads_reach_the_new_owners_after_a_depart(self):
+        # Departing one of a replicated pair moves no data: every new
+        # owner set is a subset of the old one, so the plan installs no
+        # override and only the ring swap can reset the table.
+        metrics = MetricsRegistry()
+        harness, _client, _members, router = make_replicated(
+            metrics=metrics)
+        _warm(harness, router)
+        departing = _ring_owners(router, 0)[0]
+
+        def driver():
+            router.depart(departing)
+            yield from router.settled()
+
+        run(harness, driver())
+        assert router.reports[-1].n_moves == 0
+        assert departing not in router.ring
+        self._every_read_reaches_the_ring_owners(harness, router, metrics)
+
+    def test_a_landed_move_reroutes_only_its_slots_mid_plan(self):
+        metrics = MetricsRegistry()
+        harness, client, _members, router = make_fleet(n_shards=3,
+                                                       metrics=metrics)
+        _warm(harness, router)
+        env = harness.env
+        new_cache = client.create(CAPACITY, SLO, region_bytes=REGION)
+        new_ring = router.ring.copy()
+        new_ring.add("s3")
+        plan = plan_rebalance(router.ring, new_ring, router.replication)
+
+        def slots_in(move):
+            return [slot for slot in range(router.n_slots)
+                    if move.contains(key_hash(slot))]
+
+        moving = [move for move in plan if slots_in(move)]
+        assert len(moving) >= 2
+        first, last = moving[0], moving[-1]
+        untouched = next(slot for slot in range(router.n_slots)
+                         if not any(move.contains(key_hash(slot))
+                                    for move in plan))
+        landed = env.event()
+        install = router._install_override
+
+        def install_and_report(lo, hi, owners):
+            install(lo, hi, owners)
+            if (lo, hi) == (first.lo, first.hi):
+                landed.succeed()
+
+        router._install_override = install_and_report
+
+        def driver():
+            done = router.join("s3", new_cache)
+            yield landed
+            moved = slots_in(first)[0]
+            pending = slots_in(last)[0]
+            served = {}
+            for slot in (moved, pending, untouched):
+                served[slot] = yield from _read_slot(router, slot)
+            # Still mid-plan: the last move has not landed.
+            assert "s3" not in router.ring
+            assert not any(range_contains(lo, hi, key_hash(pending))
+                           for lo, hi, _owners in router._overrides)
+            yield done
+            return moved, pending, served
+
+        moved, pending, served = run(harness, driver())
+        assert served[moved] == first.new_owners[0] == "s3"
+        assert served[pending] == last.sources[0] != "s3"
+        assert served[untouched] == _ring_owners(router, untouched)[0]
+
+    def test_mutating_owners_of_slot_changes_no_route(self):
+        metrics = MetricsRegistry()
+        harness, _client, _members, router = make_fleet(n_shards=3,
+                                                        metrics=metrics)
+        _warm(harness, router)
+        for slot in range(router.n_slots):
+            owners = router.owners_of_slot(slot)
+            owners.reverse()
+            owners.append("nobody")
+            owners.insert(0, "nobody")
+        self._every_read_reaches_the_ring_owners(harness, router, metrics)

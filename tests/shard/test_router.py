@@ -3,12 +3,14 @@
 import pytest
 
 from repro.analysis.sanitize import KernelMonitor
-from repro.core.client import CacheDeletedError
+from repro.core.client import CacheDeletedError, CacheIoResult
+from repro.core.regions import AddressError
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import ShardRouter
 from repro.shard.router import MAX_INFLIGHT_PER_SHARD
 
-from tests.shard.conftest import SLOT, make_fleet, make_replicated
+from tests.shard.conftest import (CAPACITY, SLOT, make_fleet,
+                                  make_replicated)
 
 
 def run(harness, gen):
@@ -73,6 +75,103 @@ class TestIoPath:
         owners, copies = run(harness, driver())
         assert len(owners) == 2
         assert all(c.ok and c.data == b"r" * 64 for c in copies)
+
+
+def _split_io(router, is_read, addr, size_or_data):
+    """The multi-fragment path's outcome for one I/O: split by
+    ``_fragments``, each fragment run in turn, the first failure wins."""
+    size = size_or_data if is_read else len(size_or_data)
+    try:
+        fragments = router._fragments(addr, size)
+    except AddressError as exc:
+        return CacheIoResult(ok=False, error=str(exc))
+    results = []
+    for slot, frag_addr, length, offset in fragments:
+        results.append((yield from (
+            router._read_fragment(slot, frag_addr, length) if is_read else
+            router._write_fragment(slot, frag_addr,
+                                   size_or_data[offset:offset + length]))))
+    failed = [r for r in results if not r.ok]
+    if failed:
+        return CacheIoResult(ok=False, error=failed[0].error)
+    return CacheIoResult(
+        ok=True, data=b"".join(r.data for r in results) if is_read else None)
+
+
+class TestSingleSlotPath:
+    """An I/O inside one slot skips the fragment lists; every other I/O
+    is split.  Both must answer alike at every boundary."""
+
+    @pytest.mark.parametrize("case", [
+        "at a slot's start", "ends on the slot's end", "a byte past it",
+        "last slot, ends at capacity", "size 0", "negative address",
+        "past capacity"])
+    def test_matches_the_multi_fragment_path(self, fleet, case):
+        harness, _client, _members, router = fleet
+        # A slot whose successor has another owner, so a byte placed on
+        # the wrong side of their boundary shows.
+        edge = next(slot for slot in range(router.n_slots - 1)
+                    if router.owners_of_slot(slot)
+                    != router.owners_of_slot(slot + 1))
+        end = (edge + 1) * SLOT
+        addr, size, fragments = {
+            "at a slot's start": (edge * SLOT, 64, 1),
+            "ends on the slot's end": (end - 64, 64, 1),
+            "a byte past it": (end - 64, 65, 2),
+            "last slot, ends at capacity": (CAPACITY - 64, 64, 1),
+            "size 0": (end - 8, 0, 1),
+            "negative address": (-8, 16, None),
+            "past capacity": (CAPACITY - 8, 16, None),
+        }[case]
+        if fragments is None:
+            with pytest.raises(AddressError):
+                router._fragments(addr, size)
+        else:
+            assert len(router._fragments(addr, size)) == fragments
+        payload = bytes(i % 251 for i in range(size))
+        other = payload[::-1]
+
+        def driver():
+            # Each path reads what the other wrote, so both place every
+            # byte on the same owners.
+            wrote = yield from router.write_io(addr, payload)
+            split_read = yield from _split_io(router, True, addr, size)
+            split_wrote = yield from _split_io(router, False, addr, other)
+            read = yield from router.read_io(addr, size)
+            return wrote, split_read, split_wrote, read
+
+        wrote, split_read, split_wrote, read = run(harness, driver())
+        assert (wrote.ok, wrote.error) == (split_wrote.ok, split_wrote.error)
+        assert (read.ok, read.error) == (split_read.ok, split_read.error)
+        if fragments is None:
+            assert not read.ok and "outside capacity" in read.error
+        else:
+            assert split_read.data == payload
+            assert read.data == other
+
+    def test_a_mutated_bytearray_payload_lands_its_original_bytes(self,
+                                                                 fleet):
+        harness, _client, _members, router = fleet
+        env = harness.env
+        slot = 5
+        # Hold the write at its slot's gate, after the router took it.
+        gate = router._slot_gates[slot] = env.event()
+        payload = bytearray(b"a" * 64)
+        wrote = router.write(slot * SLOT, payload)
+        env.run(until=env.now + 1e-6)
+        assert not wrote.triggered
+        payload[:] = b"b" * 64
+        del router._slot_gates[slot]
+        gate.succeed()
+
+        def driver():
+            result = yield wrote
+            read = yield router.read(slot * SLOT, 64)
+            return result, read
+
+        result, read = run(harness, driver())
+        assert result.ok and read.ok
+        assert read.data == b"a" * 64
 
 
 class TestBackpressure:
