@@ -71,14 +71,14 @@ class KernelMonitor:
     def on_trigger(self, event: Any) -> None:
         """The current context triggered ``event`` (succeed or fail)."""
 
-    def on_schedule(self, when: float, fn: Any, arg: Any) -> None:
-        """The kernel put the entry ``fn(arg)`` on the event list, due at
-        ``when``.  ``arg`` is always an event (its ``env`` owns the
-        list)."""
+    def on_schedule(self, env: Any, when: float, fn: Any, arg: Any) -> None:
+        """``env`` put the entry ``fn(arg)`` on its event list, due at
+        ``when``.  ``arg`` is an event, a process, or whatever a timed
+        call (``Environment.call_at``) hands its function."""
 
-    def on_dispatch(self, fn: Any, arg: Any) -> None:
-        """The kernel took ``fn(arg)`` off the event list and is about to
-        call it (``arg.env.now`` is already the entry's instant)."""
+    def on_dispatch(self, env: Any, fn: Any, arg: Any) -> None:
+        """``env`` took ``fn(arg)`` off its event list and is about to
+        call it (``env.now`` is already the entry's instant)."""
 
 
 def _describe(when: float, index: Optional[int], fn: Any,
@@ -112,16 +112,15 @@ class DispatchOrder(KernelMonitor):
         self.mismatches = 0
         self.first_mismatch: Optional[Dict[str, Any]] = None
 
-    def on_schedule(self, when: float, fn: Any, arg: Any) -> None:
-        heap = self.pending.get(arg.env)
+    def on_schedule(self, env: Any, when: float, fn: Any, arg: Any) -> None:
+        heap = self.pending.get(env)
         if heap is None:
-            heap = self.pending[arg.env] = []
+            heap = self.pending[env] = []
         self._scheduled += 1
         heappush(heap, (when, self._scheduled, fn, arg))
 
-    def on_dispatch(self, fn: Any, arg: Any) -> None:
+    def on_dispatch(self, env: Any, fn: Any, arg: Any) -> None:
         self.dispatches += 1
-        env = arg.env
         heap = self.pending.get(env)
         if heap:
             when, _index, expected_fn, expected_arg = heap[0]

@@ -443,7 +443,7 @@ class RedyCache:
             gate = self.table.gate(index, is_read)
             if gate is not None:
                 yield gate  # §6.2: paused until the region migrates
-            yield self._hand_off(op, index)
+            yield env.timeout(self._hand_off(op, index))
             result = yield from self.path.io(op)
             return self._cache_result(op, result, start)
         # Across regions (or empty): the fragments are in flight together.
@@ -460,7 +460,7 @@ class RedyCache:
                                fragment.buffer_offset + fragment.length]
             op = EngineOp(is_read=is_read, size=fragment.length,
                           offset=fragment.offset, data=payload, tenant=tenant)
-            yield self._hand_off(op, index)
+            yield env.timeout(self._hand_off(op, index))
             self.path.submit(op)
             ops.append(op)
         results = yield env.all_of([op.completion for op in ops])
@@ -485,7 +485,7 @@ class RedyCache:
     # the hand-off and the result (see _CacheIo for the one-sided
     # record).
 
-    def _hand_off(self, op: EngineOp, index: int) -> Event:
+    def _hand_off(self, op: EngineOp, index: int) -> float:
         """Aim ``op`` at region ``index``'s current mapping (it may have
         flipped while the op waited at the gate), stamp its hand-off,
         and return the app thread's hand-off charge to wait out."""
@@ -493,7 +493,7 @@ class RedyCache:
         path = self.path
         if path.stamps_stages:
             op.stages = OpStages(self.env.now)
-        return self.env.timeout(path.submission_overhead())
+        return path.submission_overhead()
 
     def _cache_result(self, op: EngineOp, result,
                       start: float) -> CacheIoResult:
@@ -903,10 +903,11 @@ class _CacheIo(OneSidedIo):
         self.path = path = cache.path
         self.stage = (OneSidedIo.begin if path.one_sided
                       else _CacheIo.two_sided)
-        cache._hand_off(self.op, self.index).callbacks = [
-            self._resume_handler]
+        env = self.env
+        env.call_at(env.now + cache._hand_off(self.op, self.index),
+                    self._resume_handler, None)
 
-    def two_sided(self, _event: Event) -> None:
+    def two_sided(self, _event: Optional[Event]) -> None:
         """The cache was reshaped onto a two-sided configuration: the op
         runs there in a process of its own, and its completion answers."""
         op = self.op
@@ -925,7 +926,7 @@ class _CacheIo(OneSidedIo):
                                                self.started_at)
         if self.env.due_now():
             self.stage = _CacheIo.hand_back
-            self.env.timeout(0).callbacks = [self._resume_handler]
+            self.env._call_soon(self._resume_handler, None)
         else:
             self.hand_back(None)
 
@@ -936,12 +937,12 @@ class _CacheIo(OneSidedIo):
             self.stage = None
         elif self.env.due_now():
             self.stage = _CacheIo.call_back
-            self.env.timeout(0).callbacks = [self._resume_handler]
+            self.env._call_soon(self._resume_handler, None)
         else:
             self.callback(self._value)
             self.stage = None
 
-    def call_back(self, _event: Event) -> None:
+    def call_back(self, _event: Optional[Event]) -> None:
         self.callback(self._value)
         self.stage = None
 
@@ -949,9 +950,10 @@ class _CacheIo(OneSidedIo):
         """Finish as the process that ran the I/O would have exited.  As
         in ``Process._exit_unobserved``: with no joiner, and no
         references but the step's own -- the resume handler an event's
-        entry holds, or the bootstrap entry's argument; the frames of
-        ``_resume`` and this call; getrefcount's argument -- nothing can
-        ever read the record, so dispatching it would change nothing."""
+        callback list or a timed call's entry holds, or the bootstrap
+        entry's argument; the frames of ``_resume`` and this call;
+        getrefcount's argument -- nothing can ever read the record, so
+        dispatching it would change nothing."""
         if not self.callbacks and _refcount(self) == 4:
             self._ok = True
             self._triggered = True

@@ -406,7 +406,7 @@ class CacheDataPath:
             if stages is not None:
                 stages.reaped = env.now
             if not self.config.numa_affinity:
-                yield self._numa_hop()
+                yield env.timeout(self._numa_penalty())
         except BaseException:
             if credit:
                 credits.try_put(_CREDIT)
@@ -600,9 +600,10 @@ class CacheDataPath:
         else:
             slot.release()
 
-    def _numa_hop(self):
-        return self.env.timeout(self.profile.cpu.numa_penalty_mean * math.exp(
-            self._jitter_sigma * self._normal() - self._jitter_sigma**2 / 2))
+    def _numa_penalty(self) -> float:
+        """One cross-NUMA hop's delay (threads not affinitized)."""
+        return self.profile.cpu.numa_penalty_mean * math.exp(
+            self._jitter_sigma * self._normal() - self._jitter_sigma**2 / 2)
 
     def _reap(self, thread: _ClientThread, connection: _Connection,
               op: EngineOp, completion: Completion):
@@ -623,7 +624,7 @@ class CacheDataPath:
         finally:
             thread.cpu.release()
         if not self.config.numa_affinity:
-            yield self._numa_hop()
+            yield env.timeout(self._numa_penalty())
         result = self._settle(connection, op, completion)
         if op.completion is None and env.due_now():
             yield env.timeout(0)
@@ -659,7 +660,7 @@ class CacheDataPath:
         finally:
             thread.cpu.release()
         if not self.config.numa_affinity:
-            yield self._numa_hop()
+            yield env.timeout(self._numa_penalty())
         if thread.reap_queue:
             # The reap slot passes on; the next reap queues for the
             # thread CPU before this settle wakes anyone.
@@ -769,8 +770,7 @@ class CacheDataPath:
             self._arm_watchdog(connection, batch.created_at + self.op_timeout)
 
     def _arm_watchdog(self, connection: _Connection, deadline: float) -> None:
-        self.env.timeout_at(deadline)._add_callback(
-            lambda _event: self._watchdog(connection))
+        self.env.call_at(deadline, self._watchdog, connection)
 
     def _watchdog(self, connection: _Connection) -> None:
         """One response timer per connection (TCP's one retransmission
@@ -846,23 +846,26 @@ _REAP_HELD = _CREDIT_HELD | _CPU_HELD
 class OneSidedIo(Event):
     """One submitted one-sided op as a chain of callbacks.
 
-    Built the way a verb is (``net/qp.py``'s ``_Verb``): each stage is a
-    plain function that the event ending the previous wait calls back,
+    Built like a verb (``net/qp.py``'s ``_Verb``), whose stages all end
+    at known instants, but a stage here may also wait on an event: each
+    stage is a plain function that runs when the previous wait ends,
     and the ``stage`` slot holds what comes next.  The callback is one
     bound method made per record (``_resume_handler``, as a process
-    keeps one): an event calls it faster than an instance's
-    ``__call__``, and the reference cycle it makes ends when the record
-    does.  A grant that is free at once costs no wait: the stage goes on
-    in place (``try_acquire`` / ``try_get``).  A queued grant hangs the
+    keeps one), and the reference cycle it makes ends when the record
+    does.  A grant that is free at once costs no wait: the stage goes
+    on in place (``try_acquire`` / ``try_get``).  A queued grant hangs the
     same stage on its event, which runs it again holding the grant
     (``held`` says how far it got).  No process, name or generator is
     built per op.  The stages, in order: the issue slot, the credit and
     the thread CPU, the issue charge and the post, the completion (one
     more hop when the post completed at once, on a QP in the error
     state), the thread CPU, the reap charge, the cross-NUMA hop and the
-    settle.  A stage waits on an event it was just handed (a timeout, a
-    grant or the post's completion, which nothing else waits on) by
-    setting that event's callback list, as ``Process._resume`` does.
+    settle.  A wait that ends at an instant known now (a charge, a hop)
+    is a timed call of the callback with no event
+    (:meth:`Environment.call_at`).  A wait on an event the stage was
+    just handed (a grant or the post's completion, which nothing else
+    waits on) sets that event's callback list, as ``Process._resume``
+    does.
 
     Nobody waits in a frame for a record (docs/determinism-rules.md,
     "Run an I/O as a callback record"): :meth:`CacheDataPath.submit`
@@ -987,10 +990,10 @@ class OneSidedIo(Event):
         if stages is not None:
             stages.cpu = env.now
         self.stage = OneSidedIo.post
-        env.timeout(path._issue_charge(1, True)).callbacks = [
-            self._resume_handler]
+        env.call_at(env.now + path._issue_charge(1, True),
+                    self._resume_handler, None)
 
-    def post(self, _event: Event) -> None:
+    def post(self, _event: Optional[Event]) -> None:
         """Post the op's one READ or WRITE verb."""
         connection = self.connection
         self.thread.cpu.release()
@@ -1012,9 +1015,9 @@ class OneSidedIo(Event):
     def completed_at_post(self, event: Event) -> None:
         """A post to a QP in the error state completes inside post(); a
         waiter spawned at post found it processed and resumed one hop
-        after its dispatch.  Keep that hop (carrying the completion)."""
+        after its dispatch.  Keep that hop (it hands on the completion)."""
         self.stage = OneSidedIo.reap
-        self.env.timeout(0, event._value).callbacks = [self._resume_handler]
+        self.env._call_soon(self._resume_handler, event)
 
     def reap(self, event: Event) -> None:
         """The verb completed: take the thread CPU, then pay the reap
@@ -1036,10 +1039,10 @@ class OneSidedIo(Event):
         if stages is not None:
             stages.reaping = env.now
         self.stage = OneSidedIo.reaped
-        env.timeout(self.path._reap_charge()).callbacks = [
-            self._resume_handler]
+        env.call_at(env.now + self.path._reap_charge(),
+                    self._resume_handler, None)
 
-    def reaped(self, _event: Event) -> None:
+    def reaped(self, _event: Optional[Event]) -> None:
         """Reaped: free the thread CPU and take the cross-NUMA hop when
         threads are not affinitized (this stage runs again after it).
         Then return the credit and settle the op with its verb's
@@ -1052,7 +1055,9 @@ class OneSidedIo(Event):
             if op.stages is not None:
                 op.stages.reaped = self.env.now
             if not path.config.numa_affinity:
-                path._numa_hop().callbacks = [self._resume_handler]
+                env = self.env
+                env.call_at(env.now + path._numa_penalty(),
+                            self._resume_handler, None)
                 return
         self.held = 0
         result = path._settle(self.connection, op, self.completion)

@@ -5,7 +5,7 @@ rate (shared by everything an endpoint sends -- this is how migration
 traffic contends with foreground traffic in the Figure 15/16 experiments)
 and per-switch-hop propagation latency.  A link is a FIFO reservation,
 not a lock: each message books the next free interval on it, so a
-message costs one kernel event, at its arrival (a cross-rack message
+message costs one kernel entry, at its arrival (a cross-rack message
 through an oversubscribed rack uplink keeps one more, at tx end).
 
 Topology follows the paper's three network distances (§5.2): endpoints in
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.hardware.nic import QpContextCache
 from repro.hardware.profiles import (
@@ -245,8 +245,21 @@ class Fabric:
 
     def transmit(self, src: Endpoint, dst: Endpoint,
                  wire_payload_bytes: int, tail: float = 0.0) -> Event:
-        """Send one message from ``src`` to ``dst``; the returned event
-        fires when it has arrived, plus ``tail``.
+        """Send one message from ``src`` to ``dst`` (see :meth:`send`);
+        the returned event fires when it has arrived, plus ``tail``.
+        For a generator to yield."""
+        arrived = self.send(src, dst, wire_payload_bytes, None, None, tail)
+        assert arrived is not None
+        return arrived
+
+    def send(self, src: Endpoint, dst: Endpoint, wire_payload_bytes: int,
+             fn: Optional[Callable[[Any], None]], arg: Any,
+             tail: float = 0.0) -> Optional[Event]:
+        """Send one message from ``src`` to ``dst``: ``fn(arg)`` runs
+        when it has arrived, plus ``tail``, from a timed call with no
+        event (:meth:`Environment.call_at`; a callback record's next
+        stage).  With no ``fn``, an event fires there instead and is
+        returned (:meth:`transmit`).
 
         The source's tx link is a FIFO reservation: the message starts
         serializing when the link frees up (``tx_free_at``, or now if it
@@ -257,7 +270,7 @@ class Fabric:
 
         ``tail`` is receive-side work that follows arrival with nothing
         checked in between (a READ payload's DMA into requester memory);
-        folding it in saves the caller a timeout.  The arrival instant
+        folding it in saves the caller a stage.  The arrival instant
         is ``end + (base + extra)`` then ``+ tail``, the association a
         chain of relative timeouts would produce.
 
@@ -291,34 +304,35 @@ class Fabric:
             self._one_way_cache[hops] = base
         if (hops > SWITCH_HOPS_INTRA_RACK
                 and self.profile.fabric.rack_uplink_gbps is not None):
-            return self._via_rack_uplink(src, wire_payload_bytes, end, base,
-                                         tail)
-        return env.timeout_at(end + (base + self.extra_latency_s) + tail)
+            arrived = None
+            if fn is None:
+                arrived = env.event()
+                fn, arg = Event.succeed, arrived
+            uplink_time = wire_payload_bytes * 8 / (
+                self.profile.fabric.rack_uplink_gbps * 1e9)
+            key = (src.placement.cluster, src.placement.rack)
+            env.call_at(end, self._via_rack_uplink,
+                        (key, uplink_time, base, tail, fn, arg))
+            return arrived
+        when = end + (base + self.extra_latency_s) + tail
+        if fn is None:
+            return env.timeout_at(when)
+        env.call_at(when, fn, arg)
+        return None
 
-    def _via_rack_uplink(self, src: Endpoint, wire_payload_bytes: int,
-                         tx_end: float, base: float, tail: float) -> Event:
-        """Arrival of a cross-rack message on an oversubscribed fabric.
+    def _via_rack_uplink(self, hop: tuple) -> None:
+        """A cross-rack message on an oversubscribed fabric left its tx
+        link: book the rack's shared uplink, then run its arrival.
 
-        The rack's shared uplink is a FIFO reservation too, but messages
-        must reach it in tx-end order, so this path keeps an event at
-        tx end and books the uplink there; the latency spike is read
-        at that instant as well.
+        The uplink is a FIFO reservation too, but messages must reach
+        it in tx-end order, so this books it at tx end (a timed call),
+        and reads the latency spike at that instant as well.
         """
-        env = self.env
-        key = (src.placement.cluster, src.placement.rack)
-        uplink_time = wire_payload_bytes * 8 / (
-            self.profile.fabric.rack_uplink_gbps * 1e9)
-        arrived = env.event()
-
-        def reserve_uplink(_tx_done: Event) -> None:
-            now = env.now
-            start = self._uplink_free_at.get(key, now)
-            if start < now:
-                start = now
-            end = start + uplink_time
-            self._uplink_free_at[key] = end
-            env.timeout_at(end + (base + self.extra_latency_s) + tail
-                           )._add_callback(lambda _: arrived.succeed())
-
-        env.timeout_at(tx_end)._add_callback(reserve_uplink)
-        return arrived
+        key, uplink_time, base, tail, fn, arg = hop
+        now = self.env.now
+        start = self._uplink_free_at.get(key, now)
+        if start < now:
+            start = now
+        end = start + uplink_time
+        self._uplink_free_at[key] = end
+        self.env.call_at(end + (base + self.extra_latency_s) + tail, fn, arg)

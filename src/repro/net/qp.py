@@ -17,7 +17,7 @@ ordering).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 from repro.net.fabric import Endpoint
 from repro.net.memory import AccessToken, MemoryRegion, RdmaAccessError
@@ -346,15 +346,15 @@ class QueuePair:
         """Start a verb: its first stage runs in this call.
 
         That stage only reads the requester's ``alive``, touches its
-        NIC's QP-context cache and creates a timeout.  Run in place
+        NIC's QP-context cache and schedules the next one.  Run in place
         instead of on an entry behind what is already due now, those
-        move within the instant only: the timeout takes its sequence
+        move within the instant only: the entry takes its sequence
         number earlier, so only an exact tie at its instant could tell,
         and the read and the touch come before the entries in between,
         which could tell only if one of them killed that endpoint or
         touched that cache.  Launches keep their relative order (post
-        order).  A dead requester's error completion waits for a zero
-        timeout, so it queues behind everything already due now.
+        order).  A dead requester's error completion runs from an entry
+        at now, so it queues behind everything already due now.
         """
         self._in_flight += 1
         env = self.env
@@ -365,7 +365,7 @@ class QueuePair:
             verb = _Verb(self, wr, completion_event)
         if not local.alive:
             # A dead requester posts nothing: its NIC is gone.
-            verb.then(env.timeout(0), _Verb.local_down)
+            env._call_soon(_Verb.local_down, verb)
             return
         # NIC work-request processing on the requester.
         nic = local.fabric.profile.nic
@@ -373,18 +373,16 @@ class QueuePair:
         penalty = self._context_penalty(local)
         if penalty:
             per_message += penalty
+        sent = env.now + per_message
         if wr.op is RdmaOp.WRITE and not nic.can_inline(wr.payload_bytes):
             # Payload acquisition: inline rides in the WQE; otherwise the
             # NIC fetches it from host memory over PCIe after processing
             # the request (why small writes beat small reads in Figure
-            # 11).  Nothing is observed between the two, so one timeout
+            # 11).  Nothing is observed between the two, so one entry
             # reaches the instant the pair would, in the same float
             # association.
-            sent = env.timeout_at(
-                env.now + per_message + nic.dma_fetch(wr.payload_bytes))
-        else:
-            sent = env.timeout(per_message)
-        verb.then(sent, type(verb).sent)
+            sent += nic.dma_fetch(wr.payload_bytes)
+        env.call_at(sent, type(verb).sent, verb)
 
     def _finish(self, verb: "_Verb", ok: bool = True,
                 data: Optional[bytes] = None, error: Optional[str] = None,
@@ -417,20 +415,19 @@ class QueuePair:
 
 
 class _Verb:
-    """One READ or WRITE in flight: a chain of timeout callbacks.
+    """One READ or WRITE in flight: a chain of timed calls.
 
-    Each stage is a method that the timeout (or message arrival) ending
-    the previous stage calls back; it does the stage's work, then hangs
-    the next stage on the next timeout (:meth:`then`).  No process,
-    generator or name is built per verb, and no object per stage: the
-    record itself is the callback, and it holds the next stage as a
-    plain function.  A bound method per stage would be one more
-    collector-tracked allocation each, and one stored on the record a
-    reference cycle (DESIGN.md §5h).  See DESIGN.md §4 for the time
+    Each stage is a method that runs at the instant the previous stage
+    ends -- a NIC charge or a message's arrival, known when the stage
+    before it ran -- as an entry :meth:`Environment.call_at` puts on
+    the event list as ``(stage function, verb)``.  No process,
+    generator, name or event is built per verb, and no object per
+    stage: a bound method per stage would be one more collector-tracked
+    allocation each (DESIGN.md §5h).  See DESIGN.md §4 for the time
     budget.
     """
 
-    __slots__ = ("qp", "wr", "event", "stage", "region", "data")
+    __slots__ = ("qp", "wr", "event", "region", "data")
 
     def __init__(self, qp: QueuePair, wr: WorkRequest, event: Event):
         self.qp = qp
@@ -442,30 +439,20 @@ class _Verb:
         #: What a READ fetched, carried to its completion.
         self.data: Optional[bytes] = None
 
-    def then(self, event: Event, stage: Callable[["_Verb", Event], None]
-             ) -> None:
-        """Run ``stage`` when ``event`` fires: the record waits on one
-        event at a time, so one ``stage`` slot holds what comes next."""
-        self.stage = stage
-        event._add_callback(self)
-
-    def __call__(self, event: Event) -> None:
-        self.stage(self, event)
-
-    def local_down(self, _event: Event) -> None:
+    def local_down(self) -> None:
         self.qp._finish(self, False, error="local endpoint down")
 
-    def sent(self, _event: Event) -> None:
+    def sent(self) -> None:
         """The requester NIC has the request (and a non-inline WRITE's
         payload): it goes on the wire."""
         qp = self.qp
         wr = self.wr
         request_bytes = (wr.payload_bytes if wr.op is RdmaOp.WRITE
                          else CONTROL_MESSAGE_BYTES)
-        self.then(qp.local.fabric.transmit(qp.local, qp.remote,
-                                           request_bytes), _Verb.arrived)
+        qp.local.fabric.send(qp.local, qp.remote, request_bytes,
+                             _Verb.arrived, self)
 
-    def arrived(self, _event: Event) -> None:
+    def arrived(self) -> None:
         """The request reached the responder NIC, which looks up this
         QP's connection context too."""
         qp = self.qp
@@ -475,11 +462,12 @@ class _Verb:
             return
         penalty = qp._context_penalty(remote)
         if penalty:
-            self.then(qp.env.timeout(penalty), _Verb.serve)
+            env = qp.env
+            env.call_at(env.now + penalty, _Verb.serve, self)
         else:
-            self.serve(_event)
+            self.serve()
 
-    def serve(self, _event: Event) -> None:
+    def serve(self) -> None:
         """The responder finds the region and starts its DMA: a WRITE's
         payload into memory, a READ's out of it."""
         qp = self.qp
@@ -492,13 +480,14 @@ class _Verb:
             return
         self.region = region
         nic = remote.fabric.profile.nic
+        env = qp.env
         if wr.op is RdmaOp.WRITE:
-            self.then(qp.env.timeout(nic.rx_dma), _Verb.landed)
+            env.call_at(env.now + nic.rx_dma, _Verb.landed, self)
         else:
-            self.then(qp.env.timeout(nic.dma_fetch(wr.payload_bytes)),
-                      _Verb.fetched)
+            env.call_at(env.now + nic.dma_fetch(wr.payload_bytes),
+                        _Verb.fetched, self)
 
-    def landed(self, _event: Event) -> None:
+    def landed(self) -> None:
         """A WRITE's payload is in responder memory: its message goes
         to the region's mailbox and the acknowledgement goes back."""
         qp = self.qp
@@ -511,11 +500,10 @@ class _Verb:
         except RdmaAccessError as exc:
             qp._finish(self, False, error=str(exc))
             return
-        self.then(qp.local.fabric.transmit(qp.remote, qp.local,
-                                           CONTROL_MESSAGE_BYTES),
-                  _Verb.answered)
+        qp.local.fabric.send(qp.remote, qp.local, CONTROL_MESSAGE_BYTES,
+                             _Verb.answered, self)
 
-    def fetched(self, _event: Event) -> None:
+    def fetched(self) -> None:
         """A READ's payload left responder memory: it goes back, and
         its DMA into requester memory ends the arrival."""
         qp = self.qp
@@ -527,11 +515,11 @@ class _Verb:
             qp._finish(self, False, error=str(exc))
             return
         remote = qp.remote
-        self.then(remote.fabric.transmit(remote, qp.local, wr.payload_bytes,
-                                         remote.fabric.profile.nic.rx_dma),
-                  _Verb.answered)
+        remote.fabric.send(remote, qp.local, wr.payload_bytes,
+                           _Verb.answered, self,
+                           remote.fabric.profile.nic.rx_dma)
 
-    def answered(self, _event: Event) -> None:
+    def answered(self) -> None:
         self.qp._finish(self, data=self.data)
 
 
@@ -543,9 +531,9 @@ class _ProgramVerb(_Verb):
     pointer word, then the record at the offset it holds
     (:func:`~repro.net.programs.chase_target`), charging
     ``program_step_latency`` per step plus each step's DMA cost, all
-    folded into a *single* service timeout (one trigger->callback edge
-    per program: a kernel monitor such as the replay sanitizer sees the
-    execution as one atomic remote event); one response returns the
+    folded into a *single* service interval (one timed call per
+    program: a kernel monitor such as the replay sanitizer sees the
+    execution as one atomic remote step); one response returns the
     payloads.
 
     Memory sampling: both READs sample at descriptor arrival; the CAS
@@ -568,15 +556,15 @@ class _ProgramVerb(_Verb):
         self.executed = 0
         self.cas_aborted = False
 
-    def sent(self, _event: Event) -> None:
+    def sent(self) -> None:
         qp = self.qp
         if qp._programs_posted is not None:
             qp._programs_posted.inc()
-        self.then(qp.local.fabric.transmit(
-            qp.local, qp.remote, self.wr.program.request_wire_bytes),
-            _ProgramVerb.arrived)
+        qp.local.fabric.send(qp.local, qp.remote,
+                             self.wr.program.request_wire_bytes,
+                             _ProgramVerb.arrived, self)
 
-    def arrived(self, _event: Event) -> None:
+    def arrived(self) -> None:
         """The descriptor reached the responder NIC: it samples both
         READs now and charges the whole chain as one service interval."""
         qp = self.qp
@@ -615,9 +603,10 @@ class _ProgramVerb(_Verb):
             # The guard's window share; it reads after the window.
             service += step_latency
             service += nic.dma_fetch(CAS_WORD_BYTES)
-        self.then(qp.env.timeout(service), _ProgramVerb.served)
+        env = qp.env
+        env.call_at(env.now + service, _ProgramVerb.served, self)
 
-    def served(self, _event: Event) -> None:
+    def served(self) -> None:
         """The service window closed: the guard checks, and the payloads
         of the steps that executed go back."""
         qp = self.qp
@@ -651,12 +640,12 @@ class _ProgramVerb(_Verb):
         executed = self.executed
         remote = qp.remote
         # Read payloads land in requester memory as part of the arrival.
-        self.then(remote.fabric.transmit(
+        remote.fabric.send(
             remote, qp.local, program.response_bytes_through(executed),
-            remote.fabric.profile.nic.rx_dma if executed else 0.0),
-            _ProgramVerb.answered)
+            _ProgramVerb.answered, self,
+            remote.fabric.profile.nic.rx_dma if executed else 0.0)
 
-    def answered(self, _event: Event) -> None:
+    def answered(self) -> None:
         ok = self.error is None
         self.qp._finish(self, ok, data=self.data if ok else None,
                         error=self.error, cas_aborted=self.cas_aborted)

@@ -16,10 +16,11 @@ sanitizer's trace recorder extends, checks that order against a
 reference heap of its own.
 
 The feature set is intentionally small -- timeouts, one-shot events,
-ready (already-satisfied) events and processes -- because that is
-exactly what the higher layers (RDMA fabric, cache engine, cluster
-allocator) need.  Faults reach a process as a failed event it waits
-on, never as an exception thrown into it from outside.
+ready (already-satisfied) events, processes, and timed calls with no
+event (:meth:`Environment.call_at`) -- because that is exactly what the
+higher layers (RDMA fabric, cache engine, cluster allocator) need.
+Faults reach a process as a failed event it waits on, never as an
+exception thrown into it from outside.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class Event:
         env._immediate.append((_EVENT_DISPATCH, self))
         monitor = env.monitor
         if monitor is not None:
-            monitor.on_schedule(env.now, _EVENT_DISPATCH, self)
+            monitor.on_schedule(env, env.now, _EVENT_DISPATCH, self)
             monitor.on_trigger(self)
         return self
 
@@ -217,9 +218,9 @@ class Timeout(Event):
 
     Built only by :meth:`Environment.timeout` and
     :meth:`Environment.timeout_at`, which write its fields straight into
-    their triggered state (a timeout is born with its value, so an
-    attached monitor receives ``on_trigger`` there, exactly as from
-    ``succeed()``/``fail()``).
+    their triggered state (a timeout is born triggered, with the value
+    ``None``, so an attached monitor receives ``on_trigger`` there,
+    exactly as from ``succeed()``/``fail()``).
     """
 
     __slots__ = ()
@@ -565,7 +566,7 @@ class Environment:
         # Event-loop statistics (cheap ints, always on).
         self._steps = 0
         self._events_processed = 0
-        self._immediate_calls = 0
+        self._calls = 0
         self._process_failures = 0
 
     def event_loop_stats(self) -> dict:
@@ -573,7 +574,7 @@ class Environment:
         return {
             "steps": self._steps,
             "events": self._events_processed,
-            "immediate_calls": self._immediate_calls,
+            "calls": self._calls,
             "process_failures": self._process_failures,
             "pending": self._pending_count(),
         }
@@ -610,7 +611,7 @@ class Environment:
             return event
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         # This factory runs once per simulated fabric/CPU hop -- the
         # hottest allocation site in a measurement run -- so the
         # freelist pop, slot init and scheduling all happen in-frame.
@@ -627,11 +628,11 @@ class Environment:
             timeout = Timeout.__new__(Timeout)
             timeout.env = self
             timeout.callbacks = None
+            timeout._value = None
             timeout._ok = True
             timeout._triggered = True
             timeout._processed = False
             timeout.on_abandon = None
-        timeout._value = value
         now = self.now
         when = now + delay
         if when == now:
@@ -644,7 +645,7 @@ class Environment:
             heappush(self._near, (when, seq, _EVENT_DISPATCH, timeout))
         monitor = self.monitor
         if monitor is not None:
-            monitor.on_schedule(when, _EVENT_DISPATCH, timeout)
+            monitor.on_schedule(self, when, _EVENT_DISPATCH, timeout)
             monitor.on_trigger(timeout)
         return timeout
 
@@ -656,12 +657,8 @@ class Environment:
         an instant itself (the fabric's link reservations) gets exactly
         that instant here.  Ordering matches :meth:`timeout`: an entry
         at ``when == now`` queues behind everything already due.  The
-        body is :meth:`timeout`'s, inlined for the same reason.
+        entry is :meth:`call_at`'s, with the timeout's dispatch.
         """
-        now = self.now
-        if when < now:
-            raise SimulationError(
-                f"timeout_at({when}) is in the past (now={now})")
         free = self._timeout_free
         if free:
             timeout = free.pop()  # as in timeout()
@@ -670,22 +667,41 @@ class Environment:
             timeout = Timeout.__new__(Timeout)
             timeout.env = self
             timeout.callbacks = None
+            timeout._value = None
             timeout._ok = True
             timeout._triggered = True
             timeout._processed = False
             timeout.on_abandon = None
-        timeout._value = None
-        if when == now:
-            self._immediate.append((_EVENT_DISPATCH, timeout))
-        else:
-            seq = self._sequence + 1
-            self._sequence = seq
-            heappush(self._near, (when, seq, _EVENT_DISPATCH, timeout))
+        self.call_at(when, _EVENT_DISPATCH, timeout)
         monitor = self.monitor
         if monitor is not None:
-            monitor.on_schedule(when, _EVENT_DISPATCH, timeout)
             monitor.on_trigger(timeout)
         return timeout
+
+    def call_at(self, when: float, fn: Callable[[Any], None],
+                arg: Any) -> None:
+        """Run ``fn(arg)`` at the absolute instant ``when``, with no event.
+
+        For a callback record whose next stage is due at a known
+        instant: nothing else can wait on that instant, so an event
+        would only carry the one callback.  The entry takes exactly the
+        place a timeout there would (:meth:`timeout_at` schedules through
+        here): the next sequence number, or the back of the deque at
+        ``when == now``, so dispatch order stays ``(when, insertion)``.
+        """
+        now = self.now
+        if when == now:
+            self._immediate.append((fn, arg))
+        elif when > now:
+            seq = self._sequence + 1
+            self._sequence = seq
+            heappush(self._near, (when, seq, fn, arg))
+        else:
+            raise SimulationError(
+                f"call_at({when}) is in the past (now={now})")
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_schedule(self, when, fn, arg)
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str = "") -> Process:
@@ -704,9 +720,10 @@ class Environment:
         waiting on that event would have been resumed -- then starting
         the work there instead of in a waiter spawned earlier moves
         nothing in the schedule and saves the waiter's bootstrap step.
-        (Queue pairs no longer use it: a verb waits only on timeouts
-        and message arrivals, so it runs as a chain of their callbacks,
-        with no process; see ``QueuePair._launch``.)
+        (Queue pairs no longer use it: every stage of a verb is due at
+        an instant known when the stage before it ends, so a verb runs
+        as a chain of :meth:`call_at` entries, with no process and no
+        event; see ``QueuePair._launch``.)
 
         A process that finishes inside this first step keeps its exit
         entry (the caller may join what this returns).
@@ -758,11 +775,11 @@ class Environment:
     # without type inspection.  ``sequence`` is unique, so comparisons
     # never reach the trailing elements.  Events carry
     # ``(Event._run_callbacks, event)`` -- that function's identity is
-    # what distinguishes an event from an immediate call in the loop
-    # statistics -- and immediate calls carry ``(fn, arg)``; the
-    # single-argument convention is what lets waiter delivery and process
-    # bootstrap schedule plain bound/class methods instead of allocating
-    # a closure per call.
+    # what distinguishes an event from a call in the loop statistics --
+    # and calls (:meth:`call_at`, :meth:`_call_soon`) carry any
+    # ``(fn, arg)``; the single-argument convention is what lets waiter
+    # delivery, process bootstrap and a record's next stage schedule
+    # plain bound/class methods instead of allocating a closure per call.
     #
     # Entries due at the current instant skip the sequence counter
     # entirely and land on the FIFO deque: nothing already queued for
@@ -779,13 +796,13 @@ class Environment:
         self._immediate.append((_EVENT_DISPATCH, event))
         monitor = self.monitor
         if monitor is not None:
-            monitor.on_schedule(self.now, _EVENT_DISPATCH, event)
+            monitor.on_schedule(self, self.now, _EVENT_DISPATCH, event)
 
     def _call_soon(self, fn: Callable[[Any], None], arg: Any) -> None:
         self._immediate.append((fn, arg))
         monitor = self.monitor
         if monitor is not None:
-            monitor.on_schedule(self.now, fn, arg)
+            monitor.on_schedule(self, self.now, fn, arg)
 
     # -- execution ---------------------------------------------------------
 
@@ -804,10 +821,10 @@ class Environment:
         if fn is _EVENT_DISPATCH:
             self._events_processed += 1
         else:
-            self._immediate_calls += 1
+            self._calls += 1
         monitor = self.monitor
         if monitor is not None:
-            monitor.on_dispatch(fn, arg)
+            monitor.on_dispatch(self, fn, arg)
         fn(arg)
 
     def run(self, until: Optional[float] = None) -> None:
@@ -818,12 +835,13 @@ class Environment:
 
         The loop inlines :meth:`step` (same semantics, verified by the
         kernel tests and the dispatch-order suite): the kernel is about
-        50-60 % of sampled host time on every workload of the repository
-        benchmark (``benchmarks/perf/README.md``), and the per-entry
-        method call, bound-counter updates, and re-checked ``until``
-        guard are measurable at tens of thousands of steps per simulated
-        second.  Loop statistics
-        accumulate in locals and are flushed even when a handler raises.
+        a third of sampled host time on the workloads of the repository
+        benchmark (29-43 % in traced seed-0 runs of ``benchmarks/perf``,
+        2-vCPU VM, CPython 3.11), and the per-entry method call,
+        bound-counter updates, and re-checked ``until`` guard are
+        measurable at tens of thousands of steps per simulated second.
+        Loop statistics accumulate in locals and are flushed even when a
+        handler raises.
         """
         if until is not None and until < self.now:
             raise SimulationError(
@@ -865,7 +883,7 @@ class Environment:
                     _when, _seq, fn, arg = pop_heap(near)
                     steps += 1
                     if monitor is not None:
-                        monitor.on_dispatch(fn, arg)
+                        monitor.on_dispatch(self, fn, arg)
                     if fn is dispatch:
                         # Inlined Event._run_callbacks (the overwhelmingly
                         # common entry kind): one fewer frame per event.
@@ -904,7 +922,7 @@ class Environment:
                     fn, arg = pop_immediate()
                     steps += 1
                     if monitor is not None:
-                        monitor.on_dispatch(fn, arg)
+                        monitor.on_dispatch(self, fn, arg)
                     if fn is dispatch:
                         events += 1
                         arg._processed = True
@@ -942,7 +960,7 @@ class Environment:
         finally:
             self._steps += steps
             self._events_processed += events
-            self._immediate_calls += steps - events
+            self._calls += steps - events
 
     def run_process(self, generator: Generator[Event, Any, Any],
                     name: str = "") -> Any:

@@ -93,9 +93,9 @@ class _ChargeLog(Environment):
         super().__init__()
         self.charges = []
 
-    def timeout(self, delay, value=None):
+    def timeout(self, delay):
         self.charges.append(delay)
-        return super().timeout(delay, value)
+        return super().timeout(delay)
 
 
 class _PerCallNormal:
@@ -169,10 +169,10 @@ class _ServerCharges(Environment):
         super().__init__()
         self.charges = []
 
-    def timeout(self, delay, value=None):
+    def timeout(self, delay):
         if sys._getframe(1).f_code is CacheServer._thread_loop.__code__:
             self.charges.append(delay)
-        return super().timeout(delay, value)
+        return super().timeout(delay)
 
 
 class TestServerDraws:

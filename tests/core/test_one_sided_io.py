@@ -46,7 +46,7 @@ class _Dispatches(KernelMonitor):
     def __init__(self):
         self.count = 0
 
-    def on_dispatch(self, fn, arg):
+    def on_dispatch(self, env, fn, arg):
         self.count += 1
 
 

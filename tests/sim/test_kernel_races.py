@@ -96,7 +96,7 @@ def test_event_loop_stats_count_kernel_work():
     env.process(worker(env))
     env.run()
     stats = env.event_loop_stats()
-    assert stats["steps"] == stats["events"] + stats["immediate_calls"]
+    assert stats["steps"] == stats["events"] + stats["calls"]
     assert stats["steps"] > 0
     assert stats["pending"] == 0
     assert stats["process_failures"] == 0

@@ -65,13 +65,13 @@ def _mixed_workload(env, rng, log):
     def racer(tag):
         hedge = float(rng.integers(0, 100)) * 0.1 * US
         winner = yield env.any_of(
-            [env.timeout(5 * US, "slow"), env.timeout(hedge, "hedge")])
+            [env.timeout(5 * US), env.timeout(hedge)])
         log.append(("race", tag, winner, env.now))
 
     def gatherer(tag):
         values = yield env.all_of(
-            [env.timeout(1 * US, "a"), env.timeout(1 * US, "b"),
-             env.timeout(float(rng.integers(0, 40)) * 0.1 * US, "c")])
+            [env.timeout(1 * US), env.timeout(1 * US),
+             env.timeout(float(rng.integers(0, 40)) * 0.1 * US)])
         log.append(("gather", tag, tuple(values), env.now))
 
     def opener():
@@ -105,6 +105,15 @@ def _mixed_workload(env, rng, log):
         value = yield target
         log.append(("joined", tag, value, env.now))
 
+    def timed_call(tag, index):
+        # A callback record's chain: each stage schedules the next at an
+        # instant it knows, with no event (`call_at`); a zero step lands
+        # on the deque.
+        log.append(("call", tag, index, env.now))
+        if index < 3:
+            env.call_at(env.now + float(rng.integers(0, 20)) * 0.1 * US,
+                        lambda _arg: timed_call(tag, index + 1), None)
+
     for index in range(int(rng.integers(2, 5))):
         env.process(sleeper(f"s{index}", int(rng.integers(2, 6))),
                     name=f"sleeper{index}")
@@ -125,6 +134,9 @@ def _mixed_workload(env, rng, log):
     env.process(failer(1.5 * US), name="failer")
     env.process(joiner("j0", env.process(sleeper("js", 3), name="joinee")),
                 name="joiner")
+    for index in range(int(rng.integers(1, 4))):
+        env.call_at(env.now + float(rng.integers(0, 30)) * 0.1 * US,
+                    lambda tag: timed_call(tag, 0), f"t{index}")
 
 
 def _checked_env(checked):
@@ -321,17 +333,106 @@ def test_timeout_at_fires_at_the_exact_instant(make_env):
     assert env.run_process(waiter()) == when
 
 
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_call_at_now_queues_behind_entries_already_due(make_env):
+    env = make_env()
+    fired = []
+
+    def early(tag):
+        yield env.timeout(1 * US)
+        fired.append(tag)
+
+    def late():
+        yield env.timeout(1 * US)
+        fired.append("late")
+        # Due now, FIFO behind "early1", which is due now as well.
+        env.call_at(env.now, fired.append, "call-at-now")
+
+    env.process(early("early0"))
+    env.process(late())
+    env.process(early("early1"))
+    env.run()
+    assert fired == ["early0", "late", "early1", "call-at-now"]
+
+
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_call_and_timeout_at_the_same_instant_keep_insertion_order(make_env):
+    # A timed call takes the sequence number a timeout there would: at
+    # a shared instant, calls and timeouts dispatch in the order they
+    # were scheduled, both in the future and at now.
+    env = make_env()
+    fired = []
+    for tag in range(6):
+        when = (tag % 2 + 1) * US
+        if tag % 3:
+            env.call_at(when, fired.append, tag)
+        else:
+            env.timeout_at(when)._add_callback(
+                lambda _event, tag=tag: fired.append(tag))
+
+    def at_now():
+        yield env.timeout(3 * US)
+        env.call_at(env.now, fired.append, "call")
+        env.timeout(0)._add_callback(lambda _event: fired.append("timeout"))
+        env.call_at(env.now, fired.append, "call2")
+
+    env.process(at_now())
+    env.run()
+    assert fired == [0, 2, 4, 1, 3, 5, "call", "timeout", "call2"]
+
+
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_call_at_in_the_past_raises(make_env):
+    env = make_env()
+    env.run(until=2 * US)
+    with pytest.raises(SimulationError):
+        env.call_at(1 * US, print, None)
+    assert env.event_loop_stats()["pending"] == 0
+
+
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_call_with_a_non_event_argument_passes_the_order_check(make_env):
+    # The order check keys its reference heap by the environment the
+    # hooks hand it, not by the argument: a call may carry anything.
+    env = make_env()
+    got = []
+    record = object()
+    for arg in (None, 7, record, ("a", 1)):
+        env.call_at(1 * US, got.append, arg)
+    env.call_at(env.now, got.append, "now")
+    env.run()
+    assert got == ["now", None, 7, record, ("a", 1)]
+
+
+@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
+def test_steps_count_events_plus_calls(make_env):
+    env = make_env()
+
+    def sleeper():
+        yield env.timeout(1 * US)
+
+    # A bootstrap call and a timeout event (an unobserved exit has no
+    # entry), then two timed calls.
+    env.process(sleeper())
+    env.call_at(2 * US, lambda _arg: None, None)
+    env.call_at(0.0, lambda _arg: None, None)
+    env.run()
+    stats = env.event_loop_stats()
+    assert (stats["events"], stats["calls"]) == (1, 3)
+    assert stats["steps"] == stats["events"] + stats["calls"]
+
+
 def test_freelist_reuse_preserves_event_payloads():
     # The run loop recycles processed Event/Timeout shells through
     # freelists.  Reuse must be invisible: every wait gets the value
-    # that was armed for it, never a stale slot from a previous
-    # occupant.
+    # that was armed for it (a timeout's is None), never a stale slot
+    # from a previous occupant.
     env = Environment()
     received = []
 
     def looper():
         for index in range(2000):
-            value = yield env.timeout(0.1 * US, ("payload", index))
+            value = yield env.timeout(0.1 * US)
             received.append(value)
             event = env.event()
             event.succeed(index * 3)
@@ -341,7 +442,7 @@ def test_freelist_reuse_preserves_event_payloads():
     env.run_process(looper())
     expected = []
     for index in range(2000):
-        expected.append(("payload", index))
+        expected.append(None)
         expected.append(index * 3)
     assert received == expected
 

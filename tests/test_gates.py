@@ -255,15 +255,15 @@ def test_one_extra_data_path_normal_fails_the_replay_check(monkeypatch):
 
 
 def test_one_extra_verb_stage_timeout_fails_the_gate(monkeypatch):
-    # A verb runs as a chain of timeout callbacks, with no process of
-    # its own to show in the trace.  One more stage -- a zero timeout
-    # between a request's arrival and its service, which moves no
-    # simulated instant -- still shows in the recorded kernel events.
+    # A verb runs as a chain of timed calls, with no process or event
+    # of its own to show in the trace.  One more stage on a zero
+    # timeout -- between a request's arrival and its service, which
+    # moves no simulated instant -- still shows in the recorded kernel
+    # events.
     arrived = qp._Verb.arrived
 
-    def one_more_stage(verb, event):
-        verb.qp.env.timeout(0)._add_callback(
-            lambda later: arrived(verb, later))
+    def one_more_stage(verb):
+        verb.qp.env.timeout(0)._add_callback(lambda _later: arrived(verb))
 
     monkeypatch.setattr(qp._Verb, "arrived", one_more_stage)
     entry = gates.check("verbs")
