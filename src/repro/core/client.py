@@ -775,6 +775,11 @@ class RedyCache:
         if self.table.regions_on(name):
             self.recover_from_failure(name)
 
+    def recovering(self, index: int) -> bool:
+        """Whether region ``index``'s server has a recovery in flight:
+        its closed read gates are then §6.2's repopulate, not a pause."""
+        return self.table.region(index).server_name in self._recoveries
+
     def recover_from_failure(self, server_name: str) -> Event:
         """Re-provision regions lost to a hard VM failure.
 

@@ -3,10 +3,10 @@
 Each scenario builds a fresh cluster from a seed, arms a
 :class:`~repro.faults.injector.FaultInjector` with a schedule, drives a
 probe workload through the cache while the faults land, and returns a
-:class:`ChaosReport` -- the fault log, a metrics snapshot, and a small
-summary.  Scenarios are pure functions of the seed; the gate registry
-(:mod:`repro.gates`, ``python -m repro gate``) names them and checks
-their summaries.
+:class:`ChaosReport` -- the fault log, a metrics snapshot, a small
+summary and the probes' checked op history (:mod:`repro.history`).
+Scenarios are pure functions of the seed; the gate registry
+(:mod:`repro.gates`, ``python -m repro gate``) names and checks them.
 
 The scenarios cover the §6 robustness matrix:
 
@@ -15,7 +15,7 @@ The scenarios cover the §6 robustness matrix:
   re-populate path);
 * :func:`spot_evict_programs` -- notice-based evictions while dependent
   GETs run as one-RTT verb programs: live migration vs the CAS-guarded
-  chase (zero lost acked writes, clean abort/fallback accounting);
+  chase (every read-back checked, clean abort/fallback accounting);
 * :func:`evict_primary` -- hard-kill the primary of a 2-way replicated
   cache, a two-member :class:`~repro.shard.router.ShardRouter` at
   ``replication=2`` (the §6.2 failover path);
@@ -28,11 +28,12 @@ The scenarios cover the §6 robustness matrix:
 * :func:`conn_storm_rebalance` -- a connection storm lands while a
   member kill forces an emergency rebalance: pooled sessions against
   the corpse must reclaim fast, the storm against survivors must
-  complete, and no acknowledged write may be lost.
+  complete, and every probe read must return what the history allows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -47,6 +48,7 @@ from repro.faults.spec import (
     SlowNode,
     VmKill,
 )
+from repro.history import History
 from repro.obs.metrics import MetricsRegistry, sample_p99
 from repro.shard import ShardRouter
 from repro.workloads.scenarios import build_cluster
@@ -72,6 +74,7 @@ class ChaosReport:
     log: FaultLog
     metrics: Dict[str, dict]
     summary: Dict[str, float]
+    history: dict
     sim_now: float
 
     def to_dict(self) -> dict:
@@ -84,6 +87,7 @@ class ChaosReport:
             "digest": self.log.digest(),
             "events": [event.to_dict() for event in self.log],
             "summary": self.summary,
+            "history": self.history,
             "metrics": self.metrics,
         }
 
@@ -139,63 +143,56 @@ class _ProbeStats:
         }
 
 
-def _probe_loop(env, read_fn: Callable, stats: _ProbeStats, *,
+def _probe_loop(env, probe: Callable, stats: _ProbeStats, *,
                 interval_s: float, until: float):
+    """``result = yield from probe()`` (which records its ops in the
+    run's history) every ``interval_s`` until ``until``."""
     while env.now < until:
-        result = yield read_fn()
+        result = yield from probe()
         stats.record(env.now, result)
         yield env.timeout(interval_s)
     stats.close(env.now)
 
 
-def _write_then_verify(env, name: str, record_bytes: int,
-                       write: Callable, read: Callable):
+def _write_then_read(env, name: str, record_bytes: int,
+                     write: Callable, read: Callable) -> Callable:
     """A :func:`_probe_loop` probe that writes a uniquely tagged record,
-    reads it back and verifies it byte for byte.
+    then reads it back.
 
-    ``write(index, payload)`` is a generator that returns the write's
-    result; ``read(index)`` returns the read-back's event.  Returns
-    ``(probe, counters)``: ``counters`` tallies acknowledged writes and,
-    of those, the read-backs that ``verified`` or came back ``lost``.
-    Probe ``i`` runs as process ``f"{name}-{i}"``.
+    ``write(index, payload)`` and ``read(index)`` are generators that
+    record their ops and return the write's and the read-back's result;
+    the probe fails with a write that failed.  Probe ``i`` runs as
+    process ``f"{name}-{i}"``.
     """
-    counters = {"acked": 0, "verified": 0, "lost": 0, "i": 0}
+    indices = itertools.count()
 
-    def probe():
+    def start():
+        """Spawn the next probe's body (outside any sim process, so the
+        body reports through ``done``); returns ``done``."""
         done = env.event()
+        index = next(indices)
 
         def body():
-            index = counters["i"]
-            counters["i"] += 1
             payload = bytes([(index + j) % 251 for j in range(record_bytes)])
             started = env.now
-            wrote = yield from write(index, payload)
-            if not wrote.ok:
-                # Never acked: an unavailable probe, not a lost write.
-                done.succeed(type(wrote)(ok=False, error=wrote.error,
-                                         latency=env.now - started))
-                return
-            counters["acked"] += 1
-            result = yield read(index)
-            if result.ok and result.data == payload:
-                counters["verified"] += 1
-            else:
-                counters["lost"] += 1
-                result = type(result)(
-                    ok=False,
-                    error=result.error or "acked write read back wrong")
+            result = yield from write(index, payload)
+            if result.ok:
+                result = yield from read(index)
             done.succeed(type(result)(ok=result.ok, data=result.data,
                                       error=result.error,
                                       latency=env.now - started))
 
-        env.process(body(), name=f"{name}-{counters['i']}")
+        env.process(body(), name=f"{name}-{index}")
         return done
 
-    return probe, counters
+    def probe():
+        return (yield start())
+
+    return probe
 
 
 def _finish(name: str, seed: int, harness, injector: FaultInjector,
-            registry: MetricsRegistry, stats: _ProbeStats,
+            registry: MetricsRegistry, stats: _ProbeStats, history: History,
             extra_summary: Dict[str, float] = None) -> ChaosReport:
     summary = stats.summary()
     if extra_summary:
@@ -203,11 +200,18 @@ def _finish(name: str, seed: int, harness, injector: FaultInjector,
     summary["faults_injected"] = float(len(injector.log))
     return ChaosReport(scenario=name, seed=seed, log=injector.log,
                        metrics=registry.snapshot(), summary=summary,
-                       sim_now=harness.env.now)
+                       history=history.outcome(), sim_now=harness.env.now)
 
 
 def _backing(capacity: int) -> bytes:
     return bytes(range(256)) * (capacity // 256)
+
+
+def _history(env, size: int, cache) -> History:
+    """A history of ``size``-byte records at addresses of a
+    :func:`_backing` cache (or router) ``cache``."""
+    return History(env, lambda addr: bytes((addr + i) % 256
+                                           for i in range(size)), cache)
 
 
 # ----------------------------------------------------------------------
@@ -247,12 +251,14 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0) -> ChaosReport:
     injector.arm(schedule, cache=cache)
 
     stats = _ProbeStats(SLO.max_latency)
+    history = _history(env, PROBE_BYTES, cache)
     horizon = max(CHURN_WINDOW_S + 2.0, schedule.horizon + 2.0)
-    env.process(_probe_loop(env, lambda: cache.read(4096, PROBE_BYTES),
-                            stats, interval_s=5e-3, until=horizon),
-                name="chaos-probe")
+    env.process(_probe_loop(env, lambda: history.record(
+        4096, None, cache.read(4096, PROBE_BYTES)), stats,
+        interval_s=5e-3, until=horizon), name="chaos-probe")
     env.run(until=horizon + 1.0)
     return _finish("spot-churn", seed, harness, injector, registry, stats,
+                   history,
                    {"churn_rate_per_s": rate_per_s,
                     "migrations": float(len(cache.migrations)),
                     "migration_failures": float(cache.migration_failures)})
@@ -265,12 +271,10 @@ def spot_evict_programs(seed: int) -> ChaosReport:
     migrates with its data intact, against a cache running dependent
     GETs as remote-side verb programs.  Each probe writes a uniquely
     tagged record, swings a pointer word at it, then dependent-reads it
-    back and verifies the payload byte for byte: a CAS-abort or revoked
-    region mid-program must fall back to the classic two-hop path (or a
-    client retry) transparently, and no acknowledged write may come
-    back wrong or lost.  The report carries program/abort/fallback
-    accounting plus the ``lost_acked_writes`` count the chaos test pins
-    to zero.
+    back: a CAS-abort or revoked region mid-program must fall back to
+    the classic two-hop path (or a client retry) transparently, and the
+    history must accept every read-back.  The report carries
+    program/abort/fallback accounting.
     """
     import struct
 
@@ -298,22 +302,27 @@ def spot_evict_programs(seed: int) -> ChaosReport:
 
     record_bytes = 256
     n_regions = CAPACITY // REGION
+    history = _history(env, record_bytes, cache)
+    pointer = struct.pack("<Q", 4096)
 
     def write(index, payload):
         """The record, then a pointer swing at it."""
         base = (index % n_regions) * REGION
-        wrote = yield cache.write(base + 4096, payload)
+        wrote = yield from history.record(
+            base + 4096, payload, cache.write(base + 4096, payload))
         if wrote.ok:
             # The pointer word holds the record's *region-local* offset
             # (what the remote chase dereferences).
-            swung = yield cache.write(base + 64, struct.pack("<Q", 4096))
+            swung = yield from history.record(
+                base + 64, pointer, cache.write(base + 64, pointer))
             wrote = swung if not swung.ok else wrote
         return wrote
 
-    probe, counters = _write_then_verify(
+    probe = _write_then_read(
         env, "chaos-programs-probe", record_bytes, write,
-        lambda index: cache.dependent_read(
-            (index % n_regions) * REGION + 64, record_bytes))
+        lambda index: history.record(
+            (index % n_regions) * REGION + 4096, None, cache.dependent_read(
+                (index % n_regions) * REGION + 64, record_bytes)))
 
     stats = _ProbeStats(SLO.max_latency)
     horizon = max(CHURN_WINDOW_S + 2.0, schedule.horizon + 2.0)
@@ -328,11 +337,9 @@ def spot_evict_programs(seed: int) -> ChaosReport:
 
     return _finish(
         "spot-evict-programs", seed, harness, injector, registry, stats,
+        history,
         {"migrations": float(len(cache.migrations)),
          "migration_failures": float(cache.migration_failures),
-         "acked_writes": float(counters["acked"]),
-         "verified_reads": float(counters["verified"]),
-         "lost_acked_writes": float(counters["lost"]),
          "programs": metric("engine.programs"),
          "program_cas_aborts": metric("engine.program_cas_aborts"),
          "program_fallbacks": metric("engine.program_fallbacks"),
@@ -347,7 +354,7 @@ def evict_primary(seed: int) -> ChaosReport:
     disjoint servers, each owning every slot.  The kill departs the
     probed slot's primary through the router's VM-termination hook, the
     probes keep reading the survivor, and the write seeded before the
-    kill must read back intact after the horizon.
+    kill must be acked and must read back after the horizon.
     """
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, provisioning_delay_s=2.0,
@@ -356,8 +363,10 @@ def evict_primary(seed: int) -> ChaosReport:
     client = harness.redy_client("chaos-repl-app")
     router = ShardRouter.replicated(client, CAPACITY, SLO,
                                     region_bytes=REGION)
+    history = History(env, lambda addr: bytes(PROBE_BYTES), None)
     payload = b"\xa5" * PROBE_BYTES
-    wrote = env.run_process(router.write_io(4096, payload))
+    env.run_process(history.require(4096, payload,
+                                    router.write_io(4096, payload)))
     primary = router.member(
         router.owners_of_slot(4096 // router.slot_bytes)[0]).cache
 
@@ -372,16 +381,15 @@ def evict_primary(seed: int) -> ChaosReport:
 
     stats = _ProbeStats(SLO.max_latency)
     horizon = env.now + 3.0
-    env.process(_probe_loop(env, lambda: router.read(4096, PROBE_BYTES),
-                            stats, interval_s=5e-3, until=horizon),
-                name="chaos-probe")
+    env.process(_probe_loop(env, lambda: history.record(
+        4096, None, router.read(4096, PROBE_BYTES)), stats,
+        interval_s=5e-3, until=horizon), name="chaos-probe")
     env.run(until=horizon + 1.0)
-    read = env.run_process(router.read_io(4096, PROBE_BYTES))
-    intact = wrote.ok and read.ok and read.data == payload
+    env.run_process(history.require(4096, None,
+                                    router.read_io(4096, PROBE_BYTES)))
     return _finish(
-        "evict-primary", seed, harness, injector, registry, stats,
-        {"members_after": float(len(router.members)),
-         "lost_acked_writes": 0.0 if intact else 1.0})
+        "evict-primary", seed, harness, injector, registry, stats, history,
+        {"members_after": float(len(router.members))})
 
 
 def link_flap(seed: int) -> ChaosReport:
@@ -405,13 +413,14 @@ def link_flap(seed: int) -> ChaosReport:
     injector.arm(flaps)
 
     stats = _ProbeStats(SLO.max_latency)
-    env.process(_probe_loop(env, lambda: cache.read(4096, PROBE_BYTES),
-                            stats, interval_s=2e-3, until=4.0),
-                name="chaos-probe")
+    history = _history(env, PROBE_BYTES, cache)
+    env.process(_probe_loop(env, lambda: history.record(
+        4096, None, cache.read(4096, PROBE_BYTES)), stats,
+        interval_s=2e-3, until=4.0), name="chaos-probe")
     env.run(until=5.0)
     retries = registry.get("client.retries")
     return _finish(
-        "link-flap", seed, harness, injector, registry, stats,
+        "link-flap", seed, harness, injector, registry, stats, history,
         {"retries": retries.value if retries is not None else 0.0})
 
 
@@ -434,11 +443,13 @@ def slow_node(seed: int) -> ChaosReport:
     injector.arm(schedule)
 
     stats = _ProbeStats(SLO.max_latency)
-    env.process(_probe_loop(env, lambda: cache.read(4096, PROBE_BYTES),
-                            stats, interval_s=2e-3, until=3.0),
-                name="chaos-probe")
+    history = _history(env, PROBE_BYTES, cache)
+    env.process(_probe_loop(env, lambda: history.record(
+        4096, None, cache.read(4096, PROBE_BYTES)), stats,
+        interval_s=2e-3, until=3.0), name="chaos-probe")
     env.run(until=4.0)
-    return _finish("slow-node", seed, harness, injector, registry, stats)
+    return _finish("slow-node", seed, harness, injector, registry, stats,
+                   history)
 
 
 def shard_churn(seed: int) -> ChaosReport:
@@ -475,13 +486,13 @@ def shard_churn(seed: int) -> ChaosReport:
     injector.arm(kills, cache=victim)
 
     stats = _ProbeStats(SLO.max_latency)
-    probe_addrs = [slot * (1 << 14) + 4096 for slot in range(8)]
-    cursor = {"i": 0}
+    history = _history(env, PROBE_BYTES, None)
+    probe_addrs = itertools.cycle(slot * (1 << 14) + 4096
+                                  for slot in range(8))
 
     def probe_read():
-        addr = probe_addrs[cursor["i"] % len(probe_addrs)]
-        cursor["i"] += 1
-        return router.read(addr, PROBE_BYTES)
+        addr = next(probe_addrs)
+        return history.record(addr, None, router.read(addr, PROBE_BYTES))
 
     env.process(_probe_loop(env, probe_read, stats,
                             interval_s=2e-3, until=3.0),
@@ -489,7 +500,7 @@ def shard_churn(seed: int) -> ChaosReport:
     env.run(until=4.0)
     rebalance = router.reports[-1] if router.reports else None
     return _finish(
-        "shard-churn", seed, harness, injector, registry, stats,
+        "shard-churn", seed, harness, injector, registry, stats, history,
         {"members_after": float(len(router.members)),
          "rebalances": float(len(router.reports)),
          "rebalance_duration_s": (rebalance.duration if rebalance
@@ -504,7 +515,7 @@ def conn_storm_rebalance(seed: int) -> ChaosReport:
     """A connection storm lands while a shard rebalance is in flight.
 
     A 4-member replication=2 :class:`~repro.shard.router.ShardRouter`
-    serves write-then-verify probes with the control-plane cost model
+    serves write-then-read probes with the control-plane cost model
     switched on (deferred QPs, timed registration, NIC context caches).
     At t=1 s every VM of one member is hard-killed, forcing an
     emergency rebalance -- and right across that window a burst of
@@ -513,8 +524,8 @@ def conn_storm_rebalance(seed: int) -> ChaosReport:
     to the router, so the rebalance must fast-reclaim every QP pooled
     against the dead endpoint instead of letting sessions rot; storm
     reads against the corpse may fail (counted), but no session may
-    hang and **no acknowledged router write may be lost** -- the
-    ``lost_acked_writes == 0`` invariant the chaos test pins.
+    hang and **every probe read must return what the op history
+    allows** -- no acknowledged router write lost.
     """
     from repro.cplane import ControlPlane, PoolPolicy
     from repro.net.memory import MemoryRegion
@@ -589,20 +600,21 @@ def conn_storm_rebalance(seed: int) -> ChaosReport:
     for index, at in enumerate(arrivals):
         env.process(storm_proc(index, at), name=f"chaos-storm:{index}")
 
-    # Write-then-verify probes through the router: a write acked by the
+    # Write-then-read probes through the router: a write acked by the
     # replication layer must read back intact through the kill and the
     # rebalance -- a survivor always holds the slot.
     record_bytes = 128
+    history = _history(env, record_bytes, None)
 
     def addr(index):
         return (index % 8) * (1 << 14) + 4096
 
-    def write(index, payload):
-        return (yield router.write(addr(index), payload))
-
-    probe, counters = _write_then_verify(
-        env, "chaos-storm-probe", record_bytes, write,
-        lambda index: router.read(addr(index), record_bytes))
+    probe = _write_then_read(
+        env, "chaos-storm-probe", record_bytes,
+        lambda index, payload: history.record(
+            addr(index), payload, router.write(addr(index), payload)),
+        lambda index: history.record(
+            addr(index), None, router.read(addr(index), record_bytes)))
 
     stats = _ProbeStats(SLO.max_latency)
     env.process(_probe_loop(env, probe, stats, interval_s=2e-3, until=3.0),
@@ -613,12 +625,10 @@ def conn_storm_rebalance(seed: int) -> ChaosReport:
     pool_stats = [plane.pools[key].stats() for key in sorted(plane.pools)]
     return _finish(
         "conn-storm-rebalance", seed, harness, injector, registry, stats,
+        history,
         {"members_after": float(len(router.members)),
          "rebalances": float(len(router.reports)),
          "lost_slots": (float(rebalance.lost_slots) if rebalance else 0.0),
-         "acked_writes": float(counters["acked"]),
-         "verified_reads": float(counters["verified"]),
-         "lost_acked_writes": float(counters["lost"]),
          "storm_sessions": float(storm_clients),
          "storm_completed": float(storm["completed"]),
          "storm_read_failures": float(storm["read_failures"]),

@@ -1,9 +1,9 @@
 """One scenario registry and one gate harness (``python -m repro gate``).
 
 Every robustness claim the reproduction checks end to end -- reads keep
-flowing through migration and eviction (§6), acknowledged writes
-survive kills and rebalances, verb programs return the bytes two-hop
-reads do, pooled connection storms leak nothing -- is one
+flowing through migration and eviction (§6), every read returns what its
+op history allows (:mod:`repro.history`), verb programs return the bytes
+two-hop reads do, pooled connection storms leak nothing -- is one
 :class:`Scenario` in :data:`SCENARIOS`: a ``run(seed)`` that builds its
 own cluster and returns a JSON-able blob, and an ``invariants(blob)``
 that returns one line per violated check.
@@ -47,6 +47,7 @@ import operator
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.analysis.sanitize import TraceRecorder, _compare, _record
@@ -56,6 +57,7 @@ from repro.core.measurement import measure_config
 from repro.cplane import run_connection_storm
 from repro.cplane.pool import STRATEGIES
 from repro.faults import scenarios as chaos
+from repro.history import History
 from repro.obs.metrics import MetricsRegistry, sample_p99
 from repro.shard import HotKeyPolicy, ShardRouter
 from repro.tenant import TenantSpec, TenantTier
@@ -83,6 +85,24 @@ class Scenario:
 def _failed(checks: Iterable[Tuple[bool, str]]) -> List[str]:
     """The messages of the checks that do not hold."""
     return [message for holds, message in checks if not holds]
+
+
+def _history_failures(prefix: str, history: dict) -> List[str]:
+    """A ``history`` outcome's failure lines, and one if it checked no
+    read: a vacuous run cannot pass."""
+    lines = history["failures"] + (
+        [] if history["reads"] else ["history checked no read"])
+    return [prefix + line for line in lines]
+
+
+def _reads_checked(blob: dict) -> int:
+    """The reads a blob's history outcomes checked: its own ``history``,
+    or each of its tenants runs'."""
+    if not isinstance(blob, dict):
+        return 0
+    runs = [blob] if "history" in blob else [
+        blob[run] for run in _TENANT_RUNS if run in blob]
+    return sum(run["history"]["reads"] for run in runs)
 
 
 def _counter(registry: MetricsRegistry, name: str) -> int:
@@ -249,40 +269,46 @@ def _shard(seed: int) -> dict:
     router = ShardRouter(
         harness.env, members, slot_bytes=1 << 14, replication=replication,
         hedge_after_s=200e-6, hotkeys=HotKeyPolicy())
-    router.load(0, bytes(range(256)) * (capacity // 256))
+    seed_bytes = bytes(range(256)) * (capacity // 256)
+    router.load(0, seed_bytes)
+    history = History(harness.env,
+                      lambda addr: seed_bytes[addr:addr + record_bytes], None)
 
     workload = YcsbWorkload(
         "cli-zipfian", n_records=capacity // record_bytes,
         value_bytes=record_bytes, read_proportion=0.95,
         update_proportion=0.05, distribution="zipfian", theta=0.99)
     keys, is_read = workload.sample_ops(ops, harness.rngs.stream("ycsb"))
+    # The router as the workload drives it, each op recorded by the
+    # router's completion callback.
+    recorded = SimpleNamespace(
+        capacity=router.capacity,
+        read=lambda addr, size: router.read(
+            addr, size, callback=history.invoke(addr, None)),
+        write=lambda addr, data: router.write(
+            addr, data, callback=history.invoke(addr, data)))
     result = run_router_workload(
-        harness.env, router, keys=keys, is_read=is_read,
+        harness.env, recorded, keys=keys, is_read=is_read,
         record_bytes=record_bytes, concurrency=8 * shards)
 
     victim = sorted(members)[1]
-    acked = {}
+    sampled = range(0, router.n_slots * router.slot_bytes,
+                    4 * router.slot_bytes)
 
-    def kill_and_verify():
-        # Acknowledge a write per sampled slot, then hard-kill the
-        # victim and check every ack survives the rebalance.
-        for slot in range(0, router.n_slots, 4):
-            addr = slot * router.slot_bytes
-            data = bytes([slot % 251]) * record_bytes
-            res = yield router.write(addr, data)
-            if res.ok:
-                acked[addr] = data
+    def kill_and_read_back():
+        # Write a record per sampled slot, then hard-kill the victim and
+        # read every one back through the rebalance.
+        for addr in sampled:
+            data = bytes([addr // router.slot_bytes % 251]) * record_bytes
+            yield from history.require(addr, data, router.write(addr, data))
         for vm in list(members[victim].allocation.vms):
             harness.allocator.fail(vm)
         yield from router.settled()
-        lost = 0
-        for addr, data in acked.items():
-            res = yield router.read(addr, len(data))
-            if not (res.ok and res.data == data):
-                lost += 1
-        return lost
+        for addr in sampled:
+            yield from history.require(addr, None,
+                                       router.read(addr, record_bytes))
 
-    lost = harness.env.run_process(kill_and_verify())
+    harness.env.run_process(kill_and_read_back())
     return {
         "schema": "repro.shard/v1",
         "seed": seed,
@@ -298,8 +324,7 @@ def _shard(seed: int) -> dict:
         "hot_slots": {str(slot): list(extras)
                       for slot, extras in sorted(router.hot_slots().items())},
         "victim": victim,
-        "acked_writes_checked": len(acked),
-        "acked_writes_lost": lost,
+        "history": history.outcome(),
         "rebalance": router.reports[-1].to_dict(),
         "members_after": router.members,
         "metrics": registry.snapshot(),
@@ -309,15 +334,12 @@ def _shard(seed: int) -> dict:
 def _shard_invariants(blob: dict) -> List[str]:
     return _failed([
         (blob["failed"] == 0, f"{blob['failed']} workload ops failed"),
-        (blob["acked_writes_checked"] > 0, "no write was acknowledged"),
-        (blob["acked_writes_lost"] == 0,
-         f"{blob['acked_writes_lost']} acknowledged writes lost"),
         (blob["rebalance"]["lost_slots"] == 0,
          f"{blob['rebalance']['lost_slots']} slots lost in the rebalance"),
         (blob["victim"] not in blob["members_after"]
          and len(blob["members_after"]) == blob["shards"] - 1,
          f"members after the kill: {blob['members_after']}"),
-    ])
+    ]) + _history_failures("", blob["history"])
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +352,8 @@ def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
     Three tenants (premium / standard / scavenger) share a 3-member
     replication=1 fleet through a :class:`~repro.tenant.TenantTier`.
     ``abusive`` adds an open-loop scavenger flood at 10x its admitted
-    rate; ``kill`` hard-kills one member mid-run and then verifies that
-    every acknowledged write is still readable after recovery.
+    rate; ``kill`` hard-kills one member mid-run.  Every acknowledged
+    write is read back once the run settles; ``history`` checks it all.
     """
     region = 1 << 18
     capacity = 2 * region
@@ -363,11 +385,12 @@ def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
     seed_bytes = bytes(range(256)) * (namespace // 256)
     for name in ("prem", "std", "scav"):
         tier.load(name, 0, seed_bytes)
+    history = History(env, lambda key: seed_bytes[key[1]:key[1] + record],
+                      None)
 
     workers_per_tenant = 4
     latencies: Dict[str, List[float]] = {"prem": [], "std": []}
     failed_reads = {"prem": 0, "std": 0}
-    acked: Dict[str, Dict[int, bytes]] = {"prem": {}, "std": {}}
     progress = {"done": 0, "killed": False, "live_workers": 0}
     kill_after = ops  # half of the two tracked tenants' combined ops
 
@@ -376,16 +399,16 @@ def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
         records = namespace // record
         for op in range(n_ops):
             rec = int(rng.integers(0, records))
-            # Disjoint per-worker address sets: last-acked is unique.
+            # Disjoint per-worker address sets: one writer per key.
             rec = (rec - rec % workers_per_tenant + index) % records
             addr = rec * record
             if op % 4 == 0:
                 payload = bytes([(index * 37 + op) % 251]) * record
-                result = yield tier.write(tenant, addr, payload)
-                if result.ok:
-                    acked[tenant][addr] = payload
+                yield from history.record((tenant, addr), payload,
+                                          tier.write(tenant, addr, payload))
             else:
-                result = yield tier.read(tenant, addr, record)
+                result = yield from history.record(
+                    (tenant, addr), None, tier.read(tenant, addr, record))
                 if result.ok:
                     latencies[tenant].append(result.latency)
                 else:
@@ -420,19 +443,16 @@ def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
         env.process(abusive_load(), name="tenant-cli-abusive")
     env.run()
 
-    def settle_and_verify():
+    def settle_and_read_back():
         yield from router.settled()
         while any(tier.tenant(n).degraded for n in tier.tenants):
             yield env.timeout(1e-3)
-        lost = 0
-        for tenant in ("prem", "std"):
-            for addr, payload in sorted(acked[tenant].items()):
-                result = yield tier.read(tenant, addr, record)
-                if not (result.ok and result.data == payload):
-                    lost += 1
-        return lost
+        for tenant, addr in sorted({op.key for op in history.ops
+                                    if op.write and op.ok}):
+            yield from history.require((tenant, addr), None,
+                                       tier.read(tenant, addr, record))
 
-    lost = env.run_process(settle_and_verify())
+    env.run_process(settle_and_read_back())
 
     blob = {
         "schema": "repro.tenants/v1",
@@ -443,8 +463,7 @@ def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
         "premium_read_p99_s": sample_p99(latencies["prem"]),
         "standard_read_p99_s": sample_p99(latencies["std"]),
         "failed_reads": failed_reads,
-        "acked_writes_checked": sum(len(a) for a in acked.values()),
-        "acked_writes_lost": lost,
+        "history": history.outcome(),
         "members_after": router.members,
         "tenants": {name: tier.stats(name) for name in tier.tenants},
         "metrics": registry.snapshot(),
@@ -454,11 +473,15 @@ def tenants_run(seed: int, ops: int, abusive: bool, kill: bool) -> dict:
     return blob
 
 
+#: The ``tenants`` entry's runs: quiet, beside a 10x abuser, then a
+#: member kill.
+_TENANT_RUNS = ("quiet", "noisy", "kill")
+
+
 def _tenants(seed: int) -> dict:
-    """Mixed-SLO tenants: quiet, beside a 10x abuser, then a member kill."""
-    return {"quiet": tenants_run(seed, 2400, abusive=False, kill=False),
-            "noisy": tenants_run(seed, 2400, abusive=True, kill=False),
-            "kill": tenants_run(seed, 2400, abusive=True, kill=True)}
+    """Mixed-SLO tenants, one :func:`tenants_run` per :data:`_TENANT_RUNS`."""
+    return {run: tenants_run(seed, 2400, abusive=run != "quiet",
+                             kill=run == "kill") for run in _TENANT_RUNS}
 
 
 def _tenants_invariants(blob: dict) -> List[str]:
@@ -472,6 +495,8 @@ def _tenants_invariants(blob: dict) -> List[str]:
          f"abuse moved premium read p99 {base * 1e6:.2f} -> "
          f"{noisy_p99 * 1e6:.2f} us (budget {budget * 1e6:.2f} us)"),
     ])
+    for run in _TENANT_RUNS:
+        failures += _history_failures(f"{run}: ", blob[run]["history"])
     for run in ("noisy", "kill"):
         stats = blob[run]["tenants"]
         failures += _failed([
@@ -483,9 +508,6 @@ def _tenants_invariants(blob: dict) -> List[str]:
              for tenant, count in sorted(blob[run]["failed_reads"].items())])
     kill = blob["kill"]
     failures += _failed([
-        (kill["acked_writes_checked"] > 0, "kill: no write was acknowledged"),
-        (kill["acked_writes_lost"] == 0,
-         f"kill: {kill['acked_writes_lost']} acknowledged writes lost"),
         (len(kill["members_after"]) == 2,
          f"kill: members after the kill: {kill['members_after']}"),
         (kill["tenants"]["prem"]["fail_open_reads"] > 0,
@@ -556,16 +578,13 @@ def _chaos_invariants(*bounds: Tuple[str, str, object]
                       ) -> Callable[[dict], List[str]]:
     """Summary checks: ``(field, op, bound)``, a str bound naming a field.
 
-    Every scenario must inject at least one fault, and any scenario
-    that reports ``lost_acked_writes`` must report zero.
+    Every scenario must inject at least one fault, and its ``history``
+    must check some read and fail none.
     """
     def invariants(blob: dict) -> List[str]:
         summary = blob["summary"]
-        rules = [("faults_injected", ">=", 1), *bounds]
-        if "lost_acked_writes" in summary:
-            rules.append(("lost_acked_writes", "==", 0))
-        failures = []
-        for field, op, bound in rules:
+        failures = _history_failures("", blob["history"])
+        for field, op, bound in [("faults_injected", ">=", 1), *bounds]:
             target = summary[bound] if isinstance(bound, str) else bound
             if not _OPS[op](summary[field], target):
                 failures.append(f"{field} = {summary[field]:g}, expected "
@@ -585,7 +604,8 @@ SCENARIOS: Dict[str, Scenario] = {
         _chaos(chaos.churn_run),
         _chaos_invariants(("migrations", ">=", 1))),
     "spot-evict-programs": Scenario(
-        _chaos(chaos.spot_evict_programs), _chaos_invariants()),
+        _chaos(chaos.spot_evict_programs),
+        _chaos_invariants(("failed_probes", "==", 0))),
     "evict-primary": Scenario(
         _chaos(chaos.evict_primary),
         _chaos_invariants(("failed_probes", "==", 0),
@@ -603,7 +623,8 @@ SCENARIOS: Dict[str, Scenario] = {
                           ("lost_slots", "==", 0))),
     "conn-storm-rebalance": Scenario(
         _chaos(chaos.conn_storm_rebalance),
-        _chaos_invariants(("storm_completed", "==", "storm_sessions"),
+        _chaos_invariants(("failed_probes", "==", 0),
+                          ("storm_completed", "==", "storm_sessions"),
                           ("demux_misroutes", "==", 0))),
 }
 
@@ -730,6 +751,7 @@ def check(name: str, seed: int = 0) -> dict:
         "event_kinds": kinds,
         "digest": report.digest_a,
         "blob_digest": blob_digest,
+        "reads_checked": _reads_checked(blob),
         "divergence": divergence,
         "failures": failures,
         "blob": blob,
@@ -749,12 +771,15 @@ def gate(names: Iterable[str], seed: int = 0) -> dict:
 
 
 def format_report(report: dict) -> str:
-    """The text view: one line per entry, then its failure lines."""
+    """The text view: one line per entry (with the reads its history
+    checked), then its failure lines."""
     lines = []
     for entry in report["entries"]:
         if entry["divergence"] is None:
             replay = (f"{entry['events']:>9,} kernel events, in order, "
                       f"replayed (digest {entry['digest'][:16]})")
+            if entry["reads_checked"]:
+                replay += f", {entry['reads_checked']:,} reads checked"
         else:
             replay = f"{entry['divergence']['kind']} divergence"
         lines.append(f"{'PASS' if entry['ok'] else 'FAIL'} "

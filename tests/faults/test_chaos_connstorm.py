@@ -9,11 +9,13 @@ def test_storm_mid_rebalance_loses_no_acked_writes():
     blob = SCENARIO.run(0)
     summary = blob["summary"]
     assert SCENARIO.invariants(blob) == []
-    # The headline invariant: every write the replicated router acked
-    # read back intact through the kill + rebalance + session storm.
-    assert summary["lost_acked_writes"] == 0.0
-    assert summary["acked_writes"] > 0
-    assert summary["verified_reads"] == summary["acked_writes"]
+    # The headline invariant: every probe read through the kill +
+    # rebalance + session storm returned what the op history allows, so
+    # every write the replicated router acked read back intact.
+    history = blob["history"]
+    assert history["failures"] == []
+    assert history["reads"] > 1000
+    assert history["ops"] == 2 * history["reads"]  # write, then read
     # The kill landed and the ring healed.
     assert summary["faults_injected"] >= 1.0
     assert summary["members_after"] == 3.0

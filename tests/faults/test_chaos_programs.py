@@ -3,8 +3,9 @@
 The `spot-evict-programs` scenario runs a write -> pointer-swing ->
 dependent-read probe stream (transport: one-RTT verb programs) while
 notice-based spot evictions migrate regions underneath it.  The
-invariants pinned here: zero lost acknowledged writes, migrations
-actually exercised, and coherent program/fallback accounting.
+invariants pinned here: every read-back returned what the op history
+allows, migrations actually exercised, and coherent program/fallback
+accounting.
 """
 
 from repro.gates import SCENARIOS
@@ -21,12 +22,16 @@ def test_spot_evictions_lose_no_acked_writes():
     # workload actually chased pointers through programs.
     assert summary["migrations"] >= 1
     assert summary["migration_failures"] == 0
-    assert summary["acked_writes"] > 100
     assert summary["programs"] > 100
 
-    # The headline invariant: every acknowledged write read back intact.
-    assert summary["lost_acked_writes"] == 0
-    assert summary["verified_reads"] == summary["acked_writes"]
+    # The headline invariant: every read-back returned what the op
+    # history allows, so every acknowledged write read back intact.
+    history = blob["history"]
+    assert history["failures"] == []
+    assert history["reads"] > 100
+    # Every probe's record write, pointer swing and read-back succeeded.
+    assert summary["failed_probes"] == 0
+    assert history["ops"] == 3 * history["reads"]
 
     # Accounting coherence: every chase ran as a program or a two-hop
     # read, and every program failure (abort or otherwise) fell back.

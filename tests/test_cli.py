@@ -233,7 +233,9 @@ def test_gate_reports_lost_acked_writes_when_writes_drop_payloads(
     assert main(["gate", "shard", "--json"]) == 1
     [entry] = json.loads(capsys.readouterr().out)["entries"]
     assert entry["divergence"] is None  # deterministic, just wrong
-    assert any("acknowledged writes lost" in line
+    # The op history names the key, the read and the zeroes it returned.
+    assert any(re.fullmatch(r"key \d+: read \[[\d.]+, [\d.]+\] returned "
+                            r"0{16}\.\.\(64 B\), .*", line)
                for line in entry["failures"]), entry["failures"]
 
 
@@ -332,11 +334,12 @@ def test_tenants_smoke_passes_and_reports(monkeypatch, capsys):
     # order and trace and report identically on replay.
     monkeypatch.setitem(SCENARIOS, "tenants-small", Scenario(
         lambda seed: tenants_run(seed, 400, abusive=True, kill=True),
-        lambda blob: [] if blob["acked_writes_lost"] == 0 else ["lost"]))
+        lambda blob: blob["history"]["failures"]))
     assert main(["gate", "tenants-small"]) == 0
     out = capsys.readouterr().out
     assert "PASS tenants-small" in out
     assert "in order, replayed" in out
+    assert re.search(r"[1-9][\d,]* reads checked", out), out
 
 
 def test_tenants_json_blob_carries_per_tenant_stats():

@@ -8,6 +8,7 @@ seed-1 blob digests to the recorded values.
 """
 
 import copy
+import dataclasses
 import functools
 import json
 import re
@@ -34,6 +35,9 @@ def _blob(name):
     return SCENARIOS[name].run(0)
 
 
+#: A ``history.failures`` list with one failure line in it.
+_STALE = ["key 4096: read [1.0000000, 1.0000100] returned a stale value"]
+
 #: Per entry, fields to break one at a time: (dotted path, bad value).
 #: Every path must make the entry's invariants report a failure.
 MUTATIONS = {
@@ -50,8 +54,8 @@ MUTATIONS = {
               ("two_hop.programs", 1),
               ("two_hop.two_hop_reads", 0)],
     "shard": [("failed", 1),
-              ("acked_writes_checked", 0),
-              ("acked_writes_lost", 1),
+              ("history.reads", 0),
+              ("history.failures", _STALE),
               ("rebalance.lost_slots", 1),
               ("members_after", ["s00", "s01", "s02", "s03"])],
     "tenants": [("noisy.premium_read_p99_s", 1.0),
@@ -59,8 +63,8 @@ MUTATIONS = {
                 ("kill.tenants.scav.shed", 10),
                 ("noisy.tenants.prem.shed", 1),
                 ("kill.failed_reads.std", 1),
-                ("kill.acked_writes_checked", 0),
-                ("kill.acked_writes_lost", 1),
+                ("kill.history.reads", 0),
+                ("kill.history.failures", _STALE),
                 ("kill.members_after", ["s00", "s01", "s02"]),
                 ("kill.tenants.prem.fail_open_reads", 0),
                 ("kill.tenants.std.repromotions", 0),
@@ -74,10 +78,11 @@ MUTATIONS = {
     "spot-churn": [("summary.faults_injected", 0),
                    ("summary.migrations", 0)],
     "spot-evict-programs": [("summary.faults_injected", 0),
-                            ("summary.lost_acked_writes", 1)],
+                            ("history.failures", _STALE),
+                            ("summary.failed_probes", 1)],
     "evict-primary": [("summary.failed_probes", 1),
                       ("summary.members_after", 2),
-                      ("summary.lost_acked_writes", 1)],
+                      ("history.failures", _STALE)],
     "link-flap": [("summary.failed_probes", 1),
                   ("summary.retries", 0)],
     "slow-node": [("summary.failed_probes", 1),
@@ -87,7 +92,8 @@ MUTATIONS = {
                     ("summary.lost_slots", 1)],
     "conn-storm-rebalance": [("summary.storm_completed", 399),
                              ("summary.demux_misroutes", 1),
-                             ("summary.lost_acked_writes", 1)],
+                             ("history.failures", _STALE),
+                             ("summary.failed_probes", 1)],
 }
 
 
@@ -136,7 +142,71 @@ def test_tenants_isolates_abuse_and_recovers_from_the_kill():
         assert stats[name]["degradations"] == stats[name]["repromotions"]
         assert stats[name]["degradations"] >= 1
         assert stats[name]["degraded"] is False
-    assert kill["acked_writes_lost"] == 0
+    # Every read, mid-kill and after it, returned a value the op
+    # history allows: no acknowledged write was lost.
+    assert kill["history"]["failures"] == []
+    assert kill["history"]["reads"] > 0
+
+
+# ----------------------------------------------------------------------
+# The op history names a broken §6.2 claim
+# ----------------------------------------------------------------------
+
+def test_reads_paused_by_a_migration_fail_spot_churn_by_the_read(
+        monkeypatch):
+    """Reads stay unpaused while a region migrates (§6.2): a migration
+    that closes the read gate too fails ``spot-churn`` with the read
+    that met it."""
+    from repro.core import client, migration
+
+    def pausing_reads(*args, policy, **kwargs):
+        return migration.migrate_regions(
+            *args, policy=dataclasses.replace(policy, unpaused_reads=False),
+            **kwargs)
+
+    monkeypatch.setattr(client, "migrate_regions", pausing_reads)
+    scenario = SCENARIOS["spot-churn"]
+    [line] = scenario.invariants(scenario.run(0))
+    assert re.fullmatch(r"key 4096: read \[[\d.]+, [\d.]+\] met region "
+                        r"\d+'s closed migration read gate", line), line
+
+
+def test_an_unacked_seed_write_fails_evict_primary(monkeypatch):
+    """The write seeded before the kill must be acked.  A router that
+    drops it leaves the probes reading the initial zeroes, which the
+    history allows; the failed required write names the fault."""
+    from repro.core.client import CacheIoResult
+    from repro.shard import ShardRouter
+
+    def dropping_write_io(self, addr, data, **options):
+        return CacheIoResult(ok=False, error="dropped")
+        yield  # a generator, like the ``*_io`` body it replaces
+
+    monkeypatch.setattr(ShardRouter, "write_io", dropping_write_io)
+    scenario = SCENARIOS["evict-primary"]
+    assert scenario.invariants(scenario.run(0)) == [
+        "key 4096: required write [0.0000000, 0.0000000] failed"]
+
+
+def test_skipping_the_lost_slot_degrade_fails_tenants_by_stale_reads(
+        monkeypatch):
+    """A tenant whose slots the kill lost must degrade and re-populate
+    from its mirror; skip that, and the kill run's reads of the rebuilt
+    slots come back as zeroes nobody wrote."""
+    from repro.tenant.tier import TenantTier
+
+    monkeypatch.setattr(TenantTier, "_on_rebalance",
+                        lambda self, report: None)
+    scenario = SCENARIOS["tenants"]
+    failures = scenario.invariants(scenario.run(0))
+    stale = [line for line in failures if line.startswith("kill: key (")]
+    assert stale, failures
+    assert re.fullmatch(
+        r"kill: key \('(prem|std)', \d+\): read \[[\d.]+, [\d.]+\] "
+        r"returned 0{16}\.\.\(64 B\), a value no write began before the "
+        r"read ended", stale[0]), stale[0]
+    assert not any(line.startswith(("quiet: key", "noisy: key"))
+                   for line in failures)
 
 
 # ----------------------------------------------------------------------
