@@ -10,13 +10,11 @@ Convenience launcher for a repository checkout:
 * ``python -m repro metrics fig07`` -- show a saved ``BENCH_fig07.json``;
 * ``python -m repro sweep`` -- measure a configuration grid through the
   parallel sweep executor (``repro.exec``);
-* ``python -m repro lint`` -- run the determinism AST linter
-  (``repro.analysis``) over source paths; exit 0 clean, 1 findings,
-  2 internal error;
 * ``python -m repro gate spot-churn`` -- run one registered scenario
-  (``repro.gates``) twice, demand in-order dispatch and identical
-  traces and blobs, and check its invariants; ``--all`` gates every
-  entry, no name lists them; exit 0 pass, 1 failures, 2 internal error;
+  (``repro.gates``) twice, and once more in a fresh interpreter under
+  another hash seed; demand in-order dispatch and identical traces and
+  blobs, and check its invariants; ``--all`` gates every entry, no
+  name lists them; exit 0 pass, 1 failures, 2 internal error;
 * ``python -m repro examples`` -- list the example applications.
 """
 
@@ -174,9 +172,9 @@ def cmd_sweep(record_size: int, max_client_threads: int,
     tasks = tasks_for(configs, record_size=record_size, base_seed=seed,
                       seed_stride=0, batches_per_connection=batches,
                       warmup_batches=warmup)
-    started = time.perf_counter()  # repro-lint: disable=D001 -- host wall time of the sweep, printed only, never sim state
+    started = time.perf_counter()
     results = runner.run(tasks)
-    wall_seconds = time.perf_counter() - started  # repro-lint: disable=D001 -- host wall time of the sweep, printed only, never sim state
+    wall_seconds = time.perf_counter() - started
 
     rows = [{
         "config": {"s": c.server_threads, "c": c.client_threads,
@@ -208,33 +206,15 @@ def cmd_sweep(record_size: int, max_client_threads: int,
     return 0
 
 
-def cmd_lint(paths: list[str], fmt: str, rules: str | None) -> int:
-    """Run the determinism AST linter (``repro.analysis``) over paths.
-
-    Defaults to the ``src/repro`` tree.  Exit codes follow the analysis
-    contract: 0 clean, 1 findings, 2 internal error (the latter raised
-    out of here and mapped in :func:`main`).
-    """
-    from repro.analysis import format_findings, lint_paths
-
-    targets = paths or [str(_REPO_ROOT / "src" / "repro")]
-    rule_ids = ([part.strip() for part in rules.split(",") if part.strip()]
-                if rules else None)
-    findings, files = lint_paths(targets, rules=rule_ids)
-    print(format_findings(findings, fmt=fmt, tool="repro-lint"))
-    if fmt == "text":
-        print(f"scanned {len(files)} file(s)")
-    return 1 if findings else 0
-
-
 def cmd_gate(name: str | None, run_all: bool, seed: int,
              as_json: bool) -> int:
     """Run registered scenarios through the gate harness (``repro.gates``).
 
-    Each entry runs twice: every dispatch must follow the reference
-    ``(when, insertion)`` order, both traces and both blobs must match,
-    and the blob must pass the entry's invariants.  Without a name (and without ``--all``) lists the
-    registry.  Exit codes follow the analysis contract: 0 every entry
+    Each entry runs twice, and once more in a fresh interpreter under
+    another hash seed: every dispatch must follow the reference
+    ``(when, insertion)`` order, all three traces and blobs must match,
+    and the blob must pass the entry's invariants.  Without a name (and
+    without ``--all``) lists the registry.  Exit codes: 0 every entry
     passed, 1 failures, 2 internal error (mapped in :func:`main`).
     """
     from repro.gates import SCENARIOS, format_report, gate
@@ -297,20 +277,10 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--warmup", type=int, default=10)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--json", action="store_true", dest="as_json")
-    lint = sub.add_parser(
-        "lint",
-        help="run the determinism AST linter (repro.analysis)")
-    lint.add_argument("paths", nargs="*", default=None,
-                      help="files/directories to lint (default: src/repro)")
-    lint.add_argument("--format", choices=["text", "json"], default="text",
-                      dest="fmt")
-    lint.add_argument("--rules", default=None,
-                      help="comma-separated rule ids to enable "
-                           "(default: all, e.g. D001,D003)")
     gate = sub.add_parser(
         "gate",
-        help="run registered scenarios twice, check dispatch order, "
-             "replay and their invariants")
+        help="run registered scenarios twice and under another hash "
+             "seed, check dispatch order, replay and their invariants")
     gate.add_argument("name", nargs="?", default=None,
                       help="entry to gate (omit to list the registry)")
     gate.add_argument("--all", action="store_true", dest="run_all",
@@ -334,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
                              args.max_queue_depth, args.workers,
                              args.batches, args.warmup, args.seed,
                              args.as_json)
-        if args.command == "lint":
-            return cmd_lint(args.paths, args.fmt, args.rules)
         if args.command == "gate":
             return cmd_gate(args.name, args.run_all, args.seed,
                             args.as_json)
@@ -343,8 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
-    except Exception as exc:  # noqa: BLE001 - analysis exit-code contract
-        if args.command in ("lint", "gate"):
+    except Exception as exc:  # noqa: BLE001 - gate exit-code contract
+        if args.command == "gate":
             print(f"internal error: {type(exc).__name__}: {exc}")
             return 2
         raise

@@ -1,36 +1,20 @@
-"""Determinism & sim-safety analysis suite.
+"""The replay sanitizer behind ``python -m repro gate``.
 
-Two prongs guard the repository's determinism contract (bit-identical
-fault logs, shard replays, and content-addressed sweep caching):
+:mod:`repro.analysis.sanitize` runs a workload twice from one seed
+while recording every kernel scheduling action and every RNG draw,
+and bisects the first diverging kernel event.  Its recorder also
+checks every dispatch against a reference ``(when, insertion)`` heap
+and names every sim ``Resource`` a run leaves holding a slot or a
+waiter, and :func:`~repro.analysis.sanitize.hash_seed_runs` records
+workloads once more in a fresh interpreter under another
+``PYTHONHASHSEED``.  :mod:`repro.gates` runs every registered scenario
+through all three; tier-1 runs the same balance check on every test.
 
-* **Static** -- :mod:`repro.analysis.linter`, an AST linter with
-  repo-specific rules (wall-clock use, unseeded randomness, unordered
-  iteration, blocking I/O in sim processes, mutable spec defaults,
-  unsorted digest JSON).  Run it as ``python -m repro lint``.
-* **Dynamic** -- :mod:`repro.analysis.sanitize`, a replay-divergence
-  sanitizer that runs a workload twice from one seed and bisects the
-  first diverging kernel event; its recorder also checks every dispatch
-  against a reference ``(when, insertion)`` heap and names every sim
-  ``Resource`` a run leaves holding a slot or a waiter.  ``python -m
-  repro gate`` (:mod:`repro.gates`) runs every registered scenario
-  through it, and tier-1 runs the same balance check on every test.
-
-Both prongs report through :mod:`repro.analysis.report` (text or JSON)
-and share the exit-code contract: 0 clean, 1 findings, 2 internal error.
+Determinism is checked by running, not by reading source: a wall-clock
+read, an unseeded draw or a hash-ordered iteration that reaches the
+schedule or a result makes two runs differ.
 """
 
-from repro.analysis.linter import lint_paths, lint_source
-from repro.analysis.report import Finding, format_findings
-from repro.analysis.rules import RULES, Rule
 from repro.analysis.sanitize import DivergenceReport, sanitize
 
-__all__ = [
-    "DivergenceReport",
-    "Finding",
-    "RULES",
-    "Rule",
-    "format_findings",
-    "lint_paths",
-    "lint_source",
-    "sanitize",
-]
+__all__ = ["DivergenceReport", "sanitize"]

@@ -22,6 +22,13 @@ holding a slot or a waiter.  :mod:`repro.gates` runs every registered
 scenario through the same recorder twice: a replay check, an order
 check and a balance check in one harness.
 
+A run that replays in one interpreter can still depend on its hash
+seed: ``str`` hashes, and so the iteration order of a ``set`` of
+strings, are salted per interpreter.  :func:`hash_seed_runs` records
+workloads once each in a fresh interpreter under another
+``PYTHONHASHSEED`` and hands their traces back, for the gate to diff
+against its own first runs.
+
 Usage::
 
     report = sanitize(lambda seed: churn_run(seed))
@@ -32,19 +39,23 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import os
+import pickle
+import subprocess
 import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from repro.analysis.report import Finding
 from repro.sim import kernel
 from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 __all__ = ["DispatchOrder", "DivergenceReport", "KernelMonitor",
-           "TraceRecorder", "sanitize", "tracked_resources", "unbalanced"]
+           "TraceRecorder", "hash_seed_runs", "other_hash_seed",
+           "sanitize", "trace_digest", "tracked_resources", "unbalanced"]
 
 #: Trace entries before the first divergence that a report quotes.
 _CONTEXT_EVENTS = 5
@@ -321,7 +332,7 @@ class DivergenceReport:
                     f"values between the runs")
         return ("schedule divergence with identical RNG draw counts: "
                 "suspect wall-clock reads, leaked global state, or "
-                "unordered iteration (run `repro lint`)")
+                "unordered iteration")
 
     def describe(self) -> str:
         if self.deterministic:
@@ -345,18 +356,19 @@ class DivergenceReport:
         lines.append(f"  attribution: {self.attribution}")
         return "\n".join(lines)
 
-    def to_findings(self) -> List[Finding]:
+    def to_findings(self) -> Dict[str, Any]:
+        """The divergence as one JSON-able record; empty when the runs
+        agree."""
         if self.deterministic:
-            return []
-        return [Finding(
-            rule="DIVERGENCE", severity="error",
-            path=f"<replay:{self.label}>",
-            line=0, col=0,
-            message=f"same-seed replay diverged at kernel event "
-                    f"{self.divergence_index}: "
-                    f"{self.entry_a!r} vs {self.entry_b!r}",
-            hint=self.attribution,
-            detail={
+            return {}
+        return {
+            "rule": "DIVERGENCE",
+            "severity": "error",
+            "message": f"same-seed replay diverged at kernel event "
+                       f"{self.divergence_index}: "
+                       f"{self.entry_a!r} vs {self.entry_b!r}",
+            "hint": self.attribution,
+            "detail": {
                 "index": self.divergence_index,
                 "seed": self.seed,
                 "events": [self.events_a, self.events_b],
@@ -364,7 +376,8 @@ class DivergenceReport:
                 "entry_b": list(self.entry_b or ()),
                 "rng_divergence": {k: list(v) for k, v in
                                    sorted(self.rng_divergence.items())},
-            })]
+            },
+        }
 
 
 def _record(workload: Callable[[int], Any],
@@ -400,6 +413,11 @@ def _prefix_digests(entries: List[tuple]) -> List[bytes]:
     return digests
 
 
+def trace_digest(entries: List[tuple]) -> str:
+    """SHA-256 of a trace: equal digests, identical traces."""
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
 def _first_divergence(a: List[tuple], b: List[tuple]) -> int:
     """Bisect the first index where the traces disagree."""
     digests_a = _prefix_digests(a)
@@ -420,10 +438,7 @@ def _compare(run_a: TraceRecorder, run_b: TraceRecorder, seed: int,
              ) -> DivergenceReport:
     """Diff two recorded runs into a :class:`DivergenceReport`."""
     trace_a, trace_b = run_a.entries, run_b.entries
-    digest_a = hashlib.sha256(
-        repr(trace_a).encode()).hexdigest()
-    digest_b = hashlib.sha256(
-        repr(trace_b).encode()).hexdigest()
+    digest_a, digest_b = trace_digest(trace_a), trace_digest(trace_b)
     if digest_a == digest_b:
         return DivergenceReport(
             label=label, seed=seed, deterministic=True,
@@ -468,3 +483,70 @@ def sanitize(workload: Callable[[int], Any]) -> DivergenceReport:
     run_a, _ = _record(workload, 0)
     run_b, _ = _record(workload, 0)
     return _compare(run_a, run_b, 0, "workload")
+
+
+#: What a :func:`hash_seed_runs` child runs: take the parent's
+#: ``sys.path``, so a workload defined anywhere it can import resolves
+#: by reference, then record.
+_CHILD = ("import pickle, sys; sys.path[:0] = pickle.load(sys.stdin.buffer); "
+          "from repro.analysis.sanitize import _hash_seed_child; "
+          "_hash_seed_child()")
+
+
+def other_hash_seed() -> str:
+    """The child's ``PYTHONHASHSEED``: ``0``, or ``1`` when this
+    interpreter's is ``0``.  Fix this interpreter's, and the pair is
+    fixed, so a hash-order bug fails every time, not by chance."""
+    return "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+
+
+def _hash_seed_child() -> None:
+    """Child side: record each workload once and pickle its trace's
+    digest and the trace to the parent, one at a time.  The workloads'
+    own prints go to stderr, so they cannot corrupt the stream."""
+    out = sys.stdout.buffer
+    sys.stdout = sys.stderr
+    workloads, seed = pickle.load(sys.stdin.buffer)
+    for workload in workloads:
+        recorder, _ = _record(workload, seed)
+        pickle.dump((trace_digest(recorder.entries), recorder.entries), out,
+                    protocol=pickle.HIGHEST_PROTOCOL)
+        out.flush()
+
+
+def hash_seed_runs(workloads: Sequence[Callable[[int], Any]], seed: int
+                   ) -> Iterator[Tuple[str, TraceRecorder]]:
+    """Record each workload's ``workload(seed)`` once in a fresh
+    interpreter under :func:`other_hash_seed`; yield each one's
+    :func:`trace_digest` and recorder (its
+    :attr:`~TraceRecorder.entries` only), in order.
+
+    The workloads are pickled by reference, so each must be a top-level
+    function (or a ``functools.partial`` of one) of an importable
+    module.  The child runs while the caller works, ahead of it as far
+    as the pipe between them buffers.  Closing the generator stops the
+    child.
+    """
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONHASHSEED": other_hash_seed()})
+    assert child.stdin is not None and child.stdout is not None
+    try:
+        pickle.dump(sys.path, child.stdin)
+        pickle.dump((list(workloads), seed), child.stdin)
+        child.stdin.close()
+        for _ in workloads:
+            try:
+                digest, entries = pickle.load(child.stdout)
+            except EOFError:
+                raise RuntimeError(
+                    f"the PYTHONHASHSEED={other_hash_seed()} replay exited "
+                    f"with status {child.wait()}") from None
+            recorder = TraceRecorder()
+            recorder.entries = entries
+            yield digest, recorder
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()

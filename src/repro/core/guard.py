@@ -61,6 +61,8 @@ class SpotGuard:
                 if age >= threshold:
                     self._handled.add(vm.vm_id)
                     self.preemptive_migrations += 1
-                    self.env.process(  # repro-lint: disable=L006 -- top-level driver; a failed preemptive migration falls back to the reactive lost-region path
+                    # Not joined: a failed preemptive migration falls
+                    # back to the reactive lost-region path.
+                    self.env.process(
                         self.cache._migrate_off(vm),
                         name=f"preemptive-migrate-vm{vm.vm_id}")

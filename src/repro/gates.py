@@ -40,6 +40,7 @@ digest, and any other change leaves every result where it was.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -50,7 +51,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from repro.analysis.sanitize import TraceRecorder, _compare, _record
+from repro.analysis.sanitize import (TraceRecorder, _compare, _record,
+                                     hash_seed_runs, other_hash_seed)
 from repro.core import Slo
 from repro.core.config import RdmaConfig
 from repro.core.measurement import measure_config
@@ -563,12 +565,17 @@ def _connstorm_invariants(blob: dict) -> List[str]:
 # chaos: the fault-injection scenarios of repro.faults
 # ----------------------------------------------------------------------
 
+def _chaos_run(scenario: Callable[[int], chaos.ChaosReport],
+               seed: int) -> dict:
+    return scenario(seed).to_dict()
+
+
 def _chaos(scenario: Callable[[int], chaos.ChaosReport]
            ) -> Callable[[int], dict]:
-    @functools.wraps(scenario)
-    def run(seed: int) -> dict:
-        return scenario(seed).to_dict()
-    return run
+    """The scenario's report as a blob; a partial, so it pickles by
+    reference into the hash-seed replay."""
+    return functools.update_wrapper(
+        functools.partial(_chaos_run, scenario), scenario)
 
 
 _OPS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt}
@@ -705,22 +712,24 @@ def _ordering(name: str, run: TraceRecorder) -> Tuple[dict, List[str]]:
              f"{first['expected']}, got {first['dispatched']}"])
 
 
-def _replay(name: str, report) -> Tuple[dict, List[str]]:
-    """The divergence record and failure lines of a run that did not
-    replay."""
+def _replay(name: str, report, kind: str) -> Tuple[dict, List[str]]:
+    """The divergence record and failure lines of two runs that should
+    agree and do not: a same-process ``replay``, or the ``hash-seed``
+    replay in a child interpreter."""
     if report.deterministic:
-        return ({"kind": "replay", "entry": name, "runs": report.label},
-                [f"replay bug: {report.label} traces agree but the blobs "
+        return ({"kind": kind, "entry": name, "runs": report.label},
+                [f"{kind} bug: {report.label} traces agree but the blobs "
                  "differ"])
-    finding = report.to_findings()[0].to_dict()
-    return ({"kind": "replay", "entry": name, "runs": report.label,
+    finding = report.to_findings()
+    return ({"kind": kind, "entry": name, "runs": report.label,
              **finding["detail"], "attribution": finding["hint"]},
-            [f"replay bug: {report.label} {finding['message']}",
+            [f"{kind} bug: {report.label} {finding['message']}",
              f"attribution: {finding['hint']}"])
 
 
 def check(name: str, seed: int = 0) -> dict:
-    """Gate one registered scenario; returns its report entry.
+    """Gate one registered scenario in this interpreter; returns its
+    report entry.
 
     The entry is ``ok`` only if both runs dispatched in order, traced
     and returned identically, no invariant failed, every Resource ended
@@ -737,7 +746,7 @@ def check(name: str, seed: int = 0) -> dict:
         divergence, failures = _ordering(name, misordered)
     elif not report.deterministic or (
             _canonical(replay_blob) != _canonical(blob)):
-        divergence, failures = _replay(name, report)
+        divergence, failures = _replay(name, report, "replay")
     failures += scenario.invariants(blob)
     failures += first.unbalanced
     kinds = _event_kinds(first)
@@ -758,12 +767,45 @@ def check(name: str, seed: int = 0) -> dict:
     }
 
 
+def _hash_seed(entry: dict, seed: int,
+               child: Tuple[str, TraceRecorder]) -> None:
+    """Fail ``entry`` when the child interpreter's run, under another
+    hash seed, traced otherwise than the entry's runs.  An entry that
+    already diverged in this interpreter is left as it is; for one that
+    did not, a third run here is the first run again, to bisect
+    against."""
+    digest, trace = child
+    if entry["divergence"] is not None or digest == entry["digest"]:
+        return
+    first, _ = _record(SCENARIOS[entry["name"]].run, seed)
+    label = f"{entry['name']}[run-vs-PYTHONHASHSEED={other_hash_seed()}]"
+    entry["divergence"], failures = _replay(
+        entry["name"], _compare(first, trace, seed, label), "hash-seed")
+    entry["failures"] = failures + entry["failures"]
+    entry["ok"] = False
+
+
 def gate(names: Iterable[str], seed: int = 0) -> dict:
-    """Gate several entries into one ``repro.gate/v1`` report."""
-    entries = [check(name, seed) for name in names]
+    """Gate several entries into one ``repro.gate/v1`` report.
+
+    Each entry goes through :func:`check` here, and its run is recorded
+    once more, alongside, in a fresh interpreter under another
+    ``PYTHONHASHSEED`` (:func:`~repro.analysis.sanitize.hash_seed_runs`).
+    A trace that differs from the first run's fails the entry with a
+    ``hash-seed`` divergence.
+    """
+    names = list(names)
+    entries = []
+    with contextlib.closing(hash_seed_runs(
+            [SCENARIOS[name].run for name in names], seed)) as children:
+        for name in names:
+            entry = check(name, seed)
+            _hash_seed(entry, seed, next(children))
+            entries.append(entry)
     return {
         "schema": "repro.gate/v1",
         "seed": seed,
+        "hash_seed": other_hash_seed(),
         "ok": all(entry["ok"] for entry in entries),
         "passed": sum(entry["ok"] for entry in entries),
         "entries": entries,

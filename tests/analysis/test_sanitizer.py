@@ -72,7 +72,7 @@ def test_deterministic_workload_is_clean():
     assert report.deterministic
     assert report.digest_a == report.digest_b
     assert report.events_a == report.events_b > 0
-    assert report.to_findings() == []
+    assert report.to_findings() == {}
     assert "deterministic" in report.attribution
 
 
@@ -96,11 +96,10 @@ def test_rng_divergence_is_attributed_to_the_stream():
     assert not report.deterministic
     assert report.rng_divergence == {"jitter": (2, 3)}
     assert "jitter" in report.attribution
-    findings = report.to_findings()
-    assert len(findings) == 1
-    assert findings[0].rule == "DIVERGENCE"
-    assert findings[0].severity == "error"
-    assert findings[0].detail["rng_divergence"] == {"jitter": [2, 3]}
+    finding = report.to_findings()
+    assert finding["rule"] == "DIVERGENCE"
+    assert finding["severity"] == "error"
+    assert finding["detail"]["rng_divergence"] == {"jitter": [2, 3]}
 
 
 def test_demo_workload_diverges():

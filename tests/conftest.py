@@ -1,5 +1,10 @@
 """Fixtures shared across the suite."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.sanitize import (DispatchOrder, tracked_resources,
@@ -7,6 +12,29 @@ from repro.analysis.sanitize import (DispatchOrder, tracked_resources,
 from repro.sim import Environment
 
 pytest_plugins = ["pytester"]
+
+#: What :func:`under_hash_seed` runs in its child interpreter.
+_RECORD_IN_CHILD = (
+    "import importlib, json, sys\n"
+    "from repro.analysis.sanitize import _record, trace_digest\n"
+    "module, name = sys.argv[1].split(':')\n"
+    "workload = getattr(importlib.import_module(module), name)\n"
+    "recorder, result = _record(workload, int(sys.argv[2]))\n"
+    "print(json.dumps([trace_digest(recorder.entries), result]))\n")
+
+
+def under_hash_seed(hash_seed, workload, seed):
+    """Record ``workload(seed)`` (``"module:function"``) in a fresh
+    interpreter under ``PYTHONHASHSEED=hash_seed``; returns its trace
+    digest and its JSON-able result.  Two hash seeds under which a
+    ``set`` iterates in two orders test that a run does not follow
+    that order."""
+    done = subprocess.run(
+        [sys.executable, "-c", _RECORD_IN_CHILD, workload, str(seed)],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed,
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def pytest_configure(config):

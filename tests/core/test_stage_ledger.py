@@ -126,9 +126,11 @@ CONFIG = RdmaConfig(1, 0, 1, 1)
 HANDED = 7.77e-6
 
 
-def _one_op(is_read):
+def _one_op(is_read, submitted=False):
     """Hand one 64 B op to an idle one-hop testbed; returns it and its
-    result."""
+    result.  The op runs in the caller's frame (``path.io``, the
+    ``_one_sided`` generator), or ``submitted`` as a ``OneSidedIo``
+    record (``path.submit``)."""
     env = Environment()
     MetricsRegistry().install(env)
     rngs = RngRegistry(seed=0)
@@ -150,7 +152,11 @@ def _one_op(is_read):
                       offset=4096)
         op.stages = OpStages(env.now)
         yield env.timeout(path.submission_overhead())
-        outcome["result"] = yield from path.io(op)
+        if submitted:
+            path.submit(op)
+            outcome["result"] = yield op.completion
+        else:
+            outcome["result"] = yield from path.io(op)
         outcome["op"] = op
 
     env.process(app())
@@ -195,6 +201,18 @@ def test_uncontended_op_pinned_stage_by_stage(is_read):
     for wait in ("slot_wait", "credit_wait", "cpu_wait", "reap_cpu_wait",
                  "numa"):
         assert durations[wait] == 0.0
+
+
+@pytest.mark.parametrize("is_read", [True, False], ids=["get", "put"])
+def test_submitted_op_stamps_the_stages_the_generator_does(is_read):
+    # Two codings of one stage sequence: the record must stamp every
+    # stage at the instant the generator does.
+    op, result = _one_op(is_read, submitted=True)
+    generator_op, generator_result = _one_op(is_read)
+    assert result.ok and result.latency == generator_result.latency
+    stamps = {name: getattr(op.stages, name) for name in OpStages.__slots__}
+    assert stamps == {name: getattr(generator_op.stages, name)
+                      for name in OpStages.__slots__}
 
 
 @pytest.mark.parametrize("is_read", [True, False], ids=["get", "put"])

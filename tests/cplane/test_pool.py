@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cplane import CplaneLog, PoolPolicy, QpPool
+from repro.cplane import ControlPlane, CplaneLog, PoolPolicy, QpPool
 from repro.cplane.pool import MAX_QPS
 from repro.hardware import AZURE_HPC
 from repro.net import Fabric, MemoryRegion, Placement, RdmaOp, WorkRequest
 from repro.sim import Environment
+
+from tests.conftest import under_hash_seed
 
 
 def make_pool(**policy_kwargs):
@@ -355,3 +357,35 @@ class TestChurnLeakFreedom:
             env.run_process(cycle())
             assert client.regions == {}
             assert client.qps == []
+
+
+def _harvest_four_pools(seed):
+    """One harvester pass over four pools, each holding one idle QP past
+    its timeout.  Returns the pools in the order the pass reclaimed
+    them, and the order a ``set`` of the pool keys iterates in."""
+    env = Environment()
+    fabric = Fabric(env, AZURE_HPC)
+    plane = ControlPlane(env, fabric, policy=PoolPolicy(
+        strategy="pooled", idle_timeout_s=0.1, warm_max=0))
+    server = fabric.add_endpoint("server", Placement(cluster=0, rack=0))
+    for index in range(4):
+        client = fabric.add_endpoint(f"client{index}",
+                                     Placement(cluster=0, rack=0))
+        session = env.run_process(plane.open_session(client, server))
+        plane.close_session(session)
+    env.run(until=env.now + 0.2)
+    plane.harvest_once()
+    return ([event.target for event in plane.log
+             if event.kind == "qp.reclaim"], list(set(plane.pools)))
+
+
+def test_harvest_pass_does_not_follow_the_hash_seed():
+    # Under PYTHONHASHSEED 0 and 1 a set of the four pool keys iterates
+    # in two orders; the pass reclaims in key order under both.
+    workload = "tests.cplane.test_pool:_harvest_four_pools"
+    digest_0, (reclaimed_0, set_order_0) = under_hash_seed("0", workload, 0)
+    digest_1, (reclaimed_1, set_order_1) = under_hash_seed("1", workload, 0)
+    assert set_order_0 != set_order_1
+    assert reclaimed_0 == reclaimed_1 == [
+        f"client{index}->server" for index in range(4)]
+    assert digest_0 == digest_1

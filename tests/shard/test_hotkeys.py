@@ -5,6 +5,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import HotKeyDetector, HotKeyPolicy
 
+from tests.conftest import under_hash_seed
 from tests.shard.conftest import SLOT, make_fleet
 
 
@@ -163,3 +164,38 @@ class TestPromotion:
             return hot, metrics.snapshot()
 
         assert one(3) == one(3)
+
+
+def _promote_to_two_extras(seed):
+    """Heat slot 0 of a fleet where it has one owner (``s0``) and three
+    replicas are asked for, so promotion copies it to two extras, then
+    write it to all three.  Returns the extras, and the order a ``set``
+    of the extras iterates in."""
+    policy = HotKeyPolicy(window=256, top_k=1, min_count=32, replicas=3,
+                          check_every=64)
+    harness, _client, _members, router = make_fleet(
+        seed=seed, n_shards=4, hotkeys=policy)
+
+    def driver():
+        yield router.write(0, b"t" * 64)
+        for _ in range(100):
+            yield router.read(0, 64)
+        yield router.write(0, b"u" * 64)
+
+    run(harness, driver())
+    extras = router.hot_slots()[0]
+    return extras, list(set(extras))
+
+
+def test_copy_to_two_extras_does_not_follow_the_hash_seed():
+    # The copy issues one write per extra and keeps the extras whose
+    # write landed.  Under PYTHONHASHSEED 0 a set of the two extras
+    # iterates s2 first, under 1 s3 first, so issuing the copy in set
+    # order moves the trace, and pairing the results with a set moves
+    # the extras.
+    workload = "tests.shard.test_hotkeys:_promote_to_two_extras"
+    digest_0, (extras_0, set_order_0) = under_hash_seed("0", workload, 1)
+    digest_1, (extras_1, set_order_1) = under_hash_seed("1", workload, 1)
+    assert set_order_0 == ["s2", "s3"] and set_order_1 == ["s3", "s2"]
+    assert extras_0 == extras_1 == ["s2", "s3"]
+    assert digest_0 == digest_1

@@ -277,6 +277,25 @@ def _extra_normal_on_replay(seed):
     return {}
 
 
+#: Enough strings that two hash seeds all but never iterate a set of
+#: them in one order.
+_NAMES = [f"worker-{index:02d}" for index in range(32)]
+
+
+def _set_ordered_spawns(seed):
+    """Spawns one worker per name in a ``set``'s order: the same on
+    every run in one interpreter, salted by the hash seed."""
+    env = Environment()
+
+    def worker():
+        yield env.timeout(1.0)
+
+    for name in set(_NAMES):
+        env.process(worker(), name=name)
+    env.run()
+    return {"now": env.now}
+
+
 def _register(monkeypatch, name, run, invariants=lambda blob: []):
     monkeypatch.setitem(SCENARIOS, name, Scenario(run, invariants))
 
@@ -348,6 +367,34 @@ def test_one_extra_verb_stage_timeout_fails_the_gate(monkeypatch):
     # which no process resume records.
     assert f"trigger {recorded['trigger']} -> " in entry["failures"][0]
     assert "resume" not in entry["failures"][0]
+
+
+def test_set_ordered_schedule_is_a_hash_seed_bug(monkeypatch):
+    # One interpreter iterates the set alike on every run, so the
+    # in-process replay agrees; the child, under another hash seed,
+    # spawns the workers in another order.
+    _register(monkeypatch, "set-order", _set_ordered_spawns)
+    assert gates.check("set-order")["ok"]
+    report = gates.gate(["set-order"])
+    [entry] = report["entries"]
+    assert not entry["ok"]
+    divergence = entry["divergence"]
+    assert divergence["kind"] == "hash-seed"
+    label = f"set-order[run-vs-PYTHONHASHSEED={report['hash_seed']}]"
+    assert divergence["runs"] == label
+    # The first diverging trace entry is a spawn: the same pid, another
+    # name.
+    index = divergence["index"]
+    first, child = divergence["entry_a"], divergence["entry_b"]
+    assert first[:2] == child[:2] == ["spawn", index + 1]
+    assert first[2] != child[2] and {first[2], child[2]} <= set(_NAMES)
+    assert entry["failures"][0] == (
+        f"hash-seed bug: {label} same-seed replay diverged at kernel "
+        f"event {index}: {tuple(first)!r} vs {tuple(child)!r}")
+    assert entry["failures"][1] == (
+        f"attribution: {divergence['attribution']}")
+    assert divergence["attribution"].startswith("schedule divergence")
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_invariant_failures_fail_a_replaying_entry(monkeypatch):

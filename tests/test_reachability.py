@@ -153,6 +153,9 @@ OBSERVATION_POINTS = {
         "how kernel tests check a process finished exactly once",
     "TokenBucket.level":
         "how tests check the admission bucket's refill and burst cap",
+    "PerfModel.known":
+        "how tests check that serial and batched campaigns measure the "
+        "same grid points",
 }
 
 
