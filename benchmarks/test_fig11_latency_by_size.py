@@ -8,12 +8,6 @@ Paper observations reproduced here:
   work request (the testbed's threshold is 172 B), dodging the PCIe
   fetch;
 * latency stays flat up to 4 KB and grows significantly after.
-
-The dependent-read ablation on top: pointer-chasing GETs (index word ->
-record, the FASTER-through-Redy shape) measured with the classic
-two-hop transport versus one-RTT remote-side verb programs
-(``use_verb_programs``) -- the chase's second hop moves from a full
-client round trip to per-step NIC service time.
 """
 
 from repro.core import RdmaConfig
@@ -22,10 +16,6 @@ from repro.hardware import AZURE_HPC
 
 SIZES = (4, 16, 64, 172, 256, 1024, 4096, 16384)
 CONFIG = RdmaConfig(1, 0, 1, 1)
-
-#: Sizes for the dependent-read A/B (pointer word is always 8 B).
-DEP_SIZES = (64, 256, 1024, 4096, 16384)
-PROGRAM_CONFIG = CONFIG.with_ablation(use_verb_programs=True)
 
 
 def raw_network_latency(size: int, is_read: bool) -> float:
@@ -52,28 +42,9 @@ def run_experiment(metrics=None):
     return rows
 
 
-def run_dependent_experiment(metrics=None):
-    """The one-RTT ablation: dependent GETs, two-hop vs verb programs."""
-    rows = []
-    for size in DEP_SIZES:
-        two_hop = measure_config(CONFIG, size, read_fraction=1.0, seed=6,
-                                 dependent_reads=True, metrics=metrics)
-        program = measure_config(PROGRAM_CONFIG, size, read_fraction=1.0,
-                                 seed=6, dependent_reads=True,
-                                 metrics=metrics)
-        rows.append((size, two_hop.latency_mean * 1e6,
-                     program.latency_mean * 1e6,
-                     two_hop.latency_mean / program.latency_mean))
-    return rows
-
-
-def run_all(metrics=None):
-    return run_experiment(metrics), run_dependent_experiment(metrics)
-
-
 def test_fig11_latency_by_record_size(benchmark, report, bench_metrics):
-    rows, dep_rows = benchmark.pedantic(run_all, args=(bench_metrics,),
-                                        rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_experiment, args=(bench_metrics,),
+                              rounds=1, iterations=1)
     lines = [f"{'size':>7} {'write':>8} {'read':>8} {'raw-wr':>8} "
              f"{'raw-rd':>8}   (paper: 3-4us raw, Redy close)"]
     for size, write, read, raw_write, raw_read in rows:
@@ -97,26 +68,3 @@ def test_fig11_latency_by_record_size(benchmark, report, bench_metrics):
     # Redy adds ~1us of client software on top of the raw verb.
     for size, write, _read, raw_write, _raw_read in rows:
         assert write - raw_write < 1.5, size
-
-    dep_lines = [f"{'size':>7} {'two-hop':>9} {'program':>9} {'ratio':>6}"
-                 f"   (dependent GET: pointer word -> record)"]
-    for size, two_hop, program, ratio in dep_rows:
-        dep_lines.append(f"{size:>6}B {two_hop:>7.2f}us {program:>7.2f}us "
-                         f"{ratio:>5.2f}x")
-    report("fig11_dependent",
-           "Figure 11 ablation: one-RTT dependent reads vs two-hop",
-           dep_lines)
-
-    dep_by_size = {row[0]: row for row in dep_rows}
-    # One round trip instead of two: programs win at every size ...
-    for size, two_hop, program, _ratio in dep_rows:
-        assert program < two_hop, size
-    # ... and by >= 1.6x at the paper's 4 KB transfer knee.
-    assert dep_by_size[4096][3] >= 1.6, dep_by_size[4096]
-    # Same seed => bit-identical measurement (wr_id/completion order
-    # deterministic through the program path).
-    once = measure_config(PROGRAM_CONFIG, 4096, read_fraction=1.0, seed=6,
-                          dependent_reads=True)
-    twice = measure_config(PROGRAM_CONFIG, 4096, read_fraction=1.0, seed=6,
-                           dependent_reads=True)
-    assert once == twice

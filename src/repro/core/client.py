@@ -15,7 +15,7 @@ optional backing file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.cluster.allocator import AllocationError
@@ -29,7 +29,6 @@ from repro.core.regions import AddressError, RegionTable
 from repro.core.server import CacheServer
 from repro.hardware.profiles import TestbedProfile
 from repro.net.fabric import Fabric, Placement
-from repro.net.programs import POINTER_BYTES
 from repro.obs.metrics import registry_of
 from repro.sim.kernel import Environment, Event, _refcount
 from repro.sim.rng import RngRegistry
@@ -127,8 +126,7 @@ class RedyClient:
                retry_policy: RetryPolicy = RetryPolicy(),
                auto_recover: bool = False,
                exclude_servers: Optional[frozenset] = None,
-               harvest: bool = False,
-               use_verb_programs: Optional[bool] = None) -> "RedyCache":
+               harvest: bool = False) -> "RedyCache":
         """Table 1 *Create*: provision a cache and optionally populate it
         with a prefix of ``file``.  Raises
         :class:`~repro.core.manager.SloUnsatisfiableError` (and leaves no
@@ -136,17 +134,12 @@ class RedyClient:
         ``exclude_servers`` keeps the cache off given fault domains
         (used by :meth:`~repro.shard.router.ShardRouter.replicated`);
         ``harvest=True`` requests essentially-free stranded memory,
-        accessed one-sided.  ``use_verb_programs``
-        overrides the manager-chosen configuration's dependent-read
-        transport (one-RTT verb programs vs classic two-hop GETs).
+        accessed one-sided.
         """
         allocation = self.manager.allocate(
             capacity, slo, duration_s, client_placement=self.placement,
             region_bytes=region_bytes, exclude_servers=exclude_servers,
             harvest=harvest)
-        if use_verb_programs is not None:
-            allocation.config = replace(
-                allocation.config, use_verb_programs=use_verb_programs)
         cache = RedyCache(self, allocation, slo, region_bytes,
                           backed=backed, backing_file=file,
                           migration_policy=migration_policy,
@@ -161,8 +154,8 @@ class RedyCache:
     """One provisioned cache: a contiguous byte-addressable device.
 
     Every I/O is a generator body that returns its
-    :class:`CacheIoResult`.  :meth:`read`, :meth:`write` and
-    :meth:`dependent_read` return an event that fires with the result:
+    :class:`CacheIoResult`.  :meth:`read` and :meth:`write` return an
+    event that fires with the result:
     for a fail-fast read or write inside one region of a one-sided
     cache, a :class:`_CacheIo` record that runs the I/O as a chain of
     callbacks (:class:`~repro.core.engine.OneSidedIo`), and otherwise
@@ -282,21 +275,6 @@ class RedyCache:
         return self._start_io("w", addr, len(data), data, callback,
                               tenant=tenant)
 
-    def dependent_read(self, pointer_addr: int, size: int) -> Event:
-        """Pointer-chasing read: dereference the little-endian u64 at
-        ``pointer_addr`` and read ``size`` bytes at the address it holds.
-
-        This is the FASTER-through-Redy GET shape (hash-bucket word ->
-        hybrid-log record).  With ``use_verb_programs`` enabled on the
-        cache's configuration the chase runs as a remote-side verb
-        program in one round trip, with a self-verifying CAS guard on the
-        pointer word (migration safety); otherwise -- or on endpoints
-        without program support -- it takes the classic two sequential
-        READs.  Either way the pointer and record must live in the same
-        region: the pointer's target is a region-local offset.
-        """
-        return self._start_io("d", pointer_addr, size, None, None)
-
     def read_io(self, addr: int, size: int, *,
                 tenant: Optional[str] = None):
         """The generator body of :meth:`read`, for a caller that already
@@ -313,8 +291,8 @@ class RedyCache:
     def _start_io(self, kind: str, addr: int, size: int,
                   data: Optional[bytes], callback: Optional[Callable], *,
                   tenant: Optional[str] = None) -> Event:
-        """Start one I/O of ``kind``: ``"r"`` read, ``"w"`` write,
-        ``"d"`` dependent read.  A :class:`_CacheIo` record is its own
+        """Start one I/O of ``kind``: ``"r"`` read, ``"w"`` write.  A
+        :class:`_CacheIo` record is its own
         completion event and calls ``callback`` itself; any other body
         runs in a process, which is the completion event, and hands its
         result to ``callback`` itself (see :meth:`_calling_back`)."""
@@ -366,7 +344,7 @@ class RedyCache:
         policy = self.retry_policy
         region_bytes = self.region_bytes
         offset = addr % region_bytes
-        if (kind == "d" or not self.path.one_sided or self.deleted
+        if (not self.path.one_sided or self.deleted
                 or policy.max_attempts != 1
                 or policy.attempt_timeout_s is not None
                 or not 0 < size <= region_bytes - offset):
@@ -426,8 +404,6 @@ class RedyCache:
 
     def _io(self, kind: str, addr: int, size: int,
             data: Optional[bytes], tenant: Optional[str] = None):
-        if kind == "d":
-            return (yield from self._dependent_io(addr, size))
         is_read = kind == "r"
         env = self.env
         start = env.now
@@ -507,37 +483,6 @@ class RedyCache:
             payload = (result.data if result.data is not None
                        else bytes(op.size))
         return CacheIoResult(ok=True, data=payload, latency=latency)
-
-    def _dependent_io(self, addr: int, size: int):
-        """A dependent read handed to the data path as one engine op.
-
-        It chases the pointer word at ``addr`` to ``size`` record bytes;
-        the engine picks the transport and the record offset resolves
-        remotely, so the client never sees the pointer value.  The word
-        must sit in one region.
-        """
-        start = self.env.now
-        try:
-            located = self.table.locate(addr, POINTER_BYTES)
-        except AddressError as exc:
-            return CacheIoResult(ok=False, error=str(exc))
-        if located is None:
-            return CacheIoResult(
-                ok=False, error="dependent read: pointer word spans regions")
-        index, offset = located
-        gate = self.table.gate(index, True)
-        if gate is not None:
-            yield gate  # §6.2: paused until the region migrates
-        # Re-resolve the mapping: it may have flipped while we waited.
-        token = self.table.region(index).token
-        op = EngineOp(
-            is_read=True, size=size, token=token, offset=0,
-            lookup_offset=offset, verify=True)
-        yield self.env.timeout(self.path.submission_overhead())
-        result = yield from self.path.io(op)
-        return CacheIoResult(ok=result.ok, data=result.data,
-                             error=result.error,
-                             latency=self.env.now - start)
 
     def populate(self, file: bytes) -> None:
         """Synchronously load a prefix of ``file`` (Create's file param).

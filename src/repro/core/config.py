@@ -19,7 +19,7 @@ rebuild the paper's optimization ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -83,12 +83,6 @@ class RdmaConfig:
     lock_free: bool = True
     one_sided_fast_path: bool = True
     numa_affinity: bool = True
-    #: Dependent reads (pointer -> record GETs) execute as remote-side
-    #: verb programs in one round trip instead of two sequential READs
-    #: (see ``repro.net.programs``).  Off by default: the classic
-    #: two-hop path is the measured baseline, and an aborted program
-    #: falls back to it anyway.
-    use_verb_programs: bool = False
 
     def __post_init__(self) -> None:
         if self.client_threads < 1:
@@ -124,10 +118,6 @@ class RdmaConfig:
     def total_cores(self) -> int:
         """Client + server cores the configuration consumes (its cost)."""
         return self.client_threads + self.server_threads
-
-    def with_ablation(self, *, use_verb_programs: bool) -> "RdmaConfig":
-        """Copy with the verb-program switch set."""
-        return replace(self, use_verb_programs=use_verb_programs)
 
     def describe(self) -> str:
         return (f"c={self.client_threads} s={self.server_threads} "

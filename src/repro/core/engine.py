@@ -26,8 +26,6 @@ its own.
   that formed a batch reaps it once the response lands in its
   connection's response ring, one reap per thread at a time, in arrival
   order; a caller whose op rode that batch gets its result.
-* A dependent read never batches: ``io`` issues it, chases the pointer
-  (one verb program or two READs) and reaps it.
 
 All CPU charges go through one per-thread ``Resource`` so that issue and
 reap cannot overlap in time -- they are the same hardware thread -- and
@@ -56,7 +54,6 @@ from repro.core.server import CacheServer, RING_SLOT_BYTES
 from repro.hardware.profiles import TestbedProfile
 from repro.net.fabric import Endpoint
 from repro.net.memory import MemoryRegion
-from repro.net.programs import POINTER_BYTES, VerbProgram, chase_target
 from repro.net.qp import QueuePair
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
@@ -81,11 +78,12 @@ class EngineError(Exception):
     """Data-path misuse (no route for an op, engine not attached, ...)."""
 
 
-def _direct_op_error(kind: str, op: EngineOp) -> EngineError:
-    """What a one-sided op or a dependent read (``kind``) without a
-    region token, or of weight above 1, raises."""
-    return EngineError(f"{kind} need a region token" if op.token is None
-                       else f"{kind} are weight-1 ops")
+def _direct_op_error(op: EngineOp) -> EngineError:
+    """What a one-sided op without a region token, or of weight above
+    1, raises."""
+    return EngineError("one-sided ops need a region token"
+                       if op.token is None
+                       else "one-sided ops are weight-1 ops")
 
 
 def _lognormal_sigma(median: float, p99: float) -> float:
@@ -187,12 +185,6 @@ class CacheDataPath:
             self._completed_counter = metrics.counter("engine.ops_completed")
             self._failed_counter = metrics.counter("engine.ops_failed")
             self._timeout_counter = metrics.counter("engine.timeouts")
-            self._programs_counter = metrics.counter("engine.programs")
-            self._two_hop_counter = metrics.counter("engine.two_hop_reads")
-            self._fallback_counter = metrics.counter(
-                "engine.program_fallbacks")
-            self._cas_abort_counter = metrics.counter(
-                "engine.program_cas_aborts")
             self._tenant_ops_family = metrics.counter("engine.tenant_ops")
         else:
             self._op_latency = None
@@ -201,10 +193,6 @@ class CacheDataPath:
             self._completed_counter = None
             self._failed_counter = None
             self._timeout_counter = None
-            self._programs_counter = None
-            self._two_hop_counter = None
-            self._fallback_counter = None
-            self._cas_abort_counter = None
             self._tenant_ops_family = None
 
     # ------------------------------------------------------------------
@@ -290,11 +278,8 @@ class CacheDataPath:
         """Run ``op`` on a client thread; returns its :class:`OpResult`.
 
         A generator for the caller's process: ``result = yield from
-        path.io(op)``.  A one-sided op's body is :meth:`_one_sided`, a
-        dependent read's :meth:`_bypass`, and any other op's
-        :meth:`_batched`."""
-        if op.is_dependent:
-            return self._bypass(op, thread_index)
+        path.io(op)``.  A one-sided op's body is :meth:`_one_sided`, and
+        any other op's :meth:`_batched`."""
         if self.one_sided:
             return self._one_sided(op, thread_index)
         return self._batched(op, thread_index)
@@ -309,7 +294,7 @@ class CacheDataPath:
         :meth:`io` in a process of its own."""
         if op.completion is None:
             op.completion = self.env.event()
-        if self.one_sided and not op.is_dependent:
+        if self.one_sided:
             OneSidedIo(self, op, thread_index)._resume(None)
         else:
             self.env.start(self.io(op, thread_index),
@@ -343,7 +328,7 @@ class CacheDataPath:
         env = self.env
         thread, connection = self._prepare(op, thread_index)
         if op.token is None or op.weight != 1:
-            raise _direct_op_error("one-sided ops", op)
+            raise _direct_op_error(op)
         stages = op.stages
         if stages is None and self.stamps_stages:
             stages = op.stages = OpStages(op.enqueued_at)
@@ -374,7 +359,7 @@ class CacheDataPath:
                 try:
                     if stages is not None:
                         stages.cpu = env.now
-                    yield env.timeout(self._issue_charge(1, True))
+                    yield env.timeout(self._issue_charge(1))
                 finally:
                     cpu.release()
                 done = connection.qp.post(WorkRequest(
@@ -415,7 +400,11 @@ class CacheDataPath:
         if stages is not None:
             stages.settled = env.now
         if op.completion is None and env.due_now():
-            yield env.timeout(0)  # see _reap
+            # An op run in its caller's process returns into it at
+            # once -- unless another entry is due at this instant: one
+            # zero hop puts the caller behind it, where a waiter on the
+            # op's completion event would have resumed.
+            yield env.timeout(0)
         return result
 
     def _batched(self, op: EngineOp, thread_index: Optional[int]):
@@ -513,29 +502,15 @@ class CacheDataPath:
         else:
             event._add_callback(callback)
 
-    def _bypass(self, op: EngineOp, thread_index: Optional[int]):
-        """A dependent GET outside the batching protocol: issue, chase
-        (see :meth:`_chase`), reap; returns the op's result."""
-        thread, connection = self._prepare(op, thread_index)
-        if op.token is None or op.weight != 1:
-            raise _direct_op_error("dependent reads", op)
-        yield from self._issue(thread, connection, 1, dequeued=False)
-        completion = yield from self._chase(thread, connection, op)
-        return (yield from self._reap(thread, connection, op, completion))
-
     def _issue(self, thread: _ClientThread, connection: _Connection,
-               weight: int, dequeued: bool = True, handed: bool = False):
+               weight: int, handed: bool = False):
         """Take a queue-depth credit, then charge the client CPU for
-        building and posting one work request that carries ``weight``
-        requests.  A ``handed`` holder already has both.
-
-        A ``dequeued`` batch came through the application threads' ring:
-        it observes its batch weight and pays the ring consumer's
-        per-request charges (cross-NUMA work, the mutex when the ring is
-        not lock-free).  A dependent read bypasses the ring.
+        building and posting one request batch of ``weight`` requests
+        (see :meth:`_issue_charge`).  A ``handed`` holder already has
+        both.
         """
         env = self.env
-        if dequeued and self._batch_weight is not None:
+        if self._batch_weight is not None:
             self._batch_weight.observe(weight)
         if handed:
             if self._credit_wait is not None:
@@ -547,27 +522,27 @@ class CacheDataPath:
                 self._credit_wait.observe(env.now - credit_wait_started)
             yield thread.cpu.acquire()
         try:
-            yield env.timeout(self._issue_charge(weight, dequeued))
+            yield env.timeout(self._issue_charge(weight))
         finally:
             thread.cpu.release()
 
-    def _issue_charge(self, weight: int, dequeued: bool) -> float:
+    def _issue_charge(self, weight: int) -> float:
         """Sampled client-CPU seconds to build and post one work request
-        that carries ``weight`` requests (see :meth:`_issue`)."""
+        that carries ``weight`` requests from the application threads'
+        ring, with the ring consumer's per-request charges (cross-NUMA
+        work, the mutex when the ring is not lock-free)."""
         cpu = self.profile.cpu
         work = (cpu.batch_prepare + self.profile.nic.doorbell
                 + weight * cpu.client_per_op)
-        if dequeued:
-            if not self.config.numa_affinity:
-                work += weight * cpu.numa_cpu_per_op
-            if not self.config.lock_free:
-                # The consumer side of the mutex-protected queue pays
-                # the same lock acquisition + contention as the
-                # producer.
-                work += weight * (
-                    cpu.handoff_locked + cpu.lock_contention_mean
-                    * math.exp(self._lock_sigma * self._normal()
-                               - self._lock_sigma**2 / 2))
+        if not self.config.numa_affinity:
+            work += weight * cpu.numa_cpu_per_op
+        if not self.config.lock_free:
+            # The consumer side of the mutex-protected queue pays the
+            # same lock acquisition + contention as the producer.
+            work += weight * (
+                cpu.handoff_locked + cpu.lock_contention_mean
+                * math.exp(self._lock_sigma * self._normal()
+                           - self._lock_sigma**2 / 2))
         return work * self._noise()
 
     def _reap_charge(self) -> float:
@@ -605,31 +580,6 @@ class CacheDataPath:
         return self.profile.cpu.numa_penalty_mean * math.exp(
             self._jitter_sigma * self._normal() - self._jitter_sigma**2 / 2)
 
-    def _reap(self, thread: _ClientThread, connection: _Connection,
-              op: EngineOp, completion: Completion):
-        """Reap one verb completion: poll + callback on the client CPU,
-        the cross-NUMA hop when threads are not affinitized, then return
-        the credit and settle the op; returns its result.
-
-        An op run in its caller's process (no ``completion`` event)
-        returns into that process at once -- unless another entry is
-        due at this instant: then one zero hop puts the caller behind
-        it, where a waiter on the op's completion event would have
-        resumed.
-        """
-        env = self.env
-        yield thread.cpu.acquire()
-        try:
-            yield env.timeout(self._reap_charge())
-        finally:
-            thread.cpu.release()
-        if not self.config.numa_affinity:
-            yield env.timeout(self._numa_penalty())
-        result = self._settle(connection, op, completion)
-        if op.completion is None and env.due_now():
-            yield env.timeout(0)
-        return result
-
     def _settle(self, connection: _Connection, op: EngineOp,
                 completion: Completion) -> OpResult:
         """Return the op's credit and settle it with its verb's outcome."""
@@ -646,7 +596,7 @@ class CacheDataPath:
         """Reap one response batch under the thread's reap slot (handed
         on with the thread CPU when ``response`` is ``None``): charge
         the client CPU, take the cross-NUMA hop, hand the slot on, then
-        settle as :meth:`_reap` does, for every op of the batch."""
+        return the credit and settle every op of the batch."""
         env = self.env
         cpu = self.profile.cpu
         if response is None:
@@ -684,63 +634,6 @@ class CacheDataPath:
         if hop is not None:
             yield hop
         return response.results[0]
-
-    def _chase(self, thread: _ClientThread, connection: _Connection,
-               op: EngineOp):
-        """The dependent GET's transport: index word first, then the
-        record; returns the completion that answers the op.
-
-        With ``use_verb_programs`` on the whole chain is one posted
-        program -- one round trip.  Otherwise, or when the program
-        completes in error (CAS guard abort, region revoked mid-chain),
-        the classic two-hop READ sequence runs as the fallback; an op
-        only fails if the fallback fails too, so no acked read is lost
-        to the optimization.
-        """
-        if self.config.use_verb_programs:
-            program = VerbProgram(
-                pointer_offset=op.lookup_offset,
-                read_bytes=op.size,
-                fallback_offset=op.offset,
-                verify=op.verify)
-            if self._programs_counter is not None:
-                self._programs_counter.inc()
-            completion = yield connection.qp.post_program(program, op.token)
-            if completion.cas_aborted and self._cas_abort_counter is not None:
-                self._cas_abort_counter.inc()
-            if completion.ok:
-                return completion
-            # Abort fallback: re-run the access as the classic two-hop
-            # sequence (it re-samples the pointer, so a guard abort
-            # resolves to the post-move location).
-            if self._fallback_counter is not None:
-                self._fallback_counter.inc()
-        if self._two_hop_counter is not None:
-            self._two_hop_counter.inc()
-        return (yield from self._two_hop_read(thread, connection, op))
-
-    def _two_hop_read(self, thread: _ClientThread, connection: _Connection,
-                      op: EngineOp):
-        """The classic dependent GET: READ the pointer word, reap it,
-        parse, then READ the record -- two full round trips plus a
-        client-CPU turnaround between them."""
-        cpu, nic = self.profile.cpu, self.profile.nic
-        first = yield connection.qp.post(WorkRequest(
-            RdmaOp.READ, op.token, op.lookup_offset, POINTER_BYTES))
-        if not first.ok:
-            return first
-        # Turnaround: poll the completion, parse the pointer, build and
-        # ring the doorbell for the second READ.
-        yield thread.cpu.acquire()
-        try:
-            work = nic.completion_poll + cpu.callback + nic.doorbell
-            yield self.env.timeout(work * self._noise())
-        finally:
-            thread.cpu.release()
-        second = yield connection.qp.post(WorkRequest(
-            RdmaOp.READ, op.token, chase_target(first.data, op.offset),
-            op.size))
-        return second
 
     def _on_response(self, thread: _ClientThread, connection: _Connection,
                      response: ResponseBatch) -> None:
@@ -947,7 +840,7 @@ class OneSidedIo(Event):
             op = self.op
             self.thread, connection = path._prepare(op, self.thread_index)
             if op.token is None or op.weight != 1:
-                raise _direct_op_error("one-sided ops", op)
+                raise _direct_op_error(op)
             self.connection = connection
             stages = op.stages
             if stages is None and path.stamps_stages:
@@ -990,7 +883,7 @@ class OneSidedIo(Event):
         if stages is not None:
             stages.cpu = env.now
         self.stage = OneSidedIo.post
-        env.call_at(env.now + path._issue_charge(1, True),
+        env.call_at(env.now + path._issue_charge(1),
                     self._resume_handler, None)
 
     def post(self, _event: Optional[Event]) -> None:

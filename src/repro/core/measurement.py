@@ -80,8 +80,7 @@ def measure_config(config: RdmaConfig, record_size: int, *,
                    warmup_batches: int = 30,
                    extra_outstanding: int = 0,
                    seed: int = 0,
-                   metrics: Optional[MetricsRegistry] = None,
-                   dependent_reads: bool = False
+                   metrics: Optional[MetricsRegistry] = None
                    ) -> MeasurementResult:
     """Measure one RDMA configuration on the simulated testbed.
 
@@ -91,13 +90,6 @@ def measure_config(config: RdmaConfig, record_size: int, *,
     op standing for ``b`` application requests) so that simulating
     hundred-MOPS configurations stays tractable; the half-batch fill wait
     an average request would see is added back to each sample.
-
-    ``dependent_reads=True`` switches the workload to pointer-chasing
-    GETs (index word -> record), the FASTER-through-Redy access pattern:
-    each op names a pointer offset to chase and the record offset as its
-    size-only fallback.  ``config.use_verb_programs`` then selects the
-    one-round-trip program path versus the classic two-hop baseline --
-    the fig11/fig12 A/B toggle.
     """
     rngs = RngRegistry(seed=seed)
     env = Environment()
@@ -119,10 +111,6 @@ def measure_config(config: RdmaConfig, record_size: int, *,
     token = tokens[0]
 
     weight = config.batch_size if not config.uses_one_sided else 1
-    if dependent_reads:
-        # Dependent GETs are weight-1 ops posted on their own doorbell
-        # (they bypass the message-ring batching protocol entirely).
-        weight = 1
     outstanding = config.queue_depth + extra_outstanding
     total_connections = config.client_threads
     warmup_target = warmup_batches * total_connections
@@ -134,13 +122,6 @@ def measure_config(config: RdmaConfig, record_size: int, *,
     # per generator costs memory; indexing the array costs time).
     offsets = workload_rng.integers(
         0, _MEASUREMENT_REGION_BYTES - record_size, size=4096).tolist()
-    # Pointer-word offsets for the dependent-read workload.  Drawn only
-    # when needed so the classic workload's RNG stream (and therefore
-    # every existing benchmark result) is untouched.
-    lookup_offsets = None
-    if dependent_reads:
-        lookup_offsets = workload_rng.integers(
-            0, _MEASUREMENT_REGION_BYTES - 8, size=4096).tolist()
 
     state = {
         "completed": 0,
@@ -165,23 +146,16 @@ def measure_config(config: RdmaConfig, record_size: int, *,
         n_offsets = len(offsets)
         append_latency = latencies.append
         while not state["stop"]:
-            is_read = dependent_reads or draw() < read_fraction
+            is_read = draw() < read_fraction
             # The application thread hands each request through the batch
             # ring; a full batch costs `weight` handoffs.
             handoff = weight * overhead()
             handed = env.now
             yield timeout(handoff)
-            if dependent_reads:
-                op = EngineOp(
-                    is_read=True, size=record_size, token=token,
-                    offset=offsets[offset_cursor % n_offsets],
-                    lookup_offset=lookup_offsets[offset_cursor % n_offsets],
-                    weight=1)
-            else:
-                op = EngineOp(
-                    is_read=is_read, size=record_size, token=token,
-                    offset=offsets[offset_cursor % n_offsets],
-                    weight=weight)
+            op = EngineOp(
+                is_read=is_read, size=record_size, token=token,
+                offset=offsets[offset_cursor % n_offsets],
+                weight=weight)
             offset_cursor += 1
             if stamps_stages:
                 op.stages = OpStages(handed)

@@ -84,14 +84,6 @@ class EngineOp:
     #: it (a caller of ``io`` gets the result back from ``io``).
     completion: Optional[Event] = None
     enqueued_at: float = 0.0
-    #: Dependent read: offset of the pointer word to chase first.  The
-    #: record is then read at the little-endian u64 the word holds (with
-    #: ``offset`` as the fallback on size-only regions).  ``None`` = a
-    #: plain direct read/write.
-    lookup_offset: Optional[int] = None
-    #: Dependent read: append a self-verifying CAS guard that re-checks
-    #: the pointer at the end of the chain (migration safety).
-    verify: bool = False
     #: Serving-tier identity: which registered tenant issued this op.
     #: ``None`` (the default) is the classic anonymous single-user path;
     #: the engine only adds per-tenant accounting when it is set.
@@ -108,16 +100,6 @@ class EngineOp:
         if self.data is not None and len(self.data) != self.size:
             raise ValueError(
                 f"data length {len(self.data)} != size {self.size}")
-        if self.lookup_offset is not None:
-            if not self.is_read:
-                raise ValueError("dependent lookups are read-only")
-            if self.lookup_offset < 0:
-                raise ValueError("dependent lookup needs lookup_offset >= 0")
-
-    @property
-    def is_dependent(self) -> bool:
-        """A pointer-chasing GET (index hop + log hop)."""
-        return self.lookup_offset is not None
 
     @property
     def request_wire_bytes(self) -> int:

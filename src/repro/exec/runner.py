@@ -46,9 +46,6 @@ class SweepTask:
     warmup_batches: int = 30
     extra_outstanding: int = 0
     seed: int = 0
-    #: Pointer-chasing GET workload (index word -> record); the config's
-    #: ``use_verb_programs`` picks the transport.
-    dependent_reads: bool = False
 
 
 def tasks_for(configs: Iterable[RdmaConfig], *, record_size: int,
@@ -84,7 +81,6 @@ def _execute_task(task: SweepTask) -> Tuple[MeasurementResult, Dict]:
         extra_outstanding=task.extra_outstanding,
         seed=task.seed,
         metrics=registry,
-        dependent_reads=task.dependent_reads,
     )
     return result, registry.snapshot()
 

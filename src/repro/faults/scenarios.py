@@ -13,9 +13,9 @@ The scenarios cover the §6 robustness matrix:
 * :func:`churn_run` (``spot-churn``) -- Poisson evictions + hard kills
   against a backed cache with retries and auto-recovery (migrate /
   re-populate path);
-* :func:`spot_evict_programs` -- notice-based evictions while dependent
-  GETs run as one-RTT verb programs: live migration vs the CAS-guarded
-  chase (every read-back checked, clean abort/fallback accounting);
+* :func:`spot_evict` -- notice-based evictions while probes write and
+  read back through the cache: every region migrates live, and every
+  read-back is checked;
 * :func:`evict_primary` -- hard-kill the primary of a 2-way replicated
   cache, a two-member :class:`~repro.shard.router.ShardRouter` at
   ``replication=2`` (the §6.2 failover path);
@@ -55,7 +55,7 @@ from repro.workloads.scenarios import build_cluster
 
 __all__ = ["ChaosReport", "churn_run", "conn_storm_rebalance",
            "evict_primary", "link_flap", "shard_churn", "slow_node",
-           "spot_evict_programs"]
+           "spot_evict"]
 
 REGION = 1 << 20
 CAPACITY = 4 * REGION
@@ -264,30 +264,24 @@ def churn_run(seed: int, *, rate_per_s: float = 1.0) -> ChaosReport:
                     "migration_failures": float(cache.migration_failures)})
 
 
-def spot_evict_programs(seed: int) -> ChaosReport:
-    """Spot evictions under one-RTT verb programs (migration safety).
+def spot_evict(seed: int) -> ChaosReport:
+    """Spot evictions with writes in flight (live migration, §6.2).
 
     Notice-based evictions only (no hard kills), so every region
-    migrates with its data intact, against a cache running dependent
-    GETs as remote-side verb programs.  Each probe writes a uniquely
-    tagged record, swings a pointer word at it, then dependent-reads it
-    back: a CAS-abort or revoked region mid-program must fall back to
-    the classic two-hop path (or a client retry) transparently, and the
-    history must accept every read-back.  The report carries
-    program/abort/fallback accounting.
+    migrates with its data intact.  Each probe writes a uniquely tagged
+    record into one region, then reads it back; the history must accept
+    every read-back, written before, during or after a migration.
     """
-    import struct
-
     registry = MetricsRegistry()
     harness = build_cluster(seed=seed, provisioning_delay_s=0.25,
                             metrics=registry)
     env = harness.env
-    client = harness.redy_client("chaos-programs-app")
+    client = harness.redy_client("chaos-evict-app")
     cache = client.create(
         CAPACITY, SLO, duration_s=3600.0, region_bytes=REGION,
         file=_backing(CAPACITY),
         retry_policy=RetryPolicy(max_attempts=4, attempt_timeout_s=50e-3),
-        auto_recover=True, use_verb_programs=True)
+        auto_recover=True)
     injector = FaultInjector(env, allocator=harness.allocator,
                              fabric=harness.fabric)
     injector.install_failure_hook()
@@ -303,26 +297,16 @@ def spot_evict_programs(seed: int) -> ChaosReport:
     record_bytes = 256
     n_regions = CAPACITY // REGION
     history = _history(env, record_bytes, cache)
-    pointer = struct.pack("<Q", 4096)
 
-    def write(index, payload):
-        """The record, then a pointer swing at it."""
-        base = (index % n_regions) * REGION
-        wrote = yield from history.record(
-            base + 4096, payload, cache.write(base + 4096, payload))
-        if wrote.ok:
-            # The pointer word holds the record's *region-local* offset
-            # (what the remote chase dereferences).
-            swung = yield from history.record(
-                base + 64, pointer, cache.write(base + 64, pointer))
-            wrote = swung if not swung.ok else wrote
-        return wrote
+    def addr(index):
+        return (index % n_regions) * REGION + 4096
 
     probe = _write_then_read(
-        env, "chaos-programs-probe", record_bytes, write,
+        env, "chaos-evict-probe", record_bytes,
+        lambda index, payload: history.record(
+            addr(index), payload, cache.write(addr(index), payload)),
         lambda index: history.record(
-            (index % n_regions) * REGION + 4096, None, cache.dependent_read(
-                (index % n_regions) * REGION + 64, record_bytes)))
+            addr(index), None, cache.read(addr(index), record_bytes)))
 
     stats = _ProbeStats(SLO.max_latency)
     horizon = max(CHURN_WINDOW_S + 2.0, schedule.horizon + 2.0)
@@ -330,20 +314,10 @@ def spot_evict_programs(seed: int) -> ChaosReport:
                             until=horizon),
                 name="chaos-probe")
     env.run(until=horizon + 1.0)
-
-    def metric(name: str) -> float:
-        value = registry.get(name)
-        return float(value.value) if value is not None else 0.0
-
     return _finish(
-        "spot-evict-programs", seed, harness, injector, registry, stats,
-        history,
+        "spot-evict", seed, harness, injector, registry, stats, history,
         {"migrations": float(len(cache.migrations)),
-         "migration_failures": float(cache.migration_failures),
-         "programs": metric("engine.programs"),
-         "program_cas_aborts": metric("engine.program_cas_aborts"),
-         "program_fallbacks": metric("engine.program_fallbacks"),
-         "two_hop_reads": metric("engine.two_hop_reads")})
+         "migration_failures": float(cache.migration_failures)})
 
 
 def evict_primary(seed: int) -> ChaosReport:

@@ -2,8 +2,8 @@
 
 Every robustness claim the reproduction checks end to end -- reads keep
 flowing through migration and eviction (§6), every read returns what its
-op history allows (:mod:`repro.history`), verb programs return the bytes
-two-hop reads do, pooled connection storms leak nothing -- is one
+op history allows (:mod:`repro.history`), pooled connection storms
+leak nothing -- is one
 :class:`Scenario` in :data:`SCENARIOS`: a ``run(seed)`` that builds its
 own cluster and returns a JSON-able blob, and an ``invariants(blob)``
 that returns one line per violated check.
@@ -45,7 +45,6 @@ import functools
 import hashlib
 import json
 import operator
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -107,11 +106,6 @@ def _reads_checked(blob: dict) -> int:
     return sum(run["history"]["reads"] for run in runs)
 
 
-def _counter(registry: MetricsRegistry, name: str) -> int:
-    metric = registry.get(name)
-    return int(metric.value) if metric is not None else 0
-
-
 _SLO = Slo(max_latency=1e-3, min_throughput=1e5, record_size=512)
 
 
@@ -120,132 +114,28 @@ _SLO = Slo(max_latency=1e-3, min_throughput=1e5, record_size=512)
 # ----------------------------------------------------------------------
 
 def _measure(seed: int) -> dict:
-    """The sweep hot path: two-sided batches, then verb-program GETs."""
-    def one(config: RdmaConfig, record_size: int, **options) -> dict:
-        registry = MetricsRegistry()
-        result = measure_config(config, record_size, seed=seed,
-                                batches_per_connection=20, warmup_batches=5,
-                                metrics=registry, **options)
-        batches = registry.get("engine.batch_weight")
-        return {**asdict(result),
-                "batch_weight_mean": (batches.sum / batches.count
-                                      if batches.count else 0.0),
-                "programs": _counter(registry, "engine.programs"),
-                "program_fallbacks": _counter(registry,
-                                              "engine.program_fallbacks"),
-                "metrics": registry.snapshot()}
-
-    return {
-        "two-sided": one(RdmaConfig(2, 2, 4, 4), 64),
-        "programs": one(RdmaConfig(2, 0, 1, 4, use_verb_programs=True), 256,
-                        read_fraction=1.0, dependent_reads=True),
-    }
+    """The sweep hot path: one two-sided batched measurement."""
+    registry = MetricsRegistry()
+    result = measure_config(RdmaConfig(2, 2, 4, 4), 64, seed=seed,
+                            batches_per_connection=20, warmup_batches=5,
+                            metrics=registry)
+    batches = registry.get("engine.batch_weight")
+    return {"two-sided": {**asdict(result),
+                          "batch_weight_mean": (batches.sum / batches.count
+                                                if batches.count else 0.0),
+                          "metrics": registry.snapshot()}}
 
 
 def _measure_invariants(blob: dict) -> List[str]:
-    failures = []
-    for name, run in sorted(blob.items()):
-        failures += _failed([
-            (run["ops_measured"] > 0, f"{name}: no ops measured"),
-            (0 < run["latency_p50"] <= run["latency_p99"],
-             f"{name}: latency p50 {run['latency_p50']:g} s vs p99 "
-             f"{run['latency_p99']:g} s"),
-        ])
-    two_sided, programs = blob["two-sided"], blob["programs"]
-    return failures + _failed([
-        (two_sided["programs"] == 0, "two-sided run issued verb programs"),
-        (two_sided["batch_weight_mean"] > 1,
-         f"two-sided run did not batch (mean batch weight "
-         f"{two_sided['batch_weight_mean']:g})"),
-        (programs["programs"] > 0, "programs run issued no verb programs"),
-        (programs["program_fallbacks"] == 0,
-         f"{programs['program_fallbacks']} program fallbacks on a quiet "
-         "cluster"),
-    ])
-
-
-# ----------------------------------------------------------------------
-# verbs: dependent GETs, two-hop vs one-RTT verb programs
-# ----------------------------------------------------------------------
-
-def _verbs_run(seed: int, programs: bool) -> dict:
-    """One 48-chase pointer-chase pass on a fresh testbed."""
-    ops = 48
-    region = 1 << 20
-    capacity = 4 * region
-    record_bytes = 256
-    registry = MetricsRegistry()
-    harness = build_cluster(seed=seed, metrics=registry)
-    cache = harness.redy_client("verbs-gate").create(
-        capacity, Slo(max_latency=1e-3, min_throughput=1e5,
-                      record_size=record_bytes),
-        duration_s=3600.0, region_bytes=region,
-        use_verb_programs=programs)
-
-    digest = hashlib.sha256()
-    stats = {"ok": 0, "failed": 0, "latency_s": 0.0}
-    n_regions = capacity // region
-
-    def body():
-        for index in range(ops):
-            reg = index % n_regions
-            pointer_addr = reg * region + 64
-            # Region-local record offset; vary it so the chase actually
-            # has to dereference the pointer word, not a fixed address.
-            local = 4096 + (index % 7) * 512
-            payload = bytes((index + j) % 251 for j in range(record_bytes))
-            wrote = yield cache.write(reg * region + local, payload)
-            swung = yield cache.write(pointer_addr,
-                                      struct.pack("<Q", local))
-            read = yield cache.dependent_read(pointer_addr, record_bytes)
-            if wrote.ok and swung.ok and read.ok and read.data == payload:
-                stats["ok"] += 1
-                stats["latency_s"] += read.latency
-                digest.update(read.data)
-            else:
-                stats["failed"] += 1
-
-    harness.env.run_process(body(), name="verbs-workload")
-    return {
-        "ops": ops,
-        "ok": stats["ok"],
-        "failed": stats["failed"],
-        "digest": digest.hexdigest(),
-        "read_latency_mean_us": (stats["latency_s"] / stats["ok"] * 1e6
-                                 if stats["ok"] else 0.0),
-        "programs": _counter(registry, "engine.programs"),
-        "two_hop_reads": _counter(registry, "engine.two_hop_reads"),
-        "program_fallbacks": _counter(registry, "engine.program_fallbacks"),
-        "program_cas_aborts": _counter(registry,
-                                       "engine.program_cas_aborts"),
-    }
-
-
-def _verbs(seed: int) -> dict:
-    """Dependent GETs over two-hop reads vs one-RTT verb programs."""
-    return {"two_hop": _verbs_run(seed, programs=False),
-            "program": _verbs_run(seed, programs=True)}
-
-
-def _verbs_invariants(blob: dict) -> List[str]:
-    two_hop, program = blob["two_hop"], blob["program"]
+    run = blob["two-sided"]
     return _failed([
-        (two_hop["failed"] == 0 and program["failed"] == 0,
-         f"failed ops: two-hop {two_hop['failed']}, "
-         f"program {program['failed']}"),
-        (two_hop["digest"] == program["digest"],
-         "transport digests diverge: program reads returned other bytes"),
-        (program["read_latency_mean_us"] < two_hop["read_latency_mean_us"],
-         f"no latency win: program {program['read_latency_mean_us']:.2f} "
-         f"us vs two-hop {two_hop['read_latency_mean_us']:.2f} us"),
-        (program["programs"] == program["ok"],
-         f"{program['ok']} chases but {program['programs']} programs"),
-        (program["program_fallbacks"] == program["program_cas_aborts"] == 0,
-         "program aborts or fallbacks on a quiet cluster"),
-        (two_hop["programs"] == 0, "two-hop run issued verb programs"),
-        (two_hop["two_hop_reads"] == two_hop["ok"],
-         f"{two_hop['ok']} chases but {two_hop['two_hop_reads']} two-hop "
-         "reads"),
+        (run["ops_measured"] > 0, "two-sided: no ops measured"),
+        (0 < run["latency_p50"] <= run["latency_p99"],
+         f"two-sided: latency p50 {run['latency_p50']:g} s vs p99 "
+         f"{run['latency_p99']:g} s"),
+        (run["batch_weight_mean"] > 1,
+         f"two-sided run did not batch (mean batch weight "
+         f"{run['batch_weight_mean']:g})"),
     ])
 
 
@@ -603,15 +493,14 @@ def _chaos_invariants(*bounds: Tuple[str, str, object]
 #: Every gated scenario, in ``gate --all`` order.
 SCENARIOS: Dict[str, Scenario] = {
     "measure": Scenario(_measure, _measure_invariants),
-    "verbs": Scenario(_verbs, _verbs_invariants),
     "shard": Scenario(_shard, _shard_invariants),
     "tenants": Scenario(_tenants, _tenants_invariants),
     "connstorm": Scenario(_connstorm, _connstorm_invariants),
     "spot-churn": Scenario(
         _chaos(chaos.churn_run),
         _chaos_invariants(("migrations", ">=", 1))),
-    "spot-evict-programs": Scenario(
-        _chaos(chaos.spot_evict_programs),
+    "spot-evict": Scenario(
+        _chaos(chaos.spot_evict),
         _chaos_invariants(("failed_probes", "==", 0))),
     "evict-primary": Scenario(
         _chaos(chaos.evict_primary),

@@ -65,13 +65,6 @@ class NicSpec:
     #: scheduling, transport state).
     per_message_processing: float = 0.25 * US
 
-    #: Per-step execution latency of a chained verb program at the
-    #: responder NIC (WQE interpretation + transport state update for one
-    #: chained step; the step's own DMA cost is charged separately).
-    #: Chained WQEs execute from on-NIC memory without a PCIe round trip
-    #: per step, which is what makes one-RTT dependent reads profitable.
-    program_step_latency: float = 0.10 * US
-
     #: Max messages/second one QP can sustain (millions).  This is what the
     #: raw nd_read_bw/nd_write_bw baseline hits for small records, and what
     #: Redy's batching side-steps (Figure 12: 10x over raw at 16 B).

@@ -1,8 +1,7 @@
 """Queue pairs: reliable connected RDMA with bounded in-flight operations.
 
 A :class:`QueuePair` executes one-sided work requests against its remote
-endpoint: READs, WRITEs and PROGRAMs (the dependent read of
-:mod:`repro.net.programs`).  It enforces the NIC's queue-depth bound
+endpoint: READs and WRITEs.  It enforces the NIC's queue-depth bound
 (``max_depth`` in-flight operations -- the ``q`` variable of Table 2)
 and turns remote failures (revoked regions, dead endpoints) into error
 completions rather than exceptions, matching how RDMA surfaces
@@ -20,13 +19,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.net.fabric import Endpoint
-from repro.net.memory import AccessToken, MemoryRegion, RdmaAccessError
-from repro.net.programs import (
-    CAS_WORD_BYTES,
-    POINTER_BYTES,
-    VerbProgram,
-    chase_target,
-)
+from repro.net.memory import MemoryRegion, RdmaAccessError
 from repro.net.verbs import Completion, RdmaOp, WorkRequest
 from repro.obs.metrics import registry_of
 from repro.sim.kernel import Environment, Event
@@ -94,10 +87,6 @@ class QueuePair:
             self._ops_posted = metrics.counter("qp.ops_posted")
             self._error_completions = metrics.counter("qp.error_completions")
             self._backlog_depth = metrics.gauge("qp.backlog_depth")
-            self._programs_posted = metrics.counter("qp.programs_posted")
-            self._program_steps = metrics.counter("qp.program_steps")
-            self._program_cas_aborts = metrics.counter(
-                "qp.program_cas_aborts")
             self._context_misses = metrics.counter("qp.context_misses")
             self._establishments = metrics.counter("qp.establishments")
             self._establish_latency = metrics.histogram(
@@ -107,9 +96,6 @@ class QueuePair:
             self._ops_posted = None
             self._error_completions = None
             self._backlog_depth = None
-            self._programs_posted = None
-            self._program_steps = None
-            self._program_cas_aborts = None
             self._context_misses = None
             self._establishments = None
             self._establish_latency = None
@@ -311,19 +297,6 @@ class QueuePair:
         if self._backlog_depth is not None:
             self._backlog_depth.set(len(self._backlog))
 
-    def post_program(self, program: VerbProgram,
-                     token: AccessToken) -> Event:
-        """Post a dependent read as one work request.
-
-        The descriptor travels in one message, executes at the remote
-        NIC, and answers with one completion -- partial if a READ
-        faulted or the CAS guard aborted the read (see
-        :mod:`repro.net.programs`).
-        """
-        return self.post(WorkRequest(
-            RdmaOp.PROGRAM, token, 0, program.request_wire_bytes,
-            program=program))
-
     def _context_penalty(self, endpoint: Endpoint) -> float:
         """Touch ``endpoint``'s NIC QP-context cache for this QP.
 
@@ -359,10 +332,7 @@ class QueuePair:
         self._in_flight += 1
         env = self.env
         local = self.local
-        if wr.op is RdmaOp.PROGRAM:
-            verb: _Verb = _ProgramVerb(self, wr, completion_event)
-        else:
-            verb = _Verb(self, wr, completion_event)
+        verb = _Verb(self, wr, completion_event)
         if not local.alive:
             # A dead requester posts nothing: its NIC is gone.
             env._call_soon(_Verb.local_down, verb)
@@ -382,11 +352,11 @@ class QueuePair:
             # reaches the instant the pair would, in the same float
             # association.
             sent += nic.dma_fetch(wr.payload_bytes)
-        env.call_at(sent, type(verb).sent, verb)
+        env.call_at(sent, _Verb.sent, verb)
 
     def _finish(self, verb: "_Verb", ok: bool = True,
-                data: Optional[bytes] = None, error: Optional[str] = None,
-                cas_aborted: bool = False) -> None:
+                data: Optional[bytes] = None,
+                error: Optional[str] = None) -> None:
         """End a verb: free its depth slot (the backlog's head launches
         in it), record its wire latency and, for a signaled or failed
         verb, fire its completion.  A :class:`Completion` is built only
@@ -407,7 +377,7 @@ class QueuePair:
             return
         verb.event.succeed(Completion(
             wr_id=wr.wr_id, op=wr.op, ok=ok, data=data, error=error,
-            context=wr.context, completed_at=now, cas_aborted=cas_aborted))
+            context=wr.context, completed_at=now))
 
     def _error_completion(self, wr: WorkRequest, error: str) -> Completion:
         return Completion(wr_id=wr.wr_id, op=wr.op, ok=False, error=error,
@@ -521,131 +491,3 @@ class _Verb:
 
     def answered(self) -> None:
         self.qp._finish(self, data=self.data)
-
-
-class _ProgramVerb(_Verb):
-    """A dependent read in flight: one wire round trip plus remote-NIC
-    service time.
-
-    The descriptor crosses the fabric once; the remote NIC READs the
-    pointer word, then the record at the offset it holds
-    (:func:`~repro.net.programs.chase_target`), charging
-    ``program_step_latency`` per step plus each step's DMA cost, all
-    folded into a *single* service interval (one timed call per
-    program: a kernel monitor such as the replay sanitizer sees the
-    execution as one atomic remote step); one response returns the
-    payloads.
-
-    Memory sampling: both READs sample at descriptor arrival; the CAS
-    guard re-reads the pointer *after* the service window, so a write
-    that lands while the read executes is visible to it -- that is the
-    self-verifying read that makes dependent GETs safe against
-    concurrent migration.  A fault, a revoked region or a guard
-    mismatch aborts the read with a partial completion.
-    """
-
-    __slots__ = ("pointer", "error", "ran", "executed", "cas_aborted")
-
-    def __init__(self, qp: QueuePair, wr: WorkRequest, event: Event):
-        super().__init__(qp, wr, event)
-        self.pointer: Optional[bytes] = None
-        self.error: Optional[str] = None
-        #: Steps the NIC ran, a faulting one included.
-        self.ran = 1
-        #: Steps whose outcome is ok: a faulting READ is not one.
-        self.executed = 0
-        self.cas_aborted = False
-
-    def sent(self) -> None:
-        qp = self.qp
-        if qp._programs_posted is not None:
-            qp._programs_posted.inc()
-        qp.local.fabric.send(qp.local, qp.remote,
-                             self.wr.program.request_wire_bytes,
-                             _ProgramVerb.arrived, self)
-
-    def arrived(self) -> None:
-        """The descriptor reached the responder NIC: it samples both
-        READs now and charges the whole chain as one service interval."""
-        qp = self.qp
-        wr = self.wr
-        remote = qp.remote
-        if not remote.alive:
-            qp._finish(self, False, error="remote endpoint down")
-            return
-        region = remote.find_region(wr.token.region_id)
-        if region is None:
-            qp._finish(self, False, error=(
-                f"no region {wr.token.region_id} at {remote.name}"))
-            return
-        self.region = region
-        program = wr.program
-        token = wr.token
-        nic = remote.fabric.profile.nic
-        step_latency = nic.program_step_latency
-        service = qp._context_penalty(remote)
-        service += step_latency
-        service += nic.dma_fetch(POINTER_BYTES)
-        try:
-            self.pointer = region.read(token, program.pointer_offset,
-                                       POINTER_BYTES)
-            self.ran = 2
-            service += step_latency
-            if program.read_bytes:
-                service += nic.dma_fetch(program.read_bytes)
-            self.data = region.read(
-                token, chase_target(self.pointer, program.fallback_offset),
-                program.read_bytes)
-        except RdmaAccessError as exc:
-            self.error = str(exc)
-        self.executed = self.ran if self.error is None else self.ran - 1
-        if self.error is None and program.verify:
-            # The guard's window share; it reads after the window.
-            service += step_latency
-            service += nic.dma_fetch(CAS_WORD_BYTES)
-        env = qp.env
-        env.call_at(env.now + service, _ProgramVerb.served, self)
-
-    def served(self) -> None:
-        """The service window closed: the guard checks, and the payloads
-        of the steps that executed go back."""
-        qp = self.qp
-        wr = self.wr
-        program = wr.program
-        if self.error is None:
-            try:
-                # The region may have been revoked while the read ran
-                # (migration finalized, VM reclaimed mid-program): it
-                # aborts and nothing is acked.
-                region = self.region
-                region.check_access(wr.token, 0, 0)
-                if program.verify:
-                    current = region.read(wr.token, program.pointer_offset,
-                                          CAS_WORD_BYTES)
-                    self.ran = 3
-                    # An unbacked word has nothing to compare: it passes.
-                    pointer = self.pointer
-                    if (current is None or pointer is None
-                            or current == pointer):
-                        self.executed = 3
-                    else:
-                        self.cas_aborted = True
-                        self.error = "program aborted by CAS guard at step 2"
-            except RdmaAccessError as exc:
-                self.error = str(exc)
-        if qp._program_steps is not None:
-            qp._program_steps.inc(self.ran)
-            if self.cas_aborted:
-                qp._program_cas_aborts.inc()
-        executed = self.executed
-        remote = qp.remote
-        # Read payloads land in requester memory as part of the arrival.
-        remote.fabric.send(
-            remote, qp.local, program.response_bytes_through(executed),
-            _ProgramVerb.answered, self,
-            remote.fabric.profile.nic.rx_dma if executed else 0.0)
-
-    def answered(self) -> None:
-        ok = self.error is None
-        self.qp._finish(self, ok, data=self.data if ok else None,
-                        error=self.error, cas_aborted=self.cas_aborted)

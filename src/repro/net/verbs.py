@@ -4,23 +4,15 @@ Only the one-sided verbs exist at this layer.  Redy implements its
 two-sided request/response protocol with one-sided *writes* into message
 rings (paper §4.1: "Redy implements two-sided communications ... using
 one-sided RDMA writes, since they are faster").
-
-``PROGRAM`` work requests carry a :class:`~repro.net.programs.
-VerbProgram` -- the dependent read (pointer READ, record READ at the
-offset the pointer holds, optional CAS guard) executed at the remote
-NIC in one round trip (see :mod:`repro.net.programs`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.net.memory import AccessToken
-
-if TYPE_CHECKING:
-    from repro.net.programs import VerbProgram
 
 __all__ = ["Completion", "RdmaOp", "WorkRequest"]
 
@@ -30,8 +22,6 @@ class RdmaOp(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-    #: A dependent read executed remotely (repro.net.programs).
-    PROGRAM = "program"
 
 
 @dataclass
@@ -64,8 +54,6 @@ class WorkRequest:
     #: counter keeps ticking between runs and leaks into process names,
     #: which the replay sanitizer flags as schedule divergence.
     wr_id: int = 0
-    #: The dependent read this request carries (PROGRAM ops only).
-    program: Optional["VerbProgram"] = None
     #: Whether a successful completion is reported (``IBV_SEND_SIGNALED``).
     #: The completion event of an unsignaled request fires only with an
     #: error completion -- real RC QPs still report errors for unsignaled
@@ -81,9 +69,6 @@ class WorkRequest:
             raise ValueError(
                 f"data length {len(self.data)} != payload_bytes "
                 f"{self.payload_bytes}")
-        if (self.op is RdmaOp.PROGRAM) != (self.program is not None):
-            raise ValueError(
-                "PROGRAM work requests carry a program; other ops must not")
 
     @property
     def is_write(self) -> bool:
@@ -92,14 +77,7 @@ class WorkRequest:
 
 @dataclass
 class Completion:
-    """Completion-queue entry for one work request.
-
-    For PROGRAM work requests, ``data`` holds the record the dependent
-    read chased.  A read that aborted mid-program surfaces as a
-    *partial* completion: ``ok=False``, no ``data``, and
-    ``cas_aborted=True`` when the self-verifying guard (rather than an
-    access fault) stopped it.
-    """
+    """Completion-queue entry for one work request."""
 
     wr_id: int
     op: RdmaOp
@@ -111,6 +89,3 @@ class Completion:
     context: object = None
     #: Simulated timestamp when the completion was generated.
     completed_at: float = 0.0
-    #: PROGRAM only: the CAS guard observed a changed pointer and
-    #: aborted the read.
-    cas_aborted: bool = False

@@ -45,13 +45,6 @@ class TestRdmaConfig:
         with pytest.raises(ConfigurationError):
             RdmaConfig(1, 1, 1, 0)
 
-    def test_with_ablation_flips_only_named_switches(self):
-        config = RdmaConfig(2, 2, 4, 4)
-        flipped = config.with_ablation(use_verb_programs=True)
-        assert flipped.use_verb_programs
-        assert flipped.lock_free and flipped.numa_affinity
-        assert not config.use_verb_programs  # original untouched
-
     def test_describe(self):
         assert RdmaConfig(2, 1, 4, 8).describe() == "c=2 s=1 b=4 q=8"
 

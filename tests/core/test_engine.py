@@ -61,18 +61,16 @@ def run_op(env, path, op):
 
 
 class TestSingleOpReap:
-    """One-sided verbs and dependent reads share one reap: both pay the
-    cross-NUMA hop when client threads are not affinitized.  The
-    dependent read takes the ring-bypass ``_issue`` -> ``_reap`` hop."""
+    """A one-sided READ and WRITE share one reap: both pay the
+    cross-NUMA hop when client threads are not affinitized."""
 
-    @pytest.mark.parametrize("dependent", [False, True],
-                             ids=["read", "dependent-read"])
-    def test_unaffinitized_threads_pay_the_numa_hop(self, dependent):
+    @pytest.mark.parametrize("is_read", [True, False],
+                             ids=["read", "write"])
+    def test_unaffinitized_threads_pay_the_numa_hop(self, is_read):
         def latency(numa_affinity):
             config = RdmaConfig(1, 0, 1, 4, numa_affinity=numa_affinity)
             env, _, path, tokens = make_stack(config, seed=3)
-            op = EngineOp(is_read=True, size=8, token=tokens[0],
-                          lookup_offset=0 if dependent else None)
+            op = EngineOp(is_read=is_read, size=8, token=tokens[0])
 
             def proc(env):
                 # Run directly: submission_overhead() would draw NUMA

@@ -55,7 +55,6 @@ def _cache(slo=ONE_SIDED):
     cache = harness.redy_client("io").create(2 * REGION, slo,
                                               region_bytes=REGION)
     assert cache.allocation.config.uses_one_sided == (slo is ONE_SIDED)
-    cache.load(64, (4096).to_bytes(8, "little"))
     cache.load(4096, b"r" * 64)
     harness.env.run()
     return harness.env, cache
@@ -118,15 +117,13 @@ class TestStructure:
         env, cache = _cache()
 
         def one_sided():
-            across = yield cache.read(REGION - 32, 64)
-            dependent = yield cache.dependent_read(64, 64)
-            return across, dependent
+            return (yield cache.read(REGION - 32, 64))
 
-        (across, dependent), spawned = _spawned_by(env, one_sided)
-        assert across.ok and dependent.ok and dependent.data == b"r" * 64
+        across, spawned = _spawned_by(env, one_sided)
+        assert across.ok
         # A one-sided fragment is submitted as a record: only the I/O
-        # across regions and the dependent read are processes.
-        assert spawned == [f"redy-io-r@{REGION - 32}", "redy-io-d@64"]
+        # across regions is a process.
+        assert spawned == [f"redy-io-r@{REGION - 32}"]
 
 
 def _bare_path(env):

@@ -37,10 +37,6 @@ MEASURE_STEPS = 2266
 #: served by the Redy tier of the tiered device (14 with the ring hand-off
 #: and the reap process).
 FASTER_REDY_READ_STEPS = 12
-#: Kernel steps of one dependent read through a cache (the classic
-#: two-hop chase: pointer READ, client turnaround, record READ).  19 when
-#: the read ran in a process of its own and handed back its result.
-DEPENDENT_READ_STEPS = 17
 #: Kernel steps of one TenantTier read through a one-member router (15
 #: with the ring hand-off and the reap process; 13 while the router ran
 #: the member read as a process of its own).
@@ -122,22 +118,6 @@ def test_faster_read_served_by_redy_step_budget():
     outcome, steps = _steps_of(env, lambda: store.read(key, cpu))
     assert outcome.found and outcome.served_by == "redy"
     _check("one FasterKv read served by Redy", FASTER_REDY_READ_STEPS, steps)
-
-
-def test_dependent_read_step_budget():
-    harness = build_cluster(seed=0)
-    cache = harness.redy_client("budget").create(
-        1 << 20, Slo(max_latency=20e-6, min_throughput=2e6, record_size=64),
-        region_bytes=1 << 20)
-    cache.load(64, (4096).to_bytes(8, "little"))
-    cache.load(4096, b"d" * 64)
-
-    def body():
-        return (yield cache.dependent_read(64, 64))
-
-    result, steps = _steps_of(harness.env, body)
-    assert result.ok and result.data == b"d" * 64
-    _check("one dependent read", DEPENDENT_READ_STEPS, steps)
 
 
 def test_tenant_read_step_budget():

@@ -15,7 +15,7 @@ from repro.gates import SCENARIOS
 
 #: The gate entries that wrap :mod:`repro.faults.scenarios`.
 CHAOS = ["conn-storm-rebalance", "evict-primary", "link-flap",
-         "shard-churn", "slow-node", "spot-churn", "spot-evict-programs"]
+         "shard-churn", "slow-node", "spot-churn", "spot-evict"]
 
 
 @pytest.mark.parametrize("name", CHAOS)

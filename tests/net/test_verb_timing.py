@@ -9,8 +9,6 @@ rewrite of the verb executor that reorders a single float addition, or
 adds or drops a stage, fails here.
 """
 
-import struct
-
 import pytest
 
 from repro.hardware import AZURE_HPC
@@ -22,15 +20,13 @@ from repro.net import (
     RdmaOp,
     WorkRequest,
 )
-from repro.net.programs import CAS_WORD_BYTES, POINTER_BYTES, VerbProgram
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment
 
 NIC = AZURE_HPC.nic
 PM = NIC.per_message_processing
 RECORD = bytes(range(64))
-#: Where the record sits in the region; the program's pointer word
-#: (at offset 0) holds it.
+#: Where the record sits in the region.
 RECORD_AT = 4096
 #: The completion's correlation value.
 CONTEXT = ("ctx", 7)
@@ -75,22 +71,6 @@ def write_instants(size):
     return landed, arrive(landed, 0)
 
 
-def program_instant(program):
-    sent = POSTED + PM
-    arrived = arrive(sent, program.request_wire_bytes)
-    service = 0.0
-    service += NIC.program_step_latency
-    service += NIC.dma_fetch(POINTER_BYTES)
-    service += NIC.program_step_latency
-    service += NIC.dma_fetch(program.read_bytes)
-    if program.verify:
-        service += NIC.program_step_latency
-        service += NIC.dma_fetch(CAS_WORD_BYTES)
-    steps = 3 if program.verify else 2
-    return arrive(arrived + service, program.response_bytes_through(steps),
-                  NIC.rx_dma)
-
-
 def make_pair(metrics=None):
     env = Environment()
     if metrics is not None:
@@ -99,7 +79,6 @@ def make_pair(metrics=None):
     client = fabric.add_endpoint("client", Placement(cluster=0, rack=0))
     server = fabric.add_endpoint("server", Placement(cluster=0, rack=0))
     region = server.register(MemoryRegion(1 << 20))
-    region.local_write(0, struct.pack("<Q", RECORD_AT))
     region.local_write(RECORD_AT, RECORD)
     qp = QueuePair(env, client, server, max_depth=4)
     return env, client, server, region, qp
@@ -123,7 +102,7 @@ def complete(env, qp, wr, at=None, disturb=None):
 
 def outcome(completion):
     return (completion.wr_id, completion.op, completion.ok, completion.data,
-            completion.error, completion.context, completion.cas_aborted)
+            completion.error, completion.context)
 
 
 def test_read():
@@ -132,7 +111,7 @@ def test_read():
         RdmaOp.READ, region.token, RECORD_AT, 64, context=CONTEXT))
     assert completion.completed_at == resumed == read_instants(64)[3]
     assert outcome(completion) == (
-        1, RdmaOp.READ, True, RECORD, None, CONTEXT, False)
+        1, RdmaOp.READ, True, RECORD, None, CONTEXT)
 
 
 @pytest.mark.parametrize("size", [8, 512], ids=["inline", "dma-fetch"])
@@ -153,7 +132,7 @@ def test_write(size):
     assert delivered == [("message", landed)]
     assert completion.completed_at == resumed == acked
     assert outcome(completion) == (
-        1, RdmaOp.WRITE, True, None, None, CONTEXT, False)
+        1, RdmaOp.WRITE, True, None, None, CONTEXT)
     assert region.read(region.token, 64, size) == data
 
 
@@ -178,19 +157,6 @@ def test_unsignaled_write():
     assert metrics.counter("qp.error_completions").value == 0
 
 
-@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
-def test_program(verify):
-    env, _, _, region, qp = make_pair()
-    program = VerbProgram(pointer_offset=0, read_bytes=64, verify=verify)
-    completion, resumed = complete(
-        env, qp, WorkRequest(RdmaOp.PROGRAM, region.token, 0,
-                             program.request_wire_bytes, context=CONTEXT,
-                             program=program))
-    assert completion.completed_at == resumed == program_instant(program)
-    assert outcome(completion) == (
-        1, RdmaOp.PROGRAM, True, RECORD, None, CONTEXT, False)
-
-
 class TestErrorPaths:
     """Error completions fire at the stage that found the fault."""
 
@@ -201,8 +167,7 @@ class TestErrorPaths:
             RdmaOp.READ, region.token, 0, 64, context=CONTEXT))
         assert completion.completed_at == resumed == POSTED
         assert outcome(completion) == (
-            1, RdmaOp.READ, False, None, "local endpoint down", CONTEXT,
-            False)
+            1, RdmaOp.READ, False, None, "local endpoint down", CONTEXT)
 
     def test_dead_responder_completes_in_error_at_arrival(self):
         env, _, server, region, qp = make_pair()
@@ -212,7 +177,7 @@ class TestErrorPaths:
             at=(sent + arrived) / 2, disturb=server.fail)
         assert completion.completed_at == resumed == arrived
         assert outcome(completion) == (
-            1, RdmaOp.READ, False, None, "remote endpoint down", None, False)
+            1, RdmaOp.READ, False, None, "remote endpoint down", None)
 
     def test_missing_region_completes_in_error_at_arrival(self):
         env, _, server, region, qp = make_pair()
@@ -222,7 +187,7 @@ class TestErrorPaths:
         assert completion.completed_at == resumed == read_instants(64)[1]
         assert outcome(completion) == (
             1, RdmaOp.READ, False, None,
-            f"no region {region.region_id} at server", None, False)
+            f"no region {region.region_id} at server", None)
 
     def test_region_revoked_mid_read_completes_in_error_after_the_fetch(
             self):
@@ -234,5 +199,4 @@ class TestErrorPaths:
         assert completion.completed_at == resumed == fetched
         assert outcome(completion) == (
             1, RdmaOp.READ, False, None,
-            f"region {region.region_id} token revoked (VM gone?)", None,
-            False)
+            f"region {region.region_id} token revoked (VM gone?)", None)

@@ -278,22 +278,6 @@ def test_sanitize_cli_demo_nondet_diverges(monkeypatch, capsys):
     assert "replay bug" in out
 
 
-def test_verbs_smoke_passes_and_reports(capsys):
-    assert main(["gate", "verbs"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS verbs" in out
-    assert "in order, replayed" in out
-
-
-def test_verbs_json_blob_carries_both_transports():
-    blob = SCENARIOS["verbs"].run(0)
-    assert blob["two_hop"]["digest"] == blob["program"]["digest"]
-    assert blob["program"]["programs"] == blob["program"]["ops"] == 48
-    assert blob["two_hop"]["two_hop_reads"] == 48
-    assert (blob["program"]["read_latency_mean_us"]
-            < blob["two_hop"]["read_latency_mean_us"])
-
-
 def test_tenants_smoke_passes_and_reports(monkeypatch, capsys):
     # The tier under abuse and a member kill, at a sixth of the `tenants`
     # entry's size (whose full run `gate --all` covers), must dispatch in

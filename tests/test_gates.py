@@ -42,17 +42,7 @@ _STALE = ["key 4096: read [1.0000000, 1.0000100] returned a stale value"]
 #: Every path must make the entry's invariants report a failure.
 MUTATIONS = {
     "measure": [("two-sided.ops_measured", 0),
-                ("programs.latency_p50", 1.0),
-                ("two-sided.programs", 3),
-                ("programs.programs", 0),
-                ("programs.program_fallbacks", 1)],
-    "verbs": [("program.failed", 1),
-              ("program.digest", "0" * 64),
-              ("program.read_latency_mean_us", 1e9),
-              ("program.programs", 0),
-              ("program.program_cas_aborts", 1),
-              ("two_hop.programs", 1),
-              ("two_hop.two_hop_reads", 0)],
+                ("two-sided.latency_p50", 1.0)],
     "shard": [("failed", 1),
               ("history.reads", 0),
               ("history.failures", _STALE),
@@ -77,9 +67,9 @@ MUTATIONS = {
                   ("pooled-lazy.mr_registrations", 10 ** 9)],
     "spot-churn": [("summary.faults_injected", 0),
                    ("summary.migrations", 0)],
-    "spot-evict-programs": [("summary.faults_injected", 0),
-                            ("history.failures", _STALE),
-                            ("summary.failed_probes", 1)],
+    "spot-evict": [("summary.faults_injected", 0),
+                   ("history.failures", _STALE),
+                   ("summary.failed_probes", 1)],
     "evict-primary": [("summary.failed_probes", 1),
                       ("summary.members_after", 2),
                       ("history.failures", _STALE)],
@@ -355,10 +345,10 @@ def test_one_extra_verb_stage_timeout_fails_the_gate(monkeypatch):
         verb.qp.env.timeout(0)._add_callback(lambda _later: arrived(verb))
 
     monkeypatch.setattr(qp._Verb, "arrived", one_more_stage)
-    entry = gates.check("verbs")
+    entry = gates.check("measure")
     assert not entry["ok"]
     assert entry["divergence"] is None
-    recorded = json.loads(gates.EVENTS_FILE.read_text())["verbs"]
+    recorded = json.loads(gates.EVENTS_FILE.read_text())["measure"]
     assert entry["events"] > sum(recorded.values())
     assert entry["failures"][0].startswith(
         f"kernel events grew {sum(recorded.values())} -> {entry['events']} "

@@ -17,7 +17,6 @@ import pytest
 from repro.core import RdmaConfig
 from repro.core.engine import CacheDataPath
 from repro.core.migration import _ingest_chunk
-from repro.core.protocol import EngineOp
 from repro.core.server import CacheServer
 from repro.faster import SsdDevice
 from repro.hardware import AZURE_HPC
@@ -46,11 +45,10 @@ def _path():
     path = CacheDataPath(env, AZURE_HPC, RdmaConfig(1, 0, 1, 4),
                          fabric.add_endpoint("client", Placement()),
                          rngs.stream("client"))
-    token = path.attach_server(server, n_regions=1, region_size=4096)[0]
+    path.attach_server(server, n_regions=1, region_size=4096)
     thread = path.threads[0]
     connection = next(iter(thread.connections.values()))
-    op = EngineOp(is_read=True, size=64, token=token, lookup_offset=0)
-    return env, path, thread, connection, op
+    return env, path, thread, connection
 
 
 def _store(method, *args, nth=1):
@@ -59,14 +57,11 @@ def _store(method, *args, nth=1):
 
 
 def _engine(stage):
-    env, path, thread, connection, op = _path()
+    env, path, thread, connection = _path()
     body = {
-        "issue": lambda: path._issue(thread, connection, 1,
-                                     dequeued=False),
-        "reap": lambda: path._reap(thread, connection, op, None),
+        "issue": lambda: path._issue(thread, connection, 1),
         "reap_batch": lambda: path._reap_batch(thread, connection, 1,
                                                object(), []),
-        "two_hop_read": lambda: path._two_hop_read(thread, connection, op),
     }[stage]()
     return env, body, thread.cpu, 1
 
@@ -113,9 +108,7 @@ SITES = {
     "faster.store.upsert": lambda: _store("upsert", 5, b"v" * 8),
     "faster.store.delete": lambda: _store("delete", 5),
     "core.engine.issue": lambda: _engine("issue"),
-    "core.engine.reap": lambda: _engine("reap"),
     "core.engine.reap_batch": lambda: _engine("reap_batch"),
-    "core.engine.two_hop_read": lambda: _engine("two_hop_read"),
     "tenant.backing.read": lambda: _backing("read"),
     "tenant.backing.write": lambda: _backing("write"),
     "shard.rebalance.window": lambda: _rebalance("window"),
