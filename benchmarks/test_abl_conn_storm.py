@@ -7,7 +7,8 @@ registration on every open -- so every client's time-to-first-byte
 carries the full control-plane bill.  Multiplexing sessions onto
 pooled QPs amortizes that bill across ``sessions_per_qp`` arrivals,
 lazy establishment moves the residual handshakes off the open path,
-and a predictor-sized warm pool removes them entirely.
+and a warm pool pre-connected ahead of the burst (``prewarm=8``)
+removes them entirely.
 
 The rows report the TTFB percentiles plus the control-plane work each
 strategy performed (QPs created, establishments, registrations) and

@@ -11,7 +11,7 @@ cores" -- the constraint §6.1 calls out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["AZURE_MENU", "STRANDING_THRESHOLD_GB", "VmType"]
 
@@ -81,14 +81,6 @@ AZURE_MENU: List[VmType] = [
     VmType("f16", cores=16, memory_gb=32, price_per_hour=0.676,
            spot_price_per_hour=0.135),
 ]
-
-
-def cheapest_covering(menu: Sequence[VmType], cores: int,
-                      memory_gb: float) -> List[VmType]:
-    """Menu entries that cover (cores, memory), cheapest on demand
-    first."""
-    candidates = [t for t in menu if t.fits_requirements(cores, memory_gb)]
-    return sorted(candidates, key=lambda t: t.price_per_hour)
 
 
 #: Nominal bookkeeping price of harvested stranded memory, $/GB/hour.

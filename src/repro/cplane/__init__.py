@@ -12,8 +12,8 @@ package models those costs and builds the mitigations Swift argues for:
   with request tagging and completion demultiplexing;
 * lazy establishment (first use connects) and doorbell-batched connect
   (followers of a connect batch pay a discounted command cost);
-* a warm pool pre-connected ahead of demand, sized by an
-  admission-fed :class:`WarmPoolPredictor`;
+* a warm pool pre-connected ahead of demand
+  (:meth:`QpPool.ensure_warm`);
 * fast teardown/reclaim with idle harvesting, releasing QPs, NIC
   context-cache entries, and registered recv regions.
 
@@ -26,7 +26,6 @@ storm bit-identically.
 from repro.cplane.log import CplaneLog
 from repro.cplane.plane import ControlPlane
 from repro.cplane.pool import PoolPolicy, QpPool
-from repro.cplane.predictor import WarmPoolPredictor
 from repro.cplane.session import ClientSession
 from repro.cplane.storm import run_connection_storm
 
@@ -36,6 +35,5 @@ __all__ = [
     "CplaneLog",
     "PoolPolicy",
     "QpPool",
-    "WarmPoolPredictor",
     "run_connection_storm",
 ]

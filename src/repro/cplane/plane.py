@@ -1,14 +1,14 @@
-"""The control-plane facade: pools, predictor, harvester, and wiring.
+"""The control-plane facade: pools, harvester, and wiring.
 
 One :class:`ControlPlane` per fabric.  It flips the fabric into
 control-plane cost modeling (QP/connect/MR costs + NIC context caches),
 owns one :class:`~repro.cplane.pool.QpPool` per (local, remote)
-endpoint pair, sizes the pools' warm targets from session-open arrivals
-via the :class:`~repro.cplane.predictor.WarmPoolPredictor`, and runs
-the periodic idle harvester.  The shard router wires into it through
-:meth:`bind_router`: a rebalance that removes a member reclaims every
-QP pooled against the departed endpoint (fast teardown), so a storm
-landing mid-rebalance cannot strand QPs on a corpse.
+endpoint pair, and runs the periodic idle harvester; a harvest keeps
+the warm QPs a pool's last ``ensure_warm`` asked for.  The shard
+router wires into it through :meth:`bind_router`: a rebalance that
+removes a member reclaims every QP pooled against the departed endpoint
+(fast teardown), so a storm landing mid-rebalance cannot strand QPs on
+a corpse.
 
 Installing a plane turns on the fabric's control-plane cost model
 (``fabric.model_control_plane``); the engine's attach path reads that
@@ -24,7 +24,6 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.cplane.log import CplaneLog
 from repro.cplane.pool import PoolPolicy, QpPool
-from repro.cplane.predictor import WarmPoolPredictor
 from repro.cplane.session import ClientSession
 from repro.net.fabric import Endpoint, Fabric
 from repro.sim.kernel import Environment, Event
@@ -43,7 +42,6 @@ class ControlPlane:
         self.env = env
         self.fabric = fabric
         self.policy = policy if policy is not None else PoolPolicy()
-        self.predictor = WarmPoolPredictor()
         self.log = CplaneLog()
         #: (local name, remote name) -> pool; session ids are unique
         #: across all pools (shared counter).
@@ -72,7 +70,6 @@ class ControlPlane:
     def open_session(self, local: Endpoint, remote: Endpoint
                      ) -> Generator[Event, object, ClientSession]:
         """Process: open one logical session through the right pool."""
-        self.predictor.observe(self.env.now)
         session = yield from self.pool(local, remote).open_session()
         return session
 
@@ -82,30 +79,12 @@ class ControlPlane:
             pool.close_session(session)
 
     # ------------------------------------------------------------------
-    # Warm pool + harvesting
+    # Harvesting
     # ------------------------------------------------------------------
-
-    def establish_latency_estimate(self) -> float:
-        """Analytic cold-connect latency (command cost + handshake
-        RTTs) used to size the warm pool via Little's law."""
-        nic = self.fabric.profile.nic
-        fab = self.fabric.profile.fabric
-        rtt = 2 * (nic.wire_time(nic.connect_message_bytes)
-                   + fab.one_way_base(1))
-        return nic.qp_setup_cpu_latency() + nic.connect_handshake_rtts * rtt
-
-    def warm_target(self) -> int:
-        return self.predictor.target_warm(self.establish_latency_estimate())
 
     def harvest_once(self) -> int:
         """One harvester pass over every pool (sorted order)."""
-        total = 0
-        for key in sorted(self.pools):
-            pool = self.pools[key]
-            pool.warm_target = min(self.warm_target(),
-                                   self.policy.warm_max)
-            total += pool.harvest()
-        return total
+        return sum(self.pools[key].harvest() for key in sorted(self.pools))
 
     def start_harvester(self) -> None:
         """Spawn the periodic idle-harvest process (idempotent)."""

@@ -26,7 +26,7 @@ pool per (local endpoint, remote endpoint) pair:
   one worker modeling the serialized NIC command queue: the first QP
   of a drain pays full command cost, followers the batched discount.
 * **Warm pool + harvesting** -- :meth:`ensure_warm` pre-connects idle
-  QPs ahead of demand (target set by the plane's predictor);
+  QPs ahead of demand up to the caller's target;
   :meth:`harvest` reclaims QPs idle beyond ``idle_timeout_s`` past the
   warm target, releasing QP state, NIC cache entries, and regions.
 
@@ -80,7 +80,7 @@ class PoolPolicy:
     sessions_per_qp: int = 16
     #: A QP idle this long (no sessions) becomes harvestable.
     idle_timeout_s: float = 0.25
-    #: Warm-pool cap (the predictor's target is clamped under it).
+    #: Warm-pool cap (an ``ensure_warm`` target is clamped under it).
     warm_max: int = 64
 
     def __post_init__(self) -> None:
@@ -145,7 +145,7 @@ class QpPool:
         self._connect_queue: Deque[QueuePair] = deque()
         self._connect_waiters: Dict[int, Event] = {}
         self._connect_worker_busy = False
-        #: Predictor-fed warm target (the plane updates this).
+        #: Warm QPs a harvest keeps (the last ``ensure_warm`` target).
         self.warm_target = 0
         # Lifetime counters.
         self.opened = 0
@@ -407,15 +407,12 @@ class QpPool:
                 waiter.succeed(bool(ok))
         self._connect_worker_busy = False
 
-    def ensure_warm(self, target: Optional[int] = None
-                    ) -> Generator[Event, object, int]:
+    def ensure_warm(self, target: int) -> Generator[Event, object, int]:
         """Process: pre-connect idle QPs until ``target`` warm QPs are
         ready (clamped to the policy's bounds; no-op for the naive
         strategy, which has nothing to share)."""
         if not self.policy.shared:
             return 0
-        if target is None:
-            target = self.warm_target
         target = max(0, min(self.policy.warm_max, target))
         self.warm_target = target
         created: List[Event] = []

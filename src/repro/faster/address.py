@@ -17,16 +17,11 @@ __all__ = [
     "NULL_ADDRESS",
     "RECORD_HEADER_BYTES",
     "KEY_BYTES",
-    "is_tombstone",
     "pack_key_records",
     "pack_record",
-    "pack_tombstone",
     "record_bytes",
     "unpack_record",
 ]
-
-#: value-length sentinel marking a deletion record.
-TOMBSTONE_LENGTH = 0xFFFFFFFF
 
 #: Sentinel for "key not present".
 NULL_ADDRESS = -1
@@ -70,22 +65,6 @@ def pack_key_records(first_key: int, count: int, value_bytes: int) -> bytes:
     out[:, RECORD_HEADER_BYTES:body] = key_bytes
     out[:, body:body + words * KEY_BYTES] = np.tile(key_bytes, words)
     return out.tobytes()
-
-
-def pack_tombstone(key: int, value_bytes: int) -> bytes:
-    """Serialize a deletion record, padded to the store's record size.
-
-    Log-structured deletion: the tombstone supersedes earlier versions
-    of the key in the log.
-    """
-    return (_HEADER.pack(KEY_BYTES, TOMBSTONE_LENGTH) + _KEY.pack(key)
-            + b"\x00" * value_bytes)
-
-
-def is_tombstone(blob: bytes) -> bool:
-    """Whether a serialized record is a deletion marker."""
-    _key_len, value_len = _HEADER.unpack_from(blob, 0)
-    return value_len == TOMBSTONE_LENGTH
 
 
 def unpack_record(blob: bytes) -> tuple[int, bytes]:

@@ -77,7 +77,3 @@ class HashIndex:
             return False
         self.update(key, address)
         return True
-
-    def delete(self, key: int) -> bool:
-        self.updates += 1
-        return self._entries.pop(key, None) is not None

@@ -1,11 +1,11 @@
 """FasterKv: the store facade tying index, hybrid log, and devices.
 
-The timed operations (:meth:`FasterKv.read`, :meth:`FasterKv.upsert`,
-:meth:`FasterKv.delete`) are generators meant to run inside simulation
-processes; they charge FASTER-thread CPU against the caller-supplied
-``cpu`` resource so that one thread's issue and completion work never
-overlaps in time, while device waits release the thread (the
-asynchronous device interface of §8.3).
+The timed operations (:meth:`FasterKv.read`, :meth:`FasterKv.upsert`)
+are generators meant to run inside simulation processes; they charge
+FASTER-thread CPU against the caller-supplied ``cpu`` resource so that
+one thread's issue and completion work never overlaps in time, while
+device waits release the thread (the asynchronous device interface of
+§8.3).
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from typing import Optional
 
 from repro.faster.address import (
     NULL_ADDRESS,
-    is_tombstone,
     pack_key_records,
     pack_record,
-    pack_tombstone,
     record_bytes,
     unpack_record,
 )
@@ -162,9 +160,6 @@ class FasterKv:
             if not result.ok:
                 self.reads_missing += 1
                 return ReadOutcome(found=False, error=result.error)
-            if is_tombstone(result.data):
-                self.reads_missing += 1
-                return ReadOutcome(found=False)
             key_read, value = unpack_record(result.data)
             # FASTER's read-cache behaviour: a record served by a device
             # is appended back to the tail so hot records migrate into
@@ -211,20 +206,3 @@ class FasterKv:
             if not result.ok:
                 return False
         return True
-
-    def delete(self, key: int, cpu: Resource):
-        """Process: delete one key.  Returns False when absent.
-
-        Appends a tombstone (the log records the deletion) and unhooks
-        the index entry.
-        """
-        yield cpu.acquire()
-        try:
-            yield self.env.timeout(self.costs.upsert)
-            existed = self.index.lookup(key) != NULL_ADDRESS
-            if existed:
-                self.hlog.append(pack_tombstone(key, self.value_bytes))
-                self.index.delete(key)
-        finally:
-            cpu.release()
-        return existed

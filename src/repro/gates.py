@@ -158,9 +158,8 @@ def _shard(seed: int) -> dict:
                                    region_bytes=region)
         for i in range(shards)
     }
-    router = ShardRouter(
-        harness.env, members, slot_bytes=1 << 14, replication=replication,
-        hedge_after_s=200e-6, hotkeys=HotKeyPolicy())
+    router = ShardRouter(harness.env, members, slot_bytes=1 << 14,
+                         replication=replication, hotkeys=HotKeyPolicy())
     seed_bytes = bytes(range(256)) * (capacity // 256)
     router.load(0, seed_bytes)
     history = History(harness.env,

@@ -6,7 +6,7 @@ member caches behind a single read/write API:
 * :mod:`repro.shard.ring` -- deterministic consistent-hash ring with
   minimal rebalance planning (:func:`plan_rebalance`);
 * :mod:`repro.shard.router` -- the :class:`ShardRouter` front-end:
-  replicated fan-out, per-shard backpressure, hedged reads, failover;
+  replicated fan-out, per-shard backpressure, failover;
 * :mod:`repro.shard.rebalance` -- live range streaming executing ring
   plans while the router keeps serving;
 * :mod:`repro.shard.hotkeys` -- sliding-window top-k hot-slot detection

@@ -23,17 +23,13 @@ Design points (mirroring the single-cache machinery one level up):
 * **Backpressure.**  Per-shard in-flight accounting with a FIFO waiter
   queue bounds the queue depth any one member sees; callers queue at
   the router instead of overrunning a slow shard.
-* **Hedged reads.**  Optionally, a read still unanswered after
-  ``hedge_after_s`` issues a duplicate to the next replica (only if
-  that replica has spare capacity) and takes the first answer --
-  the classic tail-at-scale trick.
 * **Hot keys.**  A sliding-window top-k detector
   (:mod:`repro.shard.hotkeys`) promotes hot slots to extra replicas and
   round-robins their reads, splitting zipfian hotspots across shards.
 
 Everything is deterministic: routing is a pure function of the ring,
-backpressure queues are FIFO, hedging and promotion decisions depend
-only on sim time and the access stream.
+backpressure queues are FIFO, promotion decisions depend only on sim
+time and the access stream.
 """
 
 from __future__ import annotations
@@ -95,7 +91,6 @@ class ShardRouter:
                  *,
                  slot_bytes: int = 1 << 16,
                  replication: int = 1,
-                 hedge_after_s: Optional[float] = None,
                  hotkeys: Optional[HotKeyPolicy] = None,
                  control_plane=None):
         if not members:
@@ -114,7 +109,6 @@ class ShardRouter:
         self.slot_bytes = slot_bytes
         self.n_slots = -(-self.capacity // slot_bytes)
         self.replication = replication
-        self.hedge_after_s = hedge_after_s
         self.hot_policy = hotkeys
         self.metrics = registry_of(env)
 
@@ -180,8 +174,6 @@ class ShardRouter:
         self._c_reads = m.counter("router.reads") if m else None
         self._c_writes = m.counter("router.writes") if m else None
         self._c_failovers = m.counter("router.failovers") if m else None
-        self._c_hedges = m.counter("router.hedges") if m else None
-        self._c_hedge_wins = m.counter("router.hedge_wins") if m else None
         self._c_partial = m.counter("router.partial_writes") if m else None
         self._h_read_lat = m.histogram("router.read_latency") if m else None
         self._h_write_lat = m.histogram("router.write_latency") if m else None
@@ -430,30 +422,25 @@ class ShardRouter:
             self._release(member)
         return result
 
-    def _issue(self, member: ShardMember, is_read: bool, addr: int,
-               size_or_data, tenant: Optional[str] = None,
-               priority: int = 0):
-        """Acquire an in-flight slot and start one member I/O as a
-        process of its own: for a hedged read, a multi-target write or
-        a hot-slot copy (the rest run in :meth:`_member_io`).
+    def _issue(self, member: ShardMember, addr: int, data: bytes,
+               tenant: Optional[str] = None, priority: int = 0):
+        """Acquire an in-flight slot and start one member write as an
+        event of its own: for a multi-target write or a hot-slot copy
+        (the rest run in :meth:`_member_io`).
 
         Returns the member cache's completion event; the slot is
-        released by callback, so even an abandoned hedge loser frees
-        its slot when it eventually completes.  ``priority`` orders the
+        released by callback when it completes.  ``priority`` orders the
         backpressure queue (weighted issue order for the serving tier);
         ``tenant`` rides down to the engine for per-tenant accounting.
         """
         if not self._try_take(member):
             yield from self._acquire(member, priority)
-        cache = member.cache
         try:
-            event = (cache.read(addr, size_or_data, tenant=tenant)
-                     if is_read else
-                     cache.write(addr, size_or_data, tenant=tenant))
+            event = member.cache.write(addr, data, tenant=tenant)
         except CacheDeletedError:
             self._release(member)
             raise
-        self._count(member, is_read)
+        self._count(member, False)
         event._add_callback(lambda _e, m=member: self._release(m))
         return event
 
@@ -536,56 +523,10 @@ class ShardRouter:
             # failover.
             if i and self._c_failovers:
                 self._c_failovers.inc()
-            if self.hedge_after_s is None:
-                result = yield from self._member_io(member, True, addr,
-                                                    length, tenant, priority)
-            else:
-                result = yield from self._hedged_read(member, addr, length,
-                                                      pool[i + 1:], tenant,
-                                                      priority)
+            result = yield from self._member_io(member, True, addr, length,
+                                                tenant, priority)
             if result.ok:
                 break
-        return result
-
-    def _hedged_read(self, member: ShardMember, addr: int, length: int,
-                     alternates: List[str], tenant: Optional[str] = None,
-                     priority: int = 0):
-        primary = yield from self._issue(member, True, addr, length,
-                                         tenant, priority)
-        index, value = yield self.env.any_of(
-            [primary, self.env.timeout(self.hedge_after_s)])
-        if index == 0:
-            return value
-        # Primary is slow: hedge to the first alternate with headroom,
-        # or back to the same shard (a duplicate behind a different
-        # queue slot) -- never block waiting for hedge capacity.
-        hedge_member = None
-        for name in alternates:
-            alt = self._members.get(name)
-            if (alt is not None and alt.alive
-                    and alt.inflight < MAX_INFLIGHT_PER_SHARD):
-                hedge_member = alt
-                break
-        if (hedge_member is None and member.alive
-                and member.inflight < MAX_INFLIGHT_PER_SHARD):
-            hedge_member = member
-        if hedge_member is None:
-            result = yield primary
-            return result
-        if self._c_hedges:
-            self._c_hedges.inc()
-        hedge = yield from self._issue(hedge_member, True, addr, length,
-                                       tenant, priority)
-        index, value = yield self.env.any_of([primary, hedge])
-        if value.ok:
-            if index == 1 and self._c_hedge_wins:
-                self._c_hedge_wins.inc()
-            return value
-        # First finisher failed; wait out the other copy.
-        other = hedge if index == 0 else primary
-        result = yield other
-        if result.ok and other is hedge and self._c_hedge_wins:
-            self._c_hedge_wins.inc()
         return result
 
     # ------------------------------------------------------------------
@@ -626,7 +567,7 @@ class ShardRouter:
                 # A target can die while an earlier one's slot is awaited.
                 if member.alive:
                     issued.append((yield from self._issue(
-                        member, False, addr, payload, tenant, priority)))
+                        member, addr, payload, tenant, priority)))
             results = yield self.env.all_of(issued)
         oks = [r for r in results if r.ok]
         if len(oks) < len(results) and self._c_partial:
@@ -697,8 +638,8 @@ class ShardRouter:
                 return
             writes = []
             for name in sorted(extras):
-                event = yield from self._issue(self._members[name], False,
-                                               addr, result.data)
+                event = yield from self._issue(self._members[name], addr,
+                                               result.data)
                 writes.append(event)
             results = yield self.env.all_of(writes)
             landed = tuple(name for name, r in zip(sorted(extras), results)

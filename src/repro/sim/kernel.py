@@ -415,9 +415,11 @@ class _Combinator(Event):
     the combinator's outcome is decided (or its own waiter walks away),
     the callbacks registered on still-undecided children are *detached*
     and each such child gets :meth:`Event._notify_abandoned`.  Without
-    the detach, hedged-read loops that race fresh timeouts against one
-    long-lived event grow that event's callback list without bound, and
-    resource slots granted to losing children leak.
+    the detach, the loser of ``RedyCache._io_with_retry``'s
+    attempt-versus-timeout ``AnyOf`` (a hung attempt still draining, or
+    the timeout that outlived its attempt) keeps a dead callback, an
+    event raced again and again grows its callback list without bound,
+    and resource slots granted to losing children leak.
     """
 
     __slots__ = ("_children", "_child_cbs")

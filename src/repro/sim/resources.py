@@ -8,13 +8,14 @@ Two primitives cover the reproduction's needs:
 * :class:`Resource` -- counted slots with FIFO admission; used for NIC DMA
   engines and SSD internal parallelism.
 
-A request that can be met at call time (a free slot, a stocked store, a
-put with room) returns a :class:`~repro.sim.kernel.Ready` event: the
-process that yields it continues in the same kernel step instead of
-waiting for a dispatch on the event list.  A hot path that expects the
-grant to be free takes it with no event at all -- ``try_acquire``,
-``try_get``, ``try_put`` -- and asks for the event only when the
-non-blocking form fails.
+A request that can be met at call time (a free slot, a stocked store)
+returns a :class:`~repro.sim.kernel.Ready` event: the process that
+yields it continues in the same kernel step instead of waiting for a
+dispatch on the event list.  A hot path that expects the grant to be
+free takes it with no event at all -- ``try_acquire``, ``try_get`` --
+and asks for the event only when the non-blocking form fails.
+Producers never wait: ``Store.try_put`` refuses an item a full store
+has no room for.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ __all__ = ["Resource", "Store"]
 class Store:
     """A FIFO channel between producer and consumer processes.
 
-    ``put`` blocks while the store is full (when ``capacity`` is bounded);
-    ``get`` blocks while it is empty.  Waiters are served in FIFO order,
-    which mirrors the in-order guarantee Redy gets from reliable RDMA
-    connections.
+    ``try_put`` refuses an item while the store is full (when
+    ``capacity`` is bounded); ``get`` blocks while it is empty.  Waiters
+    are served in FIFO order, which mirrors the in-order guarantee Redy
+    gets from reliable RDMA connections.
     """
 
     def __init__(self, env: Environment, capacity: Optional[int] = None):
@@ -43,7 +44,6 @@ class Store:
         self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -51,26 +51,6 @@ class Store:
     @property
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` is accepted.
-
-        A put accepted at call time returns a :class:`Ready`, which the
-        yielding process continues past in the same kernel step; the item
-        is in the store (or with a consumer) by then, so the Ready has
-        nothing to hand back if its waiter walks away.
-        """
-        if self._getters:
-            # Hand the item straight to the oldest waiting consumer.
-            self._getters.popleft().succeed(item)
-        elif not self.is_full:
-            self._items.append(item)
-        else:
-            event = self.env.event()
-            event.on_abandon = self._cancel_put
-            self._putters.append((event, item))
-            return event
-        return Ready(self.env)
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the store is full."""
@@ -93,9 +73,7 @@ class Store:
         ever lost to an orphaned waiter.
         """
         if self._items:
-            ready = Ready(self.env, self._items.popleft(), self._cancel_get)
-            self._admit_putter()
-            return ready
+            return Ready(self.env, self._items.popleft(), self._cancel_get)
         event = self.env.event()
         event.on_abandon = self._cancel_get
         self._getters.append(event)
@@ -108,16 +86,10 @@ class Store:
         except ValueError:
             pass
         if event.triggered and event.ok:
-            # A put() handed its item over in the same instant a
+            # A try_put() handed its item over in the same instant a
             # combinator dropped the wait; reclaim it for the next
             # consumer.
             self._restock(event.value)
-
-    def _cancel_put(self, event: Event) -> None:
-        for index, (pending, _item) in enumerate(self._putters):
-            if pending is event:
-                del self._putters[index]
-                return
 
     def _restock(self, item: Any) -> None:
         if self._getters:
@@ -132,15 +104,7 @@ class Store:
         """Non-blocking get; returns (ok, item)."""
         if not self._items:
             return False, None
-        item = self._items.popleft()
-        self._admit_putter()
-        return True, item
-
-    def _admit_putter(self) -> None:
-        if self._putters and not self.is_full:
-            event, item = self._putters.popleft()
-            self._items.append(item)
-            event.succeed()
+        return True, self._items.popleft()
 
 
 class Resource:

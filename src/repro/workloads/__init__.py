@@ -1,7 +1,7 @@
 """Benchmark workloads: YCSB-style generators and the virtual-time runner.
 
 * :mod:`repro.workloads.distributions` -- uniform, Zipfian (the YCSB
-  theta = 0.99 default), scrambled Zipfian, and latest key choosers;
+  theta = 0.99 default) and scrambled Zipfian key choosers;
 * :mod:`repro.workloads.ycsb` -- workload definitions matching the
   paper's §8.3 setup (read-only uniform / Zipfian over an integer key
   space) plus the standard YCSB core mixes;
@@ -10,7 +10,6 @@
 """
 
 from repro.workloads.distributions import (
-    LatestChooser,
     ScrambledZipfianChooser,
     UniformChooser,
     ZipfianChooser,
@@ -35,7 +34,6 @@ __all__ = [
     "ClusterHarness",
     "FasterScenario",
     "KvRunResult",
-    "LatestChooser",
     "ScrambledZipfianChooser",
     "UniformChooser",
     "YCSB_A",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LatestChooser",
     "ScrambledZipfianChooser",
     "UniformChooser",
     "ZipfianChooser",
@@ -127,13 +126,3 @@ class ScrambledZipfianChooser:
     def hit_fraction(self, hot_keys: int) -> float:
         return self._zipf.hit_fraction(hot_keys)
 
-
-class LatestChooser:
-    """YCSB's 'latest' distribution: recency-skewed toward high keys."""
-
-    def __init__(self, n_keys: int, rng: np.random.Generator):
-        self.n_keys = n_keys
-        self._zipf = ZipfianChooser(n_keys, rng)
-
-    def sample(self, count: int) -> np.ndarray:
-        return self.n_keys - 1 - self._zipf.sample(count)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import PhysicalServer, VmType
-from repro.cluster.vmtypes import AZURE_MENU, cheapest_covering
+from repro.cluster.vmtypes import AZURE_MENU
 
 
 def make_server(**kwargs):
@@ -59,13 +59,6 @@ class TestVmMenu:
     def test_menu_has_varied_memory_ratios(self):
         ratios = {t.memory_per_core for t in AZURE_MENU}
         assert len(ratios) >= 3  # compute-, general-, memory-optimized
-
-    def test_cheapest_covering_sorted_by_price(self):
-        candidates = cheapest_covering(AZURE_MENU, cores=4, memory_gb=16)
-        assert candidates
-        prices = [t.price_per_hour for t in candidates]
-        assert prices == sorted(prices)
-        assert all(t.fits_requirements(4, 16) for t in candidates)
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -276,6 +276,21 @@ class TestHarvest:
         assert pool.harvest() == 2
         assert pool.warm_ready() == 1
 
+    def test_plane_harvest_keeps_a_prewarmed_pool(self):
+        # A harvester pass keeps the warm QPs ensure_warm asked for,
+        # however long they have sat idle.
+        env = Environment()
+        fabric = Fabric(env, AZURE_HPC)
+        plane = ControlPlane(env, fabric, policy=PoolPolicy(
+            strategy="pooled", idle_timeout_s=0.1))
+        pool = plane.pool(
+            fabric.add_endpoint("client", Placement(cluster=0, rack=0)),
+            fabric.add_endpoint("server", Placement(cluster=0, rack=0)))
+        assert env.run_process(pool.ensure_warm(4)) == 4
+        env.run(until=env.now + 0.2)
+        assert plane.harvest_once() == 0
+        assert pool.warm_ready() == 4
+
     def test_broken_qps_reclaim_immediately(self):
         env, _, client, _, _, pool = make_pool(strategy="pooled",
                                                sessions_per_qp=4,

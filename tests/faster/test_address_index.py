@@ -73,13 +73,6 @@ class TestHashIndex:
         assert index.compare_and_update(7, NULL_ADDRESS, 50)
         assert index.lookup(7) == 50
 
-    def test_delete(self):
-        index = HashIndex()
-        index.update(1, 10)
-        assert index.delete(1)
-        assert not index.delete(1)
-        assert index.lookup(1) == NULL_ADDRESS
-
     def test_memory_accounting(self):
         index = HashIndex()
         for key in range(100):

@@ -204,53 +204,6 @@ class TestStatistics:
         assert store.log_size == 100 * store.record_size
 
 
-class TestDelete:
-    def test_delete_then_read_misses(self):
-        env, store, cpu = make_store()
-
-        def proc(env):
-            existed = yield from store.delete(99, cpu)
-            assert existed
-            outcome = yield from store.read(99, cpu)
-            return outcome
-
-        outcome = env.run_process(proc(env))
-        assert not outcome.found
-
-    def test_delete_missing_key_returns_false(self):
-        env, store, cpu = make_store()
-
-        def proc(env):
-            return (yield from store.delete(424242, cpu))
-
-        assert env.run_process(proc(env)) is False
-
-    def test_delete_appends_a_tombstone(self):
-        from repro.faster.address import is_tombstone
-
-        env, store, cpu = make_store()
-        tail_before = store.hlog.tail_address
-
-        def proc(env):
-            yield from store.delete(99, cpu)
-
-        env.run_process(proc(env))
-        assert store.hlog.tail_address == tail_before + store.record_size
-        blob = store.hlog.read(tail_before, store.record_size)
-        assert is_tombstone(blob)
-
-    def test_reinsert_after_delete(self):
-        env, store, cpu = make_store()
-
-        def proc(env):
-            yield from store.delete(99, cpu)
-            yield from store.upsert(99, b"reborn!!", cpu)
-            return (yield from store.read(99, cpu))
-
-        outcome = env.run_process(proc(env))
-        assert outcome.found and outcome.value == b"reborn!!"
-
-
 class TestDurableWrites:
     def test_durable_upsert_waits_for_the_device(self):
         env, store, cpu = make_store()

@@ -1,4 +1,4 @@
-"""ShardRouter: fan-out, replication, backpressure, hedging, failover."""
+"""ShardRouter: fan-out, replication, backpressure, failover."""
 
 import pytest
 
@@ -207,10 +207,8 @@ class TestBackpressure:
             assert member.inflight == 0
             assert not member.waiters
 
-    @pytest.mark.parametrize("hedge_after_s", [None, 1e-9])
-    def test_read_of_a_deleted_member_returns_its_slot(self, hedge_after_s):
-        harness, _client, members, router = make_fleet(
-            n_shards=1, hedge_after_s=hedge_after_s)
+    def test_read_of_a_deleted_member_returns_its_slot(self):
+        harness, _client, members, router = make_fleet(n_shards=1)
         (name,) = router.members
         members[name].delete()
         raised = []
@@ -227,6 +225,28 @@ class TestBackpressure:
         # Every read got past backpressure: none leaked its slot.
         assert len(raised) == MAX_INFLIGHT_PER_SHARD + 4
         assert router.member(name).inflight == 0
+
+    def test_replicated_write_to_a_deleted_member_frees_its_slots(self):
+        # Two targets per write: the live member's write is issued as an
+        # event that frees its slot by callback, then the deleted
+        # member's issue raises and frees its slot at once.
+        harness, _client, members, router = make_fleet(n_shards=2,
+                                                      replication=2)
+        members["s1"].delete()
+        raised = []
+
+        def driver():
+            for _ in range(MAX_INFLIGHT_PER_SHARD + 4):
+                try:
+                    yield from router.write_io(0, b"d" * 64)
+                except CacheDeletedError:
+                    raised.append(True)
+
+        harness.env.process(driver())
+        harness.env.run()
+        assert len(raised) == MAX_INFLIGHT_PER_SHARD + 4
+        assert all(router.member(name).inflight == 0
+                   for name in router.members)
 
 
 class _Spawns(KernelMonitor):
@@ -251,8 +271,7 @@ def _spawned_by(harness, body):
 
 
 class TestMemberIoInCallersFrame:
-    def test_unhedged_read_and_single_target_write_spawn_nothing(self,
-                                                                 fleet):
+    def test_read_and_single_target_write_spawn_nothing(self, fleet):
         harness, _client, _members, router = fleet
 
         def body():
@@ -264,21 +283,20 @@ class TestMemberIoInCallersFrame:
         assert wrote.ok and read.ok and read.data == b"i" * 64
         assert spawned == []
 
-    def test_hedged_read_runs_each_member_io_as_a_record(self):
-        metrics = MetricsRegistry()
-        harness, _client, members, router = make_fleet(
-            metrics=metrics, replication=2, hedge_after_s=1e-9)
-        router.load(0, b"h" * 64)
+    def test_multi_target_write_runs_ios_as_records(self):
+        harness, _client, members, router = make_fleet(replication=2)
 
         def body():
-            return (yield from router.read_io(0, 64))
+            wrote = yield from router.write_io(0, b"r" * 64)
+            read = yield from router.read_io(0, 64)
+            return wrote, read
 
-        read, spawned = _spawned_by(harness, body)
-        assert read.ok and read.data == b"h" * 64
-        assert metrics.snapshot()["router.hedges"]["value"] == 1
-        # The primary and its hedge each run on an event of their own
-        # that the hedge race may walk away from: on a one-sided member,
-        # a callback record, which spawns no process.
+        (wrote, read), spawned = _spawned_by(harness, body)
+        assert wrote.ok and read.ok and read.data == b"r" * 64
+        assert len(router.owners_of_slot(0)) == 2
+        # Each target's write runs on an event of its own that the
+        # write's all_of waits on: on a one-sided member, a callback
+        # record, which spawns no process.
         assert all(cache.allocation.config.uses_one_sided
                    for cache in members.values())
         assert spawned == []
@@ -315,45 +333,6 @@ class TestFailover:
         assert not got.ok and "no live shard" in got.error
 
 
-class TestHedging:
-    def test_aggressive_hedge_duplicates_and_wins(self):
-        metrics = MetricsRegistry()
-        # hedge_after_s far below any fabric RTT: every read hedges.
-        harness, _client, _members, router = make_fleet(
-            metrics=metrics, replication=2, hedge_after_s=1e-9)
-
-        def driver():
-            res = yield router.write(0, b"h" * 64)
-            assert res.ok
-            results = []
-            for _ in range(10):
-                got = yield router.read(0, 64)
-                results.append(got)
-            return results
-
-        results = run(harness, driver())
-        assert all(r.ok and r.data == b"h" * 64 for r in results)
-        snap = metrics.snapshot()
-        assert snap["router.hedges"]["value"] >= 10
-        assert snap["router.hedge_wins"]["value"] <= snap[
-            "router.hedges"]["value"]
-        harness.env.run()  # the last hedge's loser lands and frees its CPU
-
-    def test_no_hedging_when_disabled(self):
-        metrics = MetricsRegistry()
-        harness, _client, _members, router = make_fleet(
-            metrics=metrics, replication=2, hedge_after_s=None)
-
-        def driver():
-            for _ in range(5):
-                got = yield router.read(0, 64)
-                assert got.ok
-            return True
-
-        assert run(harness, driver())
-        assert metrics.snapshot()["router.hedges"]["value"] == 0
-
-
 class TestValidation:
     def test_rejects_bad_parameters(self):
         harness, _client, members, _router = make_fleet()
@@ -382,7 +361,7 @@ class TestReplicatedRouter:
 def _mixed_workload_snapshot(seed):
     metrics = MetricsRegistry()
     harness, _client, _members, router = make_fleet(
-        seed=seed, metrics=metrics, replication=2, hedge_after_s=2e-4)
+        seed=seed, metrics=metrics, replication=2)
     rng = harness.rngs.stream("driver")
 
     def driver():

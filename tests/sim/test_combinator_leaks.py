@@ -25,18 +25,19 @@ def _callback_count(event):
 
 
 def test_anyof_detaches_losing_child():
-    # The hedged-read shape from shard/router.py: one long-lived event
-    # raced against a fresh timeout, many times over.
+    # The retry shape from RedyCache._io_with_retry (core/client.py):
+    # an attempt raced against a fresh timeout, many times over.  Here
+    # one long-lived event stands for an attempt that never answers.
     env = Environment()
     slow = env.event()
 
-    def hedger():
+    def retrier():
         for _ in range(100):
             index, value = yield env.any_of([slow, env.timeout(1 * US)])
             assert (index, value) == (1, None)
         return _callback_count(slow)
 
-    assert env.run_process(hedger()) == 0
+    assert env.run_process(retrier()) == 0
 
 
 def test_anyof_fires_on_abandon_for_losers():
@@ -45,10 +46,10 @@ def test_anyof_fires_on_abandon_for_losers():
     abandoned = []
     slow.on_abandon = abandoned.append
 
-    def hedger():
+    def retrier():
         yield env.any_of([slow, env.timeout(1 * US)])
 
-    env.run_process(hedger())
+    env.run_process(retrier())
     assert abandoned == [slow]
 
 
@@ -87,7 +88,7 @@ def test_anyof_losing_store_get_is_reclaimed():
 
     def producer():
         yield env.timeout(2 * US)
-        yield store.put("item")
+        store.try_put("item")
 
     def patient():
         yield env.timeout(3 * US)
@@ -154,31 +155,8 @@ def test_anyof_losing_acquire_leaves_the_line(make_env):
 
 
 @pytest.mark.parametrize("make_env", LOOPS, indirect=True)
-def test_anyof_losing_store_put_leaves_the_queue(make_env):
-    env = make_env()
-    store = Store(env, capacity=1)
-    store.try_put("filler")
-
-    def impatient():
-        index, _value = yield env.any_of(
-            [store.put("blocked"), env.timeout(1 * US)])
-        assert index == 1
-
-    def drainer():
-        yield env.timeout(2 * US)
-        ok, item = store.try_get()
-        assert ok and item == "filler"
-        # The abandoned putter's item must NOT arrive afterwards.
-        ok, _item = store.try_get()
-        assert not ok
-
-    env.process(impatient())
-    env.run_process(drainer())
-
-
-@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
 def test_anyof_dropping_a_handed_store_get_restocks_the_item(make_env):
-    # put() hands the item to the queued getter in the very instant a
+    # try_put() hands the item to the queued getter in the very instant a
     # sibling decides the combinator: the Store reclaims it for the next
     # consumer.
     env = make_env()
@@ -193,7 +171,7 @@ def test_anyof_dropping_a_handed_store_get_restocks_the_item(make_env):
     def driver():
         yield env.timeout(1 * US)
         sibling.succeed("sibling")
-        store.put("precious")     # hands the item to the queued getter
+        store.try_put("precious")  # hands the item to the queued getter
         yield env.timeout(1 * US)
         ok, item = store.try_get()
         assert ok and item == "precious"
@@ -235,7 +213,7 @@ def test_timeout_trigger_visible_to_monitor():
 
 # -- satisfied waits (Ready) dropped by a combinator --------------------
 #
-# A free slot, a stocked store and a put with room answer with a Ready,
+# A free slot and a stocked store answer with a Ready,
 # which has no event-list entry until a combinator consumes it.  When a
 # same-instant sibling decides the combinator first, or an outer
 # combinator walks away from it, the Ready's producer must get the slot
@@ -294,26 +272,6 @@ def test_anyof_dropping_a_satisfied_get_restocks_the_item(make_env):
     env.run()
     assert got == ["item"]
     assert len(store) == 0
-
-
-@pytest.mark.parametrize("make_env", LOOPS, indirect=True)
-def test_anyof_dropping_a_satisfied_put_keeps_the_item_once(make_env):
-    # A put accepted at call time has already stored its item; dropping
-    # its wait detaches the combinator and leaves exactly that one item.
-    env = make_env()
-    store = Store(env, capacity=1)
-    put = []
-
-    def racer():
-        accepted = store.put("item")
-        put.append(accepted)
-        index, _value = yield env.any_of([_decided_sibling(env), accepted])
-        assert index == 0
-
-    env.process(racer())
-    env.run()
-    assert _callback_count(put[0]) == 0
-    assert list(store._items) == ["item"]
 
 
 @pytest.mark.parametrize("make_env", LOOPS, indirect=True)

@@ -22,7 +22,7 @@ LOOPS = ["calendar", "heap"]
     pytest.param("acquire", marks=pytest.mark.holds_resource(
         "the waiter keeps the slot its Ready granted; only the grant's "
         "timing is under test")),
-    "get", "put"])
+    "get"])
 def test_satisfied_wait_continues_before_queued_entries(make_env, wait):
     env = make_env()
     resource = Resource(env, slots=1)
@@ -36,12 +36,7 @@ def test_satisfied_wait_continues_before_queued_entries(make_env, wait):
 
     def waiter():
         env.process(bystander())  # its bootstrap is queued at this instant
-        if wait == "acquire":
-            event = resource.acquire()
-        elif wait == "get":
-            event = store.get()
-        else:
-            event = store.put("more")
+        event = resource.acquire() if wait == "acquire" else store.get()
         assert isinstance(event, Ready)
         value = yield event
         log.append(("continued", value))

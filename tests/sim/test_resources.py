@@ -10,16 +10,14 @@ def test_store_fifo_order():
     store = Store(env)
     received = []
 
-    def producer(env):
-        for item in ("a", "b", "c"):
-            yield store.put(item)
+    for item in ("a", "b", "c"):
+        assert store.try_put(item)
 
     def consumer(env):
         for _ in range(3):
             item = yield store.get()
             received.append(item)
 
-    env.process(producer(env))
     env.process(consumer(env))
     env.run()
     assert received == ["a", "b", "c"]
@@ -35,37 +33,12 @@ def test_store_get_blocks_until_put():
 
     def producer(env):
         yield env.timeout(4 * US)
-        yield store.put("late")
+        store.try_put("late")
 
     env.process(producer(env))
     item, when = env.run_process(consumer(env))
     assert item == "late"
     assert when == pytest.approx(4 * US)
-
-
-def test_bounded_store_put_blocks_when_full():
-    env = Environment()
-    store = Store(env, capacity=1)
-    timeline = []
-
-    def producer(env):
-        yield store.put(1)
-        timeline.append(("put1", env.now))
-        yield store.put(2)
-        timeline.append(("put2", env.now))
-
-    def consumer(env):
-        yield env.timeout(5 * US)
-        item = yield store.get()
-        timeline.append((f"got{item}", env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert timeline[0] == ("put1", 0.0)
-    # The second put completes only after the consumer drains a slot.
-    assert timeline[1][0] == "got1"
-    assert timeline[2] == ("put2", pytest.approx(5 * US))
 
 
 def test_store_try_put_and_try_get():

@@ -46,7 +46,7 @@ def _mixed_workload(env, rng, log):
     def producer(tag, rounds):
         for index in range(rounds):
             yield env.timeout(float(rng.integers(0, 30)) * 0.1 * US)
-            yield store.put((tag, index))
+            store.try_put((tag, index))
 
     def consumer(tag, rounds):
         for _ in range(rounds):
@@ -63,9 +63,9 @@ def _mixed_workload(env, rng, log):
             resource.release()
 
     def racer(tag):
-        hedge = float(rng.integers(0, 100)) * 0.1 * US
+        deadline = float(rng.integers(0, 100)) * 0.1 * US
         winner = yield env.any_of(
-            [env.timeout(5 * US), env.timeout(hedge)])
+            [env.timeout(5 * US), env.timeout(deadline)])
         log.append(("race", tag, winner, env.now))
 
     def gatherer(tag):

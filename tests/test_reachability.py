@@ -8,12 +8,14 @@ from a package resolves to the submodule that defines it, so a package
 ``__init__`` re-export does not by itself keep a module alive: a module
 only tests import fails this check.
 
-Functions and methods: every public one defined in ``src/repro`` must
-be named, as an identifier, somewhere in ``src/``, ``benchmarks/`` or
-``examples/``.  The check is by name, so it is blind to a dead method
-sharing its name with a live one; it still catches every uniquely
-named one that only tests call.  Read-only observation points that
-tests check live behaviour through are the exceptions, listed in
+Functions, methods and top-level classes: every public one defined in
+``src/repro`` must be named, as an identifier, somewhere in ``src/``,
+``benchmarks/`` or ``examples/``.  A package ``__init__`` re-export
+does not count: it names what the package offers, not a use.  The
+check is by name, so it is blind to a dead method sharing its name
+with a live one; it still catches every uniquely named one that only
+tests call.  Read-only observation points and test fakes that tests
+check live behaviour through are the exceptions, listed in
 :data:`OBSERVATION_POINTS` with their reasons.
 
 Options: every defaulted parameter of a public function, method or
@@ -119,8 +121,8 @@ def test_every_module_is_reached_from_an_entry_point():
         f"a CLI command, gate, benchmark or example): {unreached}")
 
 
-#: Public functions only tests reference, kept on purpose.  Each entry
-#: must still exist and still be unreferenced by live code.
+#: Public functions and classes only tests reference, kept on purpose.
+#: Each entry must still exist and still be unreferenced by live code.
 OBSERVATION_POINTS = {
     "ConfigSpace.iter_preorder":
         "exhaustive oracle the SLO-search property test checks "
@@ -140,6 +142,8 @@ OBSERVATION_POINTS = {
         "how tests check a cache's region count across VMs",
     "QueuePair.backlog_length":
         "how tests check the QP backlog beyond the queue depth",
+    "QueuePair.in_flight":
+        "how tests check the QP's in-flight depth under the queue depth",
     "QpPool.qp_ids":
         "how tests check deterministic session-to-QP assignment",
     "QpContextCache.resident_ids":
@@ -156,22 +160,31 @@ OBSERVATION_POINTS = {
     "PerfModel.known":
         "how tests check that serial and batched campaigns measure the "
         "same grid points",
+    "LocalMemoryDevice":
+        "a test fake: the instant device FASTER tests spill to when the "
+        "device's own latency is not under test",
+    "sanitize":
+        "how tests drive the run-versus-replay trace diff the gate makes "
+        "per entry (_record, then _compare) on deliberately leaky "
+        "workloads",
 }
 
 
 def _live_identifiers():
-    """Every identifier live code names: Name, Attribute, import alias."""
+    """Every identifier live code names: Name, Attribute, import alias
+    (but not an alias a ``src/repro`` package ``__init__`` re-exports)."""
     names = set()
     paths = sorted((SRC / "repro").rglob("*.py"))
     paths += sorted((ROOT / "benchmarks").rglob("*.py"))
     paths += sorted((ROOT / "examples").rglob("*.py"))
     for path in paths:
+        reexports = path.name == "__init__.py" and SRC in path.parents
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and not reexports:
                 names.update(node.name.split("."))
                 if node.asname:
                     names.add(node.asname)
@@ -188,14 +201,16 @@ def _is_node_visitor(cls):
 
 def _public_functions():
     """``(qualified name, name)`` of every public module-level function
-    and class method under ``src/repro``.  ``visit_*`` methods of an
-    ``ast.NodeVisitor`` are skipped: the visitor dispatches them by
-    building their names at run time."""
+    and class and every public class method under ``src/repro``.
+    ``visit_*`` methods of an ``ast.NodeVisitor`` are skipped: the
+    visitor dispatches them by building their names at run time."""
     found = []
 
     def scan(body, owner=None, visitor=False):
         for node in body:
             if isinstance(node, ast.ClassDef):
+                if owner is None and not node.name.startswith("_"):
+                    found.append((node.name, node.name))
                 scan(node.body, node.name, _is_node_visitor(node))
             elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and not node.name.startswith("_")
@@ -215,8 +230,9 @@ def test_every_public_function_is_named_by_live_code():
                           if name not in live
                           and qualified not in OBSERVATION_POINTS)
     assert not unreferenced, (
-        "public functions only tests (or nothing) call: delete them, or "
-        f"list a kept observation point with its reason: {unreferenced}")
+        "public functions and classes only tests (or nothing) use: delete "
+        "them, or list a kept observation point with its reason: "
+        f"{unreferenced}")
     stale = sorted(set(OBSERVATION_POINTS) - {
         qualified for qualified, name in functions if name not in live})
     assert not stale, (

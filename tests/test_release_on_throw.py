@@ -106,7 +106,6 @@ SITES = {
     # and takes it again for the completion.
     "faster.store.read-device": lambda: _store("read", 0, nth=2),
     "faster.store.upsert": lambda: _store("upsert", 5, b"v" * 8),
-    "faster.store.delete": lambda: _store("delete", 5),
     "core.engine.issue": lambda: _engine("issue"),
     "core.engine.reap_batch": lambda: _engine("reap_batch"),
     "tenant.backing.read": lambda: _backing("read"),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads import (
-    LatestChooser,
     ScrambledZipfianChooser,
     UniformChooser,
     ZipfianChooser,
@@ -79,9 +78,3 @@ class TestScrambledZipfian:
         b = ScrambledZipfianChooser(1000, np.random.default_rng(7))
         assert np.array_equal(a.sample(100), b.sample(100))
 
-
-class TestLatest:
-    def test_skewed_toward_newest_keys(self):
-        chooser = LatestChooser(10_000, np.random.default_rng(8))
-        samples = chooser.sample(100_000)
-        assert float(np.mean(samples > 9000)) > 0.5
