@@ -1,8 +1,9 @@
 """Ablation: multi-tenant serving tier (``repro.tenant``).
 
 Redy's cache is a shared regional pool; the tenant tier slices it into
-private namespaces with per-tenant admission, SLO-weighted scheduling,
-and fail-open degradation.  This ablation measures the four claims the
+private namespaces with per-tenant token-bucket admission, SLO-class
+latency budgets, and fail-open degradation.  Admission is its only
+isolation mechanism.  This ablation measures the four claims the
 subsystem makes:
 
 * **Noisy neighbors are contained.**  An abusive scavenger tenant

@@ -56,10 +56,6 @@ class PerfPoint(NamedTuple):
     throughput: float
 
     @property
-    def latency_us(self) -> float:
-        return self.latency * 1e6
-
-    @property
     def throughput_mops(self) -> float:
         return self.throughput / 1e6
 

@@ -143,10 +143,6 @@ class CacheServer:
                 self._thread_loop(inbox),
                 name=f"cache-server:{self.endpoint.name}:thread{index}")
 
-    @property
-    def thread_count(self) -> int:
-        return self._thread_count
-
     def _thread_loop(self, inbox: Store):
         # Hot loop (once per request batch): profile costs are frozen,
         # so they and the bound methods are hoisted out of the loop.

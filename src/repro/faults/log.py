@@ -44,7 +44,7 @@ class FaultLog:
     faithful trace of the fault plane's actions; tests and the chaos CLI
     compare logs via :meth:`digest`.  An event is kept as a plain
     ``(time, kind, target, detail)`` tuple; :class:`FaultEvent` objects
-    are built only for :attr:`events` and iteration.
+    are built only for iteration.
     """
 
     def __init__(self):
@@ -53,10 +53,6 @@ class FaultLog:
     def append(self, time: float, kind: str, target: str,
                **detail: Any) -> None:
         self._events.append((time, kind, target, detail))
-
-    @property
-    def events(self) -> tuple:
-        return tuple(FaultEvent(*event) for event in self._events)
 
     def __len__(self) -> int:
         return len(self._events)

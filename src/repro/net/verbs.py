@@ -70,10 +70,6 @@ class WorkRequest:
                 f"data length {len(self.data)} != payload_bytes "
                 f"{self.payload_bytes}")
 
-    @property
-    def is_write(self) -> bool:
-        return self.op is RdmaOp.WRITE
-
 
 @dataclass
 class Completion:

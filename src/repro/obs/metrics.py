@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -372,9 +372,6 @@ class MetricsRegistry:
 
     def get(self, name: str):
         return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
 
     def snapshot(self) -> Dict[str, dict]:
         flat: Dict[str, dict] = {}

@@ -121,7 +121,7 @@ class HashRing:
         """All virtual-node points, sorted (the circle's boundaries)."""
         return [point for point, _shard in self._points]
 
-    def ranges(self, n_owners: int = 1) -> List[Tuple[int, int, Tuple[str, ...]]]:
+    def ranges(self, n_owners: int) -> List[Tuple[int, int, Tuple[str, ...]]]:
         """Owner intervals covering the circle: ``(lo, hi, owners)``.
 
         Each interval is the half-open circular arc ``(lo, hi]``; the

@@ -34,8 +34,8 @@ time and the access stream.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.client import (CacheDeletedError, CacheIoResult, RedyCache,
                                RedyClient)
@@ -66,12 +66,9 @@ class ShardMember:
         self.cache = cache
         #: Router-issued requests currently outstanding on this shard.
         self.inflight = 0
-        #: Priority queue of processes waiting for an in-flight slot:
-        #: ``(-priority, seq, event)`` heap entries, so a saturated shard
-        #: grants slots highest-priority first and FIFO within a
-        #: priority (the serving tier maps tenant weight to priority;
-        #: everything else issues at the default 0).
-        self.waiters: List[Tuple[int, int, Event]] = []
+        #: Processes waiting for an in-flight slot, in arrival order:
+        #: a saturated shard grants its slots FIFO.
+        self.waiters: Deque[Event] = deque()
         self.alive = True
         #: True while this member is being drained off the ring.
         self.departing = False
@@ -167,9 +164,6 @@ class ShardRouter:
         #: Tail of the serialized membership-change chain.
         self._membership_tail: Optional[Event] = None
 
-        #: Tie-break sequence for the per-shard priority waiter queues.
-        self._waiter_seq = 0
-
         m = self.metrics
         self._c_reads = m.counter("router.reads") if m else None
         self._c_writes = m.counter("router.writes") if m else None
@@ -218,10 +212,6 @@ class ShardRouter:
         """Currently promoted slots and their extra replicas."""
         return dict(self._hot)
 
-    def placement(self) -> List[Tuple[int, int, Tuple[str, ...]]]:
-        """The effective owner ranges (ring + live overrides)."""
-        return self.ring.ranges(self.replication)
-
     def owners_of_slot(self, slot: int) -> List[str]:
         return list(self._owners(slot))
 
@@ -231,31 +221,29 @@ class ShardRouter:
 
     def read(self, addr: int, size: int,
              callback: Optional[Callable[[CacheIoResult], None]] = None,
-             *, tenant: Optional[str] = None, priority: int = 0) -> Event:
+             *, tenant: Optional[str] = None) -> Event:
         """Asynchronous read; the returned process fires with a
         :class:`CacheIoResult`."""
-        return self._start(
-            self.read_io(addr, size, tenant=tenant, priority=priority),
-            callback, f"router-read:{addr}")
+        return self._start(self.read_io(addr, size, tenant=tenant),
+                           callback, f"router-read:{addr}")
 
     def write(self, addr: int, data: bytes,
               callback: Optional[Callable[[CacheIoResult], None]] = None,
-              *, tenant: Optional[str] = None, priority: int = 0) -> Event:
+              *, tenant: Optional[str] = None) -> Event:
         """Asynchronous write of ``data`` at ``addr``."""
-        return self._start(
-            self.write_io(addr, data, tenant=tenant, priority=priority),
-            callback, f"router-write:{addr}")
+        return self._start(self.write_io(addr, data, tenant=tenant),
+                           callback, f"router-write:{addr}")
 
     def read_io(self, addr: int, size: int, *,
-                tenant: Optional[str] = None, priority: int = 0):
+                tenant: Optional[str] = None):
         """The generator body of :meth:`read`, for a caller that already
         runs in a process (``yield from``); returns the result."""
-        return self._io(True, addr, size, None, tenant, priority)
+        return self._io(True, addr, size, None, tenant)
 
     def write_io(self, addr: int, data: bytes, *,
-                 tenant: Optional[str] = None, priority: int = 0):
+                 tenant: Optional[str] = None):
         """The generator body of :meth:`write` (see :meth:`read_io`)."""
-        return self._io(False, addr, len(data), data, tenant, priority)
+        return self._io(False, addr, len(data), data, tenant)
 
     def _start(self, body, callback: Optional[Callable], name: str) -> Event:
         proc = self.env.process(body, name=name)
@@ -372,13 +360,11 @@ class ShardRouter:
             member.inflight_gauge.set(member.inflight)
         return True
 
-    def _acquire(self, member: ShardMember, priority: int = 0):
+    def _acquire(self, member: ShardMember):
         """Queue until ``member`` has a free slot, then take it."""
         while not self._try_take(member):
             waiter = self.env.event()
-            self._waiter_seq += 1
-            heapq.heappush(member.waiters,
-                           (-priority, self._waiter_seq, waiter))
+            member.waiters.append(waiter)
             yield waiter
 
     def _release(self, member: ShardMember) -> None:
@@ -386,7 +372,7 @@ class ShardRouter:
         if member.inflight_gauge:
             member.inflight_gauge.set(member.inflight)
         if member.waiters and member.inflight < MAX_INFLIGHT_PER_SHARD:
-            heapq.heappop(member.waiters)[2].succeed()
+            member.waiters.popleft().succeed()
 
     def _count(self, member: ShardMember, is_read: bool) -> None:
         counter = member.reads if is_read else member.writes
@@ -394,8 +380,7 @@ class ShardRouter:
             counter.inc()
 
     def _member_io(self, member: ShardMember, is_read: bool, addr: int,
-                   size_or_data, tenant: Optional[str] = None,
-                   priority: int = 0):
+                   size_or_data, tenant: Optional[str] = None):
         """Run one member I/O in the caller's frame; returns its result.
 
         The in-flight slot is held under ``finally``.  Where a member
@@ -405,7 +390,7 @@ class ShardRouter:
         in its caller's frame").
         """
         if not self._try_take(member):
-            yield from self._acquire(member, priority)
+            yield from self._acquire(member)
         try:
             cache = member.cache
             body = (cache.read_io(addr, size_or_data, tenant=tenant)
@@ -423,18 +408,17 @@ class ShardRouter:
         return result
 
     def _issue(self, member: ShardMember, addr: int, data: bytes,
-               tenant: Optional[str] = None, priority: int = 0):
+               tenant: Optional[str] = None):
         """Acquire an in-flight slot and start one member write as an
         event of its own: for a multi-target write or a hot-slot copy
         (the rest run in :meth:`_member_io`).
 
         Returns the member cache's completion event; the slot is
-        released by callback when it completes.  ``priority`` orders the
-        backpressure queue (weighted issue order for the serving tier);
-        ``tenant`` rides down to the engine for per-tenant accounting.
+        released by callback when it completes.  ``tenant`` rides down
+        to the engine for per-tenant accounting.
         """
         if not self._try_take(member):
-            yield from self._acquire(member, priority)
+            yield from self._acquire(member)
         try:
             event = member.cache.write(addr, data, tenant=tenant)
         except CacheDeletedError:
@@ -449,8 +433,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     def _io(self, is_read: bool, addr: int, size: int,
-            data: Optional[bytes], tenant: Optional[str] = None,
-            priority: int = 0):
+            data: Optional[bytes], tenant: Optional[str] = None):
         started = self.env.now
         slot_bytes = self.slot_bytes
         slot = addr // slot_bytes
@@ -472,21 +455,19 @@ class ShardRouter:
         if single:
             # Slicing copies a mutable payload, as the split path does.
             result = yield from (
-                self._read_fragment(slot, addr, size, tenant, priority)
+                self._read_fragment(slot, addr, size, tenant)
                 if is_read else
-                self._write_fragment(slot, addr, data[0:size], tenant,
-                                     priority))
+                self._write_fragment(slot, addr, data[0:size], tenant))
         else:
             # One process per fragment, so the fragments run in parallel.
             kind = "read" if is_read else "write"
             results = yield self.env.all_of([
                 self.env.process(
-                    self._read_fragment(slot, frag_addr, length, tenant,
-                                        priority)
+                    self._read_fragment(slot, frag_addr, length, tenant)
                     if is_read else
                     self._write_fragment(slot, frag_addr,
                                          data[offset:offset + length],
-                                         tenant, priority),
+                                         tenant),
                     name=f"router-{kind}-frag:{slot}")
                 for slot, frag_addr, length, offset in fragments])
             result = next((r for r in results if not r.ok), results[0])
@@ -510,7 +491,7 @@ class ShardRouter:
         return CacheIoResult(ok=True, latency=latency)
 
     def _read_fragment(self, slot: int, addr: int, length: int,
-                       tenant: Optional[str] = None, priority: int = 0):
+                       tenant: Optional[str] = None):
         self._record_access(slot)
         pool = self._read_pool(slot)
         result = CacheIoResult(ok=False, error="no live shard for range")
@@ -524,7 +505,7 @@ class ShardRouter:
             if i and self._c_failovers:
                 self._c_failovers.inc()
             result = yield from self._member_io(member, True, addr, length,
-                                                tenant, priority)
+                                                tenant)
             if result.ok:
                 break
         return result
@@ -546,7 +527,7 @@ class ShardRouter:
             yield gate
 
     def _write_fragment(self, slot: int, addr: int, payload: bytes,
-                        tenant: Optional[str] = None, priority: int = 0):
+                        tenant: Optional[str] = None):
         yield from self._write_barrier(slot)
         # Sorted acquire order: concurrent multi-target writes never
         # hold-and-wait on each other's shards in opposite orders.
@@ -557,8 +538,7 @@ class ShardRouter:
             return CacheIoResult(ok=False, error="no live shard for range")
         if len(targets) == 1:
             results = [(yield from self._member_io(targets[0], False, addr,
-                                                   payload, tenant,
-                                                   priority))]
+                                                   payload, tenant))]
             if self.env.due_now():
                 yield self.env.timeout(0)  # where the all_of entry ran
         else:
@@ -567,7 +547,7 @@ class ShardRouter:
                 # A target can die while an earlier one's slot is awaited.
                 if member.alive:
                     issued.append((yield from self._issue(
-                        member, addr, payload, tenant, priority)))
+                        member, addr, payload, tenant)))
             results = yield self.env.all_of(issued)
         oks = [r for r in results if r.ok]
         if len(oks) < len(results) and self._c_partial:
@@ -757,7 +737,7 @@ class ShardRouter:
         member.alive = False
         # Unblock anything still queued on the dead member.
         while member.waiters:
-            heapq.heappop(member.waiters)[2].succeed()
+            member.waiters.popleft().succeed()
         self.reports.append(report)
         for hook in self.on_rebalance:
             hook(report)

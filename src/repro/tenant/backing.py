@@ -6,8 +6,7 @@ cache client can use a copy of the cache to populate the new cache").
 Normal-path writes land here *synchronously at ack time* -- a local
 memory copy, free in simulated time -- so the mirror always contains
 every acknowledged byte.  When a tenant degrades (its remote region is
-lost, or admission cannot serve a read) the tier fails open to this
-store: reads are served locally at storage-class latency and writes go
+lost) the tier fails open to this store: reads are served locally at storage-class latency and writes go
 write-through until the region recovers, after which the dirty chunks
 re-populate the cache.
 

@@ -6,10 +6,9 @@ latency/throughput target is expressed relative to the offline model's
 :meth:`~repro.core.modeling.PerfModel.bounds` corners, and
 :class:`~repro.core.search.SloSearcher` -- the paper's §5 config-space
 search -- resolves it to the cheapest configuration on the Pareto
-frontier that satisfies it.  The serving tier then enforces the class
-through weighted scheduling: the class weight is the tenant's share of
-the shard pool when it is contended, and the searched configuration's
-queue depth bounds the tenant's in-flight ops.
+frontier that satisfies it.  The serving tier holds each tenant's
+requests to its class's latency target: one slower than it counts in
+``tenant.slo_violations``.
 
 Everything here is a pure function: the analytic measurer runs with
 ``noise=0``, so two calls produce bit-identical plans (the determinism
@@ -26,10 +25,7 @@ from repro.core.search import SloSearcher
 from repro.core.space import ConfigSpace
 from repro.hardware.profiles import AZURE_HPC
 
-__all__ = ["ClassPlan", "SLO_CLASS_WEIGHTS", "plan_slo_classes"]
-
-#: Relative scheduling weight of each class when shards are contended.
-SLO_CLASS_WEIGHTS = {"premium": 8, "standard": 4, "scavenger": 1}
+__all__ = ["ClassPlan", "plan_slo_classes"]
 
 #: Where each class sits between the model's (best, worst) latency
 #: corners: target = best * (worst/best)**fraction (geometric blend),
@@ -52,21 +48,14 @@ class ClassPlan:
     """One SLO class resolved to a point on the Pareto frontier."""
 
     name: str
-    #: Scheduling weight across the shared shard pool.
-    weight: int
-    #: The class's latency/throughput target handed to the searcher.
+    #: The class's latency/throughput target handed to the searcher;
+    #: its latency is the budget the tier counts violations against.
     slo: Slo
     #: The cheapest configuration satisfying the target.
     config: RdmaConfig
-    #: The model's prediction for that configuration -- the per-tenant
-    #: latency/throughput budget the isolation benchmark asserts on.
+    #: The model's prediction for that configuration, which satisfies
+    #: the target.
     predicted: PerfPoint
-
-    @property
-    def max_inflight(self) -> int:
-        """In-flight cap the tier enforces for tenants of this class:
-        the searched configuration's aggregate queue depth."""
-        return max(1, self.config.queue_depth * self.config.client_threads)
 
 
 def plan_slo_classes() -> dict[str, ClassPlan]:
@@ -90,7 +79,7 @@ def plan_slo_classes() -> dict[str, ClassPlan]:
     searcher = SloSearcher.for_model(model)
 
     plans: dict[str, ClassPlan] = {}
-    for name in sorted(SLO_CLASS_WEIGHTS):
+    for name in sorted(_CLASS_LATENCY_FRACTION):
         latency_fraction = _CLASS_LATENCY_FRACTION[name]
         tput_fraction = _CLASS_THROUGHPUT_FRACTION[name]
         ratio = worst.latency / best.latency
@@ -113,8 +102,6 @@ def plan_slo_classes() -> dict[str, ClassPlan]:
                         f"unsatisfiable -- degenerate model")
                 latency_fraction = min(1.0, latency_fraction + 0.25)
                 floor = max(worst.throughput, floor * 0.5)
-        plans[name] = ClassPlan(name=name,
-                                weight=SLO_CLASS_WEIGHTS[name],
-                                slo=slo, config=config,
+        plans[name] = ClassPlan(name=name, slo=slo, config=config,
                                 predicted=model.predict(config))
     return plans

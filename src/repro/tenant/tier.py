@@ -15,36 +15,31 @@ system.  Per registered tenant it provides:
 * **An SLO class.**  ``premium`` / ``standard`` / ``scavenger`` map to
   Pareto-frontier points chosen by the offline model's config-space
   search (:mod:`repro.tenant.slo`).  The class sets the tenant's
-  scheduling weight, its in-flight cap, and its latency budget.
-* **Weighted scheduling.**  Admitted requests compete for a shared
-  in-flight slot pool; when the pool is contended, slots are granted by
-  smooth weighted round-robin over the waiting tenants (and ride the
-  router's priority-ordered per-shard backpressure queues), so an
-  abusive tenant cannot occupy more than its weight's share.
+  latency budget: a request slower than it counts as an SLO violation.
+  Admitted requests go straight to the router, whose per-shard
+  backpressure queues are FIFO; isolation is admission's job.
 * **Graceful degradation.**  Every acked write is mirrored into a
   client-local :class:`~repro.tenant.backing.FailOpenStore`.  When the
   tenant's remote region is lost (router I/O fails) the tenant enters
   *degraded mode*: reads fail open to the mirror, writes go
   write-through, and a recovery probe re-populates the region from the
   mirror and re-promotes the tenant automatically once it answers
-  again.  Saturated admission can also fail reads open (configurable)
-  without a mode change.
+  again.
 
 Determinism: admission schedules are pure functions of arrival times,
-scheduling iterates tenants in sorted registration order, and the
-degradation state machine is driven only by simulation events -- same
-seed, bit-identical run.
+tenants are scanned in registration order, and the degradation state
+machine is driven only by simulation events -- same seed, bit-identical
+run.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.client import CacheIoResult
 from repro.obs.metrics import registry_of
-from repro.shard.router import MAX_INFLIGHT_PER_SHARD, ShardRouter
+from repro.shard.router import ShardRouter
 from repro.sim.kernel import Environment, Event
 from repro.tenant.admission import ADMIT, SHED, AdmissionController
 from repro.tenant.backing import FailOpenStore
@@ -57,9 +52,9 @@ _PROBE_BYTES = 64
 
 #: Degraded-mode queue bound: the backing device is 20-50x slower than
 #: the RDMA path, so an admitted rate the cache could absorb can still
-#: overrun the mirror.  Requests that find this many accesses already
-#: queued on the device shed (reads that may fail open still do);
-#: admission alone cannot bound queueing when capacity collapses.
+#: overrun the mirror.  Writes that find this many accesses already
+#: queued on the device shed (reads are still served); admission alone
+#: cannot bound queueing when capacity collapses.
 _MAX_BACKING_QUEUE = 64
 
 #: Granularity, bytes, of the dirty marks a degraded tenant's writes
@@ -106,8 +101,7 @@ class TenantState:
 
     __slots__ = (
         "spec", "plan", "base", "admission", "backing", "degraded",
-        "dirty", "pending_degraded_writes", "inflight", "waiters",
-        "wrr_credit", "degradations", "degraded_sheds",
+        "dirty", "pending_degraded_writes", "degradations", "degraded_sheds",
         "repromotions", "flushed_bytes", "fail_open_reads",
         "lost_region_errors", "h_read_lat", "h_write_lat", "c_admitted",
         "c_delayed", "c_shed", "c_fail_open", "c_degradations",
@@ -126,11 +120,6 @@ class TenantState:
         #: Write-through writes still inside the backing device; they
         #: gate re-promotion (their dirty marks land when they finish).
         self.pending_degraded_writes = 0
-        self.inflight = 0
-        #: FIFO of requests waiting for a scheduling slot.
-        self.waiters: Deque[Event] = deque()
-        #: Smooth-WRR credit (bounded by the total weight in flight).
-        self.wrr_credit = 0
         #: Lifetime statistics (mirrored into labeled metrics).
         self.degradations = 0
         self.degraded_sheds = 0
@@ -143,10 +132,6 @@ class TenantState:
         self.c_fail_open = self.c_degradations = self.c_repromotions = None
         self.c_flushed = self.c_violations = self.g_degraded = None
 
-    @property
-    def weight(self) -> int:
-        return self.plan.weight
-
 
 class TenantTier:
     """Serving front-end fanning registered tenants onto one router."""
@@ -155,17 +140,11 @@ class TenantTier:
         self.env = env
         self.router = router
         self.plans = plan_slo_classes()
-        #: Shared scheduling-slot pool: how many tenant requests may be
-        #: in flight against the shard pool at once, the fleet's
-        #: aggregate backpressure budget.
-        self.max_inflight = (MAX_INFLIGHT_PER_SHARD
-                             * max(1, len(router.members)))
         self._tenants: Dict[str, TenantState] = {}
-        #: Registration order == namespace order == scheduling scan
-        #: order; deterministic by construction.
+        #: Registration order == namespace order; deterministic by
+        #: construction.
         self._order: List[TenantState] = []
         self._next_base = 0
-        self._inflight = 0
         self.metrics = registry_of(env)
         m = self.metrics
         self._f_read_lat = m.histogram("tenant.read_latency") if m else None
@@ -293,20 +272,8 @@ class TenantTier:
         if verdict == SHED:
             if tenant.c_shed is not None:
                 tenant.c_shed.inc()
-            if is_read:
-                # Saturation fail-open: serve (possibly slightly stale)
-                # bytes from the local mirror rather than erroring --
-                # but keep the retry_after pressure signal on the
-                # result so well-behaved clients still back off.  A
-                # shed write is rejected: serving it locally without
-                # admission would silently fork the namespace.
-                self.env.process(
-                    self._backing_read(tenant, addr, size, done,
-                                       self.env.now, wait),
-                    name=f"tenant-shed-read:{name}")
-            else:
-                done.succeed(CacheIoResult(
-                    ok=False, error="admission shed", retry_after=wait))
+            done.succeed(CacheIoResult(
+                ok=False, error="admission shed", retry_after=wait))
             return done
         if verdict == ADMIT:
             if tenant.c_admitted is not None:
@@ -348,20 +315,13 @@ class TenantTier:
             yield from self._serve_degraded(tenant, is_read, addr, size,
                                             data, done, arrival)
             return
-        if not self._try_slot(tenant):
-            yield from self._acquire_slot(tenant)
-        try:
-            gaddr = tenant.base + addr
-            if is_read:
-                result = yield from self.router.read_io(
-                    gaddr, size, tenant=tenant.spec.name,
-                    priority=tenant.weight)
-            else:
-                result = yield from self.router.write_io(
-                    gaddr, data, tenant=tenant.spec.name,
-                    priority=tenant.weight)
-        finally:
-            self._release_slot(tenant)
+        gaddr = tenant.base + addr
+        if is_read:
+            result = yield from self.router.read_io(
+                gaddr, size, tenant=tenant.spec.name)
+        else:
+            result = yield from self.router.write_io(
+                gaddr, data, tenant=tenant.spec.name)
         if result.ok:
             if not is_read:
                 # Ack-path mirror: the backing store sees every
@@ -379,7 +339,7 @@ class TenantTier:
 
     def _finish(self, tenant: TenantState, is_read: bool, done: Event,
                 arrival: float, *, data: Optional[bytes],
-                served_by: str, retry_after: Optional[float] = None) -> None:
+                served_by: str) -> None:
         latency = self.env.now - arrival
         histogram = tenant.h_read_lat if is_read else tenant.h_write_lat
         if histogram is not None:
@@ -389,57 +349,7 @@ class TenantTier:
             tenant.c_violations.inc()
         done.succeed(CacheIoResult(
             ok=True, data=data if is_read else None, latency=latency,
-            served_by=served_by, retry_after=retry_after))
-
-    # ------------------------------------------------------------------
-    # Weighted scheduling (shared slot pool)
-    # ------------------------------------------------------------------
-
-    def _try_slot(self, tenant: TenantState) -> bool:
-        """Take a free scheduling slot; False when the tenant must queue.
-        A caller that gets one builds no generator."""
-        if (self._inflight < self.max_inflight
-                and tenant.inflight < tenant.plan.max_inflight
-                and not tenant.waiters):
-            self._inflight += 1
-            tenant.inflight += 1
-            return True
-        return False
-
-    def _acquire_slot(self, tenant: TenantState):
-        """Queue for a slot :meth:`_try_slot` found taken.  The releaser
-        transfers the slot before waking us: both counters are already
-        incremented when this resumes."""
-        waiter = self.env.event()
-        tenant.waiters.append(waiter)
-        yield waiter
-
-    def _release_slot(self, tenant: TenantState) -> None:
-        tenant.inflight -= 1
-        nxt = self._pick_next()
-        if nxt is None:
-            self._inflight -= 1
-            return
-        nxt.inflight += 1
-        nxt.waiters.popleft().succeed()
-
-    def _pick_next(self) -> Optional[TenantState]:
-        """Smooth weighted round-robin over tenants with eligible
-        waiters; deterministic (scan in registration order, strict
-        greater-than keeps the earliest on ties)."""
-        eligible = [t for t in self._order
-                    if t.waiters and t.inflight < t.plan.max_inflight]
-        if not eligible:
-            return None
-        total = 0
-        best = None
-        for t in eligible:
-            total += t.weight
-            t.wrr_credit += t.weight
-            if best is None or t.wrr_credit > best.wrr_credit:
-                best = t
-        best.wrr_credit -= total
-        return best
+            served_by=served_by))
 
     # ------------------------------------------------------------------
     # Degradation state machine
@@ -504,15 +414,6 @@ class TenantTier:
             self._finish(tenant, False, done, arrival, data=None,
                          served_by="backing")
 
-    def _backing_read(self, tenant: TenantState, addr: int, size: int,
-                      done: Event, arrival: float, retry_after: float):
-        tenant.fail_open_reads += 1
-        if tenant.c_fail_open is not None:
-            tenant.c_fail_open.inc()
-        payload = yield from tenant.backing.read(addr, size)
-        self._finish(tenant, True, done, arrival, data=payload,
-                     served_by="backing", retry_after=retry_after)
-
     def _mark_dirty(self, tenant: TenantState, addr: int,
                     size: int) -> None:
         first = addr // _FLUSH_CHUNK_BYTES
@@ -534,8 +435,7 @@ class TenantTier:
         while tenant.degraded:
             yield self.env.timeout(tenant.spec.probe_interval_s)
             probe = yield self.router.read(tenant.base, probe_bytes,
-                                           tenant=name,
-                                           priority=tenant.weight)
+                                           tenant=name)
             if not probe.ok:
                 continue
             drained = yield from self._flush(tenant)
@@ -567,8 +467,7 @@ class TenantTier:
                            tenant.backing.capacity - addr)
                 payload = tenant.backing.peek(addr, size)
                 result = yield self.router.write(tenant.base + addr,
-                                                 payload, tenant=name,
-                                                 priority=tenant.weight)
+                                                 payload, tenant=name)
                 if not result.ok:
                     # Region went away again mid-flush: everything not
                     # yet streamed stays dirty for the next probe.

@@ -119,5 +119,5 @@ class TestSlo:
 class TestPerfPoint:
     def test_unit_conversions(self):
         point = PerfPoint(latency=5e-6, throughput=2e6)
-        assert point.latency_us == pytest.approx(5.0)
+        assert point.latency * 1e6 == pytest.approx(5.0)
         assert point.throughput_mops == pytest.approx(2.0)

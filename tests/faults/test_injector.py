@@ -45,7 +45,7 @@ class TestVmFaults:
         vm = cache.allocation.vms[0]
         # The notice landed and the client is migrating (or has moved).
         assert injector.log.kinds() == {"vm-eviction": 1}
-        event = injector.log.events[0]
+        event = list(injector.log)[0]
         assert event.time == 2.0
         assert event.detail["deadline"] == 32.0
         # After the notice window the doomed VM is gone but data moved.

@@ -207,6 +207,32 @@ class TestBackpressure:
             assert member.inflight == 0
             assert not member.waiters
 
+    def test_saturated_member_grants_slots_in_arrival_order(self):
+        harness, _client, members, router = make_fleet(n_shards=1)
+        (name,) = router.members
+        cache = members[name]
+        granted = []
+        read_io = cache.read_io
+
+        def recording_read_io(addr, size, **kwargs):
+            granted.append(addr)  # the router took a slot for this read
+            return read_io(addr, size, **kwargs)
+        cache.read_io = recording_read_io
+
+        addrs = [i * 64 for i in range(MAX_INFLIGHT_PER_SHARD + 8)]
+
+        def driver():
+            reads = [router.read(addr, 64) for addr in addrs]
+            yield harness.env.timeout(0)
+            queued = len(router.member(name).waiters)
+            results = yield harness.env.all_of(reads)
+            return queued, results
+
+        queued, results = run(harness, driver())
+        assert queued == 8
+        assert all(r.ok for r in results)
+        assert granted == addrs
+
     def test_read_of_a_deleted_member_returns_its_slot(self):
         harness, _client, members, router = make_fleet(n_shards=1)
         (name,) = router.members

@@ -1,18 +1,16 @@
 """Exception-path leak regressions in the serving tier.
 
-These tests pin two resources ``TenantTier._request`` holds across a
-suspension point: the admission reservation a DELAY verdict takes
-(released after the reservation sleep) and the WRR in-flight slot
-(released after the router I/O).  A request that left through an
-exception used to keep its slot, permanently shrinking the tier's
-capacity.  A yield raises when the event it waits on fails, so every
-``try``/``finally`` around a suspension point must still run.
+These tests pin the one resource ``TenantTier._request`` holds across a
+suspension point: the admission reservation a DELAY verdict takes,
+released after the reservation sleep.  A request that left through an
+exception must not keep it, or the tenant's admission capacity shrinks
+for good.  A yield raises when the event it waits on fails, so the
+``try``/``finally`` around the sleep must still run.
 """
 
 import pytest
 
-from repro.sim import US
-from repro.tenant.admission import ADMIT, DELAY
+from repro.tenant.admission import DELAY
 
 from .test_tier import make_tier, spec
 
@@ -54,52 +52,3 @@ class TestAdmissionReservation:
         with pytest.raises(RuntimeError):
             gen.throw(RuntimeError("sleep failed"))
         assert tenant.admission.queued == 0
-
-
-class TestInflightSlot:
-    def test_failed_router_io_releases_the_wrr_slot(self):
-        harness, _, _, tier = make_tier()
-        env = harness.env
-        tenant = tier.register(spec("t"))
-        doomed = env.event()
-
-        def failing_read_io(*_args, **_kwargs):
-            yield doomed
-        tier.router.read_io = failing_read_io
-
-        done = env.event()
-        proc = _drive(env, tier._request(tenant, True, 0, 64, None, done,
-                                         ADMIT, 0.0))
-
-        def failer(env):
-            yield env.timeout(2 * US)
-            assert tier._inflight == 1
-            doomed.fail(RuntimeError("region lost"))
-        env.process(failer(env))
-        env.run()
-
-        assert not proc.is_alive
-        # The failure landed mid-I/O: the request never completed.
-        assert not done.triggered
-        # Pre-fix the slot leaked: _inflight stayed 1 and the tenant's
-        # max_inflight budget shrank by one forever.
-        assert tier._inflight == 0
-        assert tenant.inflight == 0
-
-    def test_completed_request_frees_the_slot_too(self):
-        harness, _, _, tier = make_tier()
-        env = harness.env
-        tenant = tier.register(spec("t"))
-        tier.load("t", 0, b"\x07" * 64)
-        done = tier.read("t", 0, 64)
-        result = env.run_process(_await(env, done))
-        assert result.ok
-        assert tier._inflight == 0
-        assert tenant.inflight == 0
-
-
-def _await(env, event):
-    def proc(env):
-        result = yield event
-        return result
-    return proc(env)

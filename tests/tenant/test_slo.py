@@ -1,17 +1,15 @@
 """SLO class planning: deterministic Pareto-frontier placement."""
 
 from repro.core.modeling import analytic_model
-from repro.tenant import SLO_CLASS_WEIGHTS, plan_slo_classes
+from repro.tenant import plan_slo_classes
 
 
 class TestPlanSloClasses:
     def test_all_classes_resolve(self):
         plans = plan_slo_classes()
-        assert sorted(plans) == sorted(SLO_CLASS_WEIGHTS)
+        assert sorted(plans) == ["premium", "scavenger", "standard"]
         for name, plan in sorted(plans.items()):
             assert plan.name == name
-            assert plan.weight == SLO_CLASS_WEIGHTS[name]
-            assert plan.max_inflight >= 1
 
     def test_classes_order_on_the_frontier(self):
         plans = plan_slo_classes()
@@ -20,8 +18,6 @@ class TestPlanSloClasses:
         assert (plans["premium"].slo.max_latency
                 < plans["standard"].slo.max_latency
                 < plans["scavenger"].slo.max_latency)
-        assert (plans["premium"].weight > plans["standard"].weight
-                > plans["scavenger"].weight)
 
     def test_searched_configs_satisfy_their_targets(self):
         plans = plan_slo_classes()

@@ -9,14 +9,16 @@ from a package resolves to the submodule that defines it, so a package
 only tests import fails this check.
 
 Functions, methods and top-level classes: every public one defined in
-``src/repro`` must be named, as an identifier, somewhere in ``src/``,
-``benchmarks/`` or ``examples/``.  A package ``__init__`` re-export
-does not count: it names what the package offers, not a use.  The
-check is by name, so it is blind to a dead method sharing its name
-with a live one; it still catches every uniquely named one that only
-tests call.  Read-only observation points and test fakes that tests
-check live behaviour through are the exceptions, listed in
-:data:`OBSERVATION_POINTS` with their reasons.
+``src/repro`` must be named somewhere in ``src/``, ``benchmarks/`` or
+``examples/``: a function or class as any identifier, a method or
+property only as an attribute (``x.name``), so a local variable or
+keyword of the same name does not keep a method alive.  A package
+``__init__`` re-export does not count: it names what the package
+offers, not a use.  The check is by name, so it is blind to a dead
+method sharing its name with a live attribute; it still catches every
+uniquely named one that only tests call.  Read-only observation points
+and test fakes that tests check live behaviour through are the
+exceptions, listed in :data:`OBSERVATION_POINTS` with their reasons.
 
 Options: every defaulted parameter of a public function, method or
 constructor, and every defaulted ``@dataclass`` field, must be set by
@@ -155,6 +157,13 @@ OBSERVATION_POINTS = {
         "log head",
     "Process.is_alive":
         "how kernel tests check a process finished exactly once",
+    "OpStages.durations":
+        "how tests check the per-op stage ledger: the one-sided stages "
+        "sum to the op's latency and reconcile with the analytic model",
+    "FaultLog.kinds":
+        "how tests check which faults the injector acted on, by kind",
+    "HashRing.ranges":
+        "how tests check that the owner arcs tile the ring",
     "TokenBucket.level":
         "how tests check the admission bucket's refill and burst cap",
     "PerfModel.known":
@@ -171,9 +180,10 @@ OBSERVATION_POINTS = {
 
 
 def _live_identifiers():
-    """Every identifier live code names: Name, Attribute, import alias
-    (but not an alias a ``src/repro`` package ``__init__`` re-exports)."""
-    names = set()
+    """``(names, attributes)`` live code names: every identifier (Name,
+    Attribute, import alias, but not an alias a ``src/repro`` package
+    ``__init__`` re-exports), and the attribute names alone."""
+    names, attributes = set(), set()
     paths = sorted((SRC / "repro").rglob("*.py"))
     paths += sorted((ROOT / "benchmarks").rglob("*.py"))
     paths += sorted((ROOT / "examples").rglob("*.py"))
@@ -184,11 +194,12 @@ def _live_identifiers():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias) and not reexports:
                 names.update(node.name.split("."))
                 if node.asname:
                     names.add(node.asname)
-    return names
+    return names, attributes
 
 
 def _name_of(node):
@@ -200,8 +211,8 @@ def _is_node_visitor(cls):
 
 
 def _public_functions():
-    """``(qualified name, name)`` of every public module-level function
-    and class and every public class method under ``src/repro``.
+    """``(qualified name, name, is method)`` of every public module-level
+    function and class and every public class method under ``src/repro``.
     ``visit_*`` methods of an ``ast.NodeVisitor`` are skipped: the
     visitor dispatches them by building their names at run time."""
     found = []
@@ -210,13 +221,13 @@ def _public_functions():
         for node in body:
             if isinstance(node, ast.ClassDef):
                 if owner is None and not node.name.startswith("_"):
-                    found.append((node.name, node.name))
+                    found.append((node.name, node.name, False))
                 scan(node.body, node.name, _is_node_visitor(node))
             elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and not node.name.startswith("_")
                   and not (visitor and node.name.startswith("visit_"))):
                 qualified = f"{owner}.{node.name}" if owner else node.name
-                found.append((qualified, node.name))
+                found.append((qualified, node.name, owner is not None))
 
     for path in sorted((SRC / "repro").rglob("*.py")):
         scan(ast.parse(path.read_text()).body)
@@ -224,17 +235,15 @@ def _public_functions():
 
 
 def test_every_public_function_is_named_by_live_code():
-    live = _live_identifiers()
-    functions = _public_functions()
-    unreferenced = sorted(qualified for qualified, name in functions
-                          if name not in live
-                          and qualified not in OBSERVATION_POINTS)
+    names, attributes = _live_identifiers()
+    dead = {qualified for qualified, name, is_method in _public_functions()
+            if name not in (attributes if is_method else names)}
+    unreferenced = sorted(dead - set(OBSERVATION_POINTS))
     assert not unreferenced, (
         "public functions and classes only tests (or nothing) use: delete "
         "them, or list a kept observation point with its reason: "
         f"{unreferenced}")
-    stale = sorted(set(OBSERVATION_POINTS) - {
-        qualified for qualified, name in functions if name not in live})
+    stale = sorted(set(OBSERVATION_POINTS) - dead)
     assert not stale, (
         f"allowlisted but gone or now referenced by live code: {stale}")
 
